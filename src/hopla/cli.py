@@ -103,6 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a cap below 1 leaves nothing to check and would pass vacuously
+    for flag, value in (("--max-arity", getattr(args, "max_arity", None)),
+                        ("--weight-cap", getattr(args, "weight_cap", None))):
+        if value is not None and value < 1:
+            print(f"input error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         if args.verb == "check":
             doc = _read_document(args.file)

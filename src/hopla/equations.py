@@ -26,17 +26,14 @@ residuals are exact, there is no tolerance anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import ArityError, ConventionError, GradingError, LemmaViolationError, SymmetryError
-from .graded import (HAT, UNHAT, Operation, OperationFamily, accumulate,
-                     compose_insert, finish_combination)
+from .graded import HAT, UNHAT, Operation, OperationFamily, compose_insert
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2,
-                           failing_symmetry_generator, precompose_symmetrized,
-                           sh, sign)
+                           failing_symmetry_generator, precompose_symmetrized)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -163,7 +160,15 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
       + (-1)^{mn} sum over (m,n)-unshuffles sigma of
              sgn(sigma) f(x_{sigma(1)},...,x_{sigma(m)}, g(..., x_{m+n+1})).
 
-    The last letter always stays put.
+    The last letter always stays put.  Computed in the Nijenhuis-Richardson
+    form: with P the rho2 symmetrization over the first m+n slots,
+
+        f o g = P(f o_0 g / (n!(m-1)!) + (-1)^{mn} f o_m g / (m! n!)),
+
+    where o_i is `compose_insert` at position i and the first term is absent
+    for m = 0.  This equals the unshuffle sums only when f and g are skew in
+    all slots but the last, which the caller must guarantee when
+    `check_symmetry` is False.
     """
     if f.space != g.space:
         raise ArityError("circle product requires a common space")
@@ -171,34 +176,14 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     if check_symmetry:
         _require_partial(f, "left factor")
         _require_partial(g, "right factor")
-    sp = f.space
     m, n = f.arity - 1, g.arity - 1
-    arity = m + n + 1
-    swap_sign = -1 if (m * n) % 2 else 1
-
-    first = [(sigma, sign(sigma)) for sigma in sh(n, 1, m - 1)]
-    second = [(sigma, swap_sign * sign(sigma)) for sigma in sh(m, n)]
-
-    acc = {}
-    for word in itertools.product(range(sp.dim), repeat=arity):
-        slot = {}
-        for sigma, sgn in first:
-            mapped = [word[s - 1] for s in sigma]
-            inner = g.evaluate(tuple(mapped[:n + 1]))
-            for mid, c_in in inner:
-                outer = f.evaluate(tuple([mid] + mapped[n + 1:] + [word[-1]]))
-                for out, c_out in outer:
-                    accumulate(slot, out, c_in * c_out * sgn)
-        for sigma, sgn in second:
-            mapped = [word[s - 1] for s in sigma]
-            inner = g.evaluate(tuple(mapped[m:] + [word[-1]]))
-            for mid, c_in in inner:
-                outer = f.evaluate(tuple(mapped[:m] + [mid]))
-                for out, c_out in outer:
-                    accumulate(slot, out, c_in * c_out * sgn)
-        if slot:
-            acc[word] = finish_combination(slot)
-    return Operation(sp, arity, 0, acc)
+    # declared degree 0, like the space, whatever degrees f and g declare
+    core = Operation.zero(f.space, m + n + 1, 0)
+    core = core + compose_insert(f, g, m).scaled(
+        Fraction((-1) ** (m * n), factorial(m) * factorial(n)))
+    if m:
+        core = core + compose_insert(f, g, 0).scaled(Fraction(1, factorial(n) * factorial(m - 1)))
+    return precompose_symmetrized(core, RHO2, MODE_PARTIAL)
 
 
 def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:

@@ -298,17 +298,17 @@ def compose_insert(outer: Operation, inner: Operation, position: int) -> Operati
     sp = outer.space
     i, j = outer.arity, inner.arity
     inner_odd = inner.degree % 2 != 0
+    odd = [d % 2 for d in sp.degrees]
+    inner_by_output = {}
+    for win, cin in inner.table.items():
+        for letter, c in cin:
+            inner_by_output.setdefault(letter, []).append((win, c))
     acc = {}
     for wout, cout in outer.table.items():
-        target = wout[position]
-        for win, cin in inner.table.items():
-            c = cin[target]
-            if not c:
-                continue
-            word = wout[:position] + win + wout[position + 1:]
-            sign = 1
-            if inner_odd and word_degree(sp, word[:position]) % 2:
-                sign = -1
+        head, target, rest = wout[:position], wout[position], wout[position + 1:]
+        sign = -1 if inner_odd and sum(odd[x] for x in head) % 2 else 1
+        for win, c in inner_by_output.get(target, ()):
+            word = head + win + rest
             slot = acc.setdefault(word, {})
             for out, co in cout:
                 accumulate(slot, out, co * c * sign)

@@ -108,7 +108,11 @@ def permute_word(sigma: Perm, word: Word) -> Word:
 
 
 def act(sigma: Perm, space, word: Word, variant: str):
-    """Apply rho1 or rho2 to a word; returns (coefficient, permuted word)."""
+    """Apply rho1 or rho2 to a word; returns (chi(sigma; word), word o sigma).
+
+    The one per-permutation signed action: the shuffle symmetrization and
+    the symmetry checks both go through it.
+    """
     degrees = [space.degree(i) for i in word]
     coeff = koszul_sign(sigma, degrees)
     if variant == RHO2:
@@ -163,21 +167,57 @@ def sh(*blocks: int) -> tuple:
     return _unshuffles_cached(kept)
 
 
-def extend_fixing_last(sigma: Perm, n: int) -> Perm:
-    """View sigma in S_k as the element of S_n fixing the last n-k letters."""
-    return tuple(sigma) + tuple(range(len(sigma) + 1, n + 1))
+def _signed_sort(letters: list, odd, rho2: bool) -> int:
+    """Insertion-sort `letters` in place and return chi of the sorting
+    permutation: the Koszul sign of every adjacent swap, times -1 per swap
+    under rho2."""
+    chi = 1
+    for i in range(1, len(letters)):
+        a = letters[i]
+        j = i
+        while j > 0 and letters[j - 1] > a:
+            b = letters[j - 1]
+            if (odd[a] and odd[b]) != rho2:
+                chi = -chi
+            letters[j] = b
+            j -= 1
+        letters[j] = a
+    return chi
 
 
-def _mode_permutations(mode: str, n: int) -> tuple:
-    if mode == MODE_FULL:
-        return all_permutations(n)
-    if mode == MODE_PARTIAL:
-        return tuple(extend_fixing_last(s, n) for s in all_permutations(n - 1))
-    if mode == MODE_SHUFFLE:
-        if n == 1:
-            return (identity(1),)
-        return sh(n - 1, 1)
-    raise ValueError(f"unknown symmetrization mode {mode!r}")
+def _stabilizer_order(letters: tuple, odd, rho2: bool) -> int:
+    """|Stab| of a sorted word in S_len, or 0 when chi is not trivial on it.
+
+    The stabilizer permutes equal letters; swapping two copies of a letter
+    acts by -1 when the letter is odd under rho1 or even under rho2, and
+    then every orbit sum cancels.
+    """
+    order = run = 1
+    for j in range(1, len(letters)):
+        if letters[j] != letters[j - 1]:
+            run = 1
+            continue
+        if odd[letters[j]] != rho2:
+            return 0
+        run += 1
+        order *= run
+    return order
+
+
+def _arrangements(letters: tuple, odd, rho2: bool):
+    """Yield (chi(pi; letters), letters o pi) once for every distinct
+    rearrangement of a sorted word, by choosing the first letter and
+    recursing; moving letter j to the front passes the j letters before it."""
+    if len(letters) <= 1:
+        yield 1, letters
+        return
+    odd_before = False
+    for j, a in enumerate(letters):
+        if j == 0 or a != letters[j - 1]:
+            head = -1 if (odd[a] and odd_before) != (rho2 and j % 2 == 1) else 1
+            for chi, rest in _arrangements(letters[:j] + letters[j + 1:], odd, rho2):
+                yield head * chi, (a,) + rest
+        odd_before ^= bool(odd[a])
 
 
 def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
@@ -187,43 +227,56 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     mode 'partial': sigma over S_{n-1} acting on the first n-1 slots;
     mode 'shuffle': sigma over the (n-1,1)-unshuffles.
     The variant picks rho1 or rho2.
+
+    The full and partial sums S are computed per orbit of the acted slots.
+    With r the sorted representative of an orbit and w = r o pi,
+    S(w) = chi(pi; r) |Stab(r)| sum of chi(tau; r) op(r o tau) over the
+    distinct words r o tau in the table, and S vanishes on the orbit when
+    chi is not trivial on Stab(r).  Each table word is sorted once and each
+    output word written once.
     """
+    if variant not in (RHO1, RHO2):
+        raise ValueError(f"unknown action variant {variant!r}")
     n = op.arity
-    perms = _mode_permutations(mode, n)
-    sp = op.space
-    acc = {}
-    for sigma in perms:
-        inv = inverse(sigma)
-        for target_word, combo in op.table.items():
-            word = permute_word(inv, target_word)
-            degrees = [sp.degree(i) for i in word]
-            coeff = koszul_sign(sigma, degrees)
-            if variant == RHO2:
-                coeff *= sign(sigma)
-            elif variant != RHO1:
-                raise ValueError(f"unknown action variant {variant!r}")
-            slot = acc.setdefault(word, {})
-            for out, c in combo:
-                accumulate(slot, out, c * coeff)
-    table = {w: finish_combination(d) for w, d in acc.items()}
-    return Operation(sp, n, op.degree, table)
+    if mode == MODE_SHUFFLE:
+        acc = {}
+        for sigma in sh(n - 1, 1):
+            inv = inverse(sigma)
+            for target_word, combo in op.table.items():
+                coeff, word = act(inv, op.space, target_word, variant)
+                slot = acc.setdefault(word, {})
+                for out, c in combo:
+                    accumulate(slot, out, c * coeff)
+        return Operation(op.space, n, op.degree,
+                         {w: finish_combination(d) for w, d in acc.items()})
+    if mode == MODE_FULL:
+        acted = n
+    elif mode == MODE_PARTIAL:
+        acted = n - 1
+    else:
+        raise ValueError(f"unknown symmetrization mode {mode!r}")
 
-
-def _precompose_single(op: Operation, sigma: Perm, variant: str) -> Operation:
-    """op o rho_sigma for one permutation, sparsely."""
-    sp = op.space
-    inv = inverse(sigma)
-    acc = {}
-    for target_word, combo in op.table.items():
-        word = permute_word(inv, target_word)
-        degrees = [sp.degree(i) for i in word]
-        coeff = koszul_sign(sigma, degrees)
-        if variant == RHO2:
-            coeff *= sign(sigma)
-        slot = acc.setdefault(word, {})
+    odd = [d % 2 for d in op.space.degrees]
+    rho2 = variant == RHO2
+    orbits = {}
+    for word, combo in op.table.items():
+        head = list(word[:acted])
+        chi = _signed_sort(head, odd, rho2)
+        slot = orbits.setdefault(tuple(head) + word[acted:], {})
         for out, c in combo:
-            accumulate(slot, out, c * coeff)
-    return Operation(sp, op.arity, op.degree, {w: finish_combination(d) for w, d in acc.items()})
+            accumulate(slot, out, c * chi)
+
+    table = {}
+    for rep, slot in orbits.items():
+        head, tail = rep[:acted], rep[acted:]
+        order = _stabilizer_order(head, odd, rho2)
+        if not slot or not order:
+            continue
+        value = finish_combination(slot).scaled(order)
+        negated = value.scaled(-1)
+        for chi, arrangement in _arrangements(head, odd, rho2):
+            table[arrangement + tail] = value if chi == 1 else negated
+    return Operation(op.space, n, op.degree, table)
 
 
 def _symmetry_generators(n_acted: int, full_length: int):
@@ -244,9 +297,13 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     n_acted = op.arity if full else op.arity - 1
     if n_acted <= 1:
         return None
+    # tau is an involution, so op o rho_tau = op iff op(w o tau) equals
+    # chi(tau; w) op(w) for every stored word w.
     for label, tau in _symmetry_generators(n_acted, op.arity):
-        if _precompose_single(op, tau, variant) != op:
-            return label
+        for word, combo in op.table.items():
+            coeff, moved = act(tau, op.space, word, variant)
+            if op.table.get(moved) != combo.scaled(coeff):
+                return label
     return None
 
 

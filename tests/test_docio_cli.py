@@ -196,6 +196,19 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json"), "--flavor", "assoc"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["coderive", GOOD, "--kind", "perm", "--weight-cap", "0"],
+    ["coderive", GOOD, "--kind", "wedge", "--weight-cap", "-3"],
+    ["check", GOOD, "--flavor", "assoc", "--max-arity", "0"],
+    ["check", GOOD, "--flavor", "lie", "--max-arity", "-1"],
+])
+def test_cli_rejects_caps_below_one(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert "ALL PASS" not in captured.out
+
+
 def test_cli_generate_derive_check_pipeline(tmp_path, capsys):
     for seed in (1, 2):
         gen = tmp_path / f"gen{seed}.json"

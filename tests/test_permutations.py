@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import koszul_by_inversions
+from oracles import extend_fixing_last, precompose_by_loop
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
@@ -206,14 +207,13 @@ def test_arity_one_and_two_partial_symmetry_vacuous(flat2):
 def test_generator_check_equals_exhaustive(graded2, rng):
     # adjacent transpositions decide the same as quantifying over all of
     # S_{n-1}, n <= 4
-    from hopla.permutations import _precompose_single, extend_fixing_last
     from hopla.verify import random_operation
     for n in (2, 3, 4):
         for _ in range(6):
             op = random_operation(rng, graded2, n, 0, density=0.5)
             via_generators = failing_symmetry_generator(op, RHO2, full=False) is None
             exhaustive = all(
-                _precompose_single(op, extend_fixing_last(s, n), RHO2) == op
+                precompose_by_loop(op, [extend_fixing_last(s, n)], RHO2) == op
                 for s in all_permutations(n - 1))
             assert via_generators == exhaustive
 
