@@ -12,8 +12,8 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, Residual,
                         check_nary, check_prelie_n_two_ways, circle_bracket,
                         circle_product, nary_residual, residual)
-from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, CofreeElement,
-                        check_coderivation, coalgebra_map, comultiply,
+from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,
+                        coalgebra_map, comultiply,
                         extend_coderivation, project_pi,
                         square_cogenerator_component, wedge_normalize)
 from .functors import (NaryEmbedding, commutator, desuspend_family,

@@ -32,6 +32,13 @@ def _read_document(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
+def _int_list(flag: str, text: str) -> list:
+    try:
+        return [int(d) for d in text.split(",") if d.strip() != ""]
+    except ValueError as exc:
+        raise DocumentError(f"{flag} must list integers: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -134,8 +141,8 @@ def main(argv=None) -> int:
             return _emit_report(report, args.json)
 
         if args.verb == "generate":
-            degrees = [int(d) for d in args.degrees.split(",") if d.strip() != ""]
-            arities = [int(a) for a in args.arities.split(",") if a.strip() != ""]
+            degrees = _int_list("--degrees", args.degrees)
+            arities = _int_list("--arities", args.arities)
             doc = generate_random(args.dim, degrees, arities, args.sparsity,
                                   args.seed, convention=args.convention,
                                   symmetrize=args.symmetrize,
@@ -147,9 +154,6 @@ def main(argv=None) -> int:
             report = run_selftest(seed=args.seed, fast=args.fast)
             return _emit_report(report, args.json)
     except DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AlgebraError as exc:

@@ -23,11 +23,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping
 
-from .errors import ConventionError, KindError, SymmetryError
+from .errors import ConventionError, KindError
 from .graded import (HAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily, accumulate, finish_combination, word_degree)
-from .permutations import (RHO1, all_permutations, failing_symmetry_generator,
-                           koszul_sign, permute_word, sh)
+from .permutations import (RHO1, all_permutations, koszul_sign, permute_word,
+                           require_symmetry, sh, signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -39,22 +39,15 @@ KINDS = (TENSOR, WEDGE, PERM)
 def wedge_normalize(space: GradedSpace, letters) -> tuple:
     """Canonical form of a wedge word: (sign, sorted tuple) or (0, None).
 
-    The sign is the Koszul sign of the sorting permutation; a repeated
-    odd-degree letter forces the zero word.
+    The canonical word is the word's rho1 orbit representative, computed by
+    the symmetrization kernel: the sign is the Koszul sign of the sorting
+    permutation, and a repeated odd-degree letter (a stabilizer acting by
+    -1) forces the zero word.
     """
     letters = list(letters)
-    sign = 1
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            a, b = letters[j - 1], letters[j]
-            if space.degree(a) % 2 and space.degree(b) % 2:
-                sign = -sign
-            letters[j - 1], letters[j] = b, a
-            j -= 1
-    for k in range(1, len(letters)):
-        if letters[k] == letters[k - 1] and space.degree(letters[k]) % 2:
-            return 0, None
+    sign = signed_sort(letters, space.parities, False)
+    if not stabilizer_order(letters, space.parities, False):
+        return 0, None
     return sign, tuple(letters)
 
 
@@ -76,7 +69,7 @@ def tensor_words(space: GradedSpace, k: int) -> Iterator:
 
 def wedge_words(space: GradedSpace, k: int) -> Iterator:
     for w in itertools.combinations_with_replacement(range(space.dim), k):
-        if all(not (w[i] == w[i + 1] and space.degree(w[i]) % 2) for i in range(k - 1)):
+        if stabilizer_order(w, space.parities, False):
             yield w
 
 
@@ -94,42 +87,6 @@ def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
     if kind == PERM:
         return perm_words(space, k)
     raise KindError(f"unknown coalgebra kind {kind!r}")
-
-
-@dataclass(eq=False)
-class CofreeElement:
-    """Sparse element of one of the three coalgebras, truncated at `cap`."""
-
-    kind: str
-    space: GradedSpace
-    cap: int
-    combo: LinearCombination = field(default_factory=LinearCombination)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise KindError(f"unknown coalgebra kind {self.kind!r}")
-        for word, _ in self.combo:
-            if word_weight(self.kind, word) > self.cap:
-                raise ValueError(f"word {word} exceeds weight cap {self.cap}")
-
-    def is_zero(self) -> bool:
-        return self.combo.is_zero()
-
-    def __add__(self, other: "CofreeElement") -> "CofreeElement":
-        assert self.kind == other.kind and self.space == other.space
-        return CofreeElement(self.kind, self.space, max(self.cap, other.cap),
-                             self.combo + other.combo)
-
-    def scaled(self, factor) -> "CofreeElement":
-        return CofreeElement(self.kind, self.space, self.cap, self.combo.scaled(factor))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CofreeElement) and self.kind == other.kind
-                and self.space == other.space and self.combo == other.combo)
-
-    def weight_part(self, k: int) -> LinearCombination:
-        return LinearCombination(
-            (w, c) for w, c in self.combo if word_weight(self.kind, w) == k)
 
 
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
@@ -164,7 +121,7 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     return finish_combination(acc)
 
 
-def coalgebra_map(name: str, space: GradedSpace, word, cap: int | None = None) -> CofreeElement:
+def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     """The maps alpha (wedge -> tensor, full symmetrization), beta
     (wedge -> perm, (n-1,1)-unshuffle sum) and gamma (perm -> tensor,
     head symmetrization with the tail fixed)."""
@@ -175,7 +132,7 @@ def coalgebra_map(name: str, space: GradedSpace, word, cap: int | None = None) -
         for sigma in all_permutations(n):
             accumulate(acc, permute_word(sigma, word),
                        Fraction(koszul_sign(sigma, degrees)))
-        return CofreeElement(TENSOR, space, cap or n, finish_combination(acc))
+        return finish_combination(acc)
     if name == "beta":
         n = len(word)
         degrees = [space.degree(x) for x in word]
@@ -184,7 +141,7 @@ def coalgebra_map(name: str, space: GradedSpace, word, cap: int | None = None) -
             permuted = permute_word(sigma, word)
             accumulate(acc, (permuted[:-1], permuted[-1]),
                        Fraction(koszul_sign(sigma, degrees)))
-        return CofreeElement(PERM, space, cap or n, finish_combination(acc))
+        return finish_combination(acc)
     if name == "gamma":
         head, tail = word
         n = len(head) + 1
@@ -193,21 +150,16 @@ def coalgebra_map(name: str, space: GradedSpace, word, cap: int | None = None) -
         for sigma in all_permutations(n - 1):
             accumulate(acc, permute_word(sigma, head) + (tail,),
                        Fraction(koszul_sign(sigma, degrees)))
-        return CofreeElement(TENSOR, space, cap or n, finish_combination(acc))
+        return finish_combination(acc)
     raise KindError(f"unknown coalgebra map {name!r}")
 
 
-MAP_DOMAIN = {"alpha": WEDGE, "beta": WEDGE, "gamma": PERM}
-
-
-def project_pi(space: GradedSpace, word, cap: int | None = None) -> CofreeElement:
+def project_pi(space: GradedSpace, word) -> LinearCombination:
     """pi: tensor -> wedge, the weight-n canonical projection scaled by 1/n!."""
-    n = len(word)
     s, canonical = wedge_normalize(space, word)
     if canonical is None:
-        return CofreeElement(WEDGE, space, cap or n)
-    return CofreeElement(WEDGE, space, cap or n,
-                         LinearCombination.single(canonical, Fraction(s, factorial(n))))
+        return LinearCombination()
+    return LinearCombination.single(canonical, Fraction(s, factorial(len(word))))
 
 
 # ---------------------------------------------------------------------------
@@ -253,33 +205,15 @@ class Coderivation:
     def square_word(self, word) -> LinearCombination:
         return self.apply_combination(self.apply_word(word))
 
-    def is_square_zero(self) -> bool:
-        """D o D == 0 on every canonical word up to the weight cap."""
+    def first_nonzero_square(self):
+        """(word, D(D(word))) for the first canonical word, by weight up to
+        the cap, whose square is nonzero; None when D o D vanishes there."""
         for k in range(1, self.cap + 1):
             for word in coalgebra_words(self.kind, self.space, k):
-                if not self.square_word(word).is_zero():
-                    return False
-        return True
-
-    def with_entry(self, k: int, l: int, word, combo: LinearCombination) -> "Coderivation":
-        """Copy with one component entry replaced (used to build corrupted
-        coderivations in tests)."""
-        components = {key: dict(m) for key, m in self.components.items()}
-        components.setdefault((k, l), {})[word] = combo
-        return Coderivation(self.kind, self.space, self.cap, self.degree, components)
-
-
-def _require_extension_symmetry(family: OperationFamily, kind: str) -> None:
-    if kind == TENSOR:
-        return
-    full = kind == WEDGE
-    for n in family.arities():
-        bad = failing_symmetry_generator(family.ops[n], RHO1, full=full)
-        if bad is not None:
-            raise SymmetryError(
-                f"{kind} coderivation extension requires "
-                f"{'full' if full else 'partial'} symmetry; the arity-{n} operation "
-                f"fails at transposition {bad}", arity=n, transposition=bad)
+                image = self.square_word(word)
+                if not image.is_zero():
+                    return word, image
+        return None
 
 
 def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderivation:
@@ -301,7 +235,8 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
         raise ConventionError("coderivation extension requires a hat-convention family")
     if kind not in KINDS:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    _require_extension_symmetry(family, kind)
+    if kind != TENSOR:
+        require_symmetry(family.ops, RHO1, kind == WEDGE, f"the {kind} coderivation extension")
     sp = family.space
     components = {}
     for k in range(1, cap + 1):
@@ -438,13 +373,3 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
             table[word] = finish_combination(acc)
     return Operation(sp, n, 2 * D.degree, table)
 
-
-def square_component(D: Coderivation, k: int, l: int) -> dict:
-    """The weight (k -> l) component of D o D, word by word."""
-    out = {}
-    for word in coalgebra_words(D.kind, D.space, k):
-        part = LinearCombination(
-            (w, c) for w, c in D.square_word(word) if word_weight(D.kind, w) == l)
-        if not part.is_zero():
-            out[word] = part
-    return out

@@ -49,17 +49,23 @@ def parse_rational(text, path: str = "") -> Fraction:
     m = _RATIONAL.match(text.strip())
     if not m:
         raise DocumentError(f"malformed rational {text!r}", path)
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        p = int(m.group(1))
+        q = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise DocumentError(f"malformed rational: {exc}", path) from None
     if q == 0:
         raise DocumentError(f"malformed rational {text!r}: zero denominator", path)
     return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # more digits than str() converts
+        raise DocumentError(f"coefficient too long to print: {exc}") from None
 
 
 @dataclass
@@ -87,11 +93,11 @@ def _expect(mapping, key, path):
 def parse_document(text) -> AlgebraDocument:
     """Parse and validate a document; raises DocumentError with a JSON-path
     location on any defect."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer with too many digits
         raise DocumentError(f"not valid JSON: {exc}") from None
 
     fmt = _expect(raw, "format", "")
@@ -218,7 +224,10 @@ def serialize_document(doc: AlgebraDocument) -> str:
     if doc.declared_type is not None:
         name, n = doc.declared_type
         raw["declared_type"] = {"name": name} if n is None else {"name": name, "n": n}
-    return json.dumps(raw, indent=2) + "\n"
+    try:
+        return json.dumps(raw, indent=2) + "\n"
+    except ValueError as exc:  # an integer with more digits than str() converts
+        raise DocumentError(f"cannot serialize: {exc}") from None
 
 
 def document_from_family(family: OperationFamily,

@@ -22,8 +22,9 @@ from .functors import (commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily, family_degree)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2,
-                           failing_symmetry_generator, precompose_symmetrized)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
+                           failing_symmetry_generator, precompose_symmetrized,
+                           require_symmetry)
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
@@ -90,22 +91,19 @@ def _residual_witness(space: GradedSpace, op: Operation) -> dict | None:
     }
 
 
-def _symmetry_check(report: Report, family: OperationFamily, kind: str) -> bool:
-    """Append symmetry-precondition results; returns overall success."""
+def _symmetry_check(report: Report, ops: dict, variant: str, kind: str) -> bool:
+    """Append one symmetry-precondition line per arity of `ops`; returns
+    overall success."""
     if kind in (ASSOC, "partially_associative"):
         return True
-    variant = RHO1 if family.convention == HAT else RHO2
     full = kind == LIE
+    label = "full" if full else "partial"
     ok = True
-    for n in family.arities():
-        bad = failing_symmetry_generator(family.ops[n], variant, full=full)
-        label = "full" if full else "partial"
-        if bad is None:
-            report.add(f"{label} symmetry at arity {n}", True)
-        else:
-            report.add(f"{label} symmetry at arity {n}", False,
-                       witness={"arity": n, "transposition": list(bad)})
-            ok = False
+    for n in sorted(ops):
+        bad = failing_symmetry_generator(ops[n], variant, full=full)
+        report.add(f"{label} symmetry at arity {n}", bad is None,
+                   witness=None if bad is None else {"arity": n, "transposition": list(bad)})
+        ok = ok and bad is None
     return ok
 
 
@@ -125,17 +123,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     declared = doc.declared_type
     if declared and declared[0] in NARY_DECLARED:
         n, mu = nary_operation(doc)
-        nkind = NARY_DECLARED[declared[0]]
         want = {"assoc": "partially_associative", "prelie": PRELIE, "lie": LIE}[kind]
-        sym_ok = True
-        if check_preconditions and want != "partially_associative":
-            full = want == LIE
-            bad = failing_symmetry_generator(mu, RHO2, full=full)
-            label = "full" if full else "partial"
-            report.add(f"{label} symmetry at arity {n}", bad is None,
-                       witness=None if bad is None else {"arity": n, "transposition": list(bad)})
-            sym_ok = bad is None
-        if sym_ok:
+        if not check_preconditions or _symmetry_check(report, {n: mu}, RHO2, want):
             ok, res = check_nary(mu, want, check_symmetry=False)
             report.add(f"{want} residual at arity {res.n}", ok,
                        witness=None if ok else _residual_witness(mu.space, res.op))
@@ -144,8 +133,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     flavor = EquationFlavor(kind, doc.convention)
     cap = max_arity if max_arity is not None else doc.family.max_arity
-    sym_ok = _symmetry_check(report, doc.family, kind) if check_preconditions else True
-    if sym_ok:
+    if not check_preconditions or _symmetry_check(report, doc.family.ops,
+                                                  action_variant(doc.convention), kind):
         for n in range(1, cap + 1):
             res = residual(doc.family, flavor, n, check_symmetry=False)
             ok = res.vanishes()
@@ -181,7 +170,7 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                check_preconditions: bool = True) -> AlgebraDocument:
     """Apply one functor and return the derived document (entries sorted on
     serialization).  Convention and type mismatches raise DocumentError;
-    violated symmetry preconditions raise SymmetryError."""
+    violated symmetry preconditions raise a SymmetryError."""
     declared = doc.declared_type
     is_nary = bool(declared and declared[0] in NARY_DECLARED)
 
@@ -204,14 +193,8 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                 "use nary-commutator-prelie or nary-commutator-lie")
         name = functor.split("-")[1]
         if check_preconditions and name == "beta":
-            variant = RHO1 if doc.convention == HAT else RHO2
-            for k in doc.family.arities():
-                bad = failing_symmetry_generator(doc.family.ops[k], variant, full=False)
-                if bad is not None:
-                    raise SymmetryError(
-                        f"commutator-beta expects a partially symmetric family; "
-                        f"arity {k} fails at transposition {bad}",
-                        arity=k, transposition=bad)
+            require_symmetry(doc.family.ops, action_variant(doc.convention), False,
+                             "commutator-beta")
         derived_type = None
         if declared and declared[0] == "a_infinity":
             derived_type = {"gamma": ("pl_infinity", None),
@@ -224,6 +207,9 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         n_value = n if n is not None else (declared[1] if is_nary else None)
         if n_value is None:
             raise DocumentError("nary-embed requires --n or a declared n-ary type")
+        if is_nary and n_value != declared[1]:
+            raise DocumentError(
+                f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")
         if is_nary:
             _, mu = nary_operation(doc)
         else:
@@ -277,24 +263,13 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         square_zero = square_zero and ok
         report.add(f"squared coderivation, cogenerator component at weight {n}", ok,
                    witness=None if ok else _residual_witness(family.space, comp))
-    if square_zero:
-        witness = _square_witness(D)
-        report.add("squared coderivation vanishes up to the cap", witness is None,
-                   witness=witness)
-    else:
-        report.add("squared coderivation vanishes up to the cap", False)
+    found = D.first_nonzero_square() if square_zero else None
+    witness = None if found is None else {"word": repr(found[0]),
+                                          "value": repr(dict(found[1].terms))}
+    report.add("squared coderivation vanishes up to the cap", square_zero and found is None,
+               witness=witness)
     report.elapsed = time.monotonic() - t0
     return report
-
-
-def _square_witness(D) -> dict | None:
-    from .coalgebra import coalgebra_words
-    for k in range(1, D.cap + 1):
-        for word in coalgebra_words(D.kind, D.space, k):
-            image = D.square_word(word)
-            if not image.is_zero():
-                return {"word": repr(word), "value": repr(dict(image.terms))}
-    return None
 
 
 def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
@@ -345,7 +320,7 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
 
     space = GradedSpace(labels, tuple(degree_list))
 
-    variant = RHO1 if convention == HAT else RHO2
+    variant = action_variant(convention)
     ops = {}
     for arity in arities:
         target = family_degree(convention, arity)

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ArityError, ConventionError, GradingError, LemmaViolationError, SymmetryError
-from .graded import HAT, UNHAT, Operation, OperationFamily, compose_insert
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2,
-                           failing_symmetry_generator, precompose_symmetrized)
+from .errors import ArityError, ConventionError, LemmaViolationError
+from .graded import HAT, UNHAT, Operation, OperationFamily, compose_insert, linear_sum
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
+                           precompose_symmetrized, require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -55,7 +55,7 @@ class EquationFlavor:
 
     @property
     def variant(self) -> str:
-        return RHO1 if self.convention == HAT else RHO2
+        return action_variant(self.convention)
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,6 @@ def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
     return c
 
 
-def require_family_symmetry(family: OperationFamily, kind: str) -> None:
-    """Raise SymmetryError naming the arity and transposition on violation."""
-    if kind == ASSOC:
-        return
-    variant = RHO1 if family.convention == HAT else RHO2
-    full = kind == LIE
-    for n in family.arities():
-        bad = failing_symmetry_generator(family.ops[n], variant, full=full)
-        if bad is not None:
-            word = "full" if full else "partial"
-            raise SymmetryError(
-                f"{kind} residual requires {word} symmetry; the arity-{n} operation "
-                f"is not invariant under the transposition {bad}",
-                arity=n, transposition=bad)
-
-
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
              check_symmetry: bool = True) -> Residual:
     """The arity-n residual of the family under the given flavor.
@@ -107,19 +91,14 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
             f"family is {family.convention} but flavor expects {flavor.convention}")
     if n < 1:
         raise ArityError("residual arity must be >= 1")
-    if check_symmetry:
-        require_family_symmetry(family, flavor.kind)
+    if check_symmetry and flavor.kind != ASSOC:
+        require_symmetry(family.ops, flavor.variant, flavor.kind == LIE, f"{flavor.kind} residual")
 
     degree = -2 if flavor.convention == HAT else n - 3
-    core = Operation.zero(family.space, n, degree)
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if i not in family.ops or j not in family.ops:
-            continue
-        mu_i, mu_j = family.ops[i], family.ops[j]
-        for m in range(i):
-            term = compose_insert(mu_i, mu_j, m).scaled(_coefficient(flavor, i, j, m))
-            core = core + term
+    ops = family.ops
+    core = linear_sum(family.space, n, degree, (
+        (compose_insert(ops[i], ops[n + 1 - i], m), _coefficient(flavor, i, n + 1 - i, m))
+        for i in family.arities() if n + 1 - i in ops for m in range(i)))
 
     if flavor.kind == ASSOC or core.is_zero():
         return Residual(n, core)
@@ -137,19 +116,6 @@ def all_residuals_vanish(family: OperationFamily, flavor: EquationFlavor,
 # ---------------------------------------------------------------------------
 # circle products on C(V,V) for plain (degree-0) spaces
 # ---------------------------------------------------------------------------
-
-def _require_degree_zero(op: Operation) -> None:
-    if not op.space.is_concentrated_in_degree_zero():
-        raise GradingError("circle products are defined on spaces concentrated in degree 0")
-
-
-def _require_partial(op: Operation, who: str) -> None:
-    bad = failing_symmetry_generator(op, RHO2, full=False)
-    if bad is not None:
-        raise SymmetryError(
-            f"{who} must be skew-symmetric in its first {op.arity - 1} slots; "
-            f"fails at transposition {bad}", arity=op.arity, transposition=bad)
-
 
 def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
     """f o g for f in C^m(V,V), g in C^n(V,V) (arities m+1 and n+1):
@@ -172,18 +138,16 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     """
     if f.space != g.space:
         raise ArityError("circle product requires a common space")
-    _require_degree_zero(f)
+    f.space.require_degree_zero("the circle product")
     if check_symmetry:
-        _require_partial(f, "left factor")
-        _require_partial(g, "right factor")
+        require_symmetry({f.arity: f}, RHO2, False, "the circle product's left factor")
+        require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
     m, n = f.arity - 1, g.arity - 1
-    # declared degree 0, like the space, whatever degrees f and g declare
-    core = Operation.zero(f.space, m + n + 1, 0)
-    core = core + compose_insert(f, g, m).scaled(
-        Fraction((-1) ** (m * n), factorial(m) * factorial(n)))
+    terms = [(compose_insert(f, g, m), Fraction((-1) ** (m * n), factorial(m) * factorial(n)))]
     if m:
-        core = core + compose_insert(f, g, 0).scaled(Fraction(1, factorial(n) * factorial(m - 1)))
-    return precompose_symmetrized(core, RHO2, MODE_PARTIAL)
+        terms.append((compose_insert(f, g, 0), Fraction(1, factorial(n) * factorial(m - 1))))
+    # declared degree 0, like the space, whatever degrees f and g declare
+    return precompose_symmetrized(linear_sum(f.space, m + n + 1, 0, terms), RHO2, MODE_PARTIAL)
 
 
 def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
@@ -217,29 +181,17 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Resi
     """
     if kind not in NARY_KINDS:
         raise ValueError(f"kind must be one of {NARY_KINDS}, got {kind!r}")
-    if not mu.space.is_concentrated_in_degree_zero():
-        raise GradingError("n-ary checks are defined on spaces concentrated in degree 0")
+    mu.space.require_degree_zero("an n-ary check")
     n = mu.arity
     if check_symmetry and kind != PARTIALLY_ASSOCIATIVE:
-        full = kind == LIE
-        bad = failing_symmetry_generator(mu, RHO2, full=full)
-        if bad is not None:
-            raise SymmetryError(
-                f"{kind} n-algebra requires {'full' if full else 'partial'} skew symmetry; "
-                f"fails at transposition {bad}", arity=n, transposition=bad)
+        require_symmetry({n: mu}, RHO2, kind == LIE, f"a {kind} n-algebra")
 
-    core = Operation.zero(mu.space, 2 * n - 1, mu.degree * 2)
-    for i in range(n):
-        term = compose_insert(mu, mu, i)
-        if (i * (n - 1)) % 2:
-            term = -term
-        core = core + term
-    if kind == PRELIE:
-        core = core.scaled(Fraction(1, factorial(n - 1) ** 2))
-        core = precompose_symmetrized(core, RHO2, MODE_PARTIAL)
-    elif kind == LIE:
-        core = core.scaled(Fraction(1, factorial(n - 1) * factorial(n)))
-        core = precompose_symmetrized(core, RHO2, MODE_FULL)
+    scale = {PRELIE: Fraction(1, factorial(n - 1) ** 2),
+             LIE: Fraction(1, factorial(n - 1) * factorial(n))}.get(kind, Fraction(1))
+    core = linear_sum(mu.space, 2 * n - 1, mu.degree * 2, (
+        (compose_insert(mu, mu, i), -scale if (i * (n - 1)) % 2 else scale) for i in range(n)))
+    if kind != PARTIALLY_ASSOCIATIVE:
+        core = precompose_symmetrized(core, RHO2, MODE_PARTIAL if kind == PRELIE else MODE_FULL)
     return Residual(2 * n - 1, core)
 
 
@@ -256,7 +208,7 @@ def check_prelie_n_two_ways(mu: Operation) -> bool:
     calculus; they are equal as maps, so one vanishing without the other
     means the library is internally inconsistent.
     """
-    _require_partial(mu, "mu")
+    require_symmetry({mu.arity: mu}, RHO2, False, "the pre-Lie n-algebra check")
     res = nary_residual(mu, PRELIE, check_symmetry=False)
     square = circle_product(mu, mu, check_symmetry=False)
     if res.vanishes() != square.is_zero():

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConventionError, GradingError, SymmetryError
+from .errors import ConventionError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily,
                      family_degree)
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                           failing_symmetry_generator, precompose_symmetrized)
+from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
+                           precompose_symmetrized, require_symmetry)
 
 
 def suspended_space(space: GradedSpace) -> GradedSpace:
@@ -102,7 +102,7 @@ def commutator(family: OperationFamily, name: str) -> OperationFamily:
     if name not in COMMUTATOR_MODES:
         raise ValueError(f"commutator name must be one of {sorted(COMMUTATOR_MODES)}")
     mode = COMMUTATOR_MODES[name]
-    variant = RHO1 if family.convention == HAT else RHO2
+    variant = action_variant(family.convention)
     ops = {n: precompose_symmetrized(op, variant, mode)
            for n, op in family.ops.items()}
     return OperationFamily(family.convention, family.space, family.max_arity, ops)
@@ -137,8 +137,7 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int,
     words of total degree 0 (landing in the degree n-2 copy) or total
     degree n-2 (landing in the degree 2n-4 copy), and zero otherwise.
     """
-    if not base.is_concentrated_in_degree_zero():
-        raise GradingError("nary_embed expects a base space concentrated in degree 0")
+    base.require_degree_zero("nary_embed")
     if mu.arity != n:
         raise ValueError(f"operation arity {mu.arity} != n = {n}")
     cap = max_arity if max_arity is not None else 2 * n - 1
@@ -177,8 +176,7 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int,
 def nary_commutator_prelie(mu: Operation) -> Operation:
     """Antisymmetrize the first n-1 arguments with the sign of the
     permutation; partially associative input yields pre-Lie output."""
-    if not mu.space.is_concentrated_in_degree_zero():
-        raise GradingError("n-ary commutators live on degree-0 spaces")
+    mu.space.require_degree_zero("an n-ary commutator")
     return precompose_symmetrized(mu, RHO2, MODE_PARTIAL)
 
 
@@ -186,12 +184,7 @@ def nary_commutator_lie(p: Operation, check_symmetry: bool = True) -> Operation:
     """Sum over the (n-1,1)-unshuffles with signs; pre-Lie input yields Lie
     output.  The full antisymmetrization over the whole symmetric group is
     (n-1)! times this."""
-    if not p.space.is_concentrated_in_degree_zero():
-        raise GradingError("n-ary commutators live on degree-0 spaces")
+    p.space.require_degree_zero("an n-ary commutator")
     if check_symmetry:
-        bad = failing_symmetry_generator(p, RHO2, full=False)
-        if bad is not None:
-            raise SymmetryError(
-                f"lie commutator expects a partially skew input; fails at {bad}",
-                arity=p.arity, transposition=bad)
+        require_symmetry({p.arity: p}, RHO2, False, "the n-ary Lie commutator")
     return precompose_symmetrized(p, RHO2, MODE_SHUFFLE)

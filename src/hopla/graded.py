@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ArityError, BasisIndexError, ConventionError, PositionError
+from .errors import ArityError, BasisIndexError, ConventionError, GradingError, PositionError
 
 Scalar = Fraction
 Word = tuple  # tuple[int, ...], 0-based basis indices
@@ -28,7 +28,11 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite ordered basis with integer degrees.  Labels must be unique."""
+    """Finite ordered basis with integer degrees.  Labels must be unique.
+
+    `parities` (degree mod 2 per letter) is a plain attribute, not a field,
+    so it takes no part in equality or hashing.
+    """
 
     labels: tuple
     degrees: tuple
@@ -40,6 +44,7 @@ class GradedSpace:
             raise ValueError("duplicate basis labels")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
 
     @property
     def dim(self) -> int:
@@ -58,6 +63,10 @@ class GradedSpace:
 
     def is_concentrated_in_degree_zero(self) -> bool:
         return all(d == 0 for d in self.degrees)
+
+    def require_degree_zero(self, what: str) -> None:
+        if not self.is_concentrated_in_degree_zero():
+            raise GradingError(f"{what} requires a space concentrated in degree 0")
 
     def words(self, arity: int) -> Iterator[Word]:
         """All tensor words of the given length, lexicographic order."""
@@ -153,11 +162,6 @@ class LinearCombination:
         return " + ".join(f"({c})*{k}" for k, c in sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
 
-def combination_builder():
-    """Mutable accumulator: dict key -> Fraction, finished by `finish_combination`."""
-    return {}
-
-
 def accumulate(acc: dict, key, coeff) -> None:
     c = acc.get(key, ZERO) + coeff
     if c:
@@ -229,13 +233,7 @@ class Operation:
     def __add__(self, other: "Operation") -> "Operation":
         if self.space != other.space or self.arity != other.arity:
             raise ArityError("cannot add operations on different spaces or arities")
-        acc = {w: dict(c.terms) for w, c in self.table.items()}
-        for word, combo in other.table.items():
-            slot = acc.setdefault(word, {})
-            for out, c in combo:
-                accumulate(slot, out, c)
-        table = {w: finish_combination(d) for w, d in acc.items()}
-        return Operation(self.space, self.arity, self.degree, table)
+        return linear_sum(self.space, self.arity, self.degree, ((self, 1), (other, 1)))
 
     def scaled(self, factor) -> "Operation":
         factor = Fraction(factor)
@@ -272,6 +270,17 @@ class Operation:
         return word, self.table[word]
 
 
+def linear_sum(sp: GradedSpace, arity: int, degree: int, terms) -> Operation:
+    """sum of coeff * op over the (op, coeff) pairs, accumulated into one table."""
+    acc = {}
+    for op, coeff in terms:
+        for word, combo in op.table.items():
+            slot = acc.setdefault(word, {})
+            for out, c in combo:
+                accumulate(slot, out, c * coeff)
+    return Operation(sp, arity, degree, {w: finish_combination(d) for w, d in acc.items()})
+
+
 def check_homogeneous(op: Operation) -> bool:
     """True iff every stored entry satisfies output degree = input degree + op degree."""
     for word, combo in op.table.items():
@@ -298,7 +307,7 @@ def compose_insert(outer: Operation, inner: Operation, position: int) -> Operati
     sp = outer.space
     i, j = outer.arity, inner.arity
     inner_odd = inner.degree % 2 != 0
-    odd = [d % 2 for d in sp.degrees]
+    odd = sp.parities
     inner_by_output = {}
     for win, cin in inner.table.items():
         for letter, c in cin:

@@ -22,8 +22,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import BlockError, LengthError
-from .graded import Operation, Word, accumulate, finish_combination
+from .errors import BlockError, LengthError, SymmetryError
+from .graded import HAT, Operation, Word, accumulate, finish_combination
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -35,8 +35,9 @@ MODE_PARTIAL = "partial"    # sum over S_{n-1} acting on the first n-1 slots
 MODE_SHUFFLE = "shuffle"    # sum over the (n-1,1)-unshuffles
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+def action_variant(convention: str) -> str:
+    """The one place that picks the action: rho1 for hat, rho2 for unhat."""
+    return RHO1 if convention == HAT else RHO2
 
 
 def compose(sigma: Perm, tau: Perm) -> Perm:
@@ -167,7 +168,7 @@ def sh(*blocks: int) -> tuple:
     return _unshuffles_cached(kept)
 
 
-def _signed_sort(letters: list, odd, rho2: bool) -> int:
+def signed_sort(letters: list, odd, rho2: bool) -> int:
     """Insertion-sort `letters` in place and return chi of the sorting
     permutation: the Koszul sign of every adjacent swap, times -1 per swap
     under rho2."""
@@ -185,7 +186,7 @@ def _signed_sort(letters: list, odd, rho2: bool) -> int:
     return chi
 
 
-def _stabilizer_order(letters: tuple, odd, rho2: bool) -> int:
+def stabilizer_order(letters, odd, rho2: bool) -> int:
     """|Stab| of a sorted word in S_len, or 0 when chi is not trivial on it.
 
     The stabilizer permutes equal letters; swapping two copies of a letter
@@ -256,12 +257,12 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     else:
         raise ValueError(f"unknown symmetrization mode {mode!r}")
 
-    odd = [d % 2 for d in op.space.degrees]
+    odd = op.space.parities
     rho2 = variant == RHO2
     orbits = {}
     for word, combo in op.table.items():
         head = list(word[:acted])
-        chi = _signed_sort(head, odd, rho2)
+        chi = signed_sort(head, odd, rho2)
         slot = orbits.setdefault(tuple(head) + word[acted:], {})
         for out, c in combo:
             accumulate(slot, out, c * chi)
@@ -269,7 +270,7 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     table = {}
     for rep, slot in orbits.items():
         head, tail = rep[:acted], rep[acted:]
-        order = _stabilizer_order(head, odd, rho2)
+        order = stabilizer_order(head, odd, rho2)
         if not slot or not order:
             continue
         value = finish_combination(slot).scaled(order)
@@ -305,6 +306,19 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
             if op.table.get(moved) != combo.scaled(coeff):
                 return label
     return None
+
+
+def require_symmetry(ops: dict, variant: str, full: bool, what: str) -> None:
+    """Walk the {arity: op} mapping in arity order and raise a SymmetryError
+    naming the first operation that is not invariant and its first failing
+    transposition (see failing_symmetry_generator)."""
+    for n in sorted(ops):
+        bad = failing_symmetry_generator(ops[n], variant, full)
+        if bad is not None:
+            raise SymmetryError(
+                f"{what} requires {'full' if full else 'partial'} symmetry; the arity-{n} "
+                f"operation is not invariant under the transposition {bad}",
+                arity=n, transposition=bad)
 
 
 def check_partial_symmetry(op: Operation, variant: str) -> bool:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .coalgebra import (PERM, TENSOR, WEDGE, CofreeElement, coalgebra_map,
+from .coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map,
                         coalgebra_words, comultiply, extend_coderivation,
                         project_pi, square_cogenerator_component, wedge_words)
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, circle_bracket,
@@ -102,12 +102,11 @@ def coalgebra_map_law_witness(name: str, space: GradedSpace, cap: int):
     codomain = TENSOR if name in ("alpha", "gamma") else PERM
     for k in range(1, cap + 1):
         for word in coalgebra_words(domain, space, k):
-            lhs = _comultiply_element(codomain, space,
-                                      coalgebra_map(name, space, word, cap).combo)
+            lhs = _comultiply_element(codomain, space, coalgebra_map(name, space, word))
             rhs = {}
             for (a, b), c in comultiply(domain, space, word):
-                for wa, ca in coalgebra_map(name, space, a, cap).combo:
-                    for wb, cb in coalgebra_map(name, space, b, cap).combo:
+                for wa, ca in coalgebra_map(name, space, a):
+                    for wb, cb in coalgebra_map(name, space, b):
                         accumulate(rhs, (wa, wb), c * ca * cb)
             if lhs != finish_combination(rhs):
                 return word
@@ -119,10 +118,10 @@ def factorization_witness(space: GradedSpace, cap: int):
     for k in range(1, cap + 1):
         for word in wedge_words(space, k):
             via = {}
-            for (head, tail), c in coalgebra_map("beta", space, word, cap).combo:
-                for w, cc in coalgebra_map("gamma", space, (head, tail), cap).combo:
+            for (head, tail), c in coalgebra_map("beta", space, word):
+                for w, cc in coalgebra_map("gamma", space, (head, tail)):
                     accumulate(via, w, c * cc)
-            direct = coalgebra_map("alpha", space, word, cap).combo
+            direct = coalgebra_map("alpha", space, word)
             if finish_combination(via) != direct:
                 return word
     return None
@@ -132,10 +131,10 @@ def section_witness(space: GradedSpace, cap: int):
     """pi o alpha = identity on wedge words."""
     for k in range(1, cap + 1):
         for word in wedge_words(space, k):
-            acc = CofreeElement(WEDGE, space, cap)
-            for w, c in coalgebra_map("alpha", space, word, cap).combo:
-                acc = acc + project_pi(space, w, cap).scaled(c)
-            if acc.combo != LinearCombination.single(word):
+            image = LinearCombination((key, c * cc)
+                                      for w, c in coalgebra_map("alpha", space, word)
+                                      for key, cc in project_pi(space, w))
+            if image != LinearCombination.single(word):
                 return word
     return None
 
@@ -162,7 +161,7 @@ def coderivation_correspondence_witness(unhat_family: OperationFamily, n_max: in
                 return (n, "squared-coderivation component differs from the residual")
             if not hat_res.is_zero():
                 all_vanish = False
-    if D.is_square_zero() != all_vanish:
+    if (D.first_nonzero_square() is None) != all_vanish:
         return (0, "square-zero disagrees with residual vanishing")
     return None
 

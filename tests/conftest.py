@@ -9,6 +9,9 @@ The oracles here deliberately avoid the library's own code paths:
 * `prelie_residual_shuffle_form` evaluates the element-level unshuffle
   expansion of the pre-Lie residuals (both conventions) rather than the
   composition form the library uses.
+
+`identity`, `square_component` and `with_entry` are small helpers that only
+the tests need.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopla.coalgebra import Coderivation, coalgebra_words, word_weight
 from hopla.graded import (HAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily)
 from hopla.permutations import sh, sign
@@ -159,6 +163,32 @@ def perm_square_two_sum_form(space, q_op, head, tail):
             key = (nh, mid)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(eps * ns) * c
     return {key: v for key, v in acc.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def square_component(D, k, l):
+    """The weight (k -> l) component of D o D, word by word."""
+    out = {}
+    for word in coalgebra_words(D.kind, D.space, k):
+        part = LinearCombination(
+            (w, c) for w, c in D.square_word(word) if word_weight(D.kind, w) == l)
+        if not part.is_zero():
+            out[word] = part
+    return out
+
+
+def with_entry(D, k, l, word, combo):
+    """Copy of D with one component entry replaced: a corrupted coderivation."""
+    components = {key: dict(m) for key, m in D.components.items()}
+    components.setdefault((k, l), {})[word] = combo
+    return Coderivation(D.kind, D.space, D.cap, D.degree, components)
 
 
 # ---------------------------------------------------------------------------

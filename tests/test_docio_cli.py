@@ -3,7 +3,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from hopla import cli
 from hopla.cli import main
 from hopla.docio import (AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
@@ -196,6 +199,69 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json"), "--flavor", "assoc"]) == 2
 
 
+TOO_LONG = "9" * 5000  # beyond Python's 4,300-digit int/str conversion limit
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe not utf-8",
+    minimal_doc().replace('"degree": 0', '"degree": ' + TOO_LONG).encode(),
+    minimal_doc(max_arity=1).replace('"max_arity": 1', '"max_arity": ' + TOO_LONG).encode(),
+    minimal_doc(operations=[{"arity": 1, "entries": [
+        {"inputs": ["e"], "output": [{"label": "e", "coeff": TOO_LONG + "/7"}]}]}]).encode(),
+], ids=["not-utf8", "long-degree", "long-max-arity", "long-coefficient"])
+def test_cli_unreadable_document_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["check", str(path), "--flavor", "assoc"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--degrees", "--arities"])
+def test_cli_generate_rejects_non_integer_lists(flag, capsys):
+    assert main(["generate", "--dim", "2", "--seed", "1", flag, "a"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["3", "1", "0", "-1"])
+def test_cli_nary_embed_rejects_n_other_than_declared(n, tmp_path, capsys):
+    # GOOD declares assoc_n with n = 2
+    out = tmp_path / "emb.json"
+    assert main(["derive", GOOD, "--functor", "nary-embed", "--n", n, "-o", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# mu(e,e) = c t and mu(t,e) = c e with c of 3,000 digits: the associator's
+# witness coefficient c^2 has more digits than str() converts
+SQUARED_TOO_LONG = minimal_doc(
+    space={"basis": [{"label": "e", "degree": 0}, {"label": "t", "degree": 0}]},
+    max_arity=3, operations=[{"arity": 2, "entries": [
+        {"inputs": ["e", "e"], "output": [{"label": "t", "coeff": "1" + "0" * 3000}]},
+        {"inputs": ["t", "e"], "output": [{"label": "e", "coeff": "1" + "0" * 3000}]}]}])
+# a degree of 4,300 nines parses, but its suspension has 4,301 digits
+SUSPENDS_TOO_LONG = minimal_doc().replace('"degree": 0', '"degree": ' + "9" * 4300)
+
+
+@pytest.mark.parametrize("text, argv", [
+    (SQUARED_TOO_LONG, ["check", "--flavor", "assoc"]),
+    (SUSPENDS_TOO_LONG, ["derive", "--functor", "suspend"]),
+], ids=["witness-coefficient", "suspended-degree"])
+def test_cli_unprintable_output_is_input_error(tmp_path, capsys, text, argv):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_internal_value_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["check", GOOD, "--flavor", "assoc"])
+
+
 @pytest.mark.parametrize("argv", [
     ["coderive", GOOD, "--kind", "perm", "--weight-cap", "0"],
     ["coderive", GOOD, "--kind", "wedge", "--weight-cap", "-3"],
@@ -209,16 +275,22 @@ def test_cli_rejects_caps_below_one(argv, capsys):
     assert "ALL PASS" not in captured.out
 
 
-def test_cli_generate_derive_check_pipeline(tmp_path, capsys):
-    for seed in (1, 2):
-        gen = tmp_path / f"gen{seed}.json"
-        beta = tmp_path / f"beta{seed}.json"
-        assert main(["generate", "--dim", "4", "--degrees", "0,1", "--arities", "2,3",
-                     "--sparsity", "0.6", "--seed", str(seed),
-                     "--symmetrize", "partial", "--nilpotent", "-o", str(gen)]) == 0
-        assert main(["derive", str(gen), "--functor", "commutator-beta",
-                     "-o", str(beta)]) == 0
-        assert main(["check", str(beta), "--flavor", "lie"]) == 0
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**6), dim=st.integers(2, 4),
+       degrees=st.sets(st.integers(-1, 2), min_size=1))
+@example(seed=1, dim=4, degrees={0, 1})
+@example(seed=2, dim=4, degrees={0, 1})
+def test_cli_generate_derive_check_pipeline(tmp_path, capsys, seed, dim, degrees):
+    gen = tmp_path / "gen.json"
+    beta = tmp_path / "beta.json"
+    assert main(["generate", "--dim", str(dim),
+                 "--degrees=" + ",".join(map(str, sorted(degrees))), "--arities", "2,3",
+                 "--sparsity", "0.6", "--seed", str(seed),
+                 "--symmetrize", "partial", "--nilpotent", "-o", str(gen)]) == 0
+    assert main(["derive", str(gen), "--functor", "commutator-beta",
+                 "-o", str(beta)]) == 0
+    assert main(["check", str(beta), "--flavor", "lie"]) == 0
 
 
 def test_cli_suspend_round_trip(tmp_path, capsys):

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import koszul_by_inversions
+from conftest import identity, koszul_by_inversions
 from oracles import extend_fixing_last, precompose_by_loop
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 act, all_permutations, check_full_symmetry,
                                 check_partial_symmetry, compose,
-                                failing_symmetry_generator, identity, inverse,
+                                failing_symmetry_generator, inverse,
                                 koszul_sign, permute_word, precompose_symmetrized,
                                 sh, sign, unshuffles)
 
