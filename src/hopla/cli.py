@@ -41,8 +41,11 @@ def _int_list(flag: str, text: str) -> list:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -24,8 +24,9 @@ from math import factorial
 from typing import Iterator, Mapping
 
 from .errors import ConventionError, KindError
-from .graded import (HAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, accumulate, finish_combination, word_degree)
+from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation,
+                     OperationFamily, accumulate, check_homogeneous, finish_combination,
+                     word_degree)
 from .permutations import (RHO1, all_permutations, koszul_sign, permute_word,
                            require_symmetry, sh, signed_sort, stabilizer_order)
 
@@ -34,6 +35,8 @@ WEDGE = "wedge"
 PERM = "perm"
 
 KINDS = (TENSOR, WEDGE, PERM)
+
+SIGNS = {1: ONE, -1: -ONE}   # integer Koszul signs as shared Fractions
 
 
 def wedge_normalize(space: GradedSpace, letters) -> tuple:
@@ -59,7 +62,7 @@ def word_weight(kind: str, word) -> int:
 
 def cofree_word_degree(space: GradedSpace, kind: str, word) -> int:
     if kind == PERM:
-        return word_degree(space, word[0]) + space.degree(word[1])
+        return word_degree(space, word[0] + (word[1],))
     return word_degree(space, word)
 
 
@@ -91,34 +94,35 @@ def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
 
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     """Reduced comultiplication of a canonical word: a combination keyed by
-    (left word, right word) pairs.  Weight-1 words comultiply to zero."""
-    acc = {}
+    (left word, right word) pairs.  Weight-1 words comultiply to zero.
+
+    The Koszul signs are summed as integers and each sum becomes a Fraction
+    once, a shared one when it is +-1."""
+    signs = {}
     if kind == TENSOR:
-        n = len(word)
-        for i in range(1, n):
-            accumulate(acc, (word[:i], word[i:]), Fraction(1))
+        for i in range(1, len(word)):
+            signs[(word[:i], word[i:])] = 1
     elif kind == WEDGE:
         n = len(word)
-        degrees = [space.degree(x) for x in word]
+        parities = [space.parities[x] for x in word]
         for i in range(1, n):
             for sigma in sh(i, n - i):
-                eps = koszul_sign(sigma, degrees)
                 permuted = permute_word(sigma, word)
-                accumulate(acc, (permuted[:i], permuted[i:]), Fraction(eps))
+                pair = permuted[:i], permuted[i:]
+                signs[pair] = signs.get(pair, 0) + koszul_sign(sigma, parities)
     elif kind == PERM:
         head, tail = word
         n = len(head) + 1
-        degrees = [space.degree(x) for x in head]
+        parities = [space.parities[x] for x in head]
         for i in range(1, n):
             for sigma in sh(i - 1, 1, n - i - 1):
-                eps = koszul_sign(sigma, degrees)
                 ph = permute_word(sigma, head)
-                left = (ph[:i - 1], ph[i - 1])
-                right = (ph[i:], tail)
-                accumulate(acc, (left, right), Fraction(eps))
+                pair = (ph[:i - 1], ph[i - 1]), (ph[i:], tail)
+                signs[pair] = signs.get(pair, 0) + koszul_sign(sigma, parities)
     else:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    return finish_combination(acc)
+    return finish_combination({pair: SIGNS.get(s) or Fraction(s)
+                               for pair, s in signs.items() if s})
 
 
 def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
@@ -126,30 +130,28 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     (wedge -> perm, (n-1,1)-unshuffle sum) and gamma (perm -> tensor,
     head symmetrization with the tail fixed)."""
     if name == "alpha":
-        n = len(word)
-        degrees = [space.degree(x) for x in word]
+        parities = [space.parities[x] for x in word]
         acc = {}
-        for sigma in all_permutations(n):
+        for sigma in all_permutations(len(word)):
             accumulate(acc, permute_word(sigma, word),
-                       Fraction(koszul_sign(sigma, degrees)))
+                       SIGNS[koszul_sign(sigma, parities)])
         return finish_combination(acc)
     if name == "beta":
         n = len(word)
-        degrees = [space.degree(x) for x in word]
+        parities = [space.parities[x] for x in word]
         acc = {}
         for sigma in sh(n - 1, 1) if n > 1 else ((1,),):
             permuted = permute_word(sigma, word)
             accumulate(acc, (permuted[:-1], permuted[-1]),
-                       Fraction(koszul_sign(sigma, degrees)))
+                       SIGNS[koszul_sign(sigma, parities)])
         return finish_combination(acc)
     if name == "gamma":
         head, tail = word
-        n = len(head) + 1
-        degrees = [space.degree(x) for x in head]
+        parities = [space.parities[x] for x in head]
         acc = {}
-        for sigma in all_permutations(n - 1):
+        for sigma in all_permutations(len(head)):
             accumulate(acc, permute_word(sigma, head) + (tail,),
-                       Fraction(koszul_sign(sigma, degrees)))
+                       SIGNS[koszul_sign(sigma, parities)])
         return finish_combination(acc)
     raise KindError(f"unknown coalgebra map {name!r}")
 
@@ -173,7 +175,8 @@ class Coderivation:
     `components[(k, l)]` maps canonical weight-k words to combinations of
     weight-l words; missing pairs are zero.  The degree is carried for the
     Koszul sign in the coderivation law (all coderivations built here have
-    degree -1).
+    degree -1).  The components are read-only once built: each word's image
+    over all weights and each weight's squares are computed once and kept.
     """
 
     kind: str
@@ -182,18 +185,25 @@ class Coderivation:
     degree: int
     components: Mapping = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._images = {}
+        self._squares = {}
+
     def component(self, k: int, l: int) -> Mapping:
         return self.components.get((k, l), {})
 
     def apply_word(self, word) -> LinearCombination:
-        k = word_weight(self.kind, word)
-        acc = {}
-        for l in range(1, k + 1):
-            image = self.components.get((k, l), {}).get(word)
-            if image is not None:
-                for w, c in image:
-                    accumulate(acc, w, c)
-        return finish_combination(acc)
+        image = self._images.get(word)
+        if image is None:
+            k = word_weight(self.kind, word)
+            acc = {}
+            for l in range(1, k + 1):
+                part = self.components.get((k, l), {}).get(word)
+                if part is not None:
+                    for w, c in part:
+                        accumulate(acc, w, c)
+            image = self._images[word] = finish_combination(acc)
+        return image
 
     def apply_combination(self, combo: LinearCombination) -> LinearCombination:
         acc = {}
@@ -205,14 +215,39 @@ class Coderivation:
     def square_word(self, word) -> LinearCombination:
         return self.apply_combination(self.apply_word(word))
 
+    def squares(self, k: int) -> tuple:
+        """D o D on the canonical weight-k words, each squared once.
+
+        Returns (cogenerator, first): the nonzero weight-1 parts of the
+        squares as {word: combination of letters}, and the first word in
+        `coalgebra_words` order with a nonzero square paired with that
+        square, or None.
+        """
+        found = self._squares.get(k)
+        if found is None:
+            cogenerator, first = {}, None
+            for word in coalgebra_words(self.kind, self.space, k):
+                image = self.square_word(word)
+                if image.is_zero():
+                    continue
+                if first is None:
+                    first = word, image
+                acc = {}
+                for w, c in image:
+                    if word_weight(self.kind, w) == 1:
+                        accumulate(acc, w[1] if self.kind == PERM else w[0], c)
+                if acc:
+                    cogenerator[word] = finish_combination(acc)
+            found = self._squares[k] = cogenerator, first
+        return found
+
     def first_nonzero_square(self):
         """(word, D(D(word))) for the first canonical word, by weight up to
         the cap, whose square is nonzero; None when D o D vanishes there."""
         for k in range(1, self.cap + 1):
-            for word in coalgebra_words(self.kind, self.space, k):
-                image = self.square_word(word)
-                if not image.is_zero():
-                    return word, image
+            first = self.squares(k)[1]
+            if first is not None:
+                return first
         return None
 
 
@@ -220,14 +255,27 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     """Extend a hat-convention family to a coderivation of the chosen
     coalgebra, truncated at the weight cap.
 
-    The (k, l) component applies the arity-(k-l+1) operation:
+    The (k, l) component applies mu, the arity-a operation with
+    a = k - l + 1, to the canonical weight-k word x_1 ... x_k:
 
-    * tensor: sum over positions of I (x) mu (x) I with the tensor-rule sign;
-    * wedge:  the same summed over the full symmetrization of the word and
-              divided by (l-1)!(k-l+1)!;
-    * perm:   head symmetrization (tail fixed), divided by (l-1)!(k-l)!,
-              with the operation either consuming head letters or consuming
-              the last k-l head letters together with the tail.
+    * tensor: sum over positions i of I_i (x) mu (x) I, with the sign
+              (-1)^(|x_1| + ... + |x_i|) of mu passing the letters before it;
+    * wedge:  sum over the (a, k-a)-unshuffles sigma of
+              eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... ^ x_s(k);
+    * perm:   on the word (x_1 ... x_{k-1} | t), the head terms
+              sum over the (a-1, 1, k-1-a)-unshuffles sigma of the head of
+              eps(sigma) (mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... | t),
+              plus the tail term
+              sum over the (l-1, k-l)-unshuffles sigma of the head of
+              eps(sigma) (-1)^(|x_s(1)| + ... + |x_s(l-1)|)
+                  (x_s(1) ^ ... ^ x_s(l-1) | mu(x_s(l), ..., x_s(k-1), t)).
+
+    The output letter of mu always comes first and `wedge_normalize` gives
+    the canonical word and its sign.  These sums equal the sums over all
+    permutations of the word divided by each term's multiplicity because mu
+    has the symmetry `require_symmetry` enforces here (full for wedge, in
+    the first a-1 slots for perm) and is homogeneous of degree -1, which is
+    checked here too (ConventionError otherwise).
 
     The (n, 1) component is exactly the arity-n operation.
     """
@@ -237,6 +285,10 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
         raise KindError(f"unknown coalgebra kind {kind!r}")
     if kind != TENSOR:
         require_symmetry(family.ops, RHO1, kind == WEDGE, f"the {kind} coderivation extension")
+        for n in family.arities():
+            if not check_homogeneous(family.ops[n]):
+                raise ConventionError(f"the {kind} coderivation extension requires homogeneous "
+                                      f"operations; the arity-{n} operation is not")
     sp = family.space
     components = {}
     for k in range(1, cap + 1):
@@ -252,74 +304,73 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
 
 def _component(op: Operation, kind: str, k: int, l: int) -> dict:
     sp = op.space
+    odd = sp.parities
+    table = op.table
     a = op.arity  # = k - l + 1
     comp = {}
     if kind == TENSOR:
         for word in tensor_words(sp, k):
             acc = {}
+            prefix_parity = 0
             for i in range(l):
-                out = op.evaluate(word[i:i + a])
-                if out.is_zero():
-                    continue
-                s = -1 if word_degree(sp, word[:i]) % 2 else 1
-                for letter, c in out:
-                    accumulate(acc, word[:i] + (letter,) + word[i + a:], c * s)
+                out = table.get(word[i:i + a])
+                if out is not None:
+                    for letter, c in out:
+                        accumulate(acc, word[:i] + (letter,) + word[i + a:],
+                                   -c if prefix_parity else c)
+                prefix_parity ^= odd[word[i]]
             if acc:
                 comp[word] = finish_combination(acc)
         return comp
 
     if kind == WEDGE:
-        # The l! (not (l-1)!) is forced by the coderivation law: a fully
-        # symmetric operation makes each collapsed unshuffle term appear
-        # l! * a! times in the symmetrized sum.
-        norm = Fraction(1, factorial(l) * factorial(a))
+        blocks = sh(a, k - a)
         for word in wedge_words(sp, k):
-            degrees = [sp.degree(x) for x in word]
             acc = {}
-            for sigma in all_permutations(k):
-                eps = koszul_sign(sigma, degrees)
-                pw = permute_word(sigma, word)
-                prefix_parity = 0
-                for i in range(l):
-                    out = op.evaluate(pw[i:i + a])
-                    if not out.is_zero():
-                        s = -1 if prefix_parity else 1
-                        for letter, c in out:
-                            ns, nw = wedge_normalize(sp, pw[:i] + (letter,) + pw[i + a:])
-                            if nw is not None:
-                                accumulate(acc, nw, norm * eps * s * ns * c)
-                    prefix_parity ^= sp.degree(pw[i]) % 2
+            _apply_to_front(table, sp, word, blocks, a, acc)
             if acc:
                 comp[word] = finish_combination(acc)
         return comp
 
-    # perm
-    norm = Fraction(1, factorial(l - 1) * factorial(k - l))
+    # perm; the head blocks are empty when l = 1 (mu would need k head letters)
+    head_blocks = sh(a - 1, 1, k - 1 - a)
+    tail_blocks = sh(l - 1, k - l)
     for head, tail in perm_words(sp, k):
-        degrees = [sp.degree(x) for x in head]
         acc = {}
-        for sigma in all_permutations(k - 1):
-            eps = koszul_sign(sigma, degrees)
-            ph = permute_word(sigma, head)
-            prefix_parity = 0
-            for i in range(l - 1):
-                out = op.evaluate(ph[i:i + a])
-                if not out.is_zero():
-                    s = -1 if prefix_parity else 1
-                    for letter, c in out:
-                        ns, nh = wedge_normalize(sp, ph[:i] + (letter,) + ph[i + a:])
-                        if nh is not None:
-                            accumulate(acc, (nh, tail), norm * eps * s * ns * c)
-                prefix_parity ^= sp.degree(ph[i]) % 2
-            out = op.evaluate(ph[l - 1:] + (tail,))
-            if not out.is_zero():
-                s = -1 if word_degree(sp, ph[:l - 1]) % 2 else 1
-                ns, nh = wedge_normalize(sp, ph[:l - 1])
-                for letter, c in out:
-                    accumulate(acc, (nh, letter), norm * eps * s * ns * c)
+        _apply_to_front(table, sp, head, head_blocks, a, acc, tail)
+        parities = [odd[x] for x in head]
+        for sigma in tail_blocks:
+            out = table.get(tuple(head[s - 1] for s in sigma[l - 1:]) + (tail,))
+            if out is None:
+                continue
+            # an unshuffle of a canonical head leaves the rest canonical
+            rest = tuple(head[s - 1] for s in sigma[:l - 1])
+            eps = koszul_sign(sigma, parities)
+            if sum(parities[s - 1] for s in sigma[:l - 1]) % 2:
+                eps = -eps
+            for letter, c in out:
+                accumulate(acc, (rest, letter), c if eps == 1 else -c)
         if acc:
             comp[(head, tail)] = finish_combination(acc)
     return comp
+
+
+def _apply_to_front(table, sp, letters, blocks, a, acc, tail=None) -> None:
+    """Accumulate eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... over
+    the given unshuffles of a canonical wedge word into acc, keyed by the
+    canonical result, or by (result, tail) when a Perm tail is given."""
+    parities = [sp.parities[x] for x in letters]
+    for sigma in blocks:
+        out = table.get(tuple(letters[s - 1] for s in sigma[:a]))
+        if out is None:
+            continue
+        eps = koszul_sign(sigma, parities)
+        rest = tuple(letters[s - 1] for s in sigma[a:])
+        for letter, c in out:
+            ns, word = wedge_normalize(sp, (letter,) + rest)
+            if word is not None:
+                accumulate(acc, word if tail is None else (word, tail),
+                           c if ns == eps else -c)
 
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
@@ -337,16 +388,13 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
             for (left, right), c in comultiply(D.kind, D.space, word):
                 for w, cc in D.apply_word(left):
                     accumulate(rhs, (w, right), c * cc)
-                sign = -1 if odd and cofree_word_degree(D.space, D.kind, left) % 2 else 1
+                if odd and cofree_word_degree(D.space, D.kind, left) % 2:
+                    c = -c
                 for w, cc in D.apply_word(right):
-                    accumulate(rhs, (left, w), c * cc * sign)
-            if finish_combination(lhs) != finish_combination(rhs):
+                    accumulate(rhs, (left, w), c * cc)
+            if lhs != rhs:
                 return False
     return True
-
-
-def _weight_one_letter(kind: str, word) -> int:
-    return word[1] if kind == PERM else word[0]
 
 
 def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
@@ -354,8 +402,9 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     operation on tensor words through the canonical projection onto the
     coalgebra's weight-n words."""
     sp = D.space
+    cogenerator = D.squares(n)[0]
     table = {}
-    for word in tensor_words(sp, n):
+    for word in tensor_words(sp, n) if cogenerator else ():
         if D.kind == TENSOR:
             s, cw = 1, word
         elif D.kind == WEDGE:
@@ -363,13 +412,7 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
         else:
             s, head = wedge_normalize(sp, word[:-1])
             cw = None if head is None else (head, word[-1])
-        if cw is None:
-            continue
-        acc = {}
-        for w, c in D.square_word(cw):
-            if word_weight(D.kind, w) == 1:
-                accumulate(acc, _weight_one_letter(D.kind, w), c * s)
-        if acc:
-            table[word] = finish_combination(acc)
+        part = cogenerator.get(cw)
+        if part is not None:
+            table[word] = part if s == 1 else part.scaled(-1)
     return Operation(sp, n, 2 * D.degree, table)
-

@@ -99,6 +99,8 @@ def parse_document(text) -> AlgebraDocument:
         raw = json.loads(text)
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer with too many digits
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
 
     fmt = _expect(raw, "format", "")
     if fmt != FORMAT:

@@ -7,12 +7,19 @@ only so that tests can compare the fast path against it:
 * `precompose_symmetrized_by_loop` sums that over every permutation of the
   group a symmetrization mode names;
 * `circle_product_dense` evaluates the unshuffle definition of the circle
-  product on every one of the dim^(m+n+1) input words.
+  product on every one of the dim^(m+n+1) input words;
+* `component_loop` builds a coderivation component by summing the operation
+  over every position of every permutation of each canonical word and
+  dividing by the number of times each unshuffle term repeats.
 """
 
 import itertools
+from fractions import Fraction
+from math import factorial
 
-from hopla.graded import Operation, accumulate, finish_combination
+from hopla.coalgebra import (TENSOR, WEDGE, perm_words, tensor_words,
+                             wedge_normalize, wedge_words)
+from hopla.graded import Operation, accumulate, finish_combination, word_degree
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 all_permutations, inverse, koszul_sign,
                                 permute_word, sh, sign)
@@ -88,3 +95,78 @@ def circle_product_dense(f, g):
         if slot:
             acc[word] = finish_combination(slot)
     return Operation(sp, arity, 0, acc)
+
+
+def component_loop(op, kind, k, l):
+    """The (k, l) coderivation component extending op (arity k - l + 1),
+    from the sum over all k! (wedge) or (k-1)! (perm) permutations of each
+    canonical word; as `coalgebra._component` returns it."""
+    sp = op.space
+    a = op.arity
+    comp = {}
+    if kind == TENSOR:
+        for word in tensor_words(sp, k):
+            acc = {}
+            for i in range(l):
+                out = op.evaluate(word[i:i + a])
+                if out.is_zero():
+                    continue
+                s = -1 if word_degree(sp, word[:i]) % 2 else 1
+                for letter, c in out:
+                    accumulate(acc, word[:i] + (letter,) + word[i + a:], c * s)
+            if acc:
+                comp[word] = finish_combination(acc)
+        return comp
+
+    if kind == WEDGE:
+        # The l! (not (l-1)!) is forced by the coderivation law: a fully
+        # symmetric operation makes each collapsed unshuffle term appear
+        # l! * a! times in the symmetrized sum.
+        norm = Fraction(1, factorial(l) * factorial(a))
+        for word in wedge_words(sp, k):
+            degrees = [sp.degree(x) for x in word]
+            acc = {}
+            for sigma in all_permutations(k):
+                eps = koszul_sign(sigma, degrees)
+                pw = permute_word(sigma, word)
+                prefix_parity = 0
+                for i in range(l):
+                    out = op.evaluate(pw[i:i + a])
+                    if not out.is_zero():
+                        s = -1 if prefix_parity else 1
+                        for letter, c in out:
+                            ns, nw = wedge_normalize(sp, pw[:i] + (letter,) + pw[i + a:])
+                            if nw is not None:
+                                accumulate(acc, nw, norm * eps * s * ns * c)
+                    prefix_parity ^= sp.degree(pw[i]) % 2
+            if acc:
+                comp[word] = finish_combination(acc)
+        return comp
+
+    # perm
+    norm = Fraction(1, factorial(l - 1) * factorial(k - l))
+    for head, tail in perm_words(sp, k):
+        degrees = [sp.degree(x) for x in head]
+        acc = {}
+        for sigma in all_permutations(k - 1):
+            eps = koszul_sign(sigma, degrees)
+            ph = permute_word(sigma, head)
+            prefix_parity = 0
+            for i in range(l - 1):
+                out = op.evaluate(ph[i:i + a])
+                if not out.is_zero():
+                    s = -1 if prefix_parity else 1
+                    for letter, c in out:
+                        ns, nh = wedge_normalize(sp, ph[:i] + (letter,) + ph[i + a:])
+                        if nh is not None:
+                            accumulate(acc, (nh, tail), norm * eps * s * ns * c)
+                prefix_parity ^= sp.degree(ph[i]) % 2
+            out = op.evaluate(ph[l - 1:] + (tail,))
+            if not out.is_zero():
+                s = -1 if word_degree(sp, ph[:l - 1]) % 2 else 1
+                ns, nh = wedge_normalize(sp, ph[:l - 1])
+                for letter, c in out:
+                    accumulate(acc, (nh, letter), norm * eps * s * ns * c)
+        if acc:
+            comp[(head, tail)] = finish_combination(acc)
+    return comp

@@ -154,6 +154,18 @@ def test_extend_requires_symmetry(kt2):
         extend_coderivation(hat, WEDGE, 3)  # kt2 product is not symmetric enough
 
 
+def test_extend_requires_homogeneity():
+    # mu(u, u) = u has output degree 0 on inputs of degree 0, not degree -1;
+    # the wedge and Perm unshuffle sums rely on the degree
+    sp = GradedSpace(("u", "v"), (0, 1))
+    mu = Operation(sp, 2, -1, {(0, 0): LinearCombination({0: 1})})
+    fam = OperationFamily(HAT, sp, 3, {2: mu})
+    for kind in (WEDGE, PERM):
+        with pytest.raises(ConventionError, match="arity-2 operation"):
+            extend_coderivation(fam, kind, 3)
+    assert extend_coderivation(fam, TENSOR, 3).component(2, 1)
+
+
 def test_differential_extension_on_tensor_words():
     # single arity-1 map: the (k,k) components alternate signs by the
     # degree of what the map moves past

@@ -208,12 +208,24 @@ TOO_LONG = "9" * 5000  # beyond Python's 4,300-digit int/str conversion limit
     minimal_doc(max_arity=1).replace('"max_arity": 1', '"max_arity": ' + TOO_LONG).encode(),
     minimal_doc(operations=[{"arity": 1, "entries": [
         {"inputs": ["e"], "output": [{"label": "e", "coeff": TOO_LONG + "/7"}]}]}]).encode(),
-], ids=["not-utf8", "long-degree", "long-max-arity", "long-coefficient"])
+    b"[" * 100_000,
+], ids=["not-utf8", "long-degree", "long-max-arity", "long-coefficient", "deeply-nested"])
 def test_cli_unreadable_document_is_input_error(tmp_path, capsys, content):
     path = tmp_path / "doc.json"
     path.write_bytes(content)
     assert main(["check", str(path), "--flavor", "assoc"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--dim", "2", "--seed", "1"],
+    ["derive", GOOD, "--functor", "nary-embed"],
+], ids=["generate", "derive"])
+def test_cli_output_into_missing_directory_is_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert "input error: cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("flag", ["--degrees", "--arities"])
@@ -306,6 +318,17 @@ def test_cli_suspend_round_trip(tmp_path, capsys):
 def test_cli_coderive(tmp_path, capsys):
     assert main(["coderive", GOOD, "--kind", "perm", "--weight-cap", "3"]) == 0
     assert main(["coderive", BROKEN, "--kind", "perm", "--weight-cap", "3"]) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-precondition-check"]])
+def test_cli_coderive_rejects_inhomogeneous_operations(tmp_path, capsys, extra):
+    path = tmp_path / "inhomogeneous.json"
+    path.write_text(minimal_doc(
+        space={"basis": [{"label": "u", "degree": 0}, {"label": "v", "degree": 1}]},
+        convention="hat", operations=[{"arity": 2, "entries": [
+            {"inputs": ["u", "u"], "output": [{"label": "u", "coeff": "1"}]}]}]))
+    assert main(["coderive", str(path), "--kind", "wedge"] + extra) == 2
+    assert "requires homogeneous operations" in capsys.readouterr().err
 
 
 def test_cli_selftest_fast(capsys):

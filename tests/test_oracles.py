@@ -1,14 +1,20 @@
-"""The orbit symmetrization kernel and the sparse circle product against the
-slow reference implementations in `oracles.py`."""
+"""The orbit symmetrization kernel, the sparse circle product and the
+unshuffle coderivation components against the slow reference
+implementations in `oracles.py`."""
 
 import itertools
 import random
 
 import pytest
 
-from oracles import circle_product_dense, precompose_symmetrized_by_loop
+from conftest import square_component
+from oracles import (circle_product_dense, component_loop,
+                     precompose_symmetrized_by_loop)
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, _component, coalgebra_words,
+                             extend_coderivation, square_cogenerator_component,
+                             tensor_words, wedge_normalize)
 from hopla.equations import PRELIE, circle_product, nary_residual
-from hopla.graded import GradedSpace, LinearCombination, Operation
+from hopla.graded import HAT, GradedSpace, LinearCombination, Operation, OperationFamily
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 precompose_symmetrized)
 from hopla.verify import random_operation
@@ -85,3 +91,88 @@ def test_prelie_residual_is_circle_square_on_four_letters():
         square = circle_product(mu, mu)
         assert square.is_zero() == (arity == 4)
         assert nary_residual(mu, PRELIE).op == square
+
+
+COALGEBRA_PATTERNS = {
+    "(-1, 0)": (-1, 0),
+    "(0, 1)": (0, 1),
+    "two odd letters": (1, 0, 1),
+    "repeated even letter": (0, 0, 1),
+    "(-1, 0, 1)": (-1, 0, 1),
+    "odd output past an odd letter": (1, 2, 1),
+}
+SYMMETRY = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}
+
+
+def _hat_operation(rng, sp, arity, kind, density=0.6):
+    """A degree -1 operation with the symmetry the kind's extension needs;
+    redrawn a bounded number of times while the symmetrization cancels it."""
+    for _ in range(10):
+        op = random_operation(rng, sp, arity, -1, density)
+        if SYMMETRY[kind] is not None:
+            op = precompose_symmetrized(op, RHO1, SYMMETRY[kind])
+        if not op.is_zero():
+            break
+    return op
+
+
+@pytest.mark.parametrize("pattern", sorted(COALGEBRA_PATTERNS))
+@pytest.mark.parametrize("kind", (TENSOR, WEDGE, PERM))
+def test_unshuffle_components_match_loop_oracle(kind, pattern):
+    rng = random.Random(f"component-{kind}-{pattern}")
+    degrees = COALGEBRA_PATTERNS[pattern]
+    sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+    cap = 5
+    nonzero = 0
+    for arity, _ in itertools.product((1, 2, 3, 4), range(2)):
+        op = _hat_operation(rng, sp, arity, kind)
+        for k in range(arity, cap + 1):
+            l = k - arity + 1
+            fast = _component(op, kind, k, l)
+            assert fast == component_loop(op, kind, k, l), (arity, k, l)
+            nonzero += bool(fast)
+    assert nonzero >= 12  # the comparison must not be vacuous
+
+
+def _canonical(kind, sp, word):
+    if kind == TENSOR:
+        return 1, word
+    if kind == WEDGE:
+        return wedge_normalize(sp, word)
+    s, head = wedge_normalize(sp, word[:-1])
+    return s, None if head is None else (head, word[-1])
+
+
+def _cogenerator_by_tensor_word(D, n):
+    """The weight (n -> 1) component of D o D, squaring the canonical word
+    of every tensor word again."""
+    squares = square_component(D, n, 1)
+    table = {}
+    for word in tensor_words(D.space, n):
+        s, cw = _canonical(D.kind, D.space, word)
+        if cw in squares:
+            table[word] = LinearCombination(
+                (w[1] if D.kind == PERM else w[0], c * s) for w, c in squares[cw])
+    return Operation(D.space, n, 2 * D.degree, table)
+
+
+@pytest.mark.parametrize("kind", (TENSOR, WEDGE, PERM))
+def test_one_pass_square_matches_per_tensor_word_route(kind):
+    rng = random.Random(f"square-{kind}")
+    sp = GradedSpace(("x0", "x1", "x2"), (-1, 0, 1))
+    cap = 4
+    failing = 0
+    for arities in ((1, 2), (2, 3), (1, 2, 3)):
+        ops = {a: _hat_operation(rng, sp, a, kind, density=0.4) for a in arities}
+        family = OperationFamily(HAT, sp, max(arities), ops)
+        D = extend_coderivation(family, kind, cap)
+        fresh = extend_coderivation(family, kind, cap)
+        for n in range(1, cap + 1):
+            comp = square_cogenerator_component(D, n)
+            assert comp == _cogenerator_by_tensor_word(fresh, n), (arities, n)
+            failing += not comp.is_zero()
+        first = next(((w, fresh.square_word(w)) for k in range(1, cap + 1)
+                      for w in coalgebra_words(kind, sp, k)
+                      if not fresh.square_word(w).is_zero()), None)
+        assert D.first_nonzero_square() == first
+    assert failing > 0  # the comparison must not be vacuous
