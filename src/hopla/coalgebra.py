@@ -25,9 +25,8 @@ from typing import Iterator, Mapping
 
 from .errors import ConventionError, KindError
 from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, accumulate, check_homogeneous, finish_combination,
-                     word_degree)
-from .permutations import (RHO1, all_permutations, koszul_sign, permute_word,
+                     OperationFamily, check_homogeneous, word_degree)
+from .permutations import (RHO1, all_permutations, arrangements, koszul_sign, permute_word,
                            require_symmetry, sh, signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
@@ -96,33 +95,34 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     """Reduced comultiplication of a canonical word: a combination keyed by
     (left word, right word) pairs.  Weight-1 words comultiply to zero.
 
-    The Koszul signs are summed as integers and each sum becomes a Fraction
-    once, a shared one when it is +-1."""
-    signs = {}
+    Each Koszul sign enters as a shared +-1 Fraction, so a pair met once
+    costs no Fraction arithmetic."""
     if kind == TENSOR:
-        for i in range(1, len(word)):
-            signs[(word[:i], word[i:])] = 1
-    elif kind == WEDGE:
-        n = len(word)
-        parities = [space.parities[x] for x in word]
-        for i in range(1, n):
-            for sigma in sh(i, n - i):
-                permuted = permute_word(sigma, word)
-                pair = permuted[:i], permuted[i:]
-                signs[pair] = signs.get(pair, 0) + koszul_sign(sigma, parities)
-    elif kind == PERM:
-        head, tail = word
-        n = len(head) + 1
-        parities = [space.parities[x] for x in head]
-        for i in range(1, n):
-            for sigma in sh(i - 1, 1, n - i - 1):
-                ph = permute_word(sigma, head)
-                pair = (ph[:i - 1], ph[i - 1]), (ph[i:], tail)
-                signs[pair] = signs.get(pair, 0) + koszul_sign(sigma, parities)
-    else:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
-    return finish_combination({pair: SIGNS.get(s) or Fraction(s)
-                               for pair, s in signs.items() if s})
+        return LinearCombination({(word[:i], word[i:]): ONE for i in range(1, len(word))})
+    if kind == WEDGE:
+        return LinearCombination(_wedge_coproduct_terms(space, word))
+    if kind == PERM:
+        return LinearCombination(_perm_coproduct_terms(space, word))
+    raise KindError(f"unknown coalgebra kind {kind!r}")
+
+
+def _wedge_coproduct_terms(space: GradedSpace, word):
+    n = len(word)
+    parities = [space.parities[x] for x in word]
+    for i in range(1, n):
+        for sigma in sh(i, n - i):
+            permuted = permute_word(sigma, word)
+            yield (permuted[:i], permuted[i:]), SIGNS[koszul_sign(sigma, parities)]
+
+
+def _perm_coproduct_terms(space: GradedSpace, word):
+    head, tail = word
+    n = len(head) + 1
+    parities = [space.parities[x] for x in head]
+    for i in range(1, n):
+        for sigma in sh(i - 1, 1, n - i - 1):
+            ph = permute_word(sigma, head)
+            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), SIGNS[koszul_sign(sigma, parities)]
 
 
 def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
@@ -131,28 +131,21 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     head symmetrization with the tail fixed)."""
     if name == "alpha":
         parities = [space.parities[x] for x in word]
-        acc = {}
-        for sigma in all_permutations(len(word)):
-            accumulate(acc, permute_word(sigma, word),
-                       SIGNS[koszul_sign(sigma, parities)])
-        return finish_combination(acc)
+        return LinearCombination((permute_word(sigma, word), SIGNS[koszul_sign(sigma, parities)])
+                                 for sigma in all_permutations(len(word)))
     if name == "beta":
         n = len(word)
         parities = [space.parities[x] for x in word]
-        acc = {}
-        for sigma in sh(n - 1, 1) if n > 1 else ((1,),):
-            permuted = permute_word(sigma, word)
-            accumulate(acc, (permuted[:-1], permuted[-1]),
-                       SIGNS[koszul_sign(sigma, parities)])
-        return finish_combination(acc)
+        return LinearCombination(
+            ((tuple(word[s - 1] for s in sigma[:-1]), word[sigma[-1] - 1]),
+             SIGNS[koszul_sign(sigma, parities)])
+            for sigma in (sh(n - 1, 1) if n > 1 else ((1,),)))
     if name == "gamma":
         head, tail = word
         parities = [space.parities[x] for x in head]
-        acc = {}
-        for sigma in all_permutations(len(head)):
-            accumulate(acc, permute_word(sigma, head) + (tail,),
-                       SIGNS[koszul_sign(sigma, parities)])
-        return finish_combination(acc)
+        return LinearCombination(
+            (permute_word(sigma, head) + (tail,), SIGNS[koszul_sign(sigma, parities)])
+            for sigma in all_permutations(len(head)))
     raise KindError(f"unknown coalgebra map {name!r}")
 
 
@@ -196,21 +189,14 @@ class Coderivation:
         image = self._images.get(word)
         if image is None:
             k = word_weight(self.kind, word)
-            acc = {}
-            for l in range(1, k + 1):
-                part = self.components.get((k, l), {}).get(word)
-                if part is not None:
-                    for w, c in part:
-                        accumulate(acc, w, c)
-            image = self._images[word] = finish_combination(acc)
+            image = self._images[word] = LinearCombination(
+                term for l in range(1, k + 1)
+                for term in self.components.get((k, l), {}).get(word, ()))
         return image
 
     def apply_combination(self, combo: LinearCombination) -> LinearCombination:
-        acc = {}
-        for word, c in combo:
-            for w, cc in self.apply_word(word):
-                accumulate(acc, w, cc * c)
-        return finish_combination(acc)
+        return LinearCombination((w, cc * c) for word, c in combo
+                                 for w, cc in self.apply_word(word))
 
     def square_word(self, word) -> LinearCombination:
         return self.apply_combination(self.apply_word(word))
@@ -232,12 +218,10 @@ class Coderivation:
                     continue
                 if first is None:
                     first = word, image
-                acc = {}
-                for w, c in image:
-                    if word_weight(self.kind, w) == 1:
-                        accumulate(acc, w[1] if self.kind == PERM else w[0], c)
-                if acc:
-                    cogenerator[word] = finish_combination(acc)
+                part = LinearCombination((w[1] if self.kind == PERM else w[0], c)
+                                         for w, c in image if word_weight(self.kind, w) == 1)
+                if part:
+                    cogenerator[word] = part
             found = self._squares[k] = cogenerator, first
         return found
 
@@ -307,57 +291,56 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
     odd = sp.parities
     table = op.table
     a = op.arity  # = k - l + 1
-    comp = {}
     if kind == TENSOR:
-        for word in tensor_words(sp, k):
-            acc = {}
+        words = tensor_words(sp, k)
+
+        def terms(word):
             prefix_parity = 0
             for i in range(l):
                 out = table.get(word[i:i + a])
                 if out is not None:
                     for letter, c in out:
-                        accumulate(acc, word[:i] + (letter,) + word[i + a:],
-                                   -c if prefix_parity else c)
+                        yield word[:i] + (letter,) + word[i + a:], -c if prefix_parity else c
                 prefix_parity ^= odd[word[i]]
-            if acc:
-                comp[word] = finish_combination(acc)
-        return comp
-
-    if kind == WEDGE:
+    elif kind == WEDGE:
+        words = wedge_words(sp, k)
         blocks = sh(a, k - a)
-        for word in wedge_words(sp, k):
-            acc = {}
-            _apply_to_front(table, sp, word, blocks, a, acc)
-            if acc:
-                comp[word] = finish_combination(acc)
-        return comp
 
-    # perm; the head blocks are empty when l = 1 (mu would need k head letters)
-    head_blocks = sh(a - 1, 1, k - 1 - a)
-    tail_blocks = sh(l - 1, k - l)
-    for head, tail in perm_words(sp, k):
-        acc = {}
-        _apply_to_front(table, sp, head, head_blocks, a, acc, tail)
-        parities = [odd[x] for x in head]
-        for sigma in tail_blocks:
-            out = table.get(tuple(head[s - 1] for s in sigma[l - 1:]) + (tail,))
-            if out is None:
-                continue
-            # an unshuffle of a canonical head leaves the rest canonical
-            rest = tuple(head[s - 1] for s in sigma[:l - 1])
-            eps = koszul_sign(sigma, parities)
-            if sum(parities[s - 1] for s in sigma[:l - 1]) % 2:
-                eps = -eps
-            for letter, c in out:
-                accumulate(acc, (rest, letter), c if eps == 1 else -c)
-        if acc:
-            comp[(head, tail)] = finish_combination(acc)
+        def terms(word):
+            return _apply_to_front(table, sp, word, blocks, a)
+    else:
+        words = perm_words(sp, k)
+        # the head blocks are empty when l = 1 (mu would need k head letters)
+        head_blocks = sh(a - 1, 1, k - 1 - a)
+        tail_blocks = sh(l - 1, k - l)
+
+        def terms(word):
+            head, tail = word
+            yield from _apply_to_front(table, sp, head, head_blocks, a, tail)
+            parities = [odd[x] for x in head]
+            for sigma in tail_blocks:
+                out = table.get(tuple(head[s - 1] for s in sigma[l - 1:]) + (tail,))
+                if out is None:
+                    continue
+                # an unshuffle of a canonical head leaves the rest canonical
+                rest = tuple(head[s - 1] for s in sigma[:l - 1])
+                eps = koszul_sign(sigma, parities)
+                if sum(parities[s - 1] for s in sigma[:l - 1]) % 2:
+                    eps = -eps
+                for letter, c in out:
+                    yield (rest, letter), c if eps == 1 else -c
+
+    comp = {}
+    for word in words:
+        image = LinearCombination(terms(word))
+        if image:
+            comp[word] = image
     return comp
 
 
-def _apply_to_front(table, sp, letters, blocks, a, acc, tail=None) -> None:
-    """Accumulate eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... over
-    the given unshuffles of a canonical wedge word into acc, keyed by the
+def _apply_to_front(table, sp, letters, blocks, a, tail=None):
+    """Yield the terms of eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ...
+    over the given unshuffles of a canonical wedge word, keyed by the
     canonical result, or by (result, tail) when a Perm tail is given."""
     parities = [sp.parities[x] for x in letters]
     for sigma in blocks:
@@ -369,8 +352,7 @@ def _apply_to_front(table, sp, letters, blocks, a, acc, tail=None) -> None:
         for letter, c in out:
             ns, word = wedge_normalize(sp, (letter,) + rest)
             if word is not None:
-                accumulate(acc, word if tail is None else (word, tail),
-                           c if ns == eps else -c)
+                yield word if tail is None else (word, tail), c if ns == eps else -c
 
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
@@ -380,39 +362,41 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     odd = D.degree % 2 != 0
     for k in range(1, cap + 1):
         for word in coalgebra_words(D.kind, D.space, k):
-            lhs = {}
-            for w, c in D.apply_word(word):
-                for pair, cc in comultiply(D.kind, D.space, w):
-                    accumulate(lhs, pair, c * cc)
-            rhs = {}
-            for (left, right), c in comultiply(D.kind, D.space, word):
-                for w, cc in D.apply_word(left):
-                    accumulate(rhs, (w, right), c * cc)
-                if odd and cofree_word_degree(D.space, D.kind, left) % 2:
-                    c = -c
-                for w, cc in D.apply_word(right):
-                    accumulate(rhs, (left, w), c * cc)
-            if lhs != rhs:
+            lhs = LinearCombination((pair, c * cc) for w, c in D.apply_word(word)
+                                    for pair, cc in comultiply(D.kind, D.space, w))
+            if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
                 return False
     return True
+
+
+def _coderivation_rhs(D: Coderivation, word, odd: bool):
+    """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
+    for (left, right), c in comultiply(D.kind, D.space, word):
+        for w, cc in D.apply_word(left):
+            yield (w, right), c * cc
+        if odd and cofree_word_degree(D.space, D.kind, left) % 2:
+            c = -c
+        for w, cc in D.apply_word(right):
+            yield (left, w), c * cc
 
 
 def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     """The weight (n -> 1) component of D o D, pulled back to an arity-n
     operation on tensor words through the canonical projection onto the
-    coalgebra's weight-n words."""
-    sp = D.space
-    cogenerator = D.squares(n)[0]
+    coalgebra's weight-n words.
+
+    Each canonical word's part is written to the tensor words that project
+    onto it: a tensor word to itself, a wedge word (or a Perm head, the tail
+    fixed) to each distinct rearrangement w, with the Koszul sign chi that
+    takes w back to the canonical word."""
+    odd = D.space.parities
     table = {}
-    for word in tensor_words(sp, n) if cogenerator else ():
+    for cw, part in D.squares(n)[0].items():
         if D.kind == TENSOR:
-            s, cw = 1, word
-        elif D.kind == WEDGE:
-            s, cw = wedge_normalize(sp, word)
-        else:
-            s, head = wedge_normalize(sp, word[:-1])
-            cw = None if head is None else (head, word[-1])
-        part = cogenerator.get(cw)
-        if part is not None:
-            table[word] = part if s == 1 else part.scaled(-1)
-    return Operation(sp, n, 2 * D.degree, table)
+            table[cw] = part
+            continue
+        head, tail = (cw, ()) if D.kind == WEDGE else (cw[0], (cw[1],))
+        negated = part.scaled(-1)
+        for chi, arrangement in arrangements(head, odd, False):
+            table[arrangement + tail] = part if chi == 1 else negated
+    return Operation(D.space, n, 2 * D.degree, table)

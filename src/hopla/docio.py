@@ -162,16 +162,15 @@ def parse_document(text) -> AlgebraDocument:
             output = _expect(entry, "output", epath)
             if not isinstance(output, list):
                 raise DocumentError("output must be a list", epath + ".output")
-            combo = {}
+            terms = []
             for ti, term in enumerate(output):
                 tpath = f"{epath}.output[{ti}]"
                 label = _expect(term, "label", tpath)
                 if not isinstance(label, str) or label not in labels:
                     raise DocumentError(f"unknown label {label!r}", tpath + ".label")
                 coeff = parse_rational(_expect(term, "coeff", tpath), tpath + ".coeff")
-                out = sp.index(label)
-                combo[out] = combo.get(out, Fraction(0)) + coeff
-            table[word] = LinearCombination(combo)
+                terms.append((sp.index(label), coeff))
+            table[word] = LinearCombination(terms)
         op = Operation(sp, arity, family_degree(convention, arity), table)
         if not op.is_zero():
             ops[arity] = op
@@ -231,7 +230,3 @@ def serialize_document(doc: AlgebraDocument) -> str:
     except ValueError as exc:  # an integer with more digits than str() converts
         raise DocumentError(f"cannot serialize: {exc}") from None
 
-
-def document_from_family(family: OperationFamily,
-                         declared_type: tuple | None = None) -> AlgebraDocument:
-    return AlgebraDocument(family, declared_type)

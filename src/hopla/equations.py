@@ -106,13 +106,6 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
     return Residual(n, precompose_symmetrized(core, flavor.variant, mode))
 
 
-def all_residuals_vanish(family: OperationFamily, flavor: EquationFlavor,
-                         max_arity: int | None = None, check_symmetry: bool = True) -> bool:
-    cap = family.max_arity if max_arity is None else max_arity
-    return all(residual(family, flavor, n, check_symmetry).vanishes()
-               for n in range(1, cap + 1))
-
-
 # ---------------------------------------------------------------------------
 # circle products on C(V,V) for plain (degree-0) spaces
 # ---------------------------------------------------------------------------

@@ -159,15 +159,16 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int,
     def in_copy(copy: int, base_index: int) -> int:
         return copy * dim + base_index
 
+    # every input word lands on n + 1 distinct carrier words, and no two
+    # input words share one, so no entries need summing
     table = {}
     for word, combo in mu.table.items():
         zero_word = tuple(in_copy(0, i) for i in word)
         table[zero_word] = combo.map_keys(lambda i: in_copy(1, i))
+        image = combo.map_keys(lambda i: in_copy(2, i))
         for p in range(n):
             mixed = tuple(in_copy(1 if q == p else 0, i) for q, i in enumerate(word))
-            existing = table.get(mixed)
-            image = combo.map_keys(lambda i: in_copy(2, i))
-            table[mixed] = image if existing is None else existing + image
+            table[mixed] = image
     op = Operation(carrier, n, n - 2, table)
     family = OperationFamily(UNHAT, carrier, cap, {n: op})
     return NaryEmbedding(n, base, carrier, family, forgetful)

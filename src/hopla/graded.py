@@ -13,9 +13,9 @@ is no notion of "undefined".
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ArityError, BasisIndexError, ConventionError, GradingError, PositionError
 
@@ -91,6 +91,13 @@ class LinearCombination:
     Keys may be anything hashable (basis indices, words, pairs of words);
     a single combination never mixes key shapes.  Zero coefficients are
     dropped eagerly so that `==` is semantic equality.
+
+    The constructor is the one accumulator: every sum of coefficients by
+    key goes through it, and operation tables are grouped per word by
+    `table_from_terms` and summed here.  It takes a mapping or an iterable
+    of (key, coeff) pairs, converts a coefficient only when it is not a
+    Fraction already (ints and floats convert exactly), keeps a key's first
+    coefficient as given and drops every key whose sum is zero.
     """
 
     __slots__ = ("terms",)
@@ -100,13 +107,18 @@ class LinearCombination:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
-                coeff = Fraction(coeff)
-                if coeff:
-                    c = data.get(key, ZERO) + coeff
-                    if c:
-                        data[key] = c
+                if coeff.__class__ is not Fraction:
+                    coeff = Fraction(coeff)
+                old = data.get(key)
+                if old is None:
+                    if coeff:
+                        data[key] = coeff
+                else:
+                    coeff += old
+                    if coeff:
+                        data[key] = coeff
                     else:
-                        data.pop(key, None)
+                        del data[key]
         self.terms = data
 
     @classmethod
@@ -126,26 +138,16 @@ class LinearCombination:
         return self.terms.get(key, ZERO)
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, ZERO) + coeff
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-        result = LinearCombination()
-        result.terms = out
-        return result
+        return LinearCombination(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "LinearCombination":
         factor = Fraction(factor)
-        result = LinearCombination()
-        if factor:
-            result.terms = {k: c * factor for k, c in self.terms.items()}
-        return result
+        if not factor:
+            return LinearCombination()
+        return LinearCombination({k: c * factor for k, c in self.terms.items()})
 
     def map_keys(self, fn) -> "LinearCombination":
         return LinearCombination((fn(k), c) for k, c in self.terms.items())
@@ -162,18 +164,23 @@ class LinearCombination:
         return " + ".join(f"({c})*{k}" for k, c in sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
 
-def accumulate(acc: dict, key, coeff) -> None:
-    c = acc.get(key, ZERO) + coeff
-    if c:
-        acc[key] = c
-    else:
-        acc.pop(key, None)
-
-
-def finish_combination(acc: dict) -> LinearCombination:
-    out = LinearCombination()
-    out.terms = acc
-    return out
+def table_from_terms(terms) -> dict:
+    """Operation table from (word, output letter, coefficient) terms: the
+    terms are grouped per word and each group is summed by the
+    LinearCombination constructor; words whose sum vanishes are left out."""
+    groups = {}
+    for word, letter, coeff in terms:
+        group = groups.get(word)
+        if group is None:
+            groups[word] = [(letter, coeff)]
+        else:
+            group.append((letter, coeff))
+    table = {}
+    for word, group in groups.items():
+        combo = LinearCombination(group)
+        if combo:
+            table[word] = combo
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,14 +225,6 @@ class Operation:
         if len(word) != self.arity:
             raise ArityError(f"word length {len(word)} != arity {self.arity}")
         return self.table.get(word, LinearCombination())
-
-    def evaluate_combination(self, words: LinearCombination) -> LinearCombination:
-        """Linear extension of `evaluate` to a combination of input words."""
-        acc = {}
-        for word, coeff in words:
-            for out, c in self.evaluate(word):
-                accumulate(acc, out, c * coeff)
-        return finish_combination(acc)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -272,13 +271,9 @@ class Operation:
 
 def linear_sum(sp: GradedSpace, arity: int, degree: int, terms) -> Operation:
     """sum of coeff * op over the (op, coeff) pairs, accumulated into one table."""
-    acc = {}
-    for op, coeff in terms:
-        for word, combo in op.table.items():
-            slot = acc.setdefault(word, {})
-            for out, c in combo:
-                accumulate(slot, out, c * coeff)
-    return Operation(sp, arity, degree, {w: finish_combination(d) for w, d in acc.items()})
+    return Operation(sp, arity, degree, table_from_terms(
+        (word, out, c * coeff)
+        for op, coeff in terms for word, combo in op.table.items() for out, c in combo))
 
 
 def check_homogeneous(op: Operation) -> bool:
@@ -312,17 +307,17 @@ def compose_insert(outer: Operation, inner: Operation, position: int) -> Operati
     for win, cin in inner.table.items():
         for letter, c in cin:
             inner_by_output.setdefault(letter, []).append((win, c))
-    acc = {}
-    for wout, cout in outer.table.items():
-        head, target, rest = wout[:position], wout[position], wout[position + 1:]
-        sign = -1 if inner_odd and sum(odd[x] for x in head) % 2 else 1
-        for win, c in inner_by_output.get(target, ()):
-            word = head + win + rest
-            slot = acc.setdefault(word, {})
-            for out, co in cout:
-                accumulate(slot, out, co * c * sign)
-    table = {w: finish_combination(d) for w, d in acc.items()}
-    return Operation(sp, i + j - 1, outer.degree + inner.degree, table)
+
+    def terms():
+        for wout, cout in outer.table.items():
+            head, target, rest = wout[:position], wout[position], wout[position + 1:]
+            sign = -1 if inner_odd and sum(odd[x] for x in head) % 2 else 1
+            for win, c in inner_by_output.get(target, ()):
+                word = head + win + rest
+                for out, co in cout:
+                    yield word, out, co * c * sign
+
+    return Operation(sp, i + j - 1, outer.degree + inner.degree, table_from_terms(terms()))
 
 
 HAT = "hat"

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import HAT, Operation, Word, accumulate, finish_combination
+from .graded import HAT, Operation, Word, table_from_terms
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -205,7 +205,7 @@ def stabilizer_order(letters, odd, rho2: bool) -> int:
     return order
 
 
-def _arrangements(letters: tuple, odd, rho2: bool):
+def arrangements(letters: tuple, odd, rho2: bool):
     """Yield (chi(pi; letters), letters o pi) once for every distinct
     rearrangement of a sorted word, by choosing the first letter and
     recursing; moving letter j to the front passes the j letters before it."""
@@ -216,7 +216,7 @@ def _arrangements(letters: tuple, odd, rho2: bool):
     for j, a in enumerate(letters):
         if j == 0 or a != letters[j - 1]:
             head = -1 if (odd[a] and odd_before) != (rho2 and j % 2 == 1) else 1
-            for chi, rest in _arrangements(letters[:j] + letters[j + 1:], odd, rho2):
+            for chi, rest in arrangements(letters[:j] + letters[j + 1:], odd, rho2):
                 yield head * chi, (a,) + rest
         odd_before ^= bool(odd[a])
 
@@ -240,16 +240,15 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
         raise ValueError(f"unknown action variant {variant!r}")
     n = op.arity
     if mode == MODE_SHUFFLE:
-        acc = {}
-        for sigma in sh(n - 1, 1):
-            inv = inverse(sigma)
-            for target_word, combo in op.table.items():
-                coeff, word = act(inv, op.space, target_word, variant)
-                slot = acc.setdefault(word, {})
-                for out, c in combo:
-                    accumulate(slot, out, c * coeff)
-        return Operation(op.space, n, op.degree,
-                         {w: finish_combination(d) for w, d in acc.items()})
+        def shuffled_terms():
+            for sigma in sh(n - 1, 1):
+                inv = inverse(sigma)
+                for target_word, combo in op.table.items():
+                    coeff, word = act(inv, op.space, target_word, variant)
+                    for out, c in combo:
+                        yield word, out, c * coeff
+
+        return Operation(op.space, n, op.degree, table_from_terms(shuffled_terms()))
     if mode == MODE_FULL:
         acted = n
     elif mode == MODE_PARTIAL:
@@ -259,23 +258,24 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
 
     odd = op.space.parities
     rho2 = variant == RHO2
-    orbits = {}
-    for word, combo in op.table.items():
-        head = list(word[:acted])
-        chi = signed_sort(head, odd, rho2)
-        slot = orbits.setdefault(tuple(head) + word[acted:], {})
-        for out, c in combo:
-            accumulate(slot, out, c * chi)
+
+    def sorted_terms():
+        for word, combo in op.table.items():
+            head = list(word[:acted])
+            chi = signed_sort(head, odd, rho2)
+            rep = tuple(head) + word[acted:]
+            for out, c in combo:
+                yield rep, out, c if chi == 1 else -c
 
     table = {}
-    for rep, slot in orbits.items():
+    for rep, value in table_from_terms(sorted_terms()).items():
         head, tail = rep[:acted], rep[acted:]
         order = stabilizer_order(head, odd, rho2)
-        if not slot or not order:
+        if not order:
             continue
-        value = finish_combination(slot).scaled(order)
+        value = value.scaled(order)
         negated = value.scaled(-1)
-        for chi, arrangement in _arrangements(head, odd, rho2):
+        for chi, arrangement in arrangements(head, odd, rho2):
             table[arrangement + tail] = value if chi == 1 else negated
     return Operation(op.space, n, op.degree, table)
 

@@ -19,7 +19,7 @@ from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, circle_bracket,
                         circle_product, nary_residual, residual)
 from .functors import commutator, suspend_family, suspend_operation
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, accumulate, finish_combination)
+                     OperationFamily)
 from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2,
                            all_permutations, compose, koszul_sign,
                            precompose_symmetrized, sign, unshuffles)
@@ -74,24 +74,20 @@ def unshuffle_partition_witness(n: int) -> tuple | None:
 # ---------------------------------------------------------------------------
 
 def _comultiply_element(kind, space, combo: LinearCombination) -> LinearCombination:
-    acc = {}
-    for word, c in combo:
-        for pair, cc in comultiply(kind, space, word):
-            accumulate(acc, pair, c * cc)
-    return finish_combination(acc)
+    return LinearCombination((pair, c * cc) for word, c in combo
+                             for pair, cc in comultiply(kind, space, word))
 
 
 def coassociativity_witness(kind: str, space: GradedSpace, cap: int):
     """(Delta (x) Id) Delta = (Id (x) Delta) Delta on canonical words."""
     for k in range(1, cap + 1):
         for word in coalgebra_words(kind, space, k):
-            left, right = {}, {}
-            for (a, b), c in comultiply(kind, space, word):
-                for (a1, a2), cc in comultiply(kind, space, a):
-                    accumulate(left, (a1, a2, b), c * cc)
-                for (b1, b2), cc in comultiply(kind, space, b):
-                    accumulate(right, (a, b1, b2), c * cc)
-            if finish_combination(left) != finish_combination(right):
+            coproduct = comultiply(kind, space, word)
+            left = LinearCombination(((a1, a2, b), c * cc) for (a, b), c in coproduct
+                                     for (a1, a2), cc in comultiply(kind, space, a))
+            right = LinearCombination(((a, b1, b2), c * cc) for (a, b), c in coproduct
+                                      for (b1, b2), cc in comultiply(kind, space, b))
+            if left != right:
                 return word
     return None
 
@@ -103,12 +99,11 @@ def coalgebra_map_law_witness(name: str, space: GradedSpace, cap: int):
     for k in range(1, cap + 1):
         for word in coalgebra_words(domain, space, k):
             lhs = _comultiply_element(codomain, space, coalgebra_map(name, space, word))
-            rhs = {}
-            for (a, b), c in comultiply(domain, space, word):
-                for wa, ca in coalgebra_map(name, space, a):
-                    for wb, cb in coalgebra_map(name, space, b):
-                        accumulate(rhs, (wa, wb), c * ca * cb)
-            if lhs != finish_combination(rhs):
+            rhs = LinearCombination(((wa, wb), c * ca * cb)
+                                    for (a, b), c in comultiply(domain, space, word)
+                                    for wa, ca in coalgebra_map(name, space, a)
+                                    for wb, cb in coalgebra_map(name, space, b))
+            if lhs != rhs:
                 return word
     return None
 
@@ -117,12 +112,10 @@ def factorization_witness(space: GradedSpace, cap: int):
     """gamma o beta = alpha on wedge words."""
     for k in range(1, cap + 1):
         for word in wedge_words(space, k):
-            via = {}
-            for (head, tail), c in coalgebra_map("beta", space, word):
-                for w, cc in coalgebra_map("gamma", space, (head, tail)):
-                    accumulate(via, w, c * cc)
-            direct = coalgebra_map("alpha", space, word)
-            if finish_combination(via) != direct:
+            via = LinearCombination((w, c * cc)
+                                    for pair, c in coalgebra_map("beta", space, word)
+                                    for w, cc in coalgebra_map("gamma", space, pair))
+            if via != coalgebra_map("alpha", space, word):
                 return word
     return None
 

@@ -19,7 +19,7 @@ from math import factorial
 
 from hopla.coalgebra import (TENSOR, WEDGE, perm_words, tensor_words,
                              wedge_normalize, wedge_words)
-from hopla.graded import Operation, accumulate, finish_combination, word_degree
+from hopla.graded import LinearCombination, Operation, table_from_terms, word_degree
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 all_permutations, inverse, koszul_sign,
                                 permute_word, sh, sign)
@@ -43,7 +43,7 @@ def mode_permutations(mode, n):
 def precompose_by_loop(op, perms, variant):
     """Sum of op o rho_sigma over the given permutations, term by term."""
     sp = op.space
-    acc = {}
+    terms = []
     for sigma in perms:
         inv = inverse(sigma)
         for target_word, combo in op.table.items():
@@ -54,11 +54,8 @@ def precompose_by_loop(op, perms, variant):
                 coeff *= sign(sigma)
             elif variant != RHO1:
                 raise ValueError(f"unknown action variant {variant!r}")
-            slot = acc.setdefault(word, {})
-            for out, c in combo:
-                accumulate(slot, out, c * coeff)
-    table = {w: finish_combination(d) for w, d in acc.items()}
-    return Operation(sp, op.arity, op.degree, table)
+            terms += ((word, out, c * coeff) for out, c in combo)
+    return Operation(sp, op.arity, op.degree, table_from_terms(terms))
 
 
 def precompose_symmetrized_by_loop(op, variant, mode):
@@ -75,26 +72,23 @@ def circle_product_dense(f, g):
     first = [(sigma, sign(sigma)) for sigma in sh(n, 1, m - 1)]
     second = [(sigma, swap_sign * sign(sigma)) for sigma in sh(m, n)]
 
-    acc = {}
+    table = {}
     for word in itertools.product(range(sp.dim), repeat=arity):
-        slot = {}
+        slot = []
         for sigma, sgn in first:
             mapped = [word[s - 1] for s in sigma]
             inner = g.evaluate(tuple(mapped[:n + 1]))
             for mid, c_in in inner:
                 outer = f.evaluate(tuple([mid] + mapped[n + 1:] + [word[-1]]))
-                for out, c_out in outer:
-                    accumulate(slot, out, c_in * c_out * sgn)
+                slot += ((out, c_in * c_out * sgn) for out, c_out in outer)
         for sigma, sgn in second:
             mapped = [word[s - 1] for s in sigma]
             inner = g.evaluate(tuple(mapped[m:] + [word[-1]]))
             for mid, c_in in inner:
                 outer = f.evaluate(tuple(mapped[:m] + [mid]))
-                for out, c_out in outer:
-                    accumulate(slot, out, c_in * c_out * sgn)
-        if slot:
-            acc[word] = finish_combination(slot)
-    return Operation(sp, arity, 0, acc)
+                slot += ((out, c_in * c_out * sgn) for out, c_out in outer)
+        table[word] = LinearCombination(slot)
+    return Operation(sp, arity, 0, table)
 
 
 def component_loop(op, kind, k, l):
@@ -106,16 +100,14 @@ def component_loop(op, kind, k, l):
     comp = {}
     if kind == TENSOR:
         for word in tensor_words(sp, k):
-            acc = {}
+            acc = []
             for i in range(l):
                 out = op.evaluate(word[i:i + a])
                 if out.is_zero():
                     continue
                 s = -1 if word_degree(sp, word[:i]) % 2 else 1
-                for letter, c in out:
-                    accumulate(acc, word[:i] + (letter,) + word[i + a:], c * s)
-            if acc:
-                comp[word] = finish_combination(acc)
+                acc += ((word[:i] + (letter,) + word[i + a:], c * s) for letter, c in out)
+            _store(comp, word, acc)
         return comp
 
     if kind == WEDGE:
@@ -125,7 +117,7 @@ def component_loop(op, kind, k, l):
         norm = Fraction(1, factorial(l) * factorial(a))
         for word in wedge_words(sp, k):
             degrees = [sp.degree(x) for x in word]
-            acc = {}
+            acc = []
             for sigma in all_permutations(k):
                 eps = koszul_sign(sigma, degrees)
                 pw = permute_word(sigma, word)
@@ -137,17 +129,16 @@ def component_loop(op, kind, k, l):
                         for letter, c in out:
                             ns, nw = wedge_normalize(sp, pw[:i] + (letter,) + pw[i + a:])
                             if nw is not None:
-                                accumulate(acc, nw, norm * eps * s * ns * c)
+                                acc.append((nw, norm * eps * s * ns * c))
                     prefix_parity ^= sp.degree(pw[i]) % 2
-            if acc:
-                comp[word] = finish_combination(acc)
+            _store(comp, word, acc)
         return comp
 
     # perm
     norm = Fraction(1, factorial(l - 1) * factorial(k - l))
     for head, tail in perm_words(sp, k):
         degrees = [sp.degree(x) for x in head]
-        acc = {}
+        acc = []
         for sigma in all_permutations(k - 1):
             eps = koszul_sign(sigma, degrees)
             ph = permute_word(sigma, head)
@@ -159,14 +150,19 @@ def component_loop(op, kind, k, l):
                     for letter, c in out:
                         ns, nh = wedge_normalize(sp, ph[:i] + (letter,) + ph[i + a:])
                         if nh is not None:
-                            accumulate(acc, (nh, tail), norm * eps * s * ns * c)
+                            acc.append(((nh, tail), norm * eps * s * ns * c))
                 prefix_parity ^= sp.degree(ph[i]) % 2
             out = op.evaluate(ph[l - 1:] + (tail,))
             if not out.is_zero():
                 s = -1 if word_degree(sp, ph[:l - 1]) % 2 else 1
                 ns, nh = wedge_normalize(sp, ph[:l - 1])
-                for letter, c in out:
-                    accumulate(acc, (nh, letter), norm * eps * s * ns * c)
-        if acc:
-            comp[(head, tail)] = finish_combination(acc)
+                acc += (((nh, letter), norm * eps * s * ns * c) for letter, c in out)
+        _store(comp, (head, tail), acc)
     return comp
+
+
+def _store(comp, word, terms):
+    """Sum the terms and keep the word's image when it is nonzero."""
+    image = LinearCombination(terms)
+    if image:
+        comp[word] = image

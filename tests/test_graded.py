@@ -141,22 +141,31 @@ def test_insertion_coherence_koszul_interchange(rng):
         assert first == second.scaled(sign)
 
 
-def test_evaluate_is_bilinear(graded2, rng):
-    from hopla.verify import random_operation
-    op = random_operation(rng, graded2, 2, 0, density=0.8)
-    w1, w2 = (0, 1), (1, 0)
-    a, b = Fraction(2, 3), Fraction(-5, 7)
-    combo = LinearCombination({w1: a, w2: b})
-    extended = op.evaluate_combination(combo)
-    direct = op.evaluate(w1).scaled(a) + op.evaluate(w2).scaled(b)
-    assert extended == direct
-
-
 def test_linear_combination_drops_zeros():
     c = LinearCombination({("w",): Fraction(1, 2)})
     d = c + c.scaled(-1)
     assert d.is_zero() and len(d) == 0
     assert LinearCombination({("w",): 0}).is_zero()
+    # pair iterables: a repeated key that cancels, a first coefficient of 0
+    assert LinearCombination([("a", 1), ("b", 2), ("a", -1)]) == LinearCombination({"b": 2})
+    assert LinearCombination([("a", Fraction(1, 3)), ("a", Fraction(-1, 3))]).is_zero()
+    zero_first = LinearCombination([("a", 0), ("a", Fraction(2, 5))])
+    assert zero_first.terms == {"a": Fraction(2, 5)}
+    back = LinearCombination([("a", 1), ("a", -1), ("a", 3)])
+    assert back.terms == {"a": Fraction(3)}
+    # ints and floats convert exactly, and every stored value is a Fraction
+    mixed = LinearCombination([("a", 0.5), ("b", 3), ("b", 0.25), ("c", -0.75), ("c", 0.75)])
+    assert mixed.terms == {"a": Fraction(1, 2), "b": Fraction(13, 4)}
+    assert all(type(c) is Fraction for _, c in mixed)
+    assert LinearCombination({"a": 0.1})["a"] == Fraction(0.1)
+
+
+def test_table_from_terms_groups_per_word_and_drops_zero_words():
+    from hopla.graded import table_from_terms
+    terms = [((0, 1), 0, 1), ((1, 0), 1, Fraction(1, 2)), ((0, 1), 0, -1),
+             ((1, 0), 0, 2), ((0, 1), 1, 0), ((1, 0), 1, 0.5)]
+    assert table_from_terms(terms) == {(1, 0): LinearCombination({0: 2, 1: 1})}
+    assert table_from_terms([]) == {}
 
 
 def test_operation_family_degree_validation(flat2):
