@@ -12,7 +12,7 @@ import json
 import sys
 
 from .coalgebra import PERM, TENSOR, WEDGE
-from .docio import parse_document, serialize_document
+from .docio import MAX_ARITY, parse_document, serialize_document
 from .drivers import (generate_random, run_check, run_coderive, run_derive,
                       run_selftest)
 from .equations import ASSOC, LIE, PRELIE
@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run structure-equation residuals on a document")
     p.add_argument("file")
     p.add_argument("--flavor", required=True, choices=[ASSOC, PRELIE, LIE])
-    p.add_argument("--max-arity", type=int, default=None)
+    p.add_argument("--max-arity", type=int, default=None,
+                   help=f"check residuals up to this arity (1..{MAX_ARITY}; "
+                        "default: the document's max_arity)")
     p.add_argument("--no-precondition-check", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -119,6 +121,10 @@ def main(argv=None) -> int:
         if value is not None and value < 1:
             print(f"input error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_INPUT
+    if getattr(args, "max_arity", None) is not None and args.max_arity > MAX_ARITY:
+        print(f"input error: --max-arity must be at most {MAX_ARITY}, got {args.max_arity}",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.verb == "check":
             doc = _read_document(args.file)

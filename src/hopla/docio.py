@@ -37,6 +37,13 @@ from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
 
 FORMAT = "hopla-algebra/1"
 
+# The largest `max_arity` (and declared n-ary arity) a document may carry,
+# and the largest `--max-arity`.  `check` computes a residual at every arity
+# up to the cap, and residuals above twice the largest operation arity
+# vanish identically, so a larger cap only adds work; a dense operation of
+# arity 32 already has 2^32 table words on two letters.
+MAX_ARITY = 32
+
 DECLARED_TYPES = ("a_infinity", "pl_infinity", "l_infinity",
                   "assoc_n", "prelie_n", "lie_n")
 
@@ -178,6 +185,8 @@ def parse_document(text) -> AlgebraDocument:
     max_arity = raw.get("max_arity", max(seen_arities, default=1))
     if not isinstance(max_arity, int) or max_arity < 1:
         raise DocumentError("max_arity must be a positive integer", "max_arity")
+    if max_arity > MAX_ARITY:
+        raise DocumentError(f"max_arity {max_arity} is above the limit {MAX_ARITY}", "max_arity")
     if seen_arities and max_arity < max(seen_arities):
         raise DocumentError(
             f"max_arity {max_arity} is below the largest operation arity {max(seen_arities)}",
@@ -193,6 +202,9 @@ def parse_document(text) -> AlgebraDocument:
         if name.endswith("_n"):
             if not isinstance(n, int) or n < 1:
                 raise DocumentError(f"declared type {name!r} requires a positive 'n'",
+                                    "declared_type.n")
+            if n > MAX_ARITY:
+                raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
                                     "declared_type.n")
         elif n is not None:
             raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from .coalgebra import (PERM, TENSOR, WEDGE, check_coderivation,
                         extend_coderivation, square_cogenerator_component)
 from .docio import AlgebraDocument, format_rational
-from .equations import ASSOC, LIE, PRELIE, EquationFlavor, check_nary, residual
+from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
+                        check_nary, residual)
 from .errors import DocumentError, SymmetryError
 from .functors import (commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
@@ -28,7 +29,7 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
-NARY_DECLARED = {"assoc_n": "partially_associative", "prelie_n": PRELIE, "lie_n": LIE}
+NARY_DECLARED = {"assoc_n": PARTIALLY_ASSOCIATIVE, "prelie_n": PRELIE, "lie_n": LIE}
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
 
 
@@ -91,12 +92,21 @@ def _residual_witness(space: GradedSpace, op: Operation) -> dict | None:
     }
 
 
-def _symmetry_check(report: Report, ops: dict, variant: str, kind: str) -> bool:
+def _symmetry_check(report: Report, ops: dict, variant: str, kind: str,
+                    check_preconditions: bool) -> bool:
     """Append one symmetry-precondition line per arity of `ops`; returns
-    overall success."""
-    if kind in (ASSOC, "partially_associative"):
+    overall success.
+
+    Without the lines the symmetry is still required: pre-Lie and Lie
+    residuals are computed in a collapsed form that holds only for
+    symmetric operations, so a family without it raises a SymmetryError.
+    """
+    if kind in (ASSOC, PARTIALLY_ASSOCIATIVE):
         return True
     full = kind == LIE
+    if not check_preconditions:
+        require_symmetry(ops, variant, full, f"the {kind} residual")
+        return True
     label = "full" if full else "partial"
     ok = True
     for n in sorted(ops):
@@ -113,7 +123,9 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     Documents declaring an n-ary type run the single n-ary equation; all
     other documents run the homotopy residuals for every arity up to
-    `max_arity` (default: the family's cap).
+    `max_arity` (default: the family's cap).  Without `check_preconditions`
+    the report has no symmetry lines, but a pre-Lie or Lie check of
+    operations without the symmetry still raises a SymmetryError.
     """
     t0 = time.monotonic()
     if kind not in (ASSOC, PRELIE, LIE):
@@ -123,8 +135,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     declared = doc.declared_type
     if declared and declared[0] in NARY_DECLARED:
         n, mu = nary_operation(doc)
-        want = {"assoc": "partially_associative", "prelie": PRELIE, "lie": LIE}[kind]
-        if not check_preconditions or _symmetry_check(report, {n: mu}, RHO2, want):
+        want = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
+        if _symmetry_check(report, {n: mu}, RHO2, want, check_preconditions):
             ok, res = check_nary(mu, want, check_symmetry=False)
             report.add(f"{want} residual at arity {res.n}", ok,
                        witness=None if ok else _residual_witness(mu.space, res.op))
@@ -133,8 +145,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     flavor = EquationFlavor(kind, doc.convention)
     cap = max_arity if max_arity is not None else doc.family.max_arity
-    if not check_preconditions or _symmetry_check(report, doc.family.ops,
-                                                  action_variant(doc.convention), kind):
+    if _symmetry_check(report, doc.family.ops, action_variant(doc.convention), kind,
+                       check_preconditions):
         for n in range(1, cap + 1):
             res = residual(doc.family, flavor, n, check_symmetry=False)
             ok = res.vanishes()

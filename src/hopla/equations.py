@@ -18,7 +18,22 @@ flavor:
 A family satisfies the corresponding axioms iff all residuals vanish; for the
 prelie and lie flavors this is only meaningful when each mu_k is invariant
 under the matching signed action, so that symmetry is a checked precondition
-(with an explicit bypass for experiments).
+(with an explicit bypass for callers that guarantee it).
+
+What is computed is the Nijenhuis-Richardson form of that sum.  For a
+symmetric family, P makes every insertion position whose inserted block
+stays inside the symmetrized slots contribute exactly what position 0
+does, so per arity pair (i, j) only these insertions are made:
+
+    assoc     every position m, with c(i,j,m)
+    prelie    position 0 with (i-1)*c(i,j,0), and position i-1 with c(i,j,i-1)
+    lie       position 0 with i*c(i,j,0)
+
+All insertions of one arity stream into one table, which P symmetrizes
+once (`_insert_symmetrize`).  The n-ary residuals and the circle product
+go through the same kernel.  Without the symmetry the collapsed form is
+not the sum above, which is why `check` refuses such families on every
+path.
 
 Everything here decides vanishing by exhaustive evaluation on basis words;
 residuals are exact, there is no tolerance anywhere.
@@ -28,10 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import factorial
 
 from .errors import ArityError, ConventionError, LemmaViolationError
-from .graded import HAT, UNHAT, Operation, OperationFamily, compose_insert, linear_sum
+from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
+                     table_from_terms)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                            precompose_symmetrized, require_symmetry)
 
@@ -40,6 +58,9 @@ PRELIE = "prelie"
 LIE = "lie"
 
 KINDS = (ASSOC, PRELIE, LIE)
+
+# the symmetrization P per kind; the associative kinds have none
+SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
 
 
 @dataclass(frozen=True)
@@ -80,11 +101,47 @@ def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
     return c
 
 
+def _positions(kind: str, i: int, coefficient) -> tuple:
+    """(position, coefficient) of the insertions that stand for all i
+    insertion positions of an arity-i outer operation, given the
+    coefficient of each position.
+
+    Under a partial (pre-Lie) symmetrization positions 0..i-2 contribute
+    what position 0 does, and under a full (Lie) one every position does,
+    provided the operations carry that symmetry; the other kinds keep every
+    position.
+    """
+    if kind == LIE:
+        return ((0, i * coefficient(0)),)
+    if kind == PRELIE:
+        last = ((i - 1, coefficient(i - 1)),)
+        return last if i == 1 else ((0, (i - 1) * coefficient(0)),) + last
+    return tuple((m, coefficient(m)) for m in range(i))
+
+
+def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
+                       variant: str, mode: str | None) -> Operation:
+    """P(sum of coeff * outer o_position inner) over the (outer, inner,
+    position, coeff) insertions.  Every insertion's terms stream into one
+    table; P is `precompose_symmetrized` in the given mode, or the identity
+    when mode is None."""
+    core = Operation(sp, arity, degree, table_from_terms(chain.from_iterable(
+        insertion_terms(outer, inner, position, coeff)
+        for outer, inner, position, coeff in insertions)))
+    if mode is None or core.is_zero():
+        return core
+    return precompose_symmetrized(core, variant, mode)
+
+
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
              check_symmetry: bool = True) -> Residual:
     """The arity-n residual of the family under the given flavor.
 
     Arities missing from the family (or beyond its cap) contribute nothing.
+    Pre-Lie and Lie residuals are computed in the collapsed form of the
+    module docstring, which equals the defining sum only for a partially
+    (pre-Lie) or fully (Lie) symmetric family; with `check_symmetry` False
+    the caller must guarantee that symmetry.
     """
     if flavor.convention != family.convention:
         raise ConventionError(
@@ -94,16 +151,15 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
     if check_symmetry and flavor.kind != ASSOC:
         require_symmetry(family.ops, flavor.variant, flavor.kind == LIE, f"{flavor.kind} residual")
 
-    degree = -2 if flavor.convention == HAT else n - 3
     ops = family.ops
-    core = linear_sum(family.space, n, degree, (
-        (compose_insert(ops[i], ops[n + 1 - i], m), _coefficient(flavor, i, n + 1 - i, m))
-        for i in family.arities() if n + 1 - i in ops for m in range(i)))
-
-    if flavor.kind == ASSOC or core.is_zero():
-        return Residual(n, core)
-    mode = MODE_PARTIAL if flavor.kind == PRELIE else MODE_FULL
-    return Residual(n, precompose_symmetrized(core, flavor.variant, mode))
+    insertions = (
+        (ops[i], ops[n + 1 - i], m, c)
+        for i in family.arities() if n + 1 - i in ops
+        for m, c in _positions(flavor.kind, i, partial(_coefficient, flavor, i, n + 1 - i)))
+    mode = SYMMETRIZATION.get(flavor.kind)
+    degree = -2 if flavor.convention == HAT else n - 3
+    return Residual(n, _insert_symmetrize(family.space, n, degree, insertions,
+                                          flavor.variant, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +180,11 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
 
         f o g = P(f o_0 g / (n!(m-1)!) + (-1)^{mn} f o_m g / (m! n!)),
 
-    where o_i is `compose_insert` at position i and the first term is absent
-    for m = 0.  This equals the unshuffle sums only when f and g are skew in
-    all slots but the last, which the caller must guarantee when
-    `check_symmetry` is False.
+    where o_i is the insertion at position i and the first term is absent
+    for m = 0: the pre-Lie collapse of sum_p (-1)^{pn} f o_p g / (m! n!).
+    This equals the unshuffle sums only when f and g are skew in all slots
+    but the last, which the caller must guarantee when `check_symmetry` is
+    False.
     """
     if f.space != g.space:
         raise ArityError("circle product requires a common space")
@@ -136,11 +193,11 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
         require_symmetry({f.arity: f}, RHO2, False, "the circle product's left factor")
         require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
     m, n = f.arity - 1, g.arity - 1
-    terms = [(compose_insert(f, g, m), Fraction((-1) ** (m * n), factorial(m) * factorial(n)))]
-    if m:
-        terms.append((compose_insert(f, g, 0), Fraction(1, factorial(n) * factorial(m - 1))))
+    scale = factorial(m) * factorial(n)
+    insertions = ((f, g, position, c) for position, c in _positions(
+        PRELIE, m + 1, lambda p: Fraction((-1) ** (p * n), scale)))
     # declared degree 0, like the space, whatever degrees f and g declare
-    return precompose_symmetrized(linear_sum(f.space, m + n + 1, 0, terms), RHO2, MODE_PARTIAL)
+    return _insert_symmetrize(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL)
 
 
 def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
@@ -170,7 +227,9 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Resi
     algebra and its one-operation embedding satisfy the same equations.
 
     The signed permutation action here is rho2 on a degree-0 space, whose
-    Koszul factor is identically 1.
+    Koszul factor is identically 1.  The pre-Lie and Lie residuals use the
+    collapsed insertions of `residual`, so with `check_symmetry` False the
+    caller must guarantee mu's partial (pre-Lie) or full (Lie) skew symmetry.
     """
     if kind not in NARY_KINDS:
         raise ValueError(f"kind must be one of {NARY_KINDS}, got {kind!r}")
@@ -181,11 +240,11 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Resi
 
     scale = {PRELIE: Fraction(1, factorial(n - 1) ** 2),
              LIE: Fraction(1, factorial(n - 1) * factorial(n))}.get(kind, Fraction(1))
-    core = linear_sum(mu.space, 2 * n - 1, mu.degree * 2, (
-        (compose_insert(mu, mu, i), -scale if (i * (n - 1)) % 2 else scale) for i in range(n)))
-    if kind != PARTIALLY_ASSOCIATIVE:
-        core = precompose_symmetrized(core, RHO2, MODE_PARTIAL if kind == PRELIE else MODE_FULL)
-    return Residual(2 * n - 1, core)
+    insertions = ((mu, mu, i, c) for i, c in _positions(
+        kind, n, lambda i: -scale if (i * (n - 1)) % 2 else scale))
+    mode = SYMMETRIZATION.get(kind)
+    return Residual(2 * n - 1, _insert_symmetrize(mu.space, 2 * n - 1, mu.degree * 2,
+                                                  insertions, RHO2, mode))
 
 
 def check_nary(mu: Operation, kind: str, check_symmetry: bool = True):

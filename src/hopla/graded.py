@@ -202,12 +202,13 @@ class Operation:
         if self.arity < 1:
             raise ArityError(f"arity must be >= 1, got {self.arity}")
         clean = {}
+        dim = self.space.dim
         for word, combo in self.table.items():
             word = tuple(word)
             if len(word) != self.arity:
                 raise ArityError(f"table word {word} has length {len(word)}, arity is {self.arity}")
             for i in word:
-                if not 0 <= i < self.space.dim:
+                if not 0 <= i < dim:
                     raise BasisIndexError(f"basis index {i} out of range in word {word}")
             if not isinstance(combo, LinearCombination):
                 combo = LinearCombination(combo)
@@ -286,38 +287,48 @@ def check_homogeneous(op: Operation) -> bool:
     return True
 
 
-def compose_insert(outer: Operation, inner: Operation, position: int) -> Operation:
-    """outer o (I_position (x) inner (x) I_rest), with the Koszul sign of the
-    tensor rule for maps: inner of odd degree picks up the parity of whatever
-    it moves past.
+def insertion_terms(outer: Operation, inner: Operation, position: int, scale=ONE):
+    """The (word, output letter, coefficient) terms of
+    scale * outer o (I_position (x) inner (x) I_rest), with the Koszul sign
+    of the tensor rule for maps: inner of odd degree picks up the parity of
+    whatever it moves past.
 
-    On a word (x_1, ..., x_{i+j-1}) the result is
+    On a word (x_1, ..., x_{i+j-1}) the insertion is
     (-1)^(|inner| * (|x_1|+...+|x_position|)) *
     outer(x_1, ..., x_position, inner(next j letters), remaining letters).
+    The terms of one word are not summed; `table_from_terms` does that.
     """
     if outer.space != inner.space:
-        raise ArityError("compose_insert requires operations on the same space")
+        raise ArityError("an insertion requires operations on the same space")
     if not 0 <= position < outer.arity:
         raise PositionError(f"position {position} out of range 0..{outer.arity - 1}")
-    sp = outer.space
-    i, j = outer.arity, inner.arity
-    inner_odd = inner.degree % 2 != 0
-    odd = sp.parities
-    inner_by_output = {}
+    odd = outer.space.parities
+    # inner's entries by output letter, scaled once, and negated once when
+    # the sign can be -1
+    by_output = {}
     for win, cin in inner.table.items():
         for letter, c in cin:
-            inner_by_output.setdefault(letter, []).append((win, c))
+            by_output.setdefault(letter, []).append((win, c * scale))
+    flipped = ({letter: [(win, -c) for win, c in pairs] for letter, pairs in by_output.items()}
+               if inner.degree % 2 else None)
 
     def terms():
         for wout, cout in outer.table.items():
-            head, target, rest = wout[:position], wout[position], wout[position + 1:]
-            sign = -1 if inner_odd and sum(odd[x] for x in head) % 2 else 1
-            for win, c in inner_by_output.get(target, ()):
+            head, rest = wout[:position], wout[position + 1:]
+            pick = flipped if flipped is not None and sum(odd[x] for x in head) % 2 else by_output
+            for win, c in pick.get(wout[position], ()):
                 word = head + win + rest
                 for out, co in cout:
-                    yield word, out, co * c * sign
+                    yield word, out, co * c
 
-    return Operation(sp, i + j - 1, outer.degree + inner.degree, table_from_terms(terms()))
+    return terms()
+
+
+def compose_insert(outer: Operation, inner: Operation, position: int) -> Operation:
+    """outer o (I_position (x) inner (x) I_rest) as an operation; see
+    `insertion_terms` for the sign."""
+    return Operation(outer.space, outer.arity + inner.arity - 1, outer.degree + inner.degree,
+                     table_from_terms(insertion_terms(outer, inner, position)))
 
 
 HAT = "hat"

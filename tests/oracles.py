@@ -10,7 +10,11 @@ only so that tests can compare the fast path against it:
   product on every one of the dim^(m+n+1) input words;
 * `component_loop` builds a coderivation component by summing the operation
   over every position of every permutation of each canonical word and
-  dividing by the number of times each unshuffle term repeats.
+  dividing by the number of times each unshuffle term repeats;
+* `residual_by_positions` and `nary_residual_by_positions` make one
+  insertion per position, as the defining sums are written, and symmetrize
+  their sum with the orbit kernel (itself checked against the loop above),
+  with no collapse of positions.
 """
 
 import itertools
@@ -19,10 +23,12 @@ from math import factorial
 
 from hopla.coalgebra import (TENSOR, WEDGE, perm_words, tensor_words,
                              wedge_normalize, wedge_words)
-from hopla.graded import LinearCombination, Operation, table_from_terms, word_degree
+from hopla.equations import LIE, PRELIE
+from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
+                          linear_sum, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 all_permutations, inverse, koszul_sign,
-                                permute_word, sh, sign)
+                                permute_word, precompose_symmetrized, sh, sign)
 
 
 def extend_fixing_last(sigma, n):
@@ -60,6 +66,50 @@ def precompose_by_loop(op, perms, variant):
 
 def precompose_symmetrized_by_loop(op, variant, mode):
     return precompose_by_loop(op, mode_permutations(mode, op.arity), variant)
+
+
+SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+
+
+def residual_by_positions(family, kind, n):
+    """The arity-n residual of the family, as `equations` documents it:
+    sum over i + j = n + 1 and every position m of
+    c(i,j,m) mu_i o_m mu_j, then symmetrized."""
+    ops = family.ops
+    terms = []
+    for i in sorted(ops):
+        j = n + 1 - i
+        if j not in ops:
+            continue
+        for m in range(i):
+            c = Fraction(1)
+            if family.convention == UNHAT and (j * (i - m - 1) + m) % 2:
+                c = -c
+            if kind == PRELIE:
+                c /= factorial(i - 1) * factorial(j - 1)
+            elif kind == LIE:
+                c /= factorial(i - 1) * factorial(j)
+            terms.append((compose_insert(ops[i], ops[j], m), c))
+    core = linear_sum(family.space, n, -2 if family.convention == HAT else n - 3, terms)
+    if kind not in SYMMETRIZATION:
+        return core
+    return precompose_symmetrized(core, RHO1 if family.convention == HAT else RHO2,
+                                  SYMMETRIZATION[kind])
+
+
+def nary_residual_by_positions(mu, kind):
+    """The n-ary residual of mu: sum over every position i of
+    (-1)^(i(n-1)) mu o_i mu, scaled and symmetrized as `nary_residual`
+    documents it."""
+    n = mu.arity
+    scale = {PRELIE: Fraction(1, factorial(n - 1) ** 2),
+             LIE: Fraction(1, factorial(n - 1) * factorial(n))}.get(kind, Fraction(1))
+    core = linear_sum(mu.space, 2 * n - 1, 2 * mu.degree, (
+        (compose_insert(mu, mu, i), -scale if (i * (n - 1)) % 2 else scale)
+        for i in range(n)))
+    if kind not in SYMMETRIZATION:
+        return core
+    return precompose_symmetrized(core, RHO2, SYMMETRIZATION[kind])
 
 
 def circle_product_dense(f, g):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from hopla import cli
 from hopla.cli import main
-from hopla.docio import (AlgebraDocument, parse_document, parse_rational,
+from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.drivers import generate_random, run_check, run_derive
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, OperationFamily
-from hopla.permutations import RHO2, check_partial_symmetry
+from hopla.permutations import (RHO2, action_variant, check_partial_symmetry,
+                                failing_symmetry_generator)
 from hopla.samples import dual_numbers
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -285,6 +287,59 @@ def test_cli_rejects_caps_below_one(argv, capsys):
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert "ALL PASS" not in captured.out
+
+
+def test_cli_check_bypass_still_refuses_families_without_symmetry(tmp_path, capsys):
+    # pre-Lie and Lie residuals are computed in a form that needs the
+    # symmetry, so --no-precondition-check drops the report lines but not
+    # the requirement; the associative check has none and still runs
+    doc = generate_random(3, [0, 1], [1, 2, 3], 0.6, seed=5)
+    variant = action_variant(doc.convention)
+    assert failing_symmetry_generator(doc.family.ops[3], variant, full=False) is not None
+    path = tmp_path / "plain.json"
+    path.write_text(serialize_document(doc))
+    for flavor in (PRELIE, LIE):
+        full = flavor == LIE
+        arity, bad = next((n, failing_symmetry_generator(doc.family.ops[n], variant, full))
+                          for n in doc.family.arities()
+                          if failing_symmetry_generator(doc.family.ops[n], variant, full))
+        assert main(["check", str(path), "--flavor", flavor, "--no-precondition-check"]) == 2
+        err = capsys.readouterr().err
+        assert f"arity-{arity} operation" in err and f"transposition {bad}" in err, err
+    assert main(["check", str(path), "--flavor", ASSOC, "--no-precondition-check",
+                 "--json"]) in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["checks"]) == doc.family.max_arity
+
+
+def test_cli_max_arity_is_bounded(tmp_path, capsys):
+    # 143 bytes: one basis letter, no operations and a cap of a million;
+    # every residual is zero, but checking them all took seconds
+    path = tmp_path / "huge.json"
+    path.write_text(minimal_doc(max_arity=1_000_000))
+    start = time.monotonic()
+    assert main(["check", str(path), "--flavor", "assoc"]) == 2
+    assert time.monotonic() - start < 1
+    assert f"above the limit {MAX_ARITY}" in capsys.readouterr().err
+    path.write_text(minimal_doc(max_arity=MAX_ARITY))
+    assert main(["check", str(path), "--flavor", "assoc"]) == 0
+    capsys.readouterr()
+    assert main(["check", GOOD, "--flavor", "assoc", "--max-arity", str(MAX_ARITY)]) == 0
+    capsys.readouterr()
+    assert main(["check", GOOD, "--flavor", "assoc", "--max-arity", str(MAX_ARITY + 1)]) == 2
+    assert f"at most {MAX_ARITY}" in capsys.readouterr().err
+    # a declared arity of 100,000 with no operations ran for minutes
+    path.write_text(minimal_doc(max_arity=MAX_ARITY,
+                                declared_type={"name": "prelie_n", "n": MAX_ARITY + 1}))
+    assert main(["check", str(path), "--flavor", "prelie"]) == 2
+
+
+def test_schema_bounds_match_the_parser():
+    with open(os.path.join(os.path.dirname(__file__), "..", "docs",
+                           "document-schema.json")) as handle:
+        schema = json.load(handle)["properties"]
+    assert schema["max_arity"]["maximum"] == MAX_ARITY
+    assert schema["declared_type"]["properties"]["n"]["maximum"] == MAX_ARITY
 
 
 @settings(max_examples=12, deadline=None,

@@ -1,15 +1,19 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from conftest import (E11, E12, family_scale, family_sum, matrix_bracket,
                       prelie_residual_shuffle_form)
+from oracles import nary_residual_by_positions
+from hopla import equations
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, check_nary, check_prelie_n_two_ways,
                              circle_bracket, circle_product, nary_residual,
                              residual)
 from hopla.errors import ConventionError, GradingError, SymmetryError
-from hopla.graded import HAT, UNHAT, LinearCombination, Operation, OperationFamily
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2,
                                 check_partial_symmetry, precompose_symmetrized)
 from hopla.samples import associative_family, commutator_bracket
@@ -168,18 +172,22 @@ def test_check_prelie_two_ways(flat2, corner, rng):
         if cand.is_zero():
             continue
         verdict = check_prelie_n_two_ways(cand)
+        # both library routes share one kernel; the per-position oracle is
+        # the independent route
+        assert verdict == nary_residual_by_positions(cand, PRELIE).is_zero()
         if not verdict:
             hits += 1
     assert hits > 0
 
 
 def test_lemma_operation_level_equality(flat2, rng):
-    # residual and mu o mu agree as operations, not just in vanishing
+    # the per-position pre-Lie residual and mu o mu agree as operations,
+    # not just in vanishing
     for n in (2, 3):
         for _ in range(6):
             mu = precompose_symmetrized(
                 random_operation(rng, flat2, n, 0, density=0.6), RHO2, MODE_PARTIAL)
-            assert nary_residual(mu, PRELIE, check_symmetry=False).op \
+            assert nary_residual_by_positions(mu, PRELIE) \
                 == circle_product(mu, mu, check_symmetry=False)
 
 
@@ -221,3 +229,39 @@ def test_graded_jacobi_leibniz_form(flat2, rng):
             random_operation(rng, flat2, rng.choice([1, 2, 3]), 0), RHO2, MODE_PARTIAL)
             for _ in range(3))
         assert graded_jacobi_witness(f, g, h) is None
+
+
+def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
+    # The collapsed form makes at most two insertions per arity pair for
+    # pre-Lie and exactly one for Lie; one insertion per position is a
+    # regression even when every value stays right.
+    passes = Counter()
+    real = equations.insertion_terms
+
+    def counting(outer, inner, position, scale=1):
+        passes[outer.arity, inner.arity] += 1
+        return real(outer, inner, position, scale)
+
+    monkeypatch.setattr(equations, "insertion_terms", counting)
+    per_pair = {ASSOC: lambda i: i, PRELIE: lambda i: min(i, 2), LIE: lambda i: 1}
+    sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
+    for kind, symmetrize in ((ASSOC, None), (PRELIE, "partial"), (LIE, "full")):
+        fam = random_unhat_family(rng, sp, (1, 2, 3, 4), symmetrize=symmetrize, density=0.8)
+        assert 4 in fam.ops
+        for n in range(1, 8):
+            passes.clear()
+            residual(fam, EquationFlavor(kind, UNHAT), n)
+            assert passes == {(i, n + 1 - i): per_pair[kind](i)
+                              for i in fam.ops if n + 1 - i in fam.ops}, (kind, n)
+    nary = {PARTIALLY_ASSOCIATIVE: (None, lambda n: n), PRELIE: (MODE_PARTIAL, lambda n: 2),
+            LIE: (MODE_FULL, lambda n: 1)}
+    for n, (kind, (mode, count)) in itertools.product((2, 3, 4), nary.items()):
+        mu = random_operation(rng, flat2, n, 0, density=0.8)
+        passes.clear()
+        nary_residual(precompose_symmetrized(mu, RHO2, mode) if mode else mu, kind)
+        assert passes == {(n, n): count(n)}, (kind, n)
+    f, g = (precompose_symmetrized(random_operation(rng, flat2, a, 0, density=0.8),
+                                   RHO2, MODE_PARTIAL) for a in (3, 2))
+    passes.clear()
+    circle_product(f, g)
+    assert passes == {(3, 2): 2}

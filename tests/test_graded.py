@@ -38,6 +38,13 @@ def test_word_degree_invalid_index():
         word_degree(sp, (0, 3))
 
 
+@pytest.mark.parametrize("word", [(0, 2), (-1, 0)])
+def test_operation_rejects_letters_outside_the_basis(word):
+    sp = space(("e", 0), ("f", 0))
+    with pytest.raises(BasisIndexError, match="out of range"):
+        Operation(sp, 2, 0, {word: LinearCombination({0: 1})})
+
+
 def test_space_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         GradedSpace(("x", "x"), (0, 0))

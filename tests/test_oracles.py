@@ -1,6 +1,6 @@
-"""The orbit symmetrization kernel, the sparse circle product and the
-unshuffle coderivation components against the slow reference
-implementations in `oracles.py`."""
+"""The orbit symmetrization kernel, the sparse circle product, the
+collapsed residuals and the unshuffle coderivation components against the
+slow reference implementations in `oracles.py`."""
 
 import itertools
 import random
@@ -8,15 +8,17 @@ import random
 import pytest
 
 from conftest import square_component
-from oracles import (circle_product_dense, component_loop,
-                     precompose_symmetrized_by_loop)
+from oracles import (circle_product_dense, component_loop, nary_residual_by_positions,
+                     precompose_symmetrized_by_loop, residual_by_positions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, _component, coalgebra_words,
                              extend_coderivation, square_cogenerator_component,
                              tensor_words, wedge_normalize)
-from hopla.equations import PRELIE, circle_product, nary_residual
-from hopla.graded import HAT, GradedSpace, LinearCombination, Operation, OperationFamily
+from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
+                             circle_product, nary_residual, residual)
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                precompose_symmetrized)
+                                action_variant, precompose_symmetrized)
 from hopla.verify import random_operation
 
 DEGREE_PATTERNS = {
@@ -91,6 +93,61 @@ def test_prelie_residual_is_circle_square_on_four_letters():
         square = circle_product(mu, mu)
         assert square.is_zero() == (arity == 4)
         assert nary_residual(mu, PRELIE).op == square
+
+
+RESIDUAL_PATTERNS = {
+    "(0, 1)": (0, 1),
+    "(-1, 0, 1)": (-1, 0, 1),
+    "two odd letters": (1, 0, 1),
+    "(-1, 0, 0, 1)": (-1, 0, 0, 1),
+    "two odd letters, dim 4": (1, 2, 0, 1),
+}
+RESIDUAL_SYMMETRY = {ASSOC: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+
+
+def _symmetric_family(rng, sp, convention, kind):
+    """Operations at arities 1-4 with the symmetry the kind's residual needs."""
+    ops = {}
+    for arity in (1, 2, 3, 4):
+        op = random_operation(rng, sp, arity, family_degree(convention, arity), 0.5)
+        if RESIDUAL_SYMMETRY[kind] is not None:
+            op = precompose_symmetrized(op, action_variant(convention), RESIDUAL_SYMMETRY[kind])
+        ops[arity] = op
+    return OperationFamily(convention, sp, 6, ops)
+
+
+def test_collapsed_residual_matches_per_position_oracle():
+    nonzero = {kind: 0 for kind in RESIDUAL_SYMMETRY}
+    for pattern, degrees in RESIDUAL_PATTERNS.items():
+        rng = random.Random(f"residual-{pattern}")
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for convention, kind in itertools.product((HAT, UNHAT), RESIDUAL_SYMMETRY):
+            family = _symmetric_family(rng, sp, convention, kind)
+            for n in range(1, 7):
+                fast = residual(family, EquationFlavor(kind, convention), n).op
+                slow = residual_by_positions(family, kind, n)
+                assert fast == slow, (pattern, convention, kind, n)
+                assert fast.degree == slow.degree
+                nonzero[kind] += not fast.is_zero()
+    # the comparison must not be vacuous for any kind
+    assert min(nonzero.values()) >= 20, nonzero
+
+
+def test_collapsed_nary_residual_matches_per_position_oracle():
+    symmetry = {PARTIALLY_ASSOCIATIVE: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+    nonzero = {kind: 0 for kind in symmetry}
+    for dim in (2, 3, 4):
+        rng = random.Random(f"nary-{dim}")
+        sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+        for n, (kind, mode) in itertools.product((2, 3, 4), symmetry.items()):
+            for _ in range(2):
+                mu = random_operation(rng, sp, n, 0, density=0.5 if n < 4 else 0.2)
+                if mode is not None:
+                    mu = precompose_symmetrized(mu, RHO2, mode)
+                fast = nary_residual(mu, kind).op
+                assert fast == nary_residual_by_positions(mu, kind), (dim, n, kind)
+                nonzero[kind] += not fast.is_zero()
+    assert min(nonzero.values()) >= 3, nonzero
 
 
 COALGEBRA_PATTERNS = {

@@ -12,7 +12,7 @@ import pytest
 
 from hopla.coalgebra import PERM, WEDGE, extend_coderivation
 from hopla.docio import AlgebraDocument
-from hopla.drivers import run_derive
+from hopla.drivers import run_check, run_derive
 from hopla.equations import (LIE, PRELIE, EquationFlavor, check_prelie_n_two_ways,
                              circle_product, nary_residual, residual)
 from hopla.errors import SymmetryError
@@ -119,9 +119,30 @@ def derive_commutator_beta(rng):
     return lambda: run_derive(doc, "commutator-beta"), fam.ops, RHO2, False
 
 
+# `check --no-precondition-check` prints no symmetry lines but still refuses
+def check_prelie_bypass(rng):
+    fam = family(rng, UNHAT, {2: None, 3: "partial", 4: "pair", 5: None})
+    doc = AlgebraDocument(fam)
+    return lambda: run_check(doc, PRELIE, check_preconditions=False), fam.ops, RHO2, False
+
+
+def check_lie_bypass(rng):
+    fam = family(rng, HAT, {1: None, 2: "full", 3: "partial", 4: None})
+    doc = AlgebraDocument(fam)
+    return lambda: run_check(doc, LIE, check_preconditions=False), fam.ops, RHO1, True
+
+
+def check_nary_prelie_bypass(rng):
+    mu = op(rng, FLAT, 4, 0, RHO2, "pair")
+    filed = Operation(FLAT, 4, degree(UNHAT, 4), mu.table)
+    doc = AlgebraDocument(OperationFamily(UNHAT, FLAT, 4, {4: filed}), ("prelie_n", 4))
+    return lambda: run_check(doc, PRELIE, check_preconditions=False), {4: mu}, RHO2, False
+
+
 @pytest.mark.parametrize("case", [
     residual_prelie, residual_lie, nary_prelie, nary_lie, circle_left, circle_right,
     prelie_two_ways, extend_perm, extend_wedge, nary_commutator, derive_commutator_beta,
+    check_prelie_bypass, check_lie_bypass, check_nary_prelie_bypass,
 ], ids=lambda case: case.__name__)
 def test_symmetry_error_payload(case):
     call, ops, variant, full = case(random.Random(7))
