@@ -7,8 +7,8 @@ from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily, Scalar, check_homogeneous, compose_insert,
                      family_degree, space, word_degree)
 from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                           act, check_full_symmetry, check_partial_symmetry,
-                           koszul_sign, precompose_symmetrized, sign, unshuffles)
+                           failing_symmetry_generator, koszul_sign,
+                           precompose_symmetrized, sign, unshuffles)
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, Residual,
                         check_nary, check_prelie_n_two_ways, circle_bracket,
                         circle_product, nary_residual, residual)

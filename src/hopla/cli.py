@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .coalgebra import PERM, TENSOR, WEDGE
 from .docio import MAX_ARITY, parse_document, serialize_document
@@ -58,7 +59,9 @@ def _emit_report(report, as_json: bool) -> int:
     return EXIT_PASS if report.passed else EXIT_MATH_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="hopla",
         description="exact checks for homotopy associative / pre-Lie / Lie structures")

@@ -26,8 +26,8 @@ from typing import Iterator, Mapping
 from .errors import ConventionError, KindError
 from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation,
                      OperationFamily, check_homogeneous, word_degree)
-from .permutations import (RHO1, all_permutations, arrangements, koszul_sign, permute_word,
-                           require_symmetry, sh, signed_sort, stabilizer_order)
+from .permutations import (RHO1, arrangements, koszul_sign, permute_word, require_symmetry, sh,
+                           signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -126,13 +126,19 @@ def _perm_coproduct_terms(space: GradedSpace, word):
 
 
 def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
-    """The maps alpha (wedge -> tensor, full symmetrization), beta
-    (wedge -> perm, (n-1,1)-unshuffle sum) and gamma (perm -> tensor,
-    head symmetrization with the tail fixed)."""
+    """The maps alpha (wedge -> tensor), beta (wedge -> perm) and gamma
+    (perm -> tensor).
+
+    alpha sums eps(sigma) (x_s(1), ..., x_s(n)) over all of S_n, and gamma
+    does the same to the head of (x_1 ... x_{n-1} | t) with the tail fixed.
+    Both are computed per orbit: every distinct rearrangement of the word
+    (or head) appears |Stab| times with the Koszul sign that relates it to
+    the word, and the sum is zero when a repeated odd letter makes the
+    stabilizer act by -1.  beta is the sum over the (n-1, 1)-unshuffles
+    sigma of eps(sigma) (x_s(1) ... x_s(n-1) | x_s(n)).
+    """
     if name == "alpha":
-        parities = [space.parities[x] for x in word]
-        return LinearCombination((permute_word(sigma, word), SIGNS[koszul_sign(sigma, parities)])
-                                 for sigma in all_permutations(len(word)))
+        return _orbit_sum(space, word, ())
     if name == "beta":
         n = len(word)
         parities = [space.parities[x] for x in word]
@@ -142,11 +148,21 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
             for sigma in (sh(n - 1, 1) if n > 1 else ((1,),)))
     if name == "gamma":
         head, tail = word
-        parities = [space.parities[x] for x in head]
-        return LinearCombination(
-            (permute_word(sigma, head) + (tail,), SIGNS[koszul_sign(sigma, parities)])
-            for sigma in all_permutations(len(head)))
+        return _orbit_sum(space, head, (tail,))
     raise KindError(f"unknown coalgebra map {name!r}")
+
+
+def _orbit_sum(space: GradedSpace, letters, tail: tuple) -> LinearCombination:
+    """Sum of eps(sigma) (letters o sigma) + tail over sigma in S_len, from
+    the sorted representative of the letters' rho1 orbit."""
+    odd = space.parities
+    rep = list(letters)
+    chi = signed_sort(rep, odd, False)
+    order = stabilizer_order(rep, odd, False)
+    if not order:
+        return LinearCombination()
+    return LinearCombination((arrangement + tail, order if c == chi else -order)
+                             for c, arrangement in arrangements(tuple(rep), odd, False))
 
 
 def project_pi(space: GradedSpace, word) -> LinearCombination:

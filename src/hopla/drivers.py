@@ -8,7 +8,6 @@ coefficients exactly.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,8 +20,7 @@ from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavo
 from .errors import DocumentError, SymmetryError
 from .functors import (commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
-from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, family_degree)
+from .graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                            failing_symmetry_generator, precompose_symmetrized,
                            require_symmetry)
@@ -335,19 +333,8 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     variant = action_variant(convention)
     ops = {}
     for arity in arities:
-        target = family_degree(convention, arity)
-        table = {}
-        for word in itertools.product(sources, repeat=arity):
-            if rng.random() >= sparsity:
-                continue
-            out_degree = sum(space.degree(i) for i in word) + target
-            outs = [i for i in sinks if space.degree(i) == out_degree]
-            if not outs:
-                continue
-            out = rng.choice(outs)
-            coeff = rng.choice([-2, -1, 1, 2])
-            table[word] = LinearCombination({out: coeff})
-        op = Operation(space, arity, target, table)
+        op = verify.random_operation(rng, space, arity, family_degree(convention, arity),
+                                     sparsity, (-2, -1, 1, 2), sources, sinks)
         if symmetrize == "partial":
             op = precompose_symmetrized(op, variant, MODE_PARTIAL)
         elif symmetrize == "full":

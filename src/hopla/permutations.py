@@ -14,6 +14,14 @@ Conventions pinned here and relied on everywhere else:
   (where (sigma*tau)(i) = sigma(tau(i))).  This is exactly the order
   forced by the composition law
   eps(sigma; w o tau) = eps(tau*sigma; w) * eps(tau; w).
+
+The actions are computed one adjacent swap at a time: swapping letters a
+and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
+kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
+symmetrizations of `precompose_symmetrized` and the symmetry check
+`failing_symmetry_generator` all use that rule and never act by a whole
+permutation.  `koszul_sign` evaluates eps for a whole permutation; the
+unshuffle signs of the coalgebras and the sign-law witnesses use it.
 """
 
 from __future__ import annotations
@@ -45,13 +53,6 @@ def compose(sigma: Perm, tau: Perm) -> Perm:
     if len(sigma) != len(tau):
         raise LengthError("cannot compose permutations of different lengths")
     return tuple(sigma[t - 1] for t in tau)
-
-
-def inverse(sigma: Perm) -> Perm:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i + 1
-    return tuple(inv)
 
 
 def _validate(sigma: Perm) -> None:
@@ -106,21 +107,6 @@ def permute_word(sigma: Perm, word: Word) -> Word:
     if len(sigma) != len(word):
         raise LengthError(f"permutation length {len(sigma)} != word length {len(word)}")
     return tuple(word[s - 1] for s in sigma)
-
-
-def act(sigma: Perm, space, word: Word, variant: str):
-    """Apply rho1 or rho2 to a word; returns (chi(sigma; word), word o sigma).
-
-    The one per-permutation signed action: the shuffle symmetrization and
-    the symmetry checks both go through it.
-    """
-    degrees = [space.degree(i) for i in word]
-    coeff = koszul_sign(sigma, degrees)
-    if variant == RHO2:
-        coeff *= sign(sigma)
-    elif variant != RHO1:
-        raise ValueError(f"unknown action variant {variant!r}")
-    return coeff, permute_word(sigma, word)
 
 
 @lru_cache(maxsize=None)
@@ -239,14 +225,22 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
     n = op.arity
+    odd = op.space.parities
+    rho2 = variant == RHO2
     if mode == MODE_SHUFFLE:
+        # the unshuffle taking slot k to the end contributes each stored word
+        # with its last letter moved back to slot k, passing the letters there
         def shuffled_terms():
-            for sigma in sh(n - 1, 1):
-                inv = inverse(sigma)
-                for target_word, combo in op.table.items():
-                    coeff, word = act(inv, op.space, target_word, variant)
+            for k in range(n - 1, -1, -1):
+                for word, combo in op.table.items():
+                    a = word[-1]
+                    chi = 1
+                    for b in word[k:-1]:
+                        if (odd[a] and odd[b]) != rho2:
+                            chi = -chi
+                    moved = word[:k] + (a,) + word[k:-1]
                     for out, c in combo:
-                        yield word, out, c * coeff
+                        yield moved, out, c if chi == 1 else -c
 
         return Operation(op.space, n, op.degree, table_from_terms(shuffled_terms()))
     if mode == MODE_FULL:
@@ -255,9 +249,6 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
         acted = n - 1
     else:
         raise ValueError(f"unknown symmetrization mode {mode!r}")
-
-    odd = op.space.parities
-    rho2 = variant == RHO2
 
     def sorted_terms():
         for word, combo in op.table.items():
@@ -280,31 +271,28 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     return Operation(op.space, n, op.degree, table)
 
 
-def _symmetry_generators(n_acted: int, full_length: int):
-    """Adjacent transpositions generating S_{n_acted}, as elements of S_full."""
-    for k in range(1, n_acted):
-        tau = list(range(1, full_length + 1))
-        tau[k - 1], tau[k] = tau[k], tau[k - 1]
-        yield (k, k + 1), tuple(tau)
-
-
 def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     """First adjacent transposition under which op is not invariant, or None.
 
     `full=False` checks invariance on the first arity-1 slots only (the
     last slot rides along untouched); adjacent transpositions generate the
     whole group, so this is equivalent to checking every permutation.
+    The transpositions are walked in order, and the stored words inside each.
     """
+    if variant not in (RHO1, RHO2):
+        raise ValueError(f"unknown action variant {variant!r}")
+    odd = op.space.parities
+    rho2 = variant == RHO2
     n_acted = op.arity if full else op.arity - 1
-    if n_acted <= 1:
-        return None
-    # tau is an involution, so op o rho_tau = op iff op(w o tau) equals
-    # chi(tau; w) op(w) for every stored word w.
-    for label, tau in _symmetry_generators(n_acted, op.arity):
+    # the swap is an involution, so op o rho_tau = op iff op(w o tau) equals
+    # chi(tau; w) op(w) for every stored word w
+    for k in range(1, n_acted):
         for word, combo in op.table.items():
-            coeff, moved = act(tau, op.space, word, variant)
-            if op.table.get(moved) != combo.scaled(coeff):
-                return label
+            a, b = word[k - 1], word[k]
+            moved = word[:k - 1] + (b, a) + word[k + 1:]
+            expected = combo.scaled(-1) if (odd[a] and odd[b]) != rho2 else combo
+            if op.table.get(moved) != expected:
+                return k, k + 1
     return None
 
 
@@ -319,14 +307,3 @@ def require_symmetry(ops: dict, variant: str, full: bool, what: str) -> None:
                 f"{what} requires {'full' if full else 'partial'} symmetry; the arity-{n} "
                 f"operation is not invariant under the transposition {bad}",
                 arity=n, transposition=bad)
-
-
-def check_partial_symmetry(op: Operation, variant: str) -> bool:
-    """True iff op o (rho_sigma (x) I_1) = op for all sigma in S_{arity-1}."""
-    return failing_symmetry_generator(op, variant, full=False) is None
-
-
-def check_full_symmetry(op: Operation, variant: str) -> bool:
-    """True iff op o rho_sigma = op for all sigma in S_arity."""
-    return failing_symmetry_generator(op, variant, full=True) is None
-

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import factorial
 
 from .coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map,
@@ -230,19 +229,26 @@ def graded_jacobi_witness(f: Operation, g: Operation, h: Operation):
 # ---------------------------------------------------------------------------
 
 def random_operation(rng: random.Random, space: GradedSpace, arity: int, degree: int,
-                     density: float = 0.5) -> Operation:
-    """Deterministic sparse homogeneous operation with small coefficients."""
+                     density: float = 0.5, coefficients=(-3, -2, -1, 1, 2, 3),
+                     sources=None, sinks=None) -> Operation:
+    """Deterministic sparse homogeneous operation with small coefficients.
+
+    Each word over the source letters is kept with probability `density` and
+    sent to a random sink letter of the right degree with a coefficient drawn
+    from `coefficients`; sources and sinks default to the whole basis.
+    """
+    sources = range(space.dim) if sources is None else sources
+    sinks = range(space.dim) if sinks is None else sinks
     table = {}
-    for word in itertools.product(range(space.dim), repeat=arity):
+    for word in itertools.product(sources, repeat=arity):
         if rng.random() >= density:
             continue
         target = sum(space.degree(i) for i in word) + degree
-        outs = [i for i in range(space.dim) if space.degree(i) == target]
+        outs = [i for i in sinks if space.degree(i) == target]
         if not outs:
             continue
         out = rng.choice(outs)
-        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        table[word] = LinearCombination({out: coeff})
+        table[word] = LinearCombination({out: rng.choice(coefficients)})
     return Operation(space, arity, degree, table)
 
 

@@ -10,8 +10,9 @@ The oracles here deliberately avoid the library's own code paths:
   expansion of the pre-Lie residuals (both conventions) rather than the
   composition form the library uses.
 
-`identity`, `square_component` and `with_entry` are small helpers that only
-the tests need.
+`identity`, `random_table`, `square_component` and `with_entry` are small
+helpers that only the tests need; `DEGREE_PATTERNS` are the basis degrees
+the oracle comparisons run on.
 """
 
 import itertools
@@ -168,6 +169,32 @@ def perm_square_two_sum_form(space, q_op, head, tail):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+# basis degrees covering even, odd and mixed letters, and words that repeat
+# one odd or one even letter
+DEGREE_PATTERNS = {
+    "all even": (0, 2, 0),
+    "all odd": (1, -1, 3),
+    "mixed": (0, 1, -1),
+    "repeated odd letter": (1,),
+    "repeated even letter": (0,),
+}
+
+
+def pattern_space(pattern):
+    degrees = DEGREE_PATTERNS[pattern]
+    return GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+
+
+def random_table(rng, sp, arity, density):
+    """Not necessarily homogeneous: symmetrization does not need it."""
+    table = {}
+    for word in itertools.product(range(sp.dim), repeat=arity):
+        if rng.random() < density:
+            table[word] = LinearCombination(
+                {rng.randrange(sp.dim): rng.choice((-2, -1, 1, 3)) for _ in range(2)})
+    return table
+
 
 def identity(n):
     return tuple(range(1, n + 1))

@@ -3,11 +3,16 @@
 Each one is the straightforward transcription of a definition and is kept
 only so that tests can compare the fast path against it:
 
-* `precompose_by_loop` applies op o rho_sigma one permutation at a time;
+* `act` applies rho1 or rho2 to a word one whole permutation at a time,
+  and `precompose_by_loop` applies op o rho_sigma that way;
 * `precompose_symmetrized_by_loop` sums that over every permutation of the
   group a symmetrization mode names;
 * `circle_product_dense` evaluates the unshuffle definition of the circle
   product on every one of the dim^(m+n+1) input words;
+* `failing_transposition_by_act` walks the adjacent transpositions as
+  whole permutations, applied with `act`;
+* `coalgebra_map_by_loop` sums alpha and gamma over every permutation of
+  the word or head;
 * `component_loop` builds a coderivation component by summing the operation
   over every position of every permutation of each canonical word and
   dividing by the number of times each unshuffle term repeats;
@@ -27,8 +32,26 @@ from hopla.equations import LIE, PRELIE
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
                           linear_sum, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                all_permutations, inverse, koszul_sign,
-                                permute_word, precompose_symmetrized, sh, sign)
+                                all_permutations, koszul_sign, permute_word,
+                                precompose_symmetrized, sh, sign)
+
+
+def inverse(sigma):
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s - 1] = i + 1
+    return tuple(inv)
+
+
+def act(sigma, space, word, variant):
+    """Apply rho1 or rho2 to a word; returns (chi(sigma; word), word o sigma)."""
+    degrees = [space.degree(i) for i in word]
+    coeff = koszul_sign(sigma, degrees)
+    if variant == RHO2:
+        coeff *= sign(sigma)
+    elif variant != RHO1:
+        raise ValueError(f"unknown action variant {variant!r}")
+    return coeff, permute_word(sigma, word)
 
 
 def extend_fixing_last(sigma, n):
@@ -48,24 +71,32 @@ def mode_permutations(mode, n):
 
 def precompose_by_loop(op, perms, variant):
     """Sum of op o rho_sigma over the given permutations, term by term."""
-    sp = op.space
     terms = []
     for sigma in perms:
         inv = inverse(sigma)
         for target_word, combo in op.table.items():
-            word = permute_word(inv, target_word)
-            degrees = [sp.degree(i) for i in word]
-            coeff = koszul_sign(sigma, degrees)
-            if variant == RHO2:
-                coeff *= sign(sigma)
-            elif variant != RHO1:
-                raise ValueError(f"unknown action variant {variant!r}")
+            coeff, word = act(inv, op.space, target_word, variant)
             terms += ((word, out, c * coeff) for out, c in combo)
-    return Operation(sp, op.arity, op.degree, table_from_terms(terms))
+    return Operation(op.space, op.arity, op.degree, table_from_terms(terms))
 
 
 def precompose_symmetrized_by_loop(op, variant, mode):
     return precompose_by_loop(op, mode_permutations(mode, op.arity), variant)
+
+
+def failing_transposition_by_act(op, variant, full):
+    """First (k, k+1), over the whole word or the first arity-1 slots, with
+    op o rho_tau != op: the transpositions in order, the stored words inside
+    each."""
+    n = op.arity
+    for k in range(1, n if full else n - 1):
+        tau = list(range(1, n + 1))
+        tau[k - 1], tau[k] = k + 1, k
+        for word, combo in op.table.items():
+            coeff, moved = act(tuple(tau), op.space, word, variant)
+            if op.table.get(moved) != combo.scaled(coeff):
+                return k, k + 1
+    return None
 
 
 SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
@@ -139,6 +170,15 @@ def circle_product_dense(f, g):
                 slot += ((out, c_in * c_out * sgn) for out, c_out in outer)
         table[word] = LinearCombination(slot)
     return Operation(sp, arity, 0, table)
+
+
+def coalgebra_map_by_loop(name, space, word):
+    """alpha of a wedge word, or gamma of a perm word (head | tail): the sum
+    of eps(sigma) times the permuted word (or head, tail appended) over
+    every sigma in S_n."""
+    letters, tail = (word, ()) if name == "alpha" else (word[0], (word[1],))
+    acted = (act(sigma, space, letters, RHO1) for sigma in all_permutations(len(letters)))
+    return LinearCombination((moved + tail, chi) for chi, moved in acted)
 
 
 def component_loop(op, kind, k, l):

@@ -21,8 +21,8 @@ from hopla.functors import (commutator, nary_commutator_lie, nary_commutator_pre
                             nary_embed, suspend_family)
 from hopla.graded import UNHAT, GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, all_permutations,
-                                check_full_symmetry, check_partial_symmetry,
-                                compose, koszul_sign, precompose_symmetrized)
+                                compose, failing_symmetry_generator, koszul_sign,
+                                precompose_symmetrized)
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
 from hopla.verify import (coassociativity_witness, coalgebra_map_law_witness,
                           factorization_witness, random_operation,
@@ -163,17 +163,19 @@ def _embedding_verdicts(mu, kind):
     """(base verdict, embedded verdict), each = symmetry and residuals."""
     n = mu.arity
     if kind == PRELIE:
-        sym = check_partial_symmetry(mu, RHO2)
+        sym = failing_symmetry_generator(mu, RHO2, full=False) is None
     elif kind == LIE:
-        sym = check_full_symmetry(mu, RHO2)
+        sym = failing_symmetry_generator(mu, RHO2, full=True) is None
     else:
         sym = True
     base = sym and check_nary(mu, kind, check_symmetry=False)[0]
     fam = nary_embed(mu.space, mu, n).family
     if kind == PRELIE:
-        esym = all(check_partial_symmetry(op, RHO2) for op in fam.ops.values())
+        esym = all(failing_symmetry_generator(op, RHO2, full=False) is None
+                   for op in fam.ops.values())
     elif kind == LIE:
-        esym = all(check_full_symmetry(op, RHO2) for op in fam.ops.values())
+        esym = all(failing_symmetry_generator(op, RHO2, full=True) is None
+                   for op in fam.ops.values())
     else:
         esym = True
     flavor = EquationFlavor(ASSOC if kind == PARTIALLY_ASSOCIATIVE else kind, UNHAT)

@@ -211,8 +211,8 @@ def test_perm_component_matches_unshuffle_display(graded2):
     sp = GradedSpace(("u", "v"), (1, 2))
     mu = Operation(sp, 2, -1, {(0, 0): LinearCombination({0: 1})})
     # (u, u): eps swap = -1... build instead a rho1-symmetric table
-    from hopla.permutations import check_partial_symmetry
-    assert check_partial_symmetry(mu, RHO1)
+    from hopla.permutations import failing_symmetry_generator
+    assert failing_symmetry_generator(mu, RHO1, full=False) is None
     fam = OperationFamily(HAT, sp, 3, {2: mu})
     D = extend_coderivation(fam, PERM, 3)
     from hopla.permutations import sh
@@ -248,6 +248,15 @@ def test_check_coderivation_zero_and_extended(graded2, rng):
     assert check_coderivation(extend_coderivation(hat, TENSOR, 4))
     full = random_unhat_family(rng, graded2, (1, 2), symmetrize="full")
     assert check_coderivation(extend_coderivation(suspend_family(full), WEDGE, 4))
+    # random homogeneous families on dims 2 and 3, every kind, caps 4 to 6;
+    # the symmetry is the one each extension requires
+    symmetry = {TENSOR: None, WEDGE: "full", PERM: "partial"}
+    for degrees, kind, cap in itertools.product(((0, 1), (1, 1), (0, 1, 2), (1, 0, 1)),
+                                                (TENSOR, WEDGE, PERM), (4, 5, 6)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        fam = random_unhat_family(rng, sp, (1, 2, 3), symmetrize=symmetry[kind], density=0.6)
+        D = extend_coderivation(suspend_family(fam), kind, cap)
+        assert check_coderivation(D), (degrees, kind, cap)
 
 
 def test_corrupted_coderivation_fails_the_law(graded2, rng):

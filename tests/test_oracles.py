@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from conftest import square_component
-from oracles import (circle_product_dense, component_loop, nary_residual_by_positions,
-                     precompose_symmetrized_by_loop, residual_by_positions)
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, _component, coalgebra_words,
+from conftest import DEGREE_PATTERNS, pattern_space, random_table, square_component
+from oracles import (circle_product_dense, coalgebra_map_by_loop, component_loop,
+                     nary_residual_by_positions, precompose_symmetrized_by_loop,
+                     residual_by_positions)
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, _component, coalgebra_map, coalgebra_words,
                              extend_coderivation, square_cogenerator_component,
                              tensor_words, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
@@ -21,39 +22,33 @@ from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO
                                 action_variant, precompose_symmetrized)
 from hopla.verify import random_operation
 
-DEGREE_PATTERNS = {
-    "all even": (0, 2, 0),
-    "all odd": (1, -1, 3),
-    "mixed": (0, 1, -1),
-    "repeated odd letter": (1,),
-    "repeated even letter": (0,),
-}
-
-
-def _random_table(rng, sp, arity, density):
-    """Not necessarily homogeneous: the symmetrization does not need it."""
-    table = {}
-    for word in itertools.product(range(sp.dim), repeat=arity):
-        if rng.random() < density:
-            table[word] = LinearCombination(
-                {rng.randrange(sp.dim): rng.choice((-2, -1, 1, 3)) for _ in range(2)})
-    return table
-
 
 @pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
 def test_orbit_kernel_matches_loop_oracle(pattern):
     rng = random.Random(f"kernel-{pattern}")
-    degrees = DEGREE_PATTERNS[pattern]
-    sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+    sp = pattern_space(pattern)
     for arity, op_degree, density in itertools.product((1, 2, 3, 4), (-1, 0, 1),
                                                         (0.0, 0.4, 1.0)):
-        op = Operation(sp, arity, op_degree, _random_table(rng, sp, arity, density))
+        op = Operation(sp, arity, op_degree, random_table(rng, sp, arity, density))
         for mode, variant in itertools.product((MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE),
                                                (RHO1, RHO2)):
             fast = precompose_symmetrized(op, variant, mode)
             slow = precompose_symmetrized_by_loop(op, variant, mode)
             assert fast == slow, (pattern, arity, op_degree, density, mode, variant)
             assert fast.degree == op.degree
+
+
+@pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
+def test_alpha_and_gamma_match_loop_oracle(pattern):
+    # every word, sorted or not, with repeated even and repeated odd letters
+    sp = pattern_space(pattern)
+    for n in range(5):
+        for word in tensor_words(sp, n):
+            assert coalgebra_map("alpha", sp, word) == coalgebra_map_by_loop("alpha", sp, word)
+            if n:
+                perm_word = word[:-1], word[-1]
+                assert coalgebra_map("gamma", sp, perm_word) \
+                    == coalgebra_map_by_loop("gamma", sp, perm_word)
 
 
 def test_orbit_kernel_rejects_unknown_mode_and_variant(graded2):

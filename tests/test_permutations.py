@@ -1,17 +1,18 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity, koszul_by_inversions
-from oracles import extend_fixing_last, precompose_by_loop
+from conftest import (DEGREE_PATTERNS, identity, koszul_by_inversions, pattern_space,
+                      random_table)
+from oracles import (act, extend_fixing_last, failing_transposition_by_act, inverse,
+                     precompose_by_loop)
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                act, all_permutations, check_full_symmetry,
-                                check_partial_symmetry, compose,
-                                failing_symmetry_generator, inverse,
+                                all_permutations, compose, failing_symmetry_generator,
                                 koszul_sign, permute_word, precompose_symmetrized,
                                 sh, sign, unshuffles)
 
@@ -173,8 +174,8 @@ def test_check_partial_symmetry_b_form(flat2):
         b_anti = {(0, 1): 1, (1, 0): -1}.get((x, y), 0)
         if b_anti:
             anti[(x, y, z)] = LinearCombination({z: b_anti})
-    assert not check_partial_symmetry(Operation(flat2, 3, 0, sym), RHO2)
-    assert check_partial_symmetry(Operation(flat2, 3, 0, anti), RHO2)
+    assert failing_symmetry_generator(Operation(flat2, 3, 0, sym), RHO2, full=False) is not None
+    assert failing_symmetry_generator(Operation(flat2, 3, 0, anti), RHO2, full=False) is None
 
 
 def test_check_partial_symmetry_det_form(flat2):
@@ -184,38 +185,59 @@ def test_check_partial_symmetry_det_form(flat2):
         det = {(0, 1): 1, (1, 0): -1}.get((x, y), 0)
         if det:
             table[(x, y, z)] = LinearCombination({z: det})
-    assert check_partial_symmetry(Operation(flat2, 3, 0, table), RHO2)
+    assert failing_symmetry_generator(Operation(flat2, 3, 0, table), RHO2, full=False) is None
 
 
 def test_check_full_symmetry_examples(flat2, kt2, corner):
     sp, mu = corner
     from hopla.samples import commutator_bracket
     bracket = commutator_bracket(sp, mu)
-    assert check_full_symmetry(bracket, RHO2)
+    assert failing_symmetry_generator(bracket, RHO2, full=True) is None
     spk, muk = kt2
-    assert not check_full_symmetry(muk, RHO2)
-    assert check_full_symmetry(Operation(flat2, 1, 0, {}), RHO2)
+    assert failing_symmetry_generator(muk, RHO2, full=True) is not None
+    assert failing_symmetry_generator(Operation(flat2, 1, 0, {}), RHO2, full=True) is None
 
 
 def test_arity_one_and_two_partial_symmetry_vacuous(flat2):
     op1 = Operation(flat2, 1, 0, {(0,): LinearCombination({1: 1})})
     op2 = Operation(flat2, 2, 0, {(0, 1): LinearCombination({1: 1})})
-    assert check_partial_symmetry(op1, RHO2)
-    assert check_partial_symmetry(op2, RHO2)
+    assert failing_symmetry_generator(op1, RHO2, full=False) is None
+    assert failing_symmetry_generator(op2, RHO2, full=False) is None
 
 
-def test_generator_check_equals_exhaustive(graded2, rng):
+def test_generator_check_equals_exhaustive():
     # adjacent transpositions decide the same as quantifying over all of
-    # S_{n-1}, n <= 4
-    from hopla.verify import random_operation
-    for n in (2, 3, 4):
-        for _ in range(6):
-            op = random_operation(rng, graded2, n, 0, density=0.5)
-            via_generators = failing_symmetry_generator(op, RHO2, full=False) is None
-            exhaustive = all(
-                precompose_by_loop(op, [extend_fixing_last(s, n)], RHO2) == op
-                for s in all_permutations(n - 1))
-            assert via_generators == exhaustive
+    # S_n or S_{n-1}, n <= 4, and the first failing one is the one a walk
+    # with whole permutations finds
+    for pattern, variant, full in itertools.product(sorted(DEGREE_PATTERNS), (RHO1, RHO2),
+                                                    (False, True)):
+        rng = random.Random(f"generators-{pattern}-{variant}-{full}")
+        sp = pattern_space(pattern)
+        for n in (1, 2, 3, 4):
+            group = (all_permutations(n) if full
+                     else [extend_fixing_last(s, n) for s in all_permutations(n - 1)])
+            for op in symmetry_cases(rng, sp, n, variant):
+                found = failing_symmetry_generator(op, variant, full)
+                assert found == failing_transposition_by_act(op, variant, full)
+                exhaustive = all(precompose_by_loop(op, [s], variant) == op for s in group)
+                assert (found is None) == exhaustive, (pattern, variant, full, n)
+
+
+def symmetry_cases(rng, sp, n, variant):
+    """Random operations without symmetry, symmetric in the first two slots
+    only, with full or partial symmetry under either action, and with full
+    symmetry broken at one word."""
+    raw = Operation(sp, n, 0, random_table(rng, sp, n, 0.5))
+    yield raw
+    if n >= 2:
+        yield precompose_by_loop(raw, [identity(n), (2, 1) + identity(n)[2:]], variant)
+    for v, mode in itertools.product((RHO1, RHO2), (MODE_FULL, MODE_PARTIAL)):
+        yield precompose_symmetrized(raw, v, mode)
+    symmetric = precompose_symmetrized(raw, variant, MODE_FULL)
+    word = tuple(rng.randrange(sp.dim) for _ in range(n))
+    table = dict(symmetric.table)
+    table[word] = symmetric.evaluate(word) + LinearCombination({0: 1})
+    yield Operation(sp, n, 0, table)
 
 
 def test_rho2_equals_signed_permutation_on_even_degrees():

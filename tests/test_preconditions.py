@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from oracles import act
 from hopla.coalgebra import PERM, WEDGE, extend_coderivation
 from hopla.docio import AlgebraDocument
 from hopla.drivers import run_check, run_derive
@@ -18,7 +19,7 @@ from hopla.equations import (LIE, PRELIE, EquationFlavor, check_prelie_n_two_way
 from hopla.errors import SymmetryError
 from hopla.functors import nary_commutator_lie
 from hopla.graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, linear_sum
-from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2, act, action_variant,
+from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
 from hopla.verify import random_operation
 

@@ -70,3 +70,31 @@ def test_linear_combination_constructor_is_the_one_accumulator():
                   and isinstance(node.args[1], ast.Dict)]
     assert constructors == 1
     assert found == []
+
+
+def test_one_signed_action_kernel():
+    # rho1 and rho2 act through the per-swap rule of the orbit kernel; sums
+    # over whole symmetric groups stay in the sign-law witnesses
+    modules = sorted(SRC.glob("*.py"))
+    found = []
+    for path, tree in _parsed(modules):
+        found += [f"{path.name}:{node.lineno} defines {node.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in ("act", "inverse", "_symmetry_generators")]
+        if path.name not in ("permutations.py", "verify.py"):
+            names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                     | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                     | {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names})
+            if "all_permutations" in names:
+                found.append(f"{path.name} references all_permutations")
+        if path.name == "permutations.py":
+            own = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "koszul_sign"
+                   for node in ast.walk(fn)}
+            found += [f"{path.name}:{node.lineno} calls koszul_sign"
+                      for node in ast.walk(tree)
+                      if id(node) not in own and isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == "koszul_sign"]
+    assert found == []
