@@ -89,15 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coderive", help="build a coderivation and report its square")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=[TENSOR, WEDGE, PERM])
-    p.add_argument("--weight-cap", type=int, default=4)
+    p.add_argument("--weight-cap", type=int, default=4,
+                   help=f"build and check up to this weight (1..{MAX_ARITY}; default 4)")
     p.add_argument("--no-precondition-check", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("generate", help="emit a seeded random document")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degrees", default="0",
-                   help="comma-separated degrees sampled for the basis, e.g. 0,1")
-    p.add_argument("--arities", default="2", help="comma-separated arities, e.g. 2,3")
+                   help="comma-separated degrees sampled for the basis, e.g. 0,1; "
+                        "a list that starts with a negative degree must be joined "
+                        "to the flag: --degrees=-1,0,1")
+    p.add_argument("--arities", default="2",
+                   help="comma-separated arities, e.g. 2,3 (--arities=2,3 also works)")
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--convention", choices=[HAT, UNHAT], default=UNHAT)

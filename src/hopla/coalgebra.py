@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Mapping
 
-from .errors import ConventionError, KindError
+from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, check_homogeneous, word_degree)
-from .permutations import (RHO1, arrangements, koszul_sign, permute_word, require_symmetry, sh,
+                     OperationFamily, check_homogeneous)
+from .permutations import (RHO1, arrangements, koszul_sign, require_symmetry, sh,
                            signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
@@ -59,12 +60,6 @@ def word_weight(kind: str, word) -> int:
     return len(word)
 
 
-def cofree_word_degree(space: GradedSpace, kind: str, word) -> int:
-    if kind == PERM:
-        return word_degree(space, word[0] + (word[1],))
-    return word_degree(space, word)
-
-
 def tensor_words(space: GradedSpace, k: int) -> Iterator:
     return itertools.product(range(space.dim), repeat=k)
 
@@ -91,38 +86,78 @@ def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
     raise KindError(f"unknown coalgebra kind {kind!r}")
 
 
+def word_count(kind: str, space: GradedSpace, cap: int) -> int:
+    """The number of canonical words of weights 1 .. cap, in closed form.
+
+    Weight k has dim^k tensor words; its wedge words are the multisets of k
+    letters with no odd letter repeated, sum over j of C(odd, j) times the
+    C(even + k - j - 1, k - j) multisets of k - j even letters; its Perm
+    words are a wedge head of weight k - 1 and a tail letter."""
+    if kind not in KINDS:
+        raise KindError(f"unknown coalgebra kind {kind!r}")
+    dim = space.dim
+    odd = sum(space.parities)
+    even = dim - odd
+
+    def wedge(k):
+        return sum(comb(odd, j) * (comb(even + k - j - 1, k - j) if even else int(j == k))
+                   for j in range(min(odd, k) + 1))
+
+    if kind == TENSOR:
+        return sum(dim ** k for k in range(1, cap + 1))
+    if kind == WEDGE:
+        return sum(wedge(k) for k in range(1, cap + 1))
+    return sum(wedge(k - 1) for k in range(1, cap + 1)) * dim
+
+
+def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
+    """Terms ((left, right), sign) of the comultiplication of a canonical
+    word whose left factor has weight i, with sign an integer +-1.
+
+    tensor: the cut after i letters;
+    wedge:  eps(sigma) (x_s(1) ... x_s(i)) (x) (x_s(i+1) ... x_s(n)) over the
+            (i, n-i)-unshuffles sigma;
+    perm:   eps(sigma) (x_s(1) ... x_s(i-1) | x_s(i)) (x) (x_s(i+1) ... | t)
+            over the (i-1, 1, n-1-i)-unshuffles sigma of the head.
+
+    Every factor is canonical: an unshuffle of a canonical word keeps each
+    block sorted."""
+    if kind == TENSOR:
+        yield (word[:i], word[i:]), 1
+    elif kind == WEDGE:
+        parities = tuple(space.parities[x] for x in word)
+        for sigma, eps in _signed_unshuffles(parities, i, len(word) - i):
+            permuted = tuple(word[s - 1] for s in sigma)
+            yield (permuted[:i], permuted[i:]), eps
+    elif kind == PERM:
+        head, tail = word
+        parities = tuple(space.parities[x] for x in head)
+        for sigma, eps in _signed_unshuffles(parities, i - 1, 1, len(head) - i):
+            ph = tuple(head[s - 1] for s in sigma)
+            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), eps
+    else:
+        raise KindError(f"unknown coalgebra kind {kind!r}")
+
+
+@lru_cache(maxsize=4096)
+def _signed_unshuffles(parities: tuple, *blocks: int) -> tuple:
+    """The unshuffles `sh(*blocks)`, each paired with its Koszul sign on
+    letters of the given parities.  The cache is bounded because every
+    new parity pattern of a long-lived process adds an entry."""
+    return tuple((sigma, koszul_sign(sigma, parities)) for sigma in sh(*blocks))
+
+
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     """Reduced comultiplication of a canonical word: a combination keyed by
-    (left word, right word) pairs.  Weight-1 words comultiply to zero.
+    (left word, right word) pairs, the sum of `coproduct_terms` over the
+    left weights 1 .. n-1.  Weight-1 words comultiply to zero.
 
     Each Koszul sign enters as a shared +-1 Fraction, so a pair met once
     costs no Fraction arithmetic."""
-    if kind == TENSOR:
-        return LinearCombination({(word[:i], word[i:]): ONE for i in range(1, len(word))})
-    if kind == WEDGE:
-        return LinearCombination(_wedge_coproduct_terms(space, word))
-    if kind == PERM:
-        return LinearCombination(_perm_coproduct_terms(space, word))
-    raise KindError(f"unknown coalgebra kind {kind!r}")
-
-
-def _wedge_coproduct_terms(space: GradedSpace, word):
-    n = len(word)
-    parities = [space.parities[x] for x in word]
-    for i in range(1, n):
-        for sigma in sh(i, n - i):
-            permuted = permute_word(sigma, word)
-            yield (permuted[:i], permuted[i:]), SIGNS[koszul_sign(sigma, parities)]
-
-
-def _perm_coproduct_terms(space: GradedSpace, word):
-    head, tail = word
-    n = len(head) + 1
-    parities = [space.parities[x] for x in head]
-    for i in range(1, n):
-        for sigma in sh(i - 1, 1, n - i - 1):
-            ph = permute_word(sigma, head)
-            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), SIGNS[koszul_sign(sigma, parities)]
+    if kind not in KINDS:
+        raise KindError(f"unknown coalgebra kind {kind!r}")
+    return LinearCombination((pair, SIGNS[s]) for i in range(1, word_weight(kind, word))
+                             for pair, s in coproduct_terms(kind, space, word, i))
 
 
 def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
@@ -320,27 +355,22 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
                 prefix_parity ^= odd[word[i]]
     elif kind == WEDGE:
         words = wedge_words(sp, k)
-        blocks = sh(a, k - a)
 
         def terms(word):
-            return _apply_to_front(table, sp, word, blocks, a)
+            return _apply_to_front(table, sp, word, a)
     else:
         words = perm_words(sp, k)
-        # the head blocks are empty when l = 1 (mu would need k head letters)
-        head_blocks = sh(a - 1, 1, k - 1 - a)
-        tail_blocks = sh(l - 1, k - l)
 
         def terms(word):
             head, tail = word
-            yield from _apply_to_front(table, sp, head, head_blocks, a, tail)
-            parities = [odd[x] for x in head]
-            for sigma in tail_blocks:
+            yield from _apply_to_front(table, sp, head, a, tail)
+            parities = tuple(odd[x] for x in head)
+            for sigma, eps in _signed_unshuffles(parities, l - 1, k - l):
                 out = table.get(tuple(head[s - 1] for s in sigma[l - 1:]) + (tail,))
                 if out is None:
                     continue
                 # an unshuffle of a canonical head leaves the rest canonical
                 rest = tuple(head[s - 1] for s in sigma[:l - 1])
-                eps = koszul_sign(sigma, parities)
                 if sum(parities[s - 1] for s in sigma[:l - 1]) % 2:
                     eps = -eps
                 for letter, c in out:
@@ -354,16 +384,18 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
     return comp
 
 
-def _apply_to_front(table, sp, letters, blocks, a, tail=None):
+def _apply_to_front(table, sp, letters, a, tail=None):
     """Yield the terms of eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ...
-    over the given unshuffles of a canonical wedge word, keyed by the
+    over the (a, n-a)-unshuffles of a canonical wedge word, or the
+    (a-1, 1, n-a)-unshuffles of a Perm head (none when n < a), keyed by the
     canonical result, or by (result, tail) when a Perm tail is given."""
-    parities = [sp.parities[x] for x in letters]
-    for sigma in blocks:
+    parities = tuple(sp.parities[x] for x in letters)
+    n = len(letters)
+    blocks = (a, n - a) if tail is None else (a - 1, 1, n - a)
+    for sigma, eps in _signed_unshuffles(parities, *blocks):
         out = table.get(tuple(letters[s - 1] for s in sigma[:a]))
         if out is None:
             continue
-        eps = koszul_sign(sigma, parities)
         rest = tuple(letters[s - 1] for s in sigma[a:])
         for letter, c in out:
             ns, word = wedge_normalize(sp, (letter,) + rest)
@@ -373,27 +405,66 @@ def _apply_to_front(table, sp, letters, blocks, a, tail=None):
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
-    word of weight <= cap, with the Koszul sign in the Id (x) D term."""
+    word of weight <= cap (default and upper bound: D.cap), with the Koszul
+    sign (-1)^(|D| |left|) in the Id (x) D term.
+
+    What is computed is the part of the law whose right factor has weight
+    1, word by word.  On the left: the (l-1, 1) cuts of every image word of
+    D(w) of weight l >= 2.  On the right: D(left) (x) right over the cuts of
+    w with a weight-1 right, plus the signed left (x) D(right) over the cuts
+    whose right weight a is the source weight of an (a, 1) component,
+    through that component.
+
+    That part holding on all weights <= cap is equivalent to the whole law
+    there.  Let R = Delta o D - (D (x) Id + Id (x) D) o Delta be the defect.
+    If R vanishes below weight k, coassociativity gives
+    (Delta (x) Id) R(w) = (Id (x) Delta) R(w) for w of weight k, so the
+    (p, q) part with q >= 2 satisfies
+    (Id (x) Delta_{q-1,1}) R_{p,q}(w) = (Delta_{p,q-1} (x) Id) R_{p+q-1,1}(w),
+    which is zero; Delta_{q-1,1} is injective on weight q (a bijection for
+    tensor; followed by the product it is q, or q-1 for Perm, times the
+    identity), so R_{p,q}(w) = 0.  Nothing here uses symmetry or
+    homogeneity of D.  See docs/conventions.md, "Coderivation components".
+    """
     cap = D.cap if cap is None else min(cap, D.cap)
+    if cap < 1:
+        raise ArityError(f"the coderivation law needs a weight cap of at least 1, got {cap}")
+    kind, sp, par = D.kind, D.space, D.space.parities
     odd = D.degree % 2 != 0
+    cogenerator = [(a, comp) for (a, l), comp in D.components.items() if l == 1]
+
+    def lhs(word):
+        """The (l-1, 1) cuts of D(word)."""
+        for u, c in D.apply_word(word):
+            l = word_weight(kind, u)
+            if l >= 2:
+                for pair, s in coproduct_terms(kind, sp, u, l - 1):
+                    yield pair, c if s == 1 else -c
+
+    def rhs(word, k):
+        """The weight-1 right parts of (D (x) Id + Id (x) D)(Delta(word))."""
+        if k > 1:
+            for (left, right), s in coproduct_terms(kind, sp, word, k - 1):
+                for v, c in D.apply_word(left):
+                    yield (v, right), c if s == 1 else -c
+        for a, comp in cogenerator:
+            if a >= k:
+                continue
+            for (left, right), s in coproduct_terms(kind, sp, word, k - a):
+                image = comp.get(right)
+                if image is None:
+                    continue
+                letters = left[0] + (left[1],) if kind == PERM else left
+                if odd and sum(par[x] for x in letters) % 2:
+                    s = -s
+                for v, c in image:
+                    yield (left, v), c if s == 1 else -c
+
     for k in range(1, cap + 1):
-        for word in coalgebra_words(D.kind, D.space, k):
-            lhs = LinearCombination((pair, c * cc) for w, c in D.apply_word(word)
-                                    for pair, cc in comultiply(D.kind, D.space, w))
-            if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
+        for word in coalgebra_words(kind, sp, k):
+            if LinearCombination(lhs(word)) != LinearCombination(rhs(word, k)):
                 return False
     return True
-
-
-def _coderivation_rhs(D: Coderivation, word, odd: bool):
-    """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
-    for (left, right), c in comultiply(D.kind, D.space, word):
-        for w, cc in D.apply_word(left):
-            yield (w, right), c * cc
-        if odd and cofree_word_degree(D.space, D.kind, left) % 2:
-            c = -c
-        for w, cc in D.apply_word(right):
-            yield (left, w), c * cc
 
 
 def square_cogenerator_component(D: Coderivation, n: int) -> Operation:

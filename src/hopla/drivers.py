@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .coalgebra import (PERM, TENSOR, WEDGE, check_coderivation,
-                        extend_coderivation, square_cogenerator_component)
-from .docio import AlgebraDocument, format_rational
+                        extend_coderivation, square_cogenerator_component, word_count)
+from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         check_nary, residual)
 from .errors import DocumentError, SymmetryError
@@ -29,6 +29,12 @@ from .samples import dual_numbers, nilpotent_dga, upper_corner
 
 NARY_DECLARED = {"assoc_n": PARTIALLY_ASSOCIATIVE, "prelie_n": PRELIE, "lie_n": LIE}
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
+
+# `coderive` walks every canonical word up to the weight cap several times
+# (components, squares, the law), so it refuses a coalgebra with more words
+# than this before any work starts.  The largest input it serves in the
+# benchmark, the tensor coalgebra on 2x2 matrices at cap 5, has 1,364.
+MAX_COALGEBRA_WORDS = 20_000
 
 
 @dataclass
@@ -248,15 +254,25 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
 def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
                  check_preconditions: bool = True) -> Report:
     """Build the coderivation of the chosen coalgebra and report the
-    coderivation law plus the square's cogenerator components."""
+    coderivation law plus the square's cogenerator components.
+
+    A weight cap outside 1..MAX_ARITY, or a coalgebra with more than
+    MAX_COALGEBRA_WORDS canonical words up to the cap, raises a
+    DocumentError before any work starts."""
     t0 = time.monotonic()
     if kind not in (TENSOR, WEDGE, PERM):
         raise DocumentError(f"unknown coalgebra kind {kind!r}")
+    if not 1 <= weight_cap <= MAX_ARITY:
+        raise DocumentError(f"the weight cap must lie in 1..{MAX_ARITY}, got {weight_cap}")
     report = Report(f"coderive {kind} (cap {weight_cap})")
     family = doc.family
     if family.convention == UNHAT:
         family = suspend_family(family)
         report.add("suspended to the hat convention", True)
+    words = word_count(kind, family.space, weight_cap)
+    if words > MAX_COALGEBRA_WORDS:
+        raise DocumentError(f"the {kind} coalgebra has {words:,} canonical words up to weight "
+                            f"{weight_cap}, above the limit of {MAX_COALGEBRA_WORDS:,}")
     try:
         D = extend_coderivation(family, kind, weight_cap)
     except SymmetryError as exc:

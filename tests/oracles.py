@@ -19,15 +19,18 @@ only so that tests can compare the fast path against it:
 * `residual_by_positions` and `nary_residual_by_positions` make one
   insertion per position, as the defining sums are written, and symmetrize
   their sum with the orbit kernel (itself checked against the loop above),
-  with no collapse of positions.
+  with no collapse of positions;
+* `coderivation_law_by_coproducts` checks the whole coderivation law,
+  Delta o D against (D (x) Id + Id (x) D) o Delta with every coproduct
+  term, on every canonical word up to the cap.
 """
 
 import itertools
 from fractions import Fraction
 from math import factorial
 
-from hopla.coalgebra import (TENSOR, WEDGE, perm_words, tensor_words,
-                             wedge_normalize, wedge_words)
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, perm_words,
+                             tensor_words, wedge_normalize, wedge_words)
 from hopla.equations import LIE, PRELIE
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
                           linear_sum, table_from_terms, word_degree)
@@ -256,3 +259,34 @@ def _store(comp, word, terms):
     image = LinearCombination(terms)
     if image:
         comp[word] = image
+
+
+def coderivation_law_by_coproducts(D, cap=None):
+    """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
+    word of weight <= cap, with the Koszul sign in the Id (x) D term."""
+    cap = D.cap if cap is None else min(cap, D.cap)
+    odd = D.degree % 2 != 0
+    for k in range(1, cap + 1):
+        for word in coalgebra_words(D.kind, D.space, k):
+            lhs = LinearCombination((pair, c * cc) for w, c in D.apply_word(word)
+                                    for pair, cc in comultiply(D.kind, D.space, w))
+            if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
+                return False
+    return True
+
+
+def cofree_word_degree(space, kind, word):
+    if kind == PERM:
+        return word_degree(space, word[0] + (word[1],))
+    return word_degree(space, word)
+
+
+def _coderivation_rhs(D, word, odd):
+    """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
+    for (left, right), c in comultiply(D.kind, D.space, word):
+        for w, cc in D.apply_word(left):
+            yield (w, right), c * cc
+        if odd and cofree_word_degree(D.space, D.kind, left) % 2:
+            c = -c
+        for w, cc in D.apply_word(right):
+            yield (left, w), c * cc

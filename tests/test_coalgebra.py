@@ -10,7 +10,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, check_coderivation,
                              coalgebra_map, coalgebra_words, comultiply,
                              extend_coderivation, perm_words, project_pi,
                              square_cogenerator_component, wedge_normalize,
-                             wedge_words)
+                             wedge_words, word_count)
 from hopla.equations import ASSOC, PRELIE, EquationFlavor, residual
 from hopla.errors import ConventionError, KindError, SymmetryError
 from hopla.functors import suspend_family
@@ -347,6 +347,20 @@ def test_kind_errors(graded2):
         comultiply("spam", graded2, (0,))
     with pytest.raises(KindError):
         coalgebra_map("delta", graded2, (0,))
+
+
+def test_word_count_matches_enumeration():
+    # closed form against the enumeration, on spaces with only even, only
+    # odd and mixed letters, including the empty wedge weights of odd spaces
+    for degrees in ((0,), (1,), (0, 1), (1, -1), (1, 1, 1), (0, 2, 1), (2, 1, 0, -1)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for kind in (TENSOR, WEDGE, PERM):
+            total = 0
+            for cap in range(1, 7):
+                total += len(list(coalgebra_words(kind, sp, cap)))
+                assert word_count(kind, sp, cap) == total, (degrees, kind, cap)
+    with pytest.raises(KindError):
+        word_count("spam", GradedSpace(("x",), (0,)), 2)
 
 
 def test_wedge_words_exclude_odd_repeats(graded2):

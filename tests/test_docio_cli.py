@@ -11,7 +11,8 @@ from hopla import cli
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
-from hopla.drivers import generate_random, run_check, run_derive
+from hopla.coalgebra import TENSOR, word_count
+from hopla.drivers import MAX_COALGEBRA_WORDS, generate_random, run_check, run_derive
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, OperationFamily
@@ -331,6 +332,48 @@ def test_cli_max_arity_is_bounded(tmp_path, capsys):
     path.write_text(minimal_doc(max_arity=MAX_ARITY,
                                 declared_type={"name": "prelie_n", "n": MAX_ARITY + 1}))
     assert main(["check", str(path), "--flavor", "prelie"]) == 2
+
+
+def test_cli_coderive_work_is_bounded(tmp_path, capsys):
+    # a dim-3 document with no operations: every word has a zero image, but
+    # the tensor coalgebra at cap 14 has 7,174,452 words to walk
+    path = tmp_path / "empty.json"
+    path.write_text(minimal_doc(space={"basis": [
+        {"label": "a", "degree": 0}, {"label": "b", "degree": 1},
+        {"label": "c", "degree": 2}]}))
+    start = time.monotonic()
+    assert main(["coderive", str(path), "--kind", "tensor", "--weight-cap", "14"]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "7,174,452 canonical words" in err
+    assert f"limit of {MAX_COALGEBRA_WORDS:,}" in err
+    assert word_count(TENSOR, parse_document(path.read_text()).space, 8) < MAX_COALGEBRA_WORDS
+    assert main(["coderive", str(path), "--kind", "tensor", "--weight-cap", "8"]) == 0
+    capsys.readouterr()
+    # caps beyond the arity bound are refused even where no word exists
+    odd = tmp_path / "odd.json"
+    odd.write_text(minimal_doc(convention="hat",
+                               space={"basis": [{"label": "x", "degree": 1}]}))
+    assert main(["coderive", str(odd), "--kind", "wedge",
+                 "--weight-cap", str(MAX_ARITY)]) == 0
+    capsys.readouterr()
+    assert main(["coderive", str(odd), "--kind", "wedge",
+                 "--weight-cap", str(MAX_ARITY + 1)]) == 2
+    assert f"1..{MAX_ARITY}" in capsys.readouterr().err
+
+
+def test_cli_generate_takes_a_leading_negative_degree_joined_to_the_flag(tmp_path, capsys,
+                                                                       monkeypatch):
+    out = tmp_path / "neg.json"
+    assert main(["generate", "--dim", "3", "--degrees=-1,0,1", "--arities=2,3",
+                 "--seed", "4", "-o", str(out)]) == 0
+    degrees = set(parse_document(out.read_text()).space.degrees)
+    assert degrees <= {-1, 0, 1}
+    monkeypatch.setenv("COLUMNS", "200")  # argparse may wrap the help at a hyphen
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--help"])
+    assert exc.value.code == 0
+    assert "--degrees=-1,0,1" in " ".join(capsys.readouterr().out.split())
 
 
 def test_schema_bounds_match_the_parser():

@@ -1,25 +1,28 @@
 """The orbit symmetrization kernel, the sparse circle product, the
-collapsed residuals and the unshuffle coderivation components against the
-slow reference implementations in `oracles.py`."""
+collapsed residuals, the unshuffle coderivation components and the
+coderivation law's weight-1 check against the slow reference
+implementations in `oracles.py`."""
 
 import itertools
 import random
 
 import pytest
 
-from conftest import DEGREE_PATTERNS, pattern_space, random_table, square_component
-from oracles import (circle_product_dense, coalgebra_map_by_loop, component_loop,
-                     nary_residual_by_positions, precompose_symmetrized_by_loop,
-                     residual_by_positions)
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, _component, coalgebra_map, coalgebra_words,
-                             extend_coderivation, square_cogenerator_component,
-                             tensor_words, wedge_normalize)
+from conftest import (DEGREE_PATTERNS, pattern_space, random_table, square_component,
+                      with_entry)
+from oracles import (circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
+                     component_loop, nary_residual_by_positions,
+                     precompose_symmetrized_by_loop, residual_by_positions)
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
+                             coalgebra_map, coalgebra_words, extend_coderivation,
+                             square_cogenerator_component, tensor_words, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              circle_product, nary_residual, residual)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 action_variant, precompose_symmetrized)
+from hopla.errors import ArityError
 from hopla.verify import random_operation
 
 
@@ -231,3 +234,74 @@ def test_one_pass_square_matches_per_tensor_word_route(kind):
                           if not fresh.square_word(w).is_zero()), None)
             assert D.first_nonzero_square() == first
         assert failing > 0, degrees  # the comparison must not be vacuous
+
+
+LAW_PATTERNS = ((0, 1), (1, 1), (-1, 0, 1), (1, 0, 1), (1, 2))
+
+
+def _law_coderivations(rng, kind, sp, cap):
+    """An extended family, and components built by `_component` from
+    inhomogeneous operations without any symmetry."""
+    ops = {a: _hat_operation(rng, sp, a, kind, density=0.5) for a in (1, 2, 3)}
+    family = OperationFamily(HAT, sp, 3, {a: op for a, op in ops.items() if not op.is_zero()})
+    yield "extended", extend_coderivation(family, kind, cap)
+    components = {}
+    for a in (1, 2, 3):
+        op = Operation(sp, a, -1, random_table(rng, sp, a, 0.3))
+        for k in range(a, cap + 1):
+            comp = _component(op, kind, k, k - a + 1)
+            if comp:
+                components[(k, k - a + 1)] = comp
+    yield "inhomogeneous", Coderivation(kind, sp, cap, -1, components)
+
+
+def _law_variants(rng, D):
+    """D itself, D with one entry replaced at a random (k, l), and D with
+    one entry dropped.  Yields (label, l of the changed entry, coderivation)."""
+    yield "clean", None, D
+    words = {k: list(coalgebra_words(D.kind, D.space, k)) for k in range(1, D.cap + 1)}
+    k = rng.choice([k for k in words if words[k]])
+    l = rng.choice([l for l in range(1, k + 1) if words[l]])
+    word, target = rng.choice(words[k]), rng.choice(words[l])
+    combo = LinearCombination({target: rng.choice((-2, -1, 1, 3))})
+    yield f"corrupted at {(k, l)}", l, with_entry(D, k, l, word, combo)
+    entries = [(key, w) for key, comp in D.components.items() for w in comp]
+    if entries:
+        key, word = rng.choice(entries)
+        components = {kl: dict(comp) for kl, comp in D.components.items()}
+        del components[key][word]
+        yield f"dropped at {key}", key[1], Coderivation(D.kind, D.space, D.cap, D.degree,
+                                                        components)
+
+
+def test_weight_one_law_check_matches_full_law_oracle():
+    # the check through the (., 1) part of the defect gives the verdict of
+    # the whole law at every cap, for coderivations and for corrupted ones
+    rng = random.Random("coderivation-law")
+    verdicts = {True: 0, False: 0}
+    per_kind = {(kind, v): 0 for kind in (TENSOR, WEDGE, PERM) for v in (True, False)}
+    weight_one_changes = 0
+    for degrees, kind, _ in itertools.product(LAW_PATTERNS, (TENSOR, WEDGE, PERM), range(3)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        cap = 5 if len(degrees) == 2 else 4
+        for source, D in _law_coderivations(rng, kind, sp, cap):
+            for label, l, variant in _law_variants(rng, D):
+                weight_one_changes += l == 1
+                for c in range(1, cap + 1):
+                    expected = coderivation_law_by_coproducts(variant, c)
+                    assert check_coderivation(variant, c) == expected, \
+                        (degrees, kind, source, label, c)
+                    verdicts[expected] += 1
+                    per_kind[kind, expected] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+    assert min(per_kind.values()) > 0, per_kind
+    assert weight_one_changes >= 10
+
+
+def test_check_coderivation_refuses_a_cap_below_one(graded2):
+    D = Coderivation(TENSOR, graded2, 3, -1, {})
+    for cap in (0, -2):
+        with pytest.raises(ArityError, match="at least 1"):
+            check_coderivation(D, cap)
+    with pytest.raises(ArityError):
+        check_coderivation(Coderivation(WEDGE, graded2, 0, -1, {}))

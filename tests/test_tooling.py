@@ -98,3 +98,31 @@ def test_one_signed_action_kernel():
                       if id(node) not in own and isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name) and node.func.id == "koszul_sign"]
     assert found == []
+
+
+def test_coderivation_law_goes_through_one_coproduct_generator():
+    # comultiply and the law's weight-1 check share one generator of the
+    # coproduct terms of a given left weight; the law never forms a whole
+    # coproduct, and the per-kind term generators and the full law's
+    # right-hand side are gone from the package
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    generators = [name for name, fn in functions.items()
+                  if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+                  and "coproduct" in name]
+    assert generators == ["coproduct_terms"]
+    calls = {node.func.id for node in ast.walk(functions["check_coderivation"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "coproduct_terms" in calls and "comultiply" not in calls
+    calls = {node.func.id for node in ast.walk(functions["comultiply"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "coproduct_terms" in calls
+    gone = {"_coderivation_rhs", "_wedge_coproduct_terms", "_perm_coproduct_terms"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             for node in ast.walk(tree)
+             for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          else [node.id] if isinstance(node, ast.Name)
+                          else [node.attr] if isinstance(node, ast.Attribute) else [])
+             if name in gone]
+    assert found == []
