@@ -86,8 +86,8 @@ def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
     raise KindError(f"unknown coalgebra kind {kind!r}")
 
 
-def word_count(kind: str, space: GradedSpace, cap: int) -> int:
-    """The number of canonical words of weights 1 .. cap, in closed form.
+def _weight_words(kind: str, space: GradedSpace, k: int) -> int:
+    """The number of canonical words of weight k, in closed form.
 
     Weight k has dim^k tensor words; its wedge words are the multisets of k
     letters with no odd letter repeated, sum over j of C(odd, j) times the
@@ -104,10 +104,33 @@ def word_count(kind: str, space: GradedSpace, cap: int) -> int:
                    for j in range(min(odd, k) + 1))
 
     if kind == TENSOR:
-        return sum(dim ** k for k in range(1, cap + 1))
+        return dim ** k
     if kind == WEDGE:
-        return sum(wedge(k) for k in range(1, cap + 1))
-    return sum(wedge(k - 1) for k in range(1, cap + 1)) * dim
+        return wedge(k)
+    return wedge(k - 1) * dim
+
+
+def word_count(kind: str, space: GradedSpace, cap: int) -> int:
+    """The number of canonical words of weights 1 .. cap, in closed form."""
+    return sum(_weight_words(kind, space, k) for k in range(1, cap + 1))
+
+
+def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
+    """The number of blocks `extend_coderivation` walks to build the
+    components of operations of the given arities up to the cap, in closed
+    form: per canonical word of weight k and arity a <= k, the k - a + 1
+    insertion positions (tensor), the C(k, a) (a, k - a)-unshuffles (wedge),
+    or the (a - 1, 1, k - 1 - a)- and (k - a, a - 1)-unshuffles of the head,
+    C(k - 1, a - 1) (k - a + 1) in all (Perm)."""
+    def per_word(k, a):
+        if kind == TENSOR:
+            return k - a + 1
+        if kind == WEDGE:
+            return comb(k, a)
+        return comb(k - 1, a - 1) * (k - a + 1)
+
+    return sum(_weight_words(kind, space, k) * per_word(k, a)
+               for k in range(1, cap + 1) for a in arities if a <= k)
 
 
 def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .coalgebra import (PERM, TENSOR, WEDGE, check_coderivation,
+from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_component, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
@@ -31,10 +31,12 @@ NARY_DECLARED = {"assoc_n": PARTIALLY_ASSOCIATIVE, "prelie_n": PRELIE, "lie_n": 
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
 
 # `coderive` walks every canonical word up to the weight cap several times
-# (components, squares, the law), so it refuses a coalgebra with more words
-# than this before any work starts.  The largest input it serves in the
-# benchmark, the tensor coalgebra on 2x2 matrices at cap 5, has 1,364.
-MAX_COALGEBRA_WORDS = 20_000
+# (components, squares, the law) and, to build the components, every
+# unshuffle block of every word per operation arity.  It refuses a job whose
+# words plus blocks exceed this before any work starts.  The largest job in
+# the benchmark, the tensor coalgebra on 2x2 matrices at cap 5, counts
+# 1,364 words and 5,008 blocks.
+MAX_CODERIVE_WORK = 20_000
 
 
 @dataclass
@@ -256,9 +258,9 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     """Build the coderivation of the chosen coalgebra and report the
     coderivation law plus the square's cogenerator components.
 
-    A weight cap outside 1..MAX_ARITY, or a coalgebra with more than
-    MAX_COALGEBRA_WORDS canonical words up to the cap, raises a
-    DocumentError before any work starts."""
+    A weight cap outside 1..MAX_ARITY, or more than MAX_CODERIVE_WORK
+    canonical words plus unshuffle blocks up to the cap (`word_count`,
+    `block_count`), raises a DocumentError before any work starts."""
     t0 = time.monotonic()
     if kind not in (TENSOR, WEDGE, PERM):
         raise DocumentError(f"unknown coalgebra kind {kind!r}")
@@ -270,9 +272,11 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         family = suspend_family(family)
         report.add("suspended to the hat convention", True)
     words = word_count(kind, family.space, weight_cap)
-    if words > MAX_COALGEBRA_WORDS:
-        raise DocumentError(f"the {kind} coalgebra has {words:,} canonical words up to weight "
-                            f"{weight_cap}, above the limit of {MAX_COALGEBRA_WORDS:,}")
+    blocks = block_count(kind, family.space, weight_cap, family.arities())
+    if words + blocks > MAX_CODERIVE_WORK:
+        raise DocumentError(f"the {kind} coderivation up to weight {weight_cap} walks {words:,} "
+                            f"canonical words and {blocks:,} unshuffle blocks, "
+                            f"{words + blocks:,} in all, above the limit of {MAX_CODERIVE_WORK:,}")
     try:
         D = extend_coderivation(family, kind, weight_cap)
     except SymmetryError as exc:

@@ -30,7 +30,8 @@ does, so per arity pair (i, j) only these insertions are made:
     lie       position 0 with i*c(i,j,0)
 
 All insertions of one arity stream into one table, which P symmetrizes
-once (`_insert_symmetrize`).  The n-ary residuals and the circle product
+once (`_insert_symmetrize`), on integer numerators over one common
+denominator per call.  The n-ary residuals and the circle product
 go through the same kernel.  Without the symmetry the collapsed form is
 not the sum above, which is why `check` refuses such families on every
 path.
@@ -45,13 +46,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
-                     table_from_terms)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
-                           precompose_symmetrized, require_symmetry)
+                     table_from_numerators)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, acted_slots, action_variant,
+                           orbit_representatives, precompose_symmetrized, require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -122,12 +123,27 @@ def _positions(kind: str, i: int, coefficient) -> tuple:
 def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
                        variant: str, mode: str | None) -> Operation:
     """P(sum of coeff * outer o_position inner) over the (outer, inner,
-    position, coeff) insertions.  Every insertion's terms stream into one
-    table; P is `precompose_symmetrized` in the given mode, or the identity
-    when mode is None."""
-    core = Operation(sp, arity, degree, table_from_terms(chain.from_iterable(
-        insertion_terms(outer, inner, position, coeff)
-        for outer, inner, position, coeff in insertions)))
+    position, coeff) insertions; P is `precompose_symmetrized` in the given
+    mode, or the identity when mode is None.
+
+    Each coefficient and the denominators of its two operands fold into one
+    integer multiplier over D, the call's common denominator, so every
+    insertion streams integer numerators into one table, which is divided
+    by D once per entry.  Before a symmetrization the terms move to the
+    sorted representatives of their orbits (`orbit_representatives`), which
+    leaves P's value unchanged and leaves one table entry per orbit and
+    output letter to divide."""
+    folded = [(outer, inner, position, coeff, outer.denominator * inner.denominator)
+              for outer, inner, position, coeff in insertions]
+    den = lcm(*(coeff.denominator * operands for *_, coeff, operands in folded))
+    terms = chain.from_iterable(
+        insertion_terms(outer, inner, position,
+                        coeff.numerator * (den // (coeff.denominator * operands)))
+        for outer, inner, position, coeff, operands in folded)
+    if mode is not None:
+        terms = orbit_representatives(terms, sp.parities, variant == RHO2,
+                                      acted_slots(mode, arity))
+    core = Operation(sp, arity, degree, table_from_numerators(terms, den))
     if mode is None or core.is_zero():
         return core
     return precompose_symmetrized(core, variant, mode)

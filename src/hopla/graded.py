@@ -1,9 +1,12 @@
 """Graded vector spaces, tensor words and sparse multilinear operations.
 
-Everything is exact: coefficients are `fractions.Fraction` throughout, so
+Everything is exact: every stored coefficient is a `fractions.Fraction`, so
 structure-equation residuals that end in factorial denominators either vanish
-identically or carry an honest nonzero witness.  All containers are treated
-as immutable after construction; functions return fresh objects.
+identically or carry an honest nonzero witness.  The insertion and
+symmetrization kernels compute on integer numerators over one common
+denominator (`Operation.numerators`) and divide by it once per output
+entry, or once per output orbit when they symmetrize.  All containers are
+treated as immutable after construction; functions return fresh objects.
 
 A tensor word is a plain tuple of 0-based basis indices.  An Operation stores
 structure constants sparsely: absent input words evaluate to zero, and there
@@ -16,6 +19,8 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import ArityError, BasisIndexError, ConventionError, GradingError, PositionError
 
@@ -95,9 +100,11 @@ class LinearCombination:
     The constructor is the one accumulator: every sum of coefficients by
     key goes through it, and operation tables are grouped per word by
     `table_from_terms` and summed here.  It takes a mapping or an iterable
-    of (key, coeff) pairs, converts a coefficient only when it is not a
-    Fraction already (ints and floats convert exactly), keeps a key's first
-    coefficient as given and drops every key whose sum is zero.
+    of (key, coeff) pairs and drops every key whose sum is zero.  Int
+    coefficients are summed as ints and each surviving int sum becomes a
+    Fraction once, at the end, so the kernels can stream integer
+    numerators; any other coefficient that is not a Fraction converts on
+    entry (floats convert exactly).  Every stored value is a Fraction.
     """
 
     __slots__ = ("terms",)
@@ -105,10 +112,17 @@ class LinearCombination:
     def __init__(self, terms: Mapping | Iterable | None = None):
         data = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            # a list, the common case, skips the slower Mapping check
+            items = (terms if terms.__class__ is list
+                     else terms.items() if isinstance(terms, Mapping) else terms)
+            ints = False
             for key, coeff in items:
-                if coeff.__class__ is not Fraction:
-                    coeff = Fraction(coeff)
+                kind = coeff.__class__
+                if kind is not Fraction:
+                    if kind is int:
+                        ints = True
+                    else:
+                        coeff = Fraction(coeff)
                 old = data.get(key)
                 if old is None:
                     if coeff:
@@ -119,6 +133,10 @@ class LinearCombination:
                         data[key] = coeff
                     else:
                         del data[key]
+            if ints:
+                for key, coeff in data.items():
+                    if coeff.__class__ is int:
+                        data[key] = Fraction(coeff)
         self.terms = data
 
     @classmethod
@@ -144,6 +162,13 @@ class LinearCombination:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "LinearCombination":
+        """factor times the combination.  Factor 1 returns the combination
+        itself, which is immutable, and -1 negates each coefficient; neither
+        multiplies Fractions."""
+        if factor == 1:
+            return self
+        if factor == -1:
+            return LinearCombination({k: -c for k, c in self.terms.items()})
         factor = Fraction(factor)
         if not factor:
             return LinearCombination()
@@ -181,6 +206,14 @@ def table_from_terms(terms) -> dict:
         if combo:
             table[word] = combo
     return table
+
+
+def table_from_numerators(terms, denominator: int) -> dict:
+    """Operation table from (word, output letter, integer numerator) terms
+    over one common denominator: `table_from_terms` sums the numerators as
+    ints, and each entry is divided by the denominator once."""
+    factor = Fraction(1, denominator)
+    return {word: combo.scaled(factor) for word, combo in table_from_terms(terms).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +262,21 @@ class Operation:
 
     def is_zero(self) -> bool:
         return not self.table
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm of the table's coefficient denominators (1 for an integer
+        table): the common denominator of `numerators`."""
+        return lcm(*{c.denominator for combo in self.table.values() for c in combo.terms.values()})
+
+    def numerators(self):
+        """Yield (word, [(letter, numerator), ...]) for every table entry, the
+        numerators over `denominator`; the insertion and symmetrization
+        kernels compute on these instead of on the Fractions."""
+        den = self.denominator
+        for word, combo in self.table.items():
+            yield word, [(letter, c.numerator * (den // c.denominator))
+                         for letter, c in combo.terms.items()]
 
     def __add__(self, other: "Operation") -> "Operation":
         if self.space != other.space or self.arity != other.arity:
@@ -287,8 +335,8 @@ def check_homogeneous(op: Operation) -> bool:
     return True
 
 
-def insertion_terms(outer: Operation, inner: Operation, position: int, scale=ONE):
-    """The (word, output letter, coefficient) terms of
+def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
+    """The (word, output letter, numerator) terms of
     scale * outer o (I_position (x) inner (x) I_rest), with the Koszul sign
     of the tensor rule for maps: inner of odd degree picks up the parity of
     whatever it moves past.
@@ -296,7 +344,11 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=ONE
     On a word (x_1, ..., x_{i+j-1}) the insertion is
     (-1)^(|inner| * (|x_1|+...+|x_position|)) *
     outer(x_1, ..., x_position, inner(next j letters), remaining letters).
-    The terms of one word are not summed; `table_from_terms` does that.
+    The coefficients are integer numerators over the product of the
+    operands' denominators (`Operation.denominator`), and `scale` is an
+    integer: a caller folds a rational coefficient into it over a common
+    denominator of its own.  The terms of one word are not summed;
+    `table_from_terms` does that.
     """
     if outer.space != inner.space:
         raise ArityError("an insertion requires operations on the same space")
@@ -306,14 +358,13 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=ONE
     # inner's entries by output letter, scaled once, and negated once when
     # the sign can be -1
     by_output = {}
-    for win, cin in inner.table.items():
+    for win, cin in inner.numerators():
         for letter, c in cin:
             by_output.setdefault(letter, []).append((win, c * scale))
     flipped = ({letter: [(win, -c) for win, c in pairs] for letter, pairs in by_output.items()}
                if inner.degree % 2 else None)
-
     def terms():
-        for wout, cout in outer.table.items():
+        for wout, cout in outer.numerators():
             head, rest = wout[:position], wout[position + 1:]
             pick = flipped if flipped is not None and sum(odd[x] for x in head) % 2 else by_output
             for win, c in pick.get(wout[position], ()):
@@ -328,7 +379,8 @@ def compose_insert(outer: Operation, inner: Operation, position: int) -> Operati
     """outer o (I_position (x) inner (x) I_rest) as an operation; see
     `insertion_terms` for the sign."""
     return Operation(outer.space, outer.arity + inner.arity - 1, outer.degree + inner.degree,
-                     table_from_terms(insertion_terms(outer, inner, position)))
+                     table_from_numerators(insertion_terms(outer, inner, position),
+                                           outer.denominator * inner.denominator))
 
 
 HAT = "hat"

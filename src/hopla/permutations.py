@@ -27,11 +27,12 @@ unshuffle signs of the coalgebras and the sign-law witnesses use it.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import HAT, Operation, Word, table_from_terms
+from .graded import HAT, Operation, Word, table_from_numerators, table_from_terms
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -207,6 +208,36 @@ def arrangements(letters: tuple, odd, rho2: bool):
         odd_before ^= bool(odd[a])
 
 
+def acted_slots(mode: str, n: int) -> int:
+    """The number of leading slots the full or partial symmetrization of
+    an arity-n operation permutes."""
+    if mode == MODE_FULL:
+        return n
+    if mode == MODE_PARTIAL:
+        return n - 1
+    raise ValueError(f"unknown symmetrization mode {mode!r}")
+
+
+def orbit_representatives(terms, odd, rho2: bool, acted: int):
+    """Move each (word, letter, coefficient) term to the sorted
+    representative r of its word's orbit under the first `acted` slots:
+    yield (r, letter, chi * coefficient), with chi that of the sorting
+    permutation.  Consecutive terms of one word, as the kernels stream
+    them, share one sort; no word is kept beyond its run.
+
+    Summing the moved terms is the first step of the full and partial
+    orbit sums, so an operation and the table of its moved terms have the
+    same symmetrization."""
+    last = None
+    for word, letter, c in terms:
+        if word != last:
+            head = list(word[:acted])
+            kept = signed_sort(head, odd, rho2) == 1
+            rep = tuple(head) + word[acted:]
+            last = word
+        yield rep, letter, c if kept else -c
+
+
 def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     """Sum of op o rho_sigma over a family of permutations.
 
@@ -221,18 +252,26 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     distinct words r o tau in the table, and S vanishes on the orbit when
     chi is not trivial on Stab(r).  Each table word is sorted once and each
     output word written once.
+
+    The sums run on the integer numerators of op over its common
+    denominator D (`Operation.numerators`), so the only Fractions built are
+    one per output orbit, the orbit's value times |Stab(r)|/D, and its
+    negation; the shuffle mode divides each output entry by D once.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
     n = op.arity
     odd = op.space.parities
     rho2 = variant == RHO2
+    den = op.denominator
     if mode == MODE_SHUFFLE:
         # the unshuffle taking slot k to the end contributes each stored word
         # with its last letter moved back to slot k, passing the letters there
+        entries = list(op.numerators())
+
         def shuffled_terms():
             for k in range(n - 1, -1, -1):
-                for word, combo in op.table.items():
+                for word, combo in entries:
                     a = word[-1]
                     chi = 1
                     for b in word[k:-1]:
@@ -242,29 +281,16 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
                     for out, c in combo:
                         yield moved, out, c if chi == 1 else -c
 
-        return Operation(op.space, n, op.degree, table_from_terms(shuffled_terms()))
-    if mode == MODE_FULL:
-        acted = n
-    elif mode == MODE_PARTIAL:
-        acted = n - 1
-    else:
-        raise ValueError(f"unknown symmetrization mode {mode!r}")
-
-    def sorted_terms():
-        for word, combo in op.table.items():
-            head = list(word[:acted])
-            chi = signed_sort(head, odd, rho2)
-            rep = tuple(head) + word[acted:]
-            for out, c in combo:
-                yield rep, out, c if chi == 1 else -c
-
+        return Operation(op.space, n, op.degree, table_from_numerators(shuffled_terms(), den))
+    acted = acted_slots(mode, n)
+    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
     table = {}
-    for rep, value in table_from_terms(sorted_terms()).items():
+    for rep, value in table_from_terms(orbit_representatives(terms, odd, rho2, acted)).items():
         head, tail = rep[:acted], rep[acted:]
         order = stabilizer_order(head, odd, rho2)
         if not order:
             continue
-        value = value.scaled(order)
+        value = value.scaled(Fraction(order, den))
         negated = value.scaled(-1)
         for chi, arrangement in arrangements(head, odd, rho2):
             table[arrangement + tail] = value if chi == 1 else negated

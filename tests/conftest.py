@@ -12,7 +12,8 @@ The oracles here deliberately avoid the library's own code paths:
 
 `identity`, `random_table`, `square_component` and `with_entry` are small
 helpers that only the tests need; `DEGREE_PATTERNS` are the basis degrees
-the oracle comparisons run on.
+the oracle comparisons run on, and `RATIONAL_COEFFICIENTS` the non-integer
+coefficients they draw.
 """
 
 import itertools
@@ -186,13 +187,19 @@ def pattern_space(pattern):
     return GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
 
 
-def random_table(rng, sp, arity, density):
+# coefficients whose denominators are not 1, with one pair of large coprime
+# denominators, so that the kernels' common denominators are not 1
+RATIONAL_COEFFICIENTS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(7, 4),
+                         Fraction(1, 10007), Fraction(-1, 10009))
+
+
+def random_table(rng, sp, arity, density, coefficients=(-2, -1, 1, 3)):
     """Not necessarily homogeneous: symmetrization does not need it."""
     table = {}
     for word in itertools.product(range(sp.dim), repeat=arity):
         if rng.random() < density:
             table[word] = LinearCombination(
-                {rng.randrange(sp.dim): rng.choice((-2, -1, 1, 3)) for _ in range(2)})
+                {rng.randrange(sp.dim): rng.choice(coefficients) for _ in range(2)})
     return table
 
 

@@ -20,6 +20,8 @@ only so that tests can compare the fast path against it:
   insertion per position, as the defining sums are written, and symmetrize
   their sum with the orbit kernel (itself checked against the loop above),
   with no collapse of positions;
+* `compose_insert_by_evaluation` evaluates an insertion with Fractions on
+  every input word, as its definition reads;
 * `coderivation_law_by_coproducts` checks the whole coderivation law,
   Delta o D against (D (x) Id + Id (x) D) o Delta with every coproduct
   term, on every canonical word up to the cap.
@@ -144,6 +146,24 @@ def nary_residual_by_positions(mu, kind):
     if kind not in SYMMETRIZATION:
         return core
     return precompose_symmetrized(core, RHO2, SYMMETRIZATION[kind])
+
+
+def compose_insert_by_evaluation(outer, inner, position):
+    """outer o (I_position (x) inner (x) I_rest) on every input word: the
+    sign (-1)^(|inner| * (|x_1|+...+|x_position|)) times outer evaluated on
+    the word with inner's value in place of its next inner.arity letters."""
+    sp = outer.space
+    j = inner.arity
+    arity = outer.arity + j - 1
+    table = {}
+    for word in itertools.product(range(sp.dim), repeat=arity):
+        head, rest = word[:position], word[position + j:]
+        sign = -1 if inner.degree % 2 and word_degree(sp, head) % 2 else 1
+        table[word] = LinearCombination(
+            (out, sign * c_in * c_out)
+            for letter, c_in in inner.evaluate(word[position:position + j])
+            for out, c_out in outer.evaluate(head + (letter,) + rest))
+    return Operation(sp, arity, outer.degree + inner.degree, table)
 
 
 def circle_product_dense(f, g):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import perm_square_two_sum_form, square_component, with_entry
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, check_coderivation,
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                              coalgebra_map, coalgebra_words, comultiply,
                              extend_coderivation, perm_words, project_pi,
                              square_cogenerator_component, wedge_normalize,
@@ -16,7 +16,7 @@ from hopla.errors import ConventionError, KindError, SymmetryError
 from hopla.functors import suspend_family
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily)
-from hopla.permutations import RHO1, koszul_sign
+from hopla.permutations import RHO1, koszul_sign, sh
 from hopla.verify import (coassociativity_witness, coalgebra_map_law_witness,
                           factorization_witness, random_unhat_family,
                           section_witness)
@@ -361,6 +361,32 @@ def test_word_count_matches_enumeration():
                 assert word_count(kind, sp, cap) == total, (degrees, kind, cap)
     with pytest.raises(KindError):
         word_count("spam", GradedSpace(("x",), (0,)), 2)
+
+
+def _blocks_by_enumeration(kind, sp, cap, arities):
+    """The insertion positions or unshuffles `_component` walks, counted
+    word by word."""
+    total = 0
+    for k, a in itertools.product(range(1, cap + 1), arities):
+        if a > k:
+            continue
+        for word in coalgebra_words(kind, sp, k):
+            if kind == TENSOR:
+                total += len(range(k - a + 1))
+            elif kind == WEDGE:
+                total += len(sh(a, k - a))
+            else:
+                total += len(sh(a - 1, 1, k - 1 - a)) + len(sh(k - a, a - 1))
+    return total
+
+
+def test_block_count_matches_enumeration():
+    for degrees in ((0,), (1,), (0, 1), (1, 1, 1), (2, 1, 0, -1)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for kind, cap in itertools.product((TENSOR, WEDGE, PERM), range(1, 6)):
+            for arities in ((), (1,), (2,), (1, 2, 3), (5,), (2, 4, 6)):
+                assert block_count(kind, sp, cap, arities) \
+                    == _blocks_by_enumeration(kind, sp, cap, arities), (degrees, kind, cap, arities)
 
 
 def test_wedge_words_exclude_odd_repeats(graded2):

@@ -12,7 +12,7 @@ from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import TENSOR, word_count
-from hopla.drivers import MAX_COALGEBRA_WORDS, generate_random, run_check, run_derive
+from hopla.drivers import MAX_CODERIVE_WORK, generate_random, run_check, run_derive
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, OperationFamily
@@ -346,9 +346,25 @@ def test_cli_coderive_work_is_bounded(tmp_path, capsys):
     assert time.monotonic() - start < 1
     err = capsys.readouterr().err
     assert "7,174,452 canonical words" in err
-    assert f"limit of {MAX_COALGEBRA_WORDS:,}" in err
-    assert word_count(TENSOR, parse_document(path.read_text()).space, 8) < MAX_COALGEBRA_WORDS
+    assert f"limit of {MAX_CODERIVE_WORK:,}" in err
+    assert word_count(TENSOR, parse_document(path.read_text()).space, 8) < MAX_CODERIVE_WORK
     assert main(["coderive", str(path), "--kind", "tensor", "--weight-cap", "8"]) == 0
+    capsys.readouterr()
+    # one arity-8 operation on two letters: 40 wedge words up to weight 20,
+    # but sum over k <= 20 of C(k, 8) unshuffles for each of the two words
+    # of weight k; it ran for 28 s at 219 MB before the blocks were counted
+    wide = tmp_path / "wide.json"
+    wide.write_text(minimal_doc(
+        convention="hat", max_arity=8,
+        space={"basis": [{"label": "x", "degree": 0}, {"label": "y", "degree": -1}]},
+        operations=[{"arity": 8, "entries": [
+            {"inputs": ["x"] * 8, "output": [{"label": "y", "coeff": "1"}]}]}]))
+    start = time.monotonic()
+    assert main(["coderive", str(wide), "--kind", "wedge", "--weight-cap", "20"]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "40 canonical words and 587,860 unshuffle blocks, 587,900 in all" in err
+    assert main(["coderive", str(wide), "--kind", "wedge", "--weight-cap", "12"]) == 0
     capsys.readouterr()
     # caps beyond the arity bound are refused even where no word exists
     odd = tmp_path / "odd.json"

@@ -167,6 +167,50 @@ def test_linear_combination_drops_zeros():
     assert LinearCombination({"a": 0.1})["a"] == Fraction(0.1)
 
 
+def test_linear_combination_sums_ints_exactly():
+    # int coefficients are summed as ints, past 2^64 and to zero, and each
+    # surviving sum is stored as a Fraction
+    big = 2 ** 64
+    combo = LinearCombination([("a", big), ("b", 3), ("a", big), ("c", big + 1),
+                               ("b", -3), ("c", -big), ("a", 1)])
+    assert combo.terms == {"a": Fraction(2 * big + 1), "c": Fraction(1)}
+    assert all(type(c) is Fraction for _, c in combo)
+    assert LinearCombination([("a", 2 ** 53), ("a", 1)])["a"] == Fraction(2 ** 53 + 1)
+    assert LinearCombination([("a", big), ("a", -big)]).is_zero()
+    assert LinearCombination({"a": 0, "b": -big}).terms == {"b": Fraction(-big)}
+    # ints mixed with Fractions, in either order
+    assert LinearCombination([("a", 1), ("a", Fraction(1, 3))]).terms == {"a": Fraction(4, 3)}
+    assert LinearCombination([("a", Fraction(1, 3)), ("a", 1)]).terms == {"a": Fraction(4, 3)}
+    assert LinearCombination([("a", Fraction(1, 2)), ("a", 1), ("a", Fraction(-3, 2))]).is_zero()
+    # floats still convert exactly on entry, before any sum
+    mixed = LinearCombination([("a", 0.1), ("a", 1), ("b", 2), ("b", 0.5), ("c", 1.0)])
+    assert mixed.terms == {"a": Fraction(0.1) + 1, "b": Fraction(5, 2), "c": Fraction(1)}
+    assert all(type(c) is Fraction for _, c in mixed)
+    assert type(LinearCombination([("a", True)])["a"]) is Fraction
+
+
+def test_scaled_by_one_and_minus_one():
+    combo = LinearCombination({"a": Fraction(1, 3), "b": -2, "c": Fraction(7, 10009)})
+    for one in (1, Fraction(1), 1.0):
+        assert combo.scaled(one) is combo
+    for minus_one in (-1, Fraction(-1), -1.0):
+        negated = combo.scaled(minus_one)
+        assert negated == LinearCombination({k: -c for k, c in combo})
+        assert negated == combo.scaled(Fraction(-2)).scaled(Fraction(1, 2))
+        assert all(type(c) is Fraction for _, c in negated)
+    assert (combo + combo.scaled(-1)).is_zero()
+    # the shared result of scaled(1) is never changed by later operations
+    same = combo.scaled(1)
+    before = dict(same.terms)
+    results = [same + combo, same - combo, same.scaled(-1), same.scaled(3),
+               same.map_keys(str.upper), LinearCombination(same.terms),
+               Operation(space(("x", 0)), 1, 0, {(0,): same}).scaled(-1)]
+    assert same.terms == before and combo.terms == before
+    assert results[1].is_zero() and results[0] == combo.scaled(2)
+    op = Operation(space(("x", 0)), 1, 0, {(0,): combo})
+    assert op.scaled(1) == op and op.scaled(-1).table[(0,)] == combo.scaled(-1)
+
+
 def test_table_from_terms_groups_per_word_and_drops_zero_words():
     from hopla.graded import table_from_terms
     terms = [((0, 1), 0, 1), ((1, 0), 1, Fraction(1, 2)), ((0, 1), 0, -1),

@@ -5,13 +5,14 @@ implementations in `oracles.py`."""
 
 import itertools
 import random
+from math import lcm
 
 import pytest
 
-from conftest import (DEGREE_PATTERNS, pattern_space, random_table, square_component,
-                      with_entry)
+from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, pattern_space, random_table,
+                      square_component, with_entry)
 from oracles import (circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
-                     component_loop, nary_residual_by_positions,
+                     component_loop, compose_insert_by_evaluation, nary_residual_by_positions,
                      precompose_symmetrized_by_loop, residual_by_positions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, extend_coderivation,
@@ -19,7 +20,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, chec
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              circle_product, nary_residual, residual)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily, family_degree)
+                          OperationFamily, compose_insert, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 action_variant, precompose_symmetrized)
 from hopla.errors import ArityError
@@ -39,6 +40,55 @@ def test_orbit_kernel_matches_loop_oracle(pattern):
             slow = precompose_symmetrized_by_loop(op, variant, mode)
             assert fast == slow, (pattern, arity, op_degree, density, mode, variant)
             assert fast.degree == op.degree
+
+
+def _denominator(op):
+    """The lcm of the denominators in op's table."""
+    return lcm(*(c.denominator for combo in op.table.values() for _, c in combo))
+
+
+LARGE = 10007 * 10009   # the large coprime pair in RATIONAL_COEFFICIENTS
+
+
+@pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
+def test_orbit_kernel_matches_loop_oracle_on_rational_tables(pattern):
+    # the kernel sums integer numerators over the table's common denominator
+    rng = random.Random(f"rational-kernel-{pattern}")
+    sp = pattern_space(pattern)
+    rational = large = 0
+    for arity, op_degree, density in itertools.product((1, 2, 3, 4), (-1, 0, 1), (0.4, 1.0)):
+        op = Operation(sp, arity, op_degree,
+                       random_table(rng, sp, arity, density, RATIONAL_COEFFICIENTS))
+        rational += _denominator(op) > 1
+        large += _denominator(op) % LARGE == 0
+        for mode, variant in itertools.product((MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE),
+                                               (RHO1, RHO2)):
+            assert precompose_symmetrized(op, variant, mode) \
+                == precompose_symmetrized_by_loop(op, variant, mode), \
+                (pattern, arity, op_degree, density, mode, variant)
+    # a one-letter table has one coefficient per arity, so only one of the
+    # two large denominators
+    assert rational >= 12 and (large >= 3 or sp.dim == 1), (rational, large)
+
+
+def test_compose_insert_matches_fraction_definition():
+    rng = random.Random("compose-insert")
+    nonzero = large = 0
+    for degrees, coefficients in itertools.product(((0, 1), (1, 1, 0), (-1, 0, 1)),
+                                                   ((-2, -1, 1, 3), RATIONAL_COEFFICIENTS)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for (a, b), (da, db) in itertools.product(itertools.product((1, 2, 3), repeat=2),
+                                                  ((0, 1), (1, 1), (-1, 0))):
+            outer = Operation(sp, a, da, random_table(rng, sp, a, 0.6, coefficients))
+            inner = Operation(sp, b, db, random_table(rng, sp, b, 0.6, coefficients))
+            large += _denominator(outer) * _denominator(inner) % LARGE == 0
+            for position in range(a):
+                fast = compose_insert(outer, inner, position)
+                assert fast == compose_insert_by_evaluation(outer, inner, position), \
+                    (degrees, a, b, da, db, position)
+                assert fast.degree == da + db
+                nonzero += not fast.is_zero()
+    assert nonzero >= 100 and large >= 10, (nonzero, large)
 
 
 @pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
@@ -62,8 +112,8 @@ def test_orbit_kernel_rejects_unknown_mode_and_variant(graded2):
         precompose_symmetrized(op, RHO1, "cyclic")
 
 
-def _partially_skew(rng, sp, arity, density=0.6):
-    return precompose_symmetrized(random_operation(rng, sp, arity, 0, density),
+def _partially_skew(rng, sp, arity, density=0.6, **draw):
+    return precompose_symmetrized(random_operation(rng, sp, arity, 0, density, **draw),
                                   RHO2, MODE_PARTIAL)
 
 
@@ -78,6 +128,21 @@ def test_sparse_circle_product_matches_dense_oracle(dim):
             fast = circle_product(f, g)
             assert fast == circle_product_dense(f, g), (f_arity, g_arity)
             assert fast.degree == 0
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_sparse_circle_product_matches_dense_oracle_on_rational_coefficients(dim):
+    rng = random.Random(f"rational-circle-{dim}")
+    sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+    nonzero = 0
+    for f_arity, g_arity in itertools.product((1, 2, 3), repeat=2):
+        for _ in range(2):
+            f = _partially_skew(rng, sp, f_arity, coefficients=RATIONAL_COEFFICIENTS)
+            g = _partially_skew(rng, sp, g_arity, coefficients=RATIONAL_COEFFICIENTS)
+            fast = circle_product(f, g)
+            assert fast == circle_product_dense(f, g), (f_arity, g_arity)
+            nonzero += not fast.is_zero()
+    assert nonzero >= 6
 
 
 def test_prelie_residual_is_circle_square_on_four_letters():
@@ -103,11 +168,11 @@ RESIDUAL_PATTERNS = {
 RESIDUAL_SYMMETRY = {ASSOC: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
 
 
-def _symmetric_family(rng, sp, convention, kind):
+def _symmetric_family(rng, sp, convention, kind, **draw):
     """Operations at arities 1-4 with the symmetry the kind's residual needs."""
     ops = {}
     for arity in (1, 2, 3, 4):
-        op = random_operation(rng, sp, arity, family_degree(convention, arity), 0.5)
+        op = random_operation(rng, sp, arity, family_degree(convention, arity), 0.5, **draw)
         if RESIDUAL_SYMMETRY[kind] is not None:
             op = precompose_symmetrized(op, action_variant(convention), RESIDUAL_SYMMETRY[kind])
         ops[arity] = op
@@ -131,6 +196,27 @@ def test_collapsed_residual_matches_per_position_oracle():
     assert min(nonzero.values()) >= 20, nonzero
 
 
+def test_collapsed_residual_matches_per_position_oracle_on_rational_families():
+    # coefficients with denominators 2, 3, 4, 6, 10007 and 10009 on top of
+    # the factorial denominators of the pre-Lie and Lie coefficients
+    nonzero = {kind: 0 for kind in RESIDUAL_SYMMETRY}
+    large = 0
+    for pattern in ("(0, 1)", "(-1, 0, 1)", "two odd letters"):
+        rng = random.Random(f"rational-residual-{pattern}")
+        degrees = RESIDUAL_PATTERNS[pattern]
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for convention, kind in itertools.product((HAT, UNHAT), RESIDUAL_SYMMETRY):
+            family = _symmetric_family(rng, sp, convention, kind,
+                                       coefficients=RATIONAL_COEFFICIENTS)
+            large += lcm(*map(_denominator, family.ops.values())) % LARGE == 0
+            for n in range(1, 7):
+                fast = residual(family, EquationFlavor(kind, convention), n).op
+                assert fast == residual_by_positions(family, kind, n), \
+                    (pattern, convention, kind, n)
+                nonzero[kind] += not fast.is_zero()
+    assert min(nonzero.values()) >= 10 and large >= 6, (nonzero, large)
+
+
 def test_collapsed_nary_residual_matches_per_position_oracle():
     symmetry = {PARTIALLY_ASSOCIATIVE: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
     nonzero = {kind: 0 for kind in symmetry}
@@ -145,6 +231,23 @@ def test_collapsed_nary_residual_matches_per_position_oracle():
                 fast = nary_residual(mu, kind).op
                 assert fast == nary_residual_by_positions(mu, kind), (dim, n, kind)
                 nonzero[kind] += not fast.is_zero()
+    assert min(nonzero.values()) >= 3, nonzero
+
+
+def test_collapsed_nary_residual_matches_per_position_oracle_on_rational_coefficients():
+    symmetry = {PARTIALLY_ASSOCIATIVE: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+    nonzero = {kind: 0 for kind in symmetry}
+    for dim in (2, 3, 4):
+        rng = random.Random(f"rational-nary-{dim}")
+        sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+        for n, (kind, mode), _ in itertools.product((2, 3, 4), symmetry.items(), range(2)):
+            mu = random_operation(rng, sp, n, 0, density=0.5 if n < 4 else 0.2,
+                                  coefficients=RATIONAL_COEFFICIENTS)
+            if mode is not None:
+                mu = precompose_symmetrized(mu, RHO2, mode)
+            fast = nary_residual(mu, kind).op
+            assert fast == nary_residual_by_positions(mu, kind), (dim, n, kind)
+            nonzero[kind] += not fast.is_zero()
     assert min(nonzero.values()) >= 3, nonzero
 
 

@@ -37,8 +37,42 @@ def _attribute_targets(node):
         yield node.args[1].value
 
 
+def _is_dict_accumulator(node):
+    """`d[k] = d.get(k, ...) + ...`, with the get anywhere in the value, or
+    `d[k] += ...`: a sum of coefficients by key outside the constructor."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.target, ast.Subscript)
+    if not isinstance(node, ast.Assign):
+        return False
+    for target in node.targets:
+        if not isinstance(target, ast.Subscript):
+            continue
+        owner, key = ast.dump(target.value), ast.dump(target.slice)
+        for sub in ast.walk(node.value):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "get" and sub.args
+                    and ast.dump(sub.func.value) == owner and ast.dump(sub.args[0]) == key):
+                return True
+    return False
+
+
+def test_dict_accumulator_pattern():
+    def flagged(source):
+        return [_is_dict_accumulator(node) for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Assign, ast.AugAssign))]
+
+    assert flagged("d[k] = d.get(k, 0) + c") == [True]
+    assert flagged("acc[key] = c * s + acc.get(key, ZERO)") == [True]
+    assert flagged("self.t[w, o] = self.t.get((w, o), 0) - c") == [True]
+    assert flagged("d[k] += c") == [True]
+    assert flagged("d[k] = e.get(k, 0) + c") == [False]
+    assert flagged("d[k] = d.get(j, 0) + c") == [False]
+    assert flagged("old = d.get(k)\nd[k] = c") == [False, False]
+
+
 def test_linear_combination_constructor_is_the_one_accumulator():
-    # every sum of coefficients by key goes through LinearCombination(...);
+    # every sum of coefficients by key goes through LinearCombination(...),
+    # whether the coefficients are Fractions or integer numerators;
     # operation tables are grouped per word by graded.table_from_terms
     modules = sorted(SRC.glob("*.py"))
     helpers = {"accumulate", "finish_combination"}
@@ -68,6 +102,9 @@ def test_linear_combination_constructor_is_the_one_accumulator():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "setdefault" and len(node.args) == 2
                   and isinstance(node.args[1], ast.Dict)]
+        found += [f"{path.name}:{node.lineno} accumulates into a dict entry"
+                  for node in ast.walk(tree)
+                  if id(node) not in allowed and _is_dict_accumulator(node)]
     assert constructors == 1
     assert found == []
 
