@@ -198,12 +198,10 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     if name == "alpha":
         return _orbit_sum(space, word, ())
     if name == "beta":
-        n = len(word)
-        parities = [space.parities[x] for x in word]
+        parities = tuple(space.parities[x] for x in word)
         return LinearCombination(
-            ((tuple(word[s - 1] for s in sigma[:-1]), word[sigma[-1] - 1]),
-             SIGNS[koszul_sign(sigma, parities)])
-            for sigma in (sh(n - 1, 1) if n > 1 else ((1,),)))
+            ((tuple(word[s - 1] for s in sigma[:-1]), word[sigma[-1] - 1]), SIGNS[eps])
+            for sigma, eps in _signed_unshuffles(parities, len(word) - 1, 1))
     if name == "gamma":
         head, tail = word
         return _orbit_sum(space, head, (tail,))

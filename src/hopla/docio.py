@@ -97,6 +97,15 @@ def _expect(mapping, key, path):
     return mapping[key]
 
 
+def _integer(value, path: str, message: str, minimum=None) -> int:
+    """value, when it is a JSON integer of at least `minimum`; a
+    DocumentError at `path` otherwise.  JSON booleans are not integers,
+    though Python's bool is an int."""
+    if value.__class__ is not int or (minimum is not None and value < minimum):
+        raise DocumentError(message, path)
+    return value
+
+
 def parse_document(text) -> AlgebraDocument:
     """Parse and validate a document; raises DocumentError with a JSON-path
     location on any defect."""
@@ -123,13 +132,13 @@ def parse_document(text) -> AlgebraDocument:
         degree = _expect(entry, "degree", path)
         if not isinstance(label, str):
             raise DocumentError("label must be a string", path + ".label")
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise DocumentError("degree must be an integer", path + ".degree")
+        _integer(degree, path + ".degree", "degree must be an integer")
         if label in labels:
             raise DocumentError(f"duplicate basis label {label!r}", path + ".label")
         labels.append(label)
         degrees.append(degree)
     sp = GradedSpace(tuple(labels), tuple(degrees))
+    positions = sp.positions
 
     convention = _expect(raw, "convention", "")
     if convention not in (HAT, UNHAT):
@@ -143,48 +152,53 @@ def parse_document(text) -> AlgebraDocument:
     seen_arities = set()
     for oi, opdoc in enumerate(operations):
         opath = f"operations[{oi}]"
-        arity = _expect(opdoc, "arity", opath)
-        if not isinstance(arity, int) or arity < 1:
-            raise DocumentError("arity must be a positive integer", opath + ".arity")
+        arity = _integer(_expect(opdoc, "arity", opath), opath + ".arity",
+                         "arity must be a positive integer", 1)
         if arity in seen_arities:
             raise DocumentError(f"duplicate operation at arity {arity}", opath + ".arity")
         seen_arities.add(arity)
         entries = _expect(opdoc, "entries", opath)
         if not isinstance(entries, list):
             raise DocumentError("entries must be a list", opath + ".entries")
+
+        # an entry's defects are raised at paths relative to it, and the
+        # prefix is formatted only on the way out
         table = {}
         for ei, entry in enumerate(entries):
-            epath = f"{opath}.entries[{ei}]"
-            inputs = _expect(entry, "inputs", epath)
-            if not isinstance(inputs, list) or len(inputs) != arity:
-                raise DocumentError(f"inputs must list exactly {arity} labels", epath + ".inputs")
-            word = []
-            for li, label in enumerate(inputs):
-                if not isinstance(label, str) or label not in labels:
-                    raise DocumentError(f"unknown label {label!r}", f"{epath}.inputs[{li}]")
-                word.append(sp.index(label))
-            word = tuple(word)
-            if word in table:
-                raise DocumentError(f"duplicate entry for inputs {inputs}", epath + ".inputs")
-            output = _expect(entry, "output", epath)
-            if not isinstance(output, list):
-                raise DocumentError("output must be a list", epath + ".output")
-            terms = []
-            for ti, term in enumerate(output):
-                tpath = f"{epath}.output[{ti}]"
-                label = _expect(term, "label", tpath)
-                if not isinstance(label, str) or label not in labels:
-                    raise DocumentError(f"unknown label {label!r}", tpath + ".label")
-                coeff = parse_rational(_expect(term, "coeff", tpath), tpath + ".coeff")
-                terms.append((sp.index(label), coeff))
-            table[word] = LinearCombination(terms)
+            try:
+                inputs = _expect(entry, "inputs", "")
+                if not isinstance(inputs, list) or len(inputs) != arity:
+                    raise DocumentError(f"inputs must list exactly {arity} labels", ".inputs")
+                word = tuple([positions.get(label) if isinstance(label, str) else None
+                              for label in inputs])
+                if None in word:
+                    li = word.index(None)
+                    raise DocumentError(f"unknown label {inputs[li]!r}", f".inputs[{li}]")
+                if word in table:
+                    raise DocumentError(f"duplicate entry for inputs {inputs}", ".inputs")
+                output = _expect(entry, "output", "")
+                if not isinstance(output, list):
+                    raise DocumentError("output must be a list", ".output")
+                terms = []
+                for ti, term in enumerate(output):
+                    try:
+                        label = _expect(term, "label", "")
+                        letter = positions.get(label) if isinstance(label, str) else None
+                        if letter is None:
+                            raise DocumentError(f"unknown label {label!r}", ".label")
+                        coeff = parse_rational(_expect(term, "coeff", ""), ".coeff")
+                        terms.append((letter, coeff))
+                    except DocumentError as exc:
+                        raise exc.within(f".output[{ti}]") from None
+                table[word] = LinearCombination(terms)
+            except DocumentError as exc:
+                raise exc.within(f"{opath}.entries[{ei}]") from None
         op = Operation(sp, arity, family_degree(convention, arity), table)
         if not op.is_zero():
             ops[arity] = op
 
-    max_arity = raw.get("max_arity", max(seen_arities, default=1))
-    if not isinstance(max_arity, int) or max_arity < 1:
-        raise DocumentError("max_arity must be a positive integer", "max_arity")
+    max_arity = _integer(raw.get("max_arity", max(seen_arities, default=1)), "max_arity",
+                         "max_arity must be a positive integer", 1)
     if max_arity > MAX_ARITY:
         raise DocumentError(f"max_arity {max_arity} is above the limit {MAX_ARITY}", "max_arity")
     if seen_arities and max_arity < max(seen_arities):
@@ -200,9 +214,7 @@ def parse_document(text) -> AlgebraDocument:
             raise DocumentError(f"unknown declared type {name!r}", "declared_type.name")
         n = declared.get("n")
         if name.endswith("_n"):
-            if not isinstance(n, int) or n < 1:
-                raise DocumentError(f"declared type {name!r} requires a positive 'n'",
-                                    "declared_type.n")
+            _integer(n, "declared_type.n", f"declared type {name!r} requires a positive 'n'", 1)
             if n > MAX_ARITY:
                 raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
                                     "declared_type.n")

@@ -29,12 +29,12 @@ does, so per arity pair (i, j) only these insertions are made:
     prelie    position 0 with (i-1)*c(i,j,0), and position i-1 with c(i,j,i-1)
     lie       position 0 with i*c(i,j,0)
 
-All insertions of one arity stream into one table, which P symmetrizes
-once (`_insert_symmetrize`), on integer numerators over one common
-denominator per call.  The n-ary residuals and the circle product
-go through the same kernel.  Without the symmetry the collapsed form is
-not the sum above, which is why `check` refuses such families on every
-path.
+All insertions of one arity stream their terms, as integer numerators
+over one common denominator per call, straight into P, which sums them
+once (`_insert_symmetrize`, `permutations.symmetrize_terms`).  The n-ary
+residuals and the circle product go through the same kernel.  Without
+the symmetry the collapsed form is not the sum above, which is why
+`check` refuses such families on every path.
 
 Everything here decides vanishing by exhaustive evaluation on basis words;
 residuals are exact, there is no tolerance anywhere.
@@ -51,8 +51,8 @@ from math import factorial, lcm
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
                      table_from_numerators)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, acted_slots, action_variant,
-                           orbit_representatives, precompose_symmetrized, require_symmetry)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant, require_symmetry,
+                           symmetrize_terms)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -123,16 +123,14 @@ def _positions(kind: str, i: int, coefficient) -> tuple:
 def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
                        variant: str, mode: str | None) -> Operation:
     """P(sum of coeff * outer o_position inner) over the (outer, inner,
-    position, coeff) insertions; P is `precompose_symmetrized` in the given
-    mode, or the identity when mode is None.
+    position, coeff) insertions; P is the symmetrization kernel
+    `symmetrize_terms` in the given mode, or the identity when mode is None.
 
     Each coefficient and the denominators of its two operands fold into one
     integer multiplier over D, the call's common denominator, so every
-    insertion streams integer numerators into one table, which is divided
-    by D once per entry.  Before a symmetrization the terms move to the
-    sorted representatives of their orbits (`orbit_representatives`), which
-    leaves P's value unchanged and leaves one table entry per orbit and
-    output letter to divide."""
+    insertion streams integer numerators, and the chained stream goes to
+    the kernel as it is; without a symmetrization the table is divided by
+    D once per entry."""
     folded = [(outer, inner, position, coeff, outer.denominator * inner.denominator)
               for outer, inner, position, coeff in insertions]
     den = lcm(*(coeff.denominator * operands for *_, coeff, operands in folded))
@@ -140,13 +138,9 @@ def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
         insertion_terms(outer, inner, position,
                         coeff.numerator * (den // (coeff.denominator * operands)))
         for outer, inner, position, coeff, operands in folded)
-    if mode is not None:
-        terms = orbit_representatives(terms, sp.parities, variant == RHO2,
-                                      acted_slots(mode, arity))
-    core = Operation(sp, arity, degree, table_from_numerators(terms, den))
-    if mode is None or core.is_zero():
-        return core
-    return precompose_symmetrized(core, variant, mode)
+    if mode is None:
+        return Operation(sp, arity, degree, table_from_numerators(terms, den))
+    return symmetrize_terms(sp, arity, degree, terms, den, variant, mode)
 
 
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,

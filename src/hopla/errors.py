@@ -61,4 +61,9 @@ class DocumentError(AlgebraError):
 
     def __init__(self, message, path=""):
         super().__init__(f"{path}: {message}" if path else message)
+        self.message = message
         self.path = path
+
+    def within(self, prefix: str) -> "DocumentError":
+        """The same defect, located at `prefix` followed by this path."""
+        return DocumentError(self.message, prefix + self.path)

@@ -2,10 +2,12 @@
 
 Everything is exact: every stored coefficient is a `fractions.Fraction`, so
 structure-equation residuals that end in factorial denominators either vanish
-identically or carry an honest nonzero witness.  The insertion and
-symmetrization kernels compute on integer numerators over one common
-denominator (`Operation.numerators`) and divide by it once per output
-entry, or once per output orbit when they symmetrize.  All containers are
+identically or carry an honest nonzero witness.  The insertion kernel
+streams (word, output letter, integer numerator) terms over one common
+denominator (`Operation.numerators`, `insertion_terms`); a table built
+from such a stream is divided by the denominator once per entry, and the
+symmetrization kernel (`permutations.symmetrize_terms`) takes the stream
+itself and divides once per output orbit.  All containers are
 treated as immutable after construction; functions return fresh objects.
 
 A tensor word is a plain tuple of 0-based basis indices.  An Operation stores
@@ -35,8 +37,9 @@ ONE = Fraction(1)
 class GradedSpace:
     """Finite ordered basis with integer degrees.  Labels must be unique.
 
-    `parities` (degree mod 2 per letter) is a plain attribute, not a field,
-    so it takes no part in equality or hashing.
+    `parities` (degree mod 2 per letter) and `positions` (label -> basis
+    index) are plain attributes, not fields, so they take no part in
+    equality or hashing.
     """
 
     labels: tuple
@@ -50,6 +53,7 @@ class GradedSpace:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         object.__setattr__(self, "parities", tuple(d % 2 for d in self.degrees))
+        object.__setattr__(self, "positions", {label: i for i, label in enumerate(self.labels)})
 
     @property
     def dim(self) -> int:
@@ -62,8 +66,8 @@ class GradedSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):  # unknown or unhashable
             raise BasisIndexError(f"unknown basis label {label!r}") from None
 
     def is_concentrated_in_degree_zero(self) -> bool:
@@ -348,7 +352,7 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
     operands' denominators (`Operation.denominator`), and `scale` is an
     integer: a caller folds a rational coefficient into it over a common
     denominator of its own.  The terms of one word are not summed;
-    `table_from_terms` does that.
+    `table_from_terms` or the symmetrization kernel does that.
     """
     if outer.space != inner.space:
         raise ArityError("an insertion requires operations on the same space")

@@ -18,7 +18,7 @@ Conventions pinned here and relied on everywhere else:
 The actions are computed one adjacent swap at a time: swapping letters a
 and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
-symmetrizations of `precompose_symmetrized` and the symmetry check
+symmetrization kernel `symmetrize_terms` and the symmetry check
 `failing_symmetry_generator` all use that rule and never act by a whole
 permutation.  `koszul_sign` evaluates eps for a whole permutation; the
 unshuffle signs of the coalgebras and the sign-law witnesses use it.
@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import HAT, Operation, Word, table_from_numerators, table_from_terms
+from .graded import HAT, GradedSpace, Operation, Word, table_from_numerators, table_from_terms
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -208,38 +208,11 @@ def arrangements(letters: tuple, odd, rho2: bool):
         odd_before ^= bool(odd[a])
 
 
-def acted_slots(mode: str, n: int) -> int:
-    """The number of leading slots the full or partial symmetrization of
-    an arity-n operation permutes."""
-    if mode == MODE_FULL:
-        return n
-    if mode == MODE_PARTIAL:
-        return n - 1
-    raise ValueError(f"unknown symmetrization mode {mode!r}")
-
-
-def orbit_representatives(terms, odd, rho2: bool, acted: int):
-    """Move each (word, letter, coefficient) term to the sorted
-    representative r of its word's orbit under the first `acted` slots:
-    yield (r, letter, chi * coefficient), with chi that of the sorting
-    permutation.  Consecutive terms of one word, as the kernels stream
-    them, share one sort; no word is kept beyond its run.
-
-    Summing the moved terms is the first step of the full and partial
-    orbit sums, so an operation and the table of its moved terms have the
-    same symmetrization."""
-    last = None
-    for word, letter, c in terms:
-        if word != last:
-            head = list(word[:acted])
-            kept = signed_sort(head, odd, rho2) == 1
-            rep = tuple(head) + word[acted:]
-            last = word
-        yield rep, letter, c if kept else -c
-
-
-def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
-    """Sum of op o rho_sigma over a family of permutations.
+def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
+                     variant: str, mode: str) -> Operation:
+    """P applied to the operation whose table is the sum of the (word,
+    output letter, integer numerator) terms over `denominator`: the sum of
+    that operation precomposed with rho_sigma over a family of permutations.
 
     mode 'full': sigma over S_n (the integral w_n);
     mode 'partial': sigma over S_{n-1} acting on the first n-1 slots;
@@ -247,54 +220,65 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     The variant picks rho1 or rho2.
 
     The full and partial sums S are computed per orbit of the acted slots.
-    With r the sorted representative of an orbit and w = r o pi,
-    S(w) = chi(pi; r) |Stab(r)| sum of chi(tau; r) op(r o tau) over the
-    distinct words r o tau in the table, and S vanishes on the orbit when
-    chi is not trivial on Stab(r).  Each table word is sorted once and each
-    output word written once.
-
-    The sums run on the integer numerators of op over its common
-    denominator D (`Operation.numerators`), so the only Fractions built are
-    one per output orbit, the orbit's value times |Stab(r)|/D, and its
-    negation; the shuffle mode divides each output entry by D once.
+    Each term moves to the sorted representative r of its word's orbit,
+    with chi of the sorting permutation; consecutive terms of one word share
+    one sort.  With w = r o pi, S(w) = chi(pi; r) |Stab(r)| times the sum
+    of the moved terms at r, and S vanishes on the orbit when chi is not
+    trivial on Stab(r).  The sums stay integers, so the only Fractions
+    built are one per output orbit, the orbit's value times
+    |Stab(r)|/denominator, and its negation; the shuffle mode divides each
+    output entry by the denominator once.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
-    n = op.arity
-    odd = op.space.parities
+    odd = space.parities
     rho2 = variant == RHO2
-    den = op.denominator
     if mode == MODE_SHUFFLE:
-        # the unshuffle taking slot k to the end contributes each stored word
-        # with its last letter moved back to slot k, passing the letters there
-        entries = list(op.numerators())
+        # the unshuffle taking slot k to the end contributes each term with
+        # its word's last letter moved back to slot k, passing the letters there
+        def shuffled():
+            for word, out, c in terms:
+                a = word[-1]
+                yield word, out, c
+                for k in range(arity - 2, -1, -1):
+                    if (odd[a] and odd[word[k]]) != rho2:
+                        c = -c
+                    yield word[:k] + (a,) + word[k:-1], out, c
 
-        def shuffled_terms():
-            for k in range(n - 1, -1, -1):
-                for word, combo in entries:
-                    a = word[-1]
-                    chi = 1
-                    for b in word[k:-1]:
-                        if (odd[a] and odd[b]) != rho2:
-                            chi = -chi
-                    moved = word[:k] + (a,) + word[k:-1]
-                    for out, c in combo:
-                        yield moved, out, c if chi == 1 else -c
+        return Operation(space, arity, degree, table_from_numerators(shuffled(), denominator))
+    if mode not in (MODE_FULL, MODE_PARTIAL):
+        raise ValueError(f"unknown symmetrization mode {mode!r}")
+    acted = arity if mode == MODE_FULL else arity - 1
 
-        return Operation(op.space, n, op.degree, table_from_numerators(shuffled_terms(), den))
-    acted = acted_slots(mode, n)
-    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
+    def moved():
+        last = None
+        for word, out, c in terms:
+            if word != last:
+                head = list(word[:acted])
+                kept = signed_sort(head, odd, rho2) == 1
+                rep = tuple(head) + word[acted:]
+                last = word
+            yield rep, out, c if kept else -c
+
     table = {}
-    for rep, value in table_from_terms(orbit_representatives(terms, odd, rho2, acted)).items():
+    for rep, value in table_from_terms(moved()).items():
         head, tail = rep[:acted], rep[acted:]
         order = stabilizer_order(head, odd, rho2)
         if not order:
             continue
-        value = value.scaled(Fraction(order, den))
+        value = value.scaled(Fraction(order, denominator))
         negated = value.scaled(-1)
         for chi, arrangement in arrangements(head, odd, rho2):
             table[arrangement + tail] = value if chi == 1 else negated
-    return Operation(op.space, n, op.degree, table)
+    return Operation(space, arity, degree, table)
+
+
+def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
+    """Sum of op o rho_sigma over the permutations the mode names: the
+    kernel `symmetrize_terms` on op's integer numerators over its common
+    denominator (`Operation.numerators`)."""
+    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
+    return symmetrize_terms(op.space, op.arity, op.degree, terms, op.denominator, variant, mode)
 
 
 def failing_symmetry_generator(op: Operation, variant: str, full: bool):

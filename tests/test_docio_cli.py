@@ -61,6 +61,44 @@ def test_parse_rejects_unknown_label():
     assert "inputs" in err.value.path
 
 
+FIRST_ENTRY = {"inputs": ["e", "e"], "output": [{"label": "e", "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("entry, path, message", [
+    ({"inputs": ["e", "zz"], "output": []}, "operations[1].entries[1].inputs[1]",
+     "unknown label 'zz'"),
+    ({"inputs": ["e", ["e"]], "output": []}, "operations[1].entries[1].inputs[1]",
+     "unknown label ['e']"),
+    ({"inputs": ["e"], "output": []}, "operations[1].entries[1].inputs",
+     "inputs must list exactly 2 labels"),
+    ({"inputs": ["e", "e"], "output": []}, "operations[1].entries[1].inputs",
+     "duplicate entry for inputs ['e', 'e']"),
+    ({"inputs": ["e", "t"], "output": {"label": "e"}}, "operations[1].entries[1].output",
+     "output must be a list"),
+    ({"inputs": ["e", "t"], "output": [{"label": "e", "coeff": "1"}, {"label": "zz"}]},
+     "operations[1].entries[1].output[1].label", "unknown label 'zz'"),
+    ({"inputs": ["e", "t"], "output": [{"label": "e", "coeff": "1/0"}]},
+     "operations[1].entries[1].output[0].coeff", "malformed rational '1/0': zero denominator"),
+    ({"inputs": ["e", "t"], "output": [{"label": "e", "coeff": 1}]},
+     "operations[1].entries[1].output[0].coeff", "coefficient must be a 'p/q' string, got 1"),
+    ({"inputs": ["e", "t"], "output": [{"label": "e"}]},
+     "operations[1].entries[1].output[0]", "missing field 'coeff'"),
+    ({"output": []}, "operations[1].entries[1]", "missing field 'inputs'"),
+    ({"inputs": ["e", "t"]}, "operations[1].entries[1]", "missing field 'output'"),
+    ("e", "operations[1].entries[1]", "expected an object"),
+])
+def test_parse_pins_the_path_of_every_entry_error(entry, path, message):
+    # the second entry of the second operation, so both indices show
+    raw = minimal_doc(
+        space={"basis": [{"label": "e", "degree": 0}, {"label": "t", "degree": 0}]},
+        operations=[{"arity": 1, "entries": []},
+                    {"arity": 2, "entries": [FIRST_ENTRY, entry]}])
+    with pytest.raises(DocumentError) as err:
+        parse_document(raw)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_parse_rejects_duplicate_entry():
     raw = minimal_doc(operations=[{"arity": 1, "entries": [
         {"inputs": ["e"], "output": [{"label": "e", "coeff": "1"}]},
@@ -310,6 +348,24 @@ def test_cli_check_bypass_still_refuses_families_without_symmetry(tmp_path, caps
                  "--json"]) in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["checks"]) == doc.family.max_arity
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"operations": [{"arity": True, "entries": []}]}, "operations[0].arity"),
+    ({"max_arity": True}, "max_arity"),
+    ({"declared_type": {"name": "prelie_n", "n": True}}, "declared_type.n"),
+    ({"space": {"basis": [{"label": "e", "degree": False}]}}, "space.basis[0].degree"),
+])
+def test_cli_rejects_booleans_in_integer_fields(overrides, path, tmp_path, capsys):
+    # a JSON boolean is not an integer (docs/document-schema.json), though
+    # Python's bool is an int: true must not parse as 1
+    doc = tmp_path / "bool.json"
+    doc.write_text(minimal_doc(**overrides))
+    assert main(["check", str(doc), "--flavor", "assoc"]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc.read_text())
+    assert err.value.path == path
 
 
 def test_cli_max_arity_is_bounded(tmp_path, capsys):

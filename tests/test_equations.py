@@ -6,7 +6,7 @@ import pytest
 from conftest import (E11, E12, family_scale, family_sum, matrix_bracket,
                       prelie_residual_shuffle_form)
 from oracles import nary_residual_by_positions
-from hopla import equations
+from hopla import equations, permutations
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, check_nary, check_prelie_n_two_ways,
                              circle_bracket, circle_product, nary_residual,
@@ -234,15 +234,32 @@ def test_graded_jacobi_leibniz_form(flat2, rng):
 def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
     # The collapsed form makes at most two insertions per arity pair for
     # pre-Lie and exactly one for Lie; one insertion per position is a
-    # regression even when every value stays right.
+    # regression even when every value stays right.  The insertion terms go
+    # to the symmetrization kernel as one lazy stream, in one call, and no
+    # operation is symmetrized again afterwards.
     passes = Counter()
     real = equations.insertion_terms
+    real_kernel = equations.symmetrize_terms
+    real_precompose = permutations.precompose_symmetrized
 
     def counting(outer, inner, position, scale=1):
         passes[outer.arity, inner.arity] += 1
         return real(outer, inner, position, scale)
 
+    def counting_kernel(space, arity, degree, terms, denominator, variant, mode):
+        assert iter(terms) is terms, type(terms)   # a stream, not a table
+        passes["kernel"] += 1
+        return real_kernel(space, arity, degree, terms, denominator, variant, mode)
+
+    def counting_precompose(op, variant, mode):
+        passes["precompose"] += 1
+        return real_precompose(op, variant, mode)
+
     monkeypatch.setattr(equations, "insertion_terms", counting)
+    monkeypatch.setattr(equations, "symmetrize_terms", counting_kernel)
+    for module in (equations, permutations):
+        monkeypatch.setattr(module, "precompose_symmetrized", counting_precompose,
+                            raising=False)
     per_pair = {ASSOC: lambda i: i, PRELIE: lambda i: min(i, 2), LIE: lambda i: 1}
     sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
     for kind, symmetrize in ((ASSOC, None), (PRELIE, "partial"), (LIE, "full")):
@@ -251,17 +268,21 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
         for n in range(1, 8):
             passes.clear()
             residual(fam, EquationFlavor(kind, UNHAT), n)
-            assert passes == {(i, n + 1 - i): per_pair[kind](i)
-                              for i in fam.ops if n + 1 - i in fam.ops}, (kind, n)
+            expected = Counter({(i, n + 1 - i): per_pair[kind](i)
+                                for i in fam.ops if n + 1 - i in fam.ops})
+            expected["kernel"] = kind != ASSOC
+            assert passes == expected, (kind, n)
     nary = {PARTIALLY_ASSOCIATIVE: (None, lambda n: n), PRELIE: (MODE_PARTIAL, lambda n: 2),
             LIE: (MODE_FULL, lambda n: 1)}
     for n, (kind, (mode, count)) in itertools.product((2, 3, 4), nary.items()):
         mu = random_operation(rng, flat2, n, 0, density=0.8)
+        if mode:
+            mu = real_precompose(mu, RHO2, mode)
         passes.clear()
-        nary_residual(precompose_symmetrized(mu, RHO2, mode) if mode else mu, kind)
-        assert passes == {(n, n): count(n)}, (kind, n)
-    f, g = (precompose_symmetrized(random_operation(rng, flat2, a, 0, density=0.8),
-                                   RHO2, MODE_PARTIAL) for a in (3, 2))
+        nary_residual(mu, kind)
+        assert passes == Counter({(n, n): count(n), "kernel": mode is not None}), (kind, n)
+    f, g = (real_precompose(random_operation(rng, flat2, a, 0, density=0.8), RHO2, MODE_PARTIAL)
+            for a in (3, 2))
     passes.clear()
     circle_product(f, g)
-    assert passes == {(3, 2): 2}
+    assert passes == {(3, 2): 2, "kernel": 1}

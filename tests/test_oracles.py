@@ -1,7 +1,7 @@
-"""The orbit symmetrization kernel, the sparse circle product, the
-collapsed residuals, the unshuffle coderivation components and the
-coderivation law's weight-1 check against the slow reference
-implementations in `oracles.py`."""
+"""The orbit symmetrization kernel, on operations and on term streams, the
+sparse circle product, the collapsed residuals, the unshuffle coderivation
+components and the coderivation law's weight-1 check against the slow
+reference implementations in `oracles.py`."""
 
 import itertools
 import random
@@ -22,7 +22,7 @@ from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, Equation
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                action_variant, precompose_symmetrized)
+                                action_variant, precompose_symmetrized, symmetrize_terms)
 from hopla.errors import ArityError
 from hopla.verify import random_operation
 
@@ -69,6 +69,56 @@ def test_orbit_kernel_matches_loop_oracle_on_rational_tables(pattern):
     # a one-letter table has one coefficient per arity, so only one of the
     # two large denominators
     assert rational >= 12 and (large >= 3 or sp.dim == 1), (rational, large)
+
+
+def _term_stream(rng, sp, arity, table, den):
+    """(word, output letter, integer numerator) terms over den that sum to
+    table.  Each coefficient is split in three: two terms in one early run
+    and one in a late run that comes in reverse order, so a word's terms
+    arrive in runs that are not consecutive.  Words absent from the table
+    get a term early and its negation late, so they cancel to zero.
+    Returns the terms and the number of cancelling words."""
+    early, late = [], []
+    for word, combo in table.items():
+        for letter, c in combo:
+            total = c * den
+            assert total.denominator == 1
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            early += [(word, letter, a), (word, letter, b)]
+            late.append((word, letter, total.numerator - a - b))
+    absent = [w for w in itertools.product(range(sp.dim), repeat=arity) if w not in table]
+    cancelling = rng.sample(absent, min(3, len(absent)))
+    for word in cancelling:
+        k, letter = rng.randint(1, 5), rng.randrange(sp.dim)
+        early.append((word, letter, k))
+        late.append((word, letter, -k))
+    return early + late[::-1], len(cancelling)
+
+
+@pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
+def test_stream_kernel_matches_loop_oracle_on_the_summed_table(pattern):
+    # the kernel takes the terms in any order over a common denominator
+    # that need not be the table's own
+    rng = random.Random(f"stream-kernel-{pattern}")
+    sp = pattern_space(pattern)
+    split = cancelled = nonzero = 0
+    for arity, density in itertools.product((1, 2, 3, 4), (0.4, 0.8)):
+        table = random_table(rng, sp, arity, density, RATIONAL_COEFFICIENTS)
+        op = Operation(sp, arity, 0, table)
+        den = 2 * _denominator(op)
+        terms, cancelling = _term_stream(rng, sp, arity, op.table, den)
+        split += len(op.table) > 1
+        cancelled += cancelling
+        for mode, variant in itertools.product((MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE),
+                                               (RHO1, RHO2)):
+            fast = symmetrize_terms(sp, arity, 0, iter(terms), den, variant, mode)
+            assert fast == precompose_symmetrized_by_loop(op, variant, mode), \
+                (pattern, arity, density, mode, variant)
+            assert fast.degree == 0
+            nonzero += not fast.is_zero()
+    # a one-letter space has one word per arity: nothing to interleave or cancel
+    assert nonzero >= 12, nonzero
+    assert sp.dim == 1 or split >= 4 and cancelled >= 12, (split, cancelled)
 
 
 def test_compose_insert_matches_fraction_definition():
