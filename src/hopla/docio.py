@@ -19,9 +19,13 @@ structure constants of a family of operations.  Coefficients travel as
       ]
     }
 
-`serialize_document` writes entries in a canonical sorted order, so
-parse o serialize is the identity on canonicalized documents and derived
-documents diff cleanly.
+`serialize_document` writes one fixed layout: the fields in the order
+format, space, convention, max_arity, operations, declared_type; entries
+sorted by input word and output terms by basis index; a two-space indent,
+byte for byte what `json.dumps(indent=2)` gives, with strings ASCII-escaped.
+So parse o serialize is the identity on canonicalized documents and derived
+documents diff cleanly.  The layout is written directly and only the
+strings go through `json.dumps`, whose C encoder serves no `indent`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ _RATIONAL = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 def parse_rational(text, path: str = "") -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"coefficient must be a 'p/q' string, got {text!r}", path)
+    # plain integers, every coefficient `generate` writes, skip the regex;
+    # isdecimal() is the class \d matches (Unicode Nd), so nothing new parses
+    if text.isdecimal() or text[:1] == "-" and text[1:].isdecimal():
+        try:
+            return Fraction(int(text))
+        except ValueError as exc:  # more digits than int() converts
+            raise DocumentError(f"malformed rational: {exc}", path) from None
     m = _RATIONAL.match(text.strip())
     if not m:
         raise DocumentError(f"malformed rational {text!r}", path)
@@ -226,31 +237,43 @@ def parse_document(text) -> AlgebraDocument:
     return AlgebraDocument(family, declared_type)
 
 
+def _block(items, depth: int) -> str:
+    """A JSON list of already-encoded items whose items sit `depth` indents
+    deep, laid out as json.dumps(indent=2) lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def serialize_document(doc: AlgebraDocument) -> str:
     sp = doc.space
-    operations = []
-    for arity in doc.family.arities():
-        op = doc.family.ops[arity]
-        entries = []
-        for word in sorted(op.table):
-            combo = op.table[word]
-            output = [{"label": sp.labels[out], "coeff": format_rational(c)}
-                      for out, c in sorted(combo, key=lambda t: t[0])]
-            entries.append({"inputs": [sp.labels[i] for i in word], "output": output})
-        operations.append({"arity": arity, "entries": entries})
-    raw = {
-        "format": FORMAT,
-        "space": {"basis": [{"label": l, "degree": d}
-                            for l, d in zip(sp.labels, sp.degrees)]},
-        "convention": doc.convention,
-        "max_arity": doc.family.max_arity,
-        "operations": operations,
-    }
-    if doc.declared_type is not None:
-        name, n = doc.declared_type
-        raw["declared_type"] = {"name": name} if n is None else {"name": name, "n": n}
     try:
-        return json.dumps(raw, indent=2) + "\n"
+        labels = [json.dumps(label) for label in sp.labels]
+        basis = [f'{{\n        "label": {label},\n        "degree": {degree}\n      }}'
+                 for label, degree in zip(labels, sp.degrees)]
+        operations = []
+        for arity in doc.family.arities():
+            table = doc.family.ops[arity].table
+            entries = []
+            for word in sorted(table):
+                output = [f'{{\n              "label": {labels[out]},\n'
+                          f'              "coeff": "{format_rational(c)}"\n            }}'
+                          for out, c in sorted(table[word].terms.items())]
+                entries.append(
+                    f'{{\n          "inputs": {_block([labels[i] for i in word], 6)},\n'
+                    f'          "output": {_block(output, 6)}\n        }}')
+            operations.append(f'{{\n      "arity": {arity},\n'
+                              f'      "entries": {_block(entries, 4)}\n    }}')
+        declared = ""
+        if doc.declared_type is not None:
+            name, n = doc.declared_type
+            n_field = "" if n is None else f',\n    "n": {n}'
+            declared = f',\n  "declared_type": {{\n    "name": {json.dumps(name)}{n_field}\n  }}'
+        return (f'{{\n  "format": {json.dumps(FORMAT)},\n'
+                f'  "space": {{\n    "basis": {_block(basis, 3)}\n  }},\n'
+                f'  "convention": {json.dumps(doc.convention)},\n'
+                f'  "max_arity": {doc.family.max_arity},\n'
+                f'  "operations": {_block(operations, 2)}{declared}\n}}\n')
     except ValueError as exc:  # an integer with more digits than str() converts
         raise DocumentError(f"cannot serialize: {exc}") from None
-

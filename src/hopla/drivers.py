@@ -38,6 +38,13 @@ EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_in
 # 1,364 words and 5,008 blocks.
 MAX_CODERIVE_WORK = 20_000
 
+# `generate` walks every word over the source letters at every arity and
+# draws for each.  It refuses a request for more words than this before it
+# builds anything; at sparsity 1 the walk takes about 0.45 s at the limit
+# (Intel Xeon, Python 3.11.7).  Apart from the test of this limit, the
+# largest call in the tests and the README walks 780 words.
+MAX_GENERATE_WORDS = 100_000
+
 
 @dataclass
 class CheckResult:
@@ -325,10 +332,18 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     arities = sorted(set(arities))
     if not arities or any(a < 1 for a in arities):
         raise DocumentError("arities must be positive")
+    if arities[-1] > MAX_ARITY:
+        raise DocumentError(f"arity {arities[-1]} is above the limit {MAX_ARITY}")
+    if not 0 <= sparsity <= 1:  # NaN fails both comparisons
+        raise DocumentError(f"sparsity must lie in [0, 1], got {sparsity}")
+    sink_count = max(1, dim // 2) if nilpotent else 0
+    if sum((dim - sink_count) ** arity for arity in arities) > MAX_GENERATE_WORDS:
+        # the count itself may have more digits than str() converts
+        raise DocumentError(f"generating would walk more than {MAX_GENERATE_WORDS:,} words "
+                            f"({dim - sink_count} source letters, arities up to {arities[-1]})")
     rng = random.Random(seed)
 
     labels = tuple(f"x{i}" for i in range(dim))
-    sink_count = max(1, dim // 2) if nilpotent else 0
     sources = range(dim - sink_count) if nilpotent else range(dim)
     sinks = range(dim - sink_count, dim) if nilpotent else range(dim)
 

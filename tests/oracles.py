@@ -24,16 +24,25 @@ only so that tests can compare the fast path against it:
   every input word, as its definition reads;
 * `coderivation_law_by_coproducts` checks the whole coderivation law,
   Delta o D against (D (x) Id + Id (x) D) o Delta with every coproduct
-  term, on every canonical word up to the cap.
+  term, on every canonical word up to the cap;
+* `serialize_document_by_json_dumps` builds the document as nested dicts
+  and lists and writes it with `json.dumps(indent=2)`, the layout
+  `docio.serialize_document` writes directly;
+* `parse_rational_by_regex` parses every coefficient with the regex, with
+  no plain-integer fast path.
 """
 
 import itertools
+import json
+import re
 from fractions import Fraction
 from math import factorial
 
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, perm_words,
                              tensor_words, wedge_normalize, wedge_words)
+from hopla.docio import FORMAT, format_rational
 from hopla.equations import LIE, PRELIE
+from hopla.errors import DocumentError
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
                           linear_sum, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
@@ -310,3 +319,52 @@ def _coderivation_rhs(D, word, odd):
             c = -c
         for w, cc in D.apply_word(right):
             yield (left, w), c * cc
+
+
+def serialize_document_by_json_dumps(doc):
+    """The document as nested dicts and lists, written by json.dumps(indent=2)."""
+    sp = doc.space
+    operations = []
+    for arity in doc.family.arities():
+        op = doc.family.ops[arity]
+        entries = []
+        for word in sorted(op.table):
+            combo = op.table[word]
+            output = [{"label": sp.labels[out], "coeff": format_rational(c)}
+                      for out, c in sorted(combo, key=lambda t: t[0])]
+            entries.append({"inputs": [sp.labels[i] for i in word], "output": output})
+        operations.append({"arity": arity, "entries": entries})
+    raw = {
+        "format": FORMAT,
+        "space": {"basis": [{"label": l, "degree": d}
+                            for l, d in zip(sp.labels, sp.degrees)]},
+        "convention": doc.convention,
+        "max_arity": doc.family.max_arity,
+        "operations": operations,
+    }
+    if doc.declared_type is not None:
+        name, n = doc.declared_type
+        raw["declared_type"] = {"name": name} if n is None else {"name": name, "n": n}
+    try:
+        return json.dumps(raw, indent=2) + "\n"
+    except ValueError as exc:  # an integer with more digits than str() converts
+        raise DocumentError(f"cannot serialize: {exc}") from None
+
+
+RATIONAL = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+
+def parse_rational_by_regex(text, path=""):
+    if not isinstance(text, str):
+        raise DocumentError(f"coefficient must be a 'p/q' string, got {text!r}", path)
+    m = RATIONAL.match(text.strip())
+    if not m:
+        raise DocumentError(f"malformed rational {text!r}", path)
+    try:
+        p = int(m.group(1))
+        q = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise DocumentError(f"malformed rational: {exc}", path) from None
+    if q == 0:
+        raise DocumentError(f"malformed rational {text!r}: zero denominator", path)
+    return Fraction(p, q)

@@ -12,7 +12,8 @@ from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import TENSOR, word_count
-from hopla.drivers import MAX_CODERIVE_WORK, generate_random, run_check, run_derive
+from hopla.drivers import (MAX_CODERIVE_WORK, MAX_GENERATE_WORDS, generate_random, run_check,
+                           run_derive)
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, OperationFamily
@@ -257,6 +258,20 @@ def test_cli_unreadable_document_is_input_error(tmp_path, capsys, content):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", [TOO_LONG, "-" + TOO_LONG], ids=["positive", "negative"])
+def test_plain_integer_coefficient_too_long_is_located(tmp_path, capsys, coeff):
+    text = minimal_doc(operations=[{"arity": 1, "entries": [
+        {"inputs": ["e"], "output": [{"label": "e", "coeff": coeff}]}]}])
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.path == "operations[0].entries[0].output[0].coeff"
+    assert err.value.message.startswith("malformed rational: ")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--flavor", "assoc"]) == 2
+    assert "input error: operations[0].entries[0].output[0].coeff" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--dim", "2", "--seed", "1"],
     ["derive", GOOD, "--functor", "nary-embed"],
@@ -272,6 +287,35 @@ def test_cli_output_into_missing_directory_is_input_error(tmp_path, capsys, argv
 def test_cli_generate_rejects_non_integer_lists(flag, capsys):
     assert main(["generate", "--dim", "2", "--seed", "1", flag, "a"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dim", "1", "--arities", str(MAX_ARITY + 1)], f"above the limit {MAX_ARITY}"),
+    (["--dim", "2", "--arities", str(MAX_ARITY)], f"more than {MAX_GENERATE_WORDS:,} words"),
+    (["--dim", "11", "--arities", "2,5"], f"more than {MAX_GENERATE_WORDS:,} words"),
+    (["--dim", "10" + "0" * 4000, "--arities", "2"], f"more than {MAX_GENERATE_WORDS:,} words"),
+    (["--dim", "2", "--sparsity", "nan"], "sparsity must lie in [0, 1], got nan"),
+    (["--dim", "2", "--sparsity=-0.5"], "sparsity must lie in [0, 1], got -0.5"),
+    (["--dim", "2", "--sparsity", "1.5"], "sparsity must lie in [0, 1], got 1.5"),
+], ids=["arity", "words-at-arity-32", "words", "huge-dim", "nan", "negative", "above-one"])
+def test_cli_generate_refuses_unbounded_or_meaningless_requests(tmp_path, capsys, argv,
+                                                                message):
+    out = tmp_path / "gen.json"
+    start = time.monotonic()
+    assert main(["generate", "--seed", "1", "-o", str(out)] + argv) == 2
+    assert time.monotonic() - start < 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_word_limit_is_inclusive():
+    # 10^5 words at arity 5 is exactly the limit; nilpotent counts only the
+    # source half of the basis
+    assert 10 ** 5 == MAX_GENERATE_WORDS
+    generate_random(10, [0], [5], 0.0, seed=1)
+    generate_random(20, [0], [5], 0.0, seed=1, nilpotent=True)
+    with pytest.raises(DocumentError, match="more than"):
+        generate_random(11, [0], [5], 0.0, seed=1)
 
 
 @pytest.mark.parametrize("n", ["3", "1", "0", "-1"])

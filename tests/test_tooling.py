@@ -194,3 +194,17 @@ def test_coderivation_law_goes_through_one_coproduct_generator():
                           else [node.attr] if isinstance(node, ast.Attribute) else [])
              if name in gone]
     assert found == []
+
+
+def test_document_writer_stays_off_the_pure_python_encoder():
+    # CPython serves json's `indent` only from its pure-Python encoder, so
+    # docio writes the indented layout itself and json encodes only strings
+    tree = ast.parse((SRC / "docio.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+             and node.func.attr in ("dump", "dumps")]
+    assert calls
+    found = [f"docio.py:{node.lineno}" for node in calls
+             if any(kw.arg in ("indent", None) for kw in node.keywords)]
+    assert found == []
