@@ -31,7 +31,6 @@ strings go through `json.dumps`, whose C encoder serves no `indent`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,25 +50,18 @@ MAX_ARITY = 32
 DECLARED_TYPES = ("a_infinity", "pl_infinity", "l_infinity",
                   "assoc_n", "prelie_n", "lie_n")
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
-
-
 def parse_rational(text, path: str = "") -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"coefficient must be a 'p/q' string, got {text!r}", path)
-    # plain integers, every coefficient `generate` writes, skip the regex;
-    # isdecimal() is the class \d matches (Unicode Nd), so nothing new parses
-    if text.isdecimal() or text[:1] == "-" and text[1:].isdecimal():
-        try:
-            return Fraction(int(text))
-        except ValueError as exc:  # more digits than int() converts
-            raise DocumentError(f"malformed rational: {exc}", path) from None
-    m = _RATIONAL.match(text.strip())
-    if not m:
+    # "p" or "p/q", each an optional '-' and decimal digits (Unicode Nd)
+    p, slash, q = text.strip().partition("/")
+    if not (p.removeprefix("-").isdecimal()
+            and (not slash or q.removeprefix("-").isdecimal())):
         raise DocumentError(f"malformed rational {text!r}", path)
     try:
-        p = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) is not None else 1
+        if not slash:
+            return Fraction(int(p))
+        p, q = int(p), int(q)
     except ValueError as exc:  # more digits than int() converts
         raise DocumentError(f"malformed rational: {exc}", path) from None
     if q == 0:
@@ -136,7 +128,7 @@ def parse_document(text) -> AlgebraDocument:
     basis = _expect(_expect(raw, "space", ""), "basis", "space")
     if not isinstance(basis, list) or not basis:
         raise DocumentError("basis must be a non-empty list", "space.basis")
-    labels, degrees = [], []
+    degree_of = {}  # label -> degree, in basis order
     for idx, entry in enumerate(basis):
         path = f"space.basis[{idx}]"
         label = _expect(entry, "label", path)
@@ -144,11 +136,10 @@ def parse_document(text) -> AlgebraDocument:
         if not isinstance(label, str):
             raise DocumentError("label must be a string", path + ".label")
         _integer(degree, path + ".degree", "degree must be an integer")
-        if label in labels:
+        if label in degree_of:
             raise DocumentError(f"duplicate basis label {label!r}", path + ".label")
-        labels.append(label)
-        degrees.append(degree)
-    sp = GradedSpace(tuple(labels), tuple(degrees))
+        degree_of[label] = degree
+    sp = GradedSpace(tuple(degree_of), tuple(degree_of.values()))
     positions = sp.positions
 
     convention = _expect(raw, "convention", "")
@@ -237,43 +228,47 @@ def parse_document(text) -> AlgebraDocument:
     return AlgebraDocument(family, declared_type)
 
 
+def _newline(depth: int) -> str:
+    """A line break and `depth` two-space indents, as json.dumps(indent=2)
+    starts each item `depth` levels deep."""
+    return "\n" + "  " * depth
+
+
 def _block(items, depth: int) -> str:
-    """A JSON list of already-encoded items whose items sit `depth` indents
-    deep, laid out as json.dumps(indent=2) lays it out."""
+    """A JSON list of already-encoded items that sit `depth` levels deep."""
     if not items:
         return "[]"
-    pad = "\n" + "  " * depth
+    pad = _newline(depth)
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
 def serialize_document(doc: AlgebraDocument) -> str:
+    # objects are written inline, one field per line at nK, K levels deep
+    n1, n2, n3, n4, n5, n6, n7 = map(_newline, range(1, 8))
     sp = doc.space
     try:
         labels = [json.dumps(label) for label in sp.labels]
-        basis = [f'{{\n        "label": {label},\n        "degree": {degree}\n      }}'
+        basis = [f'{{{n4}"label": {label},{n4}"degree": {degree}{n3}}}'
                  for label, degree in zip(labels, sp.degrees)]
         operations = []
         for arity in doc.family.arities():
             table = doc.family.ops[arity].table
             entries = []
             for word in sorted(table):
-                output = [f'{{\n              "label": {labels[out]},\n'
-                          f'              "coeff": "{format_rational(c)}"\n            }}'
-                          for out, c in sorted(table[word].terms.items())]
-                entries.append(
-                    f'{{\n          "inputs": {_block([labels[i] for i in word], 6)},\n'
-                    f'          "output": {_block(output, 6)}\n        }}')
-            operations.append(f'{{\n      "arity": {arity},\n'
-                              f'      "entries": {_block(entries, 4)}\n    }}')
+                output = [f'{{{n7}"label": {labels[out]},{n7}"coeff": "{format_rational(c)}"{n6}}}'
+                          for out, c in sorted(table[word])]
+                entries.append(f'{{{n5}"inputs": {_block([labels[i] for i in word], 6)},'
+                               f'{n5}"output": {_block(output, 6)}{n4}}}')
+            operations.append(f'{{{n3}"arity": {arity},{n3}"entries": {_block(entries, 4)}{n2}}}')
         declared = ""
         if doc.declared_type is not None:
             name, n = doc.declared_type
-            n_field = "" if n is None else f',\n    "n": {n}'
-            declared = f',\n  "declared_type": {{\n    "name": {json.dumps(name)}{n_field}\n  }}'
-        return (f'{{\n  "format": {json.dumps(FORMAT)},\n'
-                f'  "space": {{\n    "basis": {_block(basis, 3)}\n  }},\n'
-                f'  "convention": {json.dumps(doc.convention)},\n'
-                f'  "max_arity": {doc.family.max_arity},\n'
-                f'  "operations": {_block(operations, 2)}{declared}\n}}\n')
+            n_field = "" if n is None else f',{n2}"n": {n}'
+            declared = f',{n1}"declared_type": {{{n2}"name": {json.dumps(name)}{n_field}{n1}}}'
+        return (f'{{{n1}"format": {json.dumps(FORMAT)},'
+                f'{n1}"space": {{{n2}"basis": {_block(basis, 3)}{n1}}},'
+                f'{n1}"convention": {json.dumps(doc.convention)},'
+                f'{n1}"max_arity": {doc.family.max_arity},'
+                f'{n1}"operations": {_block(operations, 2)}{declared}\n}}\n')
     except ValueError as exc:  # an integer with more digits than str() converts
         raise DocumentError(f"cannot serialize: {exc}") from None

@@ -39,9 +39,11 @@ EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_in
 MAX_CODERIVE_WORK = 20_000
 
 # `generate` walks every word over the source letters at every arity and
-# draws for each.  It refuses a request for more words than this before it
-# builds anything; at sparsity 1 the walk takes about 0.45 s at the limit
-# (Intel Xeon, Python 3.11.7).  Apart from the test of this limit, the
+# draws for each, at O(arity) per word.  It refuses a request for more words
+# than this before it builds anything.  The slowest shape measured at the
+# limit, 316 letters of degrees 0 and 1 at arity 2 with sparsity 1 and full
+# symmetrization, takes about 2.3 s to generate and 0.7 s to serialize
+# (Intel Xeon, Python 3.11.7).  Apart from the tests of this limit, the
 # largest call in the tests and the README walks 780 words.
 MAX_GENERATE_WORDS = 100_000
 
@@ -348,10 +350,11 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     sinks = range(dim - sink_count, dim) if nilpotent else range(dim)
 
     # redraw the degree assignment (bounded, deterministic) until some input
-    # word can reach some output letter; otherwise every table stays empty
+    # word can reach some output letter; otherwise every table stays empty.
+    # With a single degree a redraw changes nothing.
     degree_list = [rng.choice(degrees) for _ in range(dim)]
-    for _ in range(20):
-        in_degrees = degree_list[:dim - sink_count] if nilpotent else degree_list
+    for _ in range(20 if len(set(degrees)) > 1 else 1):
+        in_degrees = set(degree_list[:dim - sink_count] if nilpotent else degree_list)
         out_degrees = set(degree_list[dim - sink_count:] if nilpotent else degree_list)
         achievable = set()
         for arity in arities:

@@ -239,12 +239,15 @@ def random_operation(rng: random.Random, space: GradedSpace, arity: int, degree:
     """
     sources = range(space.dim) if sources is None else sources
     sinks = range(space.dim) if sinks is None else sinks
+    # the sinks of each degree, in order, so a word costs O(arity)
+    sinks_of_degree = {}
+    for i in sinks:
+        sinks_of_degree.setdefault(space.degree(i), []).append(i)
     table = {}
     for word in itertools.product(sources, repeat=arity):
         if rng.random() >= density:
             continue
-        target = sum(space.degree(i) for i in word) + degree
-        outs = [i for i in sinks if space.degree(i) == target]
+        outs = sinks_of_degree.get(sum(space.degree(i) for i in word) + degree)
         if not outs:
             continue
         out = rng.choice(outs)

@@ -28,8 +28,8 @@ only so that tests can compare the fast path against it:
 * `serialize_document_by_json_dumps` builds the document as nested dicts
   and lists and writes it with `json.dumps(indent=2)`, the layout
   `docio.serialize_document` writes directly;
-* `parse_rational_by_regex` parses every coefficient with the regex, with
-  no plain-integer fast path.
+* `parse_rational_by_regex` parses every coefficient with a regex, where
+  `docio.parse_rational` splits at the slash and checks the digits.
 """
 
 import itertools

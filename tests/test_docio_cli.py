@@ -308,6 +308,18 @@ def test_cli_generate_refuses_unbounded_or_meaningless_requests(tmp_path, capsys
     assert not out.exists()
 
 
+def test_cli_generate_at_the_word_limit_costs_o_of_arity_per_word(tmp_path):
+    # one letter of degree 0 per word and no output letter of degree -1: each
+    # kept word used to scan all 100,000 sinks (about 5e9 lookups, hours), and
+    # reading the basis back compared each label with all earlier ones (2 min)
+    out = tmp_path / "gen.json"
+    start = time.monotonic()
+    assert main(["generate", "--seed", "1", "--dim", "100000", "--arities", "1",
+                 "-o", str(out)]) == 0
+    assert parse_document(out.read_text()).space.dim == 100_000
+    assert time.monotonic() - start < 5
+
+
 def test_generate_word_limit_is_inclusive():
     # 10^5 words at arity 5 is exactly the limit; nilpotent counts only the
     # source half of the basis

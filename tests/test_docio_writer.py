@@ -103,7 +103,7 @@ def _outcome(parse, text):
 
 @pytest.mark.parametrize("text", [
     "0", "-0", "-", "٣", "-٣", "²", "+3", "1_0", " 4 ", "4\n", "3/-6", "1/0", "",
-    "12", "-12", "7/2", 5,
+    "12", "-12", "7/2", " -7/-2\t", "1/2/3", "1/", "/2", "--3", "3 /4", "-/-", 5,
     pytest.param(TOO_LONG, id="long"),
     pytest.param("-" + TOO_LONG, id="long-negative"),
     pytest.param(TOO_LONG + "/7", id="long-numerator"),
