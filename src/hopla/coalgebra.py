@@ -241,7 +241,7 @@ class Coderivation:
     weight-l words; missing pairs are zero.  The degree is carried for the
     Koszul sign in the coderivation law (all coderivations built here have
     degree -1).  The components are read-only once built: each word's image
-    over all weights and each weight's squares are computed once and kept.
+    over all weights is computed once and kept.
     """
 
     kind: str
@@ -252,7 +252,6 @@ class Coderivation:
 
     def __post_init__(self):
         self._images = {}
-        self._squares = {}
 
     def component(self, k: int, l: int) -> Mapping:
         return self.components.get((k, l), {})
@@ -266,45 +265,10 @@ class Coderivation:
                 for term in self.components.get((k, l), {}).get(word, ()))
         return image
 
-    def apply_combination(self, combo: LinearCombination) -> LinearCombination:
-        return LinearCombination((w, cc * c) for word, c in combo
-                                 for w, cc in self.apply_word(word))
-
     def square_word(self, word) -> LinearCombination:
-        return self.apply_combination(self.apply_word(word))
-
-    def squares(self, k: int) -> tuple:
-        """D o D on the canonical weight-k words, each squared once.
-
-        Returns (cogenerator, first): the nonzero weight-1 parts of the
-        squares as {word: combination of letters}, and the first word in
-        `coalgebra_words` order with a nonzero square paired with that
-        square, or None.
-        """
-        found = self._squares.get(k)
-        if found is None:
-            cogenerator, first = {}, None
-            for word in coalgebra_words(self.kind, self.space, k):
-                image = self.square_word(word)
-                if image.is_zero():
-                    continue
-                if first is None:
-                    first = word, image
-                part = LinearCombination((w[1] if self.kind == PERM else w[0], c)
-                                         for w, c in image if word_weight(self.kind, w) == 1)
-                if part:
-                    cogenerator[word] = part
-            found = self._squares[k] = cogenerator, first
-        return found
-
-    def first_nonzero_square(self):
-        """(word, D(D(word))) for the first canonical word, by weight up to
-        the cap, whose square is nonzero; None when D o D vanishes there."""
-        for k in range(1, self.cap + 1):
-            first = self.squares(k)[1]
-            if first is not None:
-                return first
-        return None
+        """D(D(word)) over all weights."""
+        return LinearCombination((w, cc * c) for u, c in self.apply_word(word)
+                                 for w, cc in self.apply_word(u))
 
 
 def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderivation:
@@ -330,8 +294,10 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     the canonical word and its sign.  These sums equal the sums over all
     permutations of the word divided by each term's multiplicity because mu
     has the symmetry `require_symmetry` enforces here (full for wedge, in
-    the first a-1 slots for perm) and is homogeneous of degree -1, which is
-    checked here too (ConventionError otherwise).
+    the first a-1 slots for perm).  Every kind moves mu past letters with
+    the sign of a degree -1 map, so mu must be homogeneous of degree -1 for
+    the result to be a coderivation; that is checked here for every kind
+    (ConventionError otherwise).
 
     The (n, 1) component is exactly the arity-n operation.
     """
@@ -341,10 +307,10 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
         raise KindError(f"unknown coalgebra kind {kind!r}")
     if kind != TENSOR:
         require_symmetry(family.ops, RHO1, kind == WEDGE, f"the {kind} coderivation extension")
-        for n in family.arities():
-            if not check_homogeneous(family.ops[n]):
-                raise ConventionError(f"the {kind} coderivation extension requires homogeneous "
-                                      f"operations; the arity-{n} operation is not")
+    for n in family.arities():
+        if not check_homogeneous(family.ops[n]):
+            raise ConventionError(f"the {kind} coderivation extension requires homogeneous "
+                                  f"operations; the arity-{n} operation is not")
     sp = family.space
     components = {}
     for k in range(1, cap + 1):
@@ -493,13 +459,32 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     operation on tensor words through the canonical projection onto the
     coalgebra's weight-n words.
 
+    It is read from the components alone: on a canonical weight-n word w it
+    is the sum over l of D_(l,1)(D_(n,l)(w)), the (l, 1) component applied
+    to the weight-l part of D(w).  For a coderivation D of odd degree, D o D
+    vanishes up to the cap exactly when these components do for
+    n = 1 .. cap (docs/conventions.md, "Coderivation components").  A weight
+    outside 1 .. D.cap raises ArityError: D has no components beyond the
+    cap, so its square there is unknown, not zero.
+
     Each canonical word's part is written to the tensor words that project
     onto it: a tensor word to itself, a wedge word (or a Perm head, the tail
     fixed) to each distinct rearrangement w, with the Koszul sign chi that
     takes w back to the canonical word."""
+    if not 1 <= n <= D.cap:
+        raise ArityError(f"the square's cogenerator component needs a weight in "
+                         f"1..{D.cap}, got {n}")
+    steps = [(D.components[(n, l)], D.components[(l, 1)]) for l in range(1, n + 1)
+             if (n, l) in D.components and (l, 1) in D.components]
     odd = D.space.parities
     table = {}
-    for cw, part in D.squares(n)[0].items():
+    for cw in dict.fromkeys(word for image, _ in steps for word in image):
+        # a weight-1 word is (letter,), or ((), letter) for Perm
+        part = LinearCombination((v[-1], c * cc) for image, cogenerator in steps
+                                 for u, c in image.get(cw, ())
+                                 for v, cc in cogenerator.get(u, ()))
+        if not part:
+            continue
         if D.kind == TENSOR:
             table[cw] = part
             continue

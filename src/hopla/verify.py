@@ -138,8 +138,9 @@ def section_witness(space: GradedSpace, cap: int):
 def coderivation_correspondence_witness(unhat_family: OperationFamily, n_max: int, cap: int):
     """For a partially symmetric unhat family: the hat pre-Lie residual is
     minus the suspended unhat pre-Lie residual, it equals the cogenerator
-    component of the squared coderivation, and square-zero up to the cap is
-    equivalent to all residuals vanishing."""
+    component of the squared coderivation, and the whole square D(D(w)),
+    taken on every canonical word w up to the cap, vanishes exactly when
+    all residuals up to the cap do."""
     hat = suspend_family(unhat_family)
     D = extend_coderivation(hat, PERM, cap)
     all_vanish = True
@@ -153,7 +154,9 @@ def coderivation_correspondence_witness(unhat_family: OperationFamily, n_max: in
                 return (n, "squared-coderivation component differs from the residual")
             if not hat_res.is_zero():
                 all_vanish = False
-    if (D.first_nonzero_square() is None) != all_vanish:
+    square_zero = all(D.square_word(w).is_zero() for k in range(1, cap + 1)
+                      for w in coalgebra_words(PERM, D.space, k))
+    if square_zero != all_vanish:
         return (0, "square-zero disagrees with residual vanishing")
     return None
 

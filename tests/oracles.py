@@ -25,6 +25,9 @@ only so that tests can compare the fast path against it:
 * `coderivation_law_by_coproducts` checks the whole coderivation law,
   Delta o D against (D (x) Id + Id (x) D) o Delta with every coproduct
   term, on every canonical word up to the cap;
+* `first_nonzero_square` squares every canonical word up to the cap whole,
+  where `coalgebra.square_cogenerator_component` applies only the (l, 1)
+  components to D(w), and `coderive` derives square-zero from those;
 * `serialize_document_by_json_dumps` builds the document as nested dicts
   and lists and writes it with `json.dumps(indent=2)`, the layout
   `docio.serialize_document` writes directly;
@@ -302,6 +305,18 @@ def coderivation_law_by_coproducts(D, cap=None):
             if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
                 return False
     return True
+
+
+def first_nonzero_square(D):
+    """(word, D(D(word))) for the first canonical word, by weight up to the
+    cap and in `coalgebra_words` order, whose whole square is nonzero; None
+    when D o D vanishes there."""
+    for k in range(1, D.cap + 1):
+        for word in coalgebra_words(D.kind, D.space, k):
+            image = D.square_word(word)
+            if not image.is_zero():
+                return word, image
+    return None
 
 
 def cofree_word_degree(space, kind, word):

@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import perm_square_two_sum_form, square_component, with_entry
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
-                             coalgebra_map, coalgebra_words, comultiply,
-                             extend_coderivation, perm_words, project_pi,
+from oracles import first_nonzero_square
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, block_count,
+                             check_coderivation, coalgebra_map, coalgebra_words,
+                             comultiply, extend_coderivation, perm_words, project_pi,
                              square_cogenerator_component, wedge_normalize,
                              wedge_words, word_count)
 from hopla.equations import ASSOC, PRELIE, EquationFlavor, residual
-from hopla.errors import ConventionError, KindError, SymmetryError
+from hopla.errors import ArityError, ConventionError, KindError, SymmetryError
 from hopla.functors import suspend_family
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily)
@@ -155,15 +156,26 @@ def test_extend_requires_symmetry(kt2):
 
 
 def test_extend_requires_homogeneity():
-    # mu(u, u) = u has output degree 0 on inputs of degree 0, not degree -1;
-    # the wedge and Perm unshuffle sums rely on the degree
+    # mu(u, u) = u has output degree 0 on inputs of degree 0, not degree -1,
+    # and so has d(x) = y; every kind moves an operation past letters with
+    # the sign of a degree -1 map
     sp = GradedSpace(("u", "v"), (0, 1))
     mu = Operation(sp, 2, -1, {(0, 0): LinearCombination({0: 1})})
-    fam = OperationFamily(HAT, sp, 3, {2: mu})
-    for kind in (WEDGE, PERM):
-        with pytest.raises(ConventionError, match="arity-2 operation"):
-            extend_coderivation(fam, kind, 3)
-    assert extend_coderivation(fam, TENSOR, 3).component(2, 1)
+    even = GradedSpace(("x", "y"), (0, 0))
+    d = Operation(even, 1, -1, {(0,): LinearCombination({1: 1})})
+    for fam, arity in ((OperationFamily(HAT, sp, 3, {2: mu}), 2),
+                       (OperationFamily(HAT, even, 2, {1: d}), 1)):
+        for kind in (TENSOR, WEDGE, PERM):
+            with pytest.raises(ConventionError, match=f"arity-{arity} operation"):
+                extend_coderivation(fam, kind, 3)
+    # why tensor needs it too: the tensor sum for d obeys the coderivation
+    # law, but it has degree 0 on every word, so it is even and D o D is no
+    # coderivation: D(D(xx)) = 2 yy while every cogenerator component of
+    # D o D vanishes, and the derived square-zero line would pass wrongly
+    D = Coderivation(TENSOR, even, 2, -1, {(k, k): _component(d, TENSOR, k, k) for k in (1, 2)})
+    assert check_coderivation(D, 2)
+    assert all(square_cogenerator_component(D, n).table == {} for n in (1, 2))
+    assert first_nonzero_square(D) == ((0, 0), LinearCombination({(1, 1): 2}))
 
 
 def test_differential_extension_on_tensor_words():
@@ -274,9 +286,23 @@ def test_square_zero_for_square_zero_differential():
     fam = OperationFamily(HAT, sp, 4, {1: d})
     for kind in (TENSOR, WEDGE, PERM):
         D = extend_coderivation(fam, kind, 4)
-        assert D.first_nonzero_square() is None
+        assert first_nonzero_square(D) is None
         for n in range(1, 5):
             assert square_cogenerator_component(D, n).is_zero()
+
+
+def test_square_cogenerator_component_refuses_weights_outside_the_cap(flat2, rng):
+    # beyond the cap D has no components, so its square there is unknown,
+    # not zero: at cap 2 weight 3 read as the zero operation
+    fam = random_unhat_family(rng, flat2, (1, 2), symmetrize="partial")
+    hat = suspend_family(fam)
+    D = extend_coderivation(hat, PERM, 3)
+    assert not square_cogenerator_component(D, 3).is_zero()
+    truncated = extend_coderivation(hat, PERM, 2)
+    for n in (0, -1, 3, 33):
+        with pytest.raises(ArityError, match=r"weight in 1\.\.2"):
+            square_cogenerator_component(truncated, n)
+    assert square_cogenerator_component(truncated, 2) == square_cogenerator_component(D, 2)
 
 
 def test_tensor_square_of_dga_family_vanishes(dga):
@@ -284,7 +310,7 @@ def test_tensor_square_of_dga_family_vanishes(dga):
     D = extend_coderivation(hat, TENSOR, 4)
     for n in range(1, 5):
         assert square_cogenerator_component(D, n).is_zero()
-    assert D.first_nonzero_square() is None
+    assert first_nonzero_square(D) is None
 
 
 def test_tensor_square_equals_assoc_residual(graded2, rng):
@@ -332,14 +358,14 @@ def test_square_zero_iff_residuals_vanish(graded2, rng):
     residuals_vanish = all(
         residual(hat, EquationFlavor(PRELIE, HAT), n, check_symmetry=False).vanishes()
         for n in range(1, 5))
-    assert (D.first_nonzero_square() is None) == residuals_vanish
+    assert (first_nonzero_square(D) is None) == residuals_vanish
 
     from hopla.drivers import generate_random
     doc = generate_random(3, [0, 1], [2, 3], 0.7, seed=5, symmetrize="partial",
                           nilpotent=True)
     hat2 = suspend_family(doc.family)
     D2 = extend_coderivation(hat2, PERM, 4)
-    assert D2.first_nonzero_square() is None
+    assert first_nonzero_square(D2) is None
 
 
 def test_kind_errors(graded2):

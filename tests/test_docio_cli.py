@@ -547,13 +547,18 @@ def test_cli_coderive(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--no-precondition-check"]])
 def test_cli_coderive_rejects_inhomogeneous_operations(tmp_path, capsys, extra):
-    path = tmp_path / "inhomogeneous.json"
-    path.write_text(minimal_doc(
-        space={"basis": [{"label": "u", "degree": 0}, {"label": "v", "degree": 1}]},
-        convention="hat", operations=[{"arity": 2, "entries": [
-            {"inputs": ["u", "u"], "output": [{"label": "u", "coeff": "1"}]}]}]))
-    assert main(["coderive", str(path), "--kind", "wedge"] + extra) == 2
-    assert "requires homogeneous operations" in capsys.readouterr().err
+    # the second document, x -> y between degree-0 letters, obeys the tensor
+    # coderivation law but is even, so its square-zero verdict would be wrong
+    docs = [([("u", 0), ("v", 1)], 2, ["u", "u"], "u"), ([("x", 0), ("y", 0)], 1, ["x"], "y")]
+    for n, (basis, arity, inputs, output) in enumerate(docs):
+        path = tmp_path / f"inhomogeneous{n}.json"
+        path.write_text(minimal_doc(
+            space={"basis": [{"label": label, "degree": d} for label, d in basis]},
+            convention="hat", operations=[{"arity": arity, "entries": [
+                {"inputs": inputs, "output": [{"label": output, "coeff": "1"}]}]}]))
+        for kind in ("tensor", "wedge", "perm"):
+            assert main(["coderive", str(path), "--kind", kind, "--weight-cap", "2"] + extra) == 2
+            assert "requires homogeneous operations" in capsys.readouterr().err
 
 
 def test_cli_selftest_fast(capsys):

@@ -3,6 +3,7 @@ sparse circle product, the collapsed residuals, the unshuffle coderivation
 components and the coderivation law's weight-1 check against the slow
 reference implementations in `oracles.py`."""
 
+import collections
 import itertools
 import random
 from math import lcm
@@ -12,8 +13,9 @@ import pytest
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, pattern_space, random_table,
                       square_component, with_entry)
 from oracles import (circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
-                     component_loop, compose_insert_by_evaluation, nary_residual_by_positions,
-                     precompose_symmetrized_by_loop, residual_by_positions)
+                     component_loop, compose_insert_by_evaluation, first_nonzero_square,
+                     nary_residual_by_positions, precompose_symmetrized_by_loop,
+                     residual_by_positions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, extend_coderivation,
                              square_cogenerator_component, tensor_words, wedge_normalize)
@@ -23,6 +25,8 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 action_variant, precompose_symmetrized, symmetrize_terms)
+from hopla.docio import AlgebraDocument
+from hopla.drivers import run_coderive
 from hopla.errors import ArityError
 from hopla.verify import random_operation
 
@@ -382,11 +386,56 @@ def test_one_pass_square_matches_per_tensor_word_route(kind):
                 comp = square_cogenerator_component(D, n)
                 assert comp == _cogenerator_by_tensor_word(fresh, n), (degrees, arities, n)
                 failing += not comp.is_zero()
-            first = next(((w, fresh.square_word(w)) for k in range(1, cap + 1)
-                          for w in coalgebra_words(kind, sp, k)
-                          if not fresh.square_word(w).is_zero()), None)
-            assert D.first_nonzero_square() == first
+            # the cogenerator components vanish exactly when the whole square does
+            assert all(square_cogenerator_component(D, n).is_zero()
+                       for n in range(1, cap + 1)) == (first_nonzero_square(fresh) is None)
         assert failing > 0, degrees  # the comparison must not be vacuous
+
+
+def _source_to_sink(op, sources):
+    """op on source words only, with sink outputs only: the composite of two
+    such operations vanishes.  The word set is closed under rearrangement
+    and outputs are kept letter by letter, so symmetry and homogeneity stay."""
+    table = {}
+    for word, combo in op.table.items():
+        if all(x in sources for x in word):
+            table[word] = LinearCombination((x, c) for x, c in combo if x not in sources)
+    return Operation(op.space, op.arity, op.degree, table)
+
+
+SQUARE_VANISHES = "squared coderivation vanishes up to the cap"
+
+
+@pytest.mark.parametrize("kind", (TENSOR, WEDGE, PERM))
+def test_square_zero_verdict_matches_whole_square_oracle(kind):
+    # coderive derives "vanishes up to the cap" from the cogenerator lines;
+    # the oracle squares every canonical word whole
+    rng = random.Random(f"square-zero-{kind}")
+    cap = 4
+    outcomes, two_odd = collections.Counter(), collections.Counter()
+    for degrees in COALGEBRA_PATTERNS.values():
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for trial in range(10):
+            arities = rng.sample((1, 2, 3), rng.randint(1, 3))
+            ops = {a: _hat_operation(rng, sp, a, kind, density=rng.choice((0.2, 0.5)))
+                   for a in arities}
+            if trial % 2:
+                sources = set(rng.sample(range(sp.dim), sp.dim - 1))
+                ops = {a: _source_to_sink(op, sources) for a, op in ops.items()}
+            ops = {a: op for a, op in ops.items() if not op.is_zero()}
+            if not ops:
+                continue
+            family = OperationFamily(HAT, sp, max(ops), ops)
+            report = run_coderive(AlgebraDocument(family), kind, cap)
+            (line,) = [c for c in report.checks if c.name == SQUARE_VANISHES]
+            assert line.witness is None
+            expected = first_nonzero_square(extend_coderivation(family, kind, cap)) is None
+            assert line.passed == expected, (degrees, trial)
+            outcomes[expected] += 1
+            two_odd[expected] += sum(sp.parities) == 2
+    # both verdicts must occur, and both on spaces with two odd letters
+    assert min(outcomes[True], outcomes[False]) >= 5, outcomes
+    assert min(two_odd[True], two_odd[False]) >= 3, two_odd
 
 
 LAW_PATTERNS = ((0, 1), (1, 1), (-1, 0, 1), (1, 0, 1), (1, 2))

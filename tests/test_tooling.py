@@ -196,6 +196,22 @@ def test_coderivation_law_goes_through_one_coproduct_generator():
     assert found == []
 
 
+def test_square_cogenerator_part_reads_only_the_components():
+    # pi o D o D is summed from the (n, l) and (l, 1) components, never from
+    # the whole square of a word, and the whole-square route is gone from
+    # the package (it stays in tests/oracles.py)
+    found = [f"{path.name} {name}" for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             for name in _names(tree)
+             if name in ("squares", "first_nonzero_square", "_squares")]
+    assert found == []
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and node.name == "square_cogenerator_component"]
+    names = set(_names(function))
+    assert "components" in names
+    assert not names & {"square_word", "apply_word"}, names
+
+
 def test_document_writer_stays_off_the_pure_python_encoder():
     # CPython serves json's `indent` only from its pure-Python encoder, so
     # docio writes the indented layout itself and json encodes only strings

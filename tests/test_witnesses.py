@@ -1,6 +1,5 @@
 """Every witness a report prints re-evaluates to its printed value."""
 
-import ast
 import re
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import with_entry
+from oracles import first_nonzero_square
 from hopla import drivers
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, extend_coderivation,
                              square_cogenerator_component)
@@ -53,13 +53,11 @@ def re_evaluates(doc, coderive_kind, name, witness) -> bool:
         flavor = EquationFlavor(m.group(1), m.group(2))
         res = residual(doc.family, flavor, int(m.group(3)), check_symmetry=False)
         return printed(res.op, witness) == witness["value"]
-    D = extend_coderivation(hat_family(doc), coderive_kind, CAP)
+    assert name != SQUARE, "the whole-square line is derived and carries no witness"
     m = COMPONENT.match(name)
-    if m:
-        return printed(square_cogenerator_component(D, int(m.group(1))), witness) \
-            == witness["value"]
-    assert name == SQUARE, f"no rule to re-evaluate {name!r}"
-    return repr(dict(D.square_word(ast.literal_eval(witness["word"])).terms)) \
+    assert m, f"no rule to re-evaluate {name!r}"
+    D = extend_coderivation(hat_family(doc), coderive_kind, CAP)
+    return printed(square_cogenerator_component(D, int(m.group(1))), witness) \
         == witness["value"]
 
 
@@ -87,10 +85,10 @@ def test_printed_witnesses_re_evaluate(seed, dim, degrees, arities, convention, 
             assert re_evaluates(doc, coderive_kind, check.name, check.witness), check.line()
 
 
-def test_square_witness_re_evaluates(monkeypatch):
+def test_corrupted_coderivation_fails_the_law_line(monkeypatch):
     # A corrupted coderivation whose square vanishes on cogenerators but not
-    # on the words (0, 1) and (0, 0, 1): the report must print the first of
-    # them by weight, with its value.
+    # on the words (0, 1) and (0, 0, 1).  It is not a coderivation, so the
+    # derived whole-square line passes; the law line is what refuses it.
     sp = GradedSpace(("u", "v"), (0, 0))
     doc = drivers.AlgebraDocument(OperationFamily(HAT, sp, 3, {}))
     word = (0, 1)
@@ -103,9 +101,11 @@ def test_square_witness_re_evaluates(monkeypatch):
         return D
 
     monkeypatch.setattr(drivers, "extend_coderivation", corrupted)
-    report = run_coderive(doc, WEDGE, 3, check_preconditions=False)
+    report = run_coderive(doc, WEDGE, 3)
     (failed,) = [c for c in report.checks if not c.passed]
-    assert failed.name == SQUARE
-    assert failed.witness == {"word": repr(word), "value": repr({word: Fraction(1)})}
-    D = corrupted(doc.family, WEDGE, 3)
-    assert repr(dict(D.square_word(word).terms)) == failed.witness["value"]
+    assert failed.name == "coderivation law up to the cap"
+    assert failed.witness is None
+    (square,) = [c for c in report.checks if c.name == SQUARE]
+    assert square.passed and square.witness is None
+    assert first_nonzero_square(corrupted(doc.family, WEDGE, 3)) \
+        == (word, LinearCombination({word: Fraction(1)}))
