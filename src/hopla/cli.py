@@ -122,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a cap below 1 leaves nothing to check and would pass vacuously
-    for flag, value in (("--max-arity", getattr(args, "max_arity", None)),
-                        ("--weight-cap", getattr(args, "weight_cap", None))):
-        if value is not None and value < 1:
-            print(f"input error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_INPUT
-    if getattr(args, "max_arity", None) is not None and args.max_arity > MAX_ARITY:
-        print(f"input error: --max-arity must be at most {MAX_ARITY}, got {args.max_arity}",
-              file=sys.stderr)
-        return EXIT_INPUT
     try:
         if args.verb == "check":
             doc = _read_document(args.file)

@@ -119,8 +119,9 @@ def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
     """The number of blocks `extend_coderivation` walks to build the
     components of operations of the given arities up to the cap, in closed
     form: per canonical word of weight k and arity a <= k, the k - a + 1
-    insertion positions (tensor), the C(k, a) (a, k - a)-unshuffles (wedge),
-    or the (a - 1, 1, k - 1 - a)- and (k - a, a - 1)-unshuffles of the head,
+    insertion positions (tensor), or the `coproduct_terms` the components
+    sum over: the C(k, a) of left weight a (wedge), or the word's of left
+    weight a and its head's wedge terms of left weight k - a,
     C(k - 1, a - 1) (k - a + 1) in all (Perm)."""
     def per_word(k, a):
         if kind == TENSOR:
@@ -144,7 +145,13 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
             over the (i-1, 1, n-1-i)-unshuffles sigma of the head.
 
     Every factor is canonical: an unshuffle of a canonical word keeps each
-    block sorted."""
+    block sorted.  A word that is not canonical gets the same sum, its
+    factors in the word's order (beta in `coalgebra_map` relies on this).
+
+    The coderivation components rely on the boundary weights: for tensor
+    and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with sign +1;
+    a negative block yields nothing, so a Perm word has no term at i = n.
+    `comultiply` sums only over i = 1 .. n-1."""
     if kind == TENSOR:
         yield (word[:i], word[i:]), 1
     elif kind == WEDGE:
@@ -193,15 +200,14 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     (or head) appears |Stab| times with the Koszul sign that relates it to
     the word, and the sum is zero when a repeated odd letter makes the
     stabilizer act by -1.  beta is the sum over the (n-1, 1)-unshuffles
-    sigma of eps(sigma) (x_s(1) ... x_s(n-1) | x_s(n)).
+    sigma of eps(sigma) (x_s(1) ... x_s(n-1) | x_s(n)): the wedge coproduct
+    terms of left weight n - 1, the right factor's letter as the tail.
     """
     if name == "alpha":
         return _orbit_sum(space, word, ())
     if name == "beta":
-        parities = tuple(space.parities[x] for x in word)
-        return LinearCombination(
-            ((tuple(word[s - 1] for s in sigma[:-1]), word[sigma[-1] - 1]), SIGNS[eps])
-            for sigma, eps in _signed_unshuffles(parities, len(word) - 1, 1))
+        return LinearCombination(((left, right[0]), SIGNS[eps]) for (left, right), eps
+                                 in coproduct_terms(WEDGE, space, word, len(word) - 1))
     if name == "gamma":
         head, tail = word
         return _orbit_sum(space, head, (tail,))
@@ -280,13 +286,15 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
 
     * tensor: sum over positions i of I_i (x) mu (x) I, with the sign
               (-1)^(|x_1| + ... + |x_i|) of mu passing the letters before it;
-    * wedge:  sum over the (a, k-a)-unshuffles sigma of
+    * wedge:  the sum over the `coproduct_terms` of left weight a, the
+              (a, k-a)-unshuffles sigma, of
               eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... ^ x_s(k);
-    * perm:   on the word (x_1 ... x_{k-1} | t), the head terms
-              sum over the (a-1, 1, k-1-a)-unshuffles sigma of the head of
-              eps(sigma) (mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... | t),
-              plus the tail term
-              sum over the (l-1, k-l)-unshuffles sigma of the head of
+    * perm:   on the word (x_1 ... x_{k-1} | t), the head terms, the sum
+              over its `coproduct_terms` of left weight a, the
+              (a-1, 1, k-1-a)-unshuffles sigma of the head, of
+              eps(sigma) (mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... | t)
+              (none when l = 1), plus the tail term, the sum over the
+              head's wedge `coproduct_terms` of left weight l-1 of
               eps(sigma) (-1)^(|x_s(1)| + ... + |x_s(l-1)|)
                   (x_s(1) ^ ... ^ x_s(l-1) | mu(x_s(l), ..., x_s(k-1), t)).
 
@@ -330,8 +338,6 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
     table = op.table
     a = op.arity  # = k - l + 1
     if kind == TENSOR:
-        words = tensor_words(sp, k)
-
         def terms(word):
             prefix_parity = 0
             for i in range(l):
@@ -340,54 +346,36 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
                     for letter, c in out:
                         yield word[:i] + (letter,) + word[i + a:], -c if prefix_parity else c
                 prefix_parity ^= odd[word[i]]
-    elif kind == WEDGE:
-        words = wedge_words(sp, k)
-
-        def terms(word):
-            return _apply_to_front(table, sp, word, a)
     else:
-        words = perm_words(sp, k)
-
         def terms(word):
-            head, tail = word
-            yield from _apply_to_front(table, sp, head, a, tail)
-            parities = tuple(odd[x] for x in head)
-            for sigma, eps in _signed_unshuffles(parities, l - 1, k - l):
-                out = table.get(tuple(head[s - 1] for s in sigma[l - 1:]) + (tail,))
+            for (left, right), eps in coproduct_terms(kind, sp, word, a):
+                tail = None
+                if kind == PERM:
+                    left, (right, tail) = left[0] + (left[1],), right
+                out = table.get(left)
                 if out is None:
                     continue
-                # an unshuffle of a canonical head leaves the rest canonical
-                rest = tuple(head[s - 1] for s in sigma[:l - 1])
-                if sum(parities[s - 1] for s in sigma[:l - 1]) % 2:
-                    eps = -eps
                 for letter, c in out:
-                    yield (rest, letter), c if eps == 1 else -c
+                    ns, w = wedge_normalize(sp, (letter,) + right)
+                    if w is not None:
+                        yield w if tail is None else (w, tail), c if ns == eps else -c
+            if kind == PERM:
+                head, tail = word
+                for (front, back), eps in coproduct_terms(WEDGE, sp, head, l - 1):
+                    out = table.get(back + (tail,))
+                    if out is None:
+                        continue
+                    if sum(odd[x] for x in front) % 2:
+                        eps = -eps
+                    for letter, c in out:
+                        yield (front, letter), c if eps == 1 else -c
 
     comp = {}
-    for word in words:
+    for word in coalgebra_words(kind, sp, k):
         image = LinearCombination(terms(word))
         if image:
             comp[word] = image
     return comp
-
-
-def _apply_to_front(table, sp, letters, a, tail=None):
-    """Yield the terms of eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ...
-    over the (a, n-a)-unshuffles of a canonical wedge word, or the
-    (a-1, 1, n-a)-unshuffles of a Perm head (none when n < a), keyed by the
-    canonical result, or by (result, tail) when a Perm tail is given."""
-    parities = tuple(sp.parities[x] for x in letters)
-    n = len(letters)
-    blocks = (a, n - a) if tail is None else (a - 1, 1, n - a)
-    for sigma, eps in _signed_unshuffles(parities, *blocks):
-        out = table.get(tuple(letters[s - 1] for s in sigma[:a]))
-        if out is None:
-            continue
-        rest = tuple(letters[s - 1] for s in sigma[a:])
-        for letter, c in out:
-            ns, word = wedge_normalize(sp, (letter,) + rest)
-            if word is not None:
-                yield word if tail is None else (word, tail), c if ns == eps else -c
 
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:

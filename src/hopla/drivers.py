@@ -138,13 +138,17 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     Documents declaring an n-ary type run the single n-ary equation; all
     other documents run the homotopy residuals for every arity up to
-    `max_arity` (default: the family's cap).  Without `check_preconditions`
+    `max_arity` (default: the family's cap); a `max_arity` outside
+    1..MAX_ARITY raises a DocumentError.  Without `check_preconditions`
     the report has no symmetry lines, but a pre-Lie or Lie check of
     operations without the symmetry still raises a SymmetryError.
     """
     t0 = time.monotonic()
     if kind not in (ASSOC, PRELIE, LIE):
         raise DocumentError(f"unknown flavor {kind!r}")
+    if max_arity is not None and not 1 <= max_arity <= MAX_ARITY:
+        raise DocumentError(f"the maximum arity must be at least 1 and at most {MAX_ARITY}, "
+                            f"got {max_arity}")
     report = Report(f"check {kind} ({doc.convention})")
 
     declared = doc.declared_type
@@ -234,6 +238,9 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         n_value = n if n is not None else (declared[1] if is_nary else None)
         if n_value is None:
             raise DocumentError("nary-embed requires --n or a declared n-ary type")
+        if 2 * n_value - 1 > MAX_ARITY:
+            raise DocumentError(f"nary-embed n = {n_value} needs max_arity {2 * n_value - 1}, "
+                                f"above the limit {MAX_ARITY}")
         if is_nary and n_value != declared[1]:
             raise DocumentError(
                 f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")

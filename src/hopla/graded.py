@@ -18,7 +18,7 @@ is no notion of "undefined".
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -76,10 +76,6 @@ class GradedSpace:
     def require_degree_zero(self, what: str) -> None:
         if not self.is_concentrated_in_degree_zero():
             raise GradingError(f"{what} requires a space concentrated in degree 0")
-
-    def words(self, arity: int) -> Iterator[Word]:
-        """All tensor words of the given length, lexicographic order."""
-        return itertools.product(range(self.dim), repeat=arity)
 
 
 def space(*basis) -> GradedSpace:

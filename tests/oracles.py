@@ -12,7 +12,8 @@ only so that tests can compare the fast path against it:
 * `failing_transposition_by_act` walks the adjacent transpositions as
   whole permutations, applied with `act`;
 * `coalgebra_map_by_loop` sums alpha and gamma over every permutation of
-  the word or head;
+  the word or head, and beta over every letter moved to the tail, where
+  `coalgebra.coalgebra_map` reads beta off the wedge coproduct;
 * `component_loop` builds a coderivation component by summing the operation
   over every position of every permutation of each canonical word and
   dividing by the number of times each unshuffle term repeats;
@@ -210,7 +211,13 @@ def circle_product_dense(f, g):
 def coalgebra_map_by_loop(name, space, word):
     """alpha of a wedge word, or gamma of a perm word (head | tail): the sum
     of eps(sigma) times the permuted word (or head, tail appended) over
-    every sigma in S_n."""
+    every sigma in S_n.  beta of a wedge word w_1 ... w_n: the sum over j of
+    (-1)^(|w_j| (|w_j+1| + ... + |w_n|)) (w without w_j | w_j)."""
+    if name == "beta":
+        degrees = [space.degree(x) for x in word]
+        signs = [-1 if d * sum(degrees[j + 1:]) % 2 else 1 for j, d in enumerate(degrees)]
+        return LinearCombination(((word[:j] + word[j + 1:], x), signs[j])
+                                 for j, x in enumerate(word))
     letters, tail = (word, ()) if name == "alpha" else (word[0], (word[1],))
     acted = (act(sigma, space, letters, RHO1) for sigma in all_permutations(len(letters)))
     return LinearCombination((moved + tail, chi) for chi, moved in acted)

@@ -446,6 +446,38 @@ def test_cli_max_arity_is_bounded(tmp_path, capsys):
     assert main(["check", str(path), "--flavor", "prelie"]) == 2
 
 
+def test_run_check_refuses_max_arity_outside_the_limit():
+    # a cap of 0 reported "ALL PASS (0 checks)" when only the CLI checked it
+    sp, mu = dual_numbers()
+    doc = AlgebraDocument(OperationFamily(UNHAT, sp, 3, {2: mu}))
+    for cap in (0, -1, MAX_ARITY + 1):
+        with pytest.raises(DocumentError, match=f"at most {MAX_ARITY}, got {cap}"):
+            run_check(doc, ASSOC, max_arity=cap)
+    assert len(run_check(doc, ASSOC, max_arity=1).checks) == 1
+
+
+def test_cli_nary_embed_refuses_max_arity_above_the_limit(tmp_path, capsys):
+    # nary-embed of arity n writes max_arity 2n - 1, which no verb reads
+    # back above MAX_ARITY: refuse it before writing anything
+    limit = (MAX_ARITY + 1) // 2
+    gen, out = tmp_path / "gen.json", tmp_path / "emb.json"
+    assert main(["generate", "--dim", "2", "--arities", "2", "--seed", "1",
+                 "-o", str(gen)]) == 0
+    assert main(["derive", str(gen), "--functor", "nary-embed", "--n", str(limit + 1),
+                 "-o", str(out)]) == 2
+    assert f"n = {limit + 1}" in capsys.readouterr().err
+    assert not out.exists()
+    declared = tmp_path / "declared.json"
+    declared.write_text(minimal_doc(max_arity=limit + 1,
+                                    declared_type={"name": "assoc_n", "n": limit + 1}))
+    assert main(["derive", str(declared), "--functor", "nary-embed", "-o", str(out)]) == 2
+    assert f"n = {limit + 1}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["derive", str(gen), "--functor", "nary-embed", "--n", str(limit),
+                 "-o", str(out)]) == 0
+    assert main(["check", str(out), "--flavor", "assoc"]) == 0
+
+
 def test_cli_coderive_work_is_bounded(tmp_path, capsys):
     # a dim-3 document with no operations: every word has a zero image, but
     # the tensor coalgebra at cap 14 has 7,174,452 words to walk

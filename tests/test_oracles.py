@@ -152,6 +152,7 @@ def test_alpha_and_gamma_match_loop_oracle(pattern):
     for n in range(5):
         for word in tensor_words(sp, n):
             assert coalgebra_map("alpha", sp, word) == coalgebra_map_by_loop("alpha", sp, word)
+            assert coalgebra_map("beta", sp, word) == coalgebra_map_by_loop("beta", sp, word)
             if n:
                 perm_word = word[:-1], word[-1]
                 assert coalgebra_map("gamma", sp, perm_word) \

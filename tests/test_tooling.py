@@ -169,10 +169,11 @@ def test_one_symmetrization_kernel_over_term_streams():
 
 
 def test_coderivation_law_goes_through_one_coproduct_generator():
-    # comultiply and the law's weight-1 check share one generator of the
-    # coproduct terms of a given left weight; the law never forms a whole
-    # coproduct, and the per-kind term generators and the full law's
-    # right-hand side are gone from the package
+    # comultiply, beta, the coderivation components and the law's weight-1
+    # check share one generator of the coproduct terms of a given left
+    # weight, the only caller of the cached unshuffles; the law never forms
+    # a whole coproduct, and the per-kind term generators, the front
+    # insertion helper and the full law's right-hand side are gone
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     generators = [name for name, fn in functions.items()
@@ -182,10 +183,18 @@ def test_coderivation_law_goes_through_one_coproduct_generator():
     calls = {node.func.id for node in ast.walk(functions["check_coderivation"])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "coproduct_terms" in calls and "comultiply" not in calls
-    calls = {node.func.id for node in ast.walk(functions["comultiply"])
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert "coproduct_terms" in calls
-    gone = {"_coderivation_rhs", "_wedge_coproduct_terms", "_perm_coproduct_terms"}
+    for name in ("comultiply", "coalgebra_map", "_component"):
+        calls = {node.func.id for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "coproduct_terms" in calls, name
+    uses = {id(node): node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_signed_unshuffles"}
+    inside = {id(node) for node in ast.walk(functions["coproduct_terms"])}
+    assert uses and [line for key, line in uses.items() if key not in inside] == []
+    assert [path.name for path, module in _parsed(sorted(SRC.glob("*.py")))
+            if path.name != "coalgebra.py" and "_signed_unshuffles" in set(_names(module))] == []
+    gone = {"_coderivation_rhs", "_wedge_coproduct_terms", "_perm_coproduct_terms",
+            "_apply_to_front"}
     found = [f"{path.name}:{node.lineno} {name}"
              for path, tree in _parsed(sorted(SRC.glob("*.py")))
              for node in ast.walk(tree)
