@@ -11,16 +11,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_component, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                        check_nary, residual)
+                        check_nary, nary_insertions, residual, residual_insertions)
 from .errors import DocumentError, SymmetryError
 from .functors import (commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
-from .graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree
+from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
+                     insertion_term_count)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                            failing_symmetry_generator, precompose_symmetrized,
                            require_symmetry)
@@ -37,6 +39,12 @@ EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_in
 # this before any work starts.  The largest job in the benchmark, the tensor
 # coalgebra on 2x2 matrices at cap 5, counts 1,364 words and 5,008 blocks.
 MAX_CODERIVE_WORK = 20_000
+
+# `check` decides on orbit representatives, so its work is the insertion
+# terms it folds; it counts them (`graded.insertion_term_count`) before any
+# insertion and refuses more than this.  The largest benchmark job streams
+# 4,608 terms; 1.6 million took 3-5 s and 130 MB (Intel Xeon, Python 3.11.7).
+MAX_CHECK_TERMS = 500_000
 
 # `generate` walks every word over the source letters at every arity and
 # draws for each, at O(arity) per word.  It refuses a request for more words
@@ -95,8 +103,9 @@ class Report:
         }
 
 
-def _residual_witness(space: GradedSpace, op: Operation) -> dict | None:
-    entry = op.first_nonzero_entry()
+def _residual_witness(space: GradedSpace, entry) -> dict | None:
+    """The printed form of `first_nonzero_entry()`, a (word, value) pair or
+    None, of a residual's fold or of an operation."""
     if entry is None:
         return None
     word, combo = entry
@@ -132,16 +141,25 @@ def _symmetry_check(report: Report, ops: dict, variant: str, kind: str,
     return ok
 
 
+def _require_check_work(terms: int, what: str) -> None:
+    if terms > MAX_CHECK_TERMS:
+        raise DocumentError(f"{what} streams {terms:,} insertion terms, "
+                            f"above the limit of {MAX_CHECK_TERMS:,}")
+
+
 def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
               check_preconditions: bool = True) -> Report:
     """Residual verdicts for the requested equations.
 
-    Documents declaring an n-ary type run the single n-ary equation; all
-    other documents run the homotopy residuals for every arity up to
-    `max_arity` (default: the family's cap); a `max_arity` outside
-    1..MAX_ARITY raises a DocumentError.  Without `check_preconditions`
-    the report has no symmetry lines, but a pre-Lie or Lie check of
-    operations without the symmetry still raises a SymmetryError.
+    Documents declaring an n-ary type run the single n-ary equation, of
+    arity 2n - 1; all other documents run the homotopy residuals for every
+    arity up to `max_arity` (default: the family's cap).  Before any
+    residual, a DocumentError is raised for a `max_arity` outside
+    1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
+    insertion terms.  Without `check_preconditions` the report has no
+    symmetry lines, but a pre-Lie or Lie check of operations without the
+    symmetry still raises a SymmetryError.  Verdicts and witnesses are read
+    off the folded residuals; nothing is expanded.
     """
     t0 = time.monotonic()
     if kind not in (ASSOC, PRELIE, LIE):
@@ -155,10 +173,15 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     if declared and declared[0] in NARY_DECLARED:
         n, mu = nary_operation(doc)
         want = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
+        if max_arity is not None and max_arity < 2 * n - 1:
+            raise DocumentError(f"the {want} residual of an arity-{n} operation has arity "
+                                f"{2 * n - 1}, above the maximum arity {max_arity}")
         if _symmetry_check(report, {n: mu}, RHO2, want, check_preconditions):
+            _require_check_work(insertion_term_count(nary_insertions(mu, want)),
+                                f"the {want} residual at arity {2 * n - 1}")
             ok, res = check_nary(mu, want, check_symmetry=False)
             report.add(f"{want} residual at arity {res.n}", ok,
-                       witness=None if ok else _residual_witness(mu.space, res.op))
+                       witness=_residual_witness(mu.space, res.folded.first_nonzero_entry()))
         report.elapsed = time.monotonic() - t0
         return report
 
@@ -166,11 +189,15 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     cap = max_arity if max_arity is not None else doc.family.max_arity
     if _symmetry_check(report, doc.family.ops, action_variant(doc.convention), kind,
                        check_preconditions):
+        _require_check_work(
+            insertion_term_count(chain.from_iterable(
+                residual_insertions(doc.family, flavor, n) for n in range(1, cap + 1))),
+            f"the {kind} check up to arity {cap}")
         for n in range(1, cap + 1):
             res = residual(doc.family, flavor, n, check_symmetry=False)
             ok = res.vanishes()
             report.add(f"{kind}/{doc.convention} residual at arity {n}", ok,
-                       witness=None if ok else _residual_witness(doc.space, res.op))
+                       witness=_residual_witness(doc.space, res.folded.first_nonzero_entry()))
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -309,7 +336,7 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         ok = comp.is_zero()
         square_zero = square_zero and ok
         report.add(f"squared coderivation, cogenerator component at weight {n}", ok,
-                   witness=None if ok else _residual_witness(family.space, comp))
+                   witness=_residual_witness(family.space, comp.first_nonzero_entry()))
     # extend_coderivation refuses operations that are not homogeneous of
     # degree -1, so D is an odd coderivation; D o D = [D, D]/2 is then one
     # too and vanishes up to the cap exactly when its cogenerator components

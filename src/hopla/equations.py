@@ -31,10 +31,18 @@ does, so per arity pair (i, j) only these insertions are made:
 
 All insertions of one arity stream their terms, as integer numerators
 over one common denominator per call, straight into P, which sums them
-once (`_insert_symmetrize`, `permutations.symmetrize_terms`).  The n-ary
-residuals and the circle product go through the same kernel.  Without
-the symmetry the collapsed form is not the sum above, which is why
-`check` refuses such families on every path.
+once (`_insert_fold`).  P is the orbit kernel's first step,
+`permutations.fold`: the residuals keep the sum on its orbit
+representatives (`Residual`), which is all a verdict or a witness reads,
+and `permutations.expand` writes the whole operation only when `.op` is
+read.  The n-ary residuals go through the same steps, and the circle
+product is `expand` of the fold.  Without the symmetry the collapsed form
+is not the sum above, which is why `check` refuses such families on
+every path.
+
+The number of terms the insertions stream is known before any insertion
+is made (`graded.insertion_term_count` over `residual_insertions` or
+`nary_insertions`); `check` refuses work above a limit on that count.
 
 Everything here decides vanishing by exhaustive evaluation on basis words;
 residuals are exact, there is no tolerance anywhere.
@@ -44,15 +52,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from math import factorial, lcm
 
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
-                     table_from_numerators)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant, require_symmetry,
-                           symmetrize_terms)
+                     table_from_terms)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant, expand, fold,
+                           require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -82,13 +90,20 @@ class EquationFlavor:
 
 @dataclass(frozen=True)
 class Residual:
-    """Left-hand side of the n-th structure equation, as an operation."""
+    """Left-hand side of the n-th structure equation, kept on its orbit
+    representatives (`permutations.Folded`).  The verdict and the witness
+    read only those; `op`, the whole operation, is expanded from them when
+    it is first read and then kept."""
 
     n: int
-    op: Operation
+    folded: Folded
+
+    @cached_property
+    def op(self) -> Operation:
+        return expand(self.folded)
 
     def vanishes(self) -> bool:
-        return self.op.is_zero()
+        return self.folded.is_zero()
 
 
 def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
@@ -120,17 +135,17 @@ def _positions(kind: str, i: int, coefficient) -> tuple:
     return tuple((m, coefficient(m)) for m in range(i))
 
 
-def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
-                       variant: str, mode: str | None) -> Operation:
+def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
+                 variant: str, mode: str | None) -> Folded:
     """P(sum of coeff * outer o_position inner) over the (outer, inner,
-    position, coeff) insertions; P is the symmetrization kernel
-    `symmetrize_terms` in the given mode, or the identity when mode is None.
+    position, coeff) insertions, on its orbit representatives; P is
+    `permutations.fold` in the given mode, or the identity when mode is
+    None, where every word is its own orbit.
 
     Each coefficient and the denominators of its two operands fold into one
     integer multiplier over D, the call's common denominator, so every
     insertion streams integer numerators, and the chained stream goes to
-    the kernel as it is; without a symmetrization the table is divided by
-    D once per entry."""
+    the kernel as it is; nothing is divided by D until a value is read."""
     folded = [(outer, inner, position, coeff, outer.denominator * inner.denominator)
               for outer, inner, position, coeff in insertions]
     den = lcm(*(coeff.denominator * operands for *_, coeff, operands in folded))
@@ -139,8 +154,17 @@ def _insert_symmetrize(sp: GradedSpace, arity: int, degree: int, insertions,
                         coeff.numerator * (den // (coeff.denominator * operands)))
         for outer, inner, position, coeff, operands in folded)
     if mode is None:
-        return Operation(sp, arity, degree, table_from_numerators(terms, den))
-    return symmetrize_terms(sp, arity, degree, terms, den, variant, mode)
+        return Folded(sp, arity, degree, table_from_terms(terms), den, variant, None)
+    return fold(sp, arity, degree, terms, den, variant, mode)
+
+
+def residual_insertions(family: OperationFamily, flavor: EquationFlavor, n: int):
+    """The (outer, inner, position, coefficient) insertions of the arity-n
+    residual in the collapsed form of the module docstring."""
+    ops = family.ops
+    return ((ops[i], ops[n + 1 - i], m, c)
+            for i in family.arities() if n + 1 - i in ops
+            for m, c in _positions(flavor.kind, i, partial(_coefficient, flavor, i, n + 1 - i)))
 
 
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
@@ -161,15 +185,10 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
     if check_symmetry and flavor.kind != ASSOC:
         require_symmetry(family.ops, flavor.variant, flavor.kind == LIE, f"{flavor.kind} residual")
 
-    ops = family.ops
-    insertions = (
-        (ops[i], ops[n + 1 - i], m, c)
-        for i in family.arities() if n + 1 - i in ops
-        for m, c in _positions(flavor.kind, i, partial(_coefficient, flavor, i, n + 1 - i)))
     mode = SYMMETRIZATION.get(flavor.kind)
     degree = -2 if flavor.convention == HAT else n - 3
-    return Residual(n, _insert_symmetrize(family.space, n, degree, insertions,
-                                          flavor.variant, mode))
+    return Residual(n, _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n),
+                                    flavor.variant, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +226,7 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     insertions = ((f, g, position, c) for position, c in _positions(
         PRELIE, m + 1, lambda p: Fraction((-1) ** (p * n), scale)))
     # declared degree 0, like the space, whatever degrees f and g declare
-    return _insert_symmetrize(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL)
+    return expand(_insert_fold(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL))
 
 
 def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
@@ -247,14 +266,19 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Resi
     n = mu.arity
     if check_symmetry and kind != PARTIALLY_ASSOCIATIVE:
         require_symmetry({n: mu}, RHO2, kind == LIE, f"a {kind} n-algebra")
+    return Residual(2 * n - 1, _insert_fold(mu.space, 2 * n - 1, mu.degree * 2,
+                                            nary_insertions(mu, kind), RHO2,
+                                            SYMMETRIZATION.get(kind)))
 
+
+def nary_insertions(mu: Operation, kind: str):
+    """The (mu, mu, position, coefficient) insertions of the n-ary residual
+    of the given kind, collapsed as in `residual`."""
+    n = mu.arity
     scale = {PRELIE: Fraction(1, factorial(n - 1) ** 2),
              LIE: Fraction(1, factorial(n - 1) * factorial(n))}.get(kind, Fraction(1))
-    insertions = ((mu, mu, i, c) for i, c in _positions(
+    return ((mu, mu, i, c) for i, c in _positions(
         kind, n, lambda i: -scale if (i * (n - 1)) % 2 else scale))
-    mode = SYMMETRIZATION.get(kind)
-    return Residual(2 * n - 1, _insert_symmetrize(mu.space, 2 * n - 1, mu.degree * 2,
-                                                  insertions, RHO2, mode))
 
 
 def check_nary(mu: Operation, kind: str, check_symmetry: bool = True):

@@ -6,9 +6,11 @@ identically or carry an honest nonzero witness.  The insertion kernel
 streams (word, output letter, integer numerator) terms over one common
 denominator (`Operation.numerators`, `insertion_terms`); a table built
 from such a stream is divided by the denominator once per entry, and the
-symmetrization kernel (`permutations.symmetrize_terms`) takes the stream
-itself and divides once per output orbit.  All containers are
-treated as immutable after construction; functions return fresh objects.
+orbit kernel's first step (`permutations.fold`) takes the stream itself
+and divides once per output orbit, when a value is read.
+`insertion_term_count` gives the length of an insertion stream before it
+is made.  All containers are treated as immutable after construction;
+functions return fresh objects.
 
 A tensor word is a plain tuple of 0-based basis indices.  An Operation stores
 structure constants sparsely: absent input words evaluate to zero, and there
@@ -18,6 +20,7 @@ is no notion of "undefined".
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -373,6 +376,29 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
                     yield word, out, co * c
 
     return terms()
+
+
+def insertion_term_count(insertions) -> int:
+    """The number of terms `insertion_terms` yields over the (outer, inner,
+    position, ...) insertions, counted without making any: per outer entry,
+    its output terms times the inner operation's output terms at the
+    inserted letter, summed over letters from one histogram per operation
+    (outer: output terms by (position, letter); inner: by output letter).
+    """
+    slots, outputs = {}, {}
+    total = 0
+    for outer, inner, position, *_ in insertions:
+        slot = slots.get(id(outer))
+        if slot is None:
+            slot = slots[id(outer)] = Counter(
+                (p, x) for word, combo in outer.table.items() for _ in combo.terms
+                for p, x in enumerate(word))
+        at = outputs.get(id(inner))
+        if at is None:
+            at = outputs[id(inner)] = Counter(
+                letter for combo in inner.table.values() for letter in combo.terms)
+        total += sum(slot[position, letter] * k for letter, k in at.items())
+    return total
 
 
 def compose_insert(outer: Operation, inner: Operation, position: int) -> Operation:

@@ -18,10 +18,18 @@ Conventions pinned here and relied on everywhere else:
 The actions are computed one adjacent swap at a time: swapping letters a
 and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
-symmetrization kernel `symmetrize_terms` and the symmetry check
-`failing_symmetry_generator` all use that rule and never act by a whole
-permutation.  `koszul_sign` evaluates eps for a whole permutation; the
-unshuffle signs of the coalgebras and the sign-law witnesses use it.
+symmetrization kernel and the symmetry check `failing_symmetry_generator`
+all use that rule and never act by a whole permutation.  `koszul_sign`
+evaluates eps for a whole permutation; the unshuffle signs of the
+coalgebras and the sign-law witnesses use it.
+
+The symmetrization kernel has two steps.  `fold` moves each term of a
+stream to the sorted representative of its orbit, sums, and drops the
+orbits whose stabilizer acts by -1; the `Folded` result decides whether
+the sum vanishes and gives its smallest nonzero word.  `expand` writes
+every distinct arrangement of every orbit, and is the only caller of
+`arrangements` here.  In the full and partial modes `symmetrize_terms`
+and `precompose_symmetrized` are `expand(fold(...))`.
 """
 
 from __future__ import annotations
@@ -208,6 +216,101 @@ def arrangements(letters: tuple, odd, rho2: bool):
         odd_before ^= bool(odd[a])
 
 
+class Folded:
+    """A symmetrized sum kept on its orbit representatives.
+
+    `table` maps each sorted representative r (its acted slots sorted,
+    the rest as they were) to the moved terms summed there per output
+    letter, as integer numerators over `denominator`.  Orbits on which chi
+    is not trivial on Stab(r), and sums that vanish, are left out, so the
+    sum is zero exactly when the table is empty.  `mode` None stands for
+    no symmetrization: every word is its own orbit.
+    """
+
+    __slots__ = ("space", "arity", "degree", "table", "denominator", "variant", "mode")
+
+    def __init__(self, space: GradedSpace, arity: int, degree: int, table: dict,
+                 denominator: int, variant: str, mode: str | None):
+        self.space, self.arity, self.degree, self.table = space, arity, degree, table
+        self.denominator, self.variant, self.mode = denominator, variant, mode
+
+    @property
+    def acted(self) -> int:
+        """The number of leading slots the symmetrization permutes."""
+        return {MODE_FULL: self.arity, MODE_PARTIAL: self.arity - 1}.get(self.mode, 0)
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def first_nonzero_entry(self):
+        """Smallest input word with a nonzero value, and that value, or None;
+        the same entry as `expand(self).first_nonzero_entry()`.  A sorted
+        representative is the smallest word of its orbit and carries chi = 1,
+        so the smallest representative is the smallest word of the sum, and
+        its value is the numerators there times |Stab(rep)|/denominator."""
+        if not self.table:
+            return None
+        rep = min(self.table)
+        order = stabilizer_order(rep[:self.acted], self.space.parities, self.variant == RHO2)
+        return rep, self.table[rep].scaled(Fraction(order, self.denominator))
+
+
+def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
+         variant: str, mode: str) -> Folded:
+    """The full or partial symmetrization of the (word, output letter,
+    integer numerator) terms over `denominator`, kept on its orbit
+    representatives (see `Folded`).
+
+    Each term moves to the sorted representative of its word's orbit, with
+    chi of the sorting permutation, and the moved terms are summed per
+    representative and output letter.  Each distinct word is sorted once,
+    and dropped there when its orbit's stabilizer acts by -1.
+    """
+    if variant not in (RHO1, RHO2):
+        raise ValueError(f"unknown action variant {variant!r}")
+    if mode not in (MODE_FULL, MODE_PARTIAL):
+        raise ValueError(f"unknown symmetrization mode {mode!r}")
+    odd = space.parities
+    rho2 = variant == RHO2
+    acted = arity if mode == MODE_FULL else arity - 1
+    moves = {}   # word -> (representative or None when killed, kept sign)
+
+    def moved():
+        last = None
+        for word, out, c in terms:
+            if word != last:
+                last = word
+                move = moves.get(word)
+                if move is None:
+                    head = list(word[:acted])
+                    kept = signed_sort(head, odd, rho2) == 1
+                    alive = stabilizer_order(head, odd, rho2)
+                    move = moves[word] = (tuple(head) + word[acted:] if alive else None, kept)
+                rep, kept = move
+            if rep is not None:
+                yield rep, out, c if kept else -c
+
+    return Folded(space, arity, degree, table_from_terms(moved()), denominator, variant, mode)
+
+
+def expand(folded: Folded) -> Operation:
+    """The folded sum as an operation: every distinct rearrangement of the
+    acted slots of every representative, with S(r o pi) = chi(pi; r) S(r).
+    The orbit's value is one Fraction per output letter, and its negation
+    is shared by the rearrangements with chi = -1."""
+    odd = folded.space.parities
+    rho2 = folded.variant == RHO2
+    acted = folded.acted
+    table = {}
+    for rep, numerators in folded.table.items():
+        head, tail = rep[:acted], rep[acted:]
+        value = numerators.scaled(Fraction(stabilizer_order(head, odd, rho2), folded.denominator))
+        negated = value.scaled(-1)
+        for chi, arrangement in arrangements(head, odd, rho2):
+            table[arrangement + tail] = value if chi == 1 else negated
+    return Operation(folded.space, folded.arity, folded.degree, table)
+
+
 def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
                      variant: str, mode: str) -> Operation:
     """P applied to the operation whose table is the sum of the (word,
@@ -219,21 +322,20 @@ def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denomin
     mode 'shuffle': sigma over the (n-1,1)-unshuffles.
     The variant picks rho1 or rho2.
 
-    The full and partial sums S are computed per orbit of the acted slots.
-    Each term moves to the sorted representative r of its word's orbit,
-    with chi of the sorting permutation; consecutive terms of one word share
-    one sort.  With w = r o pi, S(w) = chi(pi; r) |Stab(r)| times the sum
-    of the moved terms at r, and S vanishes on the orbit when chi is not
-    trivial on Stab(r).  The sums stay integers, so the only Fractions
-    built are one per output orbit, the orbit's value times
-    |Stab(r)|/denominator, and its negation; the shuffle mode divides each
-    output entry by the denominator once.
+    The full and partial sums S are `expand(fold(...))`: with w = r o pi
+    for the sorted representative r of w's orbit, S(w) = chi(pi; r)
+    |Stab(r)| times the sum of the moved terms at r, and S vanishes on the
+    orbit when chi is not trivial on Stab(r).  The sums stay integers, so
+    the only Fractions built are one per output orbit, the orbit's value
+    times |Stab(r)|/denominator, and its negation; the shuffle mode divides
+    each output entry by the denominator once.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
-    odd = space.parities
-    rho2 = variant == RHO2
     if mode == MODE_SHUFFLE:
+        odd = space.parities
+        rho2 = variant == RHO2
+
         # the unshuffle taking slot k to the end contributes each term with
         # its word's last letter moved back to slot k, passing the letters there
         def shuffled():
@@ -246,31 +348,7 @@ def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denomin
                     yield word[:k] + (a,) + word[k:-1], out, c
 
         return Operation(space, arity, degree, table_from_numerators(shuffled(), denominator))
-    if mode not in (MODE_FULL, MODE_PARTIAL):
-        raise ValueError(f"unknown symmetrization mode {mode!r}")
-    acted = arity if mode == MODE_FULL else arity - 1
-
-    def moved():
-        last = None
-        for word, out, c in terms:
-            if word != last:
-                head = list(word[:acted])
-                kept = signed_sort(head, odd, rho2) == 1
-                rep = tuple(head) + word[acted:]
-                last = word
-            yield rep, out, c if kept else -c
-
-    table = {}
-    for rep, value in table_from_terms(moved()).items():
-        head, tail = rep[:acted], rep[acted:]
-        order = stabilizer_order(head, odd, rho2)
-        if not order:
-            continue
-        value = value.scaled(Fraction(order, denominator))
-        negated = value.scaled(-1)
-        for chi, arrangement in arrangements(head, odd, rho2):
-            table[arrangement + tail] = value if chi == 1 else negated
-    return Operation(space, arity, degree, table)
+    return expand(fold(space, arity, degree, terms, denominator, variant, mode))
 
 
 def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:

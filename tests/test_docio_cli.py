@@ -12,8 +12,8 @@ from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import TENSOR, word_count
-from hopla.drivers import (MAX_CODERIVE_WORK, MAX_GENERATE_WORDS, generate_random, run_check,
-                           run_derive)
+from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_GENERATE_WORDS,
+                           generate_random, run_check, run_derive)
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, OperationFamily
@@ -444,6 +444,54 @@ def test_cli_max_arity_is_bounded(tmp_path, capsys):
     path.write_text(minimal_doc(max_arity=MAX_ARITY,
                                 declared_type={"name": "prelie_n", "n": MAX_ARITY + 1}))
     assert main(["check", str(path), "--flavor", "prelie"]) == 2
+
+
+def test_cli_check_refuses_max_arity_below_the_nary_residual(capsys):
+    # the fixture declares assoc_n with n = 2, whose one residual has arity
+    # 3; a cap of 1 used to run it anyway and pass
+    assert main(["check", GOOD, "--flavor", "assoc", "--max-arity", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "has arity 3, above the maximum arity 1" in captured.err
+    assert "ALL PASS" not in captured.out
+    assert main(["check", GOOD, "--flavor", "assoc", "--max-arity", "2"]) == 2
+    assert "has arity 3, above the maximum arity 2" in capsys.readouterr().err
+    assert main(["check", GOOD, "--flavor", "assoc", "--max-arity", "3"]) == 0
+    assert "partially_associative residual at arity 3" in capsys.readouterr().out
+
+
+def _dense_arity_8_document(**overrides):
+    """Every word of length 8 over two degree-0 letters, each with both
+    letters as outputs: 256 entries, 34 KB."""
+    words = [[("x", "y")[(k >> bit) & 1] for bit in range(8)] for k in range(256)]
+    output = [{"label": "x", "coeff": "1"}, {"label": "y", "coeff": "-1"}]
+    return minimal_doc(
+        max_arity=15,
+        space={"basis": [{"label": "x", "degree": 0}, {"label": "y", "degree": 0}]},
+        operations=[{"arity": 8, "entries": [{"inputs": w, "output": output} for w in words]}],
+        **overrides)
+
+
+def test_cli_check_work_is_bounded(tmp_path, capsys):
+    # the arity-15 residual inserts the operation into itself at 8 positions:
+    # per position 256 entries x 2 outputs x the 256 inner output terms at
+    # the inserted letter
+    family = tmp_path / "dense.json"
+    family.write_text(_dense_arity_8_document())
+    nary = tmp_path / "dense_n.json"
+    nary.write_text(_dense_arity_8_document(declared_type={"name": "assoc_n", "n": 8}))
+    assert 8 * 256 * 2 * 256 > MAX_CHECK_TERMS
+    for path, what in ((family, "the assoc check up to arity 15"),
+                       (nary, "the partially_associative residual at arity 15")):
+        start = time.monotonic()
+        assert main(["check", str(path), "--flavor", "assoc"]) == 2
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert (f"{what} streams 1,048,576 insertion terms, "
+                f"above the limit of {MAX_CHECK_TERMS:,}") in captured.err
+        assert captured.out == ""
+    # below arity 15 the operation composes with nothing
+    assert main(["check", str(family), "--flavor", "assoc", "--max-arity", "14"]) == 0
+    capsys.readouterr()
 
 
 def test_run_check_refuses_max_arity_outside_the_limit():

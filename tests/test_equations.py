@@ -4,17 +4,19 @@ from collections import Counter
 import pytest
 
 from conftest import (E11, E12, family_scale, family_sum, matrix_bracket,
-                      prelie_residual_shuffle_form)
+                      prelie_residual_shuffle_form, random_table)
 from oracles import nary_residual_by_positions
-from hopla import equations, permutations
+from hopla import drivers, equations, permutations
+from hopla.docio import AlgebraDocument
+from hopla.drivers import run_check
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, check_nary, check_prelie_n_two_ways,
-                             circle_bracket, circle_product, nary_residual,
-                             residual)
+                             circle_bracket, circle_product, nary_insertions, nary_residual,
+                             residual, residual_insertions)
 from hopla.errors import ConventionError, GradingError, SymmetryError
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily)
-from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2,
+                          OperationFamily, family_degree, insertion_term_count)
+from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
 from hopla.samples import associative_family, commutator_bracket
 from hopla.verify import random_operation, random_unhat_family
@@ -235,11 +237,11 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
     # The collapsed form makes at most two insertions per arity pair for
     # pre-Lie and exactly one for Lie; one insertion per position is a
     # regression even when every value stays right.  The insertion terms go
-    # to the symmetrization kernel as one lazy stream, in one call, and no
+    # to the orbit kernel's fold as one lazy stream, in one call, and no
     # operation is symmetrized again afterwards.
     passes = Counter()
     real = equations.insertion_terms
-    real_kernel = equations.symmetrize_terms
+    real_kernel = equations.fold
     real_precompose = permutations.precompose_symmetrized
 
     def counting(outer, inner, position, scale=1):
@@ -256,7 +258,7 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
         return real_precompose(op, variant, mode)
 
     monkeypatch.setattr(equations, "insertion_terms", counting)
-    monkeypatch.setattr(equations, "symmetrize_terms", counting_kernel)
+    monkeypatch.setattr(equations, "fold", counting_kernel)
     for module in (equations, permutations):
         monkeypatch.setattr(module, "precompose_symmetrized", counting_precompose,
                             raising=False)
@@ -286,3 +288,85 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
     passes.clear()
     circle_product(f, g)
     assert passes == {(3, 2): 2, "kernel": 1}
+
+
+def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
+    # check's work bound counts the insertion terms from histograms before
+    # any insertion; the count must be what the residuals then stream, on
+    # tables with several outputs per word
+    streamed = Counter()
+    real = equations.insertion_terms
+
+    def counting(outer, inner, position, scale=1):
+        for term in real(outer, inner, position, scale):
+            streamed["terms"] += 1
+            yield term
+
+    monkeypatch.setattr(equations, "insertion_terms", counting)
+    bounds = []
+    monkeypatch.setattr(drivers, "_require_check_work", lambda terms, what: bounds.append(terms))
+    sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
+    nonzero = 0
+    for convention, (kind, mode) in itertools.product(
+            (HAT, UNHAT), ((ASSOC, None), (PRELIE, MODE_PARTIAL), (LIE, MODE_FULL))):
+        ops = {}
+        for arity in (1, 2, 3):
+            op = Operation(sp, arity, family_degree(convention, arity),
+                           random_table(rng, sp, arity, 0.5))
+            ops[arity] = op if mode is None else precompose_symmetrized(
+                op, action_variant(convention), mode)
+        fam = OperationFamily(convention, sp, 5, ops)
+        flavor = EquationFlavor(kind, convention)
+        total = 0
+        for n in range(1, 6):
+            streamed.clear()
+            residual(fam, flavor, n)
+            assert insertion_term_count(residual_insertions(fam, flavor, n)) \
+                == streamed["terms"], (convention, kind, n)
+            total += streamed["terms"]
+            nonzero += streamed["terms"] > 0
+        # run_check counts the whole check once, before its first residual
+        bounds.clear()
+        streamed.clear()
+        run_check(AlgebraDocument(fam), kind)
+        assert bounds == [total] == [streamed["terms"]], (convention, kind)
+    assert nonzero >= 20, nonzero
+
+    flat = GradedSpace(("a", "b", "c"), (0, 0, 0))
+    for n, (kind, mode) in itertools.product(
+            (2, 3), ((PARTIALLY_ASSOCIATIVE, None), (PRELIE, MODE_PARTIAL), (LIE, MODE_FULL))):
+        mu = Operation(flat, n, 0, random_table(rng, flat, n, 0.6))
+        if mode is not None:
+            mu = precompose_symmetrized(mu, RHO2, mode)
+        streamed.clear()
+        nary_residual(mu, kind)
+        assert streamed["terms"] > 0
+        assert insertion_term_count(nary_insertions(mu, kind)) == streamed["terms"], (n, kind)
+
+
+def test_check_expands_no_orbit(monkeypatch, rng):
+    # verdicts and witnesses are read off the folded residuals, so a failing
+    # check writes no arrangement of any orbit
+    sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
+    prelie = AlgebraDocument(random_unhat_family(rng, sp, (1, 2, 3), "partial", 0.8))
+    lie = AlgebraDocument(random_unhat_family(rng, sp, (1, 2, 3), "full", 0.8))
+    # a skew bracket, n = 2: the arity-5 residual of a skew arity-3 operation
+    # on four degree-0 letters vanishes, as no word has five distinct letters
+    flat = GradedSpace(("a", "b", "c", "d"), (0, 0, 0, 0))
+    mu = precompose_symmetrized(random_operation(rng, flat, 2, 0, 0.8), RHO2, MODE_FULL)
+    lie_n = AlgebraDocument(OperationFamily(UNHAT, flat, 2, {2: mu}), ("lie_n", 2))
+    calls = Counter()
+    real = permutations.arrangements
+
+    def counting(*args):
+        calls["arrangements"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(permutations, "arrangements", counting)
+    for doc, kind in ((prelie, PRELIE), (lie, LIE), (lie_n, LIE)):
+        report = run_check(doc, kind)
+        assert any(not c.passed and c.witness["inputs"] for c in report.checks), doc
+    assert calls == Counter()
+    # the count does see an expansion
+    assert not residual(prelie.family, EquationFlavor(PRELIE, UNHAT), 3).op.is_zero()
+    assert calls["arrangements"] > 0

@@ -4,6 +4,7 @@ components and the coderivation law's weight-1 check against the slow
 reference implementations in `oracles.py`."""
 
 import collections
+import functools
 import itertools
 import random
 from math import lcm
@@ -25,8 +26,9 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 action_variant, precompose_symmetrized, symmetrize_terms)
+from hopla import permutations
 from hopla.docio import AlgebraDocument
-from hopla.drivers import run_coderive
+from hopla.drivers import _residual_witness, run_coderive
 from hopla.errors import ArityError
 from hopla.verify import random_operation
 
@@ -304,6 +306,52 @@ def test_collapsed_nary_residual_matches_per_position_oracle_on_rational_coeffic
             assert fast == nary_residual_by_positions(mu, kind), (dim, n, kind)
             nonzero[kind] += not fast.is_zero()
     assert min(nonzero.values()) >= 3, nonzero
+
+
+def test_folded_residual_decides_and_witnesses_like_its_expansion(monkeypatch):
+    # check reads the verdict and the witness off the orbit representatives;
+    # the expanded operation is the oracle, in full (Lie) and partial
+    # (pre-Lie) modes, under rho1 (hat) and rho2 (unhat), on integer and
+    # rational draws, and on the n-ary residuals
+    draws = ((-3, -2, -1, 1, 2, 3), RATIONAL_COEFFICIENTS)
+    cases = []
+    for pattern in sorted(DEGREE_PATTERNS):
+        rng = random.Random(f"folded-{pattern}")
+        sp = pattern_space(pattern)
+        for convention, kind, draw in itertools.product((HAT, UNHAT), RESIDUAL_SYMMETRY, draws):
+            family = _symmetric_family(rng, sp, convention, kind, coefficients=draw)
+            cases += [(sp, functools.partial(residual, family, EquationFlavor(kind, convention), n),
+                       (pattern, convention, kind, draw, n)) for n in range(1, 7)]
+        if sp.is_concentrated_in_degree_zero():
+            symmetry = {PARTIALLY_ASSOCIATIVE: None, PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+            for n, (kind, mode), draw in itertools.product((2, 3), symmetry.items(), draws):
+                mu = random_operation(rng, sp, n, 0, density=0.6, coefficients=draw)
+                if mode is not None:
+                    mu = precompose_symmetrized(mu, RHO2, mode)
+                cases.append((sp, functools.partial(nary_residual, mu, kind),
+                              (pattern, n, kind, draw)))
+
+    # the fold drops a word whose orbit's stabilizer acts by -1
+    killed = collections.Counter()
+    real = permutations.stabilizer_order
+
+    def counting(letters, odd, rho2):
+        order = real(letters, odd, rho2)
+        killed["words"] += not order
+        return order
+
+    monkeypatch.setattr(permutations, "stabilizer_order", counting)
+    verdicts = collections.Counter()
+    for sp, compute, what in cases:
+        res = compute()
+        entry = res.folded.first_nonzero_entry()
+        assert res.vanishes() == res.op.is_zero(), what
+        assert entry == res.op.first_nonzero_entry(), what
+        assert _residual_witness(sp, entry) == _residual_witness(sp, res.op.first_nonzero_entry())
+        verdicts[res.vanishes()] += 1
+    # both verdicts occur, and orbits are killed by their stabilizers
+    assert verdicts[True] >= 100 and verdicts[False] >= 40, verdicts
+    assert killed["words"] >= 100, killed
 
 
 COALGEBRA_PATTERNS = {

@@ -155,8 +155,8 @@ def _names(tree):
 
 
 def test_one_symmetrization_kernel_over_term_streams():
-    # the orbit sum is `symmetrize_terms` on a term stream; the residuals
-    # hand it their insertion terms and never symmetrize an operation
+    # the orbit sum is `fold` on a term stream, then `expand`; the residuals
+    # hand the fold their insertion terms and never symmetrize an operation
     found = [f"{path.name}:{node.lineno} defines {node.name}"
              for path, tree in _parsed(sorted(SRC.glob("*.py")))
              for node in ast.walk(tree)
@@ -164,8 +164,25 @@ def test_one_symmetrization_kernel_over_term_streams():
              and node.name in ("orbit_representatives", "acted_slots")]
     assert found == []
     names = set(_names(ast.parse((SRC / "equations.py").read_text(encoding="utf-8"))))
-    assert "symmetrize_terms" in names
-    assert "precompose_symmetrized" not in names
+    assert {"fold", "expand"} <= names
+    assert not names & {"symmetrize_terms", "precompose_symmetrized"}, names
+
+
+def test_one_orbit_expansion():
+    # the arrangements of an orbit are written in one place, the expand step
+    # of the orbit kernel; a second copy of the orbit loop fails here
+    sites = []
+    for path, tree in _parsed([SRC / "equations.py", SRC / "permutations.py"]):
+        for top in tree.body:
+            name = getattr(top, "name", "module")
+            if name == "arrangements":
+                continue   # its own recursion
+            sites += [f"{path.name}:{name}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (isinstance(node.func, ast.Name) and node.func.id == "arrangements"
+                           or isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "arrangements")]
+    assert sites == ["permutations.py:expand"]
 
 
 def test_coderivation_law_goes_through_one_coproduct_generator():
