@@ -10,8 +10,8 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                            failing_symmetry_generator, koszul_sign,
                            precompose_symmetrized, sign, unshuffles)
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, Residual,
-                        check_nary, check_prelie_n_two_ways, circle_bracket,
-                        circle_product, nary_residual, residual)
+                        check_prelie_n_two_ways, circle_bracket, circle_product,
+                        nary_residual, residual)
 from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,
                         coalgebra_map, comultiply,
                         extend_coderivation, project_pi,

@@ -17,7 +17,7 @@ from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_component, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                        check_nary, nary_insertions, residual, residual_insertions)
+                        nary_family, residual, residual_insertions)
 from .errors import DocumentError, SymmetryError
 from .functors import (commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
@@ -116,20 +116,20 @@ def _residual_witness(space: GradedSpace, entry) -> dict | None:
     }
 
 
-def _symmetry_check(report: Report, ops: dict, variant: str, kind: str,
+def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor,
                     check_preconditions: bool) -> bool:
-    """Append one symmetry-precondition line per arity of `ops`; returns
-    overall success.
+    """Append one symmetry-precondition line per arity of `ops`, under the
+    flavor's action; returns overall success.
 
     Without the lines the symmetry is still required: pre-Lie and Lie
     residuals are computed in a collapsed form that holds only for
     symmetric operations, so a family without it raises a SymmetryError.
     """
-    if kind in (ASSOC, PARTIALLY_ASSOCIATIVE):
+    if flavor.kind == ASSOC:
         return True
-    full = kind == LIE
+    variant, full = flavor.variant, flavor.kind == LIE
     if not check_preconditions:
-        require_symmetry(ops, variant, full, f"the {kind} residual")
+        require_symmetry(ops, variant, full, f"the {flavor.kind} residual")
         return True
     label = "full" if full else "partial"
     ok = True
@@ -151,9 +151,12 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
               check_preconditions: bool = True) -> Report:
     """Residual verdicts for the requested equations.
 
-    Documents declaring an n-ary type run the single n-ary equation, of
-    arity 2n - 1; all other documents run the homotopy residuals for every
-    arity up to `max_arity` (default: the family's cap).  Before any
+    A document declaring an n-ary type is checked as the one-operation
+    unhat family of its operation (`equations.nary_family`) at the single
+    arity 2n - 1 of its defining equation; any other document runs its own
+    family's residuals for every arity up to `max_arity` (default: the
+    family's cap).  Both then take one path: symmetry lines under the
+    flavor's action, one work bound, one residual per arity.  Before any
     residual, a DocumentError is raised for a `max_arity` outside
     1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
     insertion terms.  Without `check_preconditions` the report has no
@@ -172,32 +175,26 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     declared = doc.declared_type
     if declared and declared[0] in NARY_DECLARED:
         n, mu = nary_operation(doc)
-        want = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
+        name = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
         if max_arity is not None and max_arity < 2 * n - 1:
-            raise DocumentError(f"the {want} residual of an arity-{n} operation has arity "
+            raise DocumentError(f"the {name} residual of an arity-{n} operation has arity "
                                 f"{2 * n - 1}, above the maximum arity {max_arity}")
-        if _symmetry_check(report, {n: mu}, RHO2, want, check_preconditions):
-            _require_check_work(insertion_term_count(nary_insertions(mu, want)),
-                                f"the {want} residual at arity {2 * n - 1}")
-            ok, res = check_nary(mu, want, check_symmetry=False)
-            report.add(f"{want} residual at arity {res.n}", ok,
-                       witness=_residual_witness(mu.space, res.folded.first_nonzero_entry()))
-        report.elapsed = time.monotonic() - t0
-        return report
+        family, arities = nary_family(mu), [2 * n - 1]
+        line, what = f"{name} residual", f"the {name} residual at arity {2 * n - 1}"
+    else:
+        family = doc.family
+        cap = max_arity if max_arity is not None else family.max_arity
+        arities = range(1, cap + 1)
+        line, what = f"{kind}/{doc.convention} residual", f"the {kind} check up to arity {cap}"
 
-    flavor = EquationFlavor(kind, doc.convention)
-    cap = max_arity if max_arity is not None else doc.family.max_arity
-    if _symmetry_check(report, doc.family.ops, action_variant(doc.convention), kind,
-                       check_preconditions):
-        _require_check_work(
-            insertion_term_count(chain.from_iterable(
-                residual_insertions(doc.family, flavor, n) for n in range(1, cap + 1))),
-            f"the {kind} check up to arity {cap}")
-        for n in range(1, cap + 1):
-            res = residual(doc.family, flavor, n, check_symmetry=False)
-            ok = res.vanishes()
-            report.add(f"{kind}/{doc.convention} residual at arity {n}", ok,
-                       witness=_residual_witness(doc.space, res.folded.first_nonzero_entry()))
+    flavor = EquationFlavor(kind, family.convention)
+    if _symmetry_check(report, family.ops, flavor, check_preconditions):
+        _require_check_work(insertion_term_count(chain.from_iterable(
+            residual_insertions(family, flavor, n) for n in arities)), what)
+        for n in arities:
+            res = residual(family, flavor, n, check_symmetry=False)
+            report.add(f"{line} at arity {n}", res.vanishes(),
+                       witness=_residual_witness(family.space, res.folded.first_nonzero_entry()))
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -237,11 +234,17 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
             raise DocumentError("suspend expects an unhat document")
         if is_nary and declared[1] > 2:
             raise DocumentError("suspend does not apply to n-ary documents")
-        return AlgebraDocument(suspend_family(doc.family), declared)
+        # an n-ary type needs a degree-0 basis, which the suspension leaves;
+        # for n <= 2 the family is its own embedding (nary-embed at n = 2)
+        derived_type = (EMBED_TYPE[declared[0]], None) if is_nary else declared
+        return AlgebraDocument(suspend_family(doc.family), derived_type)
 
     if functor == "desuspend":
         if doc.convention != HAT:
             raise DocumentError("desuspend expects a hat document")
+        if is_nary:
+            raise DocumentError(f"desuspend does not apply to n-ary documents "
+                                f"(declared {declared[0]}, n = {declared[1]})")
         return AlgebraDocument(desuspend_family(doc.family), declared)
 
     if functor in ("commutator-alpha", "commutator-beta", "commutator-gamma"):

@@ -35,14 +35,18 @@ once (`_insert_fold`).  P is the orbit kernel's first step,
 `permutations.fold`: the residuals keep the sum on its orbit
 representatives (`Residual`), which is all a verdict or a witness reads,
 and `permutations.expand` writes the whole operation only when `.op` is
-read.  The n-ary residuals go through the same steps, and the circle
-product is `expand` of the fold.  Without the symmetry the collapsed form
-is not the sum above, which is why `check` refuses such families on
-every path.
+read.  The circle product is `expand` of the fold.  Without the symmetry
+the collapsed form is not the sum above, which is why `check` refuses
+such families.
+
+An n-ary operation mu on a degree-0 space is the one-operation unhat
+family {n: mu} (`nary_family`), and its defining equation is that
+family's residual at arity 2n-1 (`nary_residual`); there is no second
+residual path.
 
 The number of terms the insertions stream is known before any insertion
-is made (`graded.insertion_term_count` over `residual_insertions` or
-`nary_insertions`); `check` refuses work above a limit on that count.
+is made (`graded.insertion_term_count` over `residual_insertions`);
+`check` refuses work above a limit on that count.
 
 Everything here decides vanishing by exhaustive evaluation on basis words;
 residuals are exact, there is no tolerance anywhere.
@@ -246,45 +250,37 @@ PARTIALLY_ASSOCIATIVE = "partially_associative"
 NARY_KINDS = (PARTIALLY_ASSOCIATIVE, PRELIE, LIE)
 
 
+def nary_family(mu: Operation) -> OperationFamily:
+    """The n-ary operation mu on a degree-0 space as the one-operation
+    unhat family it is: mu filed at arity n and degree n-2, capped at
+    2n-1, the arity of its defining equation."""
+    mu.space.require_degree_zero("an n-ary check")
+    n = mu.arity
+    return OperationFamily(UNHAT, mu.space, 2 * n - 1, {n: Operation(mu.space, n, n - 2, mu.table)})
+
+
 def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Residual:
     """Left-hand side of the defining equation of a (partially associative /
-    pre-Lie / Lie) n-algebra, as an operation of arity 2n-1.
+    pre-Lie / Lie) n-algebra, as an operation of arity 2n-1: the unhat
+    residual of `nary_family(mu)` at that arity, the partially associative
+    kind being the assoc flavor.
 
-    All three kinds alternate insertions with the sign (-1)^(i(n-1)); for odd
-    n the sign is trivial, and for n = 2 the partially associative equation
-    is plain associativity.  This is the convention under which an n-ary
-    algebra and its one-operation embedding satisfy the same equations.
+    Only the pair (n, n) contributes there, with the unhat coefficient
+    (-1)^(n(n-m-1)+m) = (-1)^(m(n-1)) at position m, so all three kinds
+    alternate insertions with that sign; for odd n the sign is trivial, and
+    for n = 2 the partially associative equation is plain associativity.
 
-    The signed permutation action here is rho2 on a degree-0 space, whose
-    Koszul factor is identically 1.  The pre-Lie and Lie residuals use the
-    collapsed insertions of `residual`, so with `check_symmetry` False the
-    caller must guarantee mu's partial (pre-Lie) or full (Lie) skew symmetry.
+    On a degree-0 space rho2 is the plain signed action.  With
+    `check_symmetry` False the caller must guarantee mu's partial (pre-Lie)
+    or full (Lie) skew symmetry.
     """
     if kind not in NARY_KINDS:
         raise ValueError(f"kind must be one of {NARY_KINDS}, got {kind!r}")
-    mu.space.require_degree_zero("an n-ary check")
-    n = mu.arity
+    family = nary_family(mu)
     if check_symmetry and kind != PARTIALLY_ASSOCIATIVE:
-        require_symmetry({n: mu}, RHO2, kind == LIE, f"a {kind} n-algebra")
-    return Residual(2 * n - 1, _insert_fold(mu.space, 2 * n - 1, mu.degree * 2,
-                                            nary_insertions(mu, kind), RHO2,
-                                            SYMMETRIZATION.get(kind)))
-
-
-def nary_insertions(mu: Operation, kind: str):
-    """The (mu, mu, position, coefficient) insertions of the n-ary residual
-    of the given kind, collapsed as in `residual`."""
-    n = mu.arity
-    scale = {PRELIE: Fraction(1, factorial(n - 1) ** 2),
-             LIE: Fraction(1, factorial(n - 1) * factorial(n))}.get(kind, Fraction(1))
-    return ((mu, mu, i, c) for i, c in _positions(
-        kind, n, lambda i: -scale if (i * (n - 1)) % 2 else scale))
-
-
-def check_nary(mu: Operation, kind: str, check_symmetry: bool = True):
-    """Returns (verdict, residual)."""
-    res = nary_residual(mu, kind, check_symmetry)
-    return res.vanishes(), res
+        require_symmetry({mu.arity: mu}, RHO2, kind == LIE, f"a {kind} n-algebra")
+    flavor = EquationFlavor(ASSOC if kind == PARTIALLY_ASSOCIATIVE else kind, UNHAT)
+    return residual(family, flavor, 2 * mu.arity - 1, check_symmetry=False)
 
 
 def check_prelie_n_two_ways(mu: Operation) -> bool:

@@ -28,8 +28,8 @@ stream to the sorted representative of its orbit, sums, and drops the
 orbits whose stabilizer acts by -1; the `Folded` result decides whether
 the sum vanishes and gives its smallest nonzero word.  `expand` writes
 every distinct arrangement of every orbit, and is the only caller of
-`arrangements` here.  In the full and partial modes `symmetrize_terms`
-and `precompose_symmetrized` are `expand(fold(...))`.
+`arrangements` here.  In the full and partial modes
+`precompose_symmetrized` is `expand(fold(...))`.
 """
 
 from __future__ import annotations
@@ -311,27 +311,27 @@ def expand(folded: Folded) -> Operation:
     return Operation(folded.space, folded.arity, folded.degree, table)
 
 
-def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
-                     variant: str, mode: str) -> Operation:
-    """P applied to the operation whose table is the sum of the (word,
-    output letter, integer numerator) terms over `denominator`: the sum of
-    that operation precomposed with rho_sigma over a family of permutations.
+def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
+    """Sum of op o rho_sigma over the permutations the mode names:
 
     mode 'full': sigma over S_n (the integral w_n);
     mode 'partial': sigma over S_{n-1} acting on the first n-1 slots;
     mode 'shuffle': sigma over the (n-1,1)-unshuffles.
     The variant picks rho1 or rho2.
 
-    The full and partial sums S are `expand(fold(...))`: with w = r o pi
-    for the sorted representative r of w's orbit, S(w) = chi(pi; r)
-    |Stab(r)| times the sum of the moved terms at r, and S vanishes on the
-    orbit when chi is not trivial on Stab(r).  The sums stay integers, so
-    the only Fractions built are one per output orbit, the orbit's value
-    times |Stab(r)|/denominator, and its negation; the shuffle mode divides
-    each output entry by the denominator once.
+    The kernel runs on op's integer numerators over its common denominator
+    (`Operation.numerators`).  The full and partial sums S are
+    `expand(fold(...))`: with w = r o pi for the sorted representative r of
+    w's orbit, S(w) = chi(pi; r) |Stab(r)| times the sum of the moved terms
+    at r, and S vanishes on the orbit when chi is not trivial on Stab(r).
+    The sums stay integers, so the only Fractions built are one per output
+    orbit, the orbit's value times |Stab(r)|/denominator, and its negation;
+    the shuffle mode divides each output entry by the denominator once.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
+    space, arity = op.space, op.arity
+    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
     if mode == MODE_SHUFFLE:
         odd = space.parities
         rho2 = variant == RHO2
@@ -347,16 +347,8 @@ def symmetrize_terms(space: GradedSpace, arity: int, degree: int, terms, denomin
                         c = -c
                     yield word[:k] + (a,) + word[k:-1], out, c
 
-        return Operation(space, arity, degree, table_from_numerators(shuffled(), denominator))
-    return expand(fold(space, arity, degree, terms, denominator, variant, mode))
-
-
-def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
-    """Sum of op o rho_sigma over the permutations the mode names: the
-    kernel `symmetrize_terms` on op's integer numerators over its common
-    denominator (`Operation.numerators`)."""
-    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
-    return symmetrize_terms(op.space, op.arity, op.degree, terms, op.denominator, variant, mode)
+        return Operation(space, arity, op.degree, table_from_numerators(shuffled(), op.denominator))
+    return expand(fold(space, arity, op.degree, terms, op.denominator, variant, mode))
 
 
 def failing_symmetry_generator(op: Operation, variant: str, full: bool):

@@ -15,8 +15,8 @@ from hopla.coalgebra import PERM, TENSOR, WEDGE
 from hopla.docio import parse_document, parse_rational
 from hopla.drivers import generate_random, nary_operation, run_check
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
-                             EquationFlavor, check_nary, circle_bracket,
-                             circle_product, nary_residual, residual)
+                             EquationFlavor, circle_bracket, circle_product,
+                             nary_residual, residual)
 from hopla.functors import (commutator, nary_commutator_lie, nary_commutator_prelie,
                             nary_embed, suspend_family)
 from hopla.graded import UNHAT, GradedSpace, LinearCombination, Operation
@@ -168,7 +168,7 @@ def _embedding_verdicts(mu, kind):
         sym = failing_symmetry_generator(mu, RHO2, full=True) is None
     else:
         sym = True
-    base = sym and check_nary(mu, kind, check_symmetry=False)[0]
+    base = sym and nary_residual(mu, kind, check_symmetry=False).vanishes()
     fam = nary_embed(mu.space, mu, n).family
     if kind == PRELIE:
         esym = all(failing_symmetry_generator(op, RHO2, full=False) is None
@@ -234,7 +234,7 @@ def test_criterion_6_nary_layer():
             shuffle = nary_commutator_lie(p, check_symmetry=False)
             if full != shuffle.scaled(math.factorial(n - 1)):
                 ok = False
-    _verdict(6, ok, "check_nary iff embedded residuals (both directions, 10+ "
+    _verdict(6, ok, "nary_residual iff embedded residuals (both directions, 10+ "
                     "satisfying, 10+ perturbed, n in {2,3}); (n-1)! identity n <= 4")
 
 

@@ -1,6 +1,9 @@
+import itertools
 import json
 import os
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +17,13 @@ from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_ratio
 from hopla.coalgebra import TENSOR, word_count
 from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_GENERATE_WORDS,
                            generate_random, run_check, run_derive)
-from hopla.equations import ASSOC, LIE, PRELIE
+from hopla.equations import ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE
 from hopla.errors import DocumentError
-from hopla.graded import UNHAT, OperationFamily
-from hopla.permutations import RHO2, action_variant, failing_symmetry_generator
+from hopla.graded import UNHAT, GradedSpace, Operation, OperationFamily
+from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
+                                failing_symmetry_generator, precompose_symmetrized)
 from hopla.samples import dual_numbers
+from hopla.verify import random_operation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOOD = os.path.join(FIXTURES, "dual_numbers.json")
@@ -618,6 +623,100 @@ def test_cli_suspend_round_trip(tmp_path, capsys):
     assert main(["derive", str(emb), "--functor", "suspend", "-o", str(sus)]) == 0
     assert main(["derive", str(sus), "--functor", "desuspend", "-o", str(back)]) == 0
     assert emb.read_text() == back.read_text()
+
+
+def test_cli_suspend_of_a_binary_nary_document_writes_its_embedding_type(tmp_path, capsys):
+    # an n-ary type requires a degree-0 basis, which the suspension leaves;
+    # the output used to keep assoc_n, and check refused it with exit 2
+    sus, emb, emb_sus = (tmp_path / f"{name}.json" for name in ("sus", "emb", "emb_sus"))
+    assert main(["derive", GOOD, "--functor", "suspend", "-o", str(sus)]) == 0
+    assert parse_document(sus.read_text()).declared_type == ("a_infinity", None)
+    for flavor in (ASSOC, PRELIE):
+        assert main(["check", str(sus), "--flavor", flavor]) == 0
+    # at n = 2 the family is its own embedding
+    assert main(["derive", GOOD, "--functor", "nary-embed", "-o", str(emb)]) == 0
+    assert main(["derive", str(emb), "--functor", "suspend", "-o", str(emb_sus)]) == 0
+    assert sus.read_text() == emb_sus.read_text()
+    # above n = 2 suspend still refuses, and writes nothing
+    ternary = tmp_path / "ternary.json"
+    ternary.write_text(minimal_doc(max_arity=5, declared_type={"name": "prelie_n", "n": 3}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["derive", str(ternary), "--functor", "suspend", "-o", str(out)]) == 2
+    assert "n-ary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, n", [("assoc_n", 3), ("lie_n", 2)])
+def test_cli_desuspend_refuses_nary_documents(tmp_path, capsys, name, n):
+    # a hat n-ary document on a degree-0 basis desuspends to a degree -1
+    # basis, on which no verb reads an n-ary type
+    doc = tmp_path / "hat_n.json"
+    doc.write_text(minimal_doc(convention="hat", max_arity=2 * n - 1,
+                               declared_type={"name": name, "n": n},
+                               operations=[{"arity": n, "entries": [
+                                   {"inputs": ["e"] * n, "output": [{"label": "e",
+                                                                     "coeff": "1"}]}]}]))
+    out = tmp_path / "out.json"
+    assert main(["derive", str(doc), "--functor", "desuspend", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "desuspend" in err and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_nary_check_is_the_one_operation_family_check(tmp_path, capsys, n):
+    # the n-ary residual of an unhat n-ary document is the residual at arity
+    # 2n - 1 of the same document without its declared type, checked up to
+    # that arity; every lower arity has no term and passes
+    rng = random.Random(f"nary-family-{n}")
+    kinds = {"assoc_n": (ASSOC, None), "prelie_n": (PRELIE, MODE_PARTIAL),
+             "lie_n": (LIE, MODE_FULL)}
+    verdicts = Counter()
+    for (name, (flavor, mode)), dim, nilpotent in itertools.product(
+            kinds.items(), (2, 3), (True, False)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(dim)), (0,) * dim)
+        sources, sinks = (range(dim - 1), range(dim - 1, dim)) if nilpotent else (None, None)
+        mu = random_operation(rng, sp, n, 0, 0.7, (-2, -1, 1, 3), sources, sinks)
+        if mode is not None:
+            mu = precompose_symmetrized(mu, RHO2, mode)
+        family = OperationFamily(UNHAT, sp, n, {n: Operation(sp, n, n - 2, mu.table)})
+        nary_path, family_path = tmp_path / "nary.json", tmp_path / "family.json"
+        nary_path.write_text(serialize_document(AlgebraDocument(family, (name, n))))
+        family_path.write_text(serialize_document(AlgebraDocument(family)))
+        reports = []
+        for path, extra in ((nary_path, ()), (family_path, ("--max-arity", str(2 * n - 1)))):
+            assert main(["check", str(path), "--flavor", flavor, "--json", *extra]) in (0, 1)
+            reports.append({c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]})
+        nary, fam = reports
+        case = (name, dim, nilpotent)
+        line = nary.pop(f"{PARTIALLY_ASSOCIATIVE if flavor == ASSOC else flavor} "
+                        f"residual at arity {2 * n - 1}")
+        top = fam.pop(f"{flavor}/unhat residual at arity {2 * n - 1}")
+        assert (top["passed"], top["witness"]) == (line["passed"], line["witness"]), case
+        # the rest: the same symmetry lines, and lower residuals that pass
+        assert nary == {k: v for k, v in fam.items() if "symmetry" in k}, case
+        assert all(c["passed"] for k, c in fam.items() if "residual" in k), case
+        assert len(fam) - len(nary) == 2 * n - 2, case
+        verdicts[line["passed"]] += 1
+    assert verdicts[True] >= 4 and verdicts[False] >= 2, verdicts
+
+
+def test_cli_check_of_a_zero_nary_operation_has_no_symmetry_line(tmp_path, capsys):
+    # the one-operation family drops a zero operation, so its report, like a
+    # family document's, has only the residual line
+    path = tmp_path / "zero_n.json"
+    path.write_text(minimal_doc(max_arity=5, declared_type={"name": "lie_n", "n": 3}))
+    family = tmp_path / "zero.json"
+    family.write_text(minimal_doc(max_arity=5))
+    for doc, flavor, names in (
+            (path, LIE, ["lie residual at arity 5"]),
+            (path, ASSOC, ["partially_associative residual at arity 5"]),
+            (family, LIE, [f"lie/unhat residual at arity {m}" for m in range(1, 6)])):
+        assert main(["check", str(doc), "--flavor", flavor, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == names
+        assert report["passed"]
 
 
 def test_cli_coderive(tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
-                             EquationFlavor, check_nary, residual)
+                             EquationFlavor, nary_residual, residual)
 from hopla.errors import ConventionError, GradingError, SymmetryError
 from hopla.functors import (commutator, desuspend_family, nary_commutator_lie,
                             nary_commutator_prelie, nary_embed, suspend_family,
@@ -193,8 +193,7 @@ def test_nary_embed_requires_degree_zero(graded2):
 def test_nary_commutator_prelie_binary_is_identity(corner):
     sp, mu = corner
     assert nary_commutator_prelie(mu) == mu
-    ok, _ = check_nary(nary_commutator_prelie(mu), PRELIE)
-    assert ok
+    assert nary_residual(nary_commutator_prelie(mu), PRELIE).vanishes()
 
 
 def test_nary_commutator_zero(flat2):
@@ -207,8 +206,7 @@ def test_nary_commutator_lie_binary(corner):
     sp, mu = corner
     lie = nary_commutator_lie(mu)  # arity 2: p(x,y) - p(y,x)
     assert lie == commutator_bracket(sp, mu)
-    ok, _ = check_nary(lie, LIE)
-    assert ok
+    assert nary_residual(lie, LIE).vanishes()
     # [a, b] = b in the corner algebra
     assert lie.evaluate((0, 1)) == LinearCombination({1: 1})
 
@@ -235,14 +233,11 @@ def test_partially_associative_to_prelie_to_lie_chain(flat2, rng):
     # Corollary chain on nilpotent instances: outputs absorb everything
     table = {(0, 0, 0): LinearCombination({1: 2})}
     mu = Operation(flat2, 3, 0, table)
-    ok, _ = check_nary(mu, PARTIALLY_ASSOCIATIVE)
-    assert ok
+    assert nary_residual(mu, PARTIALLY_ASSOCIATIVE).vanishes()
     p = nary_commutator_prelie(mu)
-    okp, _ = check_nary(p, PRELIE)
-    assert okp
+    assert nary_residual(p, PRELIE).vanishes()
     lie = nary_commutator_lie(p)
-    okl, _ = check_nary(lie, LIE)
-    assert okl
+    assert nary_residual(lie, LIE).vanishes()
 
 
 def test_coderivation_correspondence_random(graded2, rng):

@@ -250,3 +250,22 @@ def test_document_writer_stays_off_the_pure_python_encoder():
     found = [f"docio.py:{node.lineno}" for node in calls
              if any(kw.arg in ("indent", None) for kw in node.keywords)]
     assert found == []
+
+
+def test_one_residual_path():
+    # an n-ary operation is checked as the one-operation unhat family it is:
+    # run_check runs `residual` for every document, under the flavor's
+    # action, and no second insertion list or n-ary wrapper is left
+    found = [f"{path.name}:{node.lineno} defines {node.name}"
+             for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in ("nary_insertions", "check_nary", "symmetrize_terms")]
+    assert found == []
+    tree = ast.parse((SRC / "drivers.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "run_check"]
+    calls = {node.func.id for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "residual" in calls and not calls & {"nary_residual", "check_nary"}, calls
+    assert "RHO2" not in set(_names(function))
