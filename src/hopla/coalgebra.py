@@ -21,12 +21,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator, Mapping
 
 from .errors import ArityError, ConventionError, KindError
-from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, check_homogeneous)
+from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation, OperationFamily,
+                     check_homogeneous, over, sum_by_key)
 from .permutations import (RHO1, arrangements, koszul_sign, require_symmetry, sh,
                            signed_sort, stabilizer_order)
 
@@ -243,11 +243,14 @@ def project_pi(space: GradedSpace, word) -> LinearCombination:
 class Coderivation:
     """Weight-indexed components of a coderivation of one coalgebra kind.
 
-    `components[(k, l)]` maps canonical weight-k words to combinations of
-    weight-l words; missing pairs are zero.  The degree is carried for the
-    Koszul sign in the coderivation law (all coderivations built here have
-    degree -1).  The components are read-only once built: each word's image
-    over all weights is computed once and kept.
+    `components[(k, l)]` maps canonical weight-k words to their weight-l
+    images, each a dict {word: int numerator} over the one common
+    `denominator`; missing pairs and words are zero.  The law and the
+    square compute on these numerators; `component`, `apply_word` and
+    `square_word` give exact Fraction values.  The degree is carried for
+    the Koszul sign in the coderivation law (all coderivations built here
+    have degree -1).  The components are read-only once built: each word's
+    image over all weights is computed once and kept.
     """
 
     kind: str
@@ -255,26 +258,34 @@ class Coderivation:
     cap: int
     degree: int
     components: Mapping = field(default_factory=dict)
+    denominator: int = 1
 
     def __post_init__(self):
         self._images = {}
 
-    def component(self, k: int, l: int) -> Mapping:
-        return self.components.get((k, l), {})
+    def component(self, k: int, l: int) -> dict:
+        """The (k, l) component's values: canonical words to combinations."""
+        return {word: over(image, self.denominator)
+                for word, image in self.components.get((k, l), {}).items()}
 
-    def apply_word(self, word) -> LinearCombination:
+    def image(self, word) -> dict:
+        """D(word) over all weights, as numerators over the denominator."""
         image = self._images.get(word)
         if image is None:
             k = word_weight(self.kind, word)
-            image = self._images[word] = LinearCombination(
-                term for l in range(1, k + 1)
-                for term in self.components.get((k, l), {}).get(word, ()))
+            image = self._images[word] = {}
+            for l in range(1, k + 1):
+                image.update(self.components.get((k, l), {}).get(word, {}))
         return image
+
+    def apply_word(self, word) -> LinearCombination:
+        return over(self.image(word), self.denominator)
 
     def square_word(self, word) -> LinearCombination:
         """D(D(word)) over all weights."""
-        return LinearCombination((w, cc * c) for u, c in self.apply_word(word)
-                                 for w, cc in self.apply_word(u))
+        image = self.image
+        return over(sum_by_key((w, c * cc) for u, c in image(word).items()
+                               for w, cc in image(u).items()), self.denominator ** 2)
 
 
 def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderivation:
@@ -307,7 +318,9 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     the result to be a coderivation; that is checked here for every kind
     (ConventionError otherwise).
 
-    The (n, 1) component is exactly the arity-n operation.
+    The (n, 1) component is exactly the arity-n operation.  The components
+    are integer numerators over the lcm of the operations' denominators
+    (docs/conventions.md, "Coderivation components").
     """
     if family.convention != HAT:
         raise ConventionError("coderivation extension requires a hat-convention family")
@@ -320,22 +333,27 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
             raise ConventionError(f"the {kind} coderivation extension requires homogeneous "
                                   f"operations; the arity-{n} operation is not")
     sp = family.space
+    den = lcm(*(op.denominator for op in family.ops.values()))
     components = {}
     for k in range(1, cap + 1):
         for arity in family.arities():
             l = k - arity + 1
             if l < 1:
                 continue
-            comp = _component(family.ops[arity], kind, k, l)
+            op = family.ops[arity]
+            comp = _component(op, kind, k, l, den // op.denominator)
             if comp:
                 components[(k, l)] = comp
-    return Coderivation(kind, sp, cap, -1, components)
+    return Coderivation(kind, sp, cap, -1, components, den)
 
 
-def _component(op: Operation, kind: str, k: int, l: int) -> dict:
+def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict:
+    """The (k, l) component extending op: canonical weight-k words to their
+    images, as int numerators over op.denominator / scale."""
     sp = op.space
     odd = sp.parities
-    table = op.table
+    table = {word: [(letter, c * scale) for letter, c in outputs]
+             for word, outputs in op.numerators()}
     a = op.arity  # = k - l + 1
     if kind == TENSOR:
         def terms(word):
@@ -372,7 +390,7 @@ def _component(op: Operation, kind: str, k: int, l: int) -> dict:
 
     comp = {}
     for word in coalgebra_words(kind, sp, k):
-        image = LinearCombination(terms(word))
+        image = sum_by_key(terms(word))
         if image:
             comp[word] = image
     return comp
@@ -400,44 +418,53 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     tensor; followed by the product it is q, or q-1 for Perm, times the
     identity), so R_{p,q}(w) = 0.  Nothing here uses symmetry or
     homogeneity of D.  See docs/conventions.md, "Coderivation components".
+
+    The left side minus the right is summed per word as integer numerators
+    over D.denominator, and the law holds there when nothing survives.
     """
     cap = D.cap if cap is None else min(cap, D.cap)
     if cap < 1:
         raise ArityError(f"the coderivation law needs a weight cap of at least 1, got {cap}")
     kind, sp, par = D.kind, D.space, D.space.parities
     odd = D.degree % 2 != 0
-    cogenerator = [(a, comp) for (a, l), comp in D.components.items() if l == 1]
+    components, image = D.components, D.image
+    cogenerator = [(a, comp) for (a, l), comp in components.items() if l == 1]
+    # per source weight k, the components to weight l >= 2
+    spread = {k: [(l, comp) for (kk, l), comp in components.items() if kk == k and l >= 2]
+              for k in range(1, cap + 1)}
+    cuts = {}   # image word -> its (l-1, 1) cuts, met again from other words
 
-    def lhs(word):
-        """The (l-1, 1) cuts of D(word)."""
-        for u, c in D.apply_word(word):
-            l = word_weight(kind, u)
-            if l >= 2:
-                for pair, s in coproduct_terms(kind, sp, u, l - 1):
+    def defect(word, k):
+        """The weight-1 right part of R(word), as numerators: the (l-1, 1)
+        cuts of D(word), minus the weight-1 right parts of
+        (D (x) Id + Id (x) D)(Delta(word))."""
+        for l, comp in spread[k]:
+            for u, c in comp.get(word, {}).items():
+                terms = cuts.get(u)
+                if terms is None:
+                    terms = cuts[u] = tuple(coproduct_terms(kind, sp, u, l - 1))
+                for pair, s in terms:
                     yield pair, c if s == 1 else -c
-
-    def rhs(word, k):
-        """The weight-1 right parts of (D (x) Id + Id (x) D)(Delta(word))."""
         if k > 1:
             for (left, right), s in coproduct_terms(kind, sp, word, k - 1):
-                for v, c in D.apply_word(left):
-                    yield (v, right), c if s == 1 else -c
+                for v, c in image(left).items():
+                    yield (v, right), -c if s == 1 else c
         for a, comp in cogenerator:
             if a >= k:
                 continue
             for (left, right), s in coproduct_terms(kind, sp, word, k - a):
-                image = comp.get(right)
-                if image is None:
+                right_image = comp.get(right)
+                if right_image is None:
                     continue
                 letters = left[0] + (left[1],) if kind == PERM else left
                 if odd and sum(par[x] for x in letters) % 2:
                     s = -s
-                for v, c in image:
-                    yield (left, v), c if s == 1 else -c
+                for v, c in right_image.items():
+                    yield (left, v), -c if s == 1 else c
 
     for k in range(1, cap + 1):
         for word in coalgebra_words(kind, sp, k):
-            if LinearCombination(lhs(word)) != LinearCombination(rhs(word, k)):
+            if sum_by_key(defect(word, k)):
                 return False
     return True
 
@@ -458,21 +485,25 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     Each canonical word's part is written to the tensor words that project
     onto it: a tensor word to itself, a wedge word (or a Perm head, the tail
     fixed) to each distinct rearrangement w, with the Koszul sign chi that
-    takes w back to the canonical word."""
+    takes w back to the canonical word.  The products of the components'
+    numerators are summed as ints, over the denominator squared, and each
+    canonical word's part becomes Fractions once."""
     if not 1 <= n <= D.cap:
         raise ArityError(f"the square's cogenerator component needs a weight in "
                          f"1..{D.cap}, got {n}")
     steps = [(D.components[(n, l)], D.components[(l, 1)]) for l in range(1, n + 1)
              if (n, l) in D.components and (l, 1) in D.components]
     odd = D.space.parities
+    den = D.denominator ** 2
     table = {}
     for cw in dict.fromkeys(word for image, _ in steps for word in image):
         # a weight-1 word is (letter,), or ((), letter) for Perm
-        part = LinearCombination((v[-1], c * cc) for image, cogenerator in steps
-                                 for u, c in image.get(cw, ())
-                                 for v, cc in cogenerator.get(u, ()))
-        if not part:
+        sums = sum_by_key((v[-1], c * cc) for image, cogenerator in steps
+                          for u, c in image.get(cw, {}).items()
+                          for v, cc in cogenerator.get(u, {}).items())
+        if not sums:
             continue
+        part = over(sums, den)
         if D.kind == TENSOR:
             table[cw] = part
             continue

@@ -62,7 +62,7 @@ from math import factorial, lcm
 
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
-                     table_from_terms)
+                     sum_by_key, table_from_terms)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant, expand, fold,
                            require_symmetry)
 
@@ -158,7 +158,7 @@ def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
                         coeff.numerator * (den // (coeff.denominator * operands)))
         for outer, inner, position, coeff, operands in folded)
     if mode is None:
-        return Folded(sp, arity, degree, table_from_terms(terms), den, variant, None)
+        return Folded(sp, arity, degree, table_from_terms(terms, sum_by_key), den, variant, None)
     return fold(sp, arity, degree, terms, den, variant, mode)
 
 

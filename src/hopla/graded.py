@@ -100,47 +100,23 @@ class LinearCombination:
     a single combination never mixes key shapes.  Zero coefficients are
     dropped eagerly so that `==` is semantic equality.
 
-    The constructor is the one accumulator: every sum of coefficients by
-    key goes through it, and operation tables are grouped per word by
-    `table_from_terms` and summed here.  It takes a mapping or an iterable
-    of (key, coeff) pairs and drops every key whose sum is zero.  Int
-    coefficients are summed as ints and each surviving int sum becomes a
-    Fraction once, at the end, so the kernels can stream integer
-    numerators; any other coefficient that is not a Fraction converts on
-    entry (floats convert exactly).  Every stored value is a Fraction.
+    The constructor sums through `sum_by_key`, the one accumulator, and
+    makes every surviving int sum a Fraction once, at the end, so the
+    kernels can stream integer numerators; any other coefficient that is
+    not a Fraction converts on entry (floats convert exactly).  Every
+    stored value is a Fraction.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        data = {}
-        if terms:
-            # a list, the common case, skips the slower Mapping check
-            items = (terms if terms.__class__ is list
-                     else terms.items() if isinstance(terms, Mapping) else terms)
-            ints = False
-            for key, coeff in items:
-                kind = coeff.__class__
-                if kind is not Fraction:
-                    if kind is int:
-                        ints = True
-                    else:
-                        coeff = Fraction(coeff)
-                old = data.get(key)
-                if old is None:
-                    if coeff:
-                        data[key] = coeff
-                else:
-                    coeff += old
-                    if coeff:
-                        data[key] = coeff
-                    else:
-                        del data[key]
-            if ints:
-                for key, coeff in data.items():
-                    if coeff.__class__ is int:
-                        data[key] = Fraction(coeff)
-        self.terms = data
+        if not terms:
+            self.terms = {}
+            return
+        # a list, the common case, skips the slower Mapping check
+        self.terms = sum_by_key(terms if terms.__class__ is list
+                                else terms.items() if isinstance(terms, Mapping) else terms,
+                                True)
 
     @classmethod
     def single(cls, key, coeff=ONE) -> "LinearCombination":
@@ -192,10 +168,51 @@ class LinearCombination:
         return " + ".join(f"({c})*{k}" for k, c in sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
 
-def table_from_terms(terms) -> dict:
+def sum_by_key(items, as_fractions: bool = False) -> dict:
+    """The one accumulator: every sum of coefficients by key goes through
+    it.  Sums the (key, coefficient) pairs by key and drops every key whose
+    sum is zero; a key keeps its first coefficient as given.  Ints are
+    summed as ints, so the kernels sum integer numerators here; any other
+    coefficient that is not a Fraction converts on entry.  With `as_fractions`
+    every surviving int sum becomes a Fraction at the end."""
+    data = {}
+    ints = False
+    for key, coeff in items:
+        kind = coeff.__class__
+        if kind is not Fraction:
+            if kind is int:
+                ints = True
+            else:
+                coeff = Fraction(coeff)
+        old = data.get(key)
+        if old is None:
+            if coeff:
+                data[key] = coeff
+        else:
+            coeff += old
+            if coeff:
+                data[key] = coeff
+            else:
+                del data[key]
+    if ints and as_fractions:
+        for key, coeff in data.items():
+            if coeff.__class__ is int:
+                data[key] = Fraction(coeff)
+    return data
+
+
+def over(numerators: Mapping, denominator: int, factor: int = 1) -> LinearCombination:
+    """The combination numerators * factor / denominator, for integer
+    numerators summed by `sum_by_key`: one Fraction per entry."""
+    return LinearCombination([(key, Fraction(n * factor, denominator))
+                              for key, n in numerators.items()])
+
+
+def table_from_terms(terms, combine=LinearCombination) -> dict:
     """Operation table from (word, output letter, coefficient) terms: the
-    terms are grouped per word and each group is summed by the
-    LinearCombination constructor; words whose sum vanishes are left out."""
+    terms are grouped per word and each group is summed by `combine`, the
+    LinearCombination constructor or, for integer numerators kept as ints,
+    `sum_by_key`; words whose sum vanishes are left out."""
     groups = {}
     for word, letter, coeff in terms:
         group = groups.get(word)
@@ -205,7 +222,7 @@ def table_from_terms(terms) -> dict:
             group.append((letter, coeff))
     table = {}
     for word, group in groups.items():
-        combo = LinearCombination(group)
+        combo = combine(group)
         if combo:
             table[word] = combo
     return table
@@ -213,10 +230,10 @@ def table_from_terms(terms) -> dict:
 
 def table_from_numerators(terms, denominator: int) -> dict:
     """Operation table from (word, output letter, integer numerator) terms
-    over one common denominator: `table_from_terms` sums the numerators as
-    ints, and each entry is divided by the denominator once."""
-    factor = Fraction(1, denominator)
-    return {word: combo.scaled(factor) for word, combo in table_from_terms(terms).items()}
+    over one common denominator: the numerators are summed as ints, and
+    each entry is divided by the denominator once."""
+    return {word: over(sums, denominator)
+            for word, sums in table_from_terms(terms, sum_by_key).items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,12 +35,12 @@ every distinct arrangement of every orbit, and is the only caller of
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import HAT, GradedSpace, Operation, Word, table_from_numerators, table_from_terms
+from .graded import (HAT, GradedSpace, Operation, over, sum_by_key, table_from_numerators,
+                     table_from_terms)
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -109,13 +109,6 @@ def koszul_sign(sigma: Perm, degrees: Sequence[int]) -> int:
             line[pos], line[pos + 1] = b, a
             pos += 1
     return eps
-
-
-def permute_word(sigma: Perm, word: Word) -> Word:
-    """The word (w_{sigma(1)}, ..., w_{sigma(n)})."""
-    if len(sigma) != len(word):
-        raise LengthError(f"permutation length {len(sigma)} != word length {len(word)}")
-    return tuple(word[s - 1] for s in sigma)
 
 
 @lru_cache(maxsize=None)
@@ -220,8 +213,8 @@ class Folded:
     """A symmetrized sum kept on its orbit representatives.
 
     `table` maps each sorted representative r (its acted slots sorted,
-    the rest as they were) to the moved terms summed there per output
-    letter, as integer numerators over `denominator`.  Orbits on which chi
+    the rest as they were) to a dict of the moved terms summed there per
+    output letter, as int numerators over `denominator`.  Orbits on which chi
     is not trivial on Stab(r), and sums that vanish, are left out, so the
     sum is zero exactly when the table is empty.  `mode` None stands for
     no symmetrization: every word is its own orbit.
@@ -252,7 +245,7 @@ class Folded:
             return None
         rep = min(self.table)
         order = stabilizer_order(rep[:self.acted], self.space.parities, self.variant == RHO2)
-        return rep, self.table[rep].scaled(Fraction(order, self.denominator))
+        return rep, over(self.table[rep], self.denominator, order)
 
 
 def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
@@ -290,21 +283,23 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
             if rep is not None:
                 yield rep, out, c if kept else -c
 
-    return Folded(space, arity, degree, table_from_terms(moved()), denominator, variant, mode)
+    return Folded(space, arity, degree, table_from_terms(moved(), sum_by_key), denominator,
+                  variant, mode)
 
 
 def expand(folded: Folded) -> Operation:
     """The folded sum as an operation: every distinct rearrangement of the
     acted slots of every representative, with S(r o pi) = chi(pi; r) S(r).
-    The orbit's value is one Fraction per output letter, and its negation
-    is shared by the rearrangements with chi = -1."""
+    The orbit's value is one Fraction per output letter, the numerator
+    times |Stab(r)| over the denominator, and its negation is shared by
+    the rearrangements with chi = -1."""
     odd = folded.space.parities
     rho2 = folded.variant == RHO2
     acted = folded.acted
     table = {}
     for rep, numerators in folded.table.items():
         head, tail = rep[:acted], rep[acted:]
-        value = numerators.scaled(Fraction(stabilizer_order(head, odd, rho2), folded.denominator))
+        value = over(numerators, folded.denominator, stabilizer_order(head, odd, rho2))
         negated = value.scaled(-1)
         for chi, arrangement in arrangements(head, odd, rho2):
             table[arrangement + tail] = value if chi == 1 else negated

@@ -219,10 +219,13 @@ def square_component(D, k, l):
 
 
 def with_entry(D, k, l, word, combo):
-    """Copy of D with one component entry replaced: a corrupted coderivation."""
+    """Copy of D with one component entry replaced by the combination, kept
+    as numerators over D's denominator: a corrupted coderivation."""
+    numerators = {w: c * D.denominator for w, c in combo}
+    assert all(c.denominator == 1 for c in numerators.values())
     components = {key: dict(m) for key, m in D.components.items()}
-    components.setdefault((k, l), {})[word] = combo
-    return Coderivation(D.kind, D.space, D.cap, D.degree, components)
+    components.setdefault((k, l), {})[word] = {w: int(c) for w, c in numerators.items()}
+    return Coderivation(D.kind, D.space, D.cap, D.degree, components, D.denominator)
 
 
 # ---------------------------------------------------------------------------

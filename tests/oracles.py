@@ -29,6 +29,12 @@ only so that tests can compare the fast path against it:
 * `first_nonzero_square` squares every canonical word up to the cap whole,
   where `coalgebra.square_cogenerator_component` applies only the (l, 1)
   components to D(w), and `coderive` derives square-zero from those;
+* `component_by_fractions`, `check_coderivation_by_fractions` and
+  `square_cogenerator_by_fractions` are the coderivation component, the
+  law's weight-1 check and the square's cogenerator part summed in
+  Fractions, where `coalgebra` sums integer numerators over a common
+  denominator;
+* `permute_word` applies a whole permutation to a word;
 * `serialize_document_by_json_dumps` builds the document as nested dicts
   and lists and writes it with `json.dumps(indent=2)`, the layout
   `docio.serialize_document` writes directly;
@@ -42,15 +48,15 @@ import re
 from fractions import Fraction
 from math import factorial
 
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, perm_words,
-                             tensor_words, wedge_normalize, wedge_words)
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
+                             perm_words, tensor_words, wedge_normalize, wedge_words, word_weight)
 from hopla.docio import FORMAT, format_rational
 from hopla.equations import LIE, PRELIE
-from hopla.errors import DocumentError
+from hopla.errors import DocumentError, LengthError
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
                           linear_sum, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                all_permutations, koszul_sign, permute_word,
+                                all_permutations, arrangements, koszul_sign,
                                 precompose_symmetrized, sh, sign)
 
 
@@ -59,6 +65,13 @@ def inverse(sigma):
     for i, s in enumerate(sigma):
         inv[s - 1] = i + 1
     return tuple(inv)
+
+
+def permute_word(sigma, word):
+    """The word (w_{sigma(1)}, ..., w_{sigma(n)})."""
+    if len(sigma) != len(word):
+        raise LengthError(f"permutation length {len(sigma)} != word length {len(word)}")
+    return tuple(word[s - 1] for s in sigma)
 
 
 def act(sigma, space, word, variant):
@@ -298,6 +311,109 @@ def _store(comp, word, terms):
     image = LinearCombination(terms)
     if image:
         comp[word] = image
+
+
+def component_by_fractions(op, kind, k, l):
+    """The (k, l) component extending op, summed in Fractions: canonical
+    weight-k words to combinations of weight-l words."""
+    sp = op.space
+    odd = sp.parities
+    table = op.table
+    a = op.arity  # = k - l + 1
+    if kind == TENSOR:
+        def terms(word):
+            prefix_parity = 0
+            for i in range(l):
+                out = table.get(word[i:i + a])
+                if out is not None:
+                    for letter, c in out:
+                        yield word[:i] + (letter,) + word[i + a:], -c if prefix_parity else c
+                prefix_parity ^= odd[word[i]]
+    else:
+        def terms(word):
+            for (left, right), eps in coproduct_terms(kind, sp, word, a):
+                tail = None
+                if kind == PERM:
+                    left, (right, tail) = left[0] + (left[1],), right
+                out = table.get(left)
+                if out is None:
+                    continue
+                for letter, c in out:
+                    ns, w = wedge_normalize(sp, (letter,) + right)
+                    if w is not None:
+                        yield w if tail is None else (w, tail), c if ns == eps else -c
+            if kind == PERM:
+                head, tail = word
+                for (front, back), eps in coproduct_terms(WEDGE, sp, head, l - 1):
+                    out = table.get(back + (tail,))
+                    if out is None:
+                        continue
+                    if sum(odd[x] for x in front) % 2:
+                        eps = -eps
+                    for letter, c in out:
+                        yield (front, letter), c if eps == 1 else -c
+
+    comp = {}
+    for word in coalgebra_words(kind, sp, k):
+        _store(comp, word, terms(word))
+    return comp
+
+
+def check_coderivation_by_fractions(D, cap=None):
+    """The weight-1 part of the coderivation law, as
+    `coalgebra.check_coderivation` documents it, with both sides summed in
+    Fractions from the components' values."""
+    cap = D.cap if cap is None else min(cap, D.cap)
+    kind, sp, par = D.kind, D.space, D.space.parities
+    odd = D.degree % 2 != 0
+    cogenerator = [(a, D.component(a, 1)) for (a, l) in D.components if l == 1]
+
+    def lhs(word):
+        for u, c in D.apply_word(word):
+            l = word_weight(kind, u)
+            if l >= 2:
+                for pair, s in coproduct_terms(kind, sp, u, l - 1):
+                    yield pair, c * s
+
+    def rhs(word, k):
+        if k > 1:
+            for (left, right), s in coproduct_terms(kind, sp, word, k - 1):
+                for v, c in D.apply_word(left):
+                    yield (v, right), c * s
+        for a, comp in cogenerator:
+            if a >= k:
+                continue
+            for (left, right), s in coproduct_terms(kind, sp, word, k - a):
+                letters = left[0] + (left[1],) if kind == PERM else left
+                if odd and sum(par[x] for x in letters) % 2:
+                    s = -s
+                for v, c in comp.get(right, LinearCombination()):
+                    yield (left, v), c * s
+
+    return all(LinearCombination(lhs(word)) == LinearCombination(rhs(word, k))
+               for k in range(1, cap + 1) for word in coalgebra_words(kind, sp, k))
+
+
+def square_cogenerator_by_fractions(D, n):
+    """The weight (n -> 1) component of D o D as
+    `coalgebra.square_cogenerator_component` documents it, summed in
+    Fractions from the components' values and written to every tensor word
+    that projects onto a canonical word."""
+    steps = [(D.component(n, l), D.component(l, 1)) for l in range(1, n + 1)]
+    table = {}
+    for cw in dict.fromkeys(word for image, _ in steps for word in image):
+        part = LinearCombination((v[-1], c * cc) for image, cogenerator in steps
+                                 for u, c in image.get(cw, ())
+                                 for v, cc in cogenerator.get(u, ()))
+        if not part:
+            continue
+        if D.kind == TENSOR:
+            table[cw] = part
+            continue
+        head, tail = (cw, ()) if D.kind == WEDGE else (cw[0], (cw[1],))
+        for chi, arrangement in arrangements(head, D.space.parities, False):
+            table[arrangement + tail] = part.scaled(chi)
+    return Operation(D.space, n, 2 * D.degree, table)
 
 
 def coderivation_law_by_coproducts(D, cap=None):

@@ -1,22 +1,24 @@
 """The orbit symmetrization kernel, on operations and on term streams, the
 sparse circle product, the collapsed residuals, the unshuffle coderivation
-components and the coderivation law's weight-1 check against the slow
-reference implementations in `oracles.py`."""
+components, the coderivation law's weight-1 check and the integer-numerator
+coderivation against the slow reference implementations in `oracles.py`."""
 
 import collections
 import functools
 import itertools
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, pattern_space, random_table,
                       square_component, with_entry)
-from oracles import (circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
+from oracles import (check_coderivation_by_fractions, circle_product_dense,
+                     coalgebra_map_by_loop, coderivation_law_by_coproducts, component_by_fractions,
                      component_loop, compose_insert_by_evaluation, first_nonzero_square,
                      nary_residual_by_positions, precompose_symmetrized_by_loop,
-                     residual_by_positions)
+                     residual_by_positions, square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, extend_coderivation,
                              square_cogenerator_component, tensor_words, wedge_normalize)
@@ -30,6 +32,7 @@ from hopla import permutations
 from hopla.docio import AlgebraDocument
 from hopla.drivers import _residual_witness, run_coderive
 from hopla.errors import ArityError
+from hopla.functors import suspend_family
 from hopla.verify import random_operation
 
 
@@ -393,10 +396,83 @@ def test_unshuffle_components_match_loop_oracle(kind, pattern):
         op = _hat_operation(rng, sp, arity, kind)
         for k in range(arity, cap + 1):
             l = k - arity + 1
-            fast = _component(op, kind, k, l)
+            fast = _values(_component(op, kind, k, l), op.denominator)
             assert fast == component_loop(op, kind, k, l), (arity, k, l)
             nonzero += bool(fast)
     assert nonzero >= 12  # the comparison must not be vacuous
+
+
+def _values(comp, den):
+    """A component kept as int numerators over den, as Fraction values."""
+    return {word: LinearCombination((u, Fraction(c, den)) for u, c in image.items())
+            for word, image in comp.items()}
+
+
+# arity -> the coefficients drawn there: the denominators differ per arity,
+# so a family's common denominator is 6, neither 1 nor any operation's own
+MIXED_COEFFICIENTS = {1: (-2, -1, 1, 3),
+                      2: (Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), 1),
+                      3: (Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3), -1)}
+
+
+def _mixed_family(rng, sp, kind, convention):
+    """A family on sp with MIXED_COEFFICIENTS at arities 1-3 and the symmetry
+    the kind's extension needs: drawn as a hat family, or as an unhat one
+    (symmetrized under rho2) and suspended."""
+    ops = {}
+    for arity, coefficients in MIXED_COEFFICIENTS.items():
+        degree = -1 if convention == HAT else arity - 2
+        op = random_operation(rng, sp, arity, degree, 0.5, coefficients)
+        if SYMMETRY[kind] is not None:
+            op = precompose_symmetrized(op, action_variant(convention), SYMMETRY[kind])
+        if not op.is_zero():
+            ops[arity] = op
+    family = OperationFamily(convention, sp, 3, ops)
+    return family if convention == HAT else suspend_family(family)
+
+
+@pytest.mark.parametrize("kind", (TENSOR, WEDGE, PERM))
+def test_integer_coderivation_matches_fraction_oracles(kind):
+    # the components, the law and the square on integer numerators over
+    # the family's common denominator give the values, verdicts and
+    # operations of the same sums taken in Fractions
+    rng = random.Random(f"integer-coderivation-{kind}")
+    mixed = law_failures = squares = 0
+    for degrees, convention in itertools.product(((-1, 0), (1, 0, 1), (-1, 0, 1)), (HAT, UNHAT)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        for _ in range(2):
+            family = _mixed_family(rng, sp, kind, convention)
+            own = {op.denominator for op in family.ops.values()}
+            den = lcm(*own)
+            mixed += den not in own | {1}
+            for cap in range(1, 6):
+                D = extend_coderivation(family, kind, cap)
+                assert D.denominator == den
+                for (k, l), comp in D.components.items():
+                    op = family.ops[k - l + 1]
+                    assert _values(comp, den) == component_by_fractions(op, kind, k, l)
+                values = {}   # word -> D(word), from the Fraction components
+                for a, op in family.ops.items():
+                    for k in range(a, cap + 1):
+                        for word, image in component_by_fractions(op, kind, k, k - a + 1).items():
+                            values[word] = values.get(word, LinearCombination()) + image
+                for k in range(1, cap + 1):
+                    for word in coalgebra_words(kind, family.space, k):
+                        image = values.get(word, LinearCombination())
+                        assert D.apply_word(word) == image
+                        assert D.square_word(word) == LinearCombination(
+                            (w, c * cc) for u, c in image
+                            for w, cc in values.get(u, LinearCombination()))
+                for n in range(1, cap + 1):
+                    square = square_cogenerator_component(D, n)
+                    assert square == square_cogenerator_by_fractions(D, n), (degrees, cap, n)
+                    squares += not square.is_zero()
+                for label, _, variant in _law_variants(rng, D):
+                    verdict = check_coderivation(variant)
+                    assert verdict == check_coderivation_by_fractions(variant), (cap, label)
+                    law_failures += not verdict
+    # none of the comparisons may be vacuous
+    assert mixed >= 4 and law_failures >= 10 and squares >= 10, (mixed, law_failures, squares)
 
 
 def _canonical(kind, sp, word):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from conftest import (DEGREE_PATTERNS, identity, koszul_by_inversions, pattern_space,
                       random_table)
 from oracles import (act, extend_fixing_last, failing_transposition_by_act, inverse,
-                     precompose_by_loop)
+                     permute_word, precompose_by_loop)
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 all_permutations, compose, failing_symmetry_generator,
-                                koszul_sign, permute_word, precompose_symmetrized,
+                                koszul_sign, precompose_symmetrized,
                                 sh, sign, unshuffles)
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(

@@ -71,9 +71,10 @@ def test_dict_accumulator_pattern():
 
 
 def test_linear_combination_constructor_is_the_one_accumulator():
-    # every sum of coefficients by key goes through LinearCombination(...),
-    # whether the coefficients are Fractions or integer numerators;
-    # operation tables are grouped per word by graded.table_from_terms
+    # every sum of coefficients by key goes through graded.sum_by_key,
+    # whether the coefficients are Fractions or integer numerators kept as
+    # ints; the LinearCombination constructor sums through it, and operation
+    # tables are grouped per word by graded.table_from_terms
     modules = sorted(SRC.glob("*.py"))
     helpers = {"accumulate", "finish_combination"}
     found = []
@@ -86,17 +87,21 @@ def test_linear_combination_constructor_is_the_one_accumulator():
                           for alias in node.names if alias.name in helpers]
     assert found == []
 
-    constructors = 0
+    accumulators, constructors = [], []
     for path, tree in _parsed(modules):
-        allowed = {id(node) for cls in ast.walk(tree)
-                   if isinstance(cls, ast.ClassDef) and cls.name == "LinearCombination"
-                   for fn in cls.body
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
-                   for node in ast.walk(fn)}
-        constructors += bool(allowed)
+        accumulator = {id(node) for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "sum_by_key"
+                       for node in ast.walk(fn)}
+        accumulators += [path.name] if accumulator else []
+        inits = [fn for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "LinearCombination"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        constructors += [{node.func.id for node in ast.walk(fn) if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)} for fn in inits]
+        init_nodes = {id(node) for fn in inits for node in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno} assigns .terms"
                   for node in ast.walk(tree)
-                  if id(node) not in allowed and "terms" in _attribute_targets(node)]
+                  if id(node) not in init_nodes and "terms" in _attribute_targets(node)]
         found += [f"{path.name}:{node.lineno} builds a setdefault table"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -104,9 +109,22 @@ def test_linear_combination_constructor_is_the_one_accumulator():
                   and isinstance(node.args[1], ast.Dict)]
         found += [f"{path.name}:{node.lineno} accumulates into a dict entry"
                   for node in ast.walk(tree)
-                  if id(node) not in allowed and _is_dict_accumulator(node)]
-    assert constructors == 1
+                  if id(node) not in accumulator and _is_dict_accumulator(node)]
+    assert accumulators == ["graded.py"]
+    assert len(constructors) == 1 and "sum_by_key" in constructors[0], constructors
     assert found == []
+
+
+def test_coderivation_law_and_components_sum_integer_numerators():
+    # the components and the law compute on integer numerators over the
+    # coderivation's common denominator; Fractions appear only where a
+    # value is read (the square's entries, apply_word, square_word)
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_component", "check_coderivation"):
+        names = set(_names(functions[name]))
+        assert "sum_by_key" in names, name
+        assert not names & {"Fraction", "LinearCombination", "SIGNS", "ONE"}, (name, names)
 
 
 def test_one_signed_action_kernel():
