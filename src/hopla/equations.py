@@ -35,9 +35,12 @@ once (`_insert_fold`).  P is the orbit kernel's first step,
 `permutations.fold`: the residuals keep the sum on its orbit
 representatives (`Residual`), which is all a verdict or a witness reads,
 and `permutations.expand` writes the whole operation only when `.op` is
-read.  The circle product is `expand` of the fold.  Without the symmetry
-the collapsed form is not the sum above, which is why `check` refuses
-such families.
+read.  The circle product is `expand` of the fold.  The circle bracket
+f o g - (-1)^(mn) g o f is `expand` of one fold too: both products share
+the arity and P, and P is linear, so their insertions stream into one
+call with the second product's scaled by -(-1)^(mn).  Without the
+symmetry the collapsed form is not the sum above, which is why `check`
+refuses such families.
 
 An n-ary operation mu on a degree-0 space is the one-operation unhat
 family {n: mu} (`nary_family`), and its defining equation is that
@@ -199,6 +202,27 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
 # circle products on C(V,V) for plain (degree-0) spaces
 # ---------------------------------------------------------------------------
 
+def _require_circle_factors(f: Operation, g: Operation, check_symmetry: bool) -> None:
+    """The circle calculus's preconditions on its left factor f and right
+    factor g: one degree-0 space, and each factor skew in all slots but the
+    last (unless `check_symmetry` is False)."""
+    if f.space != g.space:
+        raise ArityError("circle product requires a common space")
+    f.space.require_degree_zero("the circle product")
+    if check_symmetry:
+        require_symmetry({f.arity: f}, RHO2, False, "the circle product's left factor")
+        require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
+
+
+def _circle_insertions(f: Operation, g: Operation, sign: int = 1):
+    """The (outer, inner, position, coefficient) insertions of sign * f o g
+    in the Nijenhuis-Richardson form of `circle_product`."""
+    m, n = f.arity - 1, g.arity - 1
+    scale = factorial(m) * factorial(n)
+    return ((f, g, position, c) for position, c in _positions(
+        PRELIE, m + 1, lambda p: Fraction(sign * (-1) ** (p * n), scale)))
+
+
 def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
     """f o g for f in C^m(V,V), g in C^n(V,V) (arities m+1 and n+1):
 
@@ -219,26 +243,26 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     but the last, which the caller must guarantee when `check_symmetry` is
     False.
     """
-    if f.space != g.space:
-        raise ArityError("circle product requires a common space")
-    f.space.require_degree_zero("the circle product")
-    if check_symmetry:
-        require_symmetry({f.arity: f}, RHO2, False, "the circle product's left factor")
-        require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
-    m, n = f.arity - 1, g.arity - 1
-    scale = factorial(m) * factorial(n)
-    insertions = ((f, g, position, c) for position, c in _positions(
-        PRELIE, m + 1, lambda p: Fraction((-1) ** (p * n), scale)))
+    _require_circle_factors(f, g, check_symmetry)
     # declared degree 0, like the space, whatever degrees f and g declare
-    return expand(_insert_fold(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL))
+    return expand(_insert_fold(f.space, f.arity + g.arity - 1, 0, _circle_insertions(f, g),
+                               RHO2, MODE_PARTIAL))
 
 
 def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
-    """[f,g] = f o g - (-1)^{mn} g o f, the graded Lie bracket on C(V,V)."""
+    """[f,g] = f o g - (-1)^{mn} g o f, the graded Lie bracket on C(V,V).
+
+    Both products have arity m+n+1 and are P of their insertions with the
+    same P (rho2 over the first m+n slots), and P is linear, so the bracket
+    is P of the insertions of f o g chained with those of g o f scaled by
+    -(-1)^{mn}: one fold over one common denominator and one expansion.
+    Orbits where the two products cancel are never written.  The factors
+    must be skew in all slots but the last, as for `circle_product`.
+    """
+    _require_circle_factors(f, g, check_symmetry)
     m, n = f.arity - 1, g.arity - 1
-    fg = circle_product(f, g, check_symmetry)
-    gf = circle_product(g, f, check_symmetry)
-    return fg - gf.scaled((-1) ** (m * n))
+    insertions = chain(_circle_insertions(f, g), _circle_insertions(g, f, -(-1) ** (m * n)))
+    return expand(_insert_fold(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,10 @@ class Operation:
         return linear_sum(self.space, self.arity, self.degree, ((self, 1), (other, 1)))
 
     def scaled(self, factor) -> "Operation":
+        """factor times the operation.  Factor 1 returns the operation
+        itself, which is immutable; any other factor builds a fresh table."""
+        if factor == 1:
+            return self
         factor = Fraction(factor)
         if not factor:
             return Operation.zero(self.space, self.arity, self.degree)

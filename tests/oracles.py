@@ -9,6 +9,9 @@ only so that tests can compare the fast path against it:
   group a symmetrization mode names;
 * `circle_product_dense` evaluates the unshuffle definition of the circle
   product on every one of the dim^(m+n+1) input words;
+* `circle_bracket_by_products` forms the circle bracket as two whole
+  products subtracted as operations, where `equations.circle_bracket`
+  folds both products' insertions once;
 * `failing_transposition_by_act` walks the adjacent transpositions as
   whole permutations, applied with `act`;
 * `coalgebra_map_by_loop` sums alpha and gamma over every permutation of
@@ -51,7 +54,7 @@ from math import factorial
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
                              perm_words, tensor_words, wedge_normalize, wedge_words, word_weight)
 from hopla.docio import FORMAT, format_rational
-from hopla.equations import LIE, PRELIE
+from hopla.equations import LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
                           linear_sum, table_from_terms, word_degree)
@@ -219,6 +222,13 @@ def circle_product_dense(f, g):
                 slot += ((out, c_in * c_out * sgn) for out, c_out in outer)
         table[word] = LinearCombination(slot)
     return Operation(sp, arity, 0, table)
+
+
+def circle_bracket_by_products(f, g, product=circle_product):
+    """[f,g] = f o g - (-1)^(mn) g o f with both products made whole by
+    `product` and subtracted as operations."""
+    m, n = f.arity - 1, g.arity - 1
+    return product(f, g) - product(g, f).scaled((-1) ** (m * n))
 
 
 def coalgebra_map_by_loop(name, space, word):

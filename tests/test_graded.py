@@ -208,7 +208,12 @@ def test_scaled_by_one_and_minus_one():
     assert same.terms == before and combo.terms == before
     assert results[1].is_zero() and results[0] == combo.scaled(2)
     op = Operation(space(("x", 0)), 1, 0, {(0,): combo})
-    assert op.scaled(1) == op and op.scaled(-1).table[(0,)] == combo.scaled(-1)
+    for one in (1, Fraction(1), 1.0):
+        assert op.scaled(one) is op
+    for negated in (op.scaled(-1), -op):
+        assert negated is not op and negated.table is not op.table
+        assert negated.table[(0,)] == combo.scaled(-1) and op.table[(0,)] is combo
+    assert (op + op.scaled(-1)).is_zero() and op.scaled(-1).scaled(-1) == op
 
 
 def test_table_from_terms_groups_per_word_and_drops_zero_words():

@@ -1,7 +1,8 @@
 """The orbit symmetrization kernel, on operations and on term streams, the
-sparse circle product, the collapsed residuals, the unshuffle coderivation
-components, the coderivation law's weight-1 check and the integer-numerator
-coderivation against the slow reference implementations in `oracles.py`."""
+sparse circle product and bracket, the collapsed residuals, the unshuffle
+coderivation components, the coderivation law's weight-1 check and the
+integer-numerator coderivation against the slow reference implementations
+in `oracles.py`."""
 
 import collections
 import functools
@@ -14,16 +15,17 @@ import pytest
 
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, pattern_space, random_table,
                       square_component, with_entry)
-from oracles import (check_coderivation_by_fractions, circle_product_dense,
-                     coalgebra_map_by_loop, coderivation_law_by_coproducts, component_by_fractions,
-                     component_loop, compose_insert_by_evaluation, first_nonzero_square,
-                     nary_residual_by_positions, precompose_symmetrized_by_loop,
-                     residual_by_positions, square_cogenerator_by_fractions)
+from oracles import (check_coderivation_by_fractions, circle_bracket_by_products,
+                     circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
+                     component_by_fractions, component_loop, compose_insert_by_evaluation,
+                     first_nonzero_square, nary_residual_by_positions,
+                     precompose_symmetrized_by_loop, residual_by_positions,
+                     square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, extend_coderivation,
                              square_cogenerator_component, tensor_words, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                             circle_product, nary_residual, residual)
+                             circle_bracket, circle_product, nary_residual, residual)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
@@ -207,6 +209,34 @@ def test_sparse_circle_product_matches_dense_oracle_on_rational_coefficients(dim
             assert fast == circle_product_dense(f, g), (f_arity, g_arity)
             nonzero += not fast.is_zero()
     assert nonzero >= 6
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("coefficients", ("integer", "rational"))
+def test_one_fold_circle_bracket_matches_product_and_dense_oracles(dim, coefficients):
+    # f and g carry different denominators (1/11 and 1/13 on top of what they
+    # draw), so the bracket's common denominator is neither factor's own
+    rng = random.Random(f"circle-bracket-{dim}-{coefficients}")
+    sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+    draw = {"coefficients": RATIONAL_COEFFICIENTS} if coefficients == "rational" else {}
+    nonzero = cancelled = 0
+    for f_arity, g_arity, _ in itertools.product((1, 2, 3), (1, 2, 3), range(2)):
+        f = _partially_skew(rng, sp, f_arity, **draw).scaled(Fraction(1, 11))
+        g = _partially_skew(rng, sp, g_arity, **draw).scaled(Fraction(1, 13))
+        if not (f.is_zero() or g.is_zero()):
+            assert f.denominator != g.denominator, (f_arity, g_arity)
+        bracket = circle_bracket(f, g)
+        assert bracket == circle_bracket_by_products(f, g), (f_arity, g_arity)
+        assert bracket == circle_bracket_by_products(f, g, circle_product_dense), (f_arity, g_arity)
+        assert bracket.degree == 0
+        nonzero += not bracket.is_zero()
+        # mn even: g o g - g o g cancels on every orbit
+        if (g_arity - 1) % 2 == 0:
+            square = circle_bracket(g, g)
+            assert square.is_zero() and square.degree == 0
+            assert circle_bracket_by_products(g, g).is_zero()
+            cancelled += not circle_product(g, g).is_zero()
+    assert nonzero >= 6 and cancelled >= 1
 
 
 def test_prelie_residual_is_circle_square_on_four_letters():

@@ -1,4 +1,5 @@
-"""The SymmetryError payload at every symmetry-precondition site.
+"""The SymmetryError payload at every symmetry-precondition site, and the
+circle calculus's other refusals.
 
 Each case builds inputs whose first failing transposition is (2, 3), and
 families whose first failing arity is neither the first nor the last
@@ -15,8 +16,8 @@ from hopla.coalgebra import PERM, WEDGE, extend_coderivation
 from hopla.docio import AlgebraDocument
 from hopla.drivers import run_check, run_derive
 from hopla.equations import (LIE, PRELIE, EquationFlavor, check_prelie_n_two_ways,
-                             circle_product, nary_residual, residual)
-from hopla.errors import SymmetryError
+                             circle_bracket, circle_product, nary_residual, residual)
+from hopla.errors import ArityError, GradingError, SymmetryError
 from hopla.functors import nary_commutator_lie
 from hopla.graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, linear_sum
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2, action_variant,
@@ -94,6 +95,16 @@ def circle_right(rng):
     return lambda: circle_product(f, g), {4: g}, RHO2, False
 
 
+def bracket_left(rng):
+    f, g = op(rng, FLAT, 4, 0, RHO2, "pair"), op(rng, FLAT, 3, 0, RHO2, "partial")
+    return lambda: circle_bracket(f, g), {4: f}, RHO2, False
+
+
+def bracket_right(rng):
+    f, g = op(rng, FLAT, 3, 0, RHO2, "partial"), op(rng, FLAT, 4, 0, RHO2, "pair")
+    return lambda: circle_bracket(f, g), {4: g}, RHO2, False
+
+
 def prelie_two_ways(rng):
     mu = op(rng, FLAT, 4, 0, RHO2, "pair")
     return lambda: check_prelie_n_two_ways(mu), {4: mu}, RHO2, False
@@ -142,8 +153,8 @@ def check_nary_prelie_bypass(rng):
 
 @pytest.mark.parametrize("case", [
     residual_prelie, residual_lie, nary_prelie, nary_lie, circle_left, circle_right,
-    prelie_two_ways, extend_perm, extend_wedge, nary_commutator, derive_commutator_beta,
-    check_prelie_bypass, check_lie_bypass, check_nary_prelie_bypass,
+    bracket_left, bracket_right, prelie_two_ways, extend_perm, extend_wedge, nary_commutator,
+    derive_commutator_beta, check_prelie_bypass, check_lie_bypass, check_nary_prelie_bypass,
 ], ids=lambda case: case.__name__)
 def test_symmetry_error_payload(case):
     call, ops, variant, full = case(random.Random(7))
@@ -158,3 +169,28 @@ def test_symmetry_error_payload(case):
     with pytest.raises(SymmetryError) as err:
         call()
     assert (err.value.arity, err.value.transposition) == expected
+
+
+@pytest.mark.parametrize("call", [circle_product, circle_bracket], ids=lambda f: f.__name__)
+def test_circle_calculus_refuses_factors_on_different_spaces(call):
+    rng = random.Random(11)
+    f = op(rng, FLAT, 2, 0, RHO2, "partial")
+    g = op(rng, GradedSpace(("a", "b", "c"), (0, 0, 0)), 2, 0, RHO2, "partial")
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(ArityError, match="common space"):
+            call(left, right)
+        with pytest.raises(ArityError, match="common space"):
+            call(left, right, check_symmetry=False)
+
+
+@pytest.mark.parametrize("call", [circle_product, circle_bracket], ids=lambda f: f.__name__)
+def test_circle_calculus_refuses_a_graded_space(call):
+    # the grading is refused before the symmetry: a non-skew factor on a
+    # graded space raises GradingError whether or not symmetry is checked
+    rng = random.Random(12)
+    sp = GradedSpace(("u", "v"), (0, 1))
+    f, g = op(rng, sp, 2, 0, RHO2, "partial"), op(rng, sp, 4, 0, RHO2, None)
+    assert failing_symmetry_generator(g, RHO2, False) is not None
+    for check_symmetry in (True, False):
+        with pytest.raises(GradingError, match="degree 0"):
+            call(f, g, check_symmetry)

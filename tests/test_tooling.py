@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import collections
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -184,6 +185,53 @@ def test_one_symmetrization_kernel_over_term_streams():
     names = set(_names(ast.parse((SRC / "equations.py").read_text(encoding="utf-8"))))
     assert {"fold", "expand"} <= names
     assert not names & {"symmetrize_terms", "precompose_symmetrized"}, names
+
+
+def _operation_sums(function):
+    """Lines of the function's `+=` / `-=`, and of its binary `+` / `-` with
+    an operand that is a call's result, directly or through a name bound to
+    one, or a parameter: sums of operations, not of arities or signs."""
+    operands = {arg.arg for arg in function.args.args} | {
+        target.id for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        for target in node.targets if isinstance(target, ast.Name)}
+    return [node.lineno for node in ast.walk(function)
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub))
+            or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and any(isinstance(side, ast.Call)
+                    or isinstance(side, ast.Name) and side.id in operands
+                    for side in (node.left, node.right))]
+
+
+def test_operation_sum_pattern():
+    def flagged(body):
+        source = "def circle_bracket(f, g, check_symmetry=True):\n" + body
+        return bool(_operation_sums(ast.parse(source).body[0]))
+
+    two_products = ("    m, n = f.arity - 1, g.arity - 1\n"
+                    "    fg = circle_product(f, g, check_symmetry)\n"
+                    "    gf = circle_product(g, f, check_symmetry)\n"
+                    "    return fg - gf.scaled((-1) ** (m * n))\n")
+    assert flagged(two_products)
+    assert flagged("    return f + g\n")
+    assert flagged("    acc = f\n    acc -= g\n    return acc\n")
+    assert flagged("    return circle_product(f, g) - circle_product(g, f)\n")
+    assert not flagged("    m, n = f.arity - 1, g.arity - 1\n"
+                       "    return m + n + 1, -(-1) ** (m * n)\n")
+
+
+def test_circle_bracket_is_one_fold():
+    # the bracket folds the insertions of both products once and expands
+    # once; a second product or operation arithmetic on the two fails here
+    tree = ast.parse((SRC / "equations.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "circle_bracket"]
+    calls = collections.Counter(node.func.id for node in ast.walk(function)
+                                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
+    assert calls["_insert_fold"] == 1 and calls["expand"] == 1, calls
+    assert not set(calls) & {"circle_product", "linear_sum"}, calls
+    assert "scaled" not in set(_names(function))
+    assert _operation_sums(function) == []
 
 
 def test_one_orbit_expansion():
