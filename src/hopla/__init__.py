@@ -6,10 +6,10 @@ never to a tolerance."""
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily, Scalar, check_homogeneous, compose_insert,
                      family_degree, space, word_degree)
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
+from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
                            failing_symmetry_generator, koszul_sign,
                            precompose_symmetrized, sign, unshuffles)
-from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, Residual,
+from .equations import (ASSOC, LIE, PRELIE, EquationFlavor,
                         check_prelie_n_two_ways, circle_bracket, circle_product,
                         nary_residual, residual)
 from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,

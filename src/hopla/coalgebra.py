@@ -27,8 +27,8 @@ from typing import Iterator, Mapping
 from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation, OperationFamily,
                      check_homogeneous, over, sum_by_key)
-from .permutations import (RHO1, arrangements, koszul_sign, require_symmetry, sh,
-                           signed_sort, stabilizer_order)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, arrangements, expand,
+                           koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -246,10 +246,9 @@ class Coderivation:
     `components[(k, l)]` maps canonical weight-k words to their weight-l
     images, each a dict {word: int numerator} over the one common
     `denominator`; missing pairs and words are zero.  The law and the
-    square compute on these numerators; `component`, `apply_word` and
-    `square_word` give exact Fraction values.  The degree is carried for
-    the Koszul sign in the coderivation law (all coderivations built here
-    have degree -1).  The components are read-only once built: each word's
+    square compute on these numerators; `square_word` gives exact Fraction
+    values.  The degree is carried for the Koszul sign in the coderivation
+    law (all coderivations built here have degree -1).  The components are read-only once built: each word's
     image over all weights is computed once and kept.
     """
 
@@ -263,11 +262,6 @@ class Coderivation:
     def __post_init__(self):
         self._images = {}
 
-    def component(self, k: int, l: int) -> dict:
-        """The (k, l) component's values: canonical words to combinations."""
-        return {word: over(image, self.denominator)
-                for word, image in self.components.get((k, l), {}).items()}
-
     def image(self, word) -> dict:
         """D(word) over all weights, as numerators over the denominator."""
         image = self._images.get(word)
@@ -277,9 +271,6 @@ class Coderivation:
             for l in range(1, k + 1):
                 image.update(self.components.get((k, l), {}).get(word, {}))
         return image
-
-    def apply_word(self, word) -> LinearCombination:
-        return over(self.image(word), self.denominator)
 
     def square_word(self, word) -> LinearCombination:
         """D(D(word)) over all weights."""
@@ -482,33 +473,25 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     outside 1 .. D.cap raises ArityError: D has no components beyond the
     cap, so its square there is unknown, not zero.
 
-    Each canonical word's part is written to the tensor words that project
-    onto it: a tensor word to itself, a wedge word (or a Perm head, the tail
-    fixed) to each distinct rearrangement w, with the Koszul sign chi that
-    takes w back to the canonical word.  The products of the components'
-    numerators are summed as ints, over the denominator squared, and each
-    canonical word's part becomes Fractions once."""
+    A canonical word is the rho1 orbit representative of the tensor words
+    that project onto it: a tensor word is its own, a wedge word stands for
+    its rearrangements (mode full), and a Perm word (head | t) for the
+    rearrangements of its head, t fixed (mode partial on head + (t,)).  So
+    the pullback is `expand` of the `permutations.Folded` sum that holds
+    each canonical word's part, the products of the components' numerators
+    summed as ints over the denominator squared."""
     if not 1 <= n <= D.cap:
         raise ArityError(f"the square's cogenerator component needs a weight in "
                          f"1..{D.cap}, got {n}")
     steps = [(D.components[(n, l)], D.components[(l, 1)]) for l in range(1, n + 1)
              if (n, l) in D.components and (l, 1) in D.components]
-    odd = D.space.parities
-    den = D.denominator ** 2
     table = {}
     for cw in dict.fromkeys(word for image, _ in steps for word in image):
         # a weight-1 word is (letter,), or ((), letter) for Perm
         sums = sum_by_key((v[-1], c * cc) for image, cogenerator in steps
                           for u, c in image.get(cw, {}).items()
                           for v, cc in cogenerator.get(u, {}).items())
-        if not sums:
-            continue
-        part = over(sums, den)
-        if D.kind == TENSOR:
-            table[cw] = part
-            continue
-        head, tail = (cw, ()) if D.kind == WEDGE else (cw[0], (cw[1],))
-        negated = part.scaled(-1)
-        for chi, arrangement in arrangements(head, odd, False):
-            table[arrangement + tail] = part if chi == 1 else negated
-    return Operation(D.space, n, 2 * D.degree, table)
+        if sums:
+            table[cw[0] + (cw[1],) if D.kind == PERM else cw] = sums
+    mode = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}[D.kind]
+    return expand(Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1, mode))

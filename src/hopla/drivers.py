@@ -19,13 +19,13 @@ from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         nary_family, residual, residual_insertions)
 from .errors import DocumentError, SymmetryError
-from .functors import (commutator, desuspend_family, nary_commutator_lie,
+from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
                      insertion_term_count)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
-                           failing_symmetry_generator, precompose_symmetrized,
-                           require_symmetry)
+from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
+                           arrangement_count, failing_symmetry_generator,
+                           precompose_symmetrized, require_symmetry)
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
@@ -45,6 +45,15 @@ MAX_CODERIVE_WORK = 20_000
 # insertion and refuses more than this.  The largest benchmark job streams
 # 4,608 terms; 1.6 million took 3-5 s and 130 MB (Intel Xeon, Python 3.11.7).
 MAX_CHECK_TERMS = 500_000
+
+# `derive --functor commutator-alpha`, `commutator-gamma` and
+# `nary-commutator-prelie` write every distinct rearrangement of the acted
+# slots of every orbit a stored word lies in; they count those
+# (`arrangement_count`) before any fold and refuse more than this.  The
+# largest benchmark derive counts 392; one arity-8 entry on 8 distinct
+# letters writes 40,320 in 0.5 s and 86 MB, a 12.8 MB document, and arity 9
+# writes 362,880 in 6.2 s, 579 MB and 122 MB (Intel Xeon, Python 3.11.7).
+MAX_DERIVE_ENTRIES = 100_000
 
 # `generate` walks every word over the source letters at every arity and
 # draws for each, at O(arity) per word.  It refuses a request for more words
@@ -105,7 +114,7 @@ class Report:
 
 def _residual_witness(space: GradedSpace, entry) -> dict | None:
     """The printed form of `first_nonzero_entry()`, a (word, value) pair or
-    None, of a residual's fold or of an operation."""
+    None, of a residual's `Folded` sum or of an operation."""
     if entry is None:
         return None
     word, combo = entry
@@ -194,7 +203,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
         for n in arities:
             res = residual(family, flavor, n, check_symmetry=False)
             report.add(f"{line} at arity {n}", res.vanishes(),
-                       witness=_residual_witness(family.space, res.folded.first_nonzero_entry()))
+                       witness=_residual_witness(family.space, res.first_nonzero_entry()))
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -214,6 +223,13 @@ def nary_operation(doc: AlgebraDocument) -> tuple:
     return n, Operation(doc.space, n, 0, dict(table))
 
 
+def _require_derive_work(ops, variant: str, mode: str, functor: str) -> None:
+    entries = sum(arrangement_count(op, variant, mode) for op in ops)
+    if entries > MAX_DERIVE_ENTRIES:
+        raise DocumentError(f"{functor} would write up to {entries:,} entries, "
+                            f"above the limit of {MAX_DERIVE_ENTRIES:,}")
+
+
 def _nary_document(doc: AlgebraDocument, op: Operation, declared_name: str) -> AlgebraDocument:
     n = op.arity
     lifted = Operation(op.space, n, family_degree(doc.convention, n), dict(op.table))
@@ -224,8 +240,10 @@ def _nary_document(doc: AlgebraDocument, op: Operation, declared_name: str) -> A
 def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                check_preconditions: bool = True) -> AlgebraDocument:
     """Apply one functor and return the derived document (entries sorted on
-    serialization).  Convention and type mismatches raise DocumentError;
-    violated symmetry preconditions raise a SymmetryError."""
+    serialization).  Convention and type mismatches raise DocumentError, and
+    so does a symmetrizing functor that would write more than
+    MAX_DERIVE_ENTRIES entries, before it starts; violated symmetry
+    preconditions raise a SymmetryError."""
     declared = doc.declared_type
     is_nary = bool(declared and declared[0] in NARY_DECLARED)
 
@@ -253,9 +271,11 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                 "homotopy commutators do not apply to n-ary documents; "
                 "use nary-commutator-prelie or nary-commutator-lie")
         name = functor.split("-")[1]
+        variant, mode = action_variant(doc.convention), COMMUTATOR_MODES[name]
         if check_preconditions and name == "beta":
-            require_symmetry(doc.family.ops, action_variant(doc.convention), False,
-                             "commutator-beta")
+            require_symmetry(doc.family.ops, variant, False, "commutator-beta")
+        if mode != MODE_SHUFFLE:
+            _require_derive_work(doc.family.ops.values(), variant, mode, functor)
         derived_type = None
         if declared and declared[0] == "a_infinity":
             derived_type = {"gamma": ("pl_infinity", None),
@@ -291,6 +311,7 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
             raise DocumentError("n-ary commutators require a declared n-ary type")
         _, mu = nary_operation(doc)
         if functor == "nary-commutator-prelie":
+            _require_derive_work([mu], RHO2, MODE_PARTIAL, functor)
             out = nary_commutator_prelie(mu)
             return _nary_document(doc, out, "prelie_n")
         out = nary_commutator_lie(mu, check_symmetry=check_preconditions)

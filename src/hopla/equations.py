@@ -32,9 +32,9 @@ does, so per arity pair (i, j) only these insertions are made:
 All insertions of one arity stream their terms, as integer numerators
 over one common denominator per call, straight into P, which sums them
 once (`_insert_fold`).  P is the orbit kernel's first step,
-`permutations.fold`: the residuals keep the sum on its orbit
-representatives (`Residual`), which is all a verdict or a witness reads,
-and `permutations.expand` writes the whole operation only when `.op` is
+`permutations.fold`: a residual is that `Folded` sum, its orbit values at
+their representatives, which is all a verdict or a witness reads, and
+`permutations.expand` writes the whole operation only when `.op` is
 read.  The circle product is `expand` of the fold.  The circle bracket
 f o g - (-1)^(mn) g o f is `expand` of one fold too: both products share
 the arity and P, and P is linear, so their insertions stream into one
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from math import factorial, lcm
 
@@ -93,24 +93,6 @@ class EquationFlavor:
     @property
     def variant(self) -> str:
         return action_variant(self.convention)
-
-
-@dataclass(frozen=True)
-class Residual:
-    """Left-hand side of the n-th structure equation, kept on its orbit
-    representatives (`permutations.Folded`).  The verdict and the witness
-    read only those; `op`, the whole operation, is expanded from them when
-    it is first read and then kept."""
-
-    n: int
-    folded: Folded
-
-    @cached_property
-    def op(self) -> Operation:
-        return expand(self.folded)
-
-    def vanishes(self) -> bool:
-        return self.folded.is_zero()
 
 
 def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
@@ -175,8 +157,10 @@ def residual_insertions(family: OperationFamily, flavor: EquationFlavor, n: int)
 
 
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
-             check_symmetry: bool = True) -> Residual:
-    """The arity-n residual of the family under the given flavor.
+             check_symmetry: bool = True) -> Folded:
+    """The arity-n residual of the family under the given flavor, the
+    left-hand side of its n-th structure equation, kept on its orbit
+    representatives (`permutations.Folded`).
 
     Arities missing from the family (or beyond its cap) contribute nothing.
     Pre-Lie and Lie residuals are computed in the collapsed form of the
@@ -194,8 +178,8 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
 
     mode = SYMMETRIZATION.get(flavor.kind)
     degree = -2 if flavor.convention == HAT else n - 3
-    return Residual(n, _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n),
-                                    flavor.variant, mode))
+    return _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n),
+                        flavor.variant, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +267,9 @@ def nary_family(mu: Operation) -> OperationFamily:
     return OperationFamily(UNHAT, mu.space, 2 * n - 1, {n: Operation(mu.space, n, n - 2, mu.table)})
 
 
-def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Residual:
+def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Folded:
     """Left-hand side of the defining equation of a (partially associative /
-    pre-Lie / Lie) n-algebra, as an operation of arity 2n-1: the unhat
+    pre-Lie / Lie) n-algebra, a `Folded` sum of arity 2n-1: the unhat
     residual of `nary_family(mu)` at that arity, the partially associative
     kind being the assoc flavor.
 

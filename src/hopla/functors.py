@@ -128,10 +128,10 @@ class NaryEmbedding:
     forgetful: tuple
 
 
-def nary_embed(base: GradedSpace, mu: Operation, n: int,
-               max_arity: int | None = None) -> NaryEmbedding:
+def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
     """Embed an n-ary operation on a degree-0 space as an unhat family with
-    a single arity-n operation of degree n-2.
+    a single arity-n operation of degree n-2, capped at 2n-1, the arity of
+    its defining equation.
 
     The embedded operation returns mu of the forgetful images on input
     words of total degree 0 (landing in the degree n-2 copy) or total
@@ -140,7 +140,7 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int,
     base.require_degree_zero("nary_embed")
     if mu.arity != n:
         raise ValueError(f"operation arity {mu.arity} != n = {n}")
-    cap = max_arity if max_arity is not None else 2 * n - 1
+    cap = 2 * n - 1
     dim = base.dim
 
     if n == 2:

@@ -201,11 +201,10 @@ def sum_by_key(items, as_fractions: bool = False) -> dict:
     return data
 
 
-def over(numerators: Mapping, denominator: int, factor: int = 1) -> LinearCombination:
-    """The combination numerators * factor / denominator, for integer
-    numerators summed by `sum_by_key`: one Fraction per entry."""
-    return LinearCombination([(key, Fraction(n * factor, denominator))
-                              for key, n in numerators.items()])
+def over(numerators: Mapping, denominator: int) -> LinearCombination:
+    """The combination numerators / denominator, for integer numerators
+    summed by `sum_by_key`: one Fraction per entry."""
+    return LinearCombination([(key, Fraction(n, denominator)) for key, n in numerators.items()])
 
 
 def table_from_terms(terms, combine=LinearCombination) -> dict:

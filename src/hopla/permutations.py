@@ -24,18 +24,21 @@ evaluates eps for a whole permutation; the unshuffle signs of the
 coalgebras and the sign-law witnesses use it.
 
 The symmetrization kernel has two steps.  `fold` moves each term of a
-stream to the sorted representative of its orbit, sums, and drops the
-orbits whose stabilizer acts by -1; the `Folded` result decides whether
-the sum vanishes and gives its smallest nonzero word.  `expand` writes
-every distinct arrangement of every orbit, and is the only caller of
-`arrangements` here.  In the full and partial modes
-`precompose_symmetrized` is `expand(fold(...))`.
+stream to the sorted representative of its orbit, times chi of the move
+and |Stab| of the orbit, sums, and drops the orbits whose stabilizer acts
+by -1; the `Folded` result holds each orbit's value at its representative,
+decides whether the sum vanishes and gives its smallest nonzero word.
+`expand` writes every distinct arrangement of every orbit, and is the only
+caller of `arrangements` here.  In the full and partial modes
+`precompose_symmetrized` is `expand(fold(...))`; the residuals and the
+square of a coderivation are `Folded` sums too, expanded when read.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
@@ -213,14 +216,14 @@ class Folded:
     """A symmetrized sum kept on its orbit representatives.
 
     `table` maps each sorted representative r (its acted slots sorted,
-    the rest as they were) to a dict of the moved terms summed there per
-    output letter, as int numerators over `denominator`.  Orbits on which chi
-    is not trivial on Stab(r), and sums that vanish, are left out, so the
-    sum is zero exactly when the table is empty.  `mode` None stands for
-    no symmetrization: every word is its own orbit.
+    the rest as they were) to the sum's value at r, a dict of int
+    numerators over `denominator` per output letter; the value at any
+    other word r o pi of the orbit is chi(pi; r) times it.  Orbits on which
+    chi is not trivial on Stab(r), and values that vanish, are left out, so
+    the sum is zero exactly when the table is empty.  `mode` None stands
+    for no symmetrization: every word is its own orbit.  `op`, the whole
+    operation, is expanded when first read and then kept.
     """
-
-    __slots__ = ("space", "arity", "degree", "table", "denominator", "variant", "mode")
 
     def __init__(self, space: GradedSpace, arity: int, degree: int, table: dict,
                  denominator: int, variant: str, mode: str | None):
@@ -232,20 +235,23 @@ class Folded:
         """The number of leading slots the symmetrization permutes."""
         return {MODE_FULL: self.arity, MODE_PARTIAL: self.arity - 1}.get(self.mode, 0)
 
-    def is_zero(self) -> bool:
+    @cached_property
+    def op(self) -> Operation:
+        return expand(self)
+
+    def vanishes(self) -> bool:
         return not self.table
 
     def first_nonzero_entry(self):
         """Smallest input word with a nonzero value, and that value, or None;
-        the same entry as `expand(self).first_nonzero_entry()`.  A sorted
-        representative is the smallest word of its orbit and carries chi = 1,
-        so the smallest representative is the smallest word of the sum, and
-        its value is the numerators there times |Stab(rep)|/denominator."""
+        the same entry as `self.op.first_nonzero_entry()`.  A sorted
+        representative is the smallest word of its orbit and carries
+        chi = 1, so the smallest representative is the smallest word of the
+        sum, and its value is the one stored there."""
         if not self.table:
             return None
         rep = min(self.table)
-        order = stabilizer_order(rep[:self.acted], self.space.parities, self.variant == RHO2)
-        return rep, over(self.table[rep], self.denominator, order)
+        return rep, over(self.table[rep], self.denominator)
 
 
 def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
@@ -254,10 +260,13 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
     integer numerator) terms over `denominator`, kept on its orbit
     representatives (see `Folded`).
 
-    Each term moves to the sorted representative of its word's orbit, with
-    chi of the sorting permutation, and the moved terms are summed per
-    representative and output letter.  Each distinct word is sorted once,
-    and dropped there when its orbit's stabilizer acts by -1.
+    With w = r o pi for the sorted representative r of w's orbit, the sum
+    S has S(r) = |Stab(r)| times the sum of chi(pi; r) c over the terms
+    (w, c) of the orbit, and vanishes on the orbit when chi is not trivial
+    on Stab(r).  So each term moves to r with the factor chi |Stab(r)|,
+    and the moved terms are summed per representative and output letter.
+    Each distinct word is sorted once, and dropped there when its orbit's
+    stabilizer acts by -1.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
@@ -266,7 +275,7 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
     odd = space.parities
     rho2 = variant == RHO2
     acted = arity if mode == MODE_FULL else arity - 1
-    moves = {}   # word -> (representative or None when killed, kept sign)
+    moves = {}   # word -> (representative, chi |Stab|), the factor 0 when killed
 
     def moved():
         last = None
@@ -276,12 +285,12 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
                 move = moves.get(word)
                 if move is None:
                     head = list(word[:acted])
-                    kept = signed_sort(head, odd, rho2) == 1
-                    alive = stabilizer_order(head, odd, rho2)
-                    move = moves[word] = (tuple(head) + word[acted:] if alive else None, kept)
-                rep, kept = move
-            if rep is not None:
-                yield rep, out, c if kept else -c
+                    chi = signed_sort(head, odd, rho2)
+                    move = moves[word] = (tuple(head) + word[acted:],
+                                          chi * stabilizer_order(head, odd, rho2))
+                rep, factor = move
+            if factor:
+                yield rep, out, c * factor
 
     return Folded(space, arity, degree, table_from_terms(moved(), sum_by_key), denominator,
                   variant, mode)
@@ -290,20 +299,35 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
 def expand(folded: Folded) -> Operation:
     """The folded sum as an operation: every distinct rearrangement of the
     acted slots of every representative, with S(r o pi) = chi(pi; r) S(r).
-    The orbit's value is one Fraction per output letter, the numerator
-    times |Stab(r)| over the denominator, and its negation is shared by
-    the rearrangements with chi = -1."""
+    The orbit's value is one Fraction per output letter, and its negation,
+    built when first needed, is shared by the rearrangements with
+    chi = -1."""
     odd = folded.space.parities
     rho2 = folded.variant == RHO2
     acted = folded.acted
     table = {}
     for rep, numerators in folded.table.items():
         head, tail = rep[:acted], rep[acted:]
-        value = over(numerators, folded.denominator, stabilizer_order(head, odd, rho2))
-        negated = value.scaled(-1)
+        value, negated = over(numerators, folded.denominator), None
         for chi, arrangement in arrangements(head, odd, rho2):
+            if chi == -1 and negated is None:
+                negated = value.scaled(-1)
             table[arrangement + tail] = value if chi == 1 else negated
     return Operation(folded.space, folded.arity, folded.degree, table)
+
+
+def arrangement_count(op: Operation, variant: str, mode: str) -> int:
+    """How many entries `precompose_symmetrized(op, variant, mode)` writes
+    at most in the full or partial mode, counted without folding: for each
+    orbit a stored word lies in, the distinct rearrangements of its acted
+    slots, acted!/|Stab|, and none when its stabilizer acts by -1.  Only an
+    orbit whose sum cancels writes fewer."""
+    odd = op.space.parities
+    rho2 = variant == RHO2
+    acted = op.arity if mode == MODE_FULL else op.arity - 1
+    reps = {tuple(sorted(word[:acted])) + word[acted:] for word in op.table}
+    orders = (stabilizer_order(rep[:acted], odd, rho2) for rep in reps)
+    return sum(factorial(acted) // order for order in orders if order)
 
 
 def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
@@ -316,12 +340,11 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
 
     The kernel runs on op's integer numerators over its common denominator
     (`Operation.numerators`).  The full and partial sums S are
-    `expand(fold(...))`: with w = r o pi for the sorted representative r of
-    w's orbit, S(w) = chi(pi; r) |Stab(r)| times the sum of the moved terms
-    at r, and S vanishes on the orbit when chi is not trivial on Stab(r).
-    The sums stay integers, so the only Fractions built are one per output
-    orbit, the orbit's value times |Stab(r)|/denominator, and its negation;
-    the shuffle mode divides each output entry by the denominator once.
+    `expand(fold(...))`: the fold sums each orbit's value S(r) at its sorted
+    representative r as integers, and S(r o pi) = chi(pi; r) S(r).  So the
+    only Fractions built are one per output orbit, S(r) over the
+    denominator, and its negation; the shuffle mode divides each output
+    entry by the denominator once.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")

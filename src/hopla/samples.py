@@ -1,8 +1,8 @@
-"""Small concrete algebras used in tests, demos and fixtures."""
+"""Small concrete algebras that `selftest` runs its pipelines on."""
 
 from __future__ import annotations
 
-from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+from .graded import (UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily, space)
 
 
@@ -35,17 +35,6 @@ def upper_corner() -> tuple:
     return sp, mu
 
 
-def commutator_bracket(sp: GradedSpace, mu: Operation) -> Operation:
-    """[x, y] = mu(x, y) - mu(y, x) on a degree-0 space."""
-    table = {}
-    for x in range(sp.dim):
-        for y in range(sp.dim):
-            combo = mu.evaluate((x, y)) - mu.evaluate((y, x))
-            if not combo.is_zero():
-                table[(x, y)] = combo
-    return Operation(sp, 2, 0, table)
-
-
 def nilpotent_dga() -> OperationFamily:
     """A 3-dimensional unital associative algebra with a nonzero square-zero
     differential of degree -1, packaged as an unhat family:
@@ -67,8 +56,3 @@ def nilpotent_dga() -> OperationFamily:
         (s, e): {s: 1},
     })
     return OperationFamily(UNHAT, sp, 4, {1: d, 2: mu})
-
-
-def associative_family(sp: GradedSpace, mu: Operation, max_arity: int = 4) -> OperationFamily:
-    """Wrap a degree-0 binary product as an unhat family (single arity 2)."""
-    return OperationFamily(UNHAT, sp, max_arity, {2: mu})

@@ -10,7 +10,8 @@ The oracles here deliberately avoid the library's own code paths:
   expansion of the pre-Lie residuals (both conventions) rather than the
   composition form the library uses.
 
-`identity`, `random_table`, `square_component` and `with_entry` are small
+`identity`, `random_table`, `component`, `apply_word`, `square_component`,
+`with_entry`, `commutator_bracket` and `associative_family` are small
 helpers that only the tests need; `DEGREE_PATTERNS` are the basis degrees
 the oracle comparisons run on, and `RATIONAL_COEFFICIENTS` the non-integer
 coefficients they draw.
@@ -23,8 +24,8 @@ from fractions import Fraction
 import pytest
 
 from hopla.coalgebra import Coderivation, coalgebra_words, word_weight
-from hopla.graded import (HAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily)
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily, over)
 from hopla.permutations import sh, sign
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
 
@@ -207,6 +208,17 @@ def identity(n):
     return tuple(range(1, n + 1))
 
 
+def component(D, k, l):
+    """The (k, l) component's values: canonical words to combinations."""
+    return {word: over(image, D.denominator)
+            for word, image in D.components.get((k, l), {}).items()}
+
+
+def apply_word(D, word):
+    """D(word) over all weights, as a combination of exact values."""
+    return over(D.image(word), D.denominator)
+
+
 def square_component(D, k, l):
     """The weight (k -> l) component of D o D, word by word."""
     out = {}
@@ -216,6 +228,22 @@ def square_component(D, k, l):
         if not part.is_zero():
             out[word] = part
     return out
+
+
+def commutator_bracket(sp, mu):
+    """[x, y] = mu(x, y) - mu(y, x) on a degree-0 space."""
+    table = {}
+    for x in range(sp.dim):
+        for y in range(sp.dim):
+            combo = mu.evaluate((x, y)) - mu.evaluate((y, x))
+            if not combo.is_zero():
+                table[(x, y)] = combo
+    return Operation(sp, 2, 0, table)
+
+
+def associative_family(sp, mu, max_arity=4):
+    """Wrap a degree-0 binary product as an unhat family (single arity 2)."""
+    return OperationFamily(UNHAT, sp, max_arity, {2: mu})
 
 
 def with_entry(D, k, l, word, combo):

@@ -51,6 +51,7 @@ import re
 from fractions import Fraction
 from math import factorial
 
+from conftest import apply_word, component
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
                              perm_words, tensor_words, wedge_normalize, wedge_words, word_weight)
 from hopla.docio import FORMAT, format_rational
@@ -376,10 +377,10 @@ def check_coderivation_by_fractions(D, cap=None):
     cap = D.cap if cap is None else min(cap, D.cap)
     kind, sp, par = D.kind, D.space, D.space.parities
     odd = D.degree % 2 != 0
-    cogenerator = [(a, D.component(a, 1)) for (a, l) in D.components if l == 1]
+    cogenerator = [(a, component(D, a, 1)) for (a, l) in D.components if l == 1]
 
     def lhs(word):
-        for u, c in D.apply_word(word):
+        for u, c in apply_word(D, word):
             l = word_weight(kind, u)
             if l >= 2:
                 for pair, s in coproduct_terms(kind, sp, u, l - 1):
@@ -388,7 +389,7 @@ def check_coderivation_by_fractions(D, cap=None):
     def rhs(word, k):
         if k > 1:
             for (left, right), s in coproduct_terms(kind, sp, word, k - 1):
-                for v, c in D.apply_word(left):
+                for v, c in apply_word(D, left):
                     yield (v, right), c * s
         for a, comp in cogenerator:
             if a >= k:
@@ -409,7 +410,7 @@ def square_cogenerator_by_fractions(D, n):
     `coalgebra.square_cogenerator_component` documents it, summed in
     Fractions from the components' values and written to every tensor word
     that projects onto a canonical word."""
-    steps = [(D.component(n, l), D.component(l, 1)) for l in range(1, n + 1)]
+    steps = [(component(D, n, l), component(D, l, 1)) for l in range(1, n + 1)]
     table = {}
     for cw in dict.fromkeys(word for image, _ in steps for word in image):
         part = LinearCombination((v[-1], c * cc) for image, cogenerator in steps
@@ -433,7 +434,7 @@ def coderivation_law_by_coproducts(D, cap=None):
     odd = D.degree % 2 != 0
     for k in range(1, cap + 1):
         for word in coalgebra_words(D.kind, D.space, k):
-            lhs = LinearCombination((pair, c * cc) for w, c in D.apply_word(word)
+            lhs = LinearCombination((pair, c * cc) for w, c in apply_word(D, word)
                                     for pair, cc in comultiply(D.kind, D.space, w))
             if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
                 return False
@@ -461,11 +462,11 @@ def cofree_word_degree(space, kind, word):
 def _coderivation_rhs(D, word, odd):
     """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
     for (left, right), c in comultiply(D.kind, D.space, word):
-        for w, cc in D.apply_word(left):
+        for w, cc in apply_word(D, left):
             yield (w, right), c * cc
         if odd and cofree_word_degree(D.space, D.kind, left) % 2:
             c = -c
-        for w, cc in D.apply_word(right):
+        for w, cc in apply_word(D, right):
             yield (left, w), c * cc
 
 

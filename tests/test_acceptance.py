@@ -110,7 +110,7 @@ def test_criterion_5_commutator_theorems():
     ok = True
     pipelines = []
     for sp, mu in (dual_numbers(), upper_corner()):
-        emb = nary_embed(sp, mu, 2, max_arity=4)
+        emb = nary_embed(sp, mu, 2)
         pipelines.append(emb.family)
     pipelines.append(nilpotent_dga())
 

@@ -15,8 +15,8 @@ from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import TENSOR, word_count
-from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_GENERATE_WORDS,
-                           generate_random, run_check, run_derive)
+from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIES,
+                           MAX_GENERATE_WORDS, generate_random, run_check, run_derive)
 from hopla.equations import ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE
 from hopla.errors import DocumentError
 from hopla.graded import UNHAT, GradedSpace, Operation, OperationFamily
@@ -529,6 +529,50 @@ def test_cli_nary_embed_refuses_max_arity_above_the_limit(tmp_path, capsys):
     assert main(["derive", str(gen), "--functor", "nary-embed", "--n", str(limit),
                  "-o", str(out)]) == 0
     assert main(["check", str(out), "--flavor", "assoc"]) == 0
+
+
+def _distinct_letters_document(arity, **overrides):
+    """One entry at the given arity on as many distinct degree-0 letters."""
+    labels = [f"x{i}" for i in range(arity)]
+    return minimal_doc(
+        max_arity=arity, space={"basis": [{"label": x, "degree": 0} for x in labels]},
+        operations=[{"arity": arity, "entries": [
+            {"inputs": labels, "output": [{"label": "x0", "coeff": "1"}]}]}],
+        **overrides)
+
+
+@pytest.mark.parametrize("functor, declared, entries", [
+    ("commutator-alpha", None, "479,001,600"),                                 # 12!
+    ("commutator-gamma", None, "39,916,800"),                                  # 11!
+    ("nary-commutator-prelie", {"name": "assoc_n", "n": 12}, "39,916,800"),
+])
+def test_cli_derive_work_is_bounded(functor, declared, entries, tmp_path, capsys):
+    # the symmetrizing functors write every rearrangement of every stored
+    # word; arity 9 took 6.2 s and 579 MB before they were counted
+    path, out = tmp_path / "wide.json", tmp_path / "derived.json"
+    path.write_text(_distinct_letters_document(12, declared_type=declared))
+    start = time.monotonic()
+    assert main(["derive", str(path), "--functor", functor, "-o", str(out)]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert (f"{functor} would write up to {entries} entries, "
+            f"above the limit of {MAX_DERIVE_ENTRIES:,}") in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_derive_bound_lets_linear_and_small_work_through(tmp_path, capsys):
+    # the shuffle commutators write arity-many words per stored word and
+    # are not counted; arity 7 writes 7! = 5,040 entries, under the limit
+    path, out = tmp_path / "wide.json", tmp_path / "derived.json"
+    path.write_text(_distinct_letters_document(12))
+    assert main(["derive", str(path), "--functor", "commutator-beta",
+                 "--no-precondition-check", "-o", str(out)]) == 0
+    assert len(parse_document(out.read_text()).family.ops[12].table) == 12
+    small = tmp_path / "small.json"
+    small.write_text(_distinct_letters_document(7))
+    assert main(["derive", str(small), "--functor", "commutator-alpha", "-o", str(out)]) == 0
+    assert len(parse_document(out.read_text()).family.ops[7].table) == 5_040
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_coderive_work_is_bounded(tmp_path, capsys):

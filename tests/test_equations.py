@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (E11, E12, family_scale, family_sum, matrix_bracket,
-                      prelie_residual_shuffle_form, random_table)
+from conftest import (E11, E12, associative_family, commutator_bracket, family_scale,
+                      family_sum, matrix_bracket, prelie_residual_shuffle_form, random_table)
 from oracles import nary_residual_by_positions
 from hopla import drivers, equations, permutations
 from hopla.docio import AlgebraDocument
@@ -18,7 +18,6 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, family_degree, insertion_term_count)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
-from hopla.samples import associative_family, commutator_bracket
 from hopla.verify import random_operation, random_unhat_family
 
 
@@ -143,7 +142,17 @@ def test_check_nary_zero_operation(flat2):
     zero = Operation.zero(flat2, 3, 0)
     for kind in (PARTIALLY_ASSOCIATIVE, PRELIE, LIE):
         res = nary_residual(zero, kind)
-        assert res.vanishes() and res.n == 5
+        assert res.vanishes() and res.arity == 5
+
+
+def test_a_residual_is_its_folded_sum(kt2):
+    # one symmetrized-sum type: the residual is the `Folded` sum itself, its
+    # operation expanded once and kept
+    import hopla
+    sp, mu = kt2
+    res = residual(associative_family(sp, mu), EquationFlavor(ASSOC, UNHAT), 3)
+    assert isinstance(res, hopla.Folded) and not hasattr(hopla, "Residual")
+    assert res.arity == 3 and res.op is res.op and res.vanishes() == res.op.is_zero()
 
 
 def test_check_nary_associative_examples(kt2, corner):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import associative_family, commutator_bracket
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, nary_residual, residual)
 from hopla.errors import ConventionError, GradingError, SymmetryError
@@ -12,7 +13,6 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, check_homogeneous)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2,
                                 failing_symmetry_generator, precompose_symmetrized)
-from hopla.samples import associative_family, commutator_bracket
 from hopla.verify import (commutator_pipeline_witness, random_operation,
                           random_unhat_family, sign_transfer_witness,
                           suspension_square_witness, coderivation_correspondence_witness)

@@ -13,8 +13,8 @@ from math import lcm
 
 import pytest
 
-from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, pattern_space, random_table,
-                      square_component, with_entry)
+from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, pattern_space,
+                      random_table, square_component, with_entry)
 from oracles import (check_coderivation_by_fractions, circle_bracket_by_products,
                      circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
                      component_by_fractions, component_loop, compose_insert_by_evaluation,
@@ -27,7 +27,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, chec
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              circle_bracket, circle_product, nary_residual, residual)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily, compose_insert, family_degree)
+                          OperationFamily, compose_insert, family_degree, over)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 action_variant, expand, fold, precompose_symmetrized)
 from hopla import permutations
@@ -126,7 +126,12 @@ def test_stream_kernel_matches_loop_oracle_on_the_summed_table(pattern):
             if mode == MODE_SHUFFLE:
                 fast = precompose_symmetrized(op, variant, mode)
             else:
-                fast = expand(fold(sp, arity, 0, iter(terms), den, variant, mode))
+                # the fold holds each orbit's value at its representative
+                folded = fold(sp, arity, 0, iter(terms), den, variant, mode)
+                fast = expand(folded)
+                for rep, numerators in folded.table.items():
+                    assert over(numerators, folded.denominator) == folded.op.evaluate(rep), \
+                        (pattern, arity, density, mode, variant, rep)
             assert fast == precompose_symmetrized_by_loop(op, variant, mode), \
                 (pattern, arity, density, mode, variant)
             assert fast.degree == 0
@@ -381,7 +386,7 @@ def test_folded_residual_decides_and_witnesses_like_its_expansion(monkeypatch):
     verdicts = collections.Counter()
     for sp, compute, what in cases:
         res = compute()
-        entry = res.folded.first_nonzero_entry()
+        entry = res.first_nonzero_entry()
         assert res.vanishes() == res.op.is_zero(), what
         assert entry == res.op.first_nonzero_entry(), what
         assert _residual_witness(sp, entry) == _residual_witness(sp, res.op.first_nonzero_entry())
@@ -489,7 +494,7 @@ def test_integer_coderivation_matches_fraction_oracles(kind):
                 for k in range(1, cap + 1):
                     for word in coalgebra_words(kind, family.space, k):
                         image = values.get(word, LinearCombination())
-                        assert D.apply_word(word) == image
+                        assert apply_word(D, word) == image
                         assert D.square_word(word) == LinearCombination(
                             (w, c * cc) for u, c in image
                             for w, cc in values.get(u, LinearCombination()))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEGREE_PATTERNS, identity, koszul_by_inversions, pattern_space,
-                      random_table)
+from conftest import (DEGREE_PATTERNS, commutator_bracket, identity, koszul_by_inversions,
+                      pattern_space, random_table)
 from oracles import (act, extend_fixing_last, failing_transposition_by_act, inverse,
                      permute_word, precompose_by_loop)
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                all_permutations, compose, failing_symmetry_generator,
+                                all_permutations, arrangement_count, compose,
+                                failing_symmetry_generator,
                                 koszul_sign, precompose_symmetrized,
                                 sh, sign, unshuffles)
 
@@ -190,7 +191,6 @@ def test_check_partial_symmetry_det_form(flat2):
 
 def test_check_full_symmetry_examples(flat2, kt2, corner):
     sp, mu = corner
-    from hopla.samples import commutator_bracket
     bracket = commutator_bracket(sp, mu)
     assert failing_symmetry_generator(bracket, RHO2, full=True) is None
     spk, muk = kt2
@@ -238,6 +238,33 @@ def symmetry_cases(rng, sp, n, variant):
     table = dict(symmetric.table)
     table[word] = symmetric.evaluate(word) + LinearCombination({0: 1})
     yield Operation(sp, n, 0, table)
+
+
+def test_arrangement_count_bounds_what_the_kernel_writes():
+    # the entries of every orbit a stored word meets, each orbit once, none
+    # when its stabilizer acts by -1: exact unless an orbit's sum cancels
+    rng = random.Random("arrangement-count")
+    killed = orbits = 0
+    for pattern in sorted(DEGREE_PATTERNS):
+        sp = pattern_space(pattern)
+        for arity, variant, mode in itertools.product((1, 2, 3, 4), (RHO1, RHO2),
+                                                      (MODE_FULL, MODE_PARTIAL)):
+            op = Operation(sp, arity, 0, random_table(rng, sp, arity, 0.6))
+            written = len(precompose_symmetrized(op, variant, mode).table)
+            assert arrangement_count(op, variant, mode) >= written
+            for word, combo in op.table.items():
+                single = Operation(sp, arity, 0, {word: combo})
+                count = arrangement_count(single, variant, mode)
+                assert count == len(precompose_symmetrized(single, variant, mode).table), \
+                    (pattern, word, variant, mode)
+                killed += count == 0
+                # the whole orbit stored, each word with the same value
+                whole = precompose_symmetrized(single, variant, mode)
+                if len(whole.table) > 1:
+                    orbits += 1
+                    same = Operation(sp, arity, 0, dict.fromkeys(whole.table, combo))
+                    assert arrangement_count(same, variant, mode) == count
+    assert killed >= 20 and orbits >= 20, (killed, orbits)
 
 
 def test_rho2_equals_signed_permutation_on_even_degrees():

@@ -119,7 +119,7 @@ def test_linear_combination_constructor_is_the_one_accumulator():
 def test_coderivation_law_and_components_sum_integer_numerators():
     # the components and the law compute on integer numerators over the
     # coderivation's common denominator; Fractions appear only where a
-    # value is read (the square's entries, apply_word, square_word)
+    # value is read (the square's entries, square_word)
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_component", "check_coderivation"):
@@ -235,10 +235,12 @@ def test_circle_bracket_is_one_fold():
 
 
 def test_one_orbit_expansion():
-    # the arrangements of an orbit are written in one place, the expand step
-    # of the orbit kernel; a second copy of the orbit loop fails here
+    # the arrangements of an orbit are written into an operation in one
+    # place, the expand step of the orbit kernel, and the coalgebra maps
+    # alpha and gamma, which send words to combinations of words, have the
+    # other; a second copy of the orbit loop fails here
     sites = []
-    for path, tree in _parsed([SRC / "equations.py", SRC / "permutations.py"]):
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
         for top in tree.body:
             name = getattr(top, "name", "module")
             if name == "arrangements":
@@ -248,7 +250,75 @@ def test_one_orbit_expansion():
                       and (isinstance(node.func, ast.Name) and node.func.id == "arrangements"
                            or isinstance(node.func, ast.Attribute)
                            and node.func.attr == "arrangements")]
-    assert sites == ["permutations.py:expand"]
+    assert sorted(sites) == ["coalgebra.py:_orbit_sum", "permutations.py:expand"]
+    # the fold applies |Stab| once per distinct word and keeps orbit values,
+    # so nothing that reads a Folded sum counts a stabilizer again
+    tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
+    readers = [node for node in tree.body if getattr(node, "name", None) in ("Folded", "expand")]
+    assert len(readers) == 2
+    assert [node.name for node in readers if "stabilizer_order" in set(_names(node))] == []
+
+
+# Operation.evaluate, the public read of one value, is called by no verb:
+# only the benchmark's witness re-evaluation (perfbench/checks.py) calls it,
+# to show that a printed witness reproduces its printed value
+EXTRA_ROOTS = {"evaluate"}
+
+
+def _unreached(modules, extra=EXTRA_ROOTS):
+    """Top-level functions and methods of the parsed modules that nothing reaches
+    from `cli.main`, the names `__init__.py` exports, code that runs on
+    import, or the extra roots.  A function reaches every function or method
+    whose name it reads; a method is reached by its name only, not through
+    its class, apart from dunder methods, which the language calls."""
+    defs, loose, roots = collections.defaultdict(list), [], {"main"} | set(extra)
+    for path, tree in modules:
+        if path.name == "__init__.py":
+            roots |= {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[top.name].append((f"{path.stem}.{top.name}", top))
+                loose += top.decorator_list
+            elif isinstance(top, ast.ClassDef):
+                loose += top.decorator_list + top.bases
+                for item in top.body:
+                    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        loose.append(item)
+                    elif item.name.startswith("__") and item.name.endswith("__"):
+                        loose.append(item)
+                    else:
+                        defs[item.name].append((f"{path.stem}.{top.name}.{item.name}", item))
+                        loose += item.decorator_list
+            elif not isinstance(top, (ast.Import, ast.ImportFrom)):
+                loose.append(top)
+    for node in loose:
+        roots |= set(_names(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [found for _, fn in defs.get(name, ()) for found in _names(fn)]
+    return sorted(label for name, found in defs.items() if name not in reached
+                  for label, _ in found)
+
+
+def test_every_function_is_reached_from_a_verb_or_an_export():
+    # src/ carries what a verb runs or the package exports; helpers only the
+    # tests need live in tests/
+    modules = list(_parsed(sorted(SRC.glob("*.py"))))
+    assert _unreached(modules) == []
+    # each extra root is one that nothing else reaches
+    assert all(_unreached(modules, EXTRA_ROOTS - {name}) for name in EXTRA_ROOTS)
+    source = ("def main():\n    helper()\n"
+              "def helper():\n    return Thing().used()\n"
+              "def orphan():\n    return Thing().unused()\n"
+              "class Thing:\n    def __init__(self):\n        self.x = 1\n"
+              "    def used(self):\n        return self.x\n"
+              "    def unused(self):\n        return 0\n")
+    assert _unreached([(Path("module.py"), ast.parse(source))]) == [
+        "module.Thing.unused", "module.orphan"]
 
 
 def test_coderivation_law_goes_through_one_coproduct_generator():
