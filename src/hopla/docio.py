@@ -152,6 +152,7 @@ def parse_document(text) -> AlgebraDocument:
 
     ops = {}
     seen_arities = set()
+    coefficients = {}  # coefficient string -> its Fraction, each parsed once
     for oi, opdoc in enumerate(operations):
         opath = f"operations[{oi}]"
         arity = _integer(_expect(opdoc, "arity", opath), opath + ".arity",
@@ -188,7 +189,10 @@ def parse_document(text) -> AlgebraDocument:
                         letter = positions.get(label) if isinstance(label, str) else None
                         if letter is None:
                             raise DocumentError(f"unknown label {label!r}", ".label")
-                        coeff = parse_rational(_expect(term, "coeff", ""), ".coeff")
+                        text = _expect(term, "coeff", "")
+                        coeff = coefficients.get(text) if text.__class__ is str else None
+                        if coeff is None:
+                            coeff = coefficients[text] = parse_rational(text, ".coeff")
                         terms.append((letter, coeff))
                     except DocumentError as exc:
                         raise exc.within(f".output[{ti}]") from None

@@ -198,10 +198,11 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     flavor = EquationFlavor(kind, family.convention)
     if _symmetry_check(report, family.ops, flavor, check_preconditions):
+        tables = {}  # each representative table is built once per check
         _require_check_work(insertion_term_count(chain.from_iterable(
-            residual_insertions(family, flavor, n) for n in arities)), what)
+            residual_insertions(family, flavor, n, tables) for n in arities)), what)
         for n in arities:
-            res = residual(family, flavor, n, check_symmetry=False)
+            res = residual(family, flavor, n, check_symmetry=False, tables=tables)
             report.add(f"{line} at arity {n}", res.vanishes(),
                        witness=_residual_witness(family.space, res.first_nonzero_entry()))
     report.elapsed = time.monotonic() - t0

@@ -29,6 +29,15 @@ does, so per arity pair (i, j) only these insertions are made:
     prelie    position 0 with (i-1)*c(i,j,0), and position i-1 with c(i,j,i-1)
     lie       position 0 with i*c(i,j,0)
 
+The same symmetry makes every arrangement of an operand's symmetric
+slots inside the acted ones contribute to P what the sorted arrangement
+does, so the prelie and lie insertions (and the circle products') stream
+only the entries whose block of those slots is sorted, each times the
+number of its distinct arrangements (`permutations.block_representatives`).
+P's |Stab| completes the weight of a pair of representatives, for lie
+i * prod_x C(r_x, a_x) (docs/conventions.md).  Each such table is built once
+per call, in a memo the caller owns (`tables`).
+
 All insertions of one arity stream their terms, as integer numerators
 over one common denominator per call, straight into P, which sums them
 once (`_insert_fold`).  P is the orbit kernel's first step,
@@ -66,8 +75,8 @@ from math import factorial, lcm
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
                      sum_by_key, table_from_terms)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant, expand, fold,
-                           require_symmetry)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant,
+                           block_representatives, expand, fold, require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -107,21 +116,49 @@ def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
 
 
 def _positions(kind: str, i: int, coefficient) -> tuple:
-    """(position, coefficient) of the insertions that stand for all i
-    insertion positions of an arity-i outer operation, given the
-    coefficient of each position.
+    """(position, coefficient, block) of the insertions that stand for all
+    i insertion positions of an arity-i outer operation, given the
+    coefficient of each position; block is the (lo, hi) slots of the outer
+    operation whose arrangements the insertion streams as one
+    (`permutations.block_representatives`), or None.
 
     Under a partial (pre-Lie) symmetrization positions 0..i-2 contribute
     what position 0 does, and under a full (Lie) one every position does,
     provided the operations carry that symmetry; the other kinds keep every
-    position.
+    position.  The block is the outer operation's symmetric slots less the
+    one the inner operation's output fills.
     """
     if kind == LIE:
-        return ((0, i * coefficient(0)),)
+        return ((0, i * coefficient(0), (1, i)),)
     if kind == PRELIE:
-        last = ((i - 1, coefficient(i - 1)),)
-        return last if i == 1 else ((0, (i - 1) * coefficient(0)),) + last
-    return tuple((m, coefficient(m)) for m in range(i))
+        last = ((i - 1, coefficient(i - 1), (0, i - 1)),)
+        return last if i == 1 else ((0, (i - 1) * coefficient(0), (1, i - 1)),) + last
+    return tuple((m, coefficient(m), None) for m in range(i))
+
+
+def _representatives(tables: dict, op: Operation, block) -> Operation:
+    """`block_representatives(op, *block)`, built once per `tables`, the
+    caller's per-call memo; op itself when block is None.  Each entry keeps
+    op, so its id cannot pass to another operation while the entry lives."""
+    if block is None:
+        return op
+    key = (id(op),) + block
+    entry = tables.get(key)
+    if entry is None:
+        entry = tables[key] = (op, block_representatives(op, *block))
+    return entry[1]
+
+
+def _insertions(kind: str, outer: Operation, inner: Operation, coefficient, tables: dict):
+    """The (outer, inner, position, coefficient) insertions that stand for
+    every position of inner into outer, on the representative tables of
+    both operands' symmetric blocks (see `_positions`).  The inner block is
+    all of inner's symmetric slots: they lie inside the acted slots at
+    every position kept."""
+    j = inner.arity
+    inner = _representatives(tables, inner, {LIE: (0, j), PRELIE: (0, j - 1)}.get(kind))
+    return [(_representatives(tables, outer, block), inner, position, c)
+            for position, c, block in _positions(kind, outer.arity, coefficient)]
 
 
 def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
@@ -147,17 +184,23 @@ def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
     return fold(sp, arity, degree, terms, den, variant, mode)
 
 
-def residual_insertions(family: OperationFamily, flavor: EquationFlavor, n: int):
+def residual_insertions(family: OperationFamily, flavor: EquationFlavor, n: int,
+                        tables: dict | None = None):
     """The (outer, inner, position, coefficient) insertions of the arity-n
-    residual in the collapsed form of the module docstring."""
+    residual in the collapsed form of the module docstring, on the
+    representative tables of the operands.  `tables` is a memo of those
+    tables that a caller computing several residuals of the family keeps
+    for its call, so each is built once."""
     ops = family.ops
-    return ((ops[i], ops[n + 1 - i], m, c)
-            for i in family.arities() if n + 1 - i in ops
-            for m, c in _positions(flavor.kind, i, partial(_coefficient, flavor, i, n + 1 - i)))
+    tables = {} if tables is None else tables
+    return chain.from_iterable(
+        _insertions(flavor.kind, ops[i], ops[n + 1 - i],
+                    partial(_coefficient, flavor, i, n + 1 - i), tables)
+        for i in family.arities() if n + 1 - i in ops)
 
 
 def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
-             check_symmetry: bool = True) -> Folded:
+             check_symmetry: bool = True, tables: dict | None = None) -> Folded:
     """The arity-n residual of the family under the given flavor, the
     left-hand side of its n-th structure equation, kept on its orbit
     representatives (`permutations.Folded`).
@@ -166,7 +209,8 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
     Pre-Lie and Lie residuals are computed in the collapsed form of the
     module docstring, which equals the defining sum only for a partially
     (pre-Lie) or fully (Lie) symmetric family; with `check_symmetry` False
-    the caller must guarantee that symmetry.
+    the caller must guarantee that symmetry.  `tables` is the memo of
+    `residual_insertions`.
     """
     if flavor.convention != family.convention:
         raise ConventionError(
@@ -178,7 +222,7 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
 
     mode = SYMMETRIZATION.get(flavor.kind)
     degree = -2 if flavor.convention == HAT else n - 3
-    return _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n),
+    return _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n, tables),
                         flavor.variant, mode)
 
 
@@ -198,13 +242,13 @@ def _require_circle_factors(f: Operation, g: Operation, check_symmetry: bool) ->
         require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
 
 
-def _circle_insertions(f: Operation, g: Operation, sign: int = 1):
+def _circle_insertions(f: Operation, g: Operation, tables: dict, sign: int = 1):
     """The (outer, inner, position, coefficient) insertions of sign * f o g
-    in the Nijenhuis-Richardson form of `circle_product`."""
+    in the Nijenhuis-Richardson form of `circle_product`, on the pre-Lie
+    representative tables of f and g (memo `tables`)."""
     m, n = f.arity - 1, g.arity - 1
     scale = factorial(m) * factorial(n)
-    return ((f, g, position, c) for position, c in _positions(
-        PRELIE, m + 1, lambda p: Fraction(sign * (-1) ** (p * n), scale)))
+    return _insertions(PRELIE, f, g, lambda p: Fraction(sign * (-1) ** (p * n), scale), tables)
 
 
 def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:
@@ -229,7 +273,7 @@ def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     """
     _require_circle_factors(f, g, check_symmetry)
     # declared degree 0, like the space, whatever degrees f and g declare
-    return expand(_insert_fold(f.space, f.arity + g.arity - 1, 0, _circle_insertions(f, g),
+    return expand(_insert_fold(f.space, f.arity + g.arity - 1, 0, _circle_insertions(f, g, {}),
                                RHO2, MODE_PARTIAL))
 
 
@@ -245,7 +289,9 @@ def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> O
     """
     _require_circle_factors(f, g, check_symmetry)
     m, n = f.arity - 1, g.arity - 1
-    insertions = chain(_circle_insertions(f, g), _circle_insertions(g, f, -(-1) ** (m * n)))
+    tables = {}
+    insertions = chain(_circle_insertions(f, g, tables),
+                       _circle_insertions(g, f, tables, -(-1) ** (m * n)))
     return expand(_insert_fold(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL))
 
 

@@ -404,20 +404,23 @@ def insertion_term_count(insertions) -> int:
     its output terms times the inner operation's output terms at the
     inserted letter, summed over letters from one histogram per operation
     (outer: output terms by (position, letter); inner: by output letter).
+    The histograms are kept by id, each with its operation: an operation
+    made for the stream and freed during the count cannot pass its id, and
+    with it a stale histogram, to the next one.
     """
     slots, outputs = {}, {}
     total = 0
     for outer, inner, position, *_ in insertions:
         slot = slots.get(id(outer))
         if slot is None:
-            slot = slots[id(outer)] = Counter(
+            slot = slots[id(outer)] = outer, Counter(
                 (p, x) for word, combo in outer.table.items() for _ in combo.terms
                 for p, x in enumerate(word))
         at = outputs.get(id(inner))
         if at is None:
-            at = outputs[id(inner)] = Counter(
+            at = outputs[id(inner)] = inner, Counter(
                 letter for combo in inner.table.values() for letter in combo.terms)
-        total += sum(slot[position, letter] * k for letter, k in at.items())
+        total += sum(slot[1][position, letter] * k for letter, k in at[1].items())
     return total
 
 

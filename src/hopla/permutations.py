@@ -32,6 +32,10 @@ decides whether the sum vanishes and gives its smallest nonzero word.
 caller of `arrangements` here.  In the full and partial modes
 `precompose_symmetrized` is `expand(fold(...))`; the residuals and the
 square of a coderivation are `Folded` sums too, expanded when read.
+`block_representatives` keeps one entry per arrangement class of a block
+of an operand's symmetric slots, weighted by the class's size, so an
+insertion stream into `fold` carries one term where it carried one per
+arrangement.
 """
 
 from __future__ import annotations
@@ -294,6 +298,42 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
 
     return Folded(space, arity, degree, table_from_terms(moved(), sum_by_key), denominator,
                   variant, mode)
+
+
+def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
+    """The representative table of op on its block of slots lo..hi-1: the
+    entries whose block is sorted, each times the number of distinct
+    arrangements of that block, (hi-lo)!/prod_x m_x! for m_x copies of the
+    letter x.  op itself when the block has at most one slot.
+
+    For op invariant under the signed action of the permutations of the
+    block, op(w o pi) = chi(pi; w) op(w).  A term streamed from w o pi
+    into `fold`, with the block inside the acted slots, moves to the same
+    representative as the term from w, with a factor that differs by
+    chi(pi; w) as well, so the two contribute alike; and in an insertion
+    the block's arrangement changes no Koszul sign, which depends only on
+    the letters before the inserted operation.  So the fold of an insertion
+    stream is the same when an operand is replaced by this table.  The
+    pre-Lie and Lie residuals and the circle products insert these tables,
+    built once per call of their callers."""
+    if hi - lo <= 1:
+        return op
+    size = factorial(hi - lo)
+    table = {}
+    for word, combo in op.table.items():
+        block = word[lo:hi]
+        count, run = size, 1
+        for a, b in zip(block, block[1:]):
+            if a > b:
+                break
+            if a == b:
+                run += 1
+                count //= run
+            else:
+                run = 1
+        else:
+            table[word] = combo.scaled(count)
+    return Operation(op.space, op.arity, op.degree, table)
 
 
 def expand(folded: Folded) -> Operation:

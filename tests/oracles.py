@@ -24,6 +24,11 @@ only so that tests can compare the fast path against it:
   insertion per position, as the defining sums are written, and symmetrize
   their sum with the orbit kernel (itself checked against the loop above),
   with no collapse of positions;
+* `residual_by_insertions`, `circle_product_by_insertions` and
+  `circle_bracket_by_insertions` collapse the positions as `equations`
+  does, but insert every stored entry of both operands, every arrangement
+  of their symmetric slots, into one fold (`fold_insertions`), where
+  `equations` streams one representative per arrangement class;
 * `compose_insert_by_evaluation` evaluates an insertion with Fractions on
   every input word, as its definition reads;
 * `coderivation_law_by_coproducts` checks the whole coderivation law,
@@ -45,11 +50,12 @@ only so that tests can compare the fast path against it:
   `docio.parse_rational` splits at the slash and checks the digits.
 """
 
+import functools
 import itertools
 import json
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from conftest import apply_word, component
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
@@ -58,9 +64,10 @@ from hopla.docio import FORMAT, format_rational
 from hopla.equations import LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
-                          linear_sum, table_from_terms, word_degree)
-from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                all_permutations, arrangements, koszul_sign,
+                          insertion_terms, linear_sum, sum_by_key, table_from_terms,
+                          word_degree)
+from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
+                                all_permutations, arrangements, expand, fold, koszul_sign,
                                 precompose_symmetrized, sh, sign)
 
 
@@ -137,6 +144,18 @@ def failing_transposition_by_act(op, variant, full):
 SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
 
 
+def residual_coefficient(convention, kind, i, j, m):
+    """c(i,j,m) of the `equations` module docstring."""
+    c = Fraction(1)
+    if convention == UNHAT and (j * (i - m - 1) + m) % 2:
+        c = -c
+    if kind == PRELIE:
+        c /= factorial(i - 1) * factorial(j - 1)
+    elif kind == LIE:
+        c /= factorial(i - 1) * factorial(j)
+    return c
+
+
 def residual_by_positions(family, kind, n):
     """The arity-n residual of the family, as `equations` documents it:
     sum over i + j = n + 1 and every position m of
@@ -148,14 +167,8 @@ def residual_by_positions(family, kind, n):
         if j not in ops:
             continue
         for m in range(i):
-            c = Fraction(1)
-            if family.convention == UNHAT and (j * (i - m - 1) + m) % 2:
-                c = -c
-            if kind == PRELIE:
-                c /= factorial(i - 1) * factorial(j - 1)
-            elif kind == LIE:
-                c /= factorial(i - 1) * factorial(j)
-            terms.append((compose_insert(ops[i], ops[j], m), c))
+            terms.append((compose_insert(ops[i], ops[j], m),
+                          residual_coefficient(family.convention, kind, i, j, m)))
     core = linear_sum(family.space, n, -2 if family.convention == HAT else n - 3, terms)
     if kind not in SYMMETRIZATION:
         return core
@@ -176,6 +189,77 @@ def nary_residual_by_positions(mu, kind):
     if kind not in SYMMETRIZATION:
         return core
     return precompose_symmetrized(core, RHO2, SYMMETRIZATION[kind])
+
+
+def collapsed_positions(kind, i, coefficient):
+    """(position, coefficient) of the insertions that stand for all i
+    positions of an arity-i outer operation: position 0 with i times its
+    coefficient for Lie; position 0 with i - 1 times its coefficient and
+    position i - 1 for pre-Lie; every position for assoc."""
+    if kind == LIE:
+        return ((0, i * coefficient(0)),)
+    if kind == PRELIE:
+        last = ((i - 1, coefficient(i - 1)),)
+        return last if i == 1 else ((0, (i - 1) * coefficient(0)),) + last
+    return tuple((m, coefficient(m)) for m in range(i))
+
+
+def fold_insertions(space, arity, degree, insertions, variant, mode):
+    """P(sum of coeff * outer o_position inner) over the (outer, inner,
+    position, coeff) insertions, every stored entry of both operands
+    inserted, as integer numerators over one common denominator; P is
+    `fold` in the given mode, or no symmetrization when mode is None."""
+    insertions = [(outer, inner, position, coeff, outer.denominator * inner.denominator)
+                  for outer, inner, position, coeff in insertions]
+    den = lcm(*(coeff.denominator * operands for *_, coeff, operands in insertions))
+    terms = itertools.chain.from_iterable(
+        insertion_terms(outer, inner, position,
+                        coeff.numerator * (den // (coeff.denominator * operands)))
+        for outer, inner, position, coeff, operands in insertions)
+    if mode is None:
+        return Folded(space, arity, degree, table_from_terms(terms, sum_by_key), den, variant, None)
+    return fold(space, arity, degree, terms, den, variant, mode)
+
+
+def residual_insertions_by_entries(family, kind, n):
+    """The (outer, inner, position, coefficient) insertions of the arity-n
+    residual in the collapsed form, on the whole operations."""
+    ops = family.ops
+    return [(ops[i], ops[n + 1 - i], m, c) for i in sorted(ops) if n + 1 - i in ops
+            for m, c in collapsed_positions(kind, i, functools.partial(
+                residual_coefficient, family.convention, kind, i, n + 1 - i))]
+
+
+def residual_by_insertions(family, kind, n):
+    """The arity-n residual of the family in the collapsed form, a
+    `Folded` sum, with every stored entry of both operands inserted."""
+    hat = family.convention == HAT
+    return fold_insertions(family.space, n, -2 if hat else n - 3,
+                           residual_insertions_by_entries(family, kind, n),
+                           RHO1 if hat else RHO2, SYMMETRIZATION.get(kind))
+
+
+def _circle_insertions_by_entries(f, g, sign=1):
+    """The collapsed insertions of sign * f o g."""
+    m, n = f.arity - 1, g.arity - 1
+    scale = factorial(m) * factorial(n)
+    return [(f, g, position, c) for position, c in collapsed_positions(
+        PRELIE, m + 1, lambda p: Fraction(sign * (-1) ** (p * n), scale))]
+
+
+def circle_product_by_insertions(f, g):
+    """f o g: P of its collapsed insertions, every stored entry inserted."""
+    return expand(fold_insertions(f.space, f.arity + g.arity - 1, 0,
+                                  _circle_insertions_by_entries(f, g), RHO2, MODE_PARTIAL))
+
+
+def circle_bracket_by_insertions(f, g):
+    """[f, g]: P of the collapsed insertions of f o g and of g o f, scaled
+    by -(-1)^(mn), every stored entry inserted, in one fold."""
+    m, n = f.arity - 1, g.arity - 1
+    insertions = (_circle_insertions_by_entries(f, g)
+                  + _circle_insertions_by_entries(g, f, -(-1) ** (m * n)))
+    return expand(fold_insertions(f.space, m + n + 1, 0, insertions, RHO2, MODE_PARTIAL))
 
 
 def compose_insert_by_evaluation(outer, inner, position):

@@ -10,16 +10,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import residual_by_insertions, residual_insertions_by_entries
 from hopla import cli
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import TENSOR, word_count
 from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIES,
-                           MAX_GENERATE_WORDS, generate_random, run_check, run_derive)
-from hopla.equations import ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE
+                           MAX_GENERATE_WORDS, _residual_witness, generate_random, run_check,
+                           run_derive)
+from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
+                             residual_insertions)
 from hopla.errors import DocumentError
-from hopla.graded import UNHAT, GradedSpace, Operation, OperationFamily
+from hopla.graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_term_count
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
 from hopla.samples import dual_numbers
@@ -101,6 +104,33 @@ def test_parse_pins_the_path_of_every_entry_error(entry, path, message):
                     {"arity": 2, "entries": [FIRST_ENTRY, entry]}])
     with pytest.raises(DocumentError) as err:
         parse_document(raw)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "malformed rational '1/0': zero denominator"),
+    ("1.5", "malformed rational '1.5'"),
+    (["1"], "coefficient must be a 'p/q' string, got ['1']"),
+])
+def test_parse_refuses_a_malformed_coefficient_after_valid_repeats(bad, message):
+    # each distinct coefficient string is parsed once per document; a bad
+    # coefficient that follows repeats of other, valid strings is still
+    # refused, at its own path, and an unhashable one is no exception
+    basis = {"basis": [{"label": "e", "degree": 0}, {"label": "t", "degree": 0}]}
+    repeats = [{"inputs": [a, b], "output": [{"label": "e", "coeff": "-1/2"},
+                                             {"label": "t", "coeff": "3"}]}
+               for a, b in (("e", "e"), ("e", "t"), ("t", "e"))]
+    valid = parse_document(minimal_doc(space=basis, operations=[
+        {"arity": 2, "entries": repeats}]))
+    assert {w: dict(c) for w, c in valid.family.ops[2].table.items()} == {
+        w: {0: Fraction(-1, 2), 1: Fraction(3)} for w in ((0, 0), (0, 1), (1, 0))}
+    last = {"inputs": ["t", "t"], "output": [{"label": "t", "coeff": "3"},
+                                             {"label": "e", "coeff": bad}]}
+    with pytest.raises(DocumentError) as err:
+        parse_document(minimal_doc(space=basis, operations=[
+            {"arity": 2, "entries": repeats + [last]}]))
+    path = "operations[0].entries[3].output[1].coeff"
     assert err.value.path == path
     assert str(err.value) == f"{path}: {message}"
 
@@ -497,6 +527,39 @@ def test_cli_check_work_is_bounded(tmp_path, capsys):
     # below arity 15 the operation composes with nothing
     assert main(["check", str(family), "--flavor", "assoc", "--max-arity", "14"]) == 0
     capsys.readouterr()
+
+
+def test_cli_lie_check_counts_representative_terms(tmp_path, capsys):
+    # a hat Lie family with arities {2, 6} on degrees (0, 0, 1, 1), checked
+    # up to arity 11: inserting every stored entry streams more terms than
+    # MAX_CHECK_TERMS, and `check` refused it when it did; one entry per
+    # arrangement of each operation's symmetric slots is far below the
+    # limit, and the verdicts and witnesses are those of every entry
+    path = tmp_path / "lie26.json"
+    assert main(["generate", "--dim", "4", "--degrees", "0,1", "--arities", "2,6",
+                 "--sparsity", "0.5", "--seed", "3", "--convention", "hat",
+                 "--symmetrize", "full", "-o", str(path)]) == 0
+    family = parse_document(path.read_text()).family
+    assert family.space.degrees == (0, 0, 1, 1)
+    flavor = EquationFlavor(LIE, HAT)
+    assert sum(insertion_term_count(residual_insertions_by_entries(family, LIE, n))
+               for n in range(1, 12)) == 674_922 > MAX_CHECK_TERMS
+    tables = {}
+    assert insertion_term_count(itertools.chain.from_iterable(
+        residual_insertions(family, flavor, n, tables) for n in range(1, 12))) == 842
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main(["check", str(path), "--flavor", "lie", "--max-arity", "11", "--json"]) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"][2:]   # after the two symmetry lines
+    assert [c["name"] for c in checks] == [f"lie/hat residual at arity {n}" for n in range(1, 12)]
+    for n, check in enumerate(checks, 1):
+        oracle = residual_by_insertions(family, LIE, n)
+        assert check["passed"] == oracle.vanishes(), n
+        assert check["witness"] == _residual_witness(family.space, oracle.first_nonzero_entry()), n
+    assert [n for n, c in enumerate(checks, 1) if not c["passed"]] == [3, 7, 11]
 
 
 def test_run_check_refuses_max_arity_outside_the_limit():

@@ -353,6 +353,62 @@ def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
             == streamed["terms"], (n, kind)
 
 
+def test_representative_tables_are_built_once_per_call(monkeypatch, flat2, rng):
+    # run_check builds each (operation, block) table once for its count and
+    # all its residuals, and a circle call builds its own; nothing is kept
+    # from one call to the next
+    built = []
+    real = equations.block_representatives
+
+    def recording(op, lo, hi):
+        built.append((id(op), lo, hi))
+        return real(op, lo, hi)
+
+    monkeypatch.setattr(equations, "block_representatives", recording)
+    sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
+    for kind, symmetrize in ((PRELIE, "partial"), (LIE, "full")):
+        doc = AlgebraDocument(random_unhat_family(rng, sp, (1, 2, 3), symmetrize, 0.8))
+        for _ in range(2):
+            built.clear()
+            run_check(doc, kind)
+            assert built and len(built) == len(set(built)), (kind, built)
+            # every operation of the family streams through its tables
+            assert len({key[0] for key in built}) == len(doc.family.ops), kind
+    f, g = (precompose_symmetrized(random_operation(rng, flat2, a, 0, density=0.8),
+                                   RHO2, MODE_PARTIAL) for a in (3, 2))
+    for call in (circle_product, circle_bracket):
+        counts = []
+        for _ in range(2):
+            built.clear()
+            call(f, g)
+            assert len(built) == len(set(built)), (call, built)
+            counts.append(len(built))
+        assert counts[0] == counts[1] == (3 if call is circle_product else 4), (call, counts)
+
+
+def test_insertion_term_count_survives_freed_operations():
+    # a stream that makes a fresh operation per insertion and drops it after
+    # the count read it, as per-call representative tables can be dropped;
+    # CPython hands a freed object's id to the next one of its size, and a
+    # histogram kept by id alone was then read for the wrong operation
+    sp = GradedSpace(("x", "y"), (0, 0))
+
+    def fresh(k):
+        # k output terms at x: the inner histogram differs per operation
+        return Operation(sp, 1, 0, {(0,): LinearCombination({0: 1})} if k else {}), \
+            Operation(sp, 1, 0, {(x,): LinearCombination({0: 1}) for x in range(k)})
+
+    sizes = (2, 1, 0, 2, 1, 0, 2)
+
+    def stream():
+        for k in sizes:
+            outer, inner = fresh(k)
+            yield outer, inner, 0
+
+    assert insertion_term_count(stream()) == sum(sizes) == sum(
+        insertion_term_count([(outer, inner, 0)]) for outer, inner in map(fresh, sizes))
+
+
 def test_check_expands_no_orbit(monkeypatch, rng):
     # verdicts and witnesses are read off the folded residuals, so a failing
     # check writes no arrangement of any orbit

@@ -15,17 +15,19 @@ import pytest
 
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, pattern_space,
                       random_table, square_component, with_entry)
-from oracles import (check_coderivation_by_fractions, circle_bracket_by_products,
+from oracles import (check_coderivation_by_fractions, circle_bracket_by_insertions,
+                     circle_bracket_by_products, circle_product_by_insertions,
                      circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
                      component_by_fractions, component_loop, compose_insert_by_evaluation,
                      first_nonzero_square, nary_residual_by_positions,
-                     precompose_symmetrized_by_loop, residual_by_positions,
-                     square_cogenerator_by_fractions)
+                     precompose_symmetrized_by_loop, residual_by_insertions,
+                     residual_by_positions, square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, extend_coderivation,
                              square_cogenerator_component, tensor_words, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                             circle_bracket, circle_product, nary_residual, residual)
+                             circle_bracket, circle_product, nary_family, nary_residual,
+                             residual)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree, over)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
@@ -394,6 +396,104 @@ def test_folded_residual_decides_and_witnesses_like_its_expansion(monkeypatch):
     # both verdicts occur, and orbits are killed by their stabilizers
     assert verdicts[True] >= 100 and verdicts[False] >= 40, verdicts
     assert killed["words"] >= 100, killed
+
+
+def _orbit_values(folded):
+    """The folded sum's value at each representative, as Fractions."""
+    return {rep: over(numerators, folded.denominator)
+            for rep, numerators in folded.table.items()}
+
+
+def _repeated(folded):
+    """How many nonzero representatives repeat a letter in the acted slots,
+    where the orbit's stabilizer is larger than 1."""
+    return sum(len(set(rep[:folded.acted])) < folded.acted for rep in folded.table)
+
+
+def test_representative_residuals_match_the_all_entries_route():
+    # the pre-Lie and Lie residuals insert one representative per
+    # arrangement of each operand's symmetric slots, times the number of
+    # arrangements; inserting every stored entry (the oracle) folds to the
+    # same representatives with the same values, under rho1 (hat) and rho2
+    # (unhat), on integer and rational draws, on homogeneous tables and on
+    # tables that are not.  The derivation uses only the operands'
+    # symmetry; the collapse of positions, which both routes make, also
+    # uses homogeneity, so the per-position oracle is compared on
+    # homogeneous tables only.
+    nonzero = collections.Counter()
+    repeated = 0
+    for pattern in sorted(DEGREE_PATTERNS):
+        rng = random.Random(f"representatives-{pattern}")
+        sp = pattern_space(pattern)
+        for convention, kind, draw, homogeneous in itertools.product(
+                (HAT, UNHAT), (PRELIE, LIE), ((-3, -2, -1, 1, 2, 3), RATIONAL_COEFFICIENTS),
+                (True, False)):
+            variant = action_variant(convention)
+            ops = {}
+            for arity in (1, 2, 3, 4):
+                degree = family_degree(convention, arity)
+                op = (random_operation(rng, sp, arity, degree, 0.5, coefficients=draw)
+                      if homogeneous
+                      else Operation(sp, arity, degree, random_table(rng, sp, arity, 0.5, draw)))
+                ops[arity] = precompose_symmetrized(op, variant, RESIDUAL_SYMMETRY[kind])
+            family = OperationFamily(convention, sp, 6, ops)
+            for n in range(1, 7):
+                what = (pattern, convention, kind, draw, homogeneous, n)
+                fast = residual(family, EquationFlavor(kind, convention), n)
+                slow = residual_by_insertions(family, kind, n)
+                assert _orbit_values(fast) == _orbit_values(slow), what
+                assert fast.first_nonzero_entry() == slow.first_nonzero_entry(), what
+                if homogeneous:
+                    assert fast.op == residual_by_positions(family, kind, n), what
+                nonzero[kind, homogeneous] += not fast.vanishes()
+                repeated += _repeated(fast)
+    assert min(nonzero.values()) >= 10 and repeated >= 50, (nonzero, repeated)
+
+
+def test_representative_nary_residuals_match_the_all_entries_route():
+    # a skew operation needs as many letters as the residual has skew
+    # slots, so n = 3 runs on four and five letters
+    nonzero = collections.Counter()
+    for dim, n in ((2, 2), (3, 2), (4, 3), (5, 3)):
+        rng = random.Random(f"representatives-nary-{dim}")
+        sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+        for (kind, mode), draw in itertools.product(
+                ((PRELIE, MODE_PARTIAL), (LIE, MODE_FULL)),
+                ((-3, -2, -1, 1, 2, 3), RATIONAL_COEFFICIENTS)):
+            mu = precompose_symmetrized(random_operation(rng, sp, n, 0, 0.6, coefficients=draw),
+                                        RHO2, mode)
+            fast = nary_residual(mu, kind)
+            slow = residual_by_insertions(nary_family(mu), kind, 2 * n - 1)
+            assert _orbit_values(fast) == _orbit_values(slow), (dim, n, kind, draw)
+            assert fast.op == nary_residual_by_positions(mu, kind), (dim, n, kind, draw)
+            nonzero[kind, n] += not fast.vanishes()
+    assert min(nonzero.values()) >= 2, nonzero
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_representative_circle_calculus_matches_the_all_entries_route(dim):
+    # arities 1-4 for both factors; the dense unshuffle sums where they are
+    # small enough to evaluate on every word
+    rng = random.Random(f"representatives-circle-{dim}")
+    sp = GradedSpace(tuple(f"e{i}" for i in range(dim)), (0,) * dim)
+    nonzero = repeated = 0
+    for f_arity, g_arity, draw in itertools.product(
+            (1, 2, 3, 4), (1, 2, 3, 4), ({}, {"coefficients": RATIONAL_COEFFICIENTS})):
+        f = _partially_skew(rng, sp, f_arity, **draw)
+        g = _partially_skew(rng, sp, g_arity, **draw).scaled(Fraction(1, 13))
+        product = circle_product(f, g)
+        assert product == circle_product_by_insertions(f, g), (f_arity, g_arity)
+        bracket = circle_bracket(f, g)
+        assert bracket == circle_bracket_by_insertions(f, g), (f_arity, g_arity)
+        if dim ** (f_arity + g_arity - 1) <= 250:
+            assert product == circle_product_dense(f, g), (f_arity, g_arity)
+            assert bracket == circle_bracket_by_products(f, g, circle_product_dense), \
+                (f_arity, g_arity)
+        nonzero += not product.is_zero()
+        # a skew letter repeated in the acted slots cancels, so a nonzero
+        # value on a repeated letter sits in the last slot
+        repeated += any(word[-1] in word[:-1] for word in product.table)
+    assert nonzero >= 8 and repeated >= 5, (nonzero, repeated)
 
 
 COALGEBRA_PATTERNS = {

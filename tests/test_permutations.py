@@ -12,8 +12,8 @@ from oracles import (act, extend_fixing_last, failing_transposition_by_act, inve
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                all_permutations, arrangement_count, compose,
-                                failing_symmetry_generator,
+                                all_permutations, arrangement_count, block_representatives,
+                                compose, failing_symmetry_generator,
                                 koszul_sign, precompose_symmetrized,
                                 sh, sign, unshuffles)
 
@@ -265,6 +265,30 @@ def test_arrangement_count_bounds_what_the_kernel_writes():
                     same = Operation(sp, arity, 0, dict.fromkeys(whole.table, combo))
                     assert arrangement_count(same, variant, mode) == count
     assert killed >= 20 and orbits >= 20, (killed, orbits)
+
+
+@pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
+def test_block_representatives_weigh_each_sorted_block_by_its_arrangements(pattern):
+    # the entries whose block is sorted, each times the number of distinct
+    # arrangements of its block; the other slots are left as they are
+    rng = random.Random(f"block-{pattern}")
+    sp = pattern_space(pattern)
+    kept = 0
+    for arity, (lo, hi) in itertools.product(
+            (2, 3, 4), ((0, 2), (1, 3), (0, 3), (0, 4), (1, 4))):
+        if hi > arity:
+            continue
+        op = Operation(sp, arity, 0, random_table(rng, sp, arity, 0.7))
+        reps = block_representatives(op, lo, hi)
+        assert (reps.arity, reps.degree, reps.space) == (op.arity, op.degree, op.space)
+        assert reps.table == {
+            word: combo.scaled(len(set(itertools.permutations(word[lo:hi]))))
+            for word, combo in op.table.items() if list(word[lo:hi]) == sorted(word[lo:hi])}
+        kept += len(reps.table)
+    assert kept >= 5
+    # a block of at most one slot is the operation itself
+    op = Operation(sp, 2, 0, random_table(rng, sp, 2, 0.7))
+    assert all(block_representatives(op, lo, hi) is op for lo, hi in ((0, 1), (1, 2), (1, 1)))
 
 
 def test_rho2_equals_signed_permutation_on_even_degrees():
