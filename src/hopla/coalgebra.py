@@ -1,13 +1,13 @@
 """Weight-truncated cofree coalgebras on a graded space and their coderivations.
 
-Three kinds of basis words, all keyed by plain tuples:
+A basis word of weight k is a tuple of k basis indices, the rho1 orbit
+representative that the kind's symmetrization (`SYMMETRIZATION`) picks:
 
-* tensor:  a word is a tuple of basis indices;
-* wedge:   a word is a nondecreasing tuple of basis indices in canonical
-           form (sorting sign normalized away, words with a repeated
-           odd-degree letter are zero);
-* perm:    a word is a pair (head, tail) with head a canonical wedge tuple
-           and tail a single basis index; its weight is len(head) + 1.
+* tensor:  no symmetrization; every word is its own representative;
+* wedge:   mode full; the word is sorted (the sorting sign normalized
+           away), and words with a repeated odd-degree letter are zero;
+* perm:    mode partial; the Perm word (x_1 ... x_{k-1} | t) is the tuple
+           head + (t,), its first k - 1 letters a canonical wedge word.
 
 Coalgebras here are non-counital and weights start at 1: the comultiplication
 of a weight-1 word is the empty sum.  Every structure is truncated at an
@@ -34,7 +34,8 @@ TENSOR = "tensor"
 WEDGE = "wedge"
 PERM = "perm"
 
-KINDS = (TENSOR, WEDGE, PERM)
+# the symmetrization whose rho1 orbit representatives are a kind's words
+SYMMETRIZATION = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}
 
 SIGNS = {1: ONE, -1: -ONE}   # integer Koszul signs as shared Fractions
 
@@ -54,60 +55,39 @@ def wedge_normalize(space: GradedSpace, letters) -> tuple:
     return sign, tuple(letters)
 
 
-def word_weight(kind: str, word) -> int:
-    if kind == PERM:
-        return len(word[0]) + 1
-    return len(word)
-
-
-def tensor_words(space: GradedSpace, k: int) -> Iterator:
-    return itertools.product(range(space.dim), repeat=k)
-
-
-def wedge_words(space: GradedSpace, k: int) -> Iterator:
-    for w in itertools.combinations_with_replacement(range(space.dim), k):
-        if stabilizer_order(w, space.parities, False):
-            yield w
-
-
-def perm_words(space: GradedSpace, k: int) -> Iterator:
-    for head in wedge_words(space, k - 1):
-        for tail in range(space.dim):
-            yield head, tail
+def _acted(kind: str, k: int) -> int:
+    """The leading slots of a weight-k word that the kind's symmetrization
+    acts on: none (tensor), all k (wedge) or the k - 1 of the head (perm)."""
+    if kind not in SYMMETRIZATION:
+        raise KindError(f"unknown coalgebra kind {kind!r}")
+    mode = SYMMETRIZATION[kind]
+    return k if mode == MODE_FULL else k - 1 if mode == MODE_PARTIAL else 0
 
 
 def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
-    if kind == TENSOR:
-        return tensor_words(space, k)
-    if kind == WEDGE:
-        return wedge_words(space, k)
-    if kind == PERM:
-        return perm_words(space, k)
-    raise KindError(f"unknown coalgebra kind {kind!r}")
+    """The canonical words of weight k: a sorted head of the acted slots
+    whose stabilizer does not act by -1, then free letters, in
+    lexicographic order."""
+    acted = _acted(kind, k)
+    letters = range(space.dim)
+    heads = (head for head in itertools.combinations_with_replacement(letters, acted)
+             if stabilizer_order(head, space.parities, False))
+    return (head + free for head in heads
+            for free in itertools.product(letters, repeat=k - acted))
 
 
 def _weight_words(kind: str, space: GradedSpace, k: int) -> int:
-    """The number of canonical words of weight k, in closed form.
-
-    Weight k has dim^k tensor words; its wedge words are the multisets of k
-    letters with no odd letter repeated, sum over j of C(odd, j) times the
-    C(even + k - j - 1, k - j) multisets of k - j even letters; its Perm
-    words are a wedge head of weight k - 1 and a tail letter."""
-    if kind not in KINDS:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
-    dim = space.dim
+    """The number of canonical words of weight k, in closed form: the
+    admissible heads of the a acted slots times dim^(k - a) free letters.
+    The heads are the multisets of a letters with no odd letter repeated,
+    sum over j of C(odd, j) times the C(even + a - j - 1, a - j) multisets
+    of a - j even letters."""
+    a = _acted(kind, k)
     odd = sum(space.parities)
-    even = dim - odd
-
-    def wedge(k):
-        return sum(comb(odd, j) * (comb(even + k - j - 1, k - j) if even else int(j == k))
-                   for j in range(min(odd, k) + 1))
-
-    if kind == TENSOR:
-        return dim ** k
-    if kind == WEDGE:
-        return wedge(k)
-    return wedge(k - 1) * dim
+    even = space.dim - odd
+    heads = sum(comb(odd, j) * (comb(even + a - j - 1, a - j) if even else int(j == a))
+                for j in range(min(odd, a) + 1))
+    return heads * space.dim ** (k - a)
 
 
 def word_count(kind: str, space: GradedSpace, cap: int) -> int:
@@ -144,29 +124,27 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
     perm:   eps(sigma) (x_s(1) ... x_s(i-1) | x_s(i)) (x) (x_s(i+1) ... | t)
             over the (i-1, 1, n-1-i)-unshuffles sigma of the head.
 
-    Every factor is canonical: an unshuffle of a canonical word keeps each
-    block sorted.  A word that is not canonical gets the same sum, its
-    factors in the word's order (beta in `coalgebra_map` relies on this).
+    That is, the acted slots are unshuffled, the rest of the word is kept,
+    and the result is cut after i letters.  Every factor is canonical: an
+    unshuffle of a canonical word keeps each block sorted.  A word that is
+    not canonical gets the same sum, its factors in the word's order (beta
+    in `coalgebra_map` relies on this).
 
     The coderivation components rely on the boundary weights: for tensor
     and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with sign +1;
     a negative block yields nothing, so a Perm word has no term at i = n.
     `comultiply` sums only over i = 1 .. n-1."""
+    n = len(word)
+    acted = _acted(kind, n)
     if kind == TENSOR:
         yield (word[:i], word[i:]), 1
-    elif kind == WEDGE:
-        parities = tuple(space.parities[x] for x in word)
-        for sigma, eps in _signed_unshuffles(parities, i, len(word) - i):
-            permuted = tuple(word[s - 1] for s in sigma)
-            yield (permuted[:i], permuted[i:]), eps
-    elif kind == PERM:
-        head, tail = word
-        parities = tuple(space.parities[x] for x in head)
-        for sigma, eps in _signed_unshuffles(parities, i - 1, 1, len(head) - i):
-            ph = tuple(head[s - 1] for s in sigma)
-            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), eps
-    else:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
+        return
+    blocks = (i, n - i) if kind == WEDGE else (i - 1, 1, n - 1 - i)
+    rest = word[acted:]
+    for sigma, eps in _signed_unshuffles(tuple(space.parities[x] for x in word[:acted]),
+                                         *blocks):
+        permuted = tuple(word[s - 1] for s in sigma) + rest
+        yield (permuted[:i], permuted[i:]), eps
 
 
 @lru_cache(maxsize=4096)
@@ -184,9 +162,9 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
 
     Each Koszul sign enters as a shared +-1 Fraction, so a pair met once
     costs no Fraction arithmetic."""
-    if kind not in KINDS:
+    if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    return LinearCombination((pair, SIGNS[s]) for i in range(1, word_weight(kind, word))
+    return LinearCombination((pair, SIGNS[s]) for i in range(1, len(word))
                              for pair, s in coproduct_terms(kind, space, word, i))
 
 
@@ -195,7 +173,7 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     (perm -> tensor).
 
     alpha sums eps(sigma) (x_s(1), ..., x_s(n)) over all of S_n, and gamma
-    does the same to the head of (x_1 ... x_{n-1} | t) with the tail fixed.
+    does the same to the head of (x_1 ... x_{n-1} | t) with t fixed.
     Both are computed per orbit: every distinct rearrangement of the word
     (or head) appears |Stab| times with the Koszul sign that relates it to
     the word, and the sum is zero when a repeated odd letter makes the
@@ -206,11 +184,10 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     if name == "alpha":
         return _orbit_sum(space, word, ())
     if name == "beta":
-        return LinearCombination(((left, right[0]), SIGNS[eps]) for (left, right), eps
+        return LinearCombination((left + right, SIGNS[eps]) for (left, right), eps
                                  in coproduct_terms(WEDGE, space, word, len(word) - 1))
     if name == "gamma":
-        head, tail = word
-        return _orbit_sum(space, head, (tail,))
+        return _orbit_sum(space, word[:-1], word[-1:])
     raise KindError(f"unknown coalgebra map {name!r}")
 
 
@@ -248,8 +225,9 @@ class Coderivation:
     `denominator`; missing pairs and words are zero.  The law and the
     square compute on these numerators; `square_word` gives exact Fraction
     values.  The degree is carried for the Koszul sign in the coderivation
-    law (all coderivations built here have degree -1).  The components are read-only once built: each word's
-    image over all weights is computed once and kept.
+    law (all coderivations built here have degree -1).  The components
+    are read-only once built: each word's image over all weights is
+    computed once and kept.
     """
 
     kind: str
@@ -266,7 +244,7 @@ class Coderivation:
         """D(word) over all weights, as numerators over the denominator."""
         image = self._images.get(word)
         if image is None:
-            k = word_weight(self.kind, word)
+            k = len(word)
             image = self._images[word] = {}
             for l in range(1, k + 1):
                 image.update(self.components.get((k, l), {}).get(word, {}))
@@ -315,7 +293,7 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     """
     if family.convention != HAT:
         raise ConventionError("coderivation extension requires a hat-convention family")
-    if kind not in KINDS:
+    if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
     if kind != TENSOR:
         require_symmetry(family.ops, RHO1, kind == WEDGE, f"the {kind} coderivation extension")
@@ -356,28 +334,27 @@ def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict
                         yield word[:i] + (letter,) + word[i + a:], -c if prefix_parity else c
                 prefix_parity ^= odd[word[i]]
     else:
+        acted = _acted(kind, l) - 1   # the acted slots of an image word after its mu letter
+
         def terms(word):
             for (left, right), eps in coproduct_terms(kind, sp, word, a):
-                tail = None
-                if kind == PERM:
-                    left, (right, tail) = left[0] + (left[1],), right
                 out = table.get(left)
                 if out is None:
                     continue
                 for letter, c in out:
-                    ns, w = wedge_normalize(sp, (letter,) + right)
+                    ns, w = wedge_normalize(sp, (letter,) + right[:acted])
                     if w is not None:
-                        yield w if tail is None else (w, tail), c if ns == eps else -c
+                        yield w + right[acted:], c if ns == eps else -c
             if kind == PERM:
-                head, tail = word
-                for (front, back), eps in coproduct_terms(WEDGE, sp, head, l - 1):
-                    out = table.get(back + (tail,))
+                tail = word[-1:]
+                for (front, back), eps in coproduct_terms(WEDGE, sp, word[:-1], l - 1):
+                    out = table.get(back + tail)
                     if out is None:
                         continue
                     if sum(odd[x] for x in front) % 2:
                         eps = -eps
                     for letter, c in out:
-                        yield (front, letter), c if eps == 1 else -c
+                        yield front + (letter,), c if eps == 1 else -c
 
     comp = {}
     for word in coalgebra_words(kind, sp, k):
@@ -447,8 +424,7 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
                 right_image = comp.get(right)
                 if right_image is None:
                     continue
-                letters = left[0] + (left[1],) if kind == PERM else left
-                if odd and sum(par[x] for x in letters) % 2:
+                if odd and sum(par[x] for x in left) % 2:
                     s = -s
                 for v, c in right_image.items():
                     yield (left, v), -c if s == 1 else c
@@ -474,10 +450,10 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     cap, so its square there is unknown, not zero.
 
     A canonical word is the rho1 orbit representative of the tensor words
-    that project onto it: a tensor word is its own, a wedge word stands for
-    its rearrangements (mode full), and a Perm word (head | t) for the
-    rearrangements of its head, t fixed (mode partial on head + (t,)).  So
-    the pullback is `expand` of the `permutations.Folded` sum that holds
+    that project onto it under the kind's `SYMMETRIZATION`: a tensor word
+    is its own, a wedge word stands for its rearrangements, and a Perm word
+    (head | t) for the rearrangements of its head, t fixed.  So the
+    pullback is `expand` of the `permutations.Folded` sum that holds
     each canonical word's part, the products of the components' numerators
     summed as ints over the denominator squared."""
     if not 1 <= n <= D.cap:
@@ -487,11 +463,10 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
              if (n, l) in D.components and (l, 1) in D.components]
     table = {}
     for cw in dict.fromkeys(word for image, _ in steps for word in image):
-        # a weight-1 word is (letter,), or ((), letter) for Perm
-        sums = sum_by_key((v[-1], c * cc) for image, cogenerator in steps
+        sums = sum_by_key((v[0], c * cc) for image, cogenerator in steps
                           for u, c in image.get(cw, {}).items()
                           for v, cc in cogenerator.get(u, {}).items())
         if sums:
-            table[cw[0] + (cw[1],) if D.kind == PERM else cw] = sums
-    mode = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}[D.kind]
-    return expand(Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1, mode))
+            table[cw] = sums
+    return expand(Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1,
+                         SYMMETRIZATION[D.kind]))

@@ -18,7 +18,7 @@ from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         nary_family, residual, residual_insertions)
-from .errors import DocumentError, SymmetryError
+from .errors import ConventionError, DocumentError, SymmetryError
 from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
@@ -150,6 +150,21 @@ def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor,
     return ok
 
 
+def _require_parity(family: OperationFamily, kind: str) -> None:
+    """Refuse a pre-Lie or Lie check, on a space with an odd letter, of an
+    operation with an entry whose output parity is not its input parity
+    plus the operation's degree: the collapsed positions of
+    `equations._positions` hold only for such parity-homogeneous tables."""
+    odd = family.space.parities
+    if kind == ASSOC or not any(odd):
+        return
+    for n, op in sorted(family.ops.items()):
+        if any(odd[out] != (sum(odd[x] for x in word) + op.degree) % 2
+               for word, combo in op.table.items() for out, _ in combo):
+            raise ConventionError(f"the {kind} check needs outputs of the parity of the inputs "
+                                  f"plus the degree; the arity-{n} operation has others")
+
+
 def _require_check_work(terms: int, what: str) -> None:
     if terms > MAX_CHECK_TERMS:
         raise DocumentError(f"{what} streams {terms:,} insertion terms, "
@@ -170,8 +185,10 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
     insertion terms.  Without `check_preconditions` the report has no
     symmetry lines, but a pre-Lie or Lie check of operations without the
-    symmetry still raises a SymmetryError.  Verdicts and witnesses are read
-    off the folded residuals; nothing is expanded.
+    symmetry still raises a SymmetryError, and with or without it so does
+    one with odd letters of another parity (ConventionError, see
+    `_require_parity`).  Verdicts and witnesses are read off the folded
+    residuals; nothing is expanded.
     """
     t0 = time.monotonic()
     if kind not in (ASSOC, PRELIE, LIE):
@@ -197,6 +214,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
         line, what = f"{kind}/{doc.convention} residual", f"the {kind} check up to arity {cap}"
 
     flavor = EquationFlavor(kind, family.convention)
+    _require_parity(family, kind)
     if _symmetry_check(report, family.ops, flavor, check_preconditions):
         tables = {}  # each representative table is built once per check
         _require_check_work(insertion_term_count(chain.from_iterable(

@@ -13,7 +13,7 @@ from math import factorial
 
 from .coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map,
                         coalgebra_words, comultiply, extend_coderivation,
-                        project_pi, square_cogenerator_component, wedge_words)
+                        project_pi, square_cogenerator_component)
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, circle_bracket,
                         circle_product, nary_residual, residual)
 from .functors import commutator, suspend_family, suspend_operation
@@ -110,7 +110,7 @@ def coalgebra_map_law_witness(name: str, space: GradedSpace, cap: int):
 def factorization_witness(space: GradedSpace, cap: int):
     """gamma o beta = alpha on wedge words."""
     for k in range(1, cap + 1):
-        for word in wedge_words(space, k):
+        for word in coalgebra_words(WEDGE, space, k):
             via = LinearCombination((w, c * cc)
                                     for pair, c in coalgebra_map("beta", space, word)
                                     for w, cc in coalgebra_map("gamma", space, pair))
@@ -122,7 +122,7 @@ def factorization_witness(space: GradedSpace, cap: int):
 def section_witness(space: GradedSpace, cap: int):
     """pi o alpha = identity on wedge words."""
     for k in range(1, cap + 1):
-        for word in wedge_words(space, k):
+        for word in coalgebra_words(WEDGE, space, k):
             image = LinearCombination((key, c * cc)
                                       for w, c in coalgebra_map("alpha", space, word)
                                       for key, cc in project_pi(space, w))

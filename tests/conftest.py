@@ -11,10 +11,10 @@ The oracles here deliberately avoid the library's own code paths:
   composition form the library uses.
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
-`with_entry`, `commutator_bracket` and `associative_family` are small
-helpers that only the tests need; `DEGREE_PATTERNS` are the basis degrees
-the oracle comparisons run on, and `RATIONAL_COEFFICIENTS` the non-integer
-coefficients they draw.
+`with_entry`, `flat_word`, `flat_component`, `commutator_bracket` and
+`associative_family` are small helpers that only the tests need;
+`DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on, and
+`RATIONAL_COEFFICIENTS` the non-integer coefficients they draw.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopla.coalgebra import Coderivation, coalgebra_words, word_weight
+from hopla.coalgebra import Coderivation, coalgebra_words
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, over)
 from hopla.permutations import sh, sign
@@ -224,10 +224,26 @@ def square_component(D, k, l):
     out = {}
     for word in coalgebra_words(D.kind, D.space, k):
         part = LinearCombination(
-            (w, c) for w, c in D.square_word(word) if word_weight(D.kind, w) == l)
+            (w, c) for w, c in D.square_word(word) if len(w) == l)
         if not part.is_zero():
             out[word] = part
     return out
+
+
+def flat_word(word):
+    """A Perm word spelled as the pair (head, tail), as the flat word
+    head + (tail,) that the library keys it by; any other word unchanged."""
+    return word[0] + (word[1],) if word and isinstance(word[0], tuple) else word
+
+
+def flat_component(value):
+    """A component, a combination or a dict of values keyed by words, with
+    every word in it passed through `flat_word`."""
+    if isinstance(value, LinearCombination):
+        return value.map_keys(flat_word)
+    if isinstance(value, dict):
+        return {flat_word(word): flat_component(image) for word, image in value.items()}
+    return value
 
 
 def commutator_bracket(sp, mu):

@@ -14,6 +14,12 @@ only so that tests can compare the fast path against it:
   folds both products' insertions once;
 * `failing_transposition_by_act` walks the adjacent transpositions as
   whole permutations, applied with `act`;
+* `pair_words` lists the canonical words of a coalgebra kind, a Perm word
+  spelled as the pair (head, tail), by filtering every multiset head
+  through `wedge_normalize`;
+* `coproduct_terms_by_pairs` is the comultiplication with one branch per
+  kind on pair-spelled Perm words, where `coalgebra.coproduct_terms`
+  unshuffles the acted slots of a flat word;
 * `coalgebra_map_by_loop` sums alpha and gamma over every permutation of
   the word or head, and beta over every letter moved to the tail, where
   `coalgebra.coalgebra_map` reads beta off the wedge coproduct;
@@ -59,7 +65,7 @@ from math import factorial, lcm
 
 from conftest import apply_word, component
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
-                             perm_words, tensor_words, wedge_normalize, wedge_words, word_weight)
+                             wedge_normalize)
 from hopla.docio import FORMAT, format_rational
 from hopla.equations import LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
@@ -316,6 +322,41 @@ def circle_bracket_by_products(f, g, product=circle_product):
     return product(f, g) - product(g, f).scaled((-1) ** (m * n))
 
 
+def pair_words(kind, sp, k):
+    """The canonical words of weight k in `coalgebra_words` order, a Perm
+    word spelled as the pair (head, tail): every word (tensor), the sorted
+    words that `wedge_normalize` keeps (wedge), or such a head of weight
+    k - 1 and a tail letter (perm)."""
+    letters = range(sp.dim)
+    if kind == TENSOR:
+        return list(itertools.product(letters, repeat=k))
+    sorted_words = [w for w in itertools.combinations_with_replacement(letters, k - (kind == PERM))
+                    if wedge_normalize(sp, w)[1] is not None]
+    if kind == WEDGE:
+        return sorted_words
+    return [(head, tail) for head in sorted_words for tail in letters]
+
+
+def coproduct_terms_by_pairs(kind, space, word, i):
+    """Terms ((left, right), sign) of the comultiplication of a word of left
+    weight i, one branch per kind, a Perm word spelled (head, tail): the cut
+    (tensor), the (i, n-i)-unshuffles (wedge), or the
+    (i-1, 1, n-1-i)-unshuffles of the head with the tail kept (perm)."""
+    if kind == TENSOR:
+        yield (word[:i], word[i:]), 1
+    elif kind == WEDGE:
+        degrees = [space.degree(x) for x in word]
+        for sigma in sh(i, len(word) - i):
+            permuted = permute_word(sigma, word)
+            yield (permuted[:i], permuted[i:]), koszul_sign(sigma, degrees)
+    else:
+        head, tail = word
+        degrees = [space.degree(x) for x in head]
+        for sigma in sh(i - 1, 1, len(head) - i):
+            ph = permute_word(sigma, head)
+            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), koszul_sign(sigma, degrees)
+
+
 def coalgebra_map_by_loop(name, space, word):
     """alpha of a wedge word, or gamma of a perm word (head | tail): the sum
     of eps(sigma) times the permuted word (or head, tail appended) over
@@ -334,12 +375,13 @@ def coalgebra_map_by_loop(name, space, word):
 def component_loop(op, kind, k, l):
     """The (k, l) coderivation component extending op (arity k - l + 1),
     from the sum over all k! (wedge) or (k-1)! (perm) permutations of each
-    canonical word; as `coalgebra._component` returns it."""
+    canonical word; as `coalgebra._component` returns it, with Perm words
+    spelled as pairs."""
     sp = op.space
     a = op.arity
     comp = {}
     if kind == TENSOR:
-        for word in tensor_words(sp, k):
+        for word in pair_words(TENSOR, sp, k):
             acc = []
             for i in range(l):
                 out = op.evaluate(word[i:i + a])
@@ -355,7 +397,7 @@ def component_loop(op, kind, k, l):
         # symmetric operation makes each collapsed unshuffle term appear
         # l! * a! times in the symmetrized sum.
         norm = Fraction(1, factorial(l) * factorial(a))
-        for word in wedge_words(sp, k):
+        for word in pair_words(WEDGE, sp, k):
             degrees = [sp.degree(x) for x in word]
             acc = []
             for sigma in all_permutations(k):
@@ -376,7 +418,7 @@ def component_loop(op, kind, k, l):
 
     # perm
     norm = Fraction(1, factorial(l - 1) * factorial(k - l))
-    for head, tail in perm_words(sp, k):
+    for head, tail in pair_words(PERM, sp, k):
         degrees = [sp.degree(x) for x in head]
         acc = []
         for sigma in all_permutations(k - 1):
@@ -409,8 +451,9 @@ def _store(comp, word, terms):
 
 
 def component_by_fractions(op, kind, k, l):
-    """The (k, l) component extending op, summed in Fractions: canonical
-    weight-k words to combinations of weight-l words."""
+    """The (k, l) component extending op, summed in Fractions over
+    `coproduct_terms_by_pairs`: canonical weight-k words to combinations of
+    weight-l words, Perm words spelled as pairs."""
     sp = op.space
     odd = sp.parities
     table = op.table
@@ -426,7 +469,7 @@ def component_by_fractions(op, kind, k, l):
                 prefix_parity ^= odd[word[i]]
     else:
         def terms(word):
-            for (left, right), eps in coproduct_terms(kind, sp, word, a):
+            for (left, right), eps in coproduct_terms_by_pairs(kind, sp, word, a):
                 tail = None
                 if kind == PERM:
                     left, (right, tail) = left[0] + (left[1],), right
@@ -439,7 +482,7 @@ def component_by_fractions(op, kind, k, l):
                         yield w if tail is None else (w, tail), c if ns == eps else -c
             if kind == PERM:
                 head, tail = word
-                for (front, back), eps in coproduct_terms(WEDGE, sp, head, l - 1):
+                for (front, back), eps in coproduct_terms_by_pairs(WEDGE, sp, head, l - 1):
                     out = table.get(back + (tail,))
                     if out is None:
                         continue
@@ -449,7 +492,7 @@ def component_by_fractions(op, kind, k, l):
                         yield (front, letter), c if eps == 1 else -c
 
     comp = {}
-    for word in coalgebra_words(kind, sp, k):
+    for word in pair_words(kind, sp, k):
         _store(comp, word, terms(word))
     return comp
 
@@ -465,7 +508,7 @@ def check_coderivation_by_fractions(D, cap=None):
 
     def lhs(word):
         for u, c in apply_word(D, word):
-            l = word_weight(kind, u)
+            l = len(u)
             if l >= 2:
                 for pair, s in coproduct_terms(kind, sp, u, l - 1):
                     yield pair, c * s
@@ -479,8 +522,7 @@ def check_coderivation_by_fractions(D, cap=None):
             if a >= k:
                 continue
             for (left, right), s in coproduct_terms(kind, sp, word, k - a):
-                letters = left[0] + (left[1],) if kind == PERM else left
-                if odd and sum(par[x] for x in letters) % 2:
+                if odd and sum(par[x] for x in left) % 2:
                     s = -s
                 for v, c in comp.get(right, LinearCombination()):
                     yield (left, v), c * s
@@ -505,7 +547,7 @@ def square_cogenerator_by_fractions(D, n):
         if D.kind == TENSOR:
             table[cw] = part
             continue
-        head, tail = (cw, ()) if D.kind == WEDGE else (cw[0], (cw[1],))
+        head, tail = (cw, ()) if D.kind == WEDGE else (cw[:-1], cw[-1:])
         for chi, arrangement in arrangements(head, D.space.parities, False):
             table[arrangement + tail] = part.scaled(chi)
     return Operation(D.space, n, 2 * D.degree, table)
@@ -537,18 +579,12 @@ def first_nonzero_square(D):
     return None
 
 
-def cofree_word_degree(space, kind, word):
-    if kind == PERM:
-        return word_degree(space, word[0] + (word[1],))
-    return word_degree(space, word)
-
-
 def _coderivation_rhs(D, word, odd):
     """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
     for (left, right), c in comultiply(D.kind, D.space, word):
         for w, cc in apply_word(D, left):
             yield (w, right), c * cc
-        if odd and cofree_word_degree(D.space, D.kind, left) % 2:
+        if odd and word_degree(D.space, left) % 2:
             c = -c
         for w, cc in apply_word(D, right):
             yield (left, w), c * cc

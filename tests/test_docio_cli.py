@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import residual_by_insertions, residual_insertions_by_entries
+from oracles import (nary_residual_by_positions, residual_by_insertions,
+                     residual_by_positions, residual_insertions_by_entries)
 from hopla import cli
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
@@ -20,9 +21,11 @@ from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIE
                            MAX_GENERATE_WORDS, _residual_witness, generate_random, run_check,
                            run_derive)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                             residual_insertions)
+                             residual, residual_insertions)
 from hopla.errors import DocumentError
-from hopla.graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_term_count
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily, check_homogeneous, family_degree,
+                          insertion_term_count)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
 from hopla.samples import dual_numbers
@@ -439,6 +442,115 @@ def test_cli_check_bypass_still_refuses_families_without_symmetry(tmp_path, caps
                  "--json"]) in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["checks"]) == doc.family.max_arity
+
+
+def _symmetric_family(rng, sp, convention, kind, output):
+    """A family at arities 1-3 with the symmetry the kind's check needs;
+    each drawn entry sends its word to output(word, degree), or is dropped
+    when that is None."""
+    ops = {}
+    for arity in (1, 2, 3):
+        degree = family_degree(convention, arity)
+        table = {}
+        for word in itertools.product(range(sp.dim), repeat=arity):
+            letter = output(word, degree) if rng.random() < 0.6 else None
+            if letter is not None:
+                table[word] = LinearCombination({letter: rng.choice((-2, -1, 1, 3))})
+        op = precompose_symmetrized(Operation(sp, arity, degree, table),
+                                    action_variant(convention),
+                                    MODE_FULL if kind == LIE else MODE_PARTIAL)
+        if not op.is_zero():
+            ops[arity] = op
+    return OperationFamily(convention, sp, 5, ops)
+
+
+def _parity_mismatches(family):
+    """The arities whose operation has an entry with an output parity other
+    than its input parity plus its degree."""
+    odd = family.space.parities
+    return [n for n, op in sorted(family.ops.items())
+            if any(odd[out] != (sum(odd[x] for x in word) + op.degree) % 2
+                   for word, combo in op.table.items() for out, _ in combo)]
+
+
+def test_cli_check_refuses_parity_inhomogeneous_families_with_odd_letters(tmp_path, capsys):
+    # the collapsed insertion positions hold only when every output has the
+    # parity of its inputs plus the degree; on odd letters other tables get
+    # residuals unlike the per-position oracle, so check refuses them, with
+    # or without --no-precondition-check
+    rng = random.Random("parity-refusal")
+    sp = GradedSpace(("x0", "x1", "x2"), (0, 1, -1))
+    path = tmp_path / "inhomogeneous.json"
+    refused = differs = 0
+    for convention, kind, _ in itertools.product((HAT, UNHAT), (PRELIE, LIE), range(3)):
+        family = _symmetric_family(rng, sp, convention, kind,
+                                   lambda word, degree: rng.randrange(sp.dim))
+        bad = _parity_mismatches(family)
+        if not bad:
+            continue
+        path.write_text(serialize_document(AlgebraDocument(family)))
+        for bypass in ([], ["--no-precondition-check"]):
+            assert main(["check", str(path), "--flavor", kind] + bypass) == 2
+            captured = capsys.readouterr()
+            assert f"the arity-{bad[0]} operation" in captured.err and captured.out == ""
+        refused += 1
+        flavor = EquationFlavor(kind, convention)
+        differs += any(residual(family, flavor, n, check_symmetry=False).op
+                       != residual_by_positions(family, kind, n) for n in range(1, 6))
+    assert main(["check", str(path), "--flavor", ASSOC]) in (0, 1)
+    # the refusal must not be vacuous, nor refuse only what the collapse gets right
+    assert refused >= 8 and differs >= 6, (refused, differs)
+
+
+def test_cli_check_runs_parity_homogeneous_families_of_other_degrees(tmp_path, capsys):
+    # outputs of the right parity but not of the right degree: the collapse
+    # holds, so check runs and its verdicts are the per-position oracle's
+    rng = random.Random("parity-homogeneous")
+    sp = GradedSpace(("x0", "x1", "x2"), (0, 1, 2))
+    odd = sp.parities
+    path = tmp_path / "parity.json"
+    inhomogeneous = failing = 0
+
+    def output(word, degree):
+        letters = [x for x in range(sp.dim) if odd[x] == (sum(odd[y] for y in word) + degree) % 2]
+        return rng.choice(letters)
+
+    for convention, kind in itertools.product((HAT, UNHAT), (PRELIE, LIE)):
+        family = _symmetric_family(rng, sp, convention, kind, output)
+        assert _parity_mismatches(family) == []
+        inhomogeneous += not all(check_homogeneous(op) for op in family.ops.values())
+        path.write_text(serialize_document(AlgebraDocument(family)))
+        assert main(["check", str(path), "--flavor", kind, "--json"]) in (0, 1)
+        verdicts = [c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]
+                    if "residual" in c["name"]]
+        expected = [residual_by_positions(family, kind, n) for n in range(1, 6)]
+        assert verdicts == [op.is_zero() for op in expected], (convention, kind)
+        flavor = EquationFlavor(kind, convention)
+        assert [residual(family, flavor, n).op for n in range(1, 6)] == expected
+        failing += verdicts.count(False)
+    assert inhomogeneous == 4 and failing > 0
+
+
+def test_cli_check_runs_nary_documents_of_odd_degree(tmp_path, capsys):
+    # an n-ary operation of degree n - 2 on a degree-0 basis is no table of
+    # the parity of its inputs plus its degree when n is odd, but with no odd
+    # letter every sign the collapse uses is the same: it still runs
+    rng = random.Random("nary-parity")
+    sp = GradedSpace(("e0", "e1"), (0, 0))
+    path = tmp_path / "nary.json"
+    for n, kind in itertools.product((2, 3), (PRELIE, LIE)):
+        mu = precompose_symmetrized(random_operation(rng, sp, n, 0, 0.7), RHO2,
+                                    MODE_FULL if kind == LIE else MODE_PARTIAL)
+        lifted = Operation(sp, n, family_degree(UNHAT, n), dict(mu.table))
+        doc = AlgebraDocument(OperationFamily(UNHAT, sp, 2 * n - 1, {n: lifted}),
+                              (f"{kind}_n", n))
+        path.write_text(serialize_document(doc))
+        for bypass in ([], ["--no-precondition-check"]):
+            code = main(["check", str(path), "--flavor", kind, "--json"] + bypass)
+            (line,) = [c for c in json.loads(capsys.readouterr().out)["checks"]
+                       if "residual" in c["name"]]
+            assert line["passed"] == nary_residual_by_positions(mu, kind).is_zero()
+            assert code == (0 if line["passed"] else 1)
 
 
 @pytest.mark.parametrize("overrides, path", [

@@ -13,18 +13,19 @@ from math import lcm
 
 import pytest
 
-from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, pattern_space,
-                      random_table, square_component, with_entry)
+from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, flat_component,
+                      flat_word, pattern_space, random_table, square_component, with_entry)
 from oracles import (check_coderivation_by_fractions, circle_bracket_by_insertions,
                      circle_bracket_by_products, circle_product_by_insertions,
                      circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
                      component_by_fractions, component_loop, compose_insert_by_evaluation,
-                     first_nonzero_square, nary_residual_by_positions,
+                     coproduct_terms_by_pairs, first_nonzero_square, nary_residual_by_positions,
+                     pair_words,
                      precompose_symmetrized_by_loop, residual_by_insertions,
                      residual_by_positions, square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
-                             coalgebra_map, coalgebra_words, extend_coderivation,
-                             square_cogenerator_component, tensor_words, wedge_normalize)
+                             coalgebra_map, coalgebra_words, coproduct_terms, extend_coderivation,
+                             square_cogenerator_component, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              circle_bracket, circle_product, nary_family, nary_residual,
                              residual)
@@ -168,13 +169,13 @@ def test_alpha_and_gamma_match_loop_oracle(pattern):
     # every word, sorted or not, with repeated even and repeated odd letters
     sp = pattern_space(pattern)
     for n in range(5):
-        for word in tensor_words(sp, n):
+        for word in itertools.product(range(sp.dim), repeat=n):
             assert coalgebra_map("alpha", sp, word) == coalgebra_map_by_loop("alpha", sp, word)
-            assert coalgebra_map("beta", sp, word) == coalgebra_map_by_loop("beta", sp, word)
+            assert coalgebra_map("beta", sp, word) \
+                == flat_component(coalgebra_map_by_loop("beta", sp, word))
             if n:
-                perm_word = word[:-1], word[-1]
-                assert coalgebra_map("gamma", sp, perm_word) \
-                    == coalgebra_map_by_loop("gamma", sp, perm_word)
+                assert coalgebra_map("gamma", sp, word) \
+                    == coalgebra_map_by_loop("gamma", sp, (word[:-1], word[-1]))
 
 
 def test_orbit_kernel_rejects_unknown_mode_and_variant(graded2):
@@ -532,9 +533,33 @@ def test_unshuffle_components_match_loop_oracle(kind, pattern):
         for k in range(arity, cap + 1):
             l = k - arity + 1
             fast = _values(_component(op, kind, k, l), op.denominator)
-            assert fast == component_loop(op, kind, k, l), (arity, k, l)
+            assert fast == flat_component(component_loop(op, kind, k, l)), (arity, k, l)
             nonzero += bool(fast)
     assert nonzero >= 12  # the comparison must not be vacuous
+
+
+@pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
+def test_flat_words_match_pair_oracles(pattern):
+    # the canonical words, in order, and the coproduct terms of every word
+    # (canonical or not) at every left weight, i = 0 and i = n included,
+    # are the pair-spelled ones with each Perm word flattened
+    sp = pattern_space(pattern)
+    empty_perm_terms = 0
+    for kind, n in itertools.product((TENSOR, WEDGE, PERM), range(1, 6)):
+        assert list(coalgebra_words(kind, sp, n)) \
+            == [flat_word(w) for w in pair_words(kind, sp, n)], (kind, n)
+        for word in itertools.product(range(sp.dim), repeat=n):
+            spelled = (word[:-1], word[-1]) if kind == PERM else word
+            for i in range(n + 1):
+                flat = list(coproduct_terms(kind, sp, word, i))
+                assert flat == [((flat_word(left), flat_word(right)), s) for (left, right), s
+                                in coproduct_terms_by_pairs(kind, sp, spelled, i)], (kind, word, i)
+                if kind == PERM and i == n:
+                    assert flat == []
+                    empty_perm_terms += 1
+                elif kind != PERM and i in (0, n):
+                    assert flat == [(((), word) if i == 0 else (word, ()), 1)]
+    assert empty_perm_terms > 0
 
 
 def _values(comp, den):
@@ -585,11 +610,13 @@ def test_integer_coderivation_matches_fraction_oracles(kind):
                 assert D.denominator == den
                 for (k, l), comp in D.components.items():
                     op = family.ops[k - l + 1]
-                    assert _values(comp, den) == component_by_fractions(op, kind, k, l)
+                    assert _values(comp, den) \
+                        == flat_component(component_by_fractions(op, kind, k, l))
                 values = {}   # word -> D(word), from the Fraction components
                 for a, op in family.ops.items():
                     for k in range(a, cap + 1):
-                        for word, image in component_by_fractions(op, kind, k, k - a + 1).items():
+                        by_fractions = component_by_fractions(op, kind, k, k - a + 1)
+                        for word, image in flat_component(by_fractions).items():
                             values[word] = values.get(word, LinearCombination()) + image
                 for k in range(1, cap + 1):
                     for word in coalgebra_words(kind, family.space, k):
@@ -616,7 +643,7 @@ def _canonical(kind, sp, word):
     if kind == WEDGE:
         return wedge_normalize(sp, word)
     s, head = wedge_normalize(sp, word[:-1])
-    return s, None if head is None else (head, word[-1])
+    return s, None if head is None else head + word[-1:]
 
 
 def _cogenerator_by_tensor_word(D, n):
@@ -624,11 +651,10 @@ def _cogenerator_by_tensor_word(D, n):
     of every tensor word again."""
     squares = square_component(D, n, 1)
     table = {}
-    for word in tensor_words(D.space, n):
+    for word in itertools.product(range(D.space.dim), repeat=n):
         s, cw = _canonical(D.kind, D.space, word)
         if cw in squares:
-            table[word] = LinearCombination(
-                (w[1] if D.kind == PERM else w[0], c * s) for w, c in squares[cw])
+            table[word] = LinearCombination((w[0], c * s) for w, c in squares[cw])
     return Operation(D.space, n, 2 * D.degree, table)
 
 

@@ -358,6 +358,25 @@ def test_coderivation_law_goes_through_one_coproduct_generator():
     assert found == []
 
 
+def test_coalgebra_words_are_flat_orbit_representatives():
+    # every coalgebra word is one flat tuple, a Perm word head + (t,): one
+    # word generator, weights read as len(word), and one unshuffle call,
+    # shared by the wedge and Perm coproducts
+    found = [f"{path.name}:{node.lineno} defines {node.name}"
+             for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in ("word_weight", "tensor_words", "wedge_words", "perm_words")]
+    assert found == []
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    calls = [(function.name, node.lineno) for function in tree.body
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_signed_unshuffles"]
+    assert [name for name, _ in calls] == ["coproduct_terms"], calls
+
+
 def test_square_cogenerator_part_reads_only_the_components():
     # pi o D o D is summed from the (n, l) and (l, 1) components, never from
     # the whole square of a word, and the whole-square route is gone from
