@@ -25,10 +25,10 @@ from math import comb, factorial, lcm
 from typing import Iterator, Mapping
 
 from .errors import ArityError, ConventionError, KindError
-from .graded import (HAT, ONE, GradedSpace, LinearCombination, Operation, OperationFamily,
+from .graded import (HAT, GradedSpace, LinearCombination, Operation, OperationFamily,
                      check_homogeneous, over, sum_by_key)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, arrangements, expand,
-                           koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, acted_count, arrangements,
+                           expand, koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -36,8 +36,6 @@ PERM = "perm"
 
 # the symmetrization whose rho1 orbit representatives are a kind's words
 SYMMETRIZATION = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}
-
-SIGNS = {1: ONE, -1: -ONE}   # integer Koszul signs as shared Fractions
 
 
 def wedge_normalize(space: GradedSpace, letters) -> tuple:
@@ -60,8 +58,7 @@ def _acted(kind: str, k: int) -> int:
     acts on: none (tensor), all k (wedge) or the k - 1 of the head (perm)."""
     if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    mode = SYMMETRIZATION[kind]
-    return k if mode == MODE_FULL else k - 1 if mode == MODE_PARTIAL else 0
+    return acted_count(SYMMETRIZATION[kind], k)
 
 
 def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
@@ -158,13 +155,11 @@ def _signed_unshuffles(parities: tuple, *blocks: int) -> tuple:
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     """Reduced comultiplication of a canonical word: a combination keyed by
     (left word, right word) pairs, the sum of `coproduct_terms` over the
-    left weights 1 .. n-1.  Weight-1 words comultiply to zero.
-
-    Each Koszul sign enters as a shared +-1 Fraction, so a pair met once
-    costs no Fraction arithmetic."""
+    left weights 1 .. n-1.  Weight-1 words comultiply to zero.  The Koszul
+    signs are summed as ints."""
     if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    return LinearCombination((pair, SIGNS[s]) for i in range(1, len(word))
+    return LinearCombination((pair, s) for i in range(1, len(word))
                              for pair, s in coproduct_terms(kind, space, word, i))
 
 
@@ -184,7 +179,7 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     if name == "alpha":
         return _orbit_sum(space, word, ())
     if name == "beta":
-        return LinearCombination((left + right, SIGNS[eps]) for (left, right), eps
+        return LinearCombination((left + right, eps) for (left, right), eps
                                  in coproduct_terms(WEDGE, space, word, len(word) - 1))
     if name == "gamma":
         return _orbit_sum(space, word[:-1], word[-1:])
@@ -321,8 +316,8 @@ def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict
     images, as int numerators over op.denominator / scale."""
     sp = op.space
     odd = sp.parities
-    table = {word: [(letter, c * scale) for letter, c in outputs]
-             for word, outputs in op.numerators()}
+    table = {word: [(letter, c * scale) for letter, c in sums.items()]
+             for word, sums in op.numerators.items()}
     a = op.arity  # = k - l + 1
     if kind == TENSOR:
         def terms(word):

@@ -33,10 +33,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DocumentError
-from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, family_degree)
+from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
+                     sum_by_key)
 
 FORMAT = "hopla-algebra/1"
 
@@ -70,10 +71,13 @@ def parse_rational(text, path: str = "") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
+    return _format(value.numerator, value.denominator)
+
+
+def _format(p: int, q: int) -> str:
+    """"p" or "p/q" for the reduced fraction p/q, q > 0."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError as exc:  # more digits than str() converts
         raise DocumentError(f"coefficient too long to print: {exc}") from None
 
@@ -152,7 +156,7 @@ def parse_document(text) -> AlgebraDocument:
 
     ops = {}
     seen_arities = set()
-    coefficients = {}  # coefficient string -> its Fraction, each parsed once
+    coefficients = {}  # coefficient string -> its (numerator, denominator), each parsed once
     for oi, opdoc in enumerate(operations):
         opath = f"operations[{oi}]"
         arity = _integer(_expect(opdoc, "arity", opath), opath + ".arity",
@@ -165,7 +169,7 @@ def parse_document(text) -> AlgebraDocument:
             raise DocumentError("entries must be a list", opath + ".entries")
 
         # an entry's defects are raised at paths relative to it, and the
-        # prefix is formatted only on the way out
+        # prefix is formatted only on the way out; a word's terms are (letter, p, q)
         table = {}
         for ei, entry in enumerate(entries):
             try:
@@ -192,14 +196,19 @@ def parse_document(text) -> AlgebraDocument:
                         text = _expect(term, "coeff", "")
                         coeff = coefficients.get(text) if text.__class__ is str else None
                         if coeff is None:
-                            coeff = coefficients[text] = parse_rational(text, ".coeff")
-                        terms.append((letter, coeff))
+                            value = parse_rational(text, ".coeff")
+                            coeff = coefficients[text] = value.numerator, value.denominator
+                        terms.append((letter,) + coeff)
                     except DocumentError as exc:
                         raise exc.within(f".output[{ti}]") from None
-                table[word] = LinearCombination(terms)
+                table[word] = terms
             except DocumentError as exc:
                 raise exc.within(f"{opath}.entries[{ei}]") from None
-        op = Operation(sp, arity, family_degree(convention, arity), table)
+        # one common denominator per operation; the words are checked above
+        den = lcm(*{q for terms in table.values() for _, _, q in terms})
+        numerators = {word: sums for word, terms in table.items()
+                      if (sums := sum_by_key((x, p * (den // q)) for x, p, q in terms))}
+        op = Operation.from_numerators(sp, arity, family_degree(convention, arity), numerators, den)
         if not op.is_zero():
             ops[arity] = op
 
@@ -256,11 +265,14 @@ def serialize_document(doc: AlgebraDocument) -> str:
                  for label, degree in zip(labels, sp.degrees)]
         operations = []
         for arity in doc.family.arities():
-            table = doc.family.ops[arity].table
+            table, den = doc.family.ops[arity].numerators, doc.family.ops[arity].denominator
+            # each distinct numerator's value over den, formatted once
+            coeffs = {c: _format(c // gcd(c, den), den // gcd(c, den))
+                      for c in {c for sums in table.values() for c in sums.values()}}
             entries = []
             for word in sorted(table):
-                output = [f'{{{n7}"label": {labels[out]},{n7}"coeff": "{format_rational(c)}"{n6}}}'
-                          for out, c in sorted(table[word])]
+                output = [f'{{{n7}"label": {labels[out]},{n7}"coeff": "{coeffs[c]}"{n6}}}'
+                          for out, c in sorted(table[word].items())]
                 entries.append(f'{{{n5}"inputs": {_block([labels[i] for i in word], 6)},'
                                f'{n5}"output": {_block(output, 6)}{n4}}}')
             operations.append(f'{{{n3}"arity": {arity},{n3}"entries": {_block(entries, 4)}{n2}}}')

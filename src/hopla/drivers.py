@@ -160,7 +160,7 @@ def _require_parity(family: OperationFamily, kind: str) -> None:
         return
     for n, op in sorted(family.ops.items()):
         if any(odd[out] != (sum(odd[x] for x in word) + op.degree) % 2
-               for word, combo in op.table.items() for out, _ in combo):
+               for word, sums in op.numerators.items() for out in sums):
             raise ConventionError(f"the {kind} check needs outputs of the parity of the inputs "
                                   f"plus the degree; the arity-{n} operation has others")
 
@@ -238,8 +238,7 @@ def nary_operation(doc: AlgebraDocument) -> tuple:
     arities = doc.family.arities()
     if arities not in ([], [n]):
         raise DocumentError(f"an n-ary document must have operations only at arity {n}")
-    table = doc.family.operation(n).table
-    return n, Operation(doc.space, n, 0, dict(table))
+    return n, doc.family.operation(n).with_degree(0)
 
 
 def _require_derive_work(ops, variant: str, mode: str, functor: str) -> None:
@@ -251,7 +250,7 @@ def _require_derive_work(ops, variant: str, mode: str, functor: str) -> None:
 
 def _nary_document(doc: AlgebraDocument, op: Operation, declared_name: str) -> AlgebraDocument:
     n = op.arity
-    lifted = Operation(op.space, n, family_degree(doc.convention, n), dict(op.table))
+    lifted = op.with_degree(family_degree(doc.convention, n))
     family = OperationFamily(doc.convention, op.space, max(doc.family.max_arity, n), {n: lifted})
     return AlgebraDocument(family, (declared_name, n))
 
@@ -313,13 +312,9 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         if is_nary and n_value != declared[1]:
             raise DocumentError(
                 f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")
-        if is_nary:
-            _, mu = nary_operation(doc)
-        else:
-            if not doc.space.is_concentrated_in_degree_zero():
-                raise DocumentError("nary-embed requires a degree-0 basis")
-            mu = Operation(doc.space, n_value, 0,
-                           dict(doc.family.operation(n_value).table))
+        if not is_nary and not doc.space.is_concentrated_in_degree_zero():
+            raise DocumentError("nary-embed requires a degree-0 basis")
+        mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
         embedding = nary_embed(doc.space, mu, n_value)
         new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
         return AlgebraDocument(embedding.family,

@@ -74,7 +74,7 @@ from math import factorial, lcm
 
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
-                     sum_by_key, table_from_terms)
+                     table_from_terms)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant,
                            block_representatives, expand, fold, require_symmetry)
 
@@ -180,7 +180,7 @@ def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
                         coeff.numerator * (den // (coeff.denominator * operands)))
         for outer, inner, position, coeff, operands in folded)
     if mode is None:
-        return Folded(sp, arity, degree, table_from_terms(terms, sum_by_key), den, variant, None)
+        return Folded(sp, arity, degree, table_from_terms(terms), den, variant, None)
     return fold(sp, arity, degree, terms, den, variant, mode)
 
 
@@ -310,7 +310,7 @@ def nary_family(mu: Operation) -> OperationFamily:
     2n-1, the arity of its defining equation."""
     mu.space.require_degree_zero("an n-ary check")
     n = mu.arity
-    return OperationFamily(UNHAT, mu.space, 2 * n - 1, {n: Operation(mu.space, n, n - 2, mu.table)})
+    return OperationFamily(UNHAT, mu.space, 2 * n - 1, {n: mu.with_degree(n - 2)})
 
 
 def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Folded:

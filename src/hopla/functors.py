@@ -52,10 +52,10 @@ def suspension_sign(arity: int, base_degrees) -> int:
 def _shift_operation(op: Operation, target_space: GradedSpace,
                      base_degrees_of, target_degree: int) -> Operation:
     table = {}
-    for word, combo in op.table.items():
+    for word, sums in op.numerators.items():
         sign = suspension_sign(op.arity, [base_degrees_of(i) for i in word])
-        table[word] = combo.scaled(sign)
-    return Operation(target_space, op.arity, target_degree, table)
+        table[word] = sums if sign == 1 else {x: -c for x, c in sums.items()}
+    return Operation.from_numerators(target_space, op.arity, target_degree, table, op.denominator)
 
 
 def suspend_family(family: OperationFamily) -> OperationFamily:
@@ -144,11 +144,8 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
     dim = base.dim
 
     if n == 2:
-        carrier = base
-        forgetful = tuple(range(dim))
-        op = Operation(carrier, 2, 0, dict(mu.table))
-        family = OperationFamily(UNHAT, carrier, cap, {2: op})
-        return NaryEmbedding(2, base, carrier, family, forgetful)
+        family = OperationFamily(UNHAT, base, cap, {2: mu.with_degree(0)})
+        return NaryEmbedding(2, base, base, family, tuple(range(dim)))
 
     copies = (0, n - 2, 2 * n - 4)
     labels = tuple(f"{lbl}@{d}" for d in copies for lbl in base.labels)
@@ -162,14 +159,14 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
     # every input word lands on n + 1 distinct carrier words, and no two
     # input words share one, so no entries need summing
     table = {}
-    for word, combo in mu.table.items():
+    for word, sums in mu.numerators.items():
         zero_word = tuple(in_copy(0, i) for i in word)
-        table[zero_word] = combo.map_keys(lambda i: in_copy(1, i))
-        image = combo.map_keys(lambda i: in_copy(2, i))
+        table[zero_word] = {in_copy(1, i): c for i, c in sums.items()}
+        image = {in_copy(2, i): c for i, c in sums.items()}
         for p in range(n):
             mixed = tuple(in_copy(1 if q == p else 0, i) for q, i in enumerate(word))
             table[mixed] = image
-    op = Operation(carrier, n, n - 2, table)
+    op = Operation.from_numerators(carrier, n, n - 2, table, mu.denominator)
     family = OperationFamily(UNHAT, carrier, cap, {n: op})
     return NaryEmbedding(n, base, carrier, family, forgetful)
 

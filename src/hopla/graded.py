@@ -1,16 +1,13 @@
 """Graded vector spaces, tensor words and sparse multilinear operations.
 
-Everything is exact: every stored coefficient is a `fractions.Fraction`, so
-structure-equation residuals that end in factorial denominators either vanish
-identically or carry an honest nonzero witness.  The insertion kernel
-streams (word, output letter, integer numerator) terms over one common
-denominator (`Operation.numerators`, `insertion_terms`); a table built
-from such a stream is divided by the denominator once per entry, and the
-orbit kernel's first step (`permutations.fold`) takes the stream itself
-and divides once per output orbit, when a value is read.
-`insertion_term_count` gives the length of an insertion stream before it
-is made.  All containers are treated as immutable after construction;
-functions return fresh objects.
+Everything is exact.  An operation is stored as integer numerators over
+one normalized denominator; the kernels compute on those ints, stream
+them (`insertion_terms`, counted ahead by `insertion_term_count`) and
+build results with the unchecked `Operation.from_numerators`.  `over` is
+the one place numerators become `fractions.Fraction` values, when a value
+is read, so residuals that end in factorial denominators either vanish
+identically or carry an honest nonzero witness.  All containers are
+treated as immutable after construction; functions return fresh objects.
 
 A tensor word is a plain tuple of 0-based basis indices.  An Operation stores
 structure constants sparsely: absent input words evaluate to zero, and there
@@ -24,8 +21,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ArityError, BasisIndexError, ConventionError, GradingError, PositionError
 
@@ -94,17 +90,16 @@ def word_degree(sp: GradedSpace, word: Word) -> int:
 
 
 class LinearCombination:
-    """Sparse linear combination with exact coefficients.
+    """Sparse linear combination with exact coefficients: a value read off an operation.
 
     Keys may be anything hashable (basis indices, words, pairs of words);
     a single combination never mixes key shapes.  Zero coefficients are
     dropped eagerly so that `==` is semantic equality.
 
     The constructor sums through `sum_by_key`, the one accumulator, and
-    makes every surviving int sum a Fraction once, at the end, so the
-    kernels can stream integer numerators; any other coefficient that is
-    not a Fraction converts on entry (floats convert exactly).  Every
-    stored value is a Fraction.
+    makes every surviving int sum a Fraction once, at the end; any other
+    coefficient that is not a Fraction converts on entry (floats convert
+    exactly).  Every stored value is a Fraction.
     """
 
     __slots__ = ("terms",)
@@ -141,20 +136,11 @@ class LinearCombination:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "LinearCombination":
-        """factor times the combination.  Factor 1 returns the combination
-        itself, which is immutable, and -1 negates each coefficient; neither
-        multiplies Fractions."""
+        """factor times the combination; factor 1 returns the combination itself."""
         if factor == 1:
             return self
-        if factor == -1:
-            return LinearCombination({k: -c for k, c in self.terms.items()})
         factor = Fraction(factor)
-        if not factor:
-            return LinearCombination()
         return LinearCombination({k: c * factor for k, c in self.terms.items()})
-
-    def map_keys(self, fn) -> "LinearCombination":
-        return LinearCombination((fn(k), c) for k, c in self.terms.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCombination) and self.terms == other.terms
@@ -202,16 +188,15 @@ def sum_by_key(items, as_fractions: bool = False) -> dict:
 
 
 def over(numerators: Mapping, denominator: int) -> LinearCombination:
-    """The combination numerators / denominator, for integer numerators
-    summed by `sum_by_key`: one Fraction per entry."""
+    """The combination numerators / denominator, one Fraction per entry: the
+    one place integer numerators become exact values."""
     return LinearCombination([(key, Fraction(n, denominator)) for key, n in numerators.items()])
 
 
-def table_from_terms(terms, combine=LinearCombination) -> dict:
+def table_from_terms(terms) -> dict:
     """Operation table from (word, output letter, coefficient) terms: the
-    terms are grouped per word and each group is summed by `combine`, the
-    LinearCombination constructor or, for integer numerators kept as ints,
-    `sum_by_key`; words whose sum vanishes are left out."""
+    terms are grouped per word and each group is summed by `sum_by_key`;
+    words whose sum vanishes are left out."""
     groups = {}
     for word, letter, coeff in terms:
         group = groups.get(word)
@@ -219,83 +204,82 @@ def table_from_terms(terms, combine=LinearCombination) -> dict:
             groups[word] = [(letter, coeff)]
         else:
             group.append((letter, coeff))
-    table = {}
-    for word, group in groups.items():
-        combo = combine(group)
-        if combo:
-            table[word] = combo
-    return table
+    return {word: sums for word, group in groups.items() if (sums := sum_by_key(group))}
 
 
-def table_from_numerators(terms, denominator: int) -> dict:
-    """Operation table from (word, output letter, integer numerator) terms
-    over one common denominator: the numerators are summed as ints, and
-    each entry is divided by the denominator once."""
-    return {word: over(sums, denominator)
-            for word, sums in table_from_terms(terms, sum_by_key).items()}
-
-
-@dataclass(frozen=True, eq=False)
 class Operation:
     """Homogeneous multilinear map given by sparse structure constants.
 
-    `table` maps input words (length = arity) to combinations over output
-    basis indices.  Entries absent from the table are zero.  Homogeneity
-    (output degree = input degree + `degree`) is *checked*, not enforced,
-    by `check_homogeneous`.
+    `numerators` maps input words to {output letter: nonzero int} over
+    `denominator`, the lcm of the values' reduced denominators, so equal
+    maps have equal pairs.  The constructor checks a `table` of values
+    (words to what LinearCombination takes); `from_numerators` does not.
+    Homogeneity is *checked*, not enforced, by `check_homogeneous`.
     """
 
-    space: GradedSpace
-    arity: int
-    degree: int
-    table: Mapping = field(default_factory=dict)
+    __slots__ = ("space", "arity", "degree", "numerators", "denominator")
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
-        clean = {}
-        dim = self.space.dim
-        for word, combo in self.table.items():
+    def __init__(self, space: GradedSpace, arity: int, degree: int, table: Mapping | None = None):
+        if arity < 1:
+            raise ArityError(f"arity must be >= 1, got {arity}")
+        values = {}
+        for word, combo in (table or {}).items():
             word = tuple(word)
-            if len(word) != self.arity:
-                raise ArityError(f"table word {word} has length {len(word)}, arity is {self.arity}")
+            if len(word) != arity:
+                raise ArityError(f"table word {word} has length {len(word)}, arity is {arity}")
             for i in word:
-                if not 0 <= i < dim:
+                if not 0 <= i < space.dim:
                     raise BasisIndexError(f"basis index {i} out of range in word {word}")
-            if not isinstance(combo, LinearCombination):
-                combo = LinearCombination(combo)
-            if not combo.is_zero():
-                clean[word] = combo
-        object.__setattr__(self, "table", clean)
+            terms = (combo if isinstance(combo, LinearCombination) else LinearCombination(combo)).terms
+            if terms:
+                values[word] = terms
+        den = lcm(*{c.denominator for terms in values.values() for c in terms.values()})
+        self.space, self.arity, self.degree, self.denominator = space, arity, degree, den
+        self.numerators = {word: {x: c.numerator * (den // c.denominator) for x, c in terms.items()}
+                           for word, terms in values.items()}
+
+    @classmethod
+    def from_numerators(cls, space: GradedSpace, arity: int, degree: int, numerators: dict,
+                        denominator: int) -> "Operation":
+        """numerators / denominator, unchecked: words of length `arity` to nonempty
+        dicts of nonzero ints.  Both are divided by their gcd, or kept if it is 1."""
+        g = denominator
+        for sums in numerators.values():
+            if g == 1:
+                break
+            g = gcd(g, *sums.values())
+        if g > 1:
+            numerators = {word: {letter: c // g for letter, c in sums.items()}
+                          for word, sums in numerators.items()}
+            denominator //= g
+        op = cls.__new__(cls)
+        op.space, op.arity, op.degree = space, arity, degree
+        op.numerators, op.denominator = numerators, denominator
+        return op
 
     @classmethod
     def zero(cls, sp: GradedSpace, arity: int, degree: int) -> "Operation":
         return cls(sp, arity, degree, {})
+
+    def with_degree(self, degree: int) -> "Operation":
+        """The same map under another declared degree."""
+        return Operation.from_numerators(self.space, self.arity, degree, self.numerators,
+                                         self.denominator)
+
+    @property
+    def table(self) -> Mapping:
+        """The values, read-only: input words to `over` of their numerators."""
+        return _Values(self)
 
     def evaluate(self, word: Word) -> LinearCombination:
         """Structure constants of the given input word (zero when absent)."""
         word = tuple(word)
         if len(word) != self.arity:
             raise ArityError(f"word length {len(word)} != arity {self.arity}")
-        return self.table.get(word, LinearCombination())
+        return over(self.numerators.get(word, {}), self.denominator)
 
     def is_zero(self) -> bool:
-        return not self.table
-
-    @cached_property
-    def denominator(self) -> int:
-        """The lcm of the table's coefficient denominators (1 for an integer
-        table): the common denominator of `numerators`."""
-        return lcm(*{c.denominator for combo in self.table.values() for c in combo.terms.values()})
-
-    def numerators(self):
-        """Yield (word, [(letter, numerator), ...]) for every table entry, the
-        numerators over `denominator`; the insertion and symmetrization
-        kernels compute on these instead of on the Fractions."""
-        den = self.denominator
-        for word, combo in self.table.items():
-            yield word, [(letter, c.numerator * (den // c.denominator))
-                         for letter, c in combo.terms.items()]
+        return not self.numerators
 
     def __add__(self, other: "Operation") -> "Operation":
         if self.space != other.space or self.arity != other.arity:
@@ -303,15 +287,10 @@ class Operation:
         return linear_sum(self.space, self.arity, self.degree, ((self, 1), (other, 1)))
 
     def scaled(self, factor) -> "Operation":
-        """factor times the operation.  Factor 1 returns the operation
-        itself, which is immutable; any other factor builds a fresh table."""
+        """factor times the operation; factor 1 returns the operation itself."""
         if factor == 1:
             return self
-        factor = Fraction(factor)
-        if not factor:
-            return Operation.zero(self.space, self.arity, self.degree)
-        return Operation(self.space, self.arity, self.degree,
-                         {w: c.scaled(factor) for w, c in self.table.items()})
+        return linear_sum(self.space, self.arity, self.degree, ((self, factor),))
 
     def __neg__(self) -> "Operation":
         return self.scaled(-1)
@@ -328,31 +307,51 @@ class Operation:
         return (isinstance(other, Operation)
                 and self.space == other.space
                 and self.arity == other.arity
-                and self.table == other.table)
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __repr__(self):
-        return f"Operation(arity={self.arity}, degree={self.degree}, entries={len(self.table)})"
+        return f"Operation(arity={self.arity}, degree={self.degree}, entries={len(self.numerators)})"
 
     def first_nonzero_entry(self):
         """Smallest input word with a nonzero value, or None.  Used for witnesses."""
-        if not self.table:
+        if not self.numerators:
             return None
-        word = min(self.table)
-        return word, self.table[word]
+        word = min(self.numerators)
+        return word, over(self.numerators[word], self.denominator)
+
+
+@dataclass(eq=False)
+class _Values(Mapping):
+    op: Operation
+
+    def __getitem__(self, word) -> LinearCombination:
+        return over(self.op.numerators[word], self.op.denominator)
+
+    def __iter__(self):
+        return iter(self.op.numerators)
+
+    def __len__(self):
+        return len(self.op.numerators)
 
 
 def linear_sum(sp: GradedSpace, arity: int, degree: int, terms) -> Operation:
-    """sum of coeff * op over the (op, coeff) pairs, accumulated into one table."""
-    return Operation(sp, arity, degree, table_from_terms(
-        (word, out, c * coeff)
-        for op, coeff in terms for word, combo in op.table.items() for out, c in combo))
+    """sum of coeff * op over the (op, coeff) pairs, accumulated into one
+    table of integer numerators over a common denominator."""
+    terms = [(op, Fraction(coeff)) for op, coeff in terms]
+    den = lcm(*(op.denominator * coeff.denominator for op, coeff in terms))
+    factors = [(op, coeff.numerator * (den // (op.denominator * coeff.denominator)))
+               for op, coeff in terms]
+    return Operation.from_numerators(sp, arity, degree, table_from_terms(
+        (word, out, c * factor) for op, factor in factors
+        for word, sums in op.numerators.items() for out, c in sums.items()), den)
 
 
 def check_homogeneous(op: Operation) -> bool:
     """True iff every stored entry satisfies output degree = input degree + op degree."""
-    for word, combo in op.table.items():
+    for word, sums in op.numerators.items():
         in_deg = word_degree(op.space, word)
-        for out, _ in combo:
+        for out in sums:
             if op.space.degree(out) != in_deg + op.degree:
                 return False
     return True
@@ -381,18 +380,18 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
     # inner's entries by output letter, scaled once, and negated once when
     # the sign can be -1
     by_output = {}
-    for win, cin in inner.numerators():
-        for letter, c in cin:
+    for win, cin in inner.numerators.items():
+        for letter, c in cin.items():
             by_output.setdefault(letter, []).append((win, c * scale))
     flipped = ({letter: [(win, -c) for win, c in pairs] for letter, pairs in by_output.items()}
                if inner.degree % 2 else None)
     def terms():
-        for wout, cout in outer.numerators():
+        for wout, cout in outer.numerators.items():
             head, rest = wout[:position], wout[position + 1:]
             pick = flipped if flipped is not None and sum(odd[x] for x in head) % 2 else by_output
             for win, c in pick.get(wout[position], ()):
                 word = head + win + rest
-                for out, co in cout:
+                for out, co in cout.items():
                     yield word, out, co * c
 
     return terms()
@@ -414,12 +413,12 @@ def insertion_term_count(insertions) -> int:
         slot = slots.get(id(outer))
         if slot is None:
             slot = slots[id(outer)] = outer, Counter(
-                (p, x) for word, combo in outer.table.items() for _ in combo.terms
+                (p, x) for word, sums in outer.numerators.items() for _ in sums
                 for p, x in enumerate(word))
         at = outputs.get(id(inner))
         if at is None:
             at = outputs[id(inner)] = inner, Counter(
-                letter for combo in inner.table.values() for letter in combo.terms)
+                letter for sums in inner.numerators.values() for letter in sums)
         total += sum(slot[1][position, letter] * k for letter, k in at[1].items())
     return total
 
@@ -427,9 +426,10 @@ def insertion_term_count(insertions) -> int:
 def compose_insert(outer: Operation, inner: Operation, position: int) -> Operation:
     """outer o (I_position (x) inner (x) I_rest) as an operation; see
     `insertion_terms` for the sign."""
-    return Operation(outer.space, outer.arity + inner.arity - 1, outer.degree + inner.degree,
-                     table_from_numerators(insertion_terms(outer, inner, position),
-                                           outer.denominator * inner.denominator))
+    return Operation.from_numerators(
+        outer.space, outer.arity + inner.arity - 1, outer.degree + inner.degree,
+        table_from_terms(insertion_terms(outer, inner, position)),
+        outer.denominator * inner.denominator)
 
 
 HAT = "hat"

@@ -23,13 +23,15 @@ all use that rule and never act by a whole permutation.  `koszul_sign`
 evaluates eps for a whole permutation; the unshuffle signs of the
 coalgebras and the sign-law witnesses use it.
 
-The symmetrization kernel has two steps.  `fold` moves each term of a
+The symmetrization kernel has two steps, both on integer numerators over
+one denominator, as operations are stored.  `fold` moves each term of a
 stream to the sorted representative of its orbit, times chi of the move
 and |Stab| of the orbit, sums, and drops the orbits whose stabilizer acts
 by -1; the `Folded` result holds each orbit's value at its representative,
 decides whether the sum vanishes and gives its smallest nonzero word.
 `expand` writes every distinct arrangement of every orbit, and is the only
-caller of `arrangements` here.  In the full and partial modes
+caller of `arrangements` here; `acted_count` says which slots a mode
+permutes.  In the full and partial modes
 `precompose_symmetrized` is `expand(fold(...))`; the residuals and the
 square of a coderivation are `Folded` sums too, expanded when read.
 `block_representatives` keeps one entry per arrangement class of a block
@@ -46,8 +48,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import (HAT, GradedSpace, Operation, over, sum_by_key, table_from_numerators,
-                     table_from_terms)
+from .graded import HAT, GradedSpace, Operation, over, table_from_terms
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -62,6 +63,12 @@ MODE_SHUFFLE = "shuffle"    # sum over the (n-1,1)-unshuffles
 def action_variant(convention: str) -> str:
     """The one place that picks the action: rho1 for hat, rho2 for unhat."""
     return RHO1 if convention == HAT else RHO2
+
+
+def acted_count(mode: str | None, arity: int) -> int:
+    """The leading slots of an arity-n word that the mode permutes: n
+    (full), n - 1 (partial) or none (mode None, no symmetrization)."""
+    return arity if mode == MODE_FULL else arity - 1 if mode == MODE_PARTIAL else 0
 
 
 def compose(sigma: Perm, tau: Perm) -> Perm:
@@ -237,7 +244,7 @@ class Folded:
     @property
     def acted(self) -> int:
         """The number of leading slots the symmetrization permutes."""
-        return {MODE_FULL: self.arity, MODE_PARTIAL: self.arity - 1}.get(self.mode, 0)
+        return acted_count(self.mode, self.arity)
 
     @cached_property
     def op(self) -> Operation:
@@ -278,7 +285,7 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
         raise ValueError(f"unknown symmetrization mode {mode!r}")
     odd = space.parities
     rho2 = variant == RHO2
-    acted = arity if mode == MODE_FULL else arity - 1
+    acted = acted_count(mode, arity)
     moves = {}   # word -> (representative, chi |Stab|), the factor 0 when killed
 
     def moved():
@@ -296,8 +303,7 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
             if factor:
                 yield rep, out, c * factor
 
-    return Folded(space, arity, degree, table_from_terms(moved(), sum_by_key), denominator,
-                  variant, mode)
+    return Folded(space, arity, degree, table_from_terms(moved()), denominator, variant, mode)
 
 
 def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
@@ -320,7 +326,7 @@ def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
         return op
     size = factorial(hi - lo)
     table = {}
-    for word, combo in op.table.items():
+    for word, sums in op.numerators.items():
         block = word[lo:hi]
         count, run = size, 1
         for a, b in zip(block, block[1:]):
@@ -332,28 +338,29 @@ def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
             else:
                 run = 1
         else:
-            table[word] = combo.scaled(count)
-    return Operation(op.space, op.arity, op.degree, table)
+            table[word] = sums if count == 1 else {x: c * count for x, c in sums.items()}
+    return Operation.from_numerators(op.space, op.arity, op.degree, table, op.denominator)
 
 
 def expand(folded: Folded) -> Operation:
     """The folded sum as an operation: every distinct rearrangement of the
-    acted slots of every representative, with S(r o pi) = chi(pi; r) S(r).
-    The orbit's value is one Fraction per output letter, and its negation,
-    built when first needed, is shared by the rearrangements with
-    chi = -1."""
+    acted slots of every representative, with S(r o pi) = chi(pi; r) S(r),
+    over the fold's denominator.  The orbit's numerators are shared by the
+    rearrangements with chi = 1, and their negation, built when first
+    needed, by those with chi = -1."""
     odd = folded.space.parities
     rho2 = folded.variant == RHO2
     acted = folded.acted
     table = {}
-    for rep, numerators in folded.table.items():
+    for rep, value in folded.table.items():
         head, tail = rep[:acted], rep[acted:]
-        value, negated = over(numerators, folded.denominator), None
+        negated = None
         for chi, arrangement in arrangements(head, odd, rho2):
             if chi == -1 and negated is None:
-                negated = value.scaled(-1)
+                negated = {x: -c for x, c in value.items()}
             table[arrangement + tail] = value if chi == 1 else negated
-    return Operation(folded.space, folded.arity, folded.degree, table)
+    return Operation.from_numerators(folded.space, folded.arity, folded.degree, table,
+                                     folded.denominator)
 
 
 def arrangement_count(op: Operation, variant: str, mode: str) -> int:
@@ -364,8 +371,8 @@ def arrangement_count(op: Operation, variant: str, mode: str) -> int:
     orbit whose sum cancels writes fewer."""
     odd = op.space.parities
     rho2 = variant == RHO2
-    acted = op.arity if mode == MODE_FULL else op.arity - 1
-    reps = {tuple(sorted(word[:acted])) + word[acted:] for word in op.table}
+    acted = acted_count(mode, op.arity)
+    reps = {tuple(sorted(word[:acted])) + word[acted:] for word in op.numerators}
     orders = (stabilizer_order(rep[:acted], odd, rho2) for rep in reps)
     return sum(factorial(acted) // order for order in orders if order)
 
@@ -378,18 +385,16 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     mode 'shuffle': sigma over the (n-1,1)-unshuffles.
     The variant picks rho1 or rho2.
 
-    The kernel runs on op's integer numerators over its common denominator
-    (`Operation.numerators`).  The full and partial sums S are
-    `expand(fold(...))`: the fold sums each orbit's value S(r) at its sorted
-    representative r as integers, and S(r o pi) = chi(pi; r) S(r).  So the
-    only Fractions built are one per output orbit, S(r) over the
-    denominator, and its negation; the shuffle mode divides each output
-    entry by the denominator once.
+    The kernel runs on op's integer numerators over its denominator, and
+    so does its result.  The full and partial sums S are `expand(fold(...))`:
+    the fold sums each orbit's value S(r) at its sorted representative r,
+    and S(r o pi) = chi(pi; r) S(r).  The shuffle mode sums the moved terms
+    per word.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
     space, arity = op.space, op.arity
-    terms = ((word, out, c) for word, combo in op.numerators() for out, c in combo)
+    terms = ((word, out, c) for word, sums in op.numerators.items() for out, c in sums.items())
     if mode == MODE_SHUFFLE:
         odd = space.parities
         rho2 = variant == RHO2
@@ -405,7 +410,8 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
                         c = -c
                     yield word[:k] + (a,) + word[k:-1], out, c
 
-        return Operation(space, arity, op.degree, table_from_numerators(shuffled(), op.denominator))
+        return Operation.from_numerators(space, arity, op.degree, table_from_terms(shuffled()),
+                                         op.denominator)
     return expand(fold(space, arity, op.degree, terms, op.denominator, variant, mode))
 
 
@@ -425,11 +431,12 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     # the swap is an involution, so op o rho_tau = op iff op(w o tau) equals
     # chi(tau; w) op(w) for every stored word w
     for k in range(1, n_acted):
-        for word, combo in op.table.items():
+        for word, sums in op.numerators.items():
             a, b = word[k - 1], word[k]
             moved = word[:k - 1] + (b, a) + word[k + 1:]
-            expected = combo.scaled(-1) if (odd[a] and odd[b]) != rho2 else combo
-            if op.table.get(moved) != expected:
+            if (odd[a] and odd[b]) != rho2:
+                sums = {x: -c for x, c in sums.items()}
+            if op.numerators.get(moved) != sums:
                 return k, k + 1
     return None
 

@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
-from .graded import (UNHAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, space)
-
-
-def _product_operation(sp: GradedSpace, products: dict, arity: int = 2, degree: int = 0) -> Operation:
-    table = {word: LinearCombination(combo) for word, combo in products.items()}
-    return Operation(sp, arity, degree, table)
+from .graded import UNHAT, Operation, OperationFamily, space
 
 
 def dual_numbers() -> tuple:
     """K[t]/(t^2) in degree 0: unit e, nilpotent t."""
     sp = space(("e", 0), ("t", 0))
     e, t = 0, 1
-    mu = _product_operation(sp, {
+    mu = Operation(sp, 2, 0, {
         (e, e): {e: 1},
         (e, t): {t: 1},
         (t, e): {t: 1},
@@ -28,7 +22,7 @@ def upper_corner() -> tuple:
     b*a = b*b = 0.  Noncommutative, so its commutator [a,b] = b is nonzero."""
     sp = space(("a", 0), ("b", 0))
     a, b = 0, 1
-    mu = _product_operation(sp, {
+    mu = Operation(sp, 2, 0, {
         (a, a): {a: 1},
         (a, b): {b: 1},
     })
@@ -47,8 +41,8 @@ def nilpotent_dga() -> OperationFamily:
     """
     sp = space(("e", 0), ("t", 0), ("s", -1))
     e, t, s = 0, 1, 2
-    d = Operation(sp, 1, -1, {(t,): LinearCombination({s: 1})})
-    mu = _product_operation(sp, {
+    d = Operation(sp, 1, -1, {(t,): {s: 1}})
+    mu = Operation(sp, 2, 0, {
         (e, e): {e: 1},
         (e, t): {t: 1},
         (t, e): {t: 1},

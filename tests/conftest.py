@@ -11,8 +11,8 @@ The oracles here deliberately avoid the library's own code paths:
   composition form the library uses.
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
-`with_entry`, `flat_word`, `flat_component`, `commutator_bracket` and
-`associative_family` are small helpers that only the tests need;
+`with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`
+and `associative_family` are small helpers that only the tests need;
 `DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on, and
 `RATIONAL_COEFFICIENTS` the non-integer coefficients they draw.
 """
@@ -230,6 +230,12 @@ def square_component(D, k, l):
     return out
 
 
+def map_keys(combo, fn):
+    """The combination with every key passed through fn; keys that meet
+    are summed."""
+    return LinearCombination((fn(key), c) for key, c in combo)
+
+
 def flat_word(word):
     """A Perm word spelled as the pair (head, tail), as the flat word
     head + (tail,) that the library keys it by; any other word unchanged."""
@@ -240,7 +246,7 @@ def flat_component(value):
     """A component, a combination or a dict of values keyed by words, with
     every word in it passed through `flat_word`."""
     if isinstance(value, LinearCombination):
-        return value.map_keys(flat_word)
+        return map_keys(value, flat_word)
     if isinstance(value, dict):
         return {flat_word(word): flat_component(image) for word, image in value.items()}
     return value

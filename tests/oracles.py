@@ -48,6 +48,11 @@ only so that tests can compare the fast path against it:
   law's weight-1 check and the square's cogenerator part summed in
   Fractions, where `coalgebra` sums integer numerators over a common
   denominator;
+* `denominator_by_fractions` and `numerators_by_fractions` read an
+  operation's exact values and put them over the lcm of their
+  denominators, where `graded.Operation` stores that normalized form;
+* `block_representatives_by_fractions` scales the sorted-block entries of
+  an operation's exact values by the block's multinomial count;
 * `permute_word` applies a whole permutation to a word;
 * `serialize_document_by_json_dumps` builds the document as nested dicts
   and lists and writes it with `json.dumps(indent=2)`, the layout
@@ -56,6 +61,7 @@ only so that tests can compare the fast path against it:
   `docio.parse_rational` splits at the slash and checks the digits.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -70,11 +76,37 @@ from hopla.docio import FORMAT, format_rational
 from hopla.equations import LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
 from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
-                          insertion_terms, linear_sum, sum_by_key, table_from_terms,
-                          word_degree)
+                          insertion_terms, linear_sum, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
                                 all_permutations, arrangements, expand, fold, koszul_sign,
                                 precompose_symmetrized, sh, sign)
+
+
+def denominator_by_fractions(op):
+    """The lcm of the denominators of op's values (1 for an integer table)."""
+    return lcm(*{c.denominator for combo in op.table.values() for _, c in combo})
+
+
+def numerators_by_fractions(op):
+    """op's values as {word: {letter: numerator}} over
+    `denominator_by_fractions(op)`."""
+    den = denominator_by_fractions(op)
+    return {word: {letter: c.numerator * (den // c.denominator) for letter, c in combo}
+            for word, combo in op.table.items()}
+
+
+def block_representatives_by_fractions(op, lo, hi):
+    """op's entries whose slots lo..hi-1 are sorted, each times the number
+    of distinct arrangements of those slots, (hi-lo)!/prod_x m_x!."""
+    table = {}
+    for word, combo in op.table.items():
+        block = word[lo:hi]
+        if list(block) == sorted(block):
+            count = factorial(len(block))
+            for m in collections.Counter(block).values():
+                count //= factorial(m)
+            table[word] = combo.scaled(count)
+    return Operation(op.space, op.arity, op.degree, table)
 
 
 def inverse(sigma):
@@ -223,7 +255,7 @@ def fold_insertions(space, arity, degree, insertions, variant, mode):
                         coeff.numerator * (den // (coeff.denominator * operands)))
         for outer, inner, position, coeff, operands in insertions)
     if mode is None:
-        return Folded(space, arity, degree, table_from_terms(terms, sum_by_key), den, variant, None)
+        return Folded(space, arity, degree, table_from_terms(terms), den, variant, None)
     return fold(space, arity, degree, terms, den, variant, mode)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import poly_mod_t2_product
+from conftest import map_keys, poly_mod_t2_product
 from hopla.errors import ArityError, BasisIndexError, PositionError
 from hopla.graded import (GradedSpace, LinearCombination, Operation,
                           check_homogeneous, compose_insert, space, word_degree)
@@ -203,16 +203,18 @@ def test_scaled_by_one_and_minus_one():
     same = combo.scaled(1)
     before = dict(same.terms)
     results = [same + combo, same - combo, same.scaled(-1), same.scaled(3),
-               same.map_keys(str.upper), LinearCombination(same.terms),
+               map_keys(same, str.upper), LinearCombination(same.terms),
                Operation(space(("x", 0)), 1, 0, {(0,): same}).scaled(-1)]
     assert same.terms == before and combo.terms == before
     assert results[1].is_zero() and results[0] == combo.scaled(2)
     op = Operation(space(("x", 0)), 1, 0, {(0,): combo})
+    stored = {word: dict(sums) for word, sums in op.numerators.items()}
     for one in (1, Fraction(1), 1.0):
         assert op.scaled(one) is op
     for negated in (op.scaled(-1), -op):
-        assert negated is not op and negated.table is not op.table
-        assert negated.table[(0,)] == combo.scaled(-1) and op.table[(0,)] is combo
+        assert negated is not op and negated.numerators is not op.numerators
+        assert negated.table[(0,)] == combo.scaled(-1) and op.table[(0,)] == combo
+    assert op.numerators == stored
     assert (op + op.scaled(-1)).is_zero() and op.scaled(-1).scaled(-1) == op
 
 
@@ -220,8 +222,11 @@ def test_table_from_terms_groups_per_word_and_drops_zero_words():
     from hopla.graded import table_from_terms
     terms = [((0, 1), 0, 1), ((1, 0), 1, Fraction(1, 2)), ((0, 1), 0, -1),
              ((1, 0), 0, 2), ((0, 1), 1, 0), ((1, 0), 1, 0.5)]
-    assert table_from_terms(terms) == {(1, 0): LinearCombination({0: 2, 1: 1})}
+    assert table_from_terms(terms) == {(1, 0): {0: 2, 1: 1}}
     assert table_from_terms([]) == {}
+    # integer numerators stay ints
+    numerators = table_from_terms([((0,), 1, 3), ((1,), 0, 2), ((0,), 1, -3), ((1,), 0, 2)])
+    assert numerators == {(1,): {0: 4}} and type(numerators[(1,)][0]) is int
 
 
 def test_operation_family_degree_validation(flat2):

@@ -15,14 +15,15 @@ import pytest
 
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, flat_component,
                       flat_word, pattern_space, random_table, square_component, with_entry)
-from oracles import (check_coderivation_by_fractions, circle_bracket_by_insertions,
-                     circle_bracket_by_products, circle_product_by_insertions,
-                     circle_product_dense, coalgebra_map_by_loop, coderivation_law_by_coproducts,
-                     component_by_fractions, component_loop, compose_insert_by_evaluation,
-                     coproduct_terms_by_pairs, first_nonzero_square, nary_residual_by_positions,
-                     pair_words,
-                     precompose_symmetrized_by_loop, residual_by_insertions,
-                     residual_by_positions, square_cogenerator_by_fractions)
+from oracles import (block_representatives_by_fractions, check_coderivation_by_fractions,
+                     circle_bracket_by_insertions, circle_bracket_by_products,
+                     circle_product_by_insertions, circle_product_dense, coalgebra_map_by_loop,
+                     coderivation_law_by_coproducts, component_by_fractions, component_loop,
+                     compose_insert_by_evaluation, coproduct_terms_by_pairs,
+                     denominator_by_fractions, first_nonzero_square, nary_residual_by_positions,
+                     numerators_by_fractions, pair_words, precompose_symmetrized_by_loop,
+                     residual_by_insertions, residual_by_positions,
+                     square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
                              coalgebra_map, coalgebra_words, coproduct_terms, extend_coderivation,
                              square_cogenerator_component, wedge_normalize)
@@ -32,12 +33,13 @@ from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, Equation
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree, over)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
-                                action_variant, expand, fold, precompose_symmetrized)
+                                action_variant, block_representatives, expand, fold,
+                                precompose_symmetrized)
 from hopla import permutations
 from hopla.docio import AlgebraDocument
 from hopla.drivers import _residual_witness, run_coderive
 from hopla.errors import ArityError
-from hopla.functors import suspend_family
+from hopla.functors import nary_embed, suspend_family, suspend_operation
 from hopla.verify import random_operation
 
 
@@ -56,11 +58,6 @@ def test_orbit_kernel_matches_loop_oracle(pattern):
             assert fast.degree == op.degree
 
 
-def _denominator(op):
-    """The lcm of the denominators in op's table."""
-    return lcm(*(c.denominator for combo in op.table.values() for _, c in combo))
-
-
 LARGE = 10007 * 10009   # the large coprime pair in RATIONAL_COEFFICIENTS
 
 
@@ -73,8 +70,8 @@ def test_orbit_kernel_matches_loop_oracle_on_rational_tables(pattern):
     for arity, op_degree, density in itertools.product((1, 2, 3, 4), (-1, 0, 1), (0.4, 1.0)):
         op = Operation(sp, arity, op_degree,
                        random_table(rng, sp, arity, density, RATIONAL_COEFFICIENTS))
-        rational += _denominator(op) > 1
-        large += _denominator(op) % LARGE == 0
+        rational += denominator_by_fractions(op) > 1
+        large += denominator_by_fractions(op) % LARGE == 0
         for mode, variant in itertools.product((MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE),
                                                (RHO1, RHO2)):
             assert precompose_symmetrized(op, variant, mode) \
@@ -120,7 +117,7 @@ def test_stream_kernel_matches_loop_oracle_on_the_summed_table(pattern):
     for arity, density in itertools.product((1, 2, 3, 4), (0.4, 0.8)):
         table = random_table(rng, sp, arity, density, RATIONAL_COEFFICIENTS)
         op = Operation(sp, arity, 0, table)
-        den = 2 * _denominator(op)
+        den = 2 * denominator_by_fractions(op)
         terms, cancelling = _term_stream(rng, sp, arity, op.table, den)
         split += len(op.table) > 1
         cancelled += cancelling
@@ -154,7 +151,7 @@ def test_compose_insert_matches_fraction_definition():
                                                   ((0, 1), (1, 1), (-1, 0))):
             outer = Operation(sp, a, da, random_table(rng, sp, a, 0.6, coefficients))
             inner = Operation(sp, b, db, random_table(rng, sp, b, 0.6, coefficients))
-            large += _denominator(outer) * _denominator(inner) % LARGE == 0
+            large += denominator_by_fractions(outer) * denominator_by_fractions(inner) % LARGE == 0
             for position in range(a):
                 fast = compose_insert(outer, inner, position)
                 assert fast == compose_insert_by_evaluation(outer, inner, position), \
@@ -310,7 +307,7 @@ def test_collapsed_residual_matches_per_position_oracle_on_rational_families():
         for convention, kind in itertools.product((HAT, UNHAT), RESIDUAL_SYMMETRY):
             family = _symmetric_family(rng, sp, convention, kind,
                                        coefficients=RATIONAL_COEFFICIENTS)
-            large += lcm(*map(_denominator, family.ops.values())) % LARGE == 0
+            large += lcm(*map(denominator_by_fractions, family.ops.values())) % LARGE == 0
             for n in range(1, 7):
                 fast = residual(family, EquationFlavor(kind, convention), n).op
                 assert fast == residual_by_positions(family, kind, n), \
@@ -797,3 +794,140 @@ def test_check_coderivation_refuses_a_cap_below_one(graded2):
             check_coderivation(D, cap)
     with pytest.raises(ArityError):
         check_coderivation(Coderivation(WEDGE, graded2, 0, -1, {}))
+
+
+# arity -> what every value of an operation of that arity is divided by, so
+# the operations of a family carry different denominators
+PER_ARITY = {1: 1, 2: 2, 3: 3}
+DRAWS = {"integer": (-3, -2, -1, 1, 2, 3), "rational": RATIONAL_COEFFICIENTS}
+
+
+def _per_arity(op):
+    return op.scaled(Fraction(1, PER_ARITY[op.arity]))
+
+
+def _check_outputs(outputs):
+    """Each (what, kernel output, Fraction oracle or None, the kernel's raw
+    denominator) output is stored as the pair read off its exact values,
+    its table view is the oracle's, and the map built from other raw
+    denominators compares equal.  Returns how many outputs are nonzero and
+    how many of those are stored over less than the raw denominator."""
+    nonzero = reduced = 0
+    for what, op, oracle, raw in outputs:
+        assert op.numerators == numerators_by_fractions(op), what
+        assert op.denominator == denominator_by_fractions(op), what
+        if oracle is not None:
+            assert dict(op.table) == dict(oracle.table), what
+        scaled = {word: {x: 6 * c for x, c in sums.items()} for word, sums in op.numerators.items()}
+        assert Operation.from_numerators(op.space, op.arity, op.degree, scaled,
+                                         6 * op.denominator) == op, what
+        assert Operation(op.space, op.arity, op.degree, op.table) == op, what
+        if not op.is_zero():
+            nonzero += 1
+            reduced += op.denominator < raw
+    return nonzero, reduced
+
+
+def _kernel_outputs(rng, sp, coefficients):
+    """(what, output, Fraction oracle or None, raw denominator) of the
+    symmetrizations, the representative tables, the insertions, the
+    suspension, the residuals and the square's cogenerator part, under both
+    conventions, on operations whose denominators differ per arity."""
+    outputs = []
+    for convention in (HAT, UNHAT):
+        variant = action_variant(convention)
+        # tables that need not be homogeneous where no kernel asks for it
+        tables = {a: _per_arity(Operation(sp, a, family_degree(convention, a),
+                                          random_table(rng, sp, a, 0.6, coefficients)))
+                  for a in PER_ARITY}
+        for a, op in tables.items():
+            for mode in (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE):
+                outputs.append(((convention, mode, a), precompose_symmetrized(op, variant, mode),
+                                precompose_symmetrized_by_loop(op, variant, mode), op.denominator))
+            for lo, hi in ((0, a), (1, a), (0, a - 1)):
+                outputs.append(((convention, "block", a, lo, hi), block_representatives(op, lo, hi),
+                                block_representatives_by_fractions(op, lo, hi), op.denominator))
+            outputs.append(((convention, "suspended", a), suspend_operation(op), None,
+                            op.denominator))
+            for inner, position in itertools.product(tables.values(), range(a)):
+                outputs.append(((convention, "insert", a, inner.arity, position),
+                                compose_insert(op, inner, position),
+                                compose_insert_by_evaluation(op, inner, position),
+                                op.denominator * inner.denominator))
+        ops = {a: _per_arity(random_operation(rng, sp, a, family_degree(convention, a), 0.6,
+                                              coefficients)) for a in PER_ARITY}
+        for kind in (ASSOC, PRELIE, LIE):
+            symmetric = {a: op if kind == ASSOC
+                         else precompose_symmetrized(op, variant, RESIDUAL_SYMMETRY[kind])
+                         for a, op in ops.items()}
+            family = OperationFamily(convention, sp, 5, symmetric)
+            for n in range(1, 6):
+                folded = residual(family, EquationFlavor(kind, convention), n)
+                outputs.append(((convention, kind, n), folded.op,
+                                residual_by_positions(family, kind, n), folded.denominator))
+    for kind in (TENSOR, WEDGE, PERM):
+        ops = {a: _per_arity(_hat_operation(rng, sp, a, kind)) for a in PER_ARITY}
+        D = extend_coderivation(OperationFamily(HAT, sp, 3, ops), kind, 3)
+        outputs += [((kind, "square", n), square_cogenerator_component(D, n),
+                     square_cogenerator_by_fractions(D, n), D.denominator ** 2)
+                    for n in range(1, 4)]
+    return outputs
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_kernel_outputs_are_stored_normalized(draw):
+    nonzero, reduced = {}, 0
+    for pattern in sorted(DEGREE_PATTERNS):
+        rng = random.Random(f"normalized-{pattern}-{draw}")
+        nonzero[pattern], count = _check_outputs(
+            _kernel_outputs(rng, pattern_space(pattern), DRAWS[draw]))
+        reduced += count
+    # normalization divides some outputs; integer draws divide fewer
+    assert min(nonzero.values()) >= 20 and reduced >= 20, (nonzero, reduced)
+
+
+def test_circle_and_nary_outputs_are_stored_normalized():
+    sp = GradedSpace(("e0", "e1", "e2"), (0, 0, 0))
+    outputs = []
+    for draw, coefficients in sorted(DRAWS.items()):
+        rng = random.Random(f"normalized-circle-{draw}")
+        ops = {a: _per_arity(_partially_skew(rng, sp, a, coefficients=coefficients))
+               for a in PER_ARITY}
+        for f, g in itertools.product(ops.values(), repeat=2):
+            raw = f.denominator * g.denominator
+            outputs.append(((draw, f.arity, g.arity, "product"), circle_product(f, g),
+                            circle_product_dense(f, g), raw))
+            outputs.append(((draw, f.arity, g.arity, "bracket"), circle_bracket(f, g),
+                            circle_bracket_by_products(f, g, circle_product_dense), raw))
+        for n, mu in ops.items():
+            for kind in (PARTIALLY_ASSOCIATIVE, PRELIE):
+                folded = nary_residual(mu, kind)
+                outputs.append(((draw, n, kind), folded.op, nary_residual_by_positions(mu, kind),
+                                folded.denominator))
+            outputs.append(((draw, n, "embedded"), nary_embed(sp, mu, n).family.ops[n], None,
+                            mu.denominator))
+            outputs.append(((draw, n, "degree"), mu.with_degree(n - 2), mu, mu.denominator))
+    nonzero, reduced = _check_outputs(outputs)
+    assert nonzero >= 40 and reduced >= 5, (nonzero, reduced)
+
+
+def test_equal_maps_compare_equal_from_any_raw_denominator():
+    sp = GradedSpace(("x0", "x1"), (0, 0))
+    half = Operation(sp, 2, 0, {(0, 1): {0: Fraction(1, 2)}})
+    assert (half.numerators, half.denominator) == ({(0, 1): {0: 1}}, 2)
+    two_quarters = Operation.from_numerators(sp, 2, 0, {(0, 1): {0: 2}}, 4)
+    assert (two_quarters.numerators, two_quarters.denominator) == ({(0, 1): {0: 1}}, 2)
+    assert two_quarters == half == Operation(sp, 2, 0, {(0, 1): {0: Fraction(2, 4)}})
+    assert Operation(sp, 2, 0, half.table) == half
+    assert two_quarters != Operation.from_numerators(sp, 2, 0, {(0, 1): {0: 2}}, 3)
+    # the two arrangements of a block of two distinct letters cancel the 1/2
+    block = block_representatives(half, 0, 2)
+    assert (block.numerators, block.denominator) == ({(0, 1): {0: 1}}, 1)
+    assert block == block_representatives_by_fractions(half, 0, 2) \
+        == Operation(sp, 2, 0, {(0, 1): {0: 1}})
+    # an empty table is stored over 1, whatever the raw denominator
+    empty = Operation.from_numerators(sp, 2, 0, {}, 6)
+    assert (empty.numerators, empty.denominator) == ({}, 1) and empty == Operation.zero(sp, 2, 0)
+    # with_degree keeps the map and changes only the degree
+    lifted = half.with_degree(3)
+    assert lifted == half and lifted.degree == 3 and half.degree == 0

@@ -116,16 +116,99 @@ def test_linear_combination_constructor_is_the_one_accumulator():
     assert found == []
 
 
+# the kernels that build an Operation or a Folded sum, by module
+KERNELS = {
+    "permutations.py": ("fold", "expand", "block_representatives", "precompose_symmetrized"),
+    "graded.py": ("insertion_terms", "compose_insert"),
+    "equations.py": ("_insert_fold",),
+    "functors.py": ("_shift_operation", "nary_embed"),
+    "coalgebra.py": ("_component", "check_coderivation", "square_cogenerator_component"),
+}
+
+
 def test_coderivation_law_and_components_sum_integer_numerators():
-    # the components and the law compute on integer numerators over the
-    # coderivation's common denominator; Fractions appear only where a
-    # value is read (the square's entries, square_word)
+    # every kernel computes on integer numerators over a common denominator
+    # and builds its result through the trusted constructor (or a Folded
+    # sum), never the validating one; Fractions appear only where a value
+    # is read, through graded.over
+    for module, names in KERNELS.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            found = set(_names(functions[name]))
+            assert not found & {"Fraction", "LinearCombination", "over", "SIGNS", "ONE"}, \
+                (module, name, found)
+            assert not [node.lineno for node in ast.walk(functions[name])
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "Operation"], (module, name)
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_component", "check_coderivation"):
-        names = set(_names(functions[name]))
-        assert "sum_by_key" in names, name
-        assert not names & {"Fraction", "LinearCombination", "SIGNS", "ONE"}, (name, names)
+        assert "sum_by_key" in set(_names(functions[name])), name
+
+
+def test_one_trusted_operation_constructor():
+    # Operation.from_numerators is the only way past the validating
+    # constructor: nothing else makes an instance with __new__, and the
+    # stored form has no second spelling
+    owners, found = [], []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        trusted = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "from_numerators"]
+        owners += [path.name for _ in trusted]
+        inside = {id(node) for owner in trusted for node in ast.walk(owner)}
+        found += [f"{path.name}:{node.lineno} calls __new__" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and id(node) not in inside]
+        found += [f"{path.name}:{node.lineno} defines {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("numerators", "table_from_numerators", "map_keys")]
+    assert owners == ["graded.py"] and found == [], (owners, found)
+
+
+def _spells_acted_slots(function):
+    """True when the function compares a mode with MODE_FULL or
+    MODE_PARTIAL, or keys a dict by one, and also subtracts 1: the mapping
+    of a symmetrization mode to its acted slots."""
+    modes = {"MODE_FULL", "MODE_PARTIAL"}
+
+    def is_mode(node):
+        return isinstance(node, ast.Name) and node.id in modes
+
+    compares = any(isinstance(node, ast.Compare)
+                   and any(is_mode(sub) for sub in ast.walk(node))
+                   or isinstance(node, ast.Dict) and any(is_mode(key) for key in node.keys)
+                   for node in ast.walk(function))
+    minus_one = any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 1
+                    for node in ast.walk(function))
+    return compares and minus_one
+
+
+def test_one_rule_for_acted_slots():
+    # permutations.acted_count maps a symmetrization mode to the slots it
+    # acts on; the fold, Folded, arrangement_count and the coalgebra words
+    # call it, and no other function spells the mapping
+    def flagged(source):
+        return _spells_acted_slots(ast.parse(source).body[0])
+
+    assert flagged("def f(mode, n):\n    return n if mode == MODE_FULL else n - 1\n")
+    assert flagged("def f(mode, n):\n    return {MODE_FULL: n, MODE_PARTIAL: n - 1}.get(mode, 0)\n")
+    assert not flagged("def f(mode, n):\n    return acted_count(mode, n - 1)\n")
+    assert not flagged("def f(mode, n):\n    if mode not in (MODE_FULL, MODE_PARTIAL):\n"
+                       "        raise ValueError(mode)\n    return n\n")
+    spellers, callers = [], set()
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if _spells_acted_slots(node):
+                    spellers.append(f"{path.stem}.{node.name}")
+                if "acted_count" in {sub.func.id for sub in ast.walk(node)
+                                     if isinstance(sub, ast.Call)
+                                     and isinstance(sub.func, ast.Name)}:
+                    callers.add(node.name)
+    assert spellers == ["permutations.acted_count"], spellers
+    assert {"fold", "acted", "arrangement_count", "_acted"} <= callers, callers
 
 
 def test_one_signed_action_kernel():
