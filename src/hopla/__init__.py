@@ -15,7 +15,8 @@ from .equations import (ASSOC, LIE, PRELIE, EquationFlavor,
 from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,
                         coalgebra_map, comultiply,
                         extend_coderivation, project_pi,
-                        square_cogenerator_component, wedge_normalize)
+                        square_cogenerator_component, square_cogenerator_fold,
+                        wedge_normalize)
 from .functors import (NaryEmbedding, commutator, desuspend_family,
                        nary_commutator_lie, nary_commutator_prelie, nary_embed,
                        suspend_family, suspend_operation)

@@ -28,7 +28,7 @@ from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, GradedSpace, LinearCombination, Operation, OperationFamily,
                      check_homogeneous, over, sum_by_key)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, acted_count, arrangements,
-                           expand, koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
+                           koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -99,7 +99,9 @@ def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
     insertion positions (tensor), or the `coproduct_terms` the components
     sum over: the C(k, a) of left weight a (wedge), or the word's of left
     weight a and its head's wedge terms of left weight k - a,
-    C(k - 1, a - 1) (k - a + 1) in all (Perm)."""
+    C(k - 1, a - 1) (k - a + 1) in all (Perm).  It counts unshuffles, and
+    `coproduct_terms` yields a split given by several of them once, so for
+    words that repeat a letter it is an upper bound."""
     def per_word(k, a):
         if kind == TENSOR:
             return k - a + 1
@@ -112,8 +114,9 @@ def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
 
 
 def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
-    """Terms ((left, right), sign) of the comultiplication of a canonical
-    word whose left factor has weight i, with sign an integer +-1.
+    """Terms ((left, right), c) of the comultiplication of a canonical word
+    whose left factor has weight i, each distinct split once, with c the
+    integer sum of the Koszul signs of the unshuffles that give it:
 
     tensor: the cut after i letters;
     wedge:  eps(sigma) (x_s(1) ... x_s(i)) (x) (x_s(i+1) ... x_s(n)) over the
@@ -122,13 +125,16 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
             over the (i-1, 1, n-1-i)-unshuffles sigma of the head.
 
     That is, the acted slots are unshuffled, the rest of the word is kept,
-    and the result is cut after i letters.  Every factor is canonical: an
-    unshuffle of a canonical word keeps each block sorted.  A word that is
-    not canonical gets the same sum, its factors in the word's order (beta
-    in `coalgebra_map` relies on this).
+    and the result is cut after i letters.  A repeated even letter gives
+    one split from several unshuffles, all of one sign, so c counts them;
+    the signs of a repeated odd letter cancel, and a split whose c is zero
+    is left out.  Every factor is canonical: an unshuffle of a canonical
+    word keeps each block sorted.  A word that is not canonical gets the
+    same sum, its factors in the word's order (beta in `coalgebra_map`
+    relies on this).
 
     The coderivation components rely on the boundary weights: for tensor
-    and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with sign +1;
+    and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with c = 1;
     a negative block yields nothing, so a Perm word has no term at i = n.
     `comultiply` sums only over i = 1 .. n-1."""
     n = len(word)
@@ -137,19 +143,23 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
         yield (word[:i], word[i:]), 1
         return
     blocks = (i, n - i) if kind == WEDGE else (i - 1, 1, n - 1 - i)
-    rest = word[acted:]
-    for sigma, eps in _signed_unshuffles(tuple(space.parities[x] for x in word[:acted]),
-                                         *blocks):
-        permuted = tuple(word[s - 1] for s in sigma) + rest
-        yield (permuted[:i], permuted[i:]), eps
+    head, rest = word[:acted], word[acted:]
+    for slots, c in _signed_unshuffles(tuple(space.parities[x] for x in head),
+                                       tuple(head.index(x) for x in head), *blocks):
+        permuted = tuple(head[j] for j in slots) + rest
+        yield (permuted[:i], permuted[i:]), c
 
 
 @lru_cache(maxsize=4096)
-def _signed_unshuffles(parities: tuple, *blocks: int) -> tuple:
-    """The unshuffles `sh(*blocks)`, each paired with its Koszul sign on
-    letters of the given parities.  The cache is bounded because every
-    new parity pattern of a long-lived process adds an entry."""
-    return tuple((sigma, koszul_sign(sigma, parities)) for sigma in sh(*blocks))
+def _signed_unshuffles(parities: tuple, pattern: tuple, *blocks: int) -> tuple:
+    """The distinct arrangements that the unshuffles `sh(*blocks)` make of
+    letters of the given parities and equality pattern (each letter's first
+    slot), each paired with the sum of the Koszul signs of the unshuffles
+    that make it, zero sums left out.  An arrangement is the tuple of
+    slots to read the letters from.  The cache is bounded because every
+    new pattern of a long-lived process adds an entry."""
+    return tuple(sum_by_key((tuple(pattern[s - 1] for s in sigma), koszul_sign(sigma, parities))
+                            for sigma in sh(*blocks)).items())
 
 
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
@@ -217,12 +227,13 @@ class Coderivation:
 
     `components[(k, l)]` maps canonical weight-k words to their weight-l
     images, each a dict {word: int numerator} over the one common
-    `denominator`; missing pairs and words are zero.  The law and the
-    square compute on these numerators; `square_word` gives exact Fraction
-    values.  The degree is carried for the Koszul sign in the coderivation
-    law (all coderivations built here have degree -1).  The components
-    are read-only once built: each word's image over all weights is
-    computed once and kept.
+    `denominator`; missing pairs and words are zero.  They are summed
+    over the distinct splits of `coproduct_terms`, each split's integer
+    coefficient times its term.  The law and the square compute on these
+    numerators; `square_word` gives exact Fraction values.  The degree is
+    carried for the Koszul sign in the coderivation law (all coderivations
+    built here have degree -1).  The components are read-only once built:
+    each word's image over all weights is computed once and kept.
     """
 
     kind: str
@@ -274,13 +285,14 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
                   (x_s(1) ^ ... ^ x_s(l-1) | mu(x_s(l), ..., x_s(k-1), t)).
 
     The output letter of mu always comes first and `wedge_normalize` gives
-    the canonical word and its sign.  These sums equal the sums over all
-    permutations of the word divided by each term's multiplicity because mu
-    has the symmetry `require_symmetry` enforces here (full for wedge, in
-    the first a-1 slots for perm).  Every kind moves mu past letters with
-    the sign of a degree -1 map, so mu must be homogeneous of degree -1 for
-    the result to be a coderivation; that is checked here for every kind
-    (ConventionError otherwise).
+    the canonical word and its sign.  Each sum runs over the distinct
+    splits `coproduct_terms` yields, eps(sigma) summed per split.  These
+    sums equal the sums over all permutations of the word divided by each
+    term's multiplicity because mu has the symmetry `require_symmetry`
+    enforces here (full for wedge, in the first a-1 slots for perm).  Every
+    kind moves mu past letters with the sign of a degree -1 map, so mu must
+    be homogeneous of degree -1 for the result to be a coderivation; that
+    is checked here for every kind (ConventionError otherwise).
 
     The (n, 1) component is exactly the arity-n operation.  The components
     are integer numerators over the lcm of the operations' denominators
@@ -339,7 +351,7 @@ def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict
                 for letter, c in out:
                     ns, w = wedge_normalize(sp, (letter,) + right[:acted])
                     if w is not None:
-                        yield w + right[acted:], c if ns == eps else -c
+                        yield w + right[acted:], ns * eps * c
             if kind == PERM:
                 tail = word[-1:]
                 for (front, back), eps in coproduct_terms(WEDGE, sp, word[:-1], l - 1):
@@ -349,7 +361,7 @@ def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict
                     if sum(odd[x] for x in front) % 2:
                         eps = -eps
                     for letter, c in out:
-                        yield front + (letter,), c if eps == 1 else -c
+                        yield front + (letter,), eps * c
 
     comp = {}
     for word in coalgebra_words(kind, sp, k):
@@ -395,7 +407,13 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     # per source weight k, the components to weight l >= 2
     spread = {k: [(l, comp) for (kk, l), comp in components.items() if kk == k and l >= 2]
               for k in range(1, cap + 1)}
-    cuts = {}   # image word -> its (l-1, 1) cuts, met again from other words
+    cuts = {}   # word -> its (len - 1, 1) cuts, met again as an image word
+
+    def cut(u):
+        terms = cuts.get(u)
+        if terms is None:
+            terms = cuts[u] = tuple(coproduct_terms(kind, sp, u, len(u) - 1))
+        return terms
 
     def defect(word, k):
         """The weight-1 right part of R(word), as numerators: the (l-1, 1)
@@ -403,15 +421,12 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
         (D (x) Id + Id (x) D)(Delta(word))."""
         for l, comp in spread[k]:
             for u, c in comp.get(word, {}).items():
-                terms = cuts.get(u)
-                if terms is None:
-                    terms = cuts[u] = tuple(coproduct_terms(kind, sp, u, l - 1))
-                for pair, s in terms:
-                    yield pair, c if s == 1 else -c
+                for pair, s in cut(u):
+                    yield pair, s * c
         if k > 1:
-            for (left, right), s in coproduct_terms(kind, sp, word, k - 1):
+            for (left, right), s in cut(word):
                 for v, c in image(left).items():
-                    yield (v, right), -c if s == 1 else c
+                    yield (v, right), -s * c
         for a, comp in cogenerator:
             if a >= k:
                 continue
@@ -422,7 +437,7 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
                 if odd and sum(par[x] for x in left) % 2:
                     s = -s
                 for v, c in right_image.items():
-                    yield (left, v), -c if s == 1 else c
+                    yield (left, v), -s * c
 
     for k in range(1, cap + 1):
         for word in coalgebra_words(kind, sp, k):
@@ -431,10 +446,11 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     return True
 
 
-def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
+def square_cogenerator_fold(D: Coderivation, n: int) -> Folded:
     """The weight (n -> 1) component of D o D, pulled back to an arity-n
     operation on tensor words through the canonical projection onto the
-    coalgebra's weight-n words.
+    coalgebra's weight-n words, kept on the canonical words as a
+    `permutations.Folded` sum.
 
     It is read from the components alone: on a canonical weight-n word w it
     is the sum over l of D_(l,1)(D_(n,l)(w)), the (l, 1) component applied
@@ -447,10 +463,10 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
     A canonical word is the rho1 orbit representative of the tensor words
     that project onto it under the kind's `SYMMETRIZATION`: a tensor word
     is its own, a wedge word stands for its rearrangements, and a Perm word
-    (head | t) for the rearrangements of its head, t fixed.  So the
-    pullback is `expand` of the `permutations.Folded` sum that holds
-    each canonical word's part, the products of the components' numerators
-    summed as ints over the denominator squared."""
+    (head | t) for the rearrangements of its head, t fixed.  So the Folded
+    sum holds each canonical word's part, the products of the components'
+    numerators summed as ints over the denominator squared, and its `op`
+    is the pullback."""
     if not 1 <= n <= D.cap:
         raise ArityError(f"the square's cogenerator component needs a weight in "
                          f"1..{D.cap}, got {n}")
@@ -463,5 +479,11 @@ def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
                           for v, cc in cogenerator.get(u, {}).items())
         if sums:
             table[cw] = sums
-    return expand(Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1,
-                         SYMMETRIZATION[D.kind]))
+    return Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1,
+                  SYMMETRIZATION[D.kind])
+
+
+def square_cogenerator_component(D: Coderivation, n: int) -> Operation:
+    """The pullback of `square_cogenerator_fold` as a whole arity-n
+    operation on tensor words."""
+    return square_cogenerator_fold(D, n).op

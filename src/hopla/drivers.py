@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
-                        extend_coderivation, square_cogenerator_component, word_count)
+                        extend_coderivation, square_cogenerator_fold, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         nary_family, residual, residual_insertions)
@@ -370,11 +370,11 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         report.add("coderivation law up to the cap", check_coderivation(D))
     square_zero = True
     for n in range(1, weight_cap + 1):
-        comp = square_cogenerator_component(D, n)
-        ok = comp.is_zero()
+        square = square_cogenerator_fold(D, n)
+        ok = square.vanishes()
         square_zero = square_zero and ok
         report.add(f"squared coderivation, cogenerator component at weight {n}", ok,
-                   witness=_residual_witness(family.space, comp.first_nonzero_entry()))
+                   witness=_residual_witness(family.space, square.first_nonzero_entry()))
     # extend_coderivation refuses operations that are not homogeneous of
     # degree -1, so D is an odd coderivation; D o D = [D, D]/2 is then one
     # too and vanishes up to the cap exactly when its cogenerator components

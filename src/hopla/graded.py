@@ -223,14 +223,18 @@ class Operation:
         if arity < 1:
             raise ArityError(f"arity must be >= 1, got {arity}")
         values = {}
+        dim = space.dim
         for word, combo in (table or {}).items():
             word = tuple(word)
             if len(word) != arity:
                 raise ArityError(f"table word {word} has length {len(word)}, arity is {arity}")
             for i in word:
-                if not 0 <= i < space.dim:
+                if not 0 <= i < dim:
                     raise BasisIndexError(f"basis index {i} out of range in word {word}")
             terms = (combo if isinstance(combo, LinearCombination) else LinearCombination(combo)).terms
+            for x in terms:
+                if not 0 <= x < dim:
+                    raise BasisIndexError(f"output letter {x} out of range for word {word}")
             if terms:
                 values[word] = terms
         den = lcm(*{c.denominator for terms in values.values() for c in terms.values()})

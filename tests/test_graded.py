@@ -45,6 +45,16 @@ def test_operation_rejects_letters_outside_the_basis(word):
         Operation(sp, 2, 0, {word: LinearCombination({0: 1})})
 
 
+@pytest.mark.parametrize("letter", [2, 5, -1])
+def test_operation_rejects_output_letters_outside_the_basis(letter):
+    # an output letter is checked like an input letter, so no later reader
+    # (homogeneity, the document writer) meets an index it cannot resolve
+    sp = GradedSpace(("a", "b"), (0, 0))
+    with pytest.raises(BasisIndexError, match="out of range"):
+        Operation(sp, 1, 0, {(0,): {letter: 1}})
+    assert Operation(sp, 1, 0, {(0,): {1: 1}}).evaluate((0,)) == LinearCombination({1: 1})
+
+
 def test_space_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         GradedSpace(("x", "x"), (0, 0))
@@ -190,7 +200,10 @@ def test_linear_combination_sums_ints_exactly():
 
 
 def test_scaled_by_one_and_minus_one():
-    combo = LinearCombination({"a": Fraction(1, 3), "b": -2, "c": Fraction(7, 10009)})
+    # keyed by the output letters of a three-letter space, which the
+    # Operation constructor checks
+    letters = space(("x", 0), ("y", 0), ("z", 0))
+    combo = LinearCombination({0: Fraction(1, 3), 1: -2, 2: Fraction(7, 10009)})
     for one in (1, Fraction(1), 1.0):
         assert combo.scaled(one) is combo
     for minus_one in (-1, Fraction(-1), -1.0):
@@ -203,11 +216,11 @@ def test_scaled_by_one_and_minus_one():
     same = combo.scaled(1)
     before = dict(same.terms)
     results = [same + combo, same - combo, same.scaled(-1), same.scaled(3),
-               map_keys(same, str.upper), LinearCombination(same.terms),
-               Operation(space(("x", 0)), 1, 0, {(0,): same}).scaled(-1)]
+               map_keys(same, str), LinearCombination(same.terms),
+               Operation(letters, 1, 0, {(0,): same}).scaled(-1)]
     assert same.terms == before and combo.terms == before
     assert results[1].is_zero() and results[0] == combo.scaled(2)
-    op = Operation(space(("x", 0)), 1, 0, {(0,): combo})
+    op = Operation(letters, 1, 0, {(0,): combo})
     stored = {word: dict(sums) for word, sums in op.numerators.items()}
     for one in (1, Fraction(1), 1.0):
         assert op.scaled(one) is op

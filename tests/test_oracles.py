@@ -417,14 +417,15 @@ def test_representative_residuals_match_the_all_entries_route():
     # tables that are not.  The derivation uses only the operands'
     # symmetry; the collapse of positions, which both routes make, also
     # uses homogeneity, so the per-position oracle is compared on
-    # homogeneous tables only.
+    # homogeneous tables only.  The assoc residual, on unsymmetrized
+    # operands, runs the oracle's route without a symmetrization.
     nonzero = collections.Counter()
     repeated = 0
     for pattern in sorted(DEGREE_PATTERNS):
         rng = random.Random(f"representatives-{pattern}")
         sp = pattern_space(pattern)
         for convention, kind, draw, homogeneous in itertools.product(
-                (HAT, UNHAT), (PRELIE, LIE), ((-3, -2, -1, 1, 2, 3), RATIONAL_COEFFICIENTS),
+                (HAT, UNHAT), (ASSOC, PRELIE, LIE), ((-3, -2, -1, 1, 2, 3), RATIONAL_COEFFICIENTS),
                 (True, False)):
             variant = action_variant(convention)
             ops = {}
@@ -433,7 +434,8 @@ def test_representative_residuals_match_the_all_entries_route():
                 op = (random_operation(rng, sp, arity, degree, 0.5, coefficients=draw)
                       if homogeneous
                       else Operation(sp, arity, degree, random_table(rng, sp, arity, 0.5, draw)))
-                ops[arity] = precompose_symmetrized(op, variant, RESIDUAL_SYMMETRY[kind])
+                ops[arity] = (op if RESIDUAL_SYMMETRY[kind] is None
+                              else precompose_symmetrized(op, variant, RESIDUAL_SYMMETRY[kind]))
             family = OperationFamily(convention, sp, 6, ops)
             for n in range(1, 7):
                 what = (pattern, convention, kind, draw, homogeneous, n)
@@ -537,11 +539,14 @@ def test_unshuffle_components_match_loop_oracle(kind, pattern):
 
 @pytest.mark.parametrize("pattern", sorted(DEGREE_PATTERNS))
 def test_flat_words_match_pair_oracles(pattern):
-    # the canonical words, in order, and the coproduct terms of every word
-    # (canonical or not) at every left weight, i = 0 and i = n included,
-    # are the pair-spelled ones with each Perm word flattened
+    # the canonical words, in order, are the pair-spelled ones with each
+    # Perm word flattened; the coproduct terms of every word (canonical or
+    # not) at every left weight, i = 0 and i = n included, are the
+    # pair-spelled unshuffle terms summed per split: each distinct split
+    # once, its coefficient the sum of its unshuffles' signs, never 0
     sp = pattern_space(pattern)
     empty_perm_terms = 0
+    merged = collections.Counter()   # splits of several unshuffles: summed, cancelled
     for kind, n in itertools.product((TENSOR, WEDGE, PERM), range(1, 6)):
         assert list(coalgebra_words(kind, sp, n)) \
             == [flat_word(w) for w in pair_words(kind, sp, n)], (kind, n)
@@ -549,14 +554,27 @@ def test_flat_words_match_pair_oracles(pattern):
             spelled = (word[:-1], word[-1]) if kind == PERM else word
             for i in range(n + 1):
                 flat = list(coproduct_terms(kind, sp, word, i))
-                assert flat == [((flat_word(left), flat_word(right)), s) for (left, right), s
-                                in coproduct_terms_by_pairs(kind, sp, spelled, i)], (kind, word, i)
+                splits = [pair for pair, _ in flat]
+                assert len(set(splits)) == len(splits) and all(flat_c for _, flat_c in flat), \
+                    (kind, word, i)
+                spelled_terms = [((flat_word(left), flat_word(right)), s) for (left, right), s
+                                 in coproduct_terms_by_pairs(kind, sp, spelled, i)]
+                sums = collections.defaultdict(list)
+                for pair, s in spelled_terms:
+                    sums[pair].append(s)
+                assert dict(flat) == {pair: sum(signs) for pair, signs in sums.items()
+                                      if sum(signs)}, (kind, word, i)
+                merged.update("cancelled" if sum(signs) == 0 else "summed"
+                              for signs in sums.values() if len(signs) > 1)
                 if kind == PERM and i == n:
                     assert flat == []
                     empty_perm_terms += 1
                 elif kind != PERM and i in (0, n):
                     assert flat == [(((), word) if i == 0 else (word, ()), 1)]
     assert empty_perm_terms > 0
+    degrees = DEGREE_PATTERNS[pattern]
+    assert merged["summed"] > 0 if any(d % 2 == 0 for d in degrees) else merged["cancelled"] > 0, \
+        merged
 
 
 def _values(comp, den):

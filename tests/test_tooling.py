@@ -122,7 +122,7 @@ KERNELS = {
     "graded.py": ("insertion_terms", "compose_insert"),
     "equations.py": ("_insert_fold",),
     "functors.py": ("_shift_operation", "nary_embed"),
-    "coalgebra.py": ("_component", "check_coderivation", "square_cogenerator_component"),
+    "coalgebra.py": ("_component", "check_coderivation", "square_cogenerator_fold"),
 }
 
 
@@ -470,10 +470,23 @@ def test_square_cogenerator_part_reads_only_the_components():
     assert found == []
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     (function,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                   and node.name == "square_cogenerator_component"]
+                   and node.name == "square_cogenerator_fold"]
     names = set(_names(function))
     assert "components" in names
-    assert not names & {"square_word", "apply_word"}, names
+    assert not names & {"square_word", "apply_word", "expand"}, names
+
+
+def test_coderive_reads_the_square_verdict_from_its_fold():
+    # run_coderive decides each cogenerator line and picks its witness from
+    # the Folded sum; it never expands the square into a whole operation
+    tree = ast.parse((SRC / "drivers.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "run_coderive"]
+    calls = {node.func.id for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "square_cogenerator_fold" in calls, calls
+    names = set(_names(function))
+    assert not names & {"square_cogenerator_component", "expand", "op"}, names
 
 
 def test_document_writer_stays_off_the_pure_python_encoder():
