@@ -19,13 +19,25 @@ structure constants of a family of operations.  Coefficients travel as
       ]
     }
 
+`parse_document` is the one reader, and it validates as it reads: every
+defect raises a `DocumentError` located at its JSON path, such as
+`operations[0].entries[3].output[1].coeff`.  A missing field or a value that
+is no object is worded by `_expect`, a non-integer or out-of-range integer by
+`_integer`, and a bad coefficient by `parse_rational`.  Fields are read by
+indexing, and those helpers run only to word a defect; each distinct
+coefficient string is parsed once, and a word with one output term is put
+over the operation's common denominator without a sum.
+
 `serialize_document` writes one fixed layout: the fields in the order
 format, space, convention, max_arity, operations, declared_type; entries
 sorted by input word and output terms by basis index; a two-space indent,
 byte for byte what `json.dumps(indent=2)` gives, with strings ASCII-escaped.
 So parse o serialize is the identity on canonicalized documents and derived
 documents diff cleanly.  The layout is written directly and only the
-strings go through `json.dumps`, whose C encoder serves no `indent`.
+strings go through `json.dumps`, whose C encoder serves no `indent`.  Each
+label is formatted once, with the line break in front of it, and each
+distinct (letter, numerator) output term once per operation: its coefficient
+is the numerator over that operation's denominator.
 """
 
 from __future__ import annotations
@@ -169,45 +181,66 @@ def parse_document(text) -> AlgebraDocument:
             raise DocumentError("entries must be a list", opath + ".entries")
 
         # an entry's defects are raised at paths relative to it, and the
-        # prefix is formatted only on the way out; a word's terms are (letter, p, q)
+        # prefix is formatted only on the way out.  A field is read by
+        # indexing; where that fails, _expect words the defect.  A word's
+        # terms are (letter, (p, q)), and dens collects every q
         table = {}
+        dens = set()
         for ei, entry in enumerate(entries):
             try:
-                inputs = _expect(entry, "inputs", "")
+                try:
+                    inputs = entry["inputs"]
+                except (KeyError, TypeError):
+                    inputs = _expect(entry, "inputs", "")
                 if not isinstance(inputs, list) or len(inputs) != arity:
                     raise DocumentError(f"inputs must list exactly {arity} labels", ".inputs")
-                word = tuple([positions.get(label) if isinstance(label, str) else None
-                              for label in inputs])
-                if None in word:
-                    li = word.index(None)
-                    raise DocumentError(f"unknown label {inputs[li]!r}", f".inputs[{li}]")
+                try:
+                    # from a list: tuple() of a map over-allocates, which adds to peak RSS
+                    word = tuple([positions[label] for label in inputs])
+                except (KeyError, TypeError):  # an unknown label, or a list or object
+                    li = [positions.get(label) if isinstance(label, str) else None
+                          for label in inputs].index(None)
+                    raise DocumentError(f"unknown label {inputs[li]!r}",
+                                        f".inputs[{li}]") from None
                 if word in table:
                     raise DocumentError(f"duplicate entry for inputs {inputs}", ".inputs")
-                output = _expect(entry, "output", "")
+                try:
+                    output = entry["output"]
+                except KeyError:
+                    output = _expect(entry, "output", "")
                 if not isinstance(output, list):
                     raise DocumentError("output must be a list", ".output")
                 terms = []
                 for ti, term in enumerate(output):
                     try:
-                        label = _expect(term, "label", "")
-                        letter = positions.get(label) if isinstance(label, str) else None
-                        if letter is None:
-                            raise DocumentError(f"unknown label {label!r}", ".label")
-                        text = _expect(term, "coeff", "")
-                        coeff = coefficients.get(text) if text.__class__ is str else None
-                        if coeff is None:
+                        try:
+                            letter = positions[term["label"]]
+                        except (KeyError, TypeError):
+                            label = _expect(term, "label", "")
+                            raise DocumentError(f"unknown label {label!r}", ".label") from None
+                        try:
+                            coeff = coefficients[term["coeff"]]
+                        except (KeyError, TypeError):  # a new, a missing or a malformed one
+                            text = _expect(term, "coeff", "")
                             value = parse_rational(text, ".coeff")
                             coeff = coefficients[text] = value.numerator, value.denominator
-                        terms.append((letter,) + coeff)
+                        dens.add(coeff[1])
+                        terms.append((letter, coeff))
                     except DocumentError as exc:
                         raise exc.within(f".output[{ti}]") from None
                 table[word] = terms
             except DocumentError as exc:
                 raise exc.within(f"{opath}.entries[{ei}]") from None
-        # one common denominator per operation; the words are checked above
-        den = lcm(*{q for terms in table.values() for _, _, q in terms})
-        numerators = {word: sums for word, terms in table.items()
-                      if (sums := sum_by_key((x, p * (den // q)) for x, p, q in terms))}
+        # one common denominator per operation; a one-term word needs no sum
+        den = lcm(*dens)
+        numerators = {}
+        for word, terms in table.items():
+            if len(terms) == 1:
+                ((x, (p, q)),) = terms
+                if p:
+                    numerators[word] = {x: p * (den // q)}
+            elif sums := sum_by_key((x, p * (den // q)) for x, (p, q) in terms):
+                numerators[word] = sums
         op = Operation.from_numerators(sp, arity, family_degree(convention, arity), numerators, den)
         if not op.is_zero():
             ops[arity] = op
@@ -263,18 +296,22 @@ def serialize_document(doc: AlgebraDocument) -> str:
         labels = [json.dumps(label) for label in sp.labels]
         basis = [f'{{{n4}"label": {label},{n4}"degree": {degree}{n3}}}'
                  for label, degree in zip(labels, sp.degrees)]
+        # an inputs list's items, each label after the line break that starts it
+        inputs = [n6 + label for label in labels]
+        # an entry is head, its inputs, middle, its output terms, tail
+        head, middle, tail = f'{{{n5}"inputs": [', f'{n5}],{n5}"output": [', f'{n5}]{n4}}}'
         operations = []
         for arity in doc.family.arities():
             table, den = doc.family.ops[arity].numerators, doc.family.ops[arity].denominator
-            # each distinct numerator's value over den, formatted once
-            coeffs = {c: _format(c // gcd(c, den), den // gcd(c, den))
-                      for c in {c for sums in table.values() for c in sums.values()}}
-            entries = []
-            for word in sorted(table):
-                output = [f'{{{n7}"label": {labels[out]},{n7}"coeff": "{coeffs[c]}"{n6}}}'
-                          for out, c in sorted(table[word].items())]
-                entries.append(f'{{{n5}"inputs": {_block([labels[i] for i in word], 6)},'
-                               f'{n5}"output": {_block(output, 6)}{n4}}}')
+            # each distinct (letter, numerator) term as an output item, formatted
+            # once; its coefficient is the numerator over this operation's den
+            terms = {(out, c): f'{n6}{{{n7}"label": {labels[out]},{n7}"coeff": '
+                               f'"{_format(c // g, den // g)}"{n6}}}'
+                     for out, c in {term for sums in table.values() for term in sums.items()}
+                     for g in (gcd(c, den),)}
+            entries = [f'{head}{",".join([inputs[i] for i in word])}{middle}'
+                       f'{",".join([terms[t] for t in sorted(sums.items())])}{tail}'
+                       for word, sums in sorted(table.items())]
             operations.append(f'{{{n3}"arity": {arity},{n3}"entries": {_block(entries, 4)}{n2}}}')
         declared = ""
         if doc.declared_type is not None:

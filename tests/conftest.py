@@ -11,8 +11,9 @@ The oracles here deliberately avoid the library's own code paths:
   composition form the library uses.
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
-`with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`
-and `associative_family` are small helpers that only the tests need;
+`with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`,
+`associative_family` and `derived_documents` are small helpers that only the
+tests need;
 `DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on, and
 `RATIONAL_COEFFICIENTS` the non-integer coefficients they draw.
 """
@@ -24,9 +25,12 @@ from fractions import Fraction
 import pytest
 
 from hopla.coalgebra import Coderivation, coalgebra_words
+from hopla.docio import AlgebraDocument
+from hopla.drivers import run_derive
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, over)
-from hopla.permutations import sh, sign
+from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized, sh, sign
+from hopla.verify import random_operation
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
 
 
@@ -266,6 +270,32 @@ def commutator_bracket(sp, mu):
 def associative_family(sp, mu, max_arity=4):
     """Wrap a degree-0 binary product as an unhat family (single arity 2)."""
     return OperationFamily(UNHAT, sp, max_arity, {2: mu})
+
+
+def derived_documents(seed):
+    """(functor, document) for every functor `derive` runs, on sources that
+    sum two operations drawn with RATIONAL_COEFFICIENTS: derived outputs are
+    rational and multi-term, which `generate_random` does not make."""
+    rng = random.Random(f"derived:{seed}")
+
+    def draw(sp, n, degree):
+        return (random_operation(rng, sp, n, degree, 0.7, RATIONAL_COEFFICIENTS)
+                + random_operation(rng, sp, n, degree, 0.7, RATIONAL_COEFFICIENTS))
+
+    sp = GradedSpace(("a", "b", "c", "d"), (0, 1, 1, 2))
+    ops = {n: precompose_symmetrized(draw(sp, n, n - 2), RHO2, MODE_PARTIAL) for n in (1, 2, 3)}
+    doc = AlgebraDocument(OperationFamily(UNHAT, sp, 3, ops), ("a_infinity", None))
+    for functor in ("commutator-alpha", "commutator-beta", "commutator-gamma", "suspend"):
+        yield functor, run_derive(doc, functor)
+    yield "desuspend", run_derive(run_derive(doc, "suspend"), "desuspend")
+    flat = GradedSpace(("e0", "e1", "e2"), (0, 0, 0))
+    # drawn at degree 0, filed at the unhat degree n - 2
+    nary = AlgebraDocument(OperationFamily(UNHAT, flat, 3, {3: draw(flat, 3, 0).with_degree(1)}),
+                           ("assoc_n", 3))
+    yield "nary-embed", run_derive(nary, "nary-embed")
+    prelie = run_derive(nary, "nary-commutator-prelie")
+    yield "nary-commutator-prelie", prelie
+    yield "nary-commutator-lie", run_derive(prelie, "nary-commutator-lie")
 
 
 def with_entry(D, k, l, word, combo):

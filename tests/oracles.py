@@ -58,7 +58,11 @@ only so that tests can compare the fast path against it:
   and lists and writes it with `json.dumps(indent=2)`, the layout
   `docio.serialize_document` writes directly;
 * `parse_rational_by_regex` parses every coefficient with a regex, where
-  `docio.parse_rational` splits at the slash and checks the digits.
+  `docio.parse_rational` splits at the slash and checks the digits;
+* `parse_document_by_fields` reads every field through `_expect`, builds
+  each word with one label test per letter and sums every word's terms
+  with `sum_by_key`, where `docio.parse_document` indexes the fields and
+  falls back on `_expect` only to word a defect.
 """
 
 import collections
@@ -72,11 +76,13 @@ from math import factorial, lcm
 from conftest import apply_word, component
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
                              wedge_normalize)
-from hopla.docio import FORMAT, format_rational
+from hopla.docio import (DECLARED_TYPES, FORMAT, MAX_ARITY, AlgebraDocument, _expect, _integer,
+                         format_rational, parse_rational)
 from hopla.equations import LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
-from hopla.graded import (HAT, UNHAT, LinearCombination, Operation, compose_insert,
-                          insertion_terms, linear_sum, table_from_terms, word_degree)
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily, compose_insert, family_degree, insertion_terms,
+                          linear_sum, sum_by_key, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
                                 all_permutations, arrangements, expand, fold, koszul_sign,
                                 precompose_symmetrized, sh, sign)
@@ -669,3 +675,131 @@ def parse_rational_by_regex(text, path=""):
     if q == 0:
         raise DocumentError(f"malformed rational {text!r}: zero denominator", path)
     return Fraction(p, q)
+
+
+def parse_document_by_fields(text) -> AlgebraDocument:
+    """Parse and validate a document; raises DocumentError with a JSON-path
+    location on any defect."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        raw = json.loads(text)
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer with too many digits
+        raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
+
+    fmt = _expect(raw, "format", "")
+    if fmt != FORMAT:
+        raise DocumentError(f"unsupported format {fmt!r} (expected {FORMAT!r})", "format")
+
+    basis = _expect(_expect(raw, "space", ""), "basis", "space")
+    if not isinstance(basis, list) or not basis:
+        raise DocumentError("basis must be a non-empty list", "space.basis")
+    degree_of = {}  # label -> degree, in basis order
+    for idx, entry in enumerate(basis):
+        path = f"space.basis[{idx}]"
+        label = _expect(entry, "label", path)
+        degree = _expect(entry, "degree", path)
+        if not isinstance(label, str):
+            raise DocumentError("label must be a string", path + ".label")
+        _integer(degree, path + ".degree", "degree must be an integer")
+        if label in degree_of:
+            raise DocumentError(f"duplicate basis label {label!r}", path + ".label")
+        degree_of[label] = degree
+    sp = GradedSpace(tuple(degree_of), tuple(degree_of.values()))
+    positions = sp.positions
+
+    convention = _expect(raw, "convention", "")
+    if convention not in (HAT, UNHAT):
+        raise DocumentError(f"convention must be 'hat' or 'unhat', got {convention!r}", "convention")
+
+    operations = raw.get("operations", [])
+    if not isinstance(operations, list):
+        raise DocumentError("operations must be a list", "operations")
+
+    ops = {}
+    seen_arities = set()
+    coefficients = {}  # coefficient string -> its (numerator, denominator), each parsed once
+    for oi, opdoc in enumerate(operations):
+        opath = f"operations[{oi}]"
+        arity = _integer(_expect(opdoc, "arity", opath), opath + ".arity",
+                         "arity must be a positive integer", 1)
+        if arity in seen_arities:
+            raise DocumentError(f"duplicate operation at arity {arity}", opath + ".arity")
+        seen_arities.add(arity)
+        entries = _expect(opdoc, "entries", opath)
+        if not isinstance(entries, list):
+            raise DocumentError("entries must be a list", opath + ".entries")
+
+        # an entry's defects are raised at paths relative to it, and the
+        # prefix is formatted only on the way out; a word's terms are (letter, p, q)
+        table = {}
+        for ei, entry in enumerate(entries):
+            try:
+                inputs = _expect(entry, "inputs", "")
+                if not isinstance(inputs, list) or len(inputs) != arity:
+                    raise DocumentError(f"inputs must list exactly {arity} labels", ".inputs")
+                word = tuple([positions.get(label) if isinstance(label, str) else None
+                              for label in inputs])
+                if None in word:
+                    li = word.index(None)
+                    raise DocumentError(f"unknown label {inputs[li]!r}", f".inputs[{li}]")
+                if word in table:
+                    raise DocumentError(f"duplicate entry for inputs {inputs}", ".inputs")
+                output = _expect(entry, "output", "")
+                if not isinstance(output, list):
+                    raise DocumentError("output must be a list", ".output")
+                terms = []
+                for ti, term in enumerate(output):
+                    try:
+                        label = _expect(term, "label", "")
+                        letter = positions.get(label) if isinstance(label, str) else None
+                        if letter is None:
+                            raise DocumentError(f"unknown label {label!r}", ".label")
+                        text = _expect(term, "coeff", "")
+                        coeff = coefficients.get(text) if text.__class__ is str else None
+                        if coeff is None:
+                            value = parse_rational(text, ".coeff")
+                            coeff = coefficients[text] = value.numerator, value.denominator
+                        terms.append((letter,) + coeff)
+                    except DocumentError as exc:
+                        raise exc.within(f".output[{ti}]") from None
+                table[word] = terms
+            except DocumentError as exc:
+                raise exc.within(f"{opath}.entries[{ei}]") from None
+        # one common denominator per operation; the words are checked above
+        den = lcm(*{q for terms in table.values() for _, _, q in terms})
+        numerators = {word: sums for word, terms in table.items()
+                      if (sums := sum_by_key((x, p * (den // q)) for x, p, q in terms))}
+        op = Operation.from_numerators(sp, arity, family_degree(convention, arity), numerators, den)
+        if not op.is_zero():
+            ops[arity] = op
+
+    max_arity = _integer(raw.get("max_arity", max(seen_arities, default=1)), "max_arity",
+                         "max_arity must be a positive integer", 1)
+    if max_arity > MAX_ARITY:
+        raise DocumentError(f"max_arity {max_arity} is above the limit {MAX_ARITY}", "max_arity")
+    if seen_arities and max_arity < max(seen_arities):
+        raise DocumentError(
+            f"max_arity {max_arity} is below the largest operation arity {max(seen_arities)}",
+            "max_arity")
+
+    declared = raw.get("declared_type")
+    declared_type = None
+    if declared is not None:
+        name = _expect(declared, "name", "declared_type")
+        if name not in DECLARED_TYPES:
+            raise DocumentError(f"unknown declared type {name!r}", "declared_type.name")
+        n = declared.get("n")
+        if name.endswith("_n"):
+            _integer(n, "declared_type.n", f"declared type {name!r} requires a positive 'n'", 1)
+            if n > MAX_ARITY:
+                raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
+                                    "declared_type.n")
+        elif n is not None:
+            raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")
+        declared_type = (name, n)
+
+    family = OperationFamily(convention, sp, max_arity, ops)
+    return AlgebraDocument(family, declared_type)

@@ -1,6 +1,8 @@
 """The document writer and the coefficient parser against the slow
 reference implementations in `oracles.py`: `json.dumps(indent=2)` over the
-document as nested dicts, and the regex-only rational parser."""
+document as nested dicts, and the regex-only rational parser.  Generated
+documents carry integer coefficients; the derived ones are rational and
+multi-term."""
 
 import gc
 import itertools
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import derived_documents
 from oracles import parse_rational_by_regex, serialize_document_by_json_dumps
 from hopla.docio import AlgebraDocument, parse_document, parse_rational, serialize_document
 from hopla.drivers import generate_random
@@ -39,6 +42,22 @@ def test_writer_matches_json_dumps_on_generated_documents():
     assert count >= 200
 
 
+def test_writer_matches_json_dumps_on_derived_documents():
+    functors = set()
+    for seed in range(3):
+        for functor, doc in derived_documents(seed):
+            text = _same_bytes(doc)
+            assert parse_document(text) == doc, functor
+            ops = doc.family.ops.values()
+            if (any(op.denominator > 1 for op in ops)
+                    and any(len(sums) > 1 for op in ops for sums in op.numerators.values())):
+                functors.add(functor)
+    # every functor wrote some rational document with a multi-term output
+    assert functors == {"commutator-alpha", "commutator-beta", "commutator-gamma", "suspend",
+                        "desuspend", "nary-embed", "nary-commutator-prelie",
+                        "nary-commutator-lie"}
+
+
 def _family(labels, degrees, convention=UNHAT, tables=None, max_arity=3):
     sp = GradedSpace(tuple(labels), tuple(degrees))
     ops = {arity: Operation(sp, arity, family_degree(convention, arity), table)
@@ -67,8 +86,17 @@ EDGE_LABELS = ['q"uote', "back\\slash", "ünï€", "tab\there\x01", ""]
                             tables={1: {(1,): {0: Fraction(-5, 2)}}}, max_arity=1),
                     ("l_infinity", None)),
     AlgebraDocument(_family([], [])),
+    # the same (letter, numerator) terms, in several words each, over the
+    # denominators 2 and 3: a term is formatted once per operation, not
+    # once per document
+    AlgebraDocument(_family(["x", "w", "y", "z"], [0, 0, 1, 1], tables={
+        2: {(0, 2): {2: Fraction(1, 2), 3: Fraction(1, 2)}, (2, 1): {2: Fraction(1, 2)},
+            (1, 3): {2: Fraction(1, 2), 3: -1}, (1, 2): {3: Fraction(1, 2)}},
+        3: {(0, 0, 0): {2: Fraction(1, 3), 3: Fraction(1, 3)}, (1, 1, 1): {2: Fraction(1, 3)},
+            (0, 1, 0): {2: Fraction(2, 3), 3: -1}, (1, 0, 0): {3: Fraction(1, 3)}}})),
 ], ids=["no-operations", "empty-table", "declared-with-n", "declared-without-n",
-        "escaped-labels-rational-coefficients", "negative-degrees", "empty-basis"])
+        "escaped-labels-rational-coefficients", "negative-degrees", "empty-basis",
+        "shared-terms-over-two-denominators"])
 def test_writer_matches_json_dumps_on_edge_cases(doc):
     text = _same_bytes(doc)
     if doc.space.dim:

@@ -503,6 +503,31 @@ def test_document_writer_stays_off_the_pure_python_encoder():
     assert found == []
 
 
+def test_one_document_parser_and_one_writer():
+    # json.loads runs once, in docio.parse_document, and no second parse or
+    # serialize function sits beside the two docio defines
+    loads, defined = [], []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        loads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _is_json_loads(node.func)]
+        defined += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith(("parse_document", "serialize_document"))]
+    assert sorted(defined) == ["docio.py:parse_document", "docio.py:serialize_document"]
+    tree = ast.parse((SRC / "docio.py").read_text(encoding="utf-8"))
+    (parse,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "parse_document"]
+    inside = [f"docio.py:{node.lineno}" for node in ast.walk(parse)
+              if isinstance(node, ast.Call) and _is_json_loads(node.func)]
+    assert len(inside) == 1 and loads == inside, loads
+
+
+def _is_json_loads(func):
+    return (isinstance(func, ast.Name) and func.id == "loads"
+            or isinstance(func, ast.Attribute) and func.attr == "loads"
+            and isinstance(func.value, ast.Name) and func.value.id == "json")
+
+
 def test_one_residual_path():
     # an n-ary operation is checked as the one-operation unhat family it is:
     # run_check runs `residual` for every document, under the flavor's
