@@ -313,24 +313,23 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     components = {}
     for k in range(1, cap + 1):
         for arity in family.arities():
-            l = k - arity + 1
-            if l < 1:
+            if k < arity:
                 continue
             op = family.ops[arity]
-            comp = _component(op, kind, k, l, den // op.denominator)
+            comp = _component(op, kind, k, den // op.denominator)
             if comp:
-                components[(k, l)] = comp
+                components[(k, k - arity + 1)] = comp
     return Coderivation(kind, sp, cap, -1, components, den)
 
 
-def _component(op: Operation, kind: str, k: int, l: int, scale: int = 1) -> dict:
-    """The (k, l) component extending op: canonical weight-k words to their
-    images, as int numerators over op.denominator / scale."""
+def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
+    """The (k, k - op.arity + 1) component extending op: canonical weight-k
+    words to their images, as int numerators over op.denominator / scale."""
     sp = op.space
     odd = sp.parities
     table = {word: [(letter, c * scale) for letter, c in sums.items()]
              for word, sums in op.numerators.items()}
-    a = op.arity  # = k - l + 1
+    a, l = op.arity, k - op.arity + 1
     if kind == TENSOR:
         def terms(word):
             prefix_parity = 0

@@ -17,8 +17,9 @@ from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_fold, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                        nary_family, residual, residual_insertions)
-from .errors import ConventionError, DocumentError, SymmetryError
+                        nary_family, require_collapsible, require_parity, residual,
+                        residual_insertions)
+from .errors import DocumentError, SymmetryError
 from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_commutator_lie,
                        nary_commutator_prelie, nary_embed, suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
@@ -125,21 +126,12 @@ def _residual_witness(space: GradedSpace, entry) -> dict | None:
     }
 
 
-def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor,
-                    check_preconditions: bool) -> bool:
+def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor) -> bool:
     """Append one symmetry-precondition line per arity of `ops`, under the
-    flavor's action; returns overall success.
-
-    Without the lines the symmetry is still required: pre-Lie and Lie
-    residuals are computed in a collapsed form that holds only for
-    symmetric operations, so a family without it raises a SymmetryError.
-    """
+    flavor's action; returns overall success."""
     if flavor.kind == ASSOC:
         return True
     variant, full = flavor.variant, flavor.kind == LIE
-    if not check_preconditions:
-        require_symmetry(ops, variant, full, f"the {flavor.kind} residual")
-        return True
     label = "full" if full else "partial"
     ok = True
     for n in sorted(ops):
@@ -148,21 +140,6 @@ def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor,
                    witness=None if bad is None else {"arity": n, "transposition": list(bad)})
         ok = ok and bad is None
     return ok
-
-
-def _require_parity(family: OperationFamily, kind: str) -> None:
-    """Refuse a pre-Lie or Lie check, on a space with an odd letter, of an
-    operation with an entry whose output parity is not its input parity
-    plus the operation's degree: the collapsed positions of
-    `equations._positions` hold only for such parity-homogeneous tables."""
-    odd = family.space.parities
-    if kind == ASSOC or not any(odd):
-        return
-    for n, op in sorted(family.ops.items()):
-        if any(odd[out] != (sum(odd[x] for x in word) + op.degree) % 2
-               for word, sums in op.numerators.items() for out in sums):
-            raise ConventionError(f"the {kind} check needs outputs of the parity of the inputs "
-                                  f"plus the degree; the arity-{n} operation has others")
 
 
 def _require_check_work(terms: int, what: str) -> None:
@@ -183,12 +160,12 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     flavor's action, one work bound, one residual per arity.  Before any
     residual, a DocumentError is raised for a `max_arity` outside
     1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
-    insertion terms.  Without `check_preconditions` the report has no
-    symmetry lines, but a pre-Lie or Lie check of operations without the
-    symmetry still raises a SymmetryError, and with or without it so does
-    one with odd letters of another parity (ConventionError, see
-    `_require_parity`).  Verdicts and witnesses are read off the folded
-    residuals; nothing is expanded.
+    insertion terms.  The collapsed form's precondition is
+    `equations.require_collapsible`'s: its parity half raises a
+    ConventionError before any symmetry line, and without
+    `check_preconditions` the report has no symmetry lines and a family
+    without the symmetry raises a SymmetryError instead.  Verdicts and
+    witnesses are read off the folded residuals; nothing is expanded.
     """
     t0 = time.monotonic()
     if kind not in (ASSOC, PRELIE, LIE):
@@ -214,8 +191,11 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
         line, what = f"{kind}/{doc.convention} residual", f"the {kind} check up to arity {cap}"
 
     flavor = EquationFlavor(kind, family.convention)
-    _require_parity(family, kind)
-    if _symmetry_check(report, family.ops, flavor, check_preconditions):
+    if check_preconditions:
+        require_parity(family, kind)
+    else:
+        require_collapsible(family, flavor)
+    if not check_preconditions or _symmetry_check(report, family.ops, flavor):
         tables = {}  # each representative table is built once per check
         _require_check_work(insertion_term_count(chain.from_iterable(
             residual_insertions(family, flavor, n, tables) for n in arities)), what)
@@ -315,7 +295,7 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         if not is_nary and not doc.space.is_concentrated_in_degree_zero():
             raise DocumentError("nary-embed requires a degree-0 basis")
         mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
-        embedding = nary_embed(doc.space, mu, n_value)
+        embedding = nary_embed(mu)
         new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
         return AlgebraDocument(embedding.family,
                                (new_type, None) if new_type else None)

@@ -15,10 +15,11 @@ flavor:
     prelie / unhat  c = (-1)^(j(i-m-1)+m)/((i-1)!(j-1)!)    P = rho2 summed over S_{n-1} on the first n-1 slots
     lie / unhat     c = (-1)^(j(i-m-1)+m)/((i-1)!j!)        P = rho2 summed over S_n
 
-A family satisfies the corresponding axioms iff all residuals vanish; for the
-prelie and lie flavors this is only meaningful when each mu_k is invariant
-under the matching signed action, so that symmetry is a checked precondition
-(with an explicit bypass for callers that guarantee it).
+A family satisfies the corresponding axioms iff all residuals vanish.  The
+prelie and lie residuals are computed in a collapsed form (below) that is
+this sum only if every output of each mu_k has the parity of its inputs
+plus mu_k's degree and each mu_k is invariant under the matching signed
+action; `require_collapsible` checks both, parity first, unless bypassed.
 
 What is computed is the Nijenhuis-Richardson form of that sum.  For a
 symmetric family, P makes every insertion position whose inserted block
@@ -48,8 +49,8 @@ read.  The circle product is `expand` of the fold.  The circle bracket
 f o g - (-1)^(mn) g o f is `expand` of one fold too: both products share
 the arity and P, and P is linear, so their insertions stream into one
 call with the second product's scaled by -(-1)^(mn).  Without the
-symmetry the collapsed form is not the sum above, which is why `check`
-refuses such families.
+precondition the collapsed form is not the sum above, which is why
+`residual` and `check` refuse such families.
 
 An n-ary operation mu on a degree-0 space is the one-operation unhat
 family {n: mu} (`nary_family`), and its defining equation is that
@@ -136,6 +137,31 @@ def _positions(kind: str, i: int, coefficient) -> tuple:
     return tuple((m, coefficient(m), None) for m in range(i))
 
 
+def require_parity(family: OperationFamily, kind: str) -> None:
+    """Refuse a pre-Lie or Lie family, on a space with an odd letter, with an
+    entry whose output parity is not its input parity plus its operation's
+    degree (ConventionError naming the first such arity): the collapsed
+    positions of `_positions` hold only for parity-homogeneous tables."""
+    odd = family.space.parities
+    if kind == ASSOC or not any(odd):
+        return
+    for n, op in sorted(family.ops.items()):
+        if any(odd[out] != (sum(odd[x] for x in word) + op.degree) % 2
+               for word, sums in op.numerators.items() for out in sums):
+            raise ConventionError(f"the {kind} check needs outputs of the parity of the inputs "
+                                  f"plus the degree; the arity-{n} operation has others")
+
+
+def require_collapsible(family: OperationFamily, flavor: EquationFlavor) -> None:
+    """The collapsed form's precondition for a pre-Lie or Lie family:
+    `require_parity`, then invariance under the flavor's action (a
+    SymmetryError names the first failing arity); assoc needs neither."""
+    require_parity(family, flavor.kind)
+    if flavor.kind != ASSOC:
+        require_symmetry(family.ops, flavor.variant, flavor.kind == LIE,
+                         f"the {flavor.kind} residual")
+
+
 def _representatives(tables: dict, op: Operation, block) -> Operation:
     """`block_representatives(op, *block)`, built once per `tables`, the
     caller's per-call memo; op itself when block is None.  Each entry keeps
@@ -207,9 +233,9 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
 
     Arities missing from the family (or beyond its cap) contribute nothing.
     Pre-Lie and Lie residuals are computed in the collapsed form of the
-    module docstring, which equals the defining sum only for a partially
-    (pre-Lie) or fully (Lie) symmetric family; with `check_symmetry` False
-    the caller must guarantee that symmetry.  `tables` is the memo of
+    module docstring; `require_collapsible` refuses a family it does not
+    hold for, parity first.  With `check_symmetry` False neither half is
+    checked and the caller must guarantee both.  `tables` is the memo of
     `residual_insertions`.
     """
     if flavor.convention != family.convention:
@@ -217,8 +243,8 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
             f"family is {family.convention} but flavor expects {flavor.convention}")
     if n < 1:
         raise ArityError("residual arity must be >= 1")
-    if check_symmetry and flavor.kind != ASSOC:
-        require_symmetry(family.ops, flavor.variant, flavor.kind == LIE, f"{flavor.kind} residual")
+    if check_symmetry:
+        require_collapsible(family, flavor)
 
     mode = SYMMETRIZATION.get(flavor.kind)
     degree = -2 if flavor.convention == HAT else n - 3
@@ -324,17 +350,14 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Fold
     alternate insertions with that sign; for odd n the sign is trivial, and
     for n = 2 the partially associative equation is plain associativity.
 
-    On a degree-0 space rho2 is the plain signed action.  With
-    `check_symmetry` False the caller must guarantee mu's partial (pre-Lie)
-    or full (Lie) skew symmetry.
+    On a degree-0 space rho2 is the plain signed action and the parity
+    half holds.  With `check_symmetry` False the caller must guarantee mu's
+    partial (pre-Lie) or full (Lie) skew symmetry.
     """
     if kind not in NARY_KINDS:
         raise ValueError(f"kind must be one of {NARY_KINDS}, got {kind!r}")
-    family = nary_family(mu)
-    if check_symmetry and kind != PARTIALLY_ASSOCIATIVE:
-        require_symmetry({mu.arity: mu}, RHO2, kind == LIE, f"a {kind} n-algebra")
     flavor = EquationFlavor(ASSOC if kind == PARTIALLY_ASSOCIATIVE else kind, UNHAT)
-    return residual(family, flavor, 2 * mu.arity - 1, check_symmetry=False)
+    return residual(nary_family(mu), flavor, 2 * mu.arity - 1, check_symmetry=check_symmetry)
 
 
 def check_prelie_n_two_ways(mu: Operation) -> bool:
@@ -344,8 +367,7 @@ def check_prelie_n_two_ways(mu: Operation) -> bool:
     calculus; they are equal as maps, so one vanishing without the other
     means the library is internally inconsistent.
     """
-    require_symmetry({mu.arity: mu}, RHO2, False, "the pre-Lie n-algebra check")
-    res = nary_residual(mu, PRELIE, check_symmetry=False)
+    res = nary_residual(mu, PRELIE)
     square = circle_product(mu, mu, check_symmetry=False)
     if res.vanishes() != square.is_zero():
         raise LemmaViolationError(

@@ -121,14 +121,12 @@ class NaryEmbedding:
     behind the i-th basis vector of the carrier.
     """
 
-    n: int
-    base: GradedSpace
     space: GradedSpace
     family: OperationFamily
     forgetful: tuple
 
 
-def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
+def nary_embed(mu: Operation) -> NaryEmbedding:
     """Embed an n-ary operation on a degree-0 space as an unhat family with
     a single arity-n operation of degree n-2, capped at 2n-1, the arity of
     its defining equation.
@@ -137,15 +135,14 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
     words of total degree 0 (landing in the degree n-2 copy) or total
     degree n-2 (landing in the degree 2n-4 copy), and zero otherwise.
     """
+    base, n = mu.space, mu.arity
     base.require_degree_zero("nary_embed")
-    if mu.arity != n:
-        raise ValueError(f"operation arity {mu.arity} != n = {n}")
     cap = 2 * n - 1
     dim = base.dim
 
     if n == 2:
         family = OperationFamily(UNHAT, base, cap, {2: mu.with_degree(0)})
-        return NaryEmbedding(2, base, base, family, tuple(range(dim)))
+        return NaryEmbedding(base, family, tuple(range(dim)))
 
     copies = (0, n - 2, 2 * n - 4)
     labels = tuple(f"{lbl}@{d}" for d in copies for lbl in base.labels)
@@ -168,7 +165,7 @@ def nary_embed(base: GradedSpace, mu: Operation, n: int) -> NaryEmbedding:
             table[mixed] = image
     op = Operation.from_numerators(carrier, n, n - 2, table, mu.denominator)
     family = OperationFamily(UNHAT, carrier, cap, {n: op})
-    return NaryEmbedding(n, base, carrier, family, forgetful)
+    return NaryEmbedding(carrier, family, forgetful)
 
 
 def nary_commutator_prelie(mu: Operation) -> Operation:

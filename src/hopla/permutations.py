@@ -427,7 +427,7 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
         raise ValueError(f"unknown action variant {variant!r}")
     odd = op.space.parities
     rho2 = variant == RHO2
-    n_acted = op.arity if full else op.arity - 1
+    n_acted = acted_count(MODE_FULL if full else MODE_PARTIAL, op.arity)
     # the swap is an involution, so op o rho_tau = op iff op(w o tau) equals
     # chi(tau; w) op(w) for every stored word w
     for k in range(1, n_acted):

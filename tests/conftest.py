@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hopla.coalgebra import Coderivation, coalgebra_words
 from hopla.docio import AlgebraDocument
@@ -32,6 +33,13 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
 from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized, sh, sign
 from hopla.verify import random_operation
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
+
+
+# Examples are exact computations whose time follows the host's load, not
+# the code: a per-example deadline fails them on a busy machine alone, so
+# no test runs under one.  Example counts and strategies stay per test.
+settings.register_profile("tier1", deadline=None)
+settings.load_profile("tier1")
 
 
 # ---------------------------------------------------------------------------

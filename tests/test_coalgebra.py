@@ -171,7 +171,7 @@ def test_extend_requires_homogeneity():
     # law, but it has degree 0 on every word, so it is even and D o D is no
     # coderivation: D(D(xx)) = 2 yy while every cogenerator component of
     # D o D vanishes, and the derived square-zero line would pass wrongly
-    D = Coderivation(TENSOR, even, 2, -1, {(k, k): _component(d, TENSOR, k, k) for k in (1, 2)})
+    D = Coderivation(TENSOR, even, 2, -1, {(k, k): _component(d, TENSOR, k) for k in (1, 2)})
     assert check_coderivation(D, 2)
     assert all(square_cogenerator_component(D, n).table == {} for n in (1, 2))
     assert first_nonzero_square(D) == ((0, 0), LinearCombination({(1, 1): 2}))

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (nary_residual_by_positions, residual_by_insertions,
-                     residual_by_positions, residual_insertions_by_entries)
+from conftest import DEGREE_PATTERNS, identity
+from oracles import (failing_transposition_by_act, nary_residual_by_positions,
+                     precompose_by_loop, residual_by_insertions, residual_by_positions,
+                     residual_insertions_by_entries)
 from hopla import cli
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
@@ -22,7 +25,7 @@ from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIE
                            run_derive)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              residual, residual_insertions)
-from hopla.errors import DocumentError
+from hopla.errors import ConventionError, DocumentError
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, check_homogeneous, family_degree,
                           insertion_term_count)
@@ -473,18 +476,25 @@ def _parity_mismatches(family):
                    for word, combo in op.table.items() for out, _ in combo)]
 
 
+def _parity_refusal_draws():
+    """(convention, kind, family) for 12 families with the symmetry their
+    kind needs, on a basis with odd letters, each entry sent to a letter of
+    any parity."""
+    rng = random.Random("parity-refusal")
+    sp = GradedSpace(("x0", "x1", "x2"), (0, 1, -1))
+    for convention, kind, _ in itertools.product((HAT, UNHAT), (PRELIE, LIE), range(3)):
+        yield convention, kind, _symmetric_family(rng, sp, convention, kind,
+                                                  lambda word, degree: rng.randrange(sp.dim))
+
+
 def test_cli_check_refuses_parity_inhomogeneous_families_with_odd_letters(tmp_path, capsys):
     # the collapsed insertion positions hold only when every output has the
     # parity of its inputs plus the degree; on odd letters other tables get
     # residuals unlike the per-position oracle, so check refuses them, with
     # or without --no-precondition-check
-    rng = random.Random("parity-refusal")
-    sp = GradedSpace(("x0", "x1", "x2"), (0, 1, -1))
     path = tmp_path / "inhomogeneous.json"
     refused = differs = 0
-    for convention, kind, _ in itertools.product((HAT, UNHAT), (PRELIE, LIE), range(3)):
-        family = _symmetric_family(rng, sp, convention, kind,
-                                   lambda word, degree: rng.randrange(sp.dim))
+    for convention, kind, family in _parity_refusal_draws():
         bad = _parity_mismatches(family)
         if not bad:
             continue
@@ -500,6 +510,106 @@ def test_cli_check_refuses_parity_inhomogeneous_families_with_odd_letters(tmp_pa
     assert main(["check", str(path), "--flavor", ASSOC]) in (0, 1)
     # the refusal must not be vacuous, nor refuse only what the collapse gets right
     assert refused >= 8 and differs >= 6, (refused, differs)
+
+
+def test_library_residual_refuses_what_check_refuses(tmp_path, capsys):
+    # `residual` checks the collapsed form's precondition as `check` does,
+    # parity first: every family check refuses, the library refuses at
+    # every arity, naming the same operation; with the check bypassed it
+    # returns the collapsed sum, the every-entry oracle's
+    path = tmp_path / "inhomogeneous.json"
+    refused = 0
+    for convention, kind, family in _parity_refusal_draws():
+        path.write_text(serialize_document(AlgebraDocument(family)))
+        assert main(["check", str(path), "--flavor", kind]) == 2
+        named = re.search(r"the arity-\d+ operation", capsys.readouterr().err).group()
+        flavor = EquationFlavor(kind, convention)
+        for n in range(1, 6):
+            with pytest.raises(ConventionError, match=named):
+                residual(family, flavor, n)
+            bypassed = residual(family, flavor, n, check_symmetry=False)
+            assert bypassed.op == residual_by_insertions(family, kind, n).op, (kind, n)
+        refused += 1
+    assert refused == 12
+
+
+def _first_pair_symmetric(rng, sp, convention, arity):
+    """A random homogeneous operation plus its precomposition with the
+    transposition of the first two slots: invariant under that one only."""
+    op = random_operation(rng, sp, arity, family_degree(convention, arity), 0.6)
+    swap = (2, 1) + tuple(range(3, arity + 1))
+    return precompose_by_loop(op, [identity(arity), swap], action_variant(convention))
+
+
+def _differential_documents():
+    """40 documents for `check`: 30 generated ones with operations, on
+    every degree pattern, both conventions, every symmetrization, nilpotent
+    or not (a draw whose degrees reach no output letter is empty and is
+    drawn again); families whose outputs have any parity; and families
+    symmetric in their first two slots only."""
+    rng = random.Random("check-differential")
+    generated = 0
+    while generated < 30:
+        arities = rng.sample((1, 2, 3), rng.randint(1, 3))
+        doc = generate_random(rng.choice((2, 3)), DEGREE_PATTERNS[rng.choice(sorted(
+            DEGREE_PATTERNS))], arities, 0.8, rng.randrange(10**6), rng.choice((HAT, UNHAT)),
+            rng.choice(("none", "partial", "full")), rng.random() < 0.5)
+        if doc.family.ops:
+            generated += 1
+            yield doc
+    sp = GradedSpace(("x0", "x1", "x2"), (0, 1, -1))
+    for convention, kind in itertools.product((HAT, UNHAT), (PRELIE, LIE)):
+        yield AlgebraDocument(_symmetric_family(rng, sp, convention, kind,
+                                                lambda word, degree: rng.randrange(sp.dim)))
+    for convention, top in itertools.product((HAT, UNHAT), (2, 3, 4)):
+        ops = {n: _first_pair_symmetric(rng, sp, convention, n) for n in range(2, top + 1)}
+        yield AlgebraDocument(OperationFamily(convention, sp, top, ops))
+
+
+def test_cli_check_agrees_with_the_per_position_oracle(tmp_path, capsys):
+    # every flavor of `check` on each document: a refusal names the first
+    # operation of the wrong parity, each symmetry line is the whole-
+    # permutation oracle's, and each residual line's verdict and witness
+    # are those of the sum over every insertion position
+    path = tmp_path / "doc.json"
+    exits, failing = Counter(), Counter()
+    for doc in _differential_documents():
+        path.write_text(serialize_document(doc))
+        family = parse_document(path.read_text()).family
+        for kind in (ASSOC, PRELIE, LIE):
+            code = cli.main(["check", str(path), "--flavor", kind, "--max-arity", "5", "--json"])
+            out, err = capsys.readouterr()
+            exits[code] += 1
+            bad = (_parity_mismatches(family) if kind != ASSOC and any(family.space.parities)
+                   else [])
+            if code == 2:
+                assert bad and f"the arity-{bad[0]} operation" in err and out == "", err
+                continue
+            assert code in (0, 1) and not bad, (code, err)
+            checks = json.loads(out)["checks"]
+            assert code == (not all(c["passed"] for c in checks))
+            expected = []
+            if kind != ASSOC:
+                full = kind == LIE
+                for n, op in sorted(family.ops.items()):
+                    fails = failing_transposition_by_act(op, action_variant(family.convention),
+                                                         full)
+                    expected.append((f"{'full' if full else 'partial'} symmetry at arity {n}",
+                                     fails is None,
+                                     fails and {"arity": n, "transposition": list(fails)}))
+            if all(passed for _, passed, _ in expected):
+                for n in range(1, 6):
+                    op = residual_by_positions(family, kind, n)
+                    expected.append((f"{kind}/{family.convention} residual at arity {n}",
+                                     op.is_zero(),
+                                     _residual_witness(family.space, op.first_nonzero_entry())))
+            assert [(c["name"], c["passed"], c["witness"]) for c in checks] == expected, kind
+            failing.update((kind, "residual" in name) for name, passed, _ in expected
+                           if not passed)
+    # every outcome occurs: no arm of the comparison is vacuous
+    assert set(exits) == {0, 1, 2}, exits
+    assert all(failing[kind, True] for kind in (ASSOC, PRELIE, LIE)), failing
+    assert failing[PRELIE, False] and failing[LIE, False], failing
 
 
 def test_cli_check_runs_parity_homogeneous_families_of_other_degrees(tmp_path, capsys):
@@ -816,8 +926,7 @@ def test_schema_bounds_match_the_parser():
     assert schema["declared_type"]["properties"]["n"]["maximum"] == MAX_ARITY
 
 
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4),
        degrees=st.sets(st.integers(-1, 2), min_size=1))
 @example(seed=1, dim=4, degrees={0, 1})

@@ -163,7 +163,7 @@ def test_commutator_suspension_square(kt2, dga, rng, graded2):
 
 def test_nary_embed_binary_is_flat(corner):
     sp, mu = corner
-    emb = nary_embed(sp, mu, 2)
+    emb = nary_embed(mu)
     assert emb.space == sp
     assert emb.family.ops[2] == mu
     assert emb.forgetful == (0, 1)
@@ -171,7 +171,7 @@ def test_nary_embed_binary_is_flat(corner):
 
 def test_nary_embed_ternary_structure(flat2):
     mu = Operation(flat2, 3, 0, {(0, 0, 0): LinearCombination({1: 1})})
-    emb = nary_embed(flat2, mu, 3)
+    emb = nary_embed(mu)
     assert emb.space.degrees == (0, 0, 1, 1, 2, 2)
     op = emb.family.ops[3]
     assert check_homogeneous(op)
@@ -187,7 +187,7 @@ def test_nary_embed_ternary_structure(flat2):
 def test_nary_embed_requires_degree_zero(graded2):
     mu = Operation(graded2, 2, 0, {})
     with pytest.raises(GradingError):
-        nary_embed(graded2, mu, 2)
+        nary_embed(mu)
 
 
 def test_nary_commutator_prelie_binary_is_identity(corner):

@@ -168,21 +168,29 @@ def test_one_trusted_operation_constructor():
 
 def _spells_acted_slots(function):
     """True when the function compares a mode with MODE_FULL or
-    MODE_PARTIAL, or keys a dict by one, and also subtracts 1: the mapping
-    of a symmetrization mode to its acted slots."""
+    MODE_PARTIAL, or keys a dict by one, and also subtracts 1, or when it
+    branches on a flag named `full` with a branch that subtracts 1: the
+    mapping of a symmetrization mode to its acted slots."""
     modes = {"MODE_FULL", "MODE_PARTIAL"}
 
     def is_mode(node):
         return isinstance(node, ast.Name) and node.id in modes
 
+    def minus_one(*nodes):
+        return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                   and isinstance(sub.right, ast.Constant) and sub.right.value == 1
+                   for node in nodes for sub in ast.walk(node))
+
     compares = any(isinstance(node, ast.Compare)
                    and any(is_mode(sub) for sub in ast.walk(node))
                    or isinstance(node, ast.Dict) and any(is_mode(key) for key in node.keys)
                    for node in ast.walk(function))
-    minus_one = any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                    and isinstance(node.right, ast.Constant) and node.right.value == 1
-                    for node in ast.walk(function))
-    return compares and minus_one
+    on_full = any(isinstance(node, ast.IfExp) and minus_one(node.body, node.orelse)
+                  or isinstance(node, ast.If) and minus_one(*node.body, *node.orelse)
+                  for node in ast.walk(function)
+                  if isinstance(node, (ast.IfExp, ast.If))
+                  and isinstance(node.test, ast.Name) and node.test.id == "full")
+    return compares and minus_one(function) or on_full
 
 
 def test_one_rule_for_acted_slots():
@@ -197,6 +205,12 @@ def test_one_rule_for_acted_slots():
     assert not flagged("def f(mode, n):\n    return acted_count(mode, n - 1)\n")
     assert not flagged("def f(mode, n):\n    if mode not in (MODE_FULL, MODE_PARTIAL):\n"
                        "        raise ValueError(mode)\n    return n\n")
+    assert flagged("def f(op, full):\n    n_acted = op.arity if full else op.arity - 1\n")
+    assert flagged("def f(op, full):\n    if full:\n        return op.arity\n"
+                   "    else:\n        return op.arity - 1\n")
+    assert not flagged("def f(op, full):\n"
+                       "    return acted_count(MODE_FULL if full else MODE_PARTIAL, op.arity)\n")
+    assert not flagged("def f(full):\n    return 'full' if full else 'partial'\n")
     spellers, callers = [], set()
     for path, tree in _parsed(sorted(SRC.glob("*.py"))):
         for node in ast.walk(tree):
@@ -208,7 +222,8 @@ def test_one_rule_for_acted_slots():
                                      and isinstance(sub.func, ast.Name)}:
                     callers.add(node.name)
     assert spellers == ["permutations.acted_count"], spellers
-    assert {"fold", "acted", "arrangement_count", "_acted"} <= callers, callers
+    assert {"fold", "acted", "arrangement_count", "_acted",
+            "failing_symmetry_generator"} <= callers, callers
 
 
 def test_one_signed_action_kernel():
@@ -545,3 +560,47 @@ def test_one_residual_path():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "residual" in calls and not calls & {"nary_residual", "check_nary"}, calls
     assert "RHO2" not in set(_names(function))
+
+
+def _is_parity_rule(node):
+    """A comparison with `(... + <x>.degree) % 2`: the rule that an output
+    has the parity of its inputs plus the operation's degree."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mod)
+        and isinstance(side.right, ast.Constant) and side.right.value == 2
+        and isinstance(side.left, ast.BinOp) and isinstance(side.left.op, ast.Add)
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "degree"
+                for sub in ast.walk(side.left))
+        for side in [node.left, *node.comparators])
+
+
+def test_one_collapse_precondition():
+    # the collapsed residual's precondition has one owner: equations writes
+    # the parity rule once, and residual checks it and the symmetry through
+    # one helper; the n-ary residual, the two-route check and run_check
+    # reach it through residual or that helper, with no copy of either half
+    assert _is_parity_rule(ast.parse(
+        "odd[out] != (sum(odd[x] for x in word) + op.degree) % 2").body[0].value)
+    assert not _is_parity_rule(ast.parse("D.degree % 2 != 0").body[0].value)
+    rules, functions = [], {}
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                functions[path.stem, top.name] = top
+                rules += [f"{path.stem}.{top.name}" for node in ast.walk(top)
+                          if _is_parity_rule(node)]
+    assert rules == ["equations.require_parity"], rules
+    assert [name for module, name in functions
+            if module == "drivers" and "parity" in name] == []
+
+    def calls(module, name):
+        return {node.func.id for node in ast.walk(functions[module, name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    for name in ("nary_residual", "check_prelie_n_two_ways"):
+        assert "require_symmetry" not in calls("equations", name), name
+    assert "require_collapsible" in calls("equations", "residual")
+    assert calls("equations", "require_collapsible") >= {"require_parity", "require_symmetry"}
+    assert {"require_parity", "require_collapsible"} <= calls("drivers", "run_check")
+    assert "require_symmetry" not in calls("drivers", "run_check") | calls(
+        "drivers", "_symmetry_check")

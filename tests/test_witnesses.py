@@ -61,7 +61,7 @@ def re_evaluates(doc, coderive_kind, name, witness) -> bool:
         == witness["value"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 3),
        degrees=st.sampled_from([(0,), (0, 1), (-1, 0, 1)]),
        arities=st.sets(st.integers(1, 3), min_size=1),
