@@ -8,9 +8,9 @@ printed), 2 malformed input or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .coalgebra import PERM, TENSOR, WEDGE
 from .docio import MAX_ARITY, parse_document, serialize_document
@@ -51,9 +51,37 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, margin: str = "\n") -> str:
+    """A JSON value with str keys, byte for byte as `json.dumps(value,
+    indent=2)` writes it.  json.dumps indents only in its pure-Python
+    encoder; here strings and keys go through the C string encoder.
+    `margin` is the newline and indentation of the value's first line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_NAMES.get(text, text)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{margin}}}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{margin}]" if value else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_report(report, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json_text(report.to_json()))
     else:
         print(report.to_text())
     return EXIT_PASS if report.passed else EXIT_MATH_FAIL

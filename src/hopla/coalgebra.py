@@ -18,6 +18,7 @@ lost per weight.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -101,7 +102,8 @@ def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
     weight a and its head's wedge terms of left weight k - a,
     C(k - 1, a - 1) (k - a + 1) in all (Perm).  It counts unshuffles, and
     `coproduct_terms` yields a split given by several of them once, so for
-    words that repeat a letter it is an upper bound."""
+    words that repeat a letter it is an upper bound.  Tensor walks (k - a + 1)
+    dim^(k - a) insertions per entry of mu_a: as many when mu_a is dense."""
     def per_word(k, a):
         if kind == TENSOR:
             return k - a + 1
@@ -133,7 +135,7 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
     same sum, its factors in the word's order (beta in `coalgebra_map`
     relies on this).
 
-    The coderivation components rely on the boundary weights: for tensor
+    The wedge and Perm components rely on the boundary weights: for tensor
     and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with c = 1;
     a negative block yields nothing, so a Perm word has no term at i = n.
     `comultiply` sums only over i = 1 .. n-1."""
@@ -227,9 +229,10 @@ class Coderivation:
 
     `components[(k, l)]` maps canonical weight-k words to their weight-l
     images, each a dict {word: int numerator} over the one common
-    `denominator`; missing pairs and words are zero.  They are summed
-    over the distinct splits of `coproduct_terms`, each split's integer
-    coefficient times its term.  The law and the square compute on these
+    `denominator`; missing pairs and words are zero.  Wedge and Perm
+    components are summed over the distinct splits of `coproduct_terms`,
+    each split's integer coefficient times its term, tensor ones over
+    insertions of the operation.  The law and the square compute on these
     numerators; `square_word` gives exact Fraction values.  The degree is
     carried for the Koszul sign in the coderivation law (all coderivations
     built here have degree -1).  The components are read-only once built:
@@ -324,21 +327,31 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
 
 def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
     """The (k, k - op.arity + 1) component extending op: canonical weight-k
-    words to their images, as int numerators over op.denominator / scale."""
+    words to their images, as int numerators over op.denominator / scale.
+
+    Tensor sums insertions: per position i, prefix of i letters, entry of
+    op and suffix, the word prefix + input + suffix gets prefix + (output
+    letter,) + suffix with the sign (-1)^|prefix|, so only words that hold
+    an entry are visited.  Wedge and Perm words sum their `coproduct_terms`
+    of left weight a."""
     sp = op.space
     odd = sp.parities
     table = {word: [(letter, c * scale) for letter, c in sums.items()]
              for word, sums in op.numerators.items()}
     a, l = op.arity, k - op.arity + 1
     if kind == TENSOR:
-        def terms(word):
-            prefix_parity = 0
-            for i in range(l):
-                out = table.get(word[i:i + a])
-                if out is not None:
-                    for letter, c in out:
-                        yield word[:i] + (letter,) + word[i + a:], -c if prefix_parity else c
-                prefix_parity ^= odd[word[i]]
+        negated = {word: [(letter, -c) for letter, c in out] for word, out in table.items()}
+        by_word = defaultdict(list)
+        for i in range(l):
+            suffixes = list(itertools.product(range(sp.dim), repeat=l - 1 - i))
+            for prefix in itertools.product(range(sp.dim), repeat=i):
+                signed = negated if sum(odd[x] for x in prefix) % 2 else table
+                for word, out in signed.items():
+                    for suffix in suffixes:
+                        terms = by_word[prefix + word + suffix]
+                        for letter, c in out:
+                            terms.append((prefix + (letter,) + suffix, c))
+        images = ((word, sum_by_key(terms)) for word, terms in by_word.items())
     else:
         acted = _acted(kind, l) - 1   # the acted slots of an image word after its mu letter
 
@@ -362,12 +375,8 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
                     for letter, c in out:
                         yield front + (letter,), eps * c
 
-    comp = {}
-    for word in coalgebra_words(kind, sp, k):
-        image = sum_by_key(terms(word))
-        if image:
-            comp[word] = image
-    return comp
+        images = ((word, sum_by_key(terms(word))) for word in coalgebra_words(kind, sp, k))
+    return {word: image for word, image in images if image}
 
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
@@ -395,6 +404,8 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
 
     The left side minus the right is summed per word as integer numerators
     over D.denominator, and the law holds there when nothing survives.
+    Tensor terms are keyed by the word left + right (|right| = 1), the
+    inverse of the bijection Delta_{q-1,1}, so no image word is cut.
     """
     cap = D.cap if cap is None else min(cap, D.cap)
     if cap < 1:
@@ -438,9 +449,29 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
                 for v, c in right_image.items():
                     yield (left, v), -s * c
 
+    def tensor_defect(word, k):
+        """`defect` for tensor, each term keyed by its word left + right:
+        D(word)'s image words of weight >= 2, minus D(word[:-1]) + word[-1:],
+        minus the signed word[:k-a] + D_(a,1)(word[k-a:])."""
+        for _, comp in spread[k]:
+            yield from comp.get(word, {}).items()
+        if k > 1:
+            last = word[-1:]
+            for v, c in image(word[:-1]).items():
+                yield v + last, -c
+        for a, comp in cogenerator:
+            right_image = comp.get(word[k - a:]) if a < k else None
+            if right_image is None:
+                continue
+            left = word[:k - a]
+            s = -1 if odd and sum(par[x] for x in left) % 2 else 1
+            for v, c in right_image.items():
+                yield left + v, -s * c
+
+    terms = tensor_defect if kind == TENSOR else defect
     for k in range(1, cap + 1):
         for word in coalgebra_words(kind, sp, k):
-            if sum_by_key(defect(word, k)):
+            if sum_by_key(terms(word, k)):
                 return False
     return True
 

@@ -1,13 +1,16 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (apply_word, component, flat_component, map_keys,
-                      perm_square_two_sum_form, square_component, with_entry)
-from oracles import first_nonzero_square
+from conftest import (RATIONAL_COEFFICIENTS, apply_word, component, flat_component, map_keys,
+                      perm_square_two_sum_form, random_table, square_component, with_entry)
+from oracles import coderivation_law_by_coproducts, component_by_fractions, first_nonzero_square
+from hopla import coalgebra
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, block_count,
                              check_coderivation, coalgebra_map, coalgebra_words,
                              comultiply, extend_coderivation, project_pi,
@@ -16,10 +19,10 @@ from hopla.equations import ASSOC, PRELIE, EquationFlavor, residual
 from hopla.errors import ArityError, ConventionError, KindError, SymmetryError
 from hopla.functors import suspend_family
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily)
+                          OperationFamily, over)
 from hopla.permutations import RHO1, koszul_sign, sh
 from hopla.verify import (coassociativity_witness, coalgebra_map_law_witness,
-                          factorization_witness, random_unhat_family,
+                          factorization_witness, random_operation, random_unhat_family,
                           section_witness)
 
 
@@ -419,3 +422,120 @@ def test_wedge_words_exclude_odd_repeats(graded2):
     words = list(coalgebra_words(WEDGE, graded2, 2))
     assert (1, 1) not in words
     assert (0, 0) in words and (0, 1) in words
+
+
+# ---------------------------------------------------------------------------
+# the tensor kernels: components by insertion, the law keyed by words
+# ---------------------------------------------------------------------------
+
+def _tensor_families(rng):
+    """Hat families of random degree -1 operations at arities 1-3, on three
+    degree patterns of dims 2 and 3."""
+    for degrees in ((0, 1), (1, 1), (-1, 0, 1)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        ops = {a: random_operation(rng, sp, a, -1, 0.6) for a in (1, 2, 3)}
+        yield OperationFamily(HAT, sp, 3, {a: op for a, op in ops.items() if not op.is_zero()})
+
+
+def test_tensor_kernels_make_no_coproduct_terms(monkeypatch, rng):
+    # tensor components sum insertions and the tensor law keys its cuts by
+    # words, so neither goes through the coproduct generator; the wrapper
+    # does count the wedge law's calls
+    calls = Counter()
+    real = coalgebra.coproduct_terms
+
+    def counting(kind, *args):
+        calls[kind] += 1
+        return real(kind, *args)
+
+    monkeypatch.setattr(coalgebra, "coproduct_terms", counting)
+    for family in _tensor_families(rng):
+        D = extend_coderivation(family, TENSOR, 4)
+        assert D.components
+        word = next(iter(D.components[(3, 2)]))
+        bad = with_entry(D, 3, 2, word, LinearCombination({word[:2]: Fraction(1)}))
+        assert check_coderivation(D) and not check_coderivation(bad)
+    assert calls == Counter()
+    assert check_coderivation(Coderivation(WEDGE, GradedSpace(("x",), (0,)), 2, -1, {}))
+    assert calls[WEDGE] > 0
+
+
+def _tensor_values(op, k):
+    comp = _component(op, TENSOR, k)
+    return {word: over(image, op.denominator) for word, image in comp.items()}
+
+
+def test_tensor_component_matches_fraction_oracle_on_edge_tables(rng):
+    sp = GradedSpace(("a", "b"), (0, 1))
+    # mu(a, b) = a and mu(b, b) = -b: on (a, b, b) the insertions at
+    # positions 0 and 1 both give (a, b), with the sign (-1)^|a| = 1, and cancel
+    cancel = Operation(sp, 2, -1, {(0, 1): LinearCombination({0: 1}),
+                                   (1, 1): LinearCombination({1: -1})})
+    values = _tensor_values(cancel, 3)
+    assert (0, 1, 1) not in values and values == component_by_fractions(cancel, TENSOR, 3, 2)
+    assert check_coderivation(extend_coderivation(OperationFamily(HAT, sp, 2, {2: cancel}),
+                                                  TENSOR, 5))
+    # an arity-1 operation (l = k), and inhomogeneous tables with rational values
+    wide = GradedSpace(("x", "y", "z"), (-1, 0, 1))
+    ops = [Operation(sp, 1, -1, {(1,): LinearCombination({0: Fraction(-3, 2)})}),
+           Operation(wide, 1, 0, random_table(rng, wide, 1, 1.0, RATIONAL_COEFFICIENTS))]
+    ops += [Operation(wide, a, -1, random_table(rng, wide, a, 0.5, RATIONAL_COEFFICIENTS))
+            for a in (2, 3)]
+    for op in [cancel] + ops:
+        for k in range(op.arity, 6):
+            assert _tensor_values(op, k) == component_by_fractions(op, TENSOR, k,
+                                                                  k - op.arity + 1), (op, k)
+
+
+def test_tensor_law_matches_full_law_oracle_on_hand_built_coderivations(rng):
+    # stray components with no cogenerator, explicit zero numerators and a
+    # lone (1, 1) component, at every cap from 1
+    sp = GradedSpace(("a", "b"), (0, 1))
+    D = extend_coderivation(next(_tensor_families(rng)), TENSOR, 4)
+    stray = Coderivation(TENSOR, sp, 4, -1, {(3, 2): {(0, 1, 1): {(1, 0): 2}}})
+    zero_stray = Coderivation(TENSOR, sp, 4, -1, {(3, 2): {(0, 1, 1): {(1, 0): 0}}})
+    components = {key: dict(comp) for key, comp in D.components.items()}
+    components[(2, 1)] = {word: {(0,): 0, (1,): 0, **image}
+                          for word, image in components[(2, 1)].items()}
+    with_zero = Coderivation(TENSOR, D.space, 4, -1, components, D.denominator)
+    lone = Coderivation(TENSOR, sp, 3, -1, {(1, 1): {(1,): {(0,): 1}}})
+    verdicts = Counter()
+    for label, coderivation in (("stray", stray), ("zero stray", zero_stray),
+                                ("explicit zero", with_zero), ("lone (1, 1)", lone),
+                                ("extended", D)):
+        for cap in range(1, coderivation.cap + 1):
+            verdict = check_coderivation(coderivation, cap)
+            assert verdict == coderivation_law_by_coproducts(coderivation, cap), (label, cap)
+            verdicts[verdict] += 1
+    assert not check_coderivation(stray) and check_coderivation(zero_stray)
+    assert not check_coderivation(lone, 2) and check_coderivation(lone, 1)
+    assert check_coderivation(with_zero) and verdicts[True] > verdicts[False] > 0
+    assert any(0 in image.values() for image in with_zero.components[(2, 1)].values())
+
+
+def test_tensor_insertions_walked_are_bounded_by_the_block_count():
+    # the walk visits each insertion (position, prefix, entry, suffix) once:
+    # (k - a + 1) dim^(k - a) per entry of mu_a, at most the block count,
+    # and exactly it when every input word has an entry
+    rng = random.Random("tensor-walk")
+    for degrees, density in itertools.product(((0,), (0, 1), (-1, 0, 1)), (0.3, 1.0)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        letters = range(sp.dim)
+        ops = {a: Operation(sp, a, -1, random_table(rng, sp, a, density)) for a in (1, 2, 3)}
+        family = OperationFamily(HAT, sp, 3, {a: op for a, op in ops.items() if not op.is_zero()})
+        for cap in range(1, 7):
+            walked = 0
+            for a, op in family.ops.items():
+                for k in range(a, cap + 1):
+                    l = k - a + 1
+                    insertions = [prefix + word + suffix for i in range(l)
+                                  for prefix in itertools.product(letters, repeat=i)
+                                  for word in op.numerators
+                                  for suffix in itertools.product(letters, repeat=l - 1 - i)]
+                    assert len(insertions) == l * sp.dim ** (k - a) * len(op.numerators)
+                    assert set(_component(op, TENSOR, k)) <= set(insertions)
+                    walked += len(insertions)
+            bound = block_count(TENSOR, sp, cap, family.arities())
+            assert walked <= bound, (degrees, density, cap)
+            if density == 1.0:
+                assert walked == bound, (degrees, cap)

@@ -19,7 +19,7 @@ from hopla import cli
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
-from hopla.coalgebra import TENSOR, word_count
+from hopla.coalgebra import PERM, TENSOR, WEDGE, word_count
 from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIES,
                            MAX_GENERATE_WORDS, _residual_witness, generate_random, run_check,
                            run_derive)
@@ -281,6 +281,8 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json"), "--flavor", "assoc"]) == 2
 
 
+FUNCTORS = ("suspend", "desuspend", "commutator-alpha", "commutator-beta", "commutator-gamma",
+            "nary-embed", "nary-commutator-prelie", "nary-commutator-lie")
 TOO_LONG = "9" * 5000  # beyond Python's 4,300-digit int/str conversion limit
 
 
@@ -293,10 +295,17 @@ TOO_LONG = "9" * 5000  # beyond Python's 4,300-digit int/str conversion limit
     b"[" * 100_000,
 ], ids=["not-utf8", "long-degree", "long-max-arity", "long-coefficient", "deeply-nested"])
 def test_cli_unreadable_document_is_input_error(tmp_path, capsys, content):
+    # every verb that reads a document refuses it the same way
     path = tmp_path / "doc.json"
     path.write_bytes(content)
-    assert main(["check", str(path), "--flavor", "assoc"]) == 2
-    assert "input error" in capsys.readouterr().err
+    for verb, flag, choices in (("check", "--flavor", (ASSOC, PRELIE, LIE)),
+                                ("derive", "--functor", FUNCTORS),
+                                ("coderive", "--kind", (TENSOR, WEDGE, PERM))):
+        for choice in choices:
+            argv = [verb, str(path), flag, choice]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert "input error" in err and "Traceback" not in err and out == "", argv
 
 
 @pytest.mark.parametrize("coeff", [TOO_LONG, "-" + TOO_LONG], ids=["positive", "negative"])
