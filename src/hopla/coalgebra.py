@@ -233,20 +233,24 @@ class Coderivation:
     components are summed over the distinct splits of `coproduct_terms`,
     each split's integer coefficient times its term, tensor ones over
     insertions of the operation.  The law and the square compute on these
-    numerators; `square_word` gives exact Fraction values.  The degree is
-    carried for the Koszul sign in the coderivation law (all coderivations
-    built here have degree -1).  The components are read-only once built:
-    each word's image over all weights is computed once and kept.
+    numerators; `square_word` gives exact Fraction values.  The components
+    are read-only once built: each word's image over all weights is
+    computed once and kept.  A coderivation has degree -1, the sign of its
+    law; its cap is at least 1 and each component key (k, l) has
+    1 <= l <= k <= cap, the keys `image` reads (ArityError otherwise).
     """
 
     kind: str
     space: GradedSpace
     cap: int
-    degree: int
     components: Mapping = field(default_factory=dict)
     denominator: int = 1
 
     def __post_init__(self):
+        bad = sorted(key for key in self.components if not 1 <= key[1] <= key[0] <= self.cap)
+        if self.cap < 1 or bad:
+            raise ArityError(f"a coderivation needs a weight cap of at least 1 and component keys "
+                             f"(k, l) with 1 <= l <= k <= cap; got cap {self.cap}, keys {bad}")
         self._images = {}
 
     def image(self, word) -> dict:
@@ -322,7 +326,7 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
             comp = _component(op, kind, k, den // op.denominator)
             if comp:
                 components[(k, k - arity + 1)] = comp
-    return Coderivation(kind, sp, cap, -1, components, den)
+    return Coderivation(kind, sp, cap, components, den)
 
 
 def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
@@ -382,7 +386,7 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
     word of weight <= cap (default and upper bound: D.cap), with the Koszul
-    sign (-1)^(|D| |left|) in the Id (x) D term.
+    sign (-1)^|left| of the degree -1 map D in the Id (x) D term.
 
     What is computed is the part of the law whose right factor has weight
     1, word by word.  On the left: the (l-1, 1) cuts of every image word of
@@ -411,7 +415,6 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     if cap < 1:
         raise ArityError(f"the coderivation law needs a weight cap of at least 1, got {cap}")
     kind, sp, par = D.kind, D.space, D.space.parities
-    odd = D.degree % 2 != 0
     components, image = D.components, D.image
     cogenerator = [(a, comp) for (a, l), comp in components.items() if l == 1]
     # per source weight k, the components to weight l >= 2
@@ -444,7 +447,7 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
                 right_image = comp.get(right)
                 if right_image is None:
                     continue
-                if odd and sum(par[x] for x in left) % 2:
+                if sum(par[x] for x in left) % 2:
                     s = -s
                 for v, c in right_image.items():
                     yield (left, v), -s * c
@@ -464,7 +467,7 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
             if right_image is None:
                 continue
             left = word[:k - a]
-            s = -1 if odd and sum(par[x] for x in left) % 2 else 1
+            s = -1 if sum(par[x] for x in left) % 2 else 1
             for v, c in right_image.items():
                 yield left + v, -s * c
 
@@ -509,7 +512,7 @@ def square_cogenerator_fold(D: Coderivation, n: int) -> Folded:
                           for v, cc in cogenerator.get(u, {}).items())
         if sums:
             table[cw] = sums
-    return Folded(D.space, n, 2 * D.degree, table, D.denominator ** 2, RHO1,
+    return Folded(D.space, n, -2, table, D.denominator ** 2, RHO1,
                   SYMMETRIZATION[D.kind])
 
 

@@ -402,11 +402,10 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     sources = range(dim - sink_count) if nilpotent else range(dim)
     sinks = range(dim - sink_count, dim) if nilpotent else range(dim)
 
-    # redraw the degree assignment (bounded, deterministic) until some input
-    # word can reach some output letter; otherwise every table stays empty.
-    # With a single degree a redraw changes nothing.
-    degree_list = [rng.choice(degrees) for _ in range(dim)]
-    for _ in range(20 if len(set(degrees)) > 1 else 1):
+    # draw the degrees until some input word reaches an output letter, at most
+    # 21 times (once when a redraw changes nothing); refuse when none does
+    for _ in range(21 if len(set(degrees)) > 1 else 1):
+        degree_list = [rng.choice(degrees) for _ in range(dim)]
         in_degrees = set(degree_list[:dim - sink_count] if nilpotent else degree_list)
         out_degrees = set(degree_list[dim - sink_count:] if nilpotent else degree_list)
         achievable = set()
@@ -417,7 +416,11 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
             achievable |= {s + family_degree(convention, arity) for s in sums}
         if achievable & out_degrees:
             break
-        degree_list = [rng.choice(degrees) for _ in range(dim)]
+    else:
+        raise DocumentError(f"no input word at arity {', '.join(map(str, arities))} reaches "
+                            f"an output letter: the input letters have degrees "
+                            f"{sorted(in_degrees)} and the output letters {sorted(out_degrees)}, "
+                            f"drawn from the degrees {sorted(set(degrees))}; all would be empty")
 
     space = GradedSpace(labels, tuple(degree_list))
 

@@ -19,9 +19,9 @@ The actions are computed one adjacent swap at a time: swapping letters a
 and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
 symmetrization kernel and the symmetry check `failing_symmetry_generator`
-all use that rule and never act by a whole permutation.  `koszul_sign`
-evaluates eps for a whole permutation; the unshuffle signs of the
-coalgebras and the sign-law witnesses use it.
+all use that rule and never act by a whole permutation; so do `koszul_sign`
+and `sign`, `signed_sort` on sigma's values under rho1, or rho2 with every
+letter even, for the coalgebras' unshuffle signs and the sign-law witnesses.
 
 The symmetrization kernel has two steps, both on integer numerators over
 one denominator, as operations are stored.  `fold` moves each term of a
@@ -78,51 +78,32 @@ def compose(sigma: Perm, tau: Perm) -> Perm:
     return tuple(sigma[t - 1] for t in tau)
 
 
-def _validate(sigma: Perm) -> None:
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
+def _sorted_sign(sigma: Perm, odd: list, rho2: bool) -> int:
+    """chi of `signed_sort` on sigma's values, `odd` indexed by value;
+    LengthError unless they sort to 1..n (a value above n fails the lookup)."""
+    letters = list(sigma)
+    try:
+        chi = signed_sort(letters, odd, rho2)
+    except IndexError:
+        letters = None
+    if letters != list(range(1, len(sigma) + 1)):
         raise LengthError(f"{sigma} is not a permutation of 1..{len(sigma)}")
+    return chi
 
 
 def sign(sigma: Perm) -> int:
-    """Parity of sigma: +1 or -1."""
-    _validate(sigma)
-    sgn = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = sigma[k] - 1
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+    """Parity of sigma, +1 or -1: the rho2 sign of sorting its values with
+    every letter even, so that every adjacent swap counts -1."""
+    return _sorted_sign(sigma, [0] * (len(sigma) + 1), True)
 
 
 def koszul_sign(sigma: Perm, degrees: Sequence[int]) -> int:
-    """Koszul sign eps(sigma; x_1,...,x_n) for letters of the given degrees.
-
-    Computed by decomposing sigma into adjacent transpositions, repeatedly
-    moving the largest misplaced value into place; every adjacent swap of
-    letters a, b contributes (-1)^(|a||b|).  The result does not depend on
-    the decomposition (the tests cross-check with an inversion-pair count).
-    """
+    """Koszul sign eps(sigma; x_1,...,x_n) for letters of the given degrees:
+    the rho1 sign of sorting sigma's values, value v standing for x_v, so
+    each adjacent swap of letters a, b contributes (-1)^(|a||b|)."""
     if len(sigma) != len(degrees):
         raise LengthError(f"permutation length {len(sigma)} != degree list length {len(degrees)}")
-    line = list(sigma)
-    eps = 1
-    for value in range(len(line), 0, -1):
-        pos = line.index(value)
-        while pos < value - 1:
-            a, b = line[pos], line[pos + 1]
-            if degrees[a - 1] % 2 and degrees[b - 1] % 2:
-                eps = -eps
-            line[pos], line[pos + 1] = b, a
-            pos += 1
-    return eps
+    return _sorted_sign(sigma, [0] + [d & 1 for d in degrees], False)
 
 
 @lru_cache(maxsize=None)

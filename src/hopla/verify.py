@@ -26,14 +26,12 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2,
 
 def koszul_composition_witness(n: int, degrees) -> tuple | None:
     """eps(sigma; x o tau) = eps(tau*sigma; x) * eps(tau; x) for all
-    sigma, tau in S_n."""
+    sigma, tau in S_n, the right side read from eps(pi; x) tabled over S_n."""
+    eps = {pi: koszul_sign(pi, degrees) for pi in all_permutations(n)}
     for tau in all_permutations(n):
         permuted = [degrees[t - 1] for t in tau]
-        eps_tau = koszul_sign(tau, degrees)
         for sigma in all_permutations(n):
-            lhs = koszul_sign(sigma, permuted)
-            rhs = koszul_sign(compose(tau, sigma), degrees) * eps_tau
-            if lhs != rhs:
+            if koszul_sign(sigma, permuted) != eps[compose(tau, sigma)] * eps[tau]:
                 return tau, sigma
     return None
 

@@ -8,7 +8,10 @@ The oracles here deliberately avoid the library's own code paths:
 * `matrix_product` multiplies 2x2 matrices entrywise;
 * `prelie_residual_shuffle_form` evaluates the element-level unshuffle
   expansion of the pre-Lie residuals (both conventions) rather than the
-  composition form the library uses.
+  composition form the library uses;
+* both it and `perm_square_two_sum_form` take their signs from the
+  oracles' `koszul_sign_by_bubble` and `sign_by_cycles`, not from the
+  library's `signed_sort`.
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
 `with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`,
@@ -30,7 +33,7 @@ from hopla.docio import AlgebraDocument
 from hopla.drivers import run_derive
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, over)
-from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized, sh, sign
+from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized, sh
 from hopla.verify import random_operation
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
 
@@ -97,7 +100,7 @@ def prelie_residual_shuffle_form(family, n):
     Valid for partially symmetric families; used as a cross-check of the
     composition-form residual.
     """
-    from hopla.permutations import koszul_sign
+    from oracles import koszul_sign_by_bubble, sign_by_cycles
 
     sp = family.space
     hat = family.convention == HAT
@@ -111,10 +114,10 @@ def prelie_residual_shuffle_form(family, n):
                 continue
             mu_i, mu_j = family.ops[i], family.ops[j]
             for s in sh(j - 1, 1, i - 2):
-                eps = koszul_sign(s, degs)
+                eps = koszul_sign_by_bubble(s, degs)
                 coeff = Fraction(eps)
                 if not hat:
-                    coeff *= sign(s)
+                    coeff *= sign_by_cycles(s)
                     if (j * (i - 1)) % 2:
                         coeff = -coeff
                 mapped = [word[t - 1] for t in s]
@@ -125,7 +128,7 @@ def prelie_residual_shuffle_form(family, n):
                         key = out
                         acc[key] = acc.get(key, Fraction(0)) + coeff * c_in * c_out
             for s in sh(i - 1, j - 1):
-                eps = koszul_sign(s, degs)
+                eps = koszul_sign_by_bubble(s, degs)
                 mapped = [word[t - 1] for t in s]
                 prefix = sum(sp.degree(x) for x in mapped[:i - 1])
                 if hat:
@@ -133,7 +136,7 @@ def prelie_residual_shuffle_form(family, n):
                     if prefix % 2:
                         coeff = -coeff
                 else:
-                    coeff = Fraction(eps * sign(s))
+                    coeff = Fraction(eps * sign_by_cycles(s))
                     if (i - 1 + j * prefix) % 2:
                         coeff = -coeff
                 inner = mu_j.evaluate(tuple(mapped[i - 1:] + [word[-1]]))
@@ -153,14 +156,14 @@ def perm_square_two_sum_form(space, q_op, head, tail):
     (k -> k-n+1) component on one perm word, given the arity-n residual
     operation q_op.  Returns a dict keyed by perm words."""
     from hopla.coalgebra import wedge_normalize
-    from hopla.permutations import koszul_sign
+    from oracles import koszul_sign_by_bubble
 
     n = q_op.arity
     k = len(head) + 1
     degs = [space.degree(x) for x in head]
     acc = {}
     for s in sh(n - 1, 1, k - n - 1):
-        eps = koszul_sign(s, degs)
+        eps = koszul_sign_by_bubble(s, degs)
         mapped = [head[t - 1] for t in s]
         inner = q_op.evaluate(tuple(mapped[:n]))
         for mid, c in inner:
@@ -170,7 +173,7 @@ def perm_square_two_sum_form(space, q_op, head, tail):
             key = (nh, tail)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(eps * ns) * c
     for s in sh(k - n, n - 1):
-        eps = koszul_sign(s, degs)
+        eps = koszul_sign_by_bubble(s, degs)
         mapped = [head[t - 1] for t in s]
         inner = q_op.evaluate(tuple(mapped[k - n:] + [tail]))
         for mid, c in inner:
@@ -313,7 +316,7 @@ def with_entry(D, k, l, word, combo):
     assert all(c.denominator == 1 for c in numerators.values())
     components = {key: dict(m) for key, m in D.components.items()}
     components.setdefault((k, l), {})[word] = {w: int(c) for w, c in numerators.items()}
-    return Coderivation(D.kind, D.space, D.cap, D.degree, components, D.denominator)
+    return Coderivation(D.kind, D.space, D.cap, components, D.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,165 @@
+"""A mutation check for the sign and scale sites of hopla.
+
+Each entry of `MUTANTS` changes one exact snippet of one module under
+`src/hopla` and names the tests that should notice.  The runner copies
+`src/`, `tests/` and `pyproject.toml` into a temporary directory (all
+three: the ini's `pythonpath = ["src"]` would otherwise import the
+unmutated tree), applies one mutant at a time to the copy and runs its
+tests with `pytest -x`, one subprocess at a time.  A mutant is killed when
+a test fails and survived when every test passes; a survivor calls for a
+new test, not for leaving the mutant out.
+
+    python3 tests/mutants.py
+
+The exit code is 0 when every mutant was killed, 1 otherwise; a pytest
+run that ends in no verdict (a usage or collection error) stops the runner.  This is
+opt-in tooling, not a tier-1 test: it runs the named tests once per
+mutant.  Tier-1 checks only that each snippet occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PERMUTATIONS = ("tests/test_permutations.py", "tests/test_coalgebra.py",
+                "tests/test_equations.py")
+COALGEBRA = ("tests/test_coalgebra.py", "tests/test_oracles.py")
+# the component signs that the functors' coalgebra identity alone also kills
+INTERTWINED = ("tests/test_functors.py::test_functors_intertwine_the_coderivations_they_induce",
+               *COALGEBRA)
+EQUATIONS = ("tests/test_equations.py", "tests/test_preconditions.py",
+             "tests/test_oracles.py")
+FUNCTORS = ("tests/test_functors.py", "tests/test_acceptance.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str          # under src/hopla
+    snippet: str       # occurs exactly once in src/hopla, in that file
+    replacement: str
+    breaks: str        # what the change gets wrong
+    tests: tuple       # the pytest paths that should fail
+
+
+MUTANTS = (
+    Mutant("swap-rule", "permutations.py",
+           "            b = letters[j - 1]\n            if (odd[a] and odd[b]) != rho2:",
+           "            b = letters[j - 1]\n            if (odd[a] or odd[b]) != rho2:",
+           "signed_sort's per-swap rule, and with it sign and koszul_sign", PERMUTATIONS),
+    Mutant("stabilizer-rule", "permutations.py",
+           "        if odd[letters[j]] != rho2:\n            return 0",
+           "        if odd[letters[j]] == rho2:\n            return 0",
+           "which orbits stabilizer_order kills", PERMUTATIONS),
+    Mutant("arrangement-head-sign", "permutations.py",
+           "(rho2 and j % 2 == 1)", "(rho2 and j % 2 == 0)",
+           "the rho2 sign of moving letter j to the front in arrangements", PERMUTATIONS),
+    Mutant("fold-chi", "permutations.py",
+           "chi * stabilizer_order(head, odd, rho2))", "stabilizer_order(head, odd, rho2))",
+           "fold's chi of the move to the representative", PERMUTATIONS),
+    Mutant("fold-stabilizer", "permutations.py",
+           "chi * stabilizer_order(head, odd, rho2))",
+           "chi * bool(stabilizer_order(head, odd, rho2)))",
+           "fold's |Stab| factor", PERMUTATIONS),
+    Mutant("block-count", "permutations.py",
+           "                count //= run", "                count //= 1",
+           "block_representatives' arrangement count of a block that repeats a letter",
+           ("tests/test_permutations.py", "tests/test_equations.py", "tests/test_oracles.py")),
+    Mutant("tensor-prefix-parity", "coalgebra.py",
+           "signed = negated if sum(odd[x] for x in prefix) % 2 else table",
+           "signed = table",
+           "the sign of mu passing an odd prefix in tensor components", INTERTWINED),
+    Mutant("perm-tail-sign", "coalgebra.py",
+           "                    if sum(odd[x] for x in front) % 2:\n"
+           "                        eps = -eps",
+           "                    if False:\n                        eps = -eps",
+           "the sign of mu passing the front letters in Perm tail terms", INTERTWINED),
+    Mutant("law-sign", "coalgebra.py",
+           "                if sum(par[x] for x in left) % 2:\n                    s = -s",
+           "                if False:\n                    s = -s",
+           "the Id (x) D sign of the wedge and Perm law line", COALGEBRA),
+    Mutant("tensor-law-sign", "coalgebra.py",
+           "            s = -1 if sum(par[x] for x in left) % 2 else 1",
+           "            s = 1",
+           "the Id (x) D sign of the tensor law line", COALGEBRA),
+    Mutant("unhat-sign", "equations.py",
+           "(j * (i - m - 1) + m) % 2", "(j * (i - m - 1)) % 2",
+           "_coefficient's unhat sign", EQUATIONS),
+    Mutant("prelie-factorials", "equations.py",
+           "        c /= factorial(i - 1) * factorial(j - 1)\n",
+           "        c /= factorial(i - 1)\n",
+           "_coefficient's pre-Lie normalization", EQUATIONS),
+    Mutant("lie-factorials", "equations.py",
+           "        c /= factorial(i - 1) * factorial(j)\n",
+           "        c /= factorial(i - 1) * factorial(j - 1)\n",
+           "_coefficient's Lie normalization", EQUATIONS),
+    Mutant("parity-refusal", "equations.py",
+           "    if kind == ASSOC or not any(odd):\n        return",
+           "    if True:\n        return",
+           "require_parity's refusal of parity-inhomogeneous pre-Lie and Lie families",
+           ("tests/test_docio_cli.py::test_library_residual_refuses_what_check_refuses",
+            *EQUATIONS)),
+    Mutant("odd-inner-sign", "graded.py",
+           "               if inner.degree % 2 else None)",
+           "               if False else None)",
+           "insertion_terms' sign of an odd inner operation passing the letters before it",
+           ("tests/test_graded.py", "tests/test_equations.py")),
+    Mutant("suspension-even-sign", "functors.py",
+           "for p in range(0, arity, 2))", "for p in range(1, arity, 2))",
+           "suspension_sign at even arity", FUNCTORS),
+    Mutant("suspension-odd-sign", "functors.py",
+           "    return 1 if s % 2 else -1", "    return -1 if s % 2 else 1",
+           "suspension_sign at odd arity", FUNCTORS),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Replace the mutant's snippet in the copy of its module under `src`."""
+    path = src / "hopla" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet does not occur exactly once "
+                         f"in {mutant.file}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> bool:
+    """True when the mutant is killed: some named test fails on the copy."""
+    with tempfile.TemporaryDirectory(prefix="hopla-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        apply(mutant, copy / "src")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
+                                 "-p", "no:cacheprovider", *mutant.tests],
+                                cwd=copy, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # not a test verdict: a usage or collection error
+        raise RuntimeError(f"{mutant.name}: pytest exited {result.returncode}\n"
+                           f"{result.stdout[-2000:]}{result.stderr[-2000:]}")
+    return result.returncode == 1
+
+
+def main() -> int:
+    survivors = []
+    for mutant in MUTANTS:
+        killed = run(mutant)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name}: {mutant.breaks}",
+              flush=True)
+        if not killed:
+            survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,12 @@
 Each one is the straightforward transcription of a definition and is kept
 only so that tests can compare the fast path against it:
 
+* `koszul_sign_by_bubble` decomposes a permutation into adjacent
+  transpositions by moving the largest misplaced value into place, and
+  `sign_by_cycles` counts the cycles of even length, where
+  `permutations.koszul_sign` and `permutations.sign` sort the values with
+  `signed_sort`; the oracles below that act by whole permutations take
+  their signs from these two;
 * `act` applies rho1 or rho2 to a word one whole permutation at a time,
   and `precompose_by_loop` applies op o rho_sigma that way;
 * `precompose_symmetrized_by_loop` sums that over every permutation of the
@@ -84,8 +90,8 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree, insertion_terms,
                           linear_sum, sum_by_key, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
-                                all_permutations, arrangements, expand, fold, koszul_sign,
-                                precompose_symmetrized, sh, sign)
+                                all_permutations, arrangements, expand, fold,
+                                precompose_symmetrized, sh)
 
 
 def denominator_by_fractions(op):
@@ -115,6 +121,43 @@ def block_representatives_by_fractions(op, lo, hi):
     return Operation(op.space, op.arity, op.degree, table)
 
 
+def sign_by_cycles(sigma):
+    """Parity of sigma, -1 per cycle of even length."""
+    sgn = 1
+    seen = [False] * len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = sigma[k] - 1
+            length += 1
+        if length % 2 == 0:
+            sgn = -sgn
+    return sgn
+
+
+def koszul_sign_by_bubble(sigma, degrees):
+    """eps(sigma; x) from a decomposition of sigma into adjacent
+    transpositions, found by repeatedly moving the largest misplaced value
+    into place; every swap of letters a, b contributes (-1)^(|a||b|)."""
+    if len(sigma) != len(degrees):
+        raise LengthError(f"permutation length {len(sigma)} != degree list length {len(degrees)}")
+    line = list(sigma)
+    eps = 1
+    for value in range(len(line), 0, -1):
+        pos = line.index(value)
+        while pos < value - 1:
+            a, b = line[pos], line[pos + 1]
+            if degrees[a - 1] % 2 and degrees[b - 1] % 2:
+                eps = -eps
+            line[pos], line[pos + 1] = b, a
+            pos += 1
+    return eps
+
+
 def inverse(sigma):
     inv = [0] * len(sigma)
     for i, s in enumerate(sigma):
@@ -132,9 +175,9 @@ def permute_word(sigma, word):
 def act(sigma, space, word, variant):
     """Apply rho1 or rho2 to a word; returns (chi(sigma; word), word o sigma)."""
     degrees = [space.degree(i) for i in word]
-    coeff = koszul_sign(sigma, degrees)
+    coeff = koszul_sign_by_bubble(sigma, degrees)
     if variant == RHO2:
-        coeff *= sign(sigma)
+        coeff *= sign_by_cycles(sigma)
     elif variant != RHO1:
         raise ValueError(f"unknown action variant {variant!r}")
     return coeff, permute_word(sigma, word)
@@ -331,8 +374,8 @@ def circle_product_dense(f, g):
     arity = m + n + 1
     swap_sign = -1 if (m * n) % 2 else 1
 
-    first = [(sigma, sign(sigma)) for sigma in sh(n, 1, m - 1)]
-    second = [(sigma, swap_sign * sign(sigma)) for sigma in sh(m, n)]
+    first = [(sigma, sign_by_cycles(sigma)) for sigma in sh(n, 1, m - 1)]
+    second = [(sigma, swap_sign * sign_by_cycles(sigma)) for sigma in sh(m, n)]
 
     table = {}
     for word in itertools.product(range(sp.dim), repeat=arity):
@@ -386,13 +429,13 @@ def coproduct_terms_by_pairs(kind, space, word, i):
         degrees = [space.degree(x) for x in word]
         for sigma in sh(i, len(word) - i):
             permuted = permute_word(sigma, word)
-            yield (permuted[:i], permuted[i:]), koszul_sign(sigma, degrees)
+            yield (permuted[:i], permuted[i:]), koszul_sign_by_bubble(sigma, degrees)
     else:
         head, tail = word
         degrees = [space.degree(x) for x in head]
         for sigma in sh(i - 1, 1, len(head) - i):
             ph = permute_word(sigma, head)
-            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), koszul_sign(sigma, degrees)
+            yield ((ph[:i - 1], ph[i - 1]), (ph[i:], tail)), koszul_sign_by_bubble(sigma, degrees)
 
 
 def coalgebra_map_by_loop(name, space, word):
@@ -439,7 +482,7 @@ def component_loop(op, kind, k, l):
             degrees = [sp.degree(x) for x in word]
             acc = []
             for sigma in all_permutations(k):
-                eps = koszul_sign(sigma, degrees)
+                eps = koszul_sign_by_bubble(sigma, degrees)
                 pw = permute_word(sigma, word)
                 prefix_parity = 0
                 for i in range(l):
@@ -460,7 +503,7 @@ def component_loop(op, kind, k, l):
         degrees = [sp.degree(x) for x in head]
         acc = []
         for sigma in all_permutations(k - 1):
-            eps = koszul_sign(sigma, degrees)
+            eps = koszul_sign_by_bubble(sigma, degrees)
             ph = permute_word(sigma, head)
             prefix_parity = 0
             for i in range(l - 1):
@@ -541,7 +584,6 @@ def check_coderivation_by_fractions(D, cap=None):
     Fractions from the components' values."""
     cap = D.cap if cap is None else min(cap, D.cap)
     kind, sp, par = D.kind, D.space, D.space.parities
-    odd = D.degree % 2 != 0
     cogenerator = [(a, component(D, a, 1)) for (a, l) in D.components if l == 1]
 
     def lhs(word):
@@ -560,7 +602,7 @@ def check_coderivation_by_fractions(D, cap=None):
             if a >= k:
                 continue
             for (left, right), s in coproduct_terms(kind, sp, word, k - a):
-                if odd and sum(par[x] for x in left) % 2:
+                if sum(par[x] for x in left) % 2:
                     s = -s
                 for v, c in comp.get(right, LinearCombination()):
                     yield (left, v), c * s
@@ -588,19 +630,19 @@ def square_cogenerator_by_fractions(D, n):
         head, tail = (cw, ()) if D.kind == WEDGE else (cw[:-1], cw[-1:])
         for chi, arrangement in arrangements(head, D.space.parities, False):
             table[arrangement + tail] = part.scaled(chi)
-    return Operation(D.space, n, 2 * D.degree, table)
+    return Operation(D.space, n, -2, table)
 
 
 def coderivation_law_by_coproducts(D, cap=None):
     """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
-    word of weight <= cap, with the Koszul sign in the Id (x) D term."""
+    word of weight <= cap, with the Koszul sign of the degree -1 map D in
+    the Id (x) D term."""
     cap = D.cap if cap is None else min(cap, D.cap)
-    odd = D.degree % 2 != 0
     for k in range(1, cap + 1):
         for word in coalgebra_words(D.kind, D.space, k):
             lhs = LinearCombination((pair, c * cc) for w, c in apply_word(D, word)
                                     for pair, cc in comultiply(D.kind, D.space, w))
-            if lhs != LinearCombination(_coderivation_rhs(D, word, odd)):
+            if lhs != LinearCombination(_coderivation_rhs(D, word)):
                 return False
     return True
 
@@ -617,12 +659,12 @@ def first_nonzero_square(D):
     return None
 
 
-def _coderivation_rhs(D, word, odd):
+def _coderivation_rhs(D, word):
     """Terms of (D (x) Id + Id (x) D) o Delta on one word."""
     for (left, right), c in comultiply(D.kind, D.space, word):
         for w, cc in apply_word(D, left):
             yield (w, right), c * cc
-        if odd and word_degree(D.space, left) % 2:
+        if word_degree(D.space, left) % 2:
             c = -c
         for w, cc in apply_word(D, right):
             yield (left, w), c * cc

@@ -174,7 +174,7 @@ def test_extend_requires_homogeneity():
     # law, but it has degree 0 on every word, so it is even and D o D is no
     # coderivation: D(D(xx)) = 2 yy while every cogenerator component of
     # D o D vanishes, and the derived square-zero line would pass wrongly
-    D = Coderivation(TENSOR, even, 2, -1, {(k, k): _component(d, TENSOR, k) for k in (1, 2)})
+    D = Coderivation(TENSOR, even, 2, {(k, k): _component(d, TENSOR, k) for k in (1, 2)})
     assert check_coderivation(D, 2)
     assert all(square_cogenerator_component(D, n).table == {} for n in (1, 2))
     assert first_nonzero_square(D) == ((0, 0), LinearCombination({(1, 1): 2}))
@@ -254,7 +254,7 @@ def test_perm_component_matches_unshuffle_display(graded2):
 
 def test_check_coderivation_zero_and_extended(graded2, rng):
     from hopla.coalgebra import Coderivation
-    zero = Coderivation(TENSOR, graded2, 3, -1, {})
+    zero = Coderivation(TENSOR, graded2, 3, {})
     assert check_coderivation(zero)
     fam = random_unhat_family(rng, graded2, (1, 2, 3), symmetrize="partial")
     hat = suspend_family(fam)
@@ -456,7 +456,7 @@ def test_tensor_kernels_make_no_coproduct_terms(monkeypatch, rng):
         bad = with_entry(D, 3, 2, word, LinearCombination({word[:2]: Fraction(1)}))
         assert check_coderivation(D) and not check_coderivation(bad)
     assert calls == Counter()
-    assert check_coderivation(Coderivation(WEDGE, GradedSpace(("x",), (0,)), 2, -1, {}))
+    assert check_coderivation(Coderivation(WEDGE, GradedSpace(("x",), (0,)), 2, {}))
     assert calls[WEDGE] > 0
 
 
@@ -487,18 +487,32 @@ def test_tensor_component_matches_fraction_oracle_on_edge_tables(rng):
                                                                   k - op.arity + 1), (op, k)
 
 
+def test_coderivation_refuses_a_cap_below_one_and_keys_outside_the_triangle():
+    # a (1, 2) entry is one `image` never reads, so the weight-1 law check
+    # and the whole-law oracle disagreed on it; such keys are refused now
+    sp = GradedSpace(("a", "b"), (0, 1))
+    for cap, components in ((3, {(1, 2): {(0,): {(0, 1): 1}}}), (3, {(4, 1): {}}),
+                            (3, {(2, 0): {}}), (3, {(0, 0): {}}), (0, {}), (-1, {})):
+        with pytest.raises(ArityError):
+            Coderivation(TENSOR, sp, cap, components)
+    for cap in (1, 3):
+        D = Coderivation(TENSOR, sp, cap, {(1, 1): {(1,): {(0,): 1}}})
+        assert check_coderivation(D) == coderivation_law_by_coproducts(D)
+    assert not hasattr(D, "degree")
+
+
 def test_tensor_law_matches_full_law_oracle_on_hand_built_coderivations(rng):
     # stray components with no cogenerator, explicit zero numerators and a
     # lone (1, 1) component, at every cap from 1
     sp = GradedSpace(("a", "b"), (0, 1))
     D = extend_coderivation(next(_tensor_families(rng)), TENSOR, 4)
-    stray = Coderivation(TENSOR, sp, 4, -1, {(3, 2): {(0, 1, 1): {(1, 0): 2}}})
-    zero_stray = Coderivation(TENSOR, sp, 4, -1, {(3, 2): {(0, 1, 1): {(1, 0): 0}}})
+    stray = Coderivation(TENSOR, sp, 4, {(3, 2): {(0, 1, 1): {(1, 0): 2}}})
+    zero_stray = Coderivation(TENSOR, sp, 4, {(3, 2): {(0, 1, 1): {(1, 0): 0}}})
     components = {key: dict(comp) for key, comp in D.components.items()}
     components[(2, 1)] = {word: {(0,): 0, (1,): 0, **image}
                           for word, image in components[(2, 1)].items()}
-    with_zero = Coderivation(TENSOR, D.space, 4, -1, components, D.denominator)
-    lone = Coderivation(TENSOR, sp, 3, -1, {(1, 1): {(1,): {(0,): 1}}})
+    with_zero = Coderivation(TENSOR, D.space, 4, components, D.denominator)
+    lone = Coderivation(TENSOR, sp, 3, {(1, 1): {(1,): {(0,): 1}}})
     verdicts = Counter()
     for label, coderivation in (("stray", stray), ("zero stray", zero_stray),
                                 ("explicit zero", with_zero), ("lone (1, 1)", lone),

@@ -358,26 +358,48 @@ def test_cli_generate_refuses_unbounded_or_meaningless_requests(tmp_path, capsys
     assert not out.exists()
 
 
-def test_cli_generate_at_the_word_limit_costs_o_of_arity_per_word(tmp_path):
-    # one letter of degree 0 per word and no output letter of degree -1: each
-    # kept word used to scan all 100,000 sinks (about 5e9 lookups, hours), and
-    # reading the basis back compared each label with all earlier ones (2 min)
+def test_cli_generate_refuses_degrees_that_reach_no_output_letter(tmp_path, capsys):
+    # every hat operation has degree -1, so degree-0 letters reach no output:
+    # the document used to be written with no operation, and `check` passed it
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--dim", "3", "--degrees", "0", "--arities", "1,2,3",
+                 "--convention", "hat", "--seed", "4", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "arity 1, 2, 3" in err and "the degrees [0]" in err and not out.exists()
+    # a draw that sparsity empties is no refusal
+    assert main(["generate", "--dim", "3", "--degrees=-1,0", "--arities", "1,2,3",
+                 "--convention", "hat", "--seed", "4", "--sparsity", "0", "-o", str(out)]) == 0
+    assert parse_document(out.read_text()).family.ops == {}
+
+
+def test_cli_generate_at_the_word_limit_costs_o_of_arity_per_word(tmp_path, capsys):
+    # one letter per word: each kept word used to scan all 100,000 sinks for
+    # one of its degree minus 1 (about 5e9 lookups, hours), and reading the
+    # basis back compared each label with all earlier ones (2 min)
     out = tmp_path / "gen.json"
     start = time.monotonic()
     assert main(["generate", "--seed", "1", "--dim", "100000", "--arities", "1",
-                 "-o", str(out)]) == 0
-    assert parse_document(out.read_text()).space.dim == 100_000
+                 "--degrees=-1,0", "-o", str(out)]) == 0
+    doc = parse_document(out.read_text())
+    assert doc.space.dim == 100_000 and doc.family.ops
     assert time.monotonic() - start < 5
+    # with degree 0 alone no letter of degree -1 is an output: refused at once
+    start = time.monotonic()
+    assert main(["generate", "--seed", "1", "--dim", "100000", "--arities", "1",
+                 "-o", str(tmp_path / "none.json")]) == 2
+    assert time.monotonic() - start < 1
+    assert "reaches an output letter" in capsys.readouterr().err
 
 
 def test_generate_word_limit_is_inclusive():
     # 10^5 words at arity 5 is exactly the limit; nilpotent counts only the
-    # source half of the basis
+    # source half of the basis (degree 3 is the output of five degree-0
+    # letters under the unhat arity-5 degree 3)
     assert 10 ** 5 == MAX_GENERATE_WORDS
-    generate_random(10, [0], [5], 0.0, seed=1)
-    generate_random(20, [0], [5], 0.0, seed=1, nilpotent=True)
+    generate_random(10, [0, 3], [5], 0.0, seed=1)
+    generate_random(20, [0, 3], [5], 0.0, seed=1, nilpotent=True)
     with pytest.raises(DocumentError, match="more than"):
-        generate_random(11, [0], [5], 0.0, seed=1)
+        generate_random(11, [0, 3], [5], 0.0, seed=1)
 
 
 @pytest.mark.parametrize("n", ["3", "1", "0", "-1"])
@@ -553,16 +575,20 @@ def _first_pair_symmetric(rng, sp, convention, arity):
 def _differential_documents():
     """40 documents for `check`: 30 generated ones with operations, on
     every degree pattern, both conventions, every symmetrization, nilpotent
-    or not (a draw whose degrees reach no output letter is empty and is
-    drawn again); families whose outputs have any parity; and families
-    symmetric in their first two slots only."""
+    or not (a draw that `generate` refuses, its degrees reaching no output
+    letter, or that comes out empty is drawn again); families whose outputs
+    have any parity; and families symmetric in their first two slots only."""
     rng = random.Random("check-differential")
     generated = 0
     while generated < 30:
         arities = rng.sample((1, 2, 3), rng.randint(1, 3))
-        doc = generate_random(rng.choice((2, 3)), DEGREE_PATTERNS[rng.choice(sorted(
-            DEGREE_PATTERNS))], arities, 0.8, rng.randrange(10**6), rng.choice((HAT, UNHAT)),
-            rng.choice(("none", "partial", "full")), rng.random() < 0.5)
+        try:
+            doc = generate_random(rng.choice((2, 3)), DEGREE_PATTERNS[rng.choice(sorted(
+                DEGREE_PATTERNS))], arities, 0.8, rng.randrange(10**6),
+                rng.choice((HAT, UNHAT)), rng.choice(("none", "partial", "full")),
+                rng.random() < 0.5)
+        except DocumentError:
+            continue
         if doc.family.ops:
             generated += 1
             yield doc
@@ -935,18 +961,47 @@ def test_schema_bounds_match_the_parser():
     assert schema["declared_type"]["properties"]["n"]["maximum"] == MAX_ARITY
 
 
+def _unhat_words_reach(in_degrees, out_degrees, letters, arities=(2, 3)):
+    """Whether a word of input degrees, at most `letters` of them distinct,
+    at one of the arities n has an output degree: its sum plus n - 2."""
+    return any(len(set(word)) <= letters and sum(word) + n - 2 in out_degrees
+               for n in arities
+               for word in itertools.combinations_with_replacement(sorted(in_degrees), n))
+
+
 @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4),
        degrees=st.sets(st.integers(-1, 2), min_size=1))
 @example(seed=1, dim=4, degrees={0, 1})
 @example(seed=2, dim=4, degrees={0, 1})
+@example(seed=4, dim=3, degrees={1})
+@example(seed=4, dim=3, degrees={2})
+@example(seed=0, dim=2, degrees={-1, 2})
+@example(seed=21, dim=2, degrees={-1, 0, 2})  # reachable, and all 21 draws miss
 def test_cli_generate_derive_check_pipeline(tmp_path, capsys, seed, dim, degrees):
+    # generate exits 2 when the drawn degrees give no input word an output
+    # letter.  A degree set whose every draw is such is always refused; a
+    # set with too few letters may miss on every one of its draws too, and
+    # the refusal names the last draw's input and output degrees to show it
     gen = tmp_path / "gen.json"
     beta = tmp_path / "beta.json"
-    assert main(["generate", "--dim", str(dim),
+    sources = dim - max(1, dim // 2)
+    code = main(["generate", "--dim", str(dim),
                  "--degrees=" + ",".join(map(str, sorted(degrees))), "--arities", "2,3",
                  "--sparsity", "0.6", "--seed", str(seed),
-                 "--symmetrize", "partial", "--nilpotent", "-o", str(gen)]) == 0
+                 "--symmetrize", "partial", "--nilpotent", "-o", str(gen)])
+    if not _unhat_words_reach(degrees, degrees, sources):
+        assert code == 2
+    if code == 2:
+        err = capsys.readouterr().err
+        found = re.search(r"input letters have degrees \[(.*?)\] "
+                          r"and the output letters \[(.*?)\]", err)
+        drawn_in, drawn_out = ({int(d) for d in part.split(", ")} for part in found.groups())
+        assert not _unhat_words_reach(drawn_in, drawn_out, sources)
+        return
+    assert code == 0
+    drawn = parse_document(gen.read_text()).space.degrees
+    assert _unhat_words_reach(set(drawn[:sources]), set(drawn[sources:]), sources)
     assert main(["derive", str(gen), "--functor", "commutator-beta",
                  "-o", str(beta)]) == 0
     assert main(["check", str(beta), "--flavor", "lie"]) == 0

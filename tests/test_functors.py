@@ -1,8 +1,12 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import associative_family, commutator_bracket
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map, coalgebra_words,
+                             extend_coderivation)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, nary_residual, residual)
 from hopla.errors import ConventionError, GradingError, SymmetryError
@@ -244,3 +248,45 @@ def test_coderivation_correspondence_random(graded2, rng):
     for _ in range(3):
         fam = random_unhat_family(rng, graded2, (1, 2, 3), symmetrize="partial")
         assert coderivation_correspondence_witness(fam, 4, 4) is None
+
+
+def _apply_coderivation(D, combo):
+    """D of a combination of canonical words, in Fractions."""
+    return LinearCombination((w, c * Fraction(cc, D.denominator))
+                             for u, c in combo for w, cc in D.image(u).items())
+
+
+def _apply_map(name, space, combo):
+    return LinearCombination((w, c * cc) for u, c in combo
+                             for w, cc in coalgebra_map(name, space, u))
+
+
+def test_functors_intertwine_the_coderivations_they_induce():
+    # the commutators as coalgebra maps: gamma o D_P(gamma mu) = D_T(mu) o gamma,
+    # alpha o D_W(alpha mu) = D_T(mu) o alpha and beta o D_W(beta nu) = D_P(nu) o beta
+    # for nu = gamma mu.  The left sides expand each image through the
+    # coproduct path (`extend_coderivation`) of a family symmetrized by the
+    # fold/expand path (`commutator`); the right sides use mu or nu as given
+    cap = 4
+    words = nonzero = 0
+    for degrees, seed in itertools.product(((0, 1), (0, 0), (1, 1), (-1, 0, 1)), range(4)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        mu = suspend_family(random_unhat_family(random.Random(seed), sp, (1, 2, 3),
+                                                symmetrize=None))
+        nu = commutator(mu, "gamma")
+        D_T, D_P = extend_coderivation(mu, TENSOR, cap), extend_coderivation(nu, PERM, cap)
+        identities = (("gamma", PERM, D_P, D_T),
+                      ("alpha", WEDGE, extend_coderivation(commutator(mu, "alpha"), WEDGE, cap),
+                       D_T),
+                      ("beta", WEDGE, extend_coderivation(commutator(nu, "beta"), WEDGE, cap),
+                       D_P))
+        for name, kind, source, target in identities:
+            for k in range(1, cap + 1):
+                for word in coalgebra_words(kind, mu.space, k):
+                    word_combo = LinearCombination.single(word)
+                    lhs = _apply_map(name, mu.space, _apply_coderivation(source, word_combo))
+                    rhs = _apply_coderivation(target, _apply_map(name, mu.space, word_combo))
+                    assert lhs == rhs, (degrees, seed, name, word)
+                    words += 1
+                    nonzero += not lhs.is_zero()
+    assert nonzero >= 300, (words, nonzero)

@@ -673,7 +673,7 @@ def _cogenerator_by_tensor_word(D, n):
         s, cw = _canonical(D.kind, D.space, word)
         if cw in squares:
             table[word] = LinearCombination((w[0], c * s) for w, c in squares[cw])
-    return Operation(D.space, n, 2 * D.degree, table)
+    return Operation(D.space, n, -2, table)
 
 
 @pytest.mark.parametrize("kind", (TENSOR, WEDGE, PERM))
@@ -762,7 +762,7 @@ def _law_coderivations(rng, kind, sp, cap):
             comp = _component(op, kind, k)
             if comp:
                 components[(k, k - a + 1)] = comp
-    yield "inhomogeneous", Coderivation(kind, sp, cap, -1, components)
+    yield "inhomogeneous", Coderivation(kind, sp, cap, components)
 
 
 def _law_variants(rng, D):
@@ -780,8 +780,7 @@ def _law_variants(rng, D):
         key, word = rng.choice(entries)
         components = {kl: dict(comp) for kl, comp in D.components.items()}
         del components[key][word]
-        yield f"dropped at {key}", key[1], Coderivation(D.kind, D.space, D.cap, D.degree,
-                                                        components)
+        yield f"dropped at {key}", key[1], Coderivation(D.kind, D.space, D.cap, components)
 
 
 def test_weight_one_law_check_matches_full_law_oracle():
@@ -809,12 +808,12 @@ def test_weight_one_law_check_matches_full_law_oracle():
 
 
 def test_check_coderivation_refuses_a_cap_below_one(graded2):
-    D = Coderivation(TENSOR, graded2, 3, -1, {})
+    D = Coderivation(TENSOR, graded2, 3, {})
     for cap in (0, -2):
         with pytest.raises(ArityError, match="at least 1"):
             check_coderivation(D, cap)
     with pytest.raises(ArityError):
-        check_coderivation(Coderivation(WEDGE, graded2, 0, -1, {}))
+        check_coderivation(Coderivation(WEDGE, graded2, 0, {}))
 
 
 # arity -> what every value of an operation of that arity is divided by, so

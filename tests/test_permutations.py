@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (DEGREE_PATTERNS, commutator_bracket, identity, koszul_by_inversions,
                       pattern_space, random_table)
 from oracles import (act, extend_fixing_last, failing_transposition_by_act, inverse,
-                     permute_word, precompose_by_loop)
+                     koszul_sign_by_bubble, permute_word, precompose_by_loop, sign_by_cycles)
 from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
@@ -56,6 +56,36 @@ def test_koszul_matches_inversion_pair_oracle(sigma, data):
 def test_koszul_length_mismatch():
     with pytest.raises(LengthError):
         koszul_sign((1, 2), [0])
+
+
+def test_signs_match_the_loop_oracles_on_every_permutation():
+    # the sorted-values kernel against the bubble decomposition, the cycle
+    # walk and the inversion pairs, on every sigma in S_n for n <= 7 and
+    # degree lists with negative, zero, odd and even degrees
+    rng = random.Random("signs")
+    for n in range(8):
+        degree_lists = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(3)]
+        degree_lists.append([(-1, 0, 1, 2, -2, 3, 0)[i] for i in range(n)])
+        for sigma in all_permutations(n):
+            assert sign(sigma) == sign_by_cycles(sigma), sigma
+            for degrees in degree_lists:
+                eps = koszul_sign(sigma, degrees)
+                assert eps == koszul_sign_by_bubble(sigma, degrees), (sigma, degrees)
+                assert eps == koszul_by_inversions(sigma, degrees), (sigma, degrees)
+
+
+@pytest.mark.parametrize("sigma", [(1, 1), (2, 2, 1), (0, 1), (2, 0, 1), (1, 3), (3, 1, 2, 7),
+                                   (5, 3), (-1, 1), (2, -1, 1), (-5, 1, 2)])
+def test_signs_refuse_a_non_permutation(sigma):
+    # a repeated value, a 0, a value above n and a negative value: the sorted
+    # values are not 1..n, whether or not a swap reads the value's parity
+    with pytest.raises(LengthError, match="not a permutation"):
+        sign(sigma)
+    for degrees in ([1] * len(sigma), [0] * len(sigma)):
+        with pytest.raises(LengthError, match="not a permutation"):
+            koszul_sign(sigma, degrees)
+    with pytest.raises(LengthError, match="degree list length"):
+        koszul_sign(sigma, [1] * (len(sigma) + 1))
 
 
 @settings(max_examples=40)

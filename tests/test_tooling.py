@@ -256,6 +256,22 @@ def test_one_signed_action_kernel():
                       if id(node) not in own and isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name) and node.func.id == "koszul_sign"]
     assert found == []
+    # sign and koszul_sign are signed_sort on sigma's values, through the
+    # helper that checks the sorted values, with no loop of their own
+    tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, callee in (("sign", "_sorted_sign"), ("koszul_sign", "_sorted_sign"),
+                         ("_sorted_sign", "signed_sort")):
+        body = list(ast.walk(functions[name]))
+        assert not [node for node in body if isinstance(node, (ast.For, ast.While))], name
+        assert callee in {node.func.id for node in body
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}, name
+    # the test oracles take their signs from their own loops, not the kernel's
+    for path, tree in _parsed([REPO / "tests" / "oracles.py", REPO / "tests" / "conftest.py"]):
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "hopla.permutations"
+                    for alias in node.names}
+        assert not imported & {"sign", "koszul_sign"}, path.name
 
 
 def _names(tree):
@@ -604,3 +620,17 @@ def test_one_collapse_precondition():
     assert {"require_parity", "require_collapsible"} <= calls("drivers", "run_check")
     assert "require_symmetry" not in calls("drivers", "run_check") | calls(
         "drivers", "_symmetry_check")
+
+
+def test_every_mutant_snippet_occurs_once():
+    # tests/mutants.py mutates each site by exact text, so a snippet must
+    # name one place in src/hopla, in its module, and none may be missing
+    from mutants import MUTANTS
+
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert [name for name, text in texts.items() for _ in range(text.count(mutant.snippet))] \
+            == [mutant.file], mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+        assert all((REPO / path.split("::")[0]).is_file() for path in mutant.tests), mutant.name

@@ -14,6 +14,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, extend_coderivation,
 from hopla.docio import format_rational
 from hopla.drivers import generate_random, run_check, run_coderive
 from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, residual
+from hopla.errors import DocumentError
 from hopla.functors import suspend_family
 from hopla.graded import HAT, UNHAT, GradedSpace, LinearCombination, OperationFamily
 from hopla.permutations import RHO1, action_variant, failing_symmetry_generator
@@ -68,8 +69,11 @@ def re_evaluates(doc, coderive_kind, name, witness) -> bool:
        convention=st.sampled_from([HAT, UNHAT]),
        symmetrize=st.sampled_from(["none", "partial", "full"]))
 def test_printed_witnesses_re_evaluate(seed, dim, degrees, arities, convention, symmetrize):
-    doc = generate_random(dim, degrees, arities, 0.6, seed, convention=convention,
-                          symmetrize=symmetrize)
+    try:
+        doc = generate_random(dim, degrees, arities, 0.6, seed, convention=convention,
+                              symmetrize=symmetrize)
+    except DocumentError:   # degrees that reach no output letter: nothing to report
+        return
     reports = [(run_check(doc, kind), None) for kind in (ASSOC, PRELIE, LIE)]
     reports += [(run_coderive(doc, kind, CAP), kind) for kind in (TENSOR, WEDGE, PERM)]
     for report, coderive_kind in reports:
