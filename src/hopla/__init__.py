@@ -4,7 +4,7 @@ them.  All arithmetic is exact rational; every identity is checked to zero,
 never to a tolerance."""
 
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                     OperationFamily, Scalar, check_homogeneous, compose_insert,
+                     OperationFamily, check_homogeneous, compose_insert,
                      family_degree, space, word_degree)
 from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
                            failing_symmetry_generator, koszul_sign,
@@ -17,7 +17,7 @@ from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,
                         extend_coderivation, project_pi,
                         square_cogenerator_component, square_cogenerator_fold,
                         wedge_normalize)
-from .functors import (NaryEmbedding, commutator, desuspend_family,
+from .functors import (commutator, desuspend_family,
                        nary_commutator_lie, nary_commutator_prelie, nary_embed,
                        suspend_family, suspend_operation)
 from .docio import AlgebraDocument, parse_document, serialize_document

@@ -28,8 +28,9 @@ from typing import Iterator, Mapping
 from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, GradedSpace, LinearCombination, Operation, OperationFamily,
                      check_homogeneous, over, sum_by_key)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, acted_count, arrangements,
-                           koszul_sign, require_symmetry, sh, signed_sort, stabilizer_order)
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, _unshuffles_cached, acted_count,
+                           arrangements, koszul_sign, require_symmetry, signed_sort,
+                           stabilizer_order)
 
 TENSOR = "tensor"
 WEDGE = "wedge"
@@ -154,14 +155,18 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
 
 @lru_cache(maxsize=4096)
 def _signed_unshuffles(parities: tuple, pattern: tuple, *blocks: int) -> tuple:
-    """The distinct arrangements that the unshuffles `sh(*blocks)` make of
-    letters of the given parities and equality pattern (each letter's first
-    slot), each paired with the sum of the Koszul signs of the unshuffles
-    that make it, zero sums left out.  An arrangement is the tuple of
-    slots to read the letters from.  The cache is bounded because every
-    new pattern of a long-lived process adds an entry."""
+    """The distinct arrangements that the unshuffles of the nonzero blocks
+    make of letters of the given parities and equality pattern (each
+    letter's first slot), each paired with the sum of the Koszul signs of
+    the unshuffles that make it, zero sums left out; a negative block gives
+    none (the boundary weights of `coproduct_terms`).  An arrangement is the
+    tuple of slots to read the letters from.  The cache is bounded because
+    every new pattern of a long-lived process adds an entry."""
+    if min(blocks) < 0:
+        return ()
+    sigmas = _unshuffles_cached(tuple(b for b in blocks if b))
     return tuple(sum_by_key((tuple(pattern[s - 1] for s in sigma), koszul_sign(sigma, parities))
-                            for sigma in sh(*blocks)).items())
+                            for sigma in sigmas).items())
 
 
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
@@ -216,7 +221,7 @@ def project_pi(space: GradedSpace, word) -> LinearCombination:
     s, canonical = wedge_normalize(space, word)
     if canonical is None:
         return LinearCombination()
-    return LinearCombination.single(canonical, Fraction(s, factorial(len(word))))
+    return LinearCombination({canonical: Fraction(s, factorial(len(word)))})
 
 
 # ---------------------------------------------------------------------------

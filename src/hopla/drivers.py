@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_fold, word_count)
@@ -286,6 +286,8 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         n_value = n if n is not None else (declared[1] if is_nary else None)
         if n_value is None:
             raise DocumentError("nary-embed requires --n or a declared n-ary type")
+        if n_value < 1:
+            raise DocumentError(f"nary-embed needs --n of at least 1, got {n_value}")
         if 2 * n_value - 1 > MAX_ARITY:
             raise DocumentError(f"nary-embed n = {n_value} needs max_arity {2 * n_value - 1}, "
                                 f"above the limit {MAX_ARITY}")
@@ -295,10 +297,8 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         if not is_nary and not doc.space.is_concentrated_in_degree_zero():
             raise DocumentError("nary-embed requires a degree-0 basis")
         mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
-        embedding = nary_embed(mu)
         new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
-        return AlgebraDocument(embedding.family,
-                               (new_type, None) if new_type else None)
+        return AlgebraDocument(nary_embed(mu), (new_type, None) if new_type else None)
 
     if functor in ("nary-commutator-prelie", "nary-commutator-lie"):
         if not is_nary:
@@ -364,6 +364,40 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     return report
 
 
+def _reached(in_degrees, arities, convention: str) -> set:
+    """The degrees of the values of the input words over letters of the
+    given degrees at the arities: their sums plus the operation's degree."""
+    reached = set()
+    for arity in arities:
+        sums = {0}
+        for _ in range(arity):
+            sums = {s + d for s in sums for d in in_degrees}
+        reached |= {s + family_degree(convention, arity) for s in sums}
+    return reached
+
+
+def _first_reaching_degrees(degrees, sources: int, dim: int, nilpotent: bool, arities,
+                            convention: str) -> list | None:
+    """The first degree list, in a fixed order, under which some input word
+    over the `sources` leading letters reaches an output letter (a sink, or
+    any letter without `nilpotent`), or None when no list does.
+
+    Reaching only grows with the set of degrees the source letters carry
+    (and the output letters, which are the same letters without
+    `nilpotent`), so the sets of min(sources, distinct degrees) of the
+    sorted degrees are tried in lexicographic order, each repeated over
+    the sources in turn; the sinks take the smallest degree reached."""
+    distinct = sorted(set(degrees))
+    if not _reached(distinct, arities, convention) & set(distinct):
+        return None
+    for chosen in combinations(distinct, min(sources, len(distinct))):
+        outputs = _reached(chosen, arities, convention) & set(distinct if nilpotent else chosen)
+        if outputs:
+            return ([chosen[i % len(chosen)] for i in range(sources)]
+                    + [min(outputs)] * (dim - sources))
+    return None
+
+
 def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
                     convention: str = UNHAT, symmetrize: str = "none",
                     nilpotent: bool = False) -> AlgebraDocument:
@@ -373,7 +407,10 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     consume only source letters and emit only sink letters, so every
     composite of two operations vanishes and all six residual systems are
     satisfied by construction.  Together with `symmetrize` this yields honest
-    satisfying instances for any flavor.
+    satisfying instances for any flavor.  When every draw of the degrees
+    leaves each input word without an output letter, the first degree list
+    that gives one (`_first_reaching_degrees`) is taken; degrees that no
+    list lets reach raise a DocumentError.
     """
     if dim < 1:
         raise DocumentError("dim must be >= 1")
@@ -403,24 +440,21 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     sinks = range(dim - sink_count, dim) if nilpotent else range(dim)
 
     # draw the degrees until some input word reaches an output letter, at most
-    # 21 times (once when a redraw changes nothing); refuse when none does
+    # 21 times (once when a redraw changes nothing)
     for _ in range(21 if len(set(degrees)) > 1 else 1):
         degree_list = [rng.choice(degrees) for _ in range(dim)]
-        in_degrees = set(degree_list[:dim - sink_count] if nilpotent else degree_list)
-        out_degrees = set(degree_list[dim - sink_count:] if nilpotent else degree_list)
-        achievable = set()
-        for arity in arities:
-            sums = {0}
-            for _ in range(arity):
-                sums = {s + d for s in sums for d in in_degrees}
-            achievable |= {s + family_degree(convention, arity) for s in sums}
-        if achievable & out_degrees:
+        if _reached({degree_list[i] for i in sources}, arities, convention) \
+                & {degree_list[i] for i in sinks}:
             break
     else:
-        raise DocumentError(f"no input word at arity {', '.join(map(str, arities))} reaches "
-                            f"an output letter: the input letters have degrees "
-                            f"{sorted(in_degrees)} and the output letters {sorted(out_degrees)}, "
-                            f"drawn from the degrees {sorted(set(degrees))}; all would be empty")
+        degree_list = _first_reaching_degrees(degrees, len(sources), dim, nilpotent, arities,
+                                              convention)
+        if degree_list is None:
+            letters = (f"{len(sources)} source and {sink_count} sink letters" if nilpotent
+                       else f"{dim} letters")
+            raise DocumentError(f"no input word at arity {', '.join(map(str, arities))} reaches "
+                                f"an output letter for any assignment of the degrees "
+                                f"{sorted(set(degrees))} to {letters}; all would be empty")
 
     space = GradedSpace(labels, tuple(degree_list))
 

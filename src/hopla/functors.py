@@ -22,8 +22,7 @@ pre-Lie to homotopy Lie (beta), and homotopy associative to homotopy Lie
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .equations import nary_family
 from .errors import ConventionError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily,
                      family_degree)
@@ -112,43 +111,28 @@ def commutator(family: OperationFamily, name: str) -> OperationFamily:
 # n-ary algebras as one-operation homotopy families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NaryEmbedding:
-    """A plain n-ary algebra rebuilt as a graded one-operation family.
-
-    The carrier has three copies of the base space, in degrees 0, n-2 and
-    2n-4 (for n = 2 all three coincide).  `forgetful[i]` is the base index
-    behind the i-th basis vector of the carrier.
-    """
-
-    space: GradedSpace
-    family: OperationFamily
-    forgetful: tuple
-
-
-def nary_embed(mu: Operation) -> NaryEmbedding:
+def nary_embed(mu: Operation) -> OperationFamily:
     """Embed an n-ary operation on a degree-0 space as an unhat family with
     a single arity-n operation of degree n-2, capped at 2n-1, the arity of
     its defining equation.
 
-    The embedded operation returns mu of the forgetful images on input
+    The carrier has three copies of the base space, in degrees 0, n-2 and
+    2n-4, basis vector i of the carrier standing for base vector i % dim.
+    The embedded operation returns mu of those base vectors on input
     words of total degree 0 (landing in the degree n-2 copy) or total
-    degree n-2 (landing in the degree 2n-4 copy), and zero otherwise.
+    degree n-2 (landing in the degree 2n-4 copy), and zero otherwise.  For
+    n = 2 all three copies coincide and the family is `nary_family(mu)`.
     """
     base, n = mu.space, mu.arity
     base.require_degree_zero("nary_embed")
-    cap = 2 * n - 1
-    dim = base.dim
-
     if n == 2:
-        family = OperationFamily(UNHAT, base, cap, {2: mu.with_degree(0)})
-        return NaryEmbedding(base, family, tuple(range(dim)))
+        return nary_family(mu)
+    dim = base.dim
 
     copies = (0, n - 2, 2 * n - 4)
     labels = tuple(f"{lbl}@{d}" for d in copies for lbl in base.labels)
     degrees = tuple(d for d in copies for _ in range(dim))
     carrier = GradedSpace(labels, degrees)
-    forgetful = tuple(i % dim for i in range(3 * dim))
 
     def in_copy(copy: int, base_index: int) -> int:
         return copy * dim + base_index
@@ -164,8 +148,7 @@ def nary_embed(mu: Operation) -> NaryEmbedding:
             mixed = tuple(in_copy(1 if q == p else 0, i) for q, i in enumerate(word))
             table[mixed] = image
     op = Operation.from_numerators(carrier, n, n - 2, table, mu.denominator)
-    family = OperationFamily(UNHAT, carrier, cap, {n: op})
-    return NaryEmbedding(carrier, family, forgetful)
+    return OperationFamily(UNHAT, carrier, 2 * n - 1, {n: op})
 
 
 def nary_commutator_prelie(mu: Operation) -> Operation:

@@ -25,11 +25,9 @@ from math import gcd, lcm
 
 from .errors import ArityError, BasisIndexError, ConventionError, GradingError, PositionError
 
-Scalar = Fraction
 Word = tuple  # tuple[int, ...], 0-based basis indices
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -113,10 +111,6 @@ class LinearCombination:
                                 else terms.items() if isinstance(terms, Mapping) else terms,
                                 True)
 
-    @classmethod
-    def single(cls, key, coeff=ONE) -> "LinearCombination":
-        return cls({key: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -144,9 +138,6 @@ class LinearCombination:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCombination) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -260,10 +251,6 @@ class Operation:
         op.space, op.arity, op.degree = space, arity, degree
         op.numerators, op.denominator = numerators, denominator
         return op
-
-    @classmethod
-    def zero(cls, sp: GradedSpace, arity: int, degree: int) -> "Operation":
-        return cls(sp, arity, degree, {})
 
     def with_degree(self, degree: int) -> "Operation":
         """The same map under another declared degree."""
@@ -487,7 +474,7 @@ class OperationFamily:
     def operation(self, arity: int) -> Operation:
         if arity in self.ops:
             return self.ops[arity]
-        return Operation.zero(self.space, arity, family_degree(self.convention, arity))
+        return Operation(self.space, arity, family_degree(self.convention, arity))
 
     def arities(self):
         return sorted(self.ops)

@@ -29,9 +29,10 @@ stream to the sorted representative of its orbit, times chi of the move
 and |Stab| of the orbit, sums, and drops the orbits whose stabilizer acts
 by -1; the `Folded` result holds each orbit's value at its representative,
 decides whether the sum vanishes and gives its smallest nonzero word.
-`expand` writes every distinct arrangement of every orbit, and is the only
-caller of `arrangements` here; `acted_count` says which slots a mode
-permutes.  In the full and partial modes
+`expand` writes every distinct arrangement of every orbit; the only other
+caller of `arrangements` here is the unshuffle table, which reads each
+unshuffle off an arrangement of block labels.  `acted_count` says which
+slots a mode permutes.  In the full and partial modes
 `precompose_symmetrized` is `expand(fold(...))`; the residuals and the
 square of a coderivation are `Folded` sums too, expanded when read.
 `block_representatives` keeps one entry per arrangement class of a block
@@ -113,20 +114,15 @@ def all_permutations(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _unshuffles_cached(blocks: tuple) -> tuple:
-    n = sum(blocks)
-    results = []
-
-    def fill(remaining: tuple, prefix: tuple, block_index: int):
-        if block_index == len(blocks):
-            results.append(prefix)
-            return
-        size = blocks[block_index]
-        for chosen in itertools.combinations(remaining, size):
-            rest = tuple(v for v in remaining if v not in chosen)
-            fill(rest, prefix + chosen, block_index + 1)
-
-    fill(tuple(range(1, n + 1)), (), 0)
-    return tuple(sorted(results))
+    """The unshuffles of the blocks, in lexicographic order.  An unshuffle
+    is fixed by the block each value lands in, so each is a distinct
+    arrangement of the block-label word 0..0 1..1 ..., its values read
+    block by block (a stable sort by label); every letter is even, so each
+    chi is +1."""
+    labels = tuple(b for b, size in enumerate(blocks) for _ in range(size))
+    read = (tuple(v + 1 for v in sorted(range(len(labels)), key=word.__getitem__))
+            for _, word in arrangements(labels, [0] * len(blocks), False))
+    return tuple(sorted(read))
 
 
 def unshuffles(blocks: Iterable[int]) -> list:
@@ -138,17 +134,6 @@ def unshuffles(blocks: Iterable[int]) -> list:
     if any(b <= 0 for b in blocks):
         raise BlockError(f"block sizes must be positive, got {blocks}")
     return list(_unshuffles_cached(blocks))
-
-
-def sh(*blocks: int) -> tuple:
-    """Internal unshuffle enumeration tolerating degenerate block sizes:
-    zero blocks are dropped, a negative block makes the sum empty."""
-    if any(b < 0 for b in blocks):
-        return ()
-    kept = tuple(b for b in blocks if b > 0)
-    if not kept:
-        return ((),)  # S_0: the empty permutation
-    return _unshuffles_cached(kept)
 
 
 def signed_sort(letters: list, odd, rho2: bool) -> int:

@@ -124,7 +124,7 @@ def section_witness(space: GradedSpace, cap: int):
             image = LinearCombination((key, c * cc)
                                       for w, c in coalgebra_map("alpha", space, word)
                                       for key, cc in project_pi(space, w))
-            if image != LinearCombination.single(word):
+            if image != LinearCombination({word: 1}):
                 return word
     return None
 

@@ -4,6 +4,8 @@ The oracles here deliberately avoid the library's own code paths:
 
 * `koszul_by_inversions` counts inversion pairs instead of decomposing into
   adjacent transpositions;
+* `sh` chooses each block's values in turn instead of reading unshuffles
+  off arrangements of block labels;
 * `poly_mod_t2_product` multiplies truncated polynomials directly;
 * `matrix_product` multiplies 2x2 matrices entrywise;
 * `prelie_residual_shuffle_form` evaluates the element-level unshuffle
@@ -33,7 +35,7 @@ from hopla.docio import AlgebraDocument
 from hopla.drivers import run_derive
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, over)
-from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized, sh
+from hopla.permutations import MODE_PARTIAL, RHO2, precompose_symmetrized
 from hopla.verify import random_operation
 from hopla.samples import dual_numbers, nilpotent_dga, upper_corner
 
@@ -59,6 +61,26 @@ def koszul_by_inversions(sigma, degrees):
                 if degrees[sigma[i] - 1] % 2 and degrees[sigma[j] - 1] % 2:
                     eps = -eps
     return eps
+
+
+def sh(*blocks):
+    """The (i_1,...,i_m)-unshuffles in lexicographic order, choosing the
+    values of each block in turn and recursing on the rest.  Degenerate
+    blocks are tolerated: a zero block is empty, a negative block makes the
+    sum empty, and no values give the empty permutation."""
+    if any(b < 0 for b in blocks):
+        return ()
+    found = []
+
+    def fill(remaining, prefix, sizes):
+        if not sizes:
+            found.append(prefix)
+            return
+        for chosen in itertools.combinations(remaining, sizes[0]):
+            fill(tuple(v for v in remaining if v not in chosen), prefix + chosen, sizes[1:])
+
+    fill(tuple(range(1, sum(blocks) + 1)), (), blocks)
+    return tuple(sorted(found))
 
 
 def poly_mod_t2_product(p, q):

@@ -1,4 +1,4 @@
-"""A mutation check for the sign and scale sites of hopla.
+"""A mutation check for the sign, scale and boundary sites of hopla.
 
 Each entry of `MUTANTS` changes one exact snippet of one module under
 `src/hopla` and names the tests that should notice.  The runner copies
@@ -81,6 +81,19 @@ MUTANTS = (
            "                        eps = -eps",
            "                    if False:\n                        eps = -eps",
            "the sign of mu passing the front letters in Perm tail terms", INTERTWINED),
+    Mutant("component-scale", "coalgebra.py",
+           "den // op.denominator", "1",
+           "extend_coderivation's scale of each operation to the common denominator",
+           INTERTWINED),
+    Mutant("square-denominator", "coalgebra.py",
+           "D.denominator ** 2", "D.denominator",
+           "the denominator of square_cogenerator_fold's products of two components", COALGEBRA),
+    Mutant("negative-block", "coalgebra.py",
+           "    if min(blocks) < 0:\n        return ()", "    if False:\n        return ()",
+           "_signed_unshuffles' empty sum for a negative block", COALGEBRA),
+    Mutant("zero-block-drop", "coalgebra.py",
+           "tuple(b for b in blocks if b)", "blocks",
+           "_signed_unshuffles' drop of the zero blocks before the unshuffle table", COALGEBRA),
     Mutant("law-sign", "coalgebra.py",
            "                if sum(par[x] for x in left) % 2:\n                    s = -s",
            "                if False:\n                    s = -s",
@@ -100,6 +113,10 @@ MUTANTS = (
            "        c /= factorial(i - 1) * factorial(j)\n",
            "        c /= factorial(i - 1) * factorial(j - 1)\n",
            "_coefficient's Lie normalization", EQUATIONS),
+    Mutant("insert-fold-scale", "equations.py",
+           "den // (coeff.denominator * operands)", "den // coeff.denominator",
+           "_insert_fold's scale of each insertion's operands to the common denominator",
+           EQUATIONS),
     Mutant("parity-refusal", "equations.py",
            "    if kind == ASSOC or not any(odd):\n        return",
            "    if True:\n        return",
@@ -111,6 +128,10 @@ MUTANTS = (
            "               if False else None)",
            "insertion_terms' sign of an odd inner operation passing the letters before it",
            ("tests/test_graded.py", "tests/test_equations.py")),
+    Mutant("numerators-gcd", "graded.py",
+           "g = gcd(g, *sums.values())", "g = 1",
+           "Operation.from_numerators' reduction by the gcd, which keeps equal maps equal",
+           ("tests/test_graded.py", "tests/test_permutations.py", "tests/test_oracles.py")),
     Mutant("suspension-even-sign", "functors.py",
            "for p in range(0, arity, 2))", "for p in range(1, arity, 2))",
            "suspension_sign at even arity", FUNCTORS),

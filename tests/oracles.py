@@ -79,7 +79,7 @@ import re
 from fractions import Fraction
 from math import factorial, lcm
 
-from conftest import apply_word, component
+from conftest import apply_word, component, sh
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, coproduct_terms,
                              wedge_normalize)
 from hopla.docio import (DECLARED_TYPES, FORMAT, MAX_ARITY, AlgebraDocument, _expect, _integer,
@@ -91,7 +91,7 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           linear_sum, sum_by_key, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
                                 all_permutations, arrangements, expand, fold,
-                                precompose_symmetrized, sh)
+                                precompose_symmetrized)
 
 
 def denominator_by_fractions(op):

@@ -108,7 +108,7 @@ def test_criterion_4_coderivation_correspondence():
 
 def test_criterion_5_commutator_theorems():
     ok = True
-    pipelines = [nary_embed(mu).family for _, mu in (dual_numbers(), upper_corner())]
+    pipelines = [nary_embed(mu) for _, mu in (dual_numbers(), upper_corner())]
     pipelines.append(nilpotent_dga())
 
     for fam in pipelines:
@@ -166,7 +166,7 @@ def _embedding_verdicts(mu, kind):
     else:
         sym = True
     base = sym and nary_residual(mu, kind, check_symmetry=False).vanishes()
-    fam = nary_embed(mu).family
+    fam = nary_embed(mu)
     if kind == PRELIE:
         esym = all(failing_symmetry_generator(op, RHO2, full=False) is None
                    for op in fam.ops.values())

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (RATIONAL_COEFFICIENTS, apply_word, component, flat_component, map_keys,
-                      perm_square_two_sum_form, random_table, square_component, with_entry)
+                      perm_square_two_sum_form, random_table, sh, square_component, with_entry)
 from oracles import coderivation_law_by_coproducts, component_by_fractions, first_nonzero_square
 from hopla import coalgebra
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, block_count,
@@ -20,7 +20,7 @@ from hopla.errors import ArityError, ConventionError, KindError, SymmetryError
 from hopla.functors import suspend_family
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, over)
-from hopla.permutations import RHO1, koszul_sign, sh
+from hopla.permutations import RHO1, koszul_sign
 from hopla.verify import (coassociativity_witness, coalgebra_map_law_witness,
                           factorization_witness, random_operation, random_unhat_family,
                           section_witness)
@@ -228,7 +228,6 @@ def test_perm_component_matches_unshuffle_display(graded2):
     assert failing_symmetry_generator(mu, RHO1, full=False) is None
     fam = OperationFamily(HAT, sp, 3, {2: mu})
     D = extend_coderivation(fam, PERM, 3)
-    from hopla.permutations import sh
     comp = component(D, 3, 2)
     for word in coalgebra_words(PERM, sp, 3):
         head, tail = word[:-1], word[-1]
@@ -458,6 +457,26 @@ def test_tensor_kernels_make_no_coproduct_terms(monkeypatch, rng):
     assert calls == Counter()
     assert check_coderivation(Coderivation(WEDGE, GradedSpace(("x",), (0,)), 2, {}))
     assert calls[WEDGE] > 0
+
+
+def test_boundary_splits_read_the_unshuffle_tables_of_their_positive_blocks(monkeypatch):
+    # the coproduct's signed unshuffles drop the zero blocks of a boundary
+    # split, so the split reads the table of its positive blocks, the
+    # blocks `unshuffles` accepts, and (i, 0) shares the table of (i,)
+    seen = []
+    table = coalgebra._unshuffles_cached
+    monkeypatch.setattr(coalgebra, "_unshuffles_cached",
+                        lambda blocks: seen.append(blocks) or table(blocks))
+    coalgebra._signed_unshuffles.cache_clear()
+    sp = GradedSpace(("a", "b", "c"), (0, 1, 0))
+    try:
+        for kind, n in itertools.product((WEDGE, PERM), range(1, 5)):
+            for word in coalgebra_words(kind, sp, n):
+                for i in range(n + 1):
+                    list(coalgebra.coproduct_terms(kind, sp, word, i))
+    finally:
+        coalgebra._signed_unshuffles.cache_clear()
+    assert (2,) in seen and all(b > 0 for blocks in seen for b in blocks), sorted(set(seen))
 
 
 def _tensor_values(op, k):

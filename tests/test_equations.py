@@ -139,7 +139,7 @@ def test_circle_bracket_graded_antisymmetry(flat2, rng):
 
 
 def test_check_nary_zero_operation(flat2):
-    zero = Operation.zero(flat2, 3, 0)
+    zero = Operation(flat2, 3, 0)
     for kind in (PARTIALLY_ASSOCIATIVE, PRELIE, LIE):
         res = nary_residual(zero, kind)
         assert res.vanishes() and res.arity == 5
@@ -168,7 +168,7 @@ def test_check_nary_lie_example(corner):
 
 
 def test_check_prelie_two_ways(flat2, corner, rng):
-    assert check_prelie_n_two_ways(Operation.zero(flat2, 2, 0))
+    assert check_prelie_n_two_ways(Operation(flat2, 2, 0))
     sp, mu = corner
     assert check_prelie_n_two_ways(mu)
     # random non-pre-Lie inputs come out false through both routes

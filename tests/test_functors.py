@@ -169,15 +169,14 @@ def test_nary_embed_binary_is_flat(corner):
     sp, mu = corner
     emb = nary_embed(mu)
     assert emb.space == sp
-    assert emb.family.ops[2] == mu
-    assert emb.forgetful == (0, 1)
+    assert emb.ops[2] == mu
 
 
 def test_nary_embed_ternary_structure(flat2):
     mu = Operation(flat2, 3, 0, {(0, 0, 0): LinearCombination({1: 1})})
     emb = nary_embed(mu)
     assert emb.space.degrees == (0, 0, 1, 1, 2, 2)
-    op = emb.family.ops[3]
+    op = emb.ops[3]
     assert check_homogeneous(op)
     # all inputs in the degree-0 copy land in the degree-1 copy
     assert op.evaluate((0, 0, 0)) == LinearCombination({3: 1})
@@ -201,7 +200,7 @@ def test_nary_commutator_prelie_binary_is_identity(corner):
 
 
 def test_nary_commutator_zero(flat2):
-    zero = Operation.zero(flat2, 3, 0)
+    zero = Operation(flat2, 3, 0)
     assert nary_commutator_prelie(zero).is_zero()
     assert nary_commutator_lie(zero).is_zero()
 
@@ -266,27 +265,36 @@ def test_functors_intertwine_the_coderivations_they_induce():
     # alpha o D_W(alpha mu) = D_T(mu) o alpha and beta o D_W(beta nu) = D_P(nu) o beta
     # for nu = gamma mu.  The left sides expand each image through the
     # coproduct path (`extend_coderivation`) of a family symmetrized by the
-    # fold/expand path (`commutator`); the right sides use mu or nu as given
+    # fold/expand path (`commutator`); the right sides use mu or nu as given.
+    # The families are drawn with integer coefficients, and again with each
+    # arity scaled by its own non-integer factor, so that the coderivations
+    # carry a common denominator above 1
     cap = 4
-    words = nonzero = 0
-    for degrees, seed in itertools.product(((0, 1), (0, 0), (1, 1), (-1, 0, 1)), range(4)):
-        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
-        mu = suspend_family(random_unhat_family(random.Random(seed), sp, (1, 2, 3),
-                                                symmetrize=None))
-        nu = commutator(mu, "gamma")
-        D_T, D_P = extend_coderivation(mu, TENSOR, cap), extend_coderivation(nu, PERM, cap)
-        identities = (("gamma", PERM, D_P, D_T),
-                      ("alpha", WEDGE, extend_coderivation(commutator(mu, "alpha"), WEDGE, cap),
-                       D_T),
-                      ("beta", WEDGE, extend_coderivation(commutator(nu, "beta"), WEDGE, cap),
-                       D_P))
-        for name, kind, source, target in identities:
-            for k in range(1, cap + 1):
-                for word in coalgebra_words(kind, mu.space, k):
-                    word_combo = LinearCombination.single(word)
-                    lhs = _apply_map(name, mu.space, _apply_coderivation(source, word_combo))
-                    rhs = _apply_coderivation(target, _apply_map(name, mu.space, word_combo))
-                    assert lhs == rhs, (degrees, seed, name, word)
-                    words += 1
-                    nonzero += not lhs.is_zero()
-    assert nonzero >= 300, (words, nonzero)
+    for scales in ({1: 1, 2: 1, 3: 1}, {1: Fraction(1, 2), 2: Fraction(-2, 3), 3: Fraction(3, 4)}):
+        words = nonzero = 0
+        denominators = set()
+        for degrees, seed in itertools.product(((0, 1), (0, 0), (1, 1), (-1, 0, 1)), range(4)):
+            sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+            drawn = suspend_family(random_unhat_family(random.Random(seed), sp, (1, 2, 3),
+                                                       symmetrize=None))
+            mu = OperationFamily(drawn.convention, drawn.space, drawn.max_arity,
+                                 {n: op.scaled(scales[n]) for n, op in drawn.ops.items()})
+            nu = commutator(mu, "gamma")
+            D_T, D_P = extend_coderivation(mu, TENSOR, cap), extend_coderivation(nu, PERM, cap)
+            identities = (("gamma", PERM, D_P, D_T),
+                          ("alpha", WEDGE,
+                           extend_coderivation(commutator(mu, "alpha"), WEDGE, cap), D_T),
+                          ("beta", WEDGE,
+                           extend_coderivation(commutator(nu, "beta"), WEDGE, cap), D_P))
+            for name, kind, source, target in identities:
+                denominators |= {source.denominator, target.denominator}
+                for k in range(1, cap + 1):
+                    for word in coalgebra_words(kind, mu.space, k):
+                        word_combo = LinearCombination({word: 1})
+                        lhs = _apply_map(name, mu.space, _apply_coderivation(source, word_combo))
+                        rhs = _apply_coderivation(target, _apply_map(name, mu.space, word_combo))
+                        assert lhs == rhs, (scales, degrees, seed, name, word)
+                        words += 1
+                        nonzero += not lhs.is_zero()
+        assert nonzero >= 300, (scales, words, nonzero)
+        assert (max(denominators) > 1) == (scales[2] != 1), denominators

@@ -61,7 +61,7 @@ def test_space_rejects_duplicate_labels():
 
 
 def test_evaluate_zero_operation(flat2):
-    zero = Operation.zero(flat2, 2, 0)
+    zero = Operation(flat2, 2, 0)
     assert zero.evaluate((0, 1)).is_zero()
 
 
@@ -136,7 +136,7 @@ def test_degree_additivity_and_homogeneity(graded2, rng):
 
 
 def test_check_homogeneous_examples(flat2):
-    assert check_homogeneous(Operation.zero(flat2, 2, 5))
+    assert check_homogeneous(Operation(flat2, 2, 5))
     good = Operation(flat2, 2, 0, {(0, 0): LinearCombination({0: 1})})
     assert check_homogeneous(good)
     bad = Operation(flat2, 2, 1, {(0, 0): LinearCombination({0: 1})})

@@ -924,7 +924,7 @@ def test_circle_and_nary_outputs_are_stored_normalized():
                 folded = nary_residual(mu, kind)
                 outputs.append(((draw, n, kind), folded.op, nary_residual_by_positions(mu, kind),
                                 folded.denominator))
-            outputs.append(((draw, n, "embedded"), nary_embed(mu).family.ops[n], None,
+            outputs.append(((draw, n, "embedded"), nary_embed(mu).ops[n], None,
                             mu.denominator))
             outputs.append(((draw, n, "degree"), mu.with_degree(n - 2), mu, mu.denominator))
     nonzero, reduced = _check_outputs(outputs)
@@ -947,7 +947,7 @@ def test_equal_maps_compare_equal_from_any_raw_denominator():
         == Operation(sp, 2, 0, {(0, 1): {0: 1}})
     # an empty table is stored over 1, whatever the raw denominator
     empty = Operation.from_numerators(sp, 2, 0, {}, 6)
-    assert (empty.numerators, empty.denominator) == ({}, 1) and empty == Operation.zero(sp, 2, 0)
+    assert (empty.numerators, empty.denominator) == ({}, 1) and empty == Operation(sp, 2, 0)
     # with_degree keeps the map and changes only the degree
     lifted = half.with_degree(3)
     assert lifted == half and lifted.degree == 3 and half.degree == 0

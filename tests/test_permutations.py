@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (DEGREE_PATTERNS, commutator_bracket, identity, koszul_by_inversions,
-                      pattern_space, random_table)
+                      pattern_space, random_table, sh)
 from oracles import (act, extend_fixing_last, failing_transposition_by_act, inverse,
                      koszul_sign_by_bubble, permute_word, precompose_by_loop, sign_by_cycles)
 from hopla.errors import BlockError, LengthError
@@ -15,7 +15,7 @@ from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO
                                 all_permutations, arrangement_count, block_representatives,
                                 compose, failing_symmetry_generator,
                                 koszul_sign, precompose_symmetrized,
-                                sh, sign, unshuffles)
+                                sign, unshuffles)
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))))
@@ -137,9 +137,21 @@ def test_unshuffle_partition_counting():
 
 
 def test_sh_tolerates_degenerate_blocks():
+    # the test oracle's tolerance, which the oracles' boundary sums rely on
     assert sh(0, 1, 0) == ((1,),)
     assert sh(2, 1, -1) == ()
     assert sh(0, 0) == ((),)
+
+
+def test_unshuffles_match_the_oracle_on_every_composition():
+    # every composition of n <= 7 into positive blocks, against the oracle
+    # that chooses each block's values in turn
+    for n in range(1, 8):
+        for k in range(n):
+            for cuts in itertools.combinations(range(1, n), k):
+                bounds = (0, *cuts, n)
+                blocks = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+                assert unshuffles(blocks) == list(sh(*blocks)), blocks
 
 
 def test_act_examples(flat2):

@@ -274,6 +274,34 @@ def test_one_signed_action_kernel():
         assert not imported & {"sign", "koszul_sign"}, path.name
 
 
+def test_one_enumerator_of_distinct_rearrangements():
+    # `arrangements` is the only combinatorial recursion in the package (the
+    # other walks a JSON report); the unshuffle table reads its unshuffles
+    # off it and has no loop of its own
+    recursive = []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = {node.func.id for node in ast.walk(fn)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                if fn.name in calls:
+                    recursive.append(f"{path.name}:{fn.name}")
+    assert recursive == ["cli.py:_json_text", "permutations.py:arrangements"]
+    tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body if getattr(node, "name", None) == "_unshuffles_cached")
+    body = list(ast.walk(table))
+    assert not [node for node in body if isinstance(node, (ast.For, ast.While, ast.FunctionDef))
+                and node is not table]
+    assert "arrangements" in {node.func.id for node in body
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    # the tests take their unshuffles from the oracle in conftest, not the kernel's
+    for path, tree in _parsed(sorted((REPO / "tests").glob("*.py"))):
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "hopla.permutations"
+                    for alias in node.names}
+        assert not imported & {"sh", "_unshuffles_cached"}, path.name
+
+
 def _names(tree):
     """Every name a module defines, reads, imports or reaches as an attribute."""
     for node in ast.walk(tree):
@@ -352,7 +380,8 @@ def test_one_orbit_expansion():
     # the arrangements of an orbit are written into an operation in one
     # place, the expand step of the orbit kernel, and the coalgebra maps
     # alpha and gamma, which send words to combinations of words, have the
-    # other; a second copy of the orbit loop fails here
+    # other; the unshuffle table reads each unshuffle off an arrangement of
+    # block labels; a second copy of the orbit loop fails here
     sites = []
     for path, tree in _parsed(sorted(SRC.glob("*.py"))):
         for top in tree.body:
@@ -364,7 +393,8 @@ def test_one_orbit_expansion():
                       and (isinstance(node.func, ast.Name) and node.func.id == "arrangements"
                            or isinstance(node.func, ast.Attribute)
                            and node.func.attr == "arrangements")]
-    assert sorted(sites) == ["coalgebra.py:_orbit_sum", "permutations.py:expand"]
+    assert sorted(sites) == ["coalgebra.py:_orbit_sum", "permutations.py:_unshuffles_cached",
+                             "permutations.py:expand"]
     # the fold applies |Stab| once per distinct word and keeps orbit values,
     # so nothing that reads a Folded sum counts a stabilizer again
     tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
