@@ -11,15 +11,14 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Fo
                            precompose_symmetrized, sign, unshuffles)
 from .equations import (ASSOC, LIE, PRELIE, EquationFlavor,
                         check_prelie_n_two_ways, circle_bracket, circle_product,
-                        nary_residual, residual)
+                        nary_family, nary_residual, residual)
 from .coalgebra import (PERM, TENSOR, WEDGE, Coderivation, check_coderivation,
                         coalgebra_map, comultiply,
                         extend_coderivation, project_pi,
                         square_cogenerator_component, square_cogenerator_fold,
                         wedge_normalize)
-from .functors import (commutator, desuspend_family,
-                       nary_commutator_lie, nary_commutator_prelie, nary_embed,
-                       suspend_family, suspend_operation)
+from .functors import (commutator, desuspend_family, nary_embed, suspend_family,
+                       suspend_operation)
 from .docio import AlgebraDocument, parse_document, serialize_document
 from .drivers import (Report, generate_random, run_check, run_coderive,
                       run_derive, run_selftest)

@@ -20,8 +20,8 @@ from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavo
                         nary_family, require_collapsible, require_parity, residual,
                         residual_insertions)
 from .errors import DocumentError, SymmetryError
-from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_commutator_lie,
-                       nary_commutator_prelie, nary_embed, suspend_family)
+from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_embed,
+                       suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
                      insertion_term_count)
 from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
@@ -32,6 +32,21 @@ from .samples import dual_numbers, nilpotent_dga, upper_corner
 
 NARY_DECLARED = {"assoc_n": PARTIALLY_ASSOCIATIVE, "prelie_n": PRELIE, "lie_n": LIE}
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
+
+# each commutator functor is `functors.commutator` under one name; the n-ary
+# pair applies it to the one-operation family of the document's operation
+# (`equations.nary_family`) and declares the n-ary type given here
+COMMUTATOR_FUNCTORS = {
+    "commutator-alpha": ("alpha", None),
+    "commutator-beta": ("beta", None),
+    "commutator-gamma": ("gamma", None),
+    "nary-commutator-prelie": ("gamma", "prelie_n"),
+    "nary-commutator-lie": ("beta", "lie_n"),
+}
+# the homotopy type a commutator's image declares, by declared type and name
+COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): ("pl_infinity", None),
+                          ("a_infinity", "alpha"): ("l_infinity", None),
+                          ("pl_infinity", "beta"): ("l_infinity", None)}
 
 # `coderive` walks every canonical word up to the weight cap twice (the
 # components, the law) and, to build the components, every unshuffle block
@@ -211,13 +226,14 @@ def nary_operation(doc: AlgebraDocument) -> tuple:
     """Extract the single plain n-ary operation from an n-ary document."""
     declared = doc.declared_type
     if not declared or declared[0] not in NARY_DECLARED:
-        raise DocumentError("document does not declare an n-ary type")
+        raise DocumentError("document does not declare an n-ary type", "declared_type")
     n = declared[1]
     if not doc.space.is_concentrated_in_degree_zero():
-        raise DocumentError("n-ary documents require a degree-0 basis")
+        raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
     arities = doc.family.arities()
     if arities not in ([], [n]):
-        raise DocumentError(f"an n-ary document must have operations only at arity {n}")
+        raise DocumentError(f"an n-ary document must have operations only at arity {n}",
+                            "operations")
     return n, doc.family.operation(n).with_degree(0)
 
 
@@ -238,18 +254,21 @@ def _nary_document(doc: AlgebraDocument, op: Operation, declared_name: str) -> A
 def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                check_preconditions: bool = True) -> AlgebraDocument:
     """Apply one functor and return the derived document (entries sorted on
-    serialization).  Convention and type mismatches raise DocumentError, and
-    so does a symmetrizing functor that would write more than
-    MAX_DERIVE_ENTRIES entries, before it starts; violated symmetry
-    preconditions raise a SymmetryError."""
+    serialization).  The five commutator functors take one path:
+    `functors.commutator` under the name COMMUTATOR_FUNCTORS gives, on the
+    document's family or, for the n-ary pair, on `nary_family` of its
+    operation.  Convention and type mismatches raise a DocumentError at the
+    field they refuse, and so does a symmetrizing functor that would write
+    more than MAX_DERIVE_ENTRIES entries, before it starts; violated
+    symmetry preconditions raise a SymmetryError."""
     declared = doc.declared_type
     is_nary = bool(declared and declared[0] in NARY_DECLARED)
 
     if functor == "suspend":
         if doc.convention != UNHAT:
-            raise DocumentError("suspend expects an unhat document")
+            raise DocumentError("suspend expects an unhat document", "convention")
         if is_nary and declared[1] > 2:
-            raise DocumentError("suspend does not apply to n-ary documents")
+            raise DocumentError("suspend does not apply to n-ary documents", "declared_type")
         # an n-ary type needs a degree-0 basis, which the suspension leaves;
         # for n <= 2 the family is its own embedding (nary-embed at n = 2)
         derived_type = (EMBED_TYPE[declared[0]], None) if is_nary else declared
@@ -257,30 +276,36 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
 
     if functor == "desuspend":
         if doc.convention != HAT:
-            raise DocumentError("desuspend expects a hat document")
+            raise DocumentError("desuspend expects a hat document", "convention")
         if is_nary:
             raise DocumentError(f"desuspend does not apply to n-ary documents "
-                                f"(declared {declared[0]}, n = {declared[1]})")
+                                f"(declared {declared[0]}, n = {declared[1]})", "declared_type")
         return AlgebraDocument(desuspend_family(doc.family), declared)
 
-    if functor in ("commutator-alpha", "commutator-beta", "commutator-gamma"):
-        if is_nary and declared[1] > 2:
-            raise DocumentError(
-                "homotopy commutators do not apply to n-ary documents; "
-                "use nary-commutator-prelie or nary-commutator-lie")
-        name = functor.split("-")[1]
-        variant, mode = action_variant(doc.convention), COMMUTATOR_MODES[name]
+    if functor in COMMUTATOR_FUNCTORS:
+        name, nary_type = COMMUTATOR_FUNCTORS[functor]
+        if nary_type is None:
+            if is_nary and declared[1] > 2:
+                raise DocumentError(
+                    "homotopy commutators do not apply to n-ary documents; "
+                    "use nary-commutator-prelie or nary-commutator-lie", "declared_type")
+            family = doc.family
+        elif not is_nary:
+            raise DocumentError("n-ary commutators require a declared n-ary type",
+                                "declared_type")
+        else:
+            n, mu = nary_operation(doc)
+            family = nary_family(mu)
+        variant, mode = action_variant(family.convention), COMMUTATOR_MODES[name]
         if check_preconditions and name == "beta":
-            require_symmetry(doc.family.ops, variant, False, "commutator-beta")
+            require_symmetry(family.ops, variant, False, functor)
         if mode != MODE_SHUFFLE:
-            _require_derive_work(doc.family.ops.values(), variant, mode, functor)
-        derived_type = None
-        if declared and declared[0] == "a_infinity":
-            derived_type = {"gamma": ("pl_infinity", None),
-                            "alpha": ("l_infinity", None)}.get(name)
-        elif declared and declared[0] == "pl_infinity" and name == "beta":
-            derived_type = ("l_infinity", None)
-        return AlgebraDocument(commutator(doc.family, name), derived_type)
+            _require_derive_work(family.ops.values(), variant, mode, functor)
+        image = commutator(family, name)
+        if nary_type is not None:
+            return _nary_document(doc, image.operation(n), nary_type)
+        derived_type = COMMUTATOR_IMAGE_TYPES.get((declared[0], name)) if declared else None
+        return AlgebraDocument(image, derived_type)
 
     if functor == "nary-embed":
         n_value = n if n is not None else (declared[1] if is_nary else None)
@@ -295,21 +320,10 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
             raise DocumentError(
                 f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")
         if not is_nary and not doc.space.is_concentrated_in_degree_zero():
-            raise DocumentError("nary-embed requires a degree-0 basis")
+            raise DocumentError("nary-embed requires a degree-0 basis", "space.basis")
         mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
         new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
         return AlgebraDocument(nary_embed(mu), (new_type, None) if new_type else None)
-
-    if functor in ("nary-commutator-prelie", "nary-commutator-lie"):
-        if not is_nary:
-            raise DocumentError("n-ary commutators require a declared n-ary type")
-        _, mu = nary_operation(doc)
-        if functor == "nary-commutator-prelie":
-            _require_derive_work([mu], RHO2, MODE_PARTIAL, functor)
-            out = nary_commutator_prelie(mu)
-            return _nary_document(doc, out, "prelie_n")
-        out = nary_commutator_lie(mu, check_symmetry=check_preconditions)
-        return _nary_document(doc, out, "lie_n")
 
     raise DocumentError(f"unknown functor {functor!r}")
 

@@ -9,7 +9,8 @@ n-2 on V corresponds to an arity-n map of degree -1 on the shifted space sV
 
 with |x_i| taken in the unshifted space.  The leading minus for odd arities
 belongs to the bijection and is applied in both directions, so the round
-trip is the identity.
+trip is the identity.  Both directions are one shift of the degrees, by +1
+to suspend and by -1 to desuspend.
 
 The commutators are (partial) symmetrizations applied arity-wise:
 alpha sums over the whole symmetric group, beta over the (n-1,1)-unshuffles,
@@ -17,25 +18,22 @@ gamma over the group of the first n-1 slots; hat families symmetrize with
 the Koszul action, unhat families with the signed Koszul action.  They send
 homotopy associative structures to homotopy pre-Lie ones (gamma), homotopy
 pre-Lie to homotopy Lie (beta), and homotopy associative to homotopy Lie
-(alpha), with gamma then beta matching alpha term by term.
+(alpha), with gamma then beta matching alpha term by term.  An n-ary
+operation mu is the one-operation family `nary_family(mu)`, so its pre-Lie
+and Lie commutators are gamma and beta of that family.
 """
 
 from __future__ import annotations
 
 from .equations import nary_family
 from .errors import ConventionError
-from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily,
-                     family_degree)
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
-                           precompose_symmetrized, require_symmetry)
+from .graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily
+from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, action_variant,
+                           precompose_symmetrized)
 
 
-def suspended_space(space: GradedSpace) -> GradedSpace:
-    return GradedSpace(space.labels, tuple(d + 1 for d in space.degrees))
-
-
-def desuspended_space(space: GradedSpace) -> GradedSpace:
-    return GradedSpace(space.labels, tuple(d - 1 for d in space.degrees))
+def _shifted(space: GradedSpace, by: int) -> GradedSpace:
+    return GradedSpace(space.labels, tuple(d + by for d in space.degrees))
 
 
 def suspension_sign(arity: int, base_degrees) -> int:
@@ -48,34 +46,35 @@ def suspension_sign(arity: int, base_degrees) -> int:
     return 1 if s % 2 else -1
 
 
-def _shift_operation(op: Operation, target_space: GradedSpace,
-                     base_degrees_of, target_degree: int) -> Operation:
+def _shift_operation(op: Operation, by: int) -> Operation:
+    """op moved to the space with degrees raised by `by`, 1 to suspend or -1
+    to desuspend: each word's sign is read on the unshifted degrees (op's
+    own when suspending, the target's when desuspending), and the degree
+    drops by `by` per extra input."""
+    target = _shifted(op.space, by)
+    degrees = (op.space if by == 1 else target).degrees
     table = {}
     for word, sums in op.numerators.items():
-        sign = suspension_sign(op.arity, [base_degrees_of(i) for i in word])
+        sign = suspension_sign(op.arity, [degrees[i] for i in word])
         table[word] = sums if sign == 1 else {x: -c for x, c in sums.items()}
-    return Operation.from_numerators(target_space, op.arity, target_degree, table, op.denominator)
+    return Operation.from_numerators(target, op.arity, op.degree - by * (op.arity - 1),
+                                     table, op.denominator)
 
 
 def suspend_family(family: OperationFamily) -> OperationFamily:
     """unhat family on V  ->  hat family on sV."""
     if family.convention != UNHAT:
         raise ConventionError("suspend_family expects an unhat family")
-    sV = suspended_space(family.space)
-    base = family.space
-    ops = {n: _shift_operation(op, sV, base.degree, -1)
-           for n, op in family.ops.items()}
-    return OperationFamily(HAT, sV, family.max_arity, ops)
+    ops = {n: _shift_operation(op, 1) for n, op in family.ops.items()}
+    return OperationFamily(HAT, _shifted(family.space, 1), family.max_arity, ops)
 
 
 def desuspend_family(family: OperationFamily) -> OperationFamily:
     """hat family on W  ->  unhat family on the downshifted space."""
     if family.convention != HAT:
         raise ConventionError("desuspend_family expects a hat family")
-    base = desuspended_space(family.space)
-    ops = {n: _shift_operation(op, base, base.degree, family_degree(UNHAT, n))
-           for n, op in family.ops.items()}
-    return OperationFamily(UNHAT, base, family.max_arity, ops)
+    ops = {n: _shift_operation(op, -1) for n, op in family.ops.items()}
+    return OperationFamily(UNHAT, _shifted(family.space, -1), family.max_arity, ops)
 
 
 def suspend_operation(op: Operation) -> Operation:
@@ -84,8 +83,7 @@ def suspend_operation(op: Operation) -> Operation:
     Used to compare residuals across the two conventions: residuals are not
     family members but still transport along the same sign rule.
     """
-    sV = suspended_space(op.space)
-    return _shift_operation(op, sV, op.space.degree, op.degree - op.arity + 1)
+    return _shift_operation(op, 1)
 
 
 COMMUTATOR_MODES = {"alpha": MODE_FULL, "beta": MODE_SHUFFLE, "gamma": MODE_PARTIAL}
@@ -149,20 +147,3 @@ def nary_embed(mu: Operation) -> OperationFamily:
             table[mixed] = image
     op = Operation.from_numerators(carrier, n, n - 2, table, mu.denominator)
     return OperationFamily(UNHAT, carrier, 2 * n - 1, {n: op})
-
-
-def nary_commutator_prelie(mu: Operation) -> Operation:
-    """Antisymmetrize the first n-1 arguments with the sign of the
-    permutation; partially associative input yields pre-Lie output."""
-    mu.space.require_degree_zero("an n-ary commutator")
-    return precompose_symmetrized(mu, RHO2, MODE_PARTIAL)
-
-
-def nary_commutator_lie(p: Operation, check_symmetry: bool = True) -> Operation:
-    """Sum over the (n-1,1)-unshuffles with signs; pre-Lie input yields Lie
-    output.  The full antisymmetrization over the whole symmetric group is
-    (n-1)! times this."""
-    p.space.require_degree_zero("an n-ary commutator")
-    if check_symmetry:
-        require_symmetry({p.arity: p}, RHO2, False, "the n-ary Lie commutator")
-    return precompose_symmetrized(p, RHO2, MODE_SHUFFLE)

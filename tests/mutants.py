@@ -38,6 +38,7 @@ INTERTWINED = ("tests/test_functors.py::test_functors_intertwine_the_coderivatio
 EQUATIONS = ("tests/test_equations.py", "tests/test_preconditions.py",
              "tests/test_oracles.py")
 FUNCTORS = ("tests/test_functors.py", "tests/test_acceptance.py")
+DERIVE = ("tests/test_functors.py", "tests/test_preconditions.py", "tests/test_docio_cli.py")
 
 
 class Mutant(NamedTuple):
@@ -138,6 +139,19 @@ MUTANTS = (
     Mutant("suspension-odd-sign", "functors.py",
            "    return 1 if s % 2 else -1", "    return -1 if s % 2 else 1",
            "suspension_sign at odd arity", FUNCTORS),
+    Mutant("shift-base-degrees", "functors.py",
+           "(op.space if by == 1 else target).degrees", "(target if by == 1 else target).degrees",
+           "the shift's unshifted degrees when suspending", FUNCTORS),
+    Mutant("shift-degree-sign", "functors.py",
+           "op.degree - by * (op.arity - 1)", "op.degree + by * (op.arity - 1)",
+           "the sign of the shifted operation's degree", FUNCTORS),
+    Mutant("nary-prelie-commutator", "drivers.py",
+           '"nary-commutator-prelie": ("gamma", "prelie_n")',
+           '"nary-commutator-prelie": ("beta", "prelie_n")',
+           "the commutator that nary-commutator-prelie applies", DERIVE),
+    Mutant("beta-precondition", "drivers.py",
+           'check_preconditions and name == "beta"', 'check_preconditions and name == "gamma"',
+           "which commutator derive checks for partial symmetry first", DERIVE),
 )
 
 

@@ -16,9 +16,8 @@ from hopla.docio import parse_document, parse_rational
 from hopla.drivers import generate_random, nary_operation, run_check
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, circle_bracket, circle_product,
-                             nary_residual, residual)
-from hopla.functors import (commutator, nary_commutator_lie, nary_commutator_prelie,
-                            nary_embed, suspend_family)
+                             nary_family, nary_residual, residual)
+from hopla.functors import commutator, nary_embed, suspend_family
 from hopla.graded import UNHAT, GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, all_permutations,
                                 compose, failing_symmetry_generator, koszul_sign,
@@ -191,9 +190,9 @@ def test_criterion_6_nary_layer():
     for sp, mu in (dual_numbers(), upper_corner()):
         flat_mu = Operation(FLAT2, 2, 0, dict(mu.table))
         satisfying += [(flat_mu, PARTIALLY_ASSOCIATIVE),
-                       (nary_commutator_prelie(flat_mu), PRELIE),
-                       (nary_commutator_lie(nary_commutator_prelie(flat_mu),
-                                            check_symmetry=False), LIE)]
+                       (commutator(nary_family(flat_mu), "gamma").operation(2), PRELIE),
+                       (commutator(commutator(nary_family(flat_mu), "gamma"),
+                                   "beta").operation(2), LIE)]
     satisfying.append((Operation(FLAT2, 2, 0,
                                  {(0, 0): LinearCombination({0: 1}),
                                   (1, 1): LinearCombination({1: 1})}),
@@ -203,7 +202,7 @@ def test_criterion_6_nary_layer():
     prelie3 = [_prelie3_instance(*abcd)
                for abcd in ((-1, -1, -1, 0), (1, 0, 0, 1), (0, 1, -1, 0))]
     satisfying += [(p, PRELIE) for p in prelie3]
-    satisfying += [(nary_commutator_lie(p, check_symmetry=False), LIE) for p in prelie3[:2]]
+    satisfying += [(commutator(nary_family(p), "beta").operation(3), LIE) for p in prelie3[:2]]
     assert len(satisfying) >= 10
     assert any(not op.is_zero() and op.arity == 3 for op, _ in satisfying)
 
@@ -228,7 +227,7 @@ def test_criterion_6_nary_layer():
         for _ in range(4):
             p = precompose_symmetrized(_random_nary(rng, n), RHO2, MODE_PARTIAL)
             full = precompose_symmetrized(p, RHO2, MODE_FULL)
-            shuffle = nary_commutator_lie(p, check_symmetry=False)
+            shuffle = commutator(nary_family(p), "beta").operation(n)
             if full != shuffle.scaled(math.factorial(n - 1)):
                 ok = False
     _verdict(6, ok, "nary_residual iff embedded residuals (both directions, 10+ "

@@ -21,8 +21,8 @@ from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_ratio
                          serialize_document)
 from hopla.coalgebra import PERM, TENSOR, WEDGE, word_count
 from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIES,
-                           MAX_GENERATE_WORDS, _residual_witness, generate_random, run_check,
-                           run_derive)
+                           MAX_GENERATE_WORDS, _residual_witness, generate_random,
+                           nary_operation, run_check, run_derive)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              residual, residual_insertions)
 from hopla.errors import ConventionError, DocumentError
@@ -193,7 +193,6 @@ def test_run_check_witness_is_reproducible():
     failed = [c for c in report.checks if not c.passed]
     witness = failed[0].witness
     # re-run the printed inputs through the residual by hand
-    from hopla.drivers import nary_operation
     from hopla.equations import nary_residual
     n, mu = nary_operation(doc)
     res = nary_residual(mu, "partially_associative", check_symmetry=False)
@@ -1174,6 +1173,58 @@ def test_derive_type_mismatch_is_input_error(flat2):
         run_derive(doc, "commutator-beta")
     with pytest.raises(DocumentError):
         run_derive(doc, "bogus-functor")
+
+
+def _entry_at(n):
+    return [{"arity": n, "entries": [
+        {"inputs": ["e"] * n, "output": [{"label": "e", "coeff": "1"}]}]}]
+
+
+GRADED_BASIS = {"basis": [{"label": "e", "degree": 1}]}
+ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
+
+
+@pytest.mark.parametrize("overrides, argv, path, message", [
+    (dict(space=GRADED_BASIS, declared_type=ASSOC_2), ["derive", "--functor",
+     "nary-commutator-prelie"], "space.basis", "n-ary documents require a degree-0 basis"),
+    (dict(space=GRADED_BASIS, declared_type=ASSOC_2), ["check", "--flavor", "assoc"],
+     "space.basis", "n-ary documents require a degree-0 basis"),
+    (dict(space=GRADED_BASIS), ["derive", "--functor", "nary-embed", "--n", "2"],
+     "space.basis", "nary-embed requires a degree-0 basis"),
+    (dict(declared_type=ASSOC_3, max_arity=5, operations=_entry_at(2)),
+     ["derive", "--functor", "nary-commutator-lie"], "operations",
+     "an n-ary document must have operations only at arity 3"),
+    (dict(convention="hat"), ["derive", "--functor", "suspend"], "convention",
+     "suspend expects an unhat document"),
+    (dict(), ["derive", "--functor", "desuspend"], "convention",
+     "desuspend expects a hat document"),
+    (dict(declared_type=ASSOC_3), ["derive", "--functor", "suspend"], "declared_type",
+     "suspend does not apply to n-ary documents"),
+    (dict(convention="hat", declared_type=ASSOC_2), ["derive", "--functor", "desuspend"],
+     "declared_type", "desuspend does not apply to n-ary documents"),
+    (dict(declared_type=ASSOC_3), ["derive", "--functor", "commutator-alpha"],
+     "declared_type", "homotopy commutators do not apply to n-ary documents"),
+    (dict(), ["derive", "--functor", "nary-commutator-prelie"], "declared_type",
+     "n-ary commutators require a declared n-ary type"),
+], ids=["nary-basis-derive", "nary-basis-check", "embed-basis", "nary-operations",
+        "suspend-convention", "desuspend-convention", "suspend-nary", "desuspend-nary",
+        "homotopy-commutator-nary", "nary-commutator-undeclared"])
+def test_cli_derive_refusals_name_the_field(overrides, argv, path, message, tmp_path, capsys):
+    source, out = tmp_path / "doc.json", tmp_path / "out.json"
+    source.write_text(minimal_doc(**overrides))
+    verb, *flags = argv
+    written = ["-o", str(out)] if verb == "derive" else []
+    assert main([verb, str(source), *flags, *written]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {path}: {message}"), captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_nary_operation_refusal_names_the_declared_type(flat2):
+    with pytest.raises(DocumentError) as err:
+        nary_operation(AlgebraDocument(OperationFamily(UNHAT, flat2, 2, {})))
+    assert (err.value.path, err.value.message) == (
+        "declared_type", "document does not declare an n-ary type")
 
 
 def test_nary_check_routes_through_declared_type():

@@ -7,11 +7,12 @@ import pytest
 from conftest import associative_family, commutator_bracket
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map, coalgebra_words,
                              extend_coderivation)
+from hopla.docio import AlgebraDocument
+from hopla.drivers import run_derive
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
-                             EquationFlavor, nary_residual, residual)
+                             EquationFlavor, nary_family, nary_residual, residual)
 from hopla.errors import ConventionError, GradingError, SymmetryError
-from hopla.functors import (commutator, desuspend_family, nary_commutator_lie,
-                            nary_commutator_prelie, nary_embed, suspend_family,
+from hopla.functors import (commutator, desuspend_family, nary_embed, suspend_family,
                             suspend_operation, suspension_sign)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, check_homogeneous)
@@ -195,19 +196,20 @@ def test_nary_embed_requires_degree_zero(graded2):
 
 def test_nary_commutator_prelie_binary_is_identity(corner):
     sp, mu = corner
-    assert nary_commutator_prelie(mu) == mu
-    assert nary_residual(nary_commutator_prelie(mu), PRELIE).vanishes()
+    p = commutator(nary_family(mu), "gamma").operation(2)
+    assert p == mu
+    assert nary_residual(p, PRELIE).vanishes()
 
 
 def test_nary_commutator_zero(flat2):
     zero = Operation(flat2, 3, 0)
-    assert nary_commutator_prelie(zero).is_zero()
-    assert nary_commutator_lie(zero).is_zero()
+    assert commutator(nary_family(zero), "gamma").operation(3).is_zero()
+    assert commutator(nary_family(zero), "beta").operation(3).is_zero()
 
 
 def test_nary_commutator_lie_binary(corner):
     sp, mu = corner
-    lie = nary_commutator_lie(mu)  # arity 2: p(x,y) - p(y,x)
+    lie = commutator(nary_family(mu), "beta").operation(2)  # arity 2: p(x,y) - p(y,x)
     assert lie == commutator_bracket(sp, mu)
     assert nary_residual(lie, LIE).vanishes()
     # [a, b] = b in the corner algebra
@@ -217,8 +219,10 @@ def test_nary_commutator_lie_binary(corner):
 def test_nary_commutator_lie_requires_symmetry(kt2):
     sp, mu = kt2
     bad = Operation(sp, 3, 0, {(0, 0, 0): LinearCombination({1: 1})})
+    doc = AlgebraDocument(OperationFamily(UNHAT, sp, 3, {3: bad.with_degree(1)}),
+                          ("prelie_n", 3))
     with pytest.raises(SymmetryError):
-        nary_commutator_lie(bad)
+        run_derive(doc, "nary-commutator-lie")
 
 
 def test_full_antisymmetrization_proportionality(flat2, rng):
@@ -228,7 +232,7 @@ def test_full_antisymmetrization_proportionality(flat2, rng):
             p = precompose_symmetrized(random_operation(rng, flat2, n, 0),
                                        RHO2, MODE_PARTIAL)
             full = precompose_symmetrized(p, RHO2, MODE_FULL)
-            assert full == nary_commutator_lie(p, check_symmetry=False).scaled(
+            assert full == commutator(nary_family(p), "beta").operation(n).scaled(
                 math.factorial(n - 1))
 
 
@@ -237,9 +241,9 @@ def test_partially_associative_to_prelie_to_lie_chain(flat2, rng):
     table = {(0, 0, 0): LinearCombination({1: 2})}
     mu = Operation(flat2, 3, 0, table)
     assert nary_residual(mu, PARTIALLY_ASSOCIATIVE).vanishes()
-    p = nary_commutator_prelie(mu)
+    p = commutator(nary_family(mu), "gamma").operation(3)
     assert nary_residual(p, PRELIE).vanishes()
-    lie = nary_commutator_lie(p)
+    lie = commutator(nary_family(p), "beta").operation(3)
     assert nary_residual(lie, LIE).vanishes()
 
 

@@ -18,7 +18,6 @@ from hopla.drivers import run_check, run_derive
 from hopla.equations import (LIE, PRELIE, EquationFlavor, check_prelie_n_two_ways,
                              circle_bracket, circle_product, nary_residual, residual)
 from hopla.errors import ArityError, GradingError, SymmetryError
-from hopla.functors import nary_commutator_lie
 from hopla.graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily, linear_sum
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO1, RHO2, action_variant,
                                 failing_symmetry_generator, precompose_symmetrized)
@@ -122,7 +121,9 @@ def extend_wedge(rng):
 
 def nary_commutator(rng):
     p = op(rng, FLAT, 4, 0, RHO2, "pair")
-    return lambda: nary_commutator_lie(p), {4: p}, RHO2, False
+    filed = Operation(FLAT, 4, degree(UNHAT, 4), p.table)
+    doc = AlgebraDocument(OperationFamily(UNHAT, FLAT, 4, {4: filed}), ("prelie_n", 4))
+    return lambda: run_derive(doc, "nary-commutator-lie"), {4: p}, RHO2, False
 
 
 def derive_commutator_beta(rng):

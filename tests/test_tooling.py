@@ -608,6 +608,38 @@ def test_one_residual_path():
     assert "RHO2" not in set(_names(function))
 
 
+def test_one_commutator_path():
+    # every commutator functor is `functors.commutator`: run_derive calls it
+    # once, the n-ary pair on the one-operation family, and suspension is
+    # one signed shift; no second symmetrization, action or precondition
+    # is left in functors.py
+    removed = {"nary_commutator_prelie", "nary_commutator_lie", "suspended_space",
+               "desuspended_space"}
+    found = []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in removed:
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in removed]
+    assert found == []
+    tree = ast.parse((SRC / "drivers.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "run_derive"]
+    calls = [node.func.id for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("commutator") == 1, calls
+    assert not set(_names(function)) & {"RHO2", "MODE_PARTIAL"}
+    tree = ast.parse((SRC / "functors.py").read_text(encoding="utf-8"))
+    assert not set(_names(tree)) & {"RHO2", "require_symmetry"}
+    callers = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               and "precompose_symmetrized" in {node.func.id for node in ast.walk(top)
+                                                 if isinstance(node, ast.Call)
+                                                 and isinstance(node.func, ast.Name)}]
+    assert callers == ["commutator"], callers
+
+
 def _is_parity_rule(node):
     """A comparison with `(... + <x>.degree) % 2`: the rule that an output
     has the parity of its inputs plus the operation's degree."""
