@@ -314,8 +314,7 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
         raise ConventionError("coderivation extension requires a hat-convention family")
     if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
-    if kind != TENSOR:
-        require_symmetry(family.ops, RHO1, kind == WEDGE, f"the {kind} coderivation extension")
+    require_symmetry(family.ops, RHO1, SYMMETRIZATION[kind], f"the {kind} coderivation extension")
     for n in family.arities():
         if not check_homogeneous(family.ops[n]):
             raise ConventionError(f"the {kind} coderivation extension requires homogeneous "

@@ -19,7 +19,7 @@ from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         nary_family, require_collapsible, require_parity, residual,
                         residual_insertions)
-from .errors import DocumentError, SymmetryError
+from .errors import ConventionError, DocumentError, SymmetryError
 from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_embed,
                        suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
@@ -43,6 +43,8 @@ COMMUTATOR_FUNCTORS = {
     "nary-commutator-prelie": ("gamma", "prelie_n"),
     "nary-commutator-lie": ("beta", "lie_n"),
 }
+# the input symmetry each commutator's theorem assumes, checked before it runs
+COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}
 # the homotopy type a commutator's image declares, by declared type and name
 COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): ("pl_infinity", None),
                           ("a_infinity", "alpha"): ("l_infinity", None),
@@ -143,15 +145,14 @@ def _residual_witness(space: GradedSpace, entry) -> dict | None:
 
 def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor) -> bool:
     """Append one symmetry-precondition line per arity of `ops`, under the
-    flavor's action; returns overall success."""
-    if flavor.kind == ASSOC:
+    flavor's action and labelled by its mode; returns overall success."""
+    mode = flavor.mode
+    if mode is None:
         return True
-    variant, full = flavor.variant, flavor.kind == LIE
-    label = "full" if full else "partial"
     ok = True
     for n in sorted(ops):
-        bad = failing_symmetry_generator(ops[n], variant, full=full)
-        report.add(f"{label} symmetry at arity {n}", bad is None,
+        bad = failing_symmetry_generator(ops[n], flavor.variant, full=mode == MODE_FULL)
+        report.add(f"{mode} symmetry at arity {n}", bad is None,
                    witness=None if bad is None else {"arity": n, "transposition": list(bad)})
         ok = ok and bad is None
     return ok
@@ -177,7 +178,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
     insertion terms.  The collapsed form's precondition is
     `equations.require_collapsible`'s: its parity half raises a
-    ConventionError before any symmetry line, and without
+    DocumentError at `operations` before any symmetry line, and without
     `check_preconditions` the report has no symmetry lines and a family
     without the symmetry raises a SymmetryError instead.  Verdicts and
     witnesses are read off the folded residuals; nothing is expanded.
@@ -206,10 +207,13 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
         line, what = f"{kind}/{doc.convention} residual", f"the {kind} check up to arity {cap}"
 
     flavor = EquationFlavor(kind, family.convention)
-    if check_preconditions:
-        require_parity(family, kind)
-    else:
-        require_collapsible(family, flavor)
+    try:
+        if check_preconditions:
+            require_parity(family, kind)
+        else:
+            require_collapsible(family, flavor)
+    except ConventionError as exc:
+        raise DocumentError(str(exc), "operations") from None
     if not check_preconditions or _symmetry_check(report, family.ops, flavor):
         tables = {}  # each representative table is built once per check
         _require_check_work(insertion_term_count(chain.from_iterable(
@@ -297,8 +301,8 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
             n, mu = nary_operation(doc)
             family = nary_family(mu)
         variant, mode = action_variant(family.convention), COMMUTATOR_MODES[name]
-        if check_preconditions and name == "beta":
-            require_symmetry(family.ops, variant, False, functor)
+        if check_preconditions:
+            require_symmetry(family.ops, variant, COMMUTATOR_PRECONDITIONS.get(name), functor)
         if mode != MODE_SHUFFLE:
             _require_derive_work(family.ops.values(), variant, mode, functor)
         image = commutator(family, name)
@@ -336,7 +340,8 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
 
     A weight cap outside 1..MAX_ARITY, or more than MAX_CODERIVE_WORK
     canonical words plus unshuffle blocks up to the cap (`word_count`,
-    `block_count`), raises a DocumentError before any work starts."""
+    `block_count`), raises a DocumentError before any work starts, and so
+    does an operation that is not homogeneous, at `operations`."""
     t0 = time.monotonic()
     if kind not in (TENSOR, WEDGE, PERM):
         raise DocumentError(f"unknown coalgebra kind {kind!r}")
@@ -360,6 +365,8 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
                    witness={"arity": exc.arity, "transposition": list(exc.transposition)})
         report.elapsed = time.monotonic() - t0
         return report
+    except ConventionError as exc:
+        raise DocumentError(str(exc), "operations") from None
     if check_preconditions:
         report.add("coderivation law up to the cap", check_coderivation(D))
     square_zero = True
@@ -477,10 +484,8 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
     for arity in arities:
         op = verify.random_operation(rng, space, arity, family_degree(convention, arity),
                                      sparsity, (-2, -1, 1, 2), sources, sinks)
-        if symmetrize == "partial":
-            op = precompose_symmetrized(op, variant, MODE_PARTIAL)
-        elif symmetrize == "full":
-            op = precompose_symmetrized(op, variant, MODE_FULL)
+        if symmetrize != "none":
+            op = precompose_symmetrized(op, variant, symmetrize)
         if not op.is_zero():
             ops[arity] = op
     family = OperationFamily(convention, space, max(arities), ops)

@@ -6,7 +6,7 @@ residual of a family {mu_k} is
     sum_{i+j=n+1} sum_{m=0}^{i-1} c(i,j,m) * mu_i o (I_m (x) mu_j (x) I_{i-m-1}) o P
 
 where the coefficient c and the symmetrizing precomposition P depend on the
-flavor:
+flavor; the factorials are 1/((i-1)! acted_count(mode, j)!) under a mode:
 
     assoc / hat     c = 1                                   P = id
     prelie / hat    c = 1/((i-1)!(j-1)!)                    P = rho1 summed over S_{n-1} on the first n-1 slots
@@ -22,22 +22,22 @@ plus mu_k's degree and each mu_k is invariant under the matching signed
 action; `require_collapsible` checks both, parity first, unless bypassed.
 
 What is computed is the Nijenhuis-Richardson form of that sum.  For a
-symmetric family, P makes every insertion position whose inserted block
-stays inside the symmetrized slots contribute exactly what position 0
-does, so per arity pair (i, j) only these insertions are made:
+symmetric family, P makes each position 0..a-1, a = acted_count(mode, i),
+whose inserted block stays inside the acted slots, contribute what
+position 0 does, so per arity pair (i, j) only these insertions are made:
 
-    assoc     every position m, with c(i,j,m)
-    prelie    position 0 with (i-1)*c(i,j,0), and position i-1 with c(i,j,i-1)
-    lie       position 0 with i*c(i,j,0)
+    a > 0             position 0 with a*c(i,j,0), outer block (1, a)
+    m = a..i-1        position m with c(i,j,m), outer block (0, a)
 
 The same symmetry makes every arrangement of an operand's symmetric
 slots inside the acted ones contribute to P what the sorted arrangement
-does, so the prelie and lie insertions (and the circle products') stream
-only the entries whose block of those slots is sorted, each times the
-number of its distinct arrangements (`permutations.block_representatives`).
-P's |Stab| completes the weight of a pair of representatives, for lie
-i * prod_x C(r_x, a_x) (docs/conventions.md).  Each such table is built once
-per call, in a memo the caller owns (`tables`).
+does, so each insertion streams, on the outer block above and the inner
+block (0, acted_count(mode, j)), only the entries whose block is sorted,
+each times the number of its distinct arrangements
+(`permutations.block_representatives`).  P's |Stab| completes the weight
+of a pair of representatives, for lie i * prod_x C(r_x, a_x)
+(docs/conventions.md).  Each such table is built once per call, in a memo
+the caller owns (`tables`).
 
 All insertions of one arity stream their terms, as integer numerators
 over one common denominator per call, straight into P, which sums them
@@ -76,7 +76,7 @@ from math import factorial, lcm
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
                      table_from_terms)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, action_variant,
+from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, acted_count, action_variant,
                            block_representatives, expand, fold, require_symmetry)
 
 ASSOC = "assoc"
@@ -104,37 +104,37 @@ class EquationFlavor:
     def variant(self) -> str:
         return action_variant(self.convention)
 
+    @property
+    def mode(self) -> str | None:
+        return SYMMETRIZATION.get(self.kind)
+
 
 def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:
     c = Fraction(1)
     if flavor.convention == UNHAT and (j * (i - m - 1) + m) % 2:
         c = -c
-    if flavor.kind == PRELIE:
-        c /= factorial(i - 1) * factorial(j - 1)
-    elif flavor.kind == LIE:
-        c /= factorial(i - 1) * factorial(j)
+    if flavor.mode is not None:
+        c /= factorial(i - 1) * factorial(acted_count(flavor.mode, j))
     return c
 
 
-def _positions(kind: str, i: int, coefficient) -> tuple:
+def _positions(mode: str | None, i: int, coefficient) -> tuple:
     """(position, coefficient, block) of the insertions that stand for all
     i insertion positions of an arity-i outer operation, given the
     coefficient of each position; block is the (lo, hi) slots of the outer
     operation whose arrangements the insertion streams as one
-    (`permutations.block_representatives`), or None.
+    (`permutations.block_representatives`).
 
-    Under a partial (pre-Lie) symmetrization positions 0..i-2 contribute
-    what position 0 does, and under a full (Lie) one every position does,
-    provided the operations carry that symmetry; the other kinds keep every
-    position.  The block is the outer operation's symmetric slots less the
-    one the inner operation's output fills.
+    With a = acted_count(mode, i), the positions 0..a-1 lie inside the
+    acted slots and, provided the operations carry the mode's symmetry,
+    contribute what position 0 does, so they collapse to position 0 with
+    a times its coefficient; its block is the acted slots less the one the
+    inner operation's output fills.  Each position a..i-1 is kept, its
+    block all the acted slots.
     """
-    if kind == LIE:
-        return ((0, i * coefficient(0), (1, i)),)
-    if kind == PRELIE:
-        last = ((i - 1, coefficient(i - 1), (0, i - 1)),)
-        return last if i == 1 else ((0, (i - 1) * coefficient(0), (1, i - 1)),) + last
-    return tuple((m, coefficient(m), None) for m in range(i))
+    a = acted_count(mode, i)
+    collapsed = ((0, a * coefficient(0), (1, a)),) if a else ()
+    return collapsed + tuple((m, coefficient(m), (0, a)) for m in range(a, i))
 
 
 def require_parity(family: OperationFamily, kind: str) -> None:
@@ -157,17 +157,13 @@ def require_collapsible(family: OperationFamily, flavor: EquationFlavor) -> None
     `require_parity`, then invariance under the flavor's action (a
     SymmetryError names the first failing arity); assoc needs neither."""
     require_parity(family, flavor.kind)
-    if flavor.kind != ASSOC:
-        require_symmetry(family.ops, flavor.variant, flavor.kind == LIE,
-                         f"the {flavor.kind} residual")
+    require_symmetry(family.ops, flavor.variant, flavor.mode, f"the {flavor.kind} residual")
 
 
 def _representatives(tables: dict, op: Operation, block) -> Operation:
     """`block_representatives(op, *block)`, built once per `tables`, the
-    caller's per-call memo; op itself when block is None.  Each entry keeps
-    op, so its id cannot pass to another operation while the entry lives."""
-    if block is None:
-        return op
+    caller's per-call memo.  Each entry keeps op, so its id cannot pass to
+    another operation while the entry lives."""
     key = (id(op),) + block
     entry = tables.get(key)
     if entry is None:
@@ -175,16 +171,15 @@ def _representatives(tables: dict, op: Operation, block) -> Operation:
     return entry[1]
 
 
-def _insertions(kind: str, outer: Operation, inner: Operation, coefficient, tables: dict):
+def _insertions(mode: str | None, outer: Operation, inner: Operation, coefficient, tables: dict):
     """The (outer, inner, position, coefficient) insertions that stand for
     every position of inner into outer, on the representative tables of
     both operands' symmetric blocks (see `_positions`).  The inner block is
-    all of inner's symmetric slots: they lie inside the acted slots at
+    all of inner's acted slots: they lie inside the outer's acted slots at
     every position kept."""
-    j = inner.arity
-    inner = _representatives(tables, inner, {LIE: (0, j), PRELIE: (0, j - 1)}.get(kind))
+    inner = _representatives(tables, inner, (0, acted_count(mode, inner.arity)))
     return [(_representatives(tables, outer, block), inner, position, c)
-            for position, c, block in _positions(kind, outer.arity, coefficient)]
+            for position, c, block in _positions(mode, outer.arity, coefficient)]
 
 
 def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
@@ -220,7 +215,7 @@ def residual_insertions(family: OperationFamily, flavor: EquationFlavor, n: int,
     ops = family.ops
     tables = {} if tables is None else tables
     return chain.from_iterable(
-        _insertions(flavor.kind, ops[i], ops[n + 1 - i],
+        _insertions(flavor.mode, ops[i], ops[n + 1 - i],
                     partial(_coefficient, flavor, i, n + 1 - i), tables)
         for i in family.arities() if n + 1 - i in ops)
 
@@ -246,10 +241,9 @@ def residual(family: OperationFamily, flavor: EquationFlavor, n: int,
     if check_symmetry:
         require_collapsible(family, flavor)
 
-    mode = SYMMETRIZATION.get(flavor.kind)
     degree = -2 if flavor.convention == HAT else n - 3
     return _insert_fold(family.space, n, degree, residual_insertions(family, flavor, n, tables),
-                        flavor.variant, mode)
+                        flavor.variant, flavor.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +258,8 @@ def _require_circle_factors(f: Operation, g: Operation, check_symmetry: bool) ->
         raise ArityError("circle product requires a common space")
     f.space.require_degree_zero("the circle product")
     if check_symmetry:
-        require_symmetry({f.arity: f}, RHO2, False, "the circle product's left factor")
-        require_symmetry({g.arity: g}, RHO2, False, "the circle product's right factor")
+        require_symmetry({f.arity: f}, RHO2, MODE_PARTIAL, "the circle product's left factor")
+        require_symmetry({g.arity: g}, RHO2, MODE_PARTIAL, "the circle product's right factor")
 
 
 def _circle_insertions(f: Operation, g: Operation, tables: dict, sign: int = 1):
@@ -274,7 +268,8 @@ def _circle_insertions(f: Operation, g: Operation, tables: dict, sign: int = 1):
     representative tables of f and g (memo `tables`)."""
     m, n = f.arity - 1, g.arity - 1
     scale = factorial(m) * factorial(n)
-    return _insertions(PRELIE, f, g, lambda p: Fraction(sign * (-1) ** (p * n), scale), tables)
+    return _insertions(MODE_PARTIAL, f, g, lambda p: Fraction(sign * (-1) ** (p * n), scale),
+                       tables)
 
 
 def circle_product(f: Operation, g: Operation, check_symmetry: bool = True) -> Operation:

@@ -407,14 +407,16 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     return None
 
 
-def require_symmetry(ops: dict, variant: str, full: bool, what: str) -> None:
+def require_symmetry(ops: dict, variant: str, mode: str | None, what: str) -> None:
     """Walk the {arity: op} mapping in arity order and raise a SymmetryError
-    naming the first operation that is not invariant and its first failing
-    transposition (see failing_symmetry_generator)."""
+    naming the first operation that is not invariant under the mode's
+    action and its first failing transposition (see
+    failing_symmetry_generator); mode None requires nothing."""
+    if mode is None:
+        return
     for n in sorted(ops):
-        bad = failing_symmetry_generator(ops[n], variant, full)
+        bad = failing_symmetry_generator(ops[n], variant, mode == MODE_FULL)
         if bad is not None:
             raise SymmetryError(
-                f"{what} requires {'full' if full else 'partial'} symmetry; the arity-{n} "
-                f"operation is not invariant under the transposition {bad}",
-                arity=n, transposition=bad)
+                f"{what} requires {mode} symmetry; the arity-{n} operation is not invariant "
+                f"under the transposition {bad}", arity=n, transposition=bad)

@@ -19,7 +19,7 @@ from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, circle_bracket,
 from .functors import commutator, suspend_family, suspend_operation
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily)
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2,
+from .permutations import (MODE_FULL, MODE_SHUFFLE, RHO2,
                            all_permutations, compose, koszul_sign,
                            precompose_symmetrized, sign, unshuffles)
 
@@ -262,10 +262,8 @@ def random_unhat_family(rng: random.Random, space: GradedSpace, arities,
     ops = {}
     for n in arities:
         op = random_operation(rng, space, n, n - 2, density)
-        if symmetrize == "partial":
-            op = precompose_symmetrized(op, RHO2, MODE_PARTIAL)
-        elif symmetrize == "full":
-            op = precompose_symmetrized(op, RHO2, MODE_FULL)
+        if symmetrize is not None:
+            op = precompose_symmetrized(op, RHO2, symmetrize)
         if not op.is_zero():
             ops[n] = op
     return OperationFamily(UNHAT, space, max(arities), ops)

@@ -69,6 +69,10 @@ MUTANTS = (
            "chi * stabilizer_order(head, odd, rho2))",
            "chi * bool(stabilizer_order(head, odd, rho2)))",
            "fold's |Stab| factor", PERMUTATIONS),
+    Mutant("witness-min", "permutations.py",
+           "rep = min(self.table)", "rep = max(self.table)",
+           "Folded.first_nonzero_entry's smallest representative, the printed witness",
+           ("tests/test_oracles.py", "tests/test_docio_cli.py")),
     Mutant("block-count", "permutations.py",
            "                count //= run", "                count //= 1",
            "block_representatives' arrangement count of a block that repeats a letter",
@@ -107,13 +111,25 @@ MUTANTS = (
            "(j * (i - m - 1) + m) % 2", "(j * (i - m - 1)) % 2",
            "_coefficient's unhat sign", EQUATIONS),
     Mutant("prelie-factorials", "equations.py",
-           "        c /= factorial(i - 1) * factorial(j - 1)\n",
-           "        c /= factorial(i - 1)\n",
-           "_coefficient's pre-Lie normalization", EQUATIONS),
+           "c /= factorial(i - 1) * factorial(acted_count(flavor.mode, j))",
+           "c /= factorial(acted_count(flavor.mode, j))",
+           "_coefficient's (i-1)! normalization of the collapsed outer positions", EQUATIONS),
     Mutant("lie-factorials", "equations.py",
-           "        c /= factorial(i - 1) * factorial(j)\n",
-           "        c /= factorial(i - 1) * factorial(j - 1)\n",
-           "_coefficient's Lie normalization", EQUATIONS),
+           "factorial(acted_count(flavor.mode, j))", "factorial(j)",
+           "_coefficient's acted(j)! normalization, which is (j-1)! for pre-Lie", EQUATIONS),
+    Mutant("collapse-multiplicity", "equations.py",
+           "a * coefficient(0)", "coefficient(0)",
+           "_positions' count of the positions the collapsed one stands for", EQUATIONS),
+    Mutant("collapse-outer-block", "equations.py",
+           "a * coefficient(0), (1, a))", "a * coefficient(0), (0, a))",
+           "_positions' outer block at the collapsed position, which the inner output leaves",
+           EQUATIONS),
+    Mutant("kept-positions", "equations.py",
+           "range(a, i)", "range(a + 1, i)",
+           "_positions' positions outside the acted slots, each kept", EQUATIONS),
+    Mutant("inner-block", "equations.py",
+           "acted_count(mode, inner.arity)", "inner.arity",
+           "_insertions' inner block, the inner operation's acted slots only", EQUATIONS),
     Mutant("insert-fold-scale", "equations.py",
            "den // (coeff.denominator * operands)", "den // coeff.denominator",
            "_insert_fold's scale of each insertion's operands to the common denominator",
@@ -133,6 +149,11 @@ MUTANTS = (
            "g = gcd(g, *sums.values())", "g = 1",
            "Operation.from_numerators' reduction by the gcd, which keeps equal maps equal",
            ("tests/test_graded.py", "tests/test_permutations.py", "tests/test_oracles.py")),
+    Mutant("unweighted-outer-histogram", "graded.py",
+           "for word, sums in outer.numerators.items() for _ in sums",
+           "for word, sums in outer.numerators.items()",
+           "insertion_term_count's weight of each outer entry by its output terms",
+           ("tests/test_equations.py", "tests/test_docio_cli.py")),
     Mutant("suspension-even-sign", "functors.py",
            "for p in range(0, arity, 2))", "for p in range(1, arity, 2))",
            "suspension_sign at even arity", FUNCTORS),
@@ -150,7 +171,8 @@ MUTANTS = (
            '"nary-commutator-prelie": ("beta", "prelie_n")',
            "the commutator that nary-commutator-prelie applies", DERIVE),
     Mutant("beta-precondition", "drivers.py",
-           'check_preconditions and name == "beta"', 'check_preconditions and name == "gamma"',
+           'COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}',
+           'COMMUTATOR_PRECONDITIONS = {"gamma": MODE_PARTIAL}',
            "which commutator derive checks for partial symmetry first", DERIVE),
 )
 

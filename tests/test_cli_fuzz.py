@@ -9,8 +9,10 @@ mutated document then goes through `check` in every flavor, `derive` with
 every functor (each written document read back by `check --flavor assoc`)
 and `coderive` in every kind at a small weight cap.  The run must end in
 exit 0, 1 or 2 with no exception escaping `cli.main`; a refusal (exit 2) is
-one stderr line and nothing else; and whatever `derive` writes parses and
-serializes back to the same bytes.
+one stderr line, `input error: ` and the refused field or argument, and
+nothing else; every witness `check --json` prints re-evaluates to its
+printed value; and whatever `derive` writes parses and serializes back to
+the same bytes.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from hopla.drivers import generate_random
 from hopla.equations import ASSOC, LIE, PRELIE
 from hopla.graded import HAT, UNHAT, GradedSpace, OperationFamily, family_degree
 from hopla.verify import random_operation
+from test_witnesses import re_evaluates
 
 FUNCTORS = ("suspend", "desuspend", "commutator-alpha", "commutator-beta", "commutator-gamma",
             "nary-embed", "nary-commutator-prelie", "nary-commutator-lie")
@@ -180,7 +183,7 @@ def _assert_exit(code, out, err, argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        assert err.startswith(("input error: ", "error: ")), (argv, err)
+        assert err.startswith("input error: "), (argv, err)
         assert out == "", argv
 
 
@@ -191,8 +194,14 @@ def test_every_verb_survives_mutated_documents(tmp_path_factory, data, cap, n):
     source, written = folder / "doc.json", folder / "out.json"
     source.write_bytes(data)
     for flavor in (ASSOC, PRELIE, LIE):
-        argv = ["check", str(source), "--flavor", flavor]
-        _assert_exit(*_run(argv), argv)
+        argv = ["check", str(source), "--flavor", flavor, "--json"]
+        code, out, err = _run(argv)
+        _assert_exit(code, out, err, argv)
+        if code != 2:
+            doc = parse_document(data)
+            for check in json.loads(out)["checks"]:
+                if not check["passed"]:
+                    assert re_evaluates(doc, None, check["name"], check["witness"]), (argv, check)
     for kind in (TENSOR, WEDGE, PERM):
         argv = ["coderive", str(source), "--kind", kind, "--weight-cap", str(cap)]
         _assert_exit(*_run(argv), argv)

@@ -546,6 +546,8 @@ def test_cli_check_refuses_parity_inhomogeneous_families_with_odd_letters(tmp_pa
             assert main(["check", str(path), "--flavor", kind] + bypass) == 2
             captured = capsys.readouterr()
             assert f"the arity-{bad[0]} operation" in captured.err and captured.out == ""
+            # the refusal names the document field it refuses
+            assert captured.err.startswith("input error: operations: "), captured.err
         refused += 1
         flavor = EquationFlavor(kind, convention)
         differs += any(residual(family, flavor, n, check_symmetry=False).op
@@ -1145,7 +1147,9 @@ def test_cli_coderive_rejects_inhomogeneous_operations(tmp_path, capsys, extra):
                 {"inputs": inputs, "output": [{"label": output, "coeff": "1"}]}]}]))
         for kind in ("tensor", "wedge", "perm"):
             assert main(["coderive", str(path), "--kind", kind, "--weight-cap", "2"] + extra) == 2
-            assert "requires homogeneous operations" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "requires homogeneous operations" in err
+            assert err.startswith("input error: operations: "), err
 
 
 def test_cli_selftest_fast(capsys):

@@ -168,9 +168,11 @@ def test_one_trusted_operation_constructor():
 
 def _spells_acted_slots(function):
     """True when the function compares a mode with MODE_FULL or
-    MODE_PARTIAL, or keys a dict by one, and also subtracts 1, or when it
+    MODE_PARTIAL, or keys a dict by one, and also subtracts 1, when it keys
+    a dict by LIE or PRELIE with a value that subtracts 1, or when it
     branches on a flag named `full` with a branch that subtracts 1: the
-    mapping of a symmetrization mode to its acted slots."""
+    mapping of a symmetrization mode, or of the kind that names one, to its
+    acted slots."""
     modes = {"MODE_FULL", "MODE_PARTIAL"}
 
     def is_mode(node):
@@ -190,7 +192,11 @@ def _spells_acted_slots(function):
                   for node in ast.walk(function)
                   if isinstance(node, (ast.IfExp, ast.If))
                   and isinstance(node.test, ast.Name) and node.test.id == "full")
-    return compares and minus_one(function) or on_full
+    by_kind = any(isinstance(node, ast.Dict) and minus_one(*node.values)
+                  and any(isinstance(key, ast.Name) and key.id in ("LIE", "PRELIE")
+                          for key in node.keys)
+                  for node in ast.walk(function))
+    return compares and minus_one(function) or on_full or by_kind
 
 
 def test_one_rule_for_acted_slots():
@@ -211,6 +217,8 @@ def test_one_rule_for_acted_slots():
     assert not flagged("def f(op, full):\n"
                        "    return acted_count(MODE_FULL if full else MODE_PARTIAL, op.arity)\n")
     assert not flagged("def f(full):\n    return 'full' if full else 'partial'\n")
+    assert flagged("def f(kind, j):\n    return {LIE: (0, j), PRELIE: (0, j - 1)}.get(kind)\n")
+    assert not flagged("def f(kind, j):\n    return {LIE: (0, j), PRELIE: (0, j)}.get(kind)\n")
     spellers, callers = [], set()
     for path, tree in _parsed(sorted(SRC.glob("*.py"))):
         for node in ast.walk(tree):
@@ -682,6 +690,47 @@ def test_one_collapse_precondition():
     assert {"require_parity", "require_collapsible"} <= calls("drivers", "run_check")
     assert "require_symmetry" not in calls("drivers", "run_check") | calls(
         "drivers", "_symmetry_check")
+
+
+def _compares_a_kind(test):
+    """True when the condition compares a kind: a name `kind` or `name`, a
+    `.kind` attribute or a kind constant, inside a comparison."""
+    kinds = {"kind", "name", "ASSOC", "PRELIE", "LIE", "TENSOR", "WEDGE", "PERM"}
+    return any(isinstance(node, ast.Compare)
+               and any(isinstance(sub, ast.Name) and sub.id in kinds
+                       or isinstance(sub, ast.Attribute) and sub.attr == "kind"
+                       for sub in ast.walk(node))
+               for node in ast.walk(test))
+
+
+def test_residual_engine_reads_only_the_mode():
+    # the mode (MODE_PARTIAL, MODE_FULL or None) is the one name of a
+    # symmetry: the residual engine derives its collapsed positions, blocks
+    # and factorials from acted_count(mode, .), require_symmetry takes the
+    # mode, and no caller guards it by a kind or converts a kind to a flag
+    assert _compares_a_kind(ast.parse("if kind != TENSOR:\n    pass").body[0].test)
+    assert _compares_a_kind(ast.parse("c and name == 'beta'").body[0].value)
+    assert not _compares_a_kind(ast.parse("check_symmetry").body[0].value)
+    functions, guarded = {}, []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                functions[path.stem, top.name] = top
+        guarded += [f"{path.name}:{call.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.If) and _compares_a_kind(node.test)
+                    for branch in node.body + node.orelse for call in ast.walk(branch)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "require_symmetry"]
+    assert guarded == []
+    for name in ("_positions", "_insertions", "_coefficient", "residual"):
+        assert not set(_names(functions["equations", name])) & {"ASSOC", "PRELIE", "LIE"}, name
+    params = [arg.arg for arg in functions["permutations", "require_symmetry"].args.args]
+    assert "mode" in params and "full" not in params, params
+    assert not [node for node in ast.walk(functions["drivers", "run_derive"])
+                if isinstance(node, ast.Constant) and node.value == "beta"]
+    # report labels, the SymmetryError text and --symmetrize print the mode
+    from hopla.permutations import MODE_FULL, MODE_PARTIAL
+    assert (MODE_FULL, MODE_PARTIAL) == ("full", "partial")
 
 
 def test_every_mutant_snippet_occurs_once():

@@ -12,8 +12,9 @@ from hopla import drivers
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, extend_coderivation,
                              square_cogenerator_component)
 from hopla.docio import format_rational
-from hopla.drivers import generate_random, run_check, run_coderive
-from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, residual
+from hopla.drivers import NARY_DECLARED, generate_random, nary_operation, run_check, run_coderive
+from hopla.equations import (ASSOC, LIE, PRELIE, EquationFlavor, nary_family, nary_residual,
+                             residual)
 from hopla.errors import DocumentError
 from hopla.functors import suspend_family
 from hopla.graded import HAT, UNHAT, GradedSpace, LinearCombination, OperationFamily
@@ -21,6 +22,7 @@ from hopla.permutations import RHO1, action_variant, failing_symmetry_generator
 
 SYMMETRY = re.compile(r"(full|partial) symmetry at arity (\d+)$")
 RESIDUAL = re.compile(r"(\w+)/(\w+) residual at arity (\d+)$")
+NARY_RESIDUAL = re.compile(r"(\w+) residual at arity \d+$")
 COMPONENT = re.compile(r"squared coderivation, cogenerator component at weight (\d+)$")
 SQUARE = "squared coderivation vanishes up to the cap"
 CAP = 3
@@ -28,6 +30,16 @@ CAP = 3
 
 def hat_family(doc):
     return suspend_family(doc.family) if doc.convention == UNHAT else doc.family
+
+
+def is_nary(doc):
+    return bool(doc.declared_type and doc.declared_type[0] in NARY_DECLARED)
+
+
+def checked_family(doc):
+    """The family `check` runs: the document's, or the one-operation unhat
+    family of an n-ary document's operation."""
+    return nary_family(nary_operation(doc)[1]) if is_nary(doc) else doc.family
 
 
 def printed(op, witness):
@@ -41,8 +53,8 @@ def printed(op, witness):
 def re_evaluates(doc, coderive_kind, name, witness) -> bool:
     m = SYMMETRY.match(name)
     if m:
-        n = int(m.group(2))
-        bad = failing_symmetry_generator(doc.family.ops[n], action_variant(doc.convention),
+        n, family = int(m.group(2)), checked_family(doc)
+        bad = failing_symmetry_generator(family.ops[n], action_variant(family.convention),
                                          full=m.group(1) == "full")
         return witness["arity"] == n and bad == tuple(witness["transposition"])
     if name == "symmetry precondition":
@@ -53,6 +65,10 @@ def re_evaluates(doc, coderive_kind, name, witness) -> bool:
     if m:
         flavor = EquationFlavor(m.group(1), m.group(2))
         res = residual(doc.family, flavor, int(m.group(3)), check_symmetry=False)
+        return printed(res.op, witness) == witness["value"]
+    m = NARY_RESIDUAL.match(name)
+    if m and is_nary(doc):
+        res = nary_residual(nary_operation(doc)[1], m.group(1), check_symmetry=False)
         return printed(res.op, witness) == witness["value"]
     assert name != SQUARE, "the whole-square line is derived and carries no witness"
     m = COMPONENT.match(name)
