@@ -23,7 +23,9 @@ structure constants of a family of operations.  Coefficients travel as
 defect raises a `DocumentError` located at its JSON path, such as
 `operations[0].entries[3].output[1].coeff`.  A missing field or a value that
 is no object is worded by `_expect`, a non-integer or out-of-range integer by
-`_integer`, and a bad coefficient by `parse_rational`.  Fields are read by
+`_integer`, and a bad coefficient by `parse_rational`.  A document with a
+declared n-ary type must be the unhat family of its one operation: a
+degree-0 basis and nonzero operations only at arity n.  Fields are read by
 indexing, and those helpers run only to word a defect; each distinct
 coefficient string is parsed once, and a word with one output term is put
 over the operation's common denominator without a sum.
@@ -266,6 +268,15 @@ def parse_document(text) -> AlgebraDocument:
             if n > MAX_ARITY:
                 raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
                                     "declared_type.n")
+            # an n-ary document is its own one-operation unhat family
+            if convention != UNHAT:
+                raise DocumentError(f"declared type {name!r} needs the unhat convention",
+                                    "convention")
+            if not sp.is_concentrated_in_degree_zero():
+                raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
+            if ops.keys() - {n}:
+                raise DocumentError(f"an n-ary document must have operations only at arity {n}",
+                                    "operations")
         elif n is not None:
             raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")
         declared_type = (name, n)

@@ -17,12 +17,11 @@ from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_fold, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                        nary_family, require_collapsible, require_parity, residual,
-                        residual_insertions)
+                        require_collapsible, require_parity, residual, residual_insertions)
 from .errors import ConventionError, DocumentError, SymmetryError
 from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_embed,
                        suspend_family)
-from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
+from .graded import (HAT, UNHAT, GradedSpace, OperationFamily, family_degree,
                      insertion_term_count)
 from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
                            arrangement_count, failing_symmetry_generator,
@@ -30,25 +29,25 @@ from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_v
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
-NARY_DECLARED = {"assoc_n": PARTIALLY_ASSOCIATIVE, "prelie_n": PRELIE, "lie_n": LIE}
+NARY_DECLARED = ("assoc_n", "prelie_n", "lie_n")
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
 
-# each commutator functor is `functors.commutator` under one name; the n-ary
-# pair applies it to the one-operation family of the document's operation
-# (`equations.nary_family`) and declares the n-ary type given here
-COMMUTATOR_FUNCTORS = {
-    "commutator-alpha": ("alpha", None),
-    "commutator-beta": ("beta", None),
-    "commutator-gamma": ("gamma", None),
-    "nary-commutator-prelie": ("gamma", "prelie_n"),
-    "nary-commutator-lie": ("beta", "lie_n"),
-}
+# each commutator functor is `functors.commutator` under one name, applied to
+# the document's family; an n-ary document is the one-operation family of its
+# operation (`docio.parse_document` refuses any other)
+COMMUTATOR_FUNCTORS = {"commutator-alpha": "alpha", "commutator-beta": "beta",
+                       "commutator-gamma": "gamma", "nary-commutator-prelie": "gamma",
+                       "nary-commutator-lie": "beta"}
 # the input symmetry each commutator's theorem assumes, checked before it runs
 COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}
-# the homotopy type a commutator's image declares, by declared type and name
-COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): ("pl_infinity", None),
-                          ("a_infinity", "alpha"): ("l_infinity", None),
-                          ("pl_infinity", "beta"): ("l_infinity", None)}
+# the type a commutator's image declares, by the declared type and the
+# commutator; an n-ary image keeps the arity n
+COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): "pl_infinity",
+                          ("a_infinity", "alpha"): "l_infinity",
+                          ("pl_infinity", "beta"): "l_infinity",
+                          ("assoc_n", "gamma"): "prelie_n",
+                          ("assoc_n", "alpha"): "lie_n",
+                          ("prelie_n", "beta"): "lie_n"}
 
 # `coderive` walks every canonical word up to the weight cap twice (the
 # components, the law) and, to build the components, every unshuffle block
@@ -168,12 +167,12 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
               check_preconditions: bool = True) -> Report:
     """Residual verdicts for the requested equations.
 
-    A document declaring an n-ary type is checked as the one-operation
-    unhat family of its operation (`equations.nary_family`) at the single
-    arity 2n - 1 of its defining equation; any other document runs its own
-    family's residuals for every arity up to `max_arity` (default: the
-    family's cap).  Both then take one path: symmetry lines under the
-    flavor's action, one work bound, one residual per arity.  Before any
+    A document declaring an n-ary type, which is the one-operation unhat
+    family of its operation, is checked at the single arity 2n - 1 of its
+    defining equation; any other document runs its family's residuals for
+    every arity up to `max_arity` (default: the family's cap).  Both then
+    take one path: symmetry lines under the flavor's action, one work
+    bound, one residual per arity.  Before any
     residual, a DocumentError is raised for a `max_arity` outside
     1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
     insertion terms.  The collapsed form's precondition is
@@ -191,17 +190,16 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
                             f"got {max_arity}")
     report = Report(f"check {kind} ({doc.convention})")
 
-    declared = doc.declared_type
+    declared, family = doc.declared_type, doc.family
     if declared and declared[0] in NARY_DECLARED:
-        n, mu = nary_operation(doc)
+        n = declared[1]
         name = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
         if max_arity is not None and max_arity < 2 * n - 1:
             raise DocumentError(f"the {name} residual of an arity-{n} operation has arity "
                                 f"{2 * n - 1}, above the maximum arity {max_arity}")
-        family, arities = nary_family(mu), [2 * n - 1]
+        arities = [2 * n - 1]
         line, what = f"{name} residual", f"the {name} residual at arity {2 * n - 1}"
     else:
-        family = doc.family
         cap = max_arity if max_arity is not None else family.max_arity
         arities = range(1, cap + 1)
         line, what = f"{kind}/{doc.convention} residual", f"the {kind} check up to arity {cap}"
@@ -227,17 +225,11 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
 
 def nary_operation(doc: AlgebraDocument) -> tuple:
-    """Extract the single plain n-ary operation from an n-ary document."""
+    """The arity n and the plain (degree-0) operation of an n-ary document."""
     declared = doc.declared_type
     if not declared or declared[0] not in NARY_DECLARED:
         raise DocumentError("document does not declare an n-ary type", "declared_type")
     n = declared[1]
-    if not doc.space.is_concentrated_in_degree_zero():
-        raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
-    arities = doc.family.arities()
-    if arities not in ([], [n]):
-        raise DocumentError(f"an n-ary document must have operations only at arity {n}",
-                            "operations")
     return n, doc.family.operation(n).with_degree(0)
 
 
@@ -248,20 +240,14 @@ def _require_derive_work(ops, variant: str, mode: str, functor: str) -> None:
                             f"above the limit of {MAX_DERIVE_ENTRIES:,}")
 
 
-def _nary_document(doc: AlgebraDocument, op: Operation, declared_name: str) -> AlgebraDocument:
-    n = op.arity
-    lifted = op.with_degree(family_degree(doc.convention, n))
-    family = OperationFamily(doc.convention, op.space, max(doc.family.max_arity, n), {n: lifted})
-    return AlgebraDocument(family, (declared_name, n))
-
-
 def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                check_preconditions: bool = True) -> AlgebraDocument:
     """Apply one functor and return the derived document (entries sorted on
     serialization).  The five commutator functors take one path:
     `functors.commutator` under the name COMMUTATOR_FUNCTORS gives, on the
-    document's family or, for the n-ary pair, on `nary_family` of its
-    operation.  Convention and type mismatches raise a DocumentError at the
+    document's family, and the image declares the type that
+    COMMUTATOR_IMAGE_TYPES gives for the document's type, or none.
+    Convention and type mismatches raise a DocumentError at the
     field they refuse, and so does a symmetrizing functor that would write
     more than MAX_DERIVE_ENTRIES entries, before it starts; violated
     symmetry preconditions raise a SymmetryError."""
@@ -281,35 +267,21 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
     if functor == "desuspend":
         if doc.convention != HAT:
             raise DocumentError("desuspend expects a hat document", "convention")
-        if is_nary:
-            raise DocumentError(f"desuspend does not apply to n-ary documents "
-                                f"(declared {declared[0]}, n = {declared[1]})", "declared_type")
         return AlgebraDocument(desuspend_family(doc.family), declared)
 
     if functor in COMMUTATOR_FUNCTORS:
-        name, nary_type = COMMUTATOR_FUNCTORS[functor]
-        if nary_type is None:
-            if is_nary and declared[1] > 2:
-                raise DocumentError(
-                    "homotopy commutators do not apply to n-ary documents; "
-                    "use nary-commutator-prelie or nary-commutator-lie", "declared_type")
-            family = doc.family
-        elif not is_nary:
+        name, family = COMMUTATOR_FUNCTORS[functor], doc.family
+        if functor.startswith("nary-") and not is_nary:
             raise DocumentError("n-ary commutators require a declared n-ary type",
                                 "declared_type")
-        else:
-            n, mu = nary_operation(doc)
-            family = nary_family(mu)
         variant, mode = action_variant(family.convention), COMMUTATOR_MODES[name]
         if check_preconditions:
             require_symmetry(family.ops, variant, COMMUTATOR_PRECONDITIONS.get(name), functor)
         if mode != MODE_SHUFFLE:
             _require_derive_work(family.ops.values(), variant, mode, functor)
-        image = commutator(family, name)
-        if nary_type is not None:
-            return _nary_document(doc, image.operation(n), nary_type)
-        derived_type = COMMUTATOR_IMAGE_TYPES.get((declared[0], name)) if declared else None
-        return AlgebraDocument(image, derived_type)
+        image_type = COMMUTATOR_IMAGE_TYPES.get((declared[0], name)) if declared else None
+        return AlgebraDocument(commutator(family, name),
+                               (image_type, declared[1]) if image_type else None)
 
     if functor == "nary-embed":
         n_value = n if n is not None else (declared[1] if is_nary else None)

@@ -39,6 +39,7 @@ EQUATIONS = ("tests/test_equations.py", "tests/test_preconditions.py",
              "tests/test_oracles.py")
 FUNCTORS = ("tests/test_functors.py", "tests/test_acceptance.py")
 DERIVE = ("tests/test_functors.py", "tests/test_preconditions.py", "tests/test_docio_cli.py")
+DOCUMENTS = ("tests/test_docio_cli.py", "tests/test_docio_parser.py")
 
 
 class Mutant(NamedTuple):
@@ -166,10 +167,23 @@ MUTANTS = (
     Mutant("shift-degree-sign", "functors.py",
            "op.degree - by * (op.arity - 1)", "op.degree + by * (op.arity - 1)",
            "the sign of the shifted operation's degree", FUNCTORS),
+    Mutant("nary-convention-rule", "docio.py",
+           "            if convention != UNHAT:", "            if False:",
+           "the parser's refusal of an n-ary document under the hat convention", DOCUMENTS),
+    Mutant("nary-basis-rule", "docio.py",
+           "            if not sp.is_concentrated_in_degree_zero():", "            if False:",
+           "the parser's refusal of an n-ary document with a letter of nonzero degree",
+           DOCUMENTS),
+    Mutant("nary-arity-rule", "docio.py",
+           "            if ops.keys() - {n}:", "            if False:",
+           "the parser's refusal of an n-ary document with an operation at another arity",
+           DOCUMENTS),
     Mutant("nary-prelie-commutator", "drivers.py",
-           '"nary-commutator-prelie": ("gamma", "prelie_n")',
-           '"nary-commutator-prelie": ("beta", "prelie_n")',
+           '"nary-commutator-prelie": "gamma"', '"nary-commutator-prelie": "beta"',
            "the commutator that nary-commutator-prelie applies", DERIVE),
+    Mutant("nary-image-type", "drivers.py",
+           '("assoc_n", "gamma"): "prelie_n"', '("assoc_n", "gamma"): "lie_n"',
+           "the n-ary type that gamma's image of an assoc_n document declares", DERIVE),
     Mutant("beta-precondition", "drivers.py",
            'COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}',
            'COMMUTATOR_PRECONDITIONS = {"gamma": MODE_PARTIAL}',

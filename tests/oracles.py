@@ -839,6 +839,14 @@ def parse_document_by_fields(text) -> AlgebraDocument:
             if n > MAX_ARITY:
                 raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
                                     "declared_type.n")
+            if convention != UNHAT:
+                raise DocumentError(f"declared type {name!r} needs the unhat convention",
+                                    "convention")
+            if any(degree != 0 for degree in degree_of.values()):
+                raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
+            if sorted(ops) not in ([], [n]):
+                raise DocumentError(f"an n-ary document must have operations only at arity {n}",
+                                    "operations")
         elif n is not None:
             raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")
         declared_type = (name, n)

@@ -55,7 +55,8 @@ BASES = tuple(json.loads(serialize_document(doc)) for doc in (
     _homotopy_document(("a_infinity", None), seed=2, convention=HAT),
     _homotopy_document(("pl_infinity", None), seed=3, symmetrize="full", nilpotent=True),
     _nary_document("assoc_n", 3, UNHAT, 4),
-    _nary_document("prelie_n", 2, HAT, 5),
+    _nary_document("prelie_n", 2, HAT, 5),   # refused at `convention` by every verb
+    _nary_document("prelie_n", 2, UNHAT, 7),
     _nary_document("lie_n", 3, UNHAT, 6),
 ))
 

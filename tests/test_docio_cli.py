@@ -20,9 +20,9 @@ from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
 from hopla.coalgebra import PERM, TENSOR, WEDGE, word_count
-from hopla.drivers import (MAX_CHECK_TERMS, MAX_CODERIVE_WORK, MAX_DERIVE_ENTRIES,
-                           MAX_GENERATE_WORDS, _residual_witness, generate_random,
-                           nary_operation, run_check, run_derive)
+from hopla.drivers import (COMMUTATOR_FUNCTORS, MAX_CHECK_TERMS, MAX_CODERIVE_WORK,
+                           MAX_DERIVE_ENTRIES, MAX_GENERATE_WORDS, _residual_witness,
+                           generate_random, nary_operation, run_check, run_derive)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              residual, residual_insertions)
 from hopla.errors import ConventionError, DocumentError
@@ -355,6 +355,43 @@ def test_cli_generate_refuses_unbounded_or_meaningless_requests(tmp_path, capsys
     assert time.monotonic() - start < 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "--seed", "1", "--dim", "0"], "dim"),
+    (["generate", "--seed", "1", "--dim", "2", "--degrees=,"], "degree"),
+    (["generate", "--seed", "1", "--dim", "2", "--arities", "0"], "arities"),
+], ids=["dim", "degrees", "arities"])
+def test_cli_generate_refuses_empty_or_nonpositive_sizes(argv, named, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert named in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_cli_refuses_operations_that_are_not_a_list(tmp_path, capsys):
+    source = tmp_path / "doc.json"
+    source.write_text(minimal_doc(operations={"arity": 2}))
+    for argv in (["check", str(source), "--flavor", ASSOC],
+                 ["derive", str(source), "--functor", "suspend"],
+                 ["coderive", str(source), "--kind", PERM]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: operations: operations must be a list\n", argv
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", GOOD, "--functor", "nary-commutator-prelie"],
+    ["generate", "--dim", "3", "--degrees", "0,1", "--arities", "1,2", "--seed", "4"],
+], ids=["derive", "generate"])
+def test_cli_writes_to_stdout_the_bytes_it_writes_to_a_file(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_cli_generate_refuses_degrees_that_reach_no_output_letter(tmp_path, capsys):
@@ -1059,8 +1096,8 @@ def test_cli_suspend_of_a_binary_nary_document_writes_its_embedding_type(tmp_pat
 
 @pytest.mark.parametrize("name, n", [("assoc_n", 3), ("lie_n", 2)])
 def test_cli_desuspend_refuses_nary_documents(tmp_path, capsys, name, n):
-    # a hat n-ary document on a degree-0 basis desuspends to a degree -1
-    # basis, on which no verb reads an n-ary type
+    # an n-ary document is an unhat family, so the parser refuses a hat one
+    # before desuspend, which needs a hat document, could read it
     doc = tmp_path / "hat_n.json"
     doc.write_text(minimal_doc(convention="hat", max_arity=2 * n - 1,
                                declared_type={"name": name, "n": n},
@@ -1070,7 +1107,7 @@ def test_cli_desuspend_refuses_nary_documents(tmp_path, capsys, name, n):
     out = tmp_path / "out.json"
     assert main(["derive", str(doc), "--functor", "desuspend", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "desuspend" in err and name in err
+    assert err == f"input error: convention: declared type '{name}' needs the unhat convention\n"
     assert not out.exists()
 
 
@@ -1172,9 +1209,11 @@ def test_cli_generate_hat_convention_feeds_coderive(tmp_path, capsys):
 
 
 def test_derive_type_mismatch_is_input_error(flat2):
+    # an n-ary document is its own family, so commutator-beta on it is
+    # nary-commutator-lie; only an unknown functor is refused
     doc = AlgebraDocument(OperationFamily(UNHAT, flat2, 5, {}), ("prelie_n", 3))
-    with pytest.raises(DocumentError):
-        run_derive(doc, "commutator-beta")
+    assert serialize_document(run_derive(doc, "commutator-beta")) == serialize_document(
+        run_derive(doc, "nary-commutator-lie"))
     with pytest.raises(DocumentError):
         run_derive(doc, "bogus-functor")
 
@@ -1205,14 +1244,12 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
     (dict(declared_type=ASSOC_3), ["derive", "--functor", "suspend"], "declared_type",
      "suspend does not apply to n-ary documents"),
     (dict(convention="hat", declared_type=ASSOC_2), ["derive", "--functor", "desuspend"],
-     "declared_type", "desuspend does not apply to n-ary documents"),
-    (dict(declared_type=ASSOC_3), ["derive", "--functor", "commutator-alpha"],
-     "declared_type", "homotopy commutators do not apply to n-ary documents"),
+     "convention", "declared type 'assoc_n' needs the unhat convention"),
     (dict(), ["derive", "--functor", "nary-commutator-prelie"], "declared_type",
      "n-ary commutators require a declared n-ary type"),
 ], ids=["nary-basis-derive", "nary-basis-check", "embed-basis", "nary-operations",
         "suspend-convention", "desuspend-convention", "suspend-nary", "desuspend-nary",
-        "homotopy-commutator-nary", "nary-commutator-undeclared"])
+        "nary-commutator-undeclared"])
 def test_cli_derive_refusals_name_the_field(overrides, argv, path, message, tmp_path, capsys):
     source, out = tmp_path / "doc.json", tmp_path / "out.json"
     source.write_text(minimal_doc(**overrides))
@@ -1222,6 +1259,118 @@ def test_cli_derive_refusals_name_the_field(overrides, argv, path, message, tmp_
     captured = capsys.readouterr()
     assert captured.err.startswith(f"input error: {path}: {message}"), captured.err
     assert captured.out == "" and not out.exists()
+
+
+# every verb that reads a document, with every functor and kind
+DOCUMENT_VERBS = ([["check", "--flavor", flavor] for flavor in (ASSOC, PRELIE, LIE)]
+                  + [["derive", "--functor", functor] for functor in
+                     ("suspend", "desuspend", *COMMUTATOR_FUNCTORS, "nary-embed")]
+                  + [["coderive", "--kind", kind, "--weight-cap", "2"]
+                     for kind in (TENSOR, WEDGE, PERM)])
+
+
+def _refused_by_every_verb(path, field, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for verb, *flags in DOCUMENT_VERBS:
+        written = ["-o", str(out)] if verb == "derive" else []
+        assert main([verb, str(path), *flags, *written]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {field}: {message}\n", (flags, captured.err)
+        assert captured.out == "" and not out.exists(), flags
+
+
+def test_cli_refuses_a_hat_nary_document_under_every_verb(tmp_path, capsys):
+    # an n-ary document is its own one-operation unhat family; a hat one
+    # was checked as the unhat family under a "(hat)" title, and beta and
+    # nary-commutator-lie wrote different brackets of it
+    path = tmp_path / "hat_prelie_n.json"
+    path.write_text(minimal_doc(
+        space={"basis": [{"label": "a", "degree": 0}, {"label": "b", "degree": 0}]},
+        convention="hat", declared_type={"name": "prelie_n", "n": 2},
+        operations=[{"arity": 2, "entries": [
+            {"inputs": ["a", "b"], "output": [{"label": "a", "coeff": "1"}]},
+            {"inputs": ["b", "a"], "output": [{"label": "b", "coeff": "2"}]}]}]))
+    _refused_by_every_verb(path, "convention",
+                           "declared type 'prelie_n' needs the unhat convention",
+                           tmp_path, capsys)
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    (dict(space={"basis": [{"label": "e", "degree": 0}, {"label": "t", "degree": 1}]},
+          declared_type=ASSOC_2, operations=[{"arity": 2, "entries": [
+              {"inputs": ["e", "e"], "output": [{"label": "e", "coeff": "1"}]},
+              {"inputs": ["e", "t"], "output": [{"label": "t", "coeff": "1"}]},
+              {"inputs": ["t", "e"], "output": [{"label": "t", "coeff": "1"}]}]}]),
+     "space.basis", "n-ary documents require a degree-0 basis"),
+    (dict(declared_type=ASSOC_3, max_arity=5, operations=_entry_at(2)),
+     "operations", "an n-ary document must have operations only at arity 3"),
+], ids=["graded-basis", "other-arity"])
+def test_cli_refuses_a_malformed_nary_document_under_every_verb(overrides, field, message,
+                                                                tmp_path, capsys):
+    # commutator-gamma, suspend (which then declared a_infinity) and
+    # coderive used to run on the graded one, a homogeneous assoc_n document
+    path = tmp_path / "doc.json"
+    path.write_text(minimal_doc(**overrides))
+    _refused_by_every_verb(path, field, message, tmp_path, capsys)
+
+
+def _nary_source(path, name, n, seed):
+    # n letters, so that beta, a full antisymmetrization, need not vanish
+    flat = GradedSpace(tuple(f"x{i}" for i in range(n)), (0,) * n)
+    mu = random_operation(random.Random(seed), flat, n, 0, 0.7)
+    if name == "prelie_n":
+        mu = precompose_symmetrized(mu, RHO2, MODE_PARTIAL)
+    family = OperationFamily(UNHAT, flat, 2 * n - 1, {n: mu.with_degree(n - 2)})
+    path.write_text(serialize_document(AlgebraDocument(family, (name, n))))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_homotopy_commutators_of_an_nary_document_are_the_nary_pair(n, tmp_path, capsys):
+    # an n-ary document is its own family, so commutator-gamma and
+    # commutator-beta write the n-ary pair's bytes, typed by the image-type
+    # table; n > 2 was refused, and n = 2 was written with no declared type
+    outputs = {}
+    for name, functors in (("assoc_n", ("commutator-gamma", "nary-commutator-prelie",
+                                        "commutator-alpha")),
+                           ("prelie_n", ("commutator-beta", "nary-commutator-lie"))):
+        source = _nary_source(tmp_path / f"{name}.json", name, n, f"{name}-{n}")
+        for functor in functors:
+            out = tmp_path / f"{name}-{functor}.json"
+            assert main(["derive", source, "--functor", functor, "-o", str(out)]) == 0
+            outputs[functor] = out.read_text(encoding="utf-8")
+    assert outputs["commutator-gamma"] == outputs["nary-commutator-prelie"]
+    assert outputs["commutator-beta"] == outputs["nary-commutator-lie"]
+    for functor, declared in (("commutator-gamma", "prelie_n"), ("commutator-beta", "lie_n"),
+                              ("commutator-alpha", "lie_n")):
+        doc = parse_document(outputs[functor])
+        assert doc.declared_type == (declared, n) and doc.family.arities(), functor
+
+
+def test_cli_nary_pair_types_only_the_image_of_its_source_structure(tmp_path, capsys):
+    # the gl2 bracket, alpha of M2 and declared lie_n, is a Lie 2-algebra;
+    # gamma is the identity at n = 2, and its image is no pre-Lie 2-algebra,
+    # so nary-commutator-prelie must not declare prelie_n on it
+    units = [(i, j) for i in range(2) for j in range(2)]
+    sp = GradedSpace(tuple(f"e{i + 1}{j + 1}" for i, j in units), (0,) * 4)
+    m2 = Operation(sp, 2, 0, {(units.index((i, j)), units.index((j, l))):
+                              LinearCombination({units.index((i, l)): 1})
+                              for i, j in units for l in range(2)})
+    gl2 = AlgebraDocument(run_derive(AlgebraDocument(OperationFamily(UNHAT, sp, 3, {2: m2})),
+                                     "commutator-alpha").family, ("lie_n", 2))
+    source, out = tmp_path / "gl2.json", tmp_path / "out.json"
+    source.write_text(serialize_document(gl2))
+    assert main(["check", str(source), "--flavor", LIE]) == 0
+    assert main(["derive", str(source), "--functor", "nary-commutator-prelie",
+                 "-o", str(out)]) == 0
+    image = parse_document(out.read_text(encoding="utf-8"))
+    assert image.declared_type is None
+    assert image.family.ops == gl2.family.ops
+    capsys.readouterr()
+    assert main(["check", str(out), "--flavor", PRELIE, "--json"]) == 1
+    failing = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+               if not c["passed"]]
+    assert failing == ["prelie/unhat residual at arity 3"]
 
 
 def test_nary_operation_refusal_names_the_declared_type(flat2):

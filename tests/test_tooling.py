@@ -648,6 +648,23 @@ def test_one_commutator_path():
     assert callers == ["commutator"], callers
 
 
+def test_one_reading_of_an_nary_document():
+    # the parser owns the n-ary rules, so an accepted n-ary document is its
+    # own one-operation family: drivers neither rebuilds nor re-files it, and
+    # each commutator functor names one commutator of functors.commutator
+    from hopla.drivers import COMMUTATOR_FUNCTORS
+    from hopla.functors import COMMUTATOR_MODES
+
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    for refusal in ("n-ary documents require a degree-0 basis",
+                    "an n-ary document must have operations only at arity"):
+        assert [name for name, text in texts.items()
+                for _ in range(text.count(refusal))] == ["docio.py"], refusal
+    conversions = set(_names(ast.parse(texts["drivers.py"]))) & {"nary_family", "_nary_document"}
+    assert conversions == set(), conversions
+    assert set(COMMUTATOR_FUNCTORS.values()) <= set(COMMUTATOR_MODES), COMMUTATOR_FUNCTORS
+
+
 def _is_parity_rule(node):
     """A comparison with `(... + <x>.degree) % 2`: the rule that an output
     has the parity of its inputs plus the operation's degree."""

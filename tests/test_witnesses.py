@@ -13,8 +13,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, extend_coderivation,
                              square_cogenerator_component)
 from hopla.docio import format_rational
 from hopla.drivers import NARY_DECLARED, generate_random, nary_operation, run_check, run_coderive
-from hopla.equations import (ASSOC, LIE, PRELIE, EquationFlavor, nary_family, nary_residual,
-                             residual)
+from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, nary_residual, residual
 from hopla.errors import DocumentError
 from hopla.functors import suspend_family
 from hopla.graded import HAT, UNHAT, GradedSpace, LinearCombination, OperationFamily
@@ -36,12 +35,6 @@ def is_nary(doc):
     return bool(doc.declared_type and doc.declared_type[0] in NARY_DECLARED)
 
 
-def checked_family(doc):
-    """The family `check` runs: the document's, or the one-operation unhat
-    family of an n-ary document's operation."""
-    return nary_family(nary_operation(doc)[1]) if is_nary(doc) else doc.family
-
-
 def printed(op, witness):
     """What evaluating op on the witness's inputs prints."""
     sp = op.space
@@ -53,7 +46,8 @@ def printed(op, witness):
 def re_evaluates(doc, coderive_kind, name, witness) -> bool:
     m = SYMMETRY.match(name)
     if m:
-        n, family = int(m.group(2)), checked_family(doc)
+        # the family `check` runs, an n-ary document's included
+        n, family = int(m.group(2)), doc.family
         bad = failing_symmetry_generator(family.ops[n], action_variant(family.convention),
                                          full=m.group(1) == "full")
         return witness["arity"] == n and bad == tuple(witness["transposition"])
