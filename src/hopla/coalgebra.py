@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 
 from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, GradedSpace, LinearCombination, Operation, OperationFamily,
-                     check_homogeneous, over, sum_by_key)
+                     check_homogeneous, over, sum_by_key, table_from_terms)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, _unshuffles_cached, acted_count,
                            arrangements, koszul_sign, require_symmetry, signed_sort,
                            stabilizer_order)
@@ -95,16 +95,16 @@ def word_count(kind: str, space: GradedSpace, cap: int) -> int:
 
 
 def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
-    """The number of blocks `extend_coderivation` walks to build the
-    components of operations of the given arities up to the cap, in closed
-    form: per canonical word of weight k and arity a <= k, the k - a + 1
-    insertion positions (tensor), or the `coproduct_terms` the components
-    sum over: the C(k, a) of left weight a (wedge), or the word's of left
-    weight a and its head's wedge terms of left weight k - a,
-    C(k - 1, a - 1) (k - a + 1) in all (Perm).  It counts unshuffles, and
-    `coproduct_terms` yields a split given by several of them once, so for
-    words that repeat a letter it is an upper bound.  Tensor walks (k - a + 1)
-    dim^(k - a) insertions per entry of mu_a: as many when mu_a is dense."""
+    """The blocks of `coderive`'s work bound, in closed form: per canonical
+    word of weight k and arity a <= k, the k - a + 1 insertion positions
+    (tensor), C(k, a) (wedge) or C(k - 1, a - 1) (k - a + 1) (Perm).  For
+    wedge and Perm it stands for the law line's word walk, whose cuts of
+    left weight k - a unshuffle C(k, a) (wedge) or C(k - 1, a - 1) (k - a)
+    (Perm) ways; the components walk the operations' entries instead.  A
+    split given by several unshuffles is yielded once, so for words that
+    repeat a letter it is an upper bound.  Tensor walks (k - a + 1)
+    dim^(k - a) insertions per entry of mu_a: as many when mu_a is
+    dense."""
     def per_word(k, a):
         if kind == TENSOR:
             return k - a + 1
@@ -136,20 +136,21 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
     same sum, its factors in the word's order (beta in `coalgebra_map`
     relies on this).
 
-    The wedge and Perm components rely on the boundary weights: for tensor
-    and wedge, i = n yields (w, ()) and i = 0 yields ((), w), with c = 1;
-    a negative block yields nothing, so a Perm word has no term at i = n.
-    `comultiply` sums only over i = 1 .. n-1."""
-    n = len(word)
-    acted = _acted(kind, n)
+    At the boundary weights, for tensor and wedge, i = n yields (w, ()) and
+    i = 0 yields ((), w), with c = 1 (beta of a weight-1 word reads the
+    latter); a negative block yields nothing, so a Perm word has no term at
+    i = n and beta of the empty word is zero.  `comultiply` sums only over
+    i = 1 .. n-1."""
     if kind == TENSOR:
         yield (word[:i], word[i:]), 1
         return
+    n = len(word)
+    acted = _acted(kind, n)
     blocks = (i, n - i) if kind == WEDGE else (i - 1, 1, n - 1 - i)
     head, rest = word[:acted], word[acted:]
-    for slots, c in _signed_unshuffles(tuple(space.parities[x] for x in head),
-                                       tuple(head.index(x) for x in head), *blocks):
-        permuted = tuple(head[j] for j in slots) + rest
+    for slots, c in _signed_unshuffles(tuple(map(space.parities.__getitem__, head)),
+                                       tuple(map({}.setdefault, head, range(acted))), *blocks):
+        permuted = tuple(map(head.__getitem__, slots)) + rest
         yield (permuted[:i], permuted[i:]), c
 
 
@@ -235,9 +236,9 @@ class Coderivation:
     `components[(k, l)]` maps canonical weight-k words to their weight-l
     images, each a dict {word: int numerator} over the one common
     `denominator`; missing pairs and words are zero.  Wedge and Perm
-    components are summed over the distinct splits of `coproduct_terms`,
-    each split's integer coefficient times its term, tensor ones over
-    insertions of the operation.  The law and the square compute on these
+    components are summed over products of the operation's entries with
+    canonical rests, each weighted by the unshuffles that give its split,
+    tensor ones over insertions of the operation.  The law and the square compute on these
     numerators; `square_word` gives exact Fraction values.  The components
     are read-only once built: each word's image over all weights is
     computed once and kept.  A coderivation has degree -1, the sign of its
@@ -284,24 +285,23 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
 
     * tensor: sum over positions i of I_i (x) mu (x) I, with the sign
               (-1)^(|x_1| + ... + |x_i|) of mu passing the letters before it;
-    * wedge:  the sum over the `coproduct_terms` of left weight a, the
-              (a, k-a)-unshuffles sigma, of
+    * wedge:  the sum over the (a, k-a)-unshuffles sigma of
               eps(sigma) mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... ^ x_s(k);
     * perm:   on the word (x_1 ... x_{k-1} | t), the head terms, the sum
-              over its `coproduct_terms` of left weight a, the
-              (a-1, 1, k-1-a)-unshuffles sigma of the head, of
+              over the (a-1, 1, k-1-a)-unshuffles sigma of the head of
               eps(sigma) (mu(x_s(1), ..., x_s(a)) ^ x_s(a+1) ^ ... | t)
-              (none when l = 1), plus the tail term, the sum over the
-              head's wedge `coproduct_terms` of left weight l-1 of
+              (none when l = 1), plus the tail terms, the sum over the
+              (l-1, k-l)-unshuffles sigma of the head of
               eps(sigma) (-1)^(|x_s(1)| + ... + |x_s(l-1)|)
                   (x_s(1) ^ ... ^ x_s(l-1) | mu(x_s(l), ..., x_s(k-1), t)).
 
     The output letter of mu always comes first and `wedge_normalize` gives
-    the canonical word and its sign.  Each sum runs over the distinct
-    splits `coproduct_terms` yields, eps(sigma) summed per split.  These
-    sums equal the sums over all permutations of the word divided by each
-    term's multiplicity because mu has the symmetry `require_symmetry`
-    enforces here (full for wedge, in the first a-1 slots for perm).  Every
+    the canonical word and its sign.  `_component` sums each split once,
+    from the product of an entry of mu with a canonical rest, weighted by
+    the number of unshuffles that give it.  These sums equal the sums
+    over all permutations of the word divided by each term's multiplicity
+    because mu has the symmetry `require_symmetry` enforces here (full for
+    wedge, in the first a-1 slots for perm).  Every
     kind moves mu past letters with the sign of a degree -1 map, so mu must
     be homogeneous of degree -1 for the result to be a coderivation; that
     is checked here for every kind (ConventionError otherwise).
@@ -340,13 +340,18 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
     Tensor sums insertions: per position i, prefix of i letters, entry of
     op and suffix, the word prefix + input + suffix gets prefix + (output
     letter,) + suffix with the sign (-1)^|prefix|, so only words that hold
-    an entry are visited.  Wedge and Perm words sum their `coproduct_terms`
-    of left weight a."""
+    an entry are visited.  Wedge and Perm pair each entry of op with a
+    canonical head, the only left factors a canonical word splits off, with
+    each canonical rest: the product gets the entry's term times the merge
+    sign and the unshuffles that give the split (docs/conventions.md)."""
     sp = op.space
     odd = sp.parities
-    table = {word: [(letter, c * scale) for letter, c in sums.items()]
-             for word, sums in op.numerators.items()}
     a, l = op.arity, k - op.arity + 1
+    acted, wedge = _acted(kind, a), kind == WEDGE
+    table = {word: [(letter, c * scale) for letter, c in sums.items()]
+             for word, sums in op.numerators.items()   # tensor: all; else canonical heads
+             if not acted or list(word[:acted]) == sorted(word[:acted])
+             and stabilizer_order(word[:acted], odd, False)}
     if kind == TENSOR:
         negated = {word: [(letter, -c) for letter, c in out] for word, out in table.items()}
         by_word = defaultdict(list)
@@ -360,31 +365,49 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
                         for letter, c in out:
                             terms.append((prefix + (letter,) + suffix, c))
         images = ((word, sum_by_key(terms)) for word, terms in by_word.items())
-    else:
-        acted = _acted(kind, l) - 1   # the acted slots of an image word after its mu letter
+        return {word: image for word, image in images if image}
 
-        def terms(word):
-            for (left, right), eps in coproduct_terms(kind, sp, word, a):
-                out = table.get(left)
-                if out is None:
-                    continue
-                for letter, c in out:
-                    ns, w = wedge_normalize(sp, (letter,) + right[:acted])
-                    if w is not None:
-                        yield w + right[acted:], ns * eps * c
-            if kind == PERM:
-                tail = word[-1:]
-                for (front, back), eps in coproduct_terms(WEDGE, sp, word[:-1], l - 1):
-                    out = table.get(back + tail)
-                    if out is None:
-                        continue
-                    if sum(odd[x] for x in front) % 2:
-                        eps = -eps
-                    for letter, c in out:
-                        yield front + (letter,), eps * c
+    def merged(left, right):
+        """Sorted product of canonical factors, sign times unshuffles; (0, None) on shared odd x."""
+        shared = set(left).intersection(right)
+        if shared and any(odd[x] for x in shared):
+            return 0, None
+        word = [*left, *right]
+        sign = signed_sort(word, odd, False)
+        for x in shared:
+            sign *= comb(word.count(x), left.count(x))
+        return sign, tuple(word)
 
-        images = ((word, sum_by_key(terms(word))) for word in coalgebra_words(kind, sp, k))
-    return {word: image for word, image in images if image}
+    lefts, backs = defaultdict(list), defaultdict(list)   # entries by sorted left, by B
+    for e, out in table.items():
+        s, left = (1, e) if wedge else merged(e[:-1], e[-1:])
+        if s:
+            lefts[left].append((s, out))
+        backs[e[:-1]].append((e[-1:], out))
+    tails = [()] if wedge else [(t,) for t in range(sp.dim)]
+    lead = lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))
+
+    def terms():
+        # mu(left) ^ rest: wedge terms, and Perm head terms copied to every tail
+        for rest in coalgebra_words(WEDGE, sp, l - 1 if wedge else l - 2) if wedge or l > 1 else ():
+            for left, outs in lefts.items():
+                sign, word = merged(left, rest)
+                if word is not None:
+                    image = [(w, ns * s * sign * c) for s, out in outs for z, c in out
+                             for ns, w in (lead(z, rest),) if ns]
+                    for tail in tails:
+                        for w, c in image:
+                            yield word + tail, w + tail, c
+        # the Perm tail terms (front | mu(B | t)), mu passing the front
+        for front in () if wedge else coalgebra_words(WEDGE, sp, l - 1):
+            parity = -1 if sum(odd[x] for x in front) % 2 else 1
+            for back, outs in backs.items():
+                sign, head = merged(front, back)
+                for tail, out in outs if head is not None else ():
+                    for z, c in out:
+                        yield head + tail, front + (z,), parity * sign * c
+
+    return table_from_terms(terms())
 
 
 def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:

@@ -274,15 +274,20 @@ def parse_document(text) -> AlgebraDocument:
                                     "convention")
             if not sp.is_concentrated_in_degree_zero():
                 raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
-            if ops.keys() - {n}:
-                raise DocumentError(f"an n-ary document must have operations only at arity {n}",
-                                    "operations")
+            require_nary_operations(ops, n)
         elif n is not None:
             raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")
         declared_type = (name, n)
 
     family = OperationFamily(convention, sp, max_arity, ops)
     return AlgebraDocument(family, declared_type)
+
+
+def require_nary_operations(ops: dict, n: int) -> None:
+    """The n-ary rule on a document's nonzero operations: arity n only."""
+    if ops.keys() - {n}:
+        raise DocumentError(f"an n-ary document must have operations only at arity {n}",
+                            "operations")
 
 
 def _newline(depth: int) -> str:

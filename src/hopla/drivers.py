@@ -15,7 +15,7 @@ from itertools import chain, combinations
 
 from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_fold, word_count)
-from .docio import MAX_ARITY, AlgebraDocument, format_rational
+from .docio import MAX_ARITY, AlgebraDocument, format_rational, require_nary_operations
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         require_collapsible, require_parity, residual, residual_insertions)
 from .errors import ConventionError, DocumentError, SymmetryError
@@ -49,12 +49,12 @@ COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): "pl_infinity",
                           ("assoc_n", "alpha"): "lie_n",
                           ("prelie_n", "beta"): "lie_n"}
 
-# `coderive` walks every canonical word up to the weight cap twice (the
-# components, the law) and, to build the components, every unshuffle block
-# of every word per operation arity; the square's cogenerator part reads only
-# the components' entries.  It refuses a job whose words plus blocks exceed
-# this before any work starts.  The largest job in the benchmark, the tensor
-# coalgebra on 2x2 matrices at cap 5, counts 1,364 words and 5,008 blocks.
+# `coderive`'s law line walks every canonical word up to the weight cap and
+# cuts each wedge or Perm word per operation arity; the tensor components
+# insert each entry; `block_count` counts those unshuffles and insertions.
+# The wedge and Perm components walk the operations' entries.  It refuses a
+# job whose words plus blocks exceed this before any work starts.  The largest
+# benchmark job, tensor on 2x2 matrices at cap 5, counts 1,364 words and 5,008 blocks.
 MAX_CODERIVE_WORK = 20_000
 
 # `check` decides on orbit representatives, so its work is the insertion
@@ -297,6 +297,8 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
                 f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")
         if not is_nary and not doc.space.is_concentrated_in_degree_zero():
             raise DocumentError("nary-embed requires a degree-0 basis", "space.basis")
+        if not is_nary and n_value in doc.family.ops:
+            require_nary_operations(doc.family.ops, n_value)
         mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
         new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
         return AlgebraDocument(nary_embed(mu), (new_type, None) if new_type else None)

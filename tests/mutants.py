@@ -83,10 +83,27 @@ MUTANTS = (
            "signed = table",
            "the sign of mu passing an odd prefix in tensor components", INTERTWINED),
     Mutant("perm-tail-sign", "coalgebra.py",
-           "                    if sum(odd[x] for x in front) % 2:\n"
-           "                        eps = -eps",
-           "                    if False:\n                        eps = -eps",
+           "parity = -1 if sum(odd[x] for x in front) % 2 else 1", "parity = 1",
            "the sign of mu passing the front letters in Perm tail terms", INTERTWINED),
+    Mutant("component-multiplicity", "coalgebra.py",
+           "sign *= comb(word.count(x), left.count(x))", "sign *= 1",
+           "the number of unshuffles giving a split in the wedge and Perm components",
+           COALGEBRA),
+    Mutant("component-merge-sign", "coalgebra.py",
+           "sign = signed_sort(word, odd, False)", "sign = signed_sort(word, odd, False) ** 2",
+           "the Koszul sign of merging an entry with a rest in the wedge and Perm components",
+           COALGEBRA),
+    Mutant("component-shared-odd", "coalgebra.py",
+           "if shared and any(odd[x] for x in shared):", "if False:",
+           "the wedge and Perm components' drop of a product that repeats an odd letter",
+           COALGEBRA),
+    Mutant("perm-head-middle-letter", "coalgebra.py",
+           "else merged(e[:-1], e[-1:])", "else wedge_normalize(sp, e)",
+           "the Perm multinomial's factor for a middle letter y that repeats a letter of Lh",
+           COALGEBRA),
+    Mutant("perm-head-tails", "coalgebra.py",
+           "for tail in tails:", "for tail in tails[:1]:",
+           "the copy of each Perm head term to every tail", COALGEBRA),
     Mutant("component-scale", "coalgebra.py",
            "den // op.denominator", "1",
            "extend_coderivation's scale of each operation to the common denominator",
@@ -175,8 +192,9 @@ MUTANTS = (
            "the parser's refusal of an n-ary document with a letter of nonzero degree",
            DOCUMENTS),
     Mutant("nary-arity-rule", "docio.py",
-           "            if ops.keys() - {n}:", "            if False:",
-           "the parser's refusal of an n-ary document with an operation at another arity",
+           "    if ops.keys() - {n}:", "    if False:",
+           "the n-ary rule's refusal of an operation at another arity, in the parser and in "
+           "nary-embed --n",
            DOCUMENTS),
     Mutant("nary-prelie-commutator", "drivers.py",
            '"nary-commutator-prelie": "gamma"', '"nary-commutator-prelie": "beta"',

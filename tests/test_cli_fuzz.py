@@ -44,6 +44,15 @@ def _nary_document(name, n, convention, seed):
     return AlgebraDocument(family, (name, n))
 
 
+def _flat_document(arities, seed):
+    """An undeclared unhat document on a degree-0 basis with operations at
+    several arities, which `nary-embed --n` refuses at `operations`."""
+    flat = GradedSpace(("e0", "e1"), (0, 0))
+    rng = random.Random(seed)
+    ops = {n: random_operation(rng, flat, n, 0, 0.6).with_degree(n - 2) for n in arities}
+    return AlgebraDocument(OperationFamily(UNHAT, flat, max(arities), ops), None)
+
+
 def _homotopy_document(declared, **options):
     doc = generate_random(2, (0, 1), (1, 2, 3), 0.6, **options)
     return AlgebraDocument(doc.family, declared)
@@ -58,6 +67,7 @@ BASES = tuple(json.loads(serialize_document(doc)) for doc in (
     _nary_document("prelie_n", 2, HAT, 5),   # refused at `convention` by every verb
     _nary_document("prelie_n", 2, UNHAT, 7),
     _nary_document("lie_n", 3, UNHAT, 6),
+    _flat_document((2, 3), 8),
 ))
 
 

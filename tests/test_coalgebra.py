@@ -459,6 +459,29 @@ def test_tensor_kernels_make_no_coproduct_terms(monkeypatch, rng):
     assert calls[WEDGE] > 0
 
 
+def test_wedge_and_perm_components_make_no_coproduct_terms(monkeypatch, rng):
+    # the wedge and Perm components walk the operation's entries, so the
+    # extension makes no coproduct_terms call; the law line still cuts its
+    # words through it, a route independent of the components it checks
+    calls = Counter()
+    real = coalgebra.coproduct_terms
+
+    def counting(kind, *args):
+        calls[kind] += 1
+        return real(kind, *args)
+
+    monkeypatch.setattr(coalgebra, "coproduct_terms", counting)
+    symmetry = {WEDGE: "full", PERM: "partial"}
+    for degrees, kind in itertools.product(((0, 1), (0, 1, 2), (1, 0, 1)), (WEDGE, PERM)):
+        sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+        family = suspend_family(random_unhat_family(rng, sp, (1, 2, 3),
+                                                    symmetrize=symmetry[kind], density=0.6))
+        D = extend_coderivation(family, kind, 5)
+        assert D.components and calls == Counter(), (degrees, kind)
+        assert check_coderivation(D) and calls[kind] > 0, (degrees, kind)
+        calls.clear()
+
+
 def test_boundary_splits_read_the_unshuffle_tables_of_their_positive_blocks(monkeypatch):
     # the coproduct's signed unshuffles drop the zero blocks of a boundary
     # split, so the split reads the table of its positive blocks, the

@@ -1237,6 +1237,11 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
     (dict(declared_type=ASSOC_3, max_arity=5, operations=_entry_at(2)),
      ["derive", "--functor", "nary-commutator-lie"], "operations",
      "an n-ary document must have operations only at arity 3"),
+    # (e,e) -> e and (e,e,e) -> 5e: embedding the arity-2 one would drop the other
+    (dict(max_arity=3, operations=_entry_at(2) + [{"arity": 3, "entries": [
+        {"inputs": ["e"] * 3, "output": [{"label": "e", "coeff": "5"}]}]}]),
+     ["derive", "--functor", "nary-embed", "--n", "2"], "operations",
+     "an n-ary document must have operations only at arity 2"),
     (dict(convention="hat"), ["derive", "--functor", "suspend"], "convention",
      "suspend expects an unhat document"),
     (dict(), ["derive", "--functor", "desuspend"], "convention",
@@ -1248,6 +1253,7 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
     (dict(), ["derive", "--functor", "nary-commutator-prelie"], "declared_type",
      "n-ary commutators require a declared n-ary type"),
 ], ids=["nary-basis-derive", "nary-basis-check", "embed-basis", "nary-operations",
+        "embed-other-arities",
         "suspend-convention", "desuspend-convention", "suspend-nary", "desuspend-nary",
         "nary-commutator-undeclared"])
 def test_cli_derive_refusals_name_the_field(overrides, argv, path, message, tmp_path, capsys):

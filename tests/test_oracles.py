@@ -655,6 +655,79 @@ def test_integer_coderivation_matches_fraction_oracles(kind):
     assert mixed >= 4 and law_failures >= 10 and squares >= 10, (mixed, law_failures, squares)
 
 
+def _product_cases(op, kind, k):
+    """The cases the product walk of op's (k, k - a + 1) component meets,
+    counted from op's entries apart from the package: pairs whose product
+    repeats a letter of two factors (a multiplicity above 1), pairs dropped
+    for a shared odd letter, Perm head entries (Lh | y) whose middle letter
+    repeats a letter of Lh in a canonical head, and Perm tail pairs with a
+    nonempty front and a canonical head."""
+    sp, a = op.space, op.arity
+    odd = sp.parities
+    acted = a if kind == WEDGE else a - 1
+    entries = [word for word in op.table if list(word[:acted]) == sorted(word[:acted])]
+    cases = collections.Counter()
+
+    def meet(*factors):
+        letters = [x for factor in factors for x in factor]
+        if any(odd[x] and letters.count(x) > 1 for x in letters):
+            cases["dropped"] += 1
+            return False
+        cases["repeated"] += any(sum(x in factor for factor in factors) > 1 for x in letters)
+        return True
+
+    if kind == WEDGE:
+        for entry, rest in itertools.product(entries, coalgebra_words(WEDGE, sp, k - a)):
+            meet(entry, rest)
+        return cases
+    for entry, rest in itertools.product(entries, coalgebra_words(WEDGE, sp, k - 1 - a)
+                                         if k > a else ()):
+        if meet(entry[:-1], entry[-1:], rest):
+            cases["middle letter"] += entry[-1] in entry[:-1]
+    for entry, front in itertools.product(entries, coalgebra_words(WEDGE, sp, k - a)):
+        cases["tail"] += meet(front, entry[:-1]) and bool(front)
+    return cases
+
+
+@pytest.mark.parametrize("kind", (WEDGE, PERM))
+def test_product_walk_components_match_the_split_oracle(kind):
+    # the wedge and Perm components pair each entry of the operation whose
+    # acted slots are sorted with each canonical rest; on every degree
+    # pattern, hat families and suspended unhat ones, arities drawn from
+    # 1-4, caps 1-5, integer and rational tables, they equal the sums over
+    # the distinct splits of every canonical word (`component_by_fractions`),
+    # and the walk meets every case its weights tell apart
+    rng = random.Random(f"product-walk-{kind}")
+    cases, nonzero = collections.Counter(), 0
+    for pattern, convention, coefficients, _ in itertools.product(
+            sorted(DEGREE_PATTERNS), (HAT, UNHAT), ((-2, -1, 1, 3), RATIONAL_COEFFICIENTS),
+            range(3)):
+        sp = pattern_space(pattern)
+        ops = {}
+        for arity in sorted(rng.sample((1, 2, 3, 4), rng.randint(1, 4))):
+            degree = -1 if convention == HAT else arity - 2
+            op = precompose_symmetrized(random_operation(rng, sp, arity, degree, 0.7, coefficients),
+                                        action_variant(convention), SYMMETRY[kind])
+            if not op.is_zero():
+                ops[arity] = op
+        family = OperationFamily(convention, sp, 4, ops)
+        family = family if convention == HAT else suspend_family(family)
+        expected = {}
+        for a, op in family.ops.items():
+            for k in range(a, 6):
+                expected[(k, k - a + 1)] = flat_component(component_by_fractions(op, kind, k,
+                                                                                 k - a + 1))
+                cases.update(_product_cases(op, kind, k))
+        for cap in range(1, 6):
+            D = extend_coderivation(family, kind, cap)
+            assert {key: _values(comp, D.denominator) for key, comp in D.components.items()} \
+                == {key: comp for key, comp in expected.items() if key[0] <= cap and comp}, \
+                (pattern, convention, cap)
+            nonzero += len(D.components)
+    assert nonzero >= 250 and cases["repeated"] and cases["dropped"], (nonzero, cases)
+    assert kind == WEDGE or cases["middle letter"] and cases["tail"], cases
+
+
 def _canonical(kind, sp, word):
     if kind == TENSOR:
         return 1, word
