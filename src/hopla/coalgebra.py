@@ -410,10 +410,10 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
     return table_from_terms(terms())
 
 
-def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
+def check_coderivation(D: Coderivation) -> bool:
     """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
-    word of weight <= cap (default and upper bound: D.cap), with the Koszul
-    sign (-1)^|left| of the degree -1 map D in the Id (x) D term.
+    word of weight <= D.cap, with the Koszul sign (-1)^|left| of the
+    degree -1 map D in the Id (x) D term.
 
     What is computed is the part of the law whose right factor has weight
     1, word by word.  On the left: the (l-1, 1) cuts of every image word of
@@ -438,10 +438,7 @@ def check_coderivation(D: Coderivation, cap: int | None = None) -> bool:
     Tensor terms are keyed by the word left + right (|right| = 1), the
     inverse of the bijection Delta_{q-1,1}, so no image word is cut.
     """
-    cap = D.cap if cap is None else min(cap, D.cap)
-    if cap < 1:
-        raise ArityError(f"the coderivation law needs a weight cap of at least 1, got {cap}")
-    kind, sp, par = D.kind, D.space, D.space.parities
+    cap, kind, sp, par = D.cap, D.kind, D.space, D.space.parities
     components, image = D.components, D.image
     cogenerator = [(a, comp) for (a, l), comp in components.items() if l == 1]
     # per source weight k, the components to weight l >= 2

@@ -24,11 +24,12 @@ defect raises a `DocumentError` located at its JSON path, such as
 `operations[0].entries[3].output[1].coeff`.  A missing field or a value that
 is no object is worded by `_expect`, a non-integer or out-of-range integer by
 `_integer`, and a bad coefficient by `parse_rational`.  A document with a
-declared n-ary type must be the unhat family of its one operation: a
-degree-0 basis and nonzero operations only at arity n.  Fields are read by
-indexing, and those helpers run only to word a defect; each distinct
-coefficient string is parsed once, and a word with one output term is put
-over the operation's common denominator without a sum.
+declared n-ary type must be the unhat family of its one operation, on a
+degree-0 basis with nonzero operations only at arity n (`require_nary`,
+which `nary-embed` applies too).  Fields are read by indexing, and those
+helpers run only to word a defect; each distinct coefficient string is
+parsed once, and a word with one output term is put over the operation's
+common denominator without a sum.
 
 `serialize_document` writes one fixed layout: the fields in the order
 format, space, convention, max_arity, operations, declared_type; entries
@@ -62,8 +63,9 @@ FORMAT = "hopla-algebra/1"
 # arity 32 already has 2^32 table words on two letters.
 MAX_ARITY = 32
 
-DECLARED_TYPES = ("a_infinity", "pl_infinity", "l_infinity",
-                  "assoc_n", "prelie_n", "lie_n")
+# the declared types of an n-ary document, each with its arity n
+NARY_TYPES = ("assoc_n", "prelie_n", "lie_n")
+DECLARED_TYPES = ("a_infinity", "pl_infinity", "l_infinity", *NARY_TYPES)
 
 def parse_rational(text, path: str = "") -> Fraction:
     if not isinstance(text, str):
@@ -108,6 +110,12 @@ class AlgebraDocument:
     @property
     def convention(self) -> str:
         return self.family.convention
+
+    @property
+    def nary_arity(self) -> int | None:
+        """The declared n-ary arity n, or None when no n-ary type is declared."""
+        declared = self.declared_type
+        return declared[1] if declared and declared[0] in NARY_TYPES else None
 
 
 def _expect(mapping, key, path):
@@ -263,29 +271,33 @@ def parse_document(text) -> AlgebraDocument:
         if name not in DECLARED_TYPES:
             raise DocumentError(f"unknown declared type {name!r}", "declared_type.name")
         n = declared.get("n")
-        if name.endswith("_n"):
+        if name in NARY_TYPES:
             _integer(n, "declared_type.n", f"declared type {name!r} requires a positive 'n'", 1)
             if n > MAX_ARITY:
                 raise DocumentError(f"declared arity {n} is above the limit {MAX_ARITY}",
                                     "declared_type.n")
-            # an n-ary document is its own one-operation unhat family
-            if convention != UNHAT:
-                raise DocumentError(f"declared type {name!r} needs the unhat convention",
-                                    "convention")
-            if not sp.is_concentrated_in_degree_zero():
-                raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
-            require_nary_operations(ops, n)
         elif n is not None:
             raise DocumentError(f"declared type {name!r} takes no 'n'", "declared_type.n")
         declared_type = (name, n)
 
-    family = OperationFamily(convention, sp, max_arity, ops)
-    return AlgebraDocument(family, declared_type)
+    doc = AlgebraDocument(OperationFamily(convention, sp, max_arity, ops), declared_type)
+    if doc.nary_arity is not None:
+        # an n-ary document is its own one-operation unhat family
+        if convention != UNHAT:
+            raise DocumentError(f"declared type {name!r} needs the unhat convention",
+                                "convention")
+        require_nary(doc.family, doc.nary_arity)
+    return doc
 
 
-def require_nary_operations(ops: dict, n: int) -> None:
-    """The n-ary rule on a document's nonzero operations: arity n only."""
-    if ops.keys() - {n}:
+def require_nary(family: OperationFamily, n: int) -> None:
+    """The n-ary rules on a family read as its one operation at arity n: a
+    degree-0 basis, and nonzero operations only at arity n.  The parser
+    applies them to a document that declares an n-ary type, and
+    `nary-embed` to every document it embeds."""
+    if not family.space.is_concentrated_in_degree_zero():
+        raise DocumentError("n-ary documents require a degree-0 basis", "space.basis")
+    if family.ops.keys() - {n}:
         raise DocumentError(f"an n-ary document must have operations only at arity {n}",
                             "operations")
 

@@ -15,7 +15,7 @@ from itertools import chain, combinations
 
 from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
                         extend_coderivation, square_cogenerator_fold, word_count)
-from .docio import MAX_ARITY, AlgebraDocument, format_rational, require_nary_operations
+from .docio import MAX_ARITY, AlgebraDocument, format_rational, require_nary
 from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                         require_collapsible, require_parity, residual, residual_insertions)
 from .errors import ConventionError, DocumentError, SymmetryError
@@ -23,13 +23,12 @@ from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_embe
                        suspend_family)
 from .graded import (HAT, UNHAT, GradedSpace, OperationFamily, family_degree,
                      insertion_term_count)
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
-                           arrangement_count, failing_symmetry_generator,
-                           precompose_symmetrized, require_symmetry)
+from .permutations import (MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
+                           arrangement_count, precompose_symmetrized, require_symmetry,
+                           symmetry_walk)
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
-NARY_DECLARED = ("assoc_n", "prelie_n", "lie_n")
 EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
 
 # each commutator functor is `functors.commutator` under one name, applied to
@@ -142,25 +141,11 @@ def _residual_witness(space: GradedSpace, entry) -> dict | None:
     }
 
 
-def _symmetry_check(report: Report, ops: dict, flavor: EquationFlavor) -> bool:
-    """Append one symmetry-precondition line per arity of `ops`, under the
-    flavor's action and labelled by its mode; returns overall success."""
-    mode = flavor.mode
-    if mode is None:
-        return True
-    ok = True
-    for n in sorted(ops):
-        bad = failing_symmetry_generator(ops[n], flavor.variant, full=mode == MODE_FULL)
-        report.add(f"{mode} symmetry at arity {n}", bad is None,
-                   witness=None if bad is None else {"arity": n, "transposition": list(bad)})
-        ok = ok and bad is None
-    return ok
-
-
-def _require_check_work(terms: int, what: str) -> None:
-    if terms > MAX_CHECK_TERMS:
-        raise DocumentError(f"{what} streams {terms:,} insertion terms, "
-                            f"above the limit of {MAX_CHECK_TERMS:,}")
+def _require_work(count: int, limit: int, what: str) -> None:
+    """Refuse work above a limit before it starts: a DocumentError saying
+    what would be done (`what` names the count) and the limit."""
+    if count > limit:
+        raise DocumentError(f"{what}, above the limit of {limit:,}")
 
 
 def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
@@ -171,11 +156,11 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     family of its operation, is checked at the single arity 2n - 1 of its
     defining equation; any other document runs its family's residuals for
     every arity up to `max_arity` (default: the family's cap).  Both then
-    take one path: symmetry lines under the flavor's action, one work
-    bound, one residual per arity.  Before any
-    residual, a DocumentError is raised for a `max_arity` outside
-    1..MAX_ARITY or below 2n - 1, and for more than MAX_CHECK_TERMS
-    insertion terms.  The collapsed form's precondition is
+    take one path: a symmetry line per arity, read off
+    `permutations.symmetry_walk` under the flavor's action, one work bound,
+    one residual per arity.  Before any residual, a DocumentError is raised
+    for a `max_arity` outside 1..MAX_ARITY or below 2n - 1, and for more
+    than MAX_CHECK_TERMS insertion terms.  The collapsed form's precondition is
     `equations.require_collapsible`'s: its parity half raises a
     DocumentError at `operations` before any symmetry line, and without
     `check_preconditions` the report has no symmetry lines and a family
@@ -190,9 +175,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
                             f"got {max_arity}")
     report = Report(f"check {kind} ({doc.convention})")
 
-    declared, family = doc.declared_type, doc.family
-    if declared and declared[0] in NARY_DECLARED:
-        n = declared[1]
+    family, n = doc.family, doc.nary_arity
+    if n is not None:
         name = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
         if max_arity is not None and max_arity < 2 * n - 1:
             raise DocumentError(f"the {name} residual of an arity-{n} operation has arity "
@@ -212,10 +196,15 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
             require_collapsible(family, flavor)
     except ConventionError as exc:
         raise DocumentError(str(exc), "operations") from None
-    if not check_preconditions or _symmetry_check(report, family.ops, flavor):
+    walk = symmetry_walk(family.ops, flavor.variant, flavor.mode) if check_preconditions else ()
+    for arity, bad in walk:
+        report.add(f"{flavor.mode} symmetry at arity {arity}", bad is None,
+                   witness=bad and {"arity": arity, "transposition": list(bad)})
+    if report.passed:  # no symmetry line failed
         tables = {}  # each representative table is built once per check
-        _require_check_work(insertion_term_count(chain.from_iterable(
-            residual_insertions(family, flavor, n, tables) for n in arities)), what)
+        terms = insertion_term_count(chain.from_iterable(
+            residual_insertions(family, flavor, n, tables) for n in arities))
+        _require_work(terms, MAX_CHECK_TERMS, f"{what} streams {terms:,} insertion terms")
         for n in arities:
             res = residual(family, flavor, n, check_symmetry=False, tables=tables)
             report.add(f"{line} at arity {n}", res.vanishes(),
@@ -226,18 +215,10 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
 def nary_operation(doc: AlgebraDocument) -> tuple:
     """The arity n and the plain (degree-0) operation of an n-ary document."""
-    declared = doc.declared_type
-    if not declared or declared[0] not in NARY_DECLARED:
+    n = doc.nary_arity
+    if n is None:
         raise DocumentError("document does not declare an n-ary type", "declared_type")
-    n = declared[1]
     return n, doc.family.operation(n).with_degree(0)
-
-
-def _require_derive_work(ops, variant: str, mode: str, functor: str) -> None:
-    entries = sum(arrangement_count(op, variant, mode) for op in ops)
-    if entries > MAX_DERIVE_ENTRIES:
-        raise DocumentError(f"{functor} would write up to {entries:,} entries, "
-                            f"above the limit of {MAX_DERIVE_ENTRIES:,}")
 
 
 def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
@@ -250,18 +231,18 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
     Convention and type mismatches raise a DocumentError at the
     field they refuse, and so does a symmetrizing functor that would write
     more than MAX_DERIVE_ENTRIES entries, before it starts; violated
-    symmetry preconditions raise a SymmetryError."""
-    declared = doc.declared_type
-    is_nary = bool(declared and declared[0] in NARY_DECLARED)
+    symmetry preconditions raise a SymmetryError.  `nary-embed` applies the
+    parser's n-ary rules (`docio.require_nary`) to every document it embeds."""
+    declared, declared_n = doc.declared_type, doc.nary_arity
 
     if functor == "suspend":
         if doc.convention != UNHAT:
             raise DocumentError("suspend expects an unhat document", "convention")
-        if is_nary and declared[1] > 2:
+        if declared_n is not None and declared_n > 2:
             raise DocumentError("suspend does not apply to n-ary documents", "declared_type")
         # an n-ary type needs a degree-0 basis, which the suspension leaves;
         # for n <= 2 the family is its own embedding (nary-embed at n = 2)
-        derived_type = (EMBED_TYPE[declared[0]], None) if is_nary else declared
+        derived_type = (EMBED_TYPE[declared[0]], None) if declared_n else declared
         return AlgebraDocument(suspend_family(doc.family), derived_type)
 
     if functor == "desuspend":
@@ -271,20 +252,22 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
 
     if functor in COMMUTATOR_FUNCTORS:
         name, family = COMMUTATOR_FUNCTORS[functor], doc.family
-        if functor.startswith("nary-") and not is_nary:
+        if functor.startswith("nary-") and declared_n is None:
             raise DocumentError("n-ary commutators require a declared n-ary type",
                                 "declared_type")
         variant, mode = action_variant(family.convention), COMMUTATOR_MODES[name]
         if check_preconditions:
             require_symmetry(family.ops, variant, COMMUTATOR_PRECONDITIONS.get(name), functor)
         if mode != MODE_SHUFFLE:
-            _require_derive_work(family.ops.values(), variant, mode, functor)
+            entries = sum(arrangement_count(op, variant, mode) for op in family.ops.values())
+            _require_work(entries, MAX_DERIVE_ENTRIES,
+                          f"{functor} would write up to {entries:,} entries")
         image_type = COMMUTATOR_IMAGE_TYPES.get((declared[0], name)) if declared else None
         return AlgebraDocument(commutator(family, name),
                                (image_type, declared[1]) if image_type else None)
 
     if functor == "nary-embed":
-        n_value = n if n is not None else (declared[1] if is_nary else None)
+        n_value = n if n is not None else declared_n
         if n_value is None:
             raise DocumentError("nary-embed requires --n or a declared n-ary type")
         if n_value < 1:
@@ -292,16 +275,13 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         if 2 * n_value - 1 > MAX_ARITY:
             raise DocumentError(f"nary-embed n = {n_value} needs max_arity {2 * n_value - 1}, "
                                 f"above the limit {MAX_ARITY}")
-        if is_nary and n_value != declared[1]:
+        if declared_n is not None and n_value != declared_n:
             raise DocumentError(
-                f"nary-embed n = {n_value} differs from the declared arity {declared[1]}")
-        if not is_nary and not doc.space.is_concentrated_in_degree_zero():
-            raise DocumentError("nary-embed requires a degree-0 basis", "space.basis")
-        if not is_nary and n_value in doc.family.ops:
-            require_nary_operations(doc.family.ops, n_value)
-        mu = nary_operation(doc)[1] if is_nary else doc.family.operation(n_value).with_degree(0)
-        new_type = EMBED_TYPE.get(declared[0]) if is_nary else None
-        return AlgebraDocument(nary_embed(mu), (new_type, None) if new_type else None)
+                f"nary-embed n = {n_value} differs from the declared arity {declared_n}")
+        require_nary(doc.family, n_value)
+        mu = doc.family.operation(n_value).with_degree(0)
+        new_type = (EMBED_TYPE[declared[0]], None) if declared_n else None
+        return AlgebraDocument(nary_embed(mu), new_type)
 
     raise DocumentError(f"unknown functor {functor!r}")
 
@@ -328,10 +308,9 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         report.add("suspended to the hat convention", True)
     words = word_count(kind, family.space, weight_cap)
     blocks = block_count(kind, family.space, weight_cap, family.arities())
-    if words + blocks > MAX_CODERIVE_WORK:
-        raise DocumentError(f"the {kind} coderivation up to weight {weight_cap} walks {words:,} "
-                            f"canonical words and {blocks:,} unshuffle blocks, "
-                            f"{words + blocks:,} in all, above the limit of {MAX_CODERIVE_WORK:,}")
+    _require_work(words + blocks, MAX_CODERIVE_WORK,
+                  f"the {kind} coderivation up to weight {weight_cap} walks {words:,} canonical "
+                  f"words and {blocks:,} unshuffle blocks, {words + blocks:,} in all")
     try:
         D = extend_coderivation(family, kind, weight_cap)
     except SymmetryError as exc:

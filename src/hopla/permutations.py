@@ -19,9 +19,11 @@ The actions are computed one adjacent swap at a time: swapping letters a
 and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
 symmetrization kernel and the symmetry check `failing_symmetry_generator`
-all use that rule and never act by a whole permutation; so do `koszul_sign`
-and `sign`, `signed_sort` on sigma's values under rho1, or rho2 with every
-letter even, for the coalgebras' unshuffle signs and the sign-law witnesses.
+(walked over a family's arities by `symmetry_walk`, the one symmetry
+precondition) all use that rule and never act by a whole permutation; so
+do `koszul_sign` and `sign`, `signed_sort` on sigma's values under rho1,
+or rho2 with every letter even, for the coalgebras' unshuffle signs and
+the sign-law witnesses.
 
 The symmetrization kernel has two steps, both on integer numerators over
 one denominator, as operations are stored.  `fold` moves each term of a
@@ -407,15 +409,23 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     return None
 
 
-def require_symmetry(ops: dict, variant: str, mode: str | None, what: str) -> None:
-    """Walk the {arity: op} mapping in arity order and raise a SymmetryError
-    naming the first operation that is not invariant under the mode's
-    action and its first failing transposition (see
-    failing_symmetry_generator); mode None requires nothing."""
+def symmetry_walk(ops: dict, variant: str, mode: str | None):
+    """The symmetry precondition of the {arity: op} mapping: yields, in
+    arity order, each arity n and the first transposition under which
+    ops[n] is not invariant under the mode's action, or None (see
+    failing_symmetry_generator); mode None requires nothing and yields
+    nothing.  `require_symmetry` stops at the first failure, `check`
+    reports every arity."""
     if mode is None:
         return
     for n in sorted(ops):
-        bad = failing_symmetry_generator(ops[n], variant, mode == MODE_FULL)
+        yield n, failing_symmetry_generator(ops[n], variant, full=mode == MODE_FULL)
+
+
+def require_symmetry(ops: dict, variant: str, mode: str | None, what: str) -> None:
+    """Raise a SymmetryError at the first failure of `symmetry_walk`,
+    naming the operation's arity and its failing transposition."""
+    for n, bad in symmetry_walk(ops, variant, mode):
         if bad is not None:
             raise SymmetryError(
                 f"{what} requires {mode} symmetry; the arity-{n} operation is not invariant "

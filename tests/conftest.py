@@ -341,6 +341,14 @@ def with_entry(D, k, l, word, combo):
     return Coderivation(D.kind, D.space, D.cap, components, D.denominator)
 
 
+def truncated(D, cap):
+    """Copy of D without the components of source weight above the cap: the
+    coderivation up to that weight, which is what the law up to the cap reads."""
+    return Coderivation(D.kind, D.space, cap,
+                        {key: comp for key, comp in D.components.items() if key[0] <= cap},
+                        D.denominator)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------

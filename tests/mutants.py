@@ -185,16 +185,17 @@ MUTANTS = (
            "op.degree - by * (op.arity - 1)", "op.degree + by * (op.arity - 1)",
            "the sign of the shifted operation's degree", FUNCTORS),
     Mutant("nary-convention-rule", "docio.py",
-           "            if convention != UNHAT:", "            if False:",
+           "        if convention != UNHAT:", "        if False:",
            "the parser's refusal of an n-ary document under the hat convention", DOCUMENTS),
     Mutant("nary-basis-rule", "docio.py",
-           "            if not sp.is_concentrated_in_degree_zero():", "            if False:",
-           "the parser's refusal of an n-ary document with a letter of nonzero degree",
+           "    if not family.space.is_concentrated_in_degree_zero():", "    if False:",
+           "the n-ary rule's refusal of a letter of nonzero degree, in the parser and in "
+           "nary-embed",
            DOCUMENTS),
     Mutant("nary-arity-rule", "docio.py",
-           "    if ops.keys() - {n}:", "    if False:",
+           "    if family.ops.keys() - {n}:", "    if False:",
            "the n-ary rule's refusal of an operation at another arity, in the parser and in "
-           "nary-embed --n",
+           "nary-embed",
            DOCUMENTS),
     Mutant("nary-prelie-commutator", "drivers.py",
            '"nary-commutator-prelie": "gamma"', '"nary-commutator-prelie": "beta"',
@@ -202,6 +203,23 @@ MUTANTS = (
     Mutant("nary-image-type", "drivers.py",
            '("assoc_n", "gamma"): "prelie_n"', '("assoc_n", "gamma"): "lie_n"',
            "the n-ary type that gamma's image of an assoc_n document declares", DERIVE),
+    Mutant("nary-embed-rule-at-n", "drivers.py",
+           "        require_nary(doc.family, n_value)",
+           "        n_value not in doc.family.ops or require_nary(doc.family, n_value)",
+           "nary-embed's n-ary rules applied only when an operation sits at n, which embedded "
+           "the zero operation and dropped the others", DOCUMENTS),
+    Mutant("work-limit-boundary", "drivers.py",
+           "    if count > limit:", "    if count >= limit:",
+           "the work bounds' refusal of work at the limit, not only above it",
+           ("tests/test_docio_cli.py",)),
+    Mutant("symmetry-walk-first-failure", "permutations.py",
+           "        yield n, failing_symmetry_generator(ops[n], variant, full=mode == MODE_FULL)",
+           "        bad = failing_symmetry_generator(ops[n], variant, full=mode == MODE_FULL)\n"
+           "        yield n, bad\n"
+           "        if bad is not None:\n"
+           "            return",
+           "the symmetry walk stopping at the first failing arity, so check reports no later "
+           "arity", ("tests/test_docio_cli.py", "tests/test_preconditions.py")),
     Mutant("beta-precondition", "drivers.py",
            'COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}',
            'COMMUTATOR_PRECONDITIONS = {"gamma": MODE_PARTIAL}',

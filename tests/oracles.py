@@ -36,6 +36,10 @@ only so that tests can compare the fast path against it:
   insertion per position, as the defining sums are written, and symmetrize
   their sum with the orbit kernel (itself checked against the loop above),
   with no collapse of positions;
+* `residual_by_relation` evaluates the A∞ and PL∞ relations on every input
+  word, one term per way the relation feeds the inputs to an inner
+  operation, with signs from the Koszul oracle above and no coefficient,
+  where `equations` collapses positions and divides by factorials;
 * `residual_by_insertions`, `circle_product_by_insertions` and
   `circle_bracket_by_insertions` collapse the positions as `equations`
   does, but insert every stored entry of both operands, every arrangement
@@ -84,7 +88,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_words, comultiply, c
                              wedge_normalize)
 from hopla.docio import (DECLARED_TYPES, FORMAT, MAX_ARITY, AlgebraDocument, _expect, _integer,
                          format_rational, parse_rational)
-from hopla.equations import LIE, PRELIE, circle_product
+from hopla.equations import ASSOC, LIE, PRELIE, circle_product
 from hopla.errors import DocumentError, LengthError
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree, insertion_terms,
@@ -276,6 +280,60 @@ def nary_residual_by_positions(mu, kind):
     if kind not in SYMMETRIZATION:
         return core
     return precompose_symmetrized(core, RHO2, SYMMETRIZATION[kind])
+
+
+def _relation_terms(kind, n, j):
+    """(order, m) for each term of the arity-n relation with an arity-j
+    inner operation: the inputs x_order[0], ..., x_order[n-1] fill the
+    outer operation with the inner one at its slot m.  A∞ feeds it x_{m+1}
+    .. x_{m+j} at every m; PL∞ feeds it each j-subset S of the inputs, every
+    other input keeping its order: with x_n, whose output then fills the
+    outer operation's last slot; without x_n, each t of S in the inner
+    operation's last slot, its output in the outer operation's first."""
+    i = n + 1 - j
+    if kind == ASSOC:
+        return [(tuple(range(n)), m) for m in range(i)]
+    heads = range(n - 1)
+    terms = [(tuple(x for x in heads if x not in inner) + inner + (n - 1,), i - 1)
+             for inner in itertools.combinations(heads, j - 1)]
+    return terms + [(tuple(x for x in inner if x != t) + (t,)
+                     + tuple(x for x in heads if x not in inner) + (n - 1,), 0)
+                    for inner in itertools.combinations(heads, j) for t in inner]
+
+
+def residual_by_relation(family, kind, n):
+    """The arity-n A∞ (assoc) or PL∞ (prelie) relation of the family,
+    evaluated on every input word term by term as it is written, with no
+    collapse of positions and no coefficient: a term (`_relation_terms`) of
+    the outer mu_i and inner mu_j, i + j = n + 1, is mu_i(y_1 .. y_m,
+    mu_j(y_{m+1} .. y_{m+j}), ..) on the rearranged inputs y, signed by the
+    action's sign of the rearrangement (`koszul_sign_by_bubble`, times
+    `sign_by_cycles` under unhat), Stasheff's (-1)^(m + j(i-m-1)) under
+    unhat, and the Koszul sign of mu_j passing y_1 .. y_m."""
+    sp, ops, unhat = family.space, family.ops, family.convention == UNHAT
+    table = {}
+    for word in itertools.product(range(sp.dim), repeat=n):
+        degrees = [sp.degree(x) for x in word]
+        terms = []
+        for j in sorted(ops):
+            i = n + 1 - j
+            if i not in ops:
+                continue
+            for order, m in _relation_terms(kind, n, j):
+                sigma = tuple(x + 1 for x in order)
+                y = permute_word(sigma, word)
+                sign = koszul_sign_by_bubble(sigma, degrees)
+                if unhat:
+                    sign *= sign_by_cycles(sigma) * (-1) ** (m + j * (i - m - 1))
+                if ops[j].degree % 2 and sum(degrees[x] for x in order[:m]) % 2:
+                    sign = -sign
+                for middle, c in ops[j].evaluate(y[m:m + j]):
+                    terms += ((out, sign * c * cc) for out, cc in
+                              ops[i].evaluate(y[:m] + (middle,) + y[m + j:]))
+        value = LinearCombination(terms)
+        if value:
+            table[word] = value
+    return Operation(sp, n, n - 3 if unhat else -2, table)
 
 
 def collapsed_positions(kind, i, coefficient):

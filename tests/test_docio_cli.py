@@ -15,7 +15,7 @@ from conftest import DEGREE_PATTERNS, identity
 from oracles import (failing_transposition_by_act, nary_residual_by_positions,
                      precompose_by_loop, residual_by_insertions, residual_by_positions,
                      residual_insertions_by_entries)
-from hopla import cli
+from hopla import cli, drivers
 from hopla.cli import main
 from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
                          serialize_document)
@@ -37,6 +37,10 @@ from hopla.verify import random_operation
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOOD = os.path.join(FIXTURES, "dual_numbers.json")
 BROKEN = os.path.join(FIXTURES, "dual_numbers_broken.json")
+# unhat M_2 with E12 in degree -1 and E21 in degree +1, mu2 the matrix
+# product and mu1 the graded commutator with E12: a dga whose composites do
+# not vanish one by one, so pairs of arities meet in its residuals
+GRADED_DGA = os.path.join(FIXTURES, "graded_dga_m2.json")
 
 
 def minimal_doc(**overrides):
@@ -814,6 +818,41 @@ def _dense_arity_8_document(**overrides):
         **overrides)
 
 
+def test_cli_graded_dga_is_associative_and_its_gamma_image_pre_lie(tmp_path, capsys):
+    # the paper's A∞ -> PL∞ functor on an honest instance where mu1 o mu2
+    # and mu2 o mu1 meet in the arity-2 residual
+    with open(GRADED_DGA, encoding="utf-8") as handle:
+        family = parse_document(handle.read()).family
+    assert sorted(family.ops) == [1, 2] and family.space.degrees == (0, -1, 1, 0)
+    assert main(["check", GRADED_DGA, "--flavor", "assoc", "--max-arity", "3", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [f"assoc/unhat residual at arity {n}"
+                                           for n in (1, 2, 3)]
+    gamma = tmp_path / "gamma.json"
+    assert main(["derive", GRADED_DGA, "--functor", "commutator-gamma", "-o", str(gamma)]) == 0
+    assert main(["check", str(gamma), "--flavor", "prelie", "--max-arity", "3", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["passed"]] == [
+        "partial symmetry at arity 1", "partial symmetry at arity 2",
+        *(f"prelie/unhat residual at arity {n}" for n in (1, 2, 3))]
+
+
+def test_cli_check_reports_the_symmetry_of_every_arity(tmp_path, capsys):
+    # require_symmetry stops at the first failing arity; check reads the
+    # same walk to its end and prints a line per arity, failing or not
+    path = tmp_path / "doc.json"
+    basis = {"basis": [{"label": x, "degree": 0} for x in "abc"]}
+    path.write_text(minimal_doc(space=basis, max_arity=4, operations=[
+        {"arity": n, "entries": [{"inputs": list("abca"[:n]),
+                                  "output": [{"label": "a", "coeff": "1"}]}]}
+        for n in (2, 3, 4)]))
+    assert main(["check", str(path), "--flavor", "lie", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["passed"], c["witness"]) for c in checks] == [
+        (f"full symmetry at arity {n}", False, {"arity": n, "transposition": [1, 2]})
+        for n in (2, 3, 4)]
+
+
 def test_cli_check_work_is_bounded(tmp_path, capsys):
     # the arity-15 residual inserts the operation into itself at 8 positions:
     # per position 256 entries x 2 outputs x the 256 inner output terms at
@@ -884,9 +923,10 @@ def test_cli_nary_embed_refuses_max_arity_above_the_limit(tmp_path, capsys):
     # nary-embed of arity n writes max_arity 2n - 1, which no verb reads
     # back above MAX_ARITY: refuse it before writing anything
     limit = (MAX_ARITY + 1) // 2
-    gen, out = tmp_path / "gen.json", tmp_path / "emb.json"
-    assert main(["generate", "--dim", "2", "--arities", "2", "--seed", "1",
-                 "-o", str(gen)]) == 0
+    gen, out = tmp_path / "empty.json", tmp_path / "emb.json"
+    # no operations, so the n-ary rules hold at every n and only the limit refuses
+    gen.write_text(minimal_doc(space={"basis": [{"label": "e0", "degree": 0},
+                                                {"label": "e1", "degree": 0}]}))
     assert main(["derive", str(gen), "--functor", "nary-embed", "--n", str(limit + 1),
                  "-o", str(out)]) == 2
     assert f"n = {limit + 1}" in capsys.readouterr().err
@@ -944,6 +984,34 @@ def test_cli_derive_bound_lets_linear_and_small_work_through(tmp_path, capsys):
     assert main(["derive", str(small), "--functor", "commutator-alpha", "-o", str(out)]) == 0
     assert len(parse_document(out.read_text()).family.ops[7].table) == 5_040
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("limit, argv, count", [
+    ("MAX_CHECK_TERMS", ["check", "--flavor", "assoc", "--max-arity", "7"],
+     r"streams ([\d,]+) insertion terms"),
+    ("MAX_DERIVE_ENTRIES", ["derive", "--functor", "commutator-alpha"],
+     r"write up to ([\d,]+) entries"),
+    ("MAX_CODERIVE_WORK", ["coderive", "--kind", "perm", "--weight-cap", "3"],
+     r"([\d,]+) in all"),
+])
+def test_work_at_the_limit_runs_and_one_more_is_refused(limit, argv, count, tmp_path, capsys,
+                                                        monkeypatch):
+    # each bound refuses work above its limit, not work at it: the count
+    # is read off the refusal under a limit of 0
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(_distinct_letters_document(4))
+    verb, *flags = argv
+    argv = [verb, str(path), *flags, *(["-o", str(out)] if verb == "derive" else [])]
+    monkeypatch.setattr(drivers, limit, 0)
+    assert main(argv) == 2
+    work = int(re.search(count, capsys.readouterr().err).group(1).replace(",", ""))
+    assert work > 0
+    monkeypatch.setattr(drivers, limit, work)
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(drivers, limit, work - 1)
+    assert main(argv) == 2
+    assert f"above the limit of {work - 1:,}" in capsys.readouterr().err
 
 
 def test_cli_coderive_work_is_bounded(tmp_path, capsys):
@@ -1224,6 +1292,7 @@ def _entry_at(n):
 
 
 GRADED_BASIS = {"basis": [{"label": "e", "degree": 1}]}
+GENERATED_ARITY_2 = json.loads(serialize_document(generate_random(2, (0,), (2,), 0.5, seed=1)))
 ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
 
 
@@ -1233,7 +1302,7 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
     (dict(space=GRADED_BASIS, declared_type=ASSOC_2), ["check", "--flavor", "assoc"],
      "space.basis", "n-ary documents require a degree-0 basis"),
     (dict(space=GRADED_BASIS), ["derive", "--functor", "nary-embed", "--n", "2"],
-     "space.basis", "nary-embed requires a degree-0 basis"),
+     "space.basis", "n-ary documents require a degree-0 basis"),
     (dict(declared_type=ASSOC_3, max_arity=5, operations=_entry_at(2)),
      ["derive", "--functor", "nary-commutator-lie"], "operations",
      "an n-ary document must have operations only at arity 3"),
@@ -1242,6 +1311,10 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
         {"inputs": ["e"] * 3, "output": [{"label": "e", "coeff": "5"}]}]}]),
      ["derive", "--functor", "nary-embed", "--n", "2"], "operations",
      "an n-ary document must have operations only at arity 2"),
+    # `generate --dim 2 --arities 2 --seed 1`, with no operation at 16: it
+    # used to embed the zero operation and drop the arity-2 one
+    (GENERATED_ARITY_2, ["derive", "--functor", "nary-embed", "--n", "16"], "operations",
+     "an n-ary document must have operations only at arity 16"),
     (dict(convention="hat"), ["derive", "--functor", "suspend"], "convention",
      "suspend expects an unhat document"),
     (dict(), ["derive", "--functor", "desuspend"], "convention",
@@ -1253,7 +1326,7 @@ ASSOC_2, ASSOC_3 = ({"name": "assoc_n", "n": n} for n in (2, 3))
     (dict(), ["derive", "--functor", "nary-commutator-prelie"], "declared_type",
      "n-ary commutators require a declared n-ary type"),
 ], ids=["nary-basis-derive", "nary-basis-check", "embed-basis", "nary-operations",
-        "embed-other-arities",
+        "embed-other-arities", "embed-no-operation-at-n",
         "suspend-convention", "desuspend-convention", "suspend-nary", "desuspend-nary",
         "nary-commutator-undeclared"])
 def test_cli_derive_refusals_name_the_field(overrides, argv, path, message, tmp_path, capsys):

@@ -311,7 +311,7 @@ def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
 
     monkeypatch.setattr(equations, "insertion_terms", counting)
     bounds = []
-    monkeypatch.setattr(drivers, "_require_check_work", lambda terms, what: bounds.append(terms))
+    monkeypatch.setattr(drivers, "_require_work", lambda count, limit, what: bounds.append(count))
     sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
     nonzero = 0
     odd = sp.parities

@@ -2,6 +2,10 @@
 
 import ast
 import collections
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -413,8 +417,11 @@ def test_one_orbit_expansion():
 
 # Operation.evaluate, the public read of one value, is called by no verb:
 # only the benchmark's witness re-evaluation (perfbench/checks.py) calls it,
-# to show that a printed witness reproduces its printed value
-EXTRA_ROOTS = {"evaluate"}
+# to show that a printed witness reproduces its printed value.  Likewise
+# drivers.nary_operation: nary-embed reads the operation off the family
+# after docio.require_nary, and the benchmark's witness checks read an
+# n-ary document's operation through it
+EXTRA_ROOTS = {"evaluate", "nary_operation"}
 
 
 def _unreached(modules, extra=EXTRA_ROOTS):
@@ -667,6 +674,32 @@ def test_one_reading_of_an_nary_document():
     assert set(COMMUTATOR_FUNCTORS.values()) <= set(COMMUTATOR_MODES), COMMUTATOR_FUNCTORS
 
 
+def test_each_precondition_has_one_owner():
+    # the symmetry precondition is walked once (permutations.symmetry_walk,
+    # which require_symmetry and check's symmetry lines read), the n-ary
+    # rules are written once (docio.require_nary, which the parser and
+    # nary-embed apply) and drivers refuses work above a limit through one
+    # helper
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    callers = [f"{name[:-3]}.{top.name}" for name, tree in trees.items() for top in tree.body
+               if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "failing_symmetry_generator"]
+    assert callers == ["permutations.symmetry_walk"], callers
+    gone = {"NARY_DECLARED", "_symmetry_check", "_require_check_work", "_require_derive_work",
+            "require_nary_operations"}
+    assert not {name for tree in trees.values() for name in _names(tree)} & gone
+    for rule in ("is_concentrated_in_degree_zero()", "keys() - {n}"):
+        assert [name for name, text in texts.items() if name != "graded.py"
+                for _ in range(text.count(rule))] == ["docio.py"], rule
+    assert texts["drivers.py"].count(", above the limit of") == 1
+    functions = {top.name: top for top in trees["drivers.py"].body
+                 if isinstance(top, ast.FunctionDef)}
+    assert "require_nary" in set(_names(functions["run_derive"]))
+    assert "NARY_TYPES" not in texts["drivers.py"]
+
+
 def _is_parity_rule(node):
     """A comparison with `(... + <x>.degree) % 2`: the rule that an output
     has the parity of its inputs plus the operation's degree."""
@@ -707,8 +740,7 @@ def test_one_collapse_precondition():
     assert "require_collapsible" in calls("equations", "residual")
     assert calls("equations", "require_collapsible") >= {"require_parity", "require_symmetry"}
     assert {"require_parity", "require_collapsible"} <= calls("drivers", "run_check")
-    assert "require_symmetry" not in calls("drivers", "run_check") | calls(
-        "drivers", "_symmetry_check")
+    assert "require_symmetry" not in calls("drivers", "run_check")
 
 
 def _compares_a_kind(test):
@@ -764,3 +796,91 @@ def test_every_mutant_snippet_occurs_once():
             == [mutant.file], mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
         assert all((REPO / path.split("::")[0]).is_file() for path in mutant.tests), mutant.name
+
+
+def _module_reads(tree):
+    """(module, attribute) for every hopla attribute that a benchmark file
+    reads through the namespace `h` (or `self.h`) of hopla modules, directly
+    or through a local alias such as `eq = h.equations`, per function."""
+    def module_of(node, aliases):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id == "h"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "h"
+                and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"):
+            return node.attr
+        return None
+
+    reads = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    aliases.update({name.id: module for name, value in pairs
+                                    if isinstance(name, ast.Name)
+                                    and (module := module_of(value, {})) is not None})
+        reads |= {(module, node.attr) for node in ast.walk(function)
+                  if isinstance(node, ast.Attribute)
+                  and (module := module_of(node.value, aliases)) is not None}
+    return reads
+
+
+# run in a fresh interpreter: installs the benchmark's tracer on a fresh
+# import of every hopla module and prints what does not resolve or restore
+TRACER_PROBE = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+modules = {name: importlib.import_module("hopla." + name) for name in sys.argv[3:]}
+problems = []
+for module, attr in ([(m, a) for m, a, _ in tracer.SPANS] + list(tracer.COUNTERS)
+                     + [tuple(read) for read in json.loads(sys.argv[2])]):
+    owner = modules.get(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    if owner is None:
+        problems.append(f"{module}.{attr} does not resolve")
+holders = list(modules.values()) + [value for mod in modules.values()
+                                    for value in vars(mod).values() if isinstance(value, type)]
+before = [(holder, dict(vars(holder))) for holder in holders]
+probe = tracer.Tracer()
+probe.install()
+replaced = len(probe._restore)
+probe.uninstall()
+problems += [f"{getattr(holder, '__name__', holder)}.{key} is not restored"
+             for holder, names in before for key, value in names.items()
+             if vars(holder).get(key) is not value]
+print(json.dumps({"problems": problems, "replaced": replaced}))
+"""
+
+
+def test_benchmark_tracer_and_witness_checks_bind_existing_names():
+    # perfbench/tracer.py wraps hopla functions by name for `--trace 1`, and
+    # perfbench/checks.py re-evaluates printed witnesses through hopla names;
+    # a name that a simplification removes would break the benchmark, not
+    # the package, so it is checked here against the benchmark files as they are
+    bench = REPO / "perfbench"
+    tree = ast.parse((bench / "checks.py").read_text(encoding="utf-8"))
+    reads = _module_reads(tree)
+    assert {("drivers", "nary_operation"), ("permutations", "failing_symmetry_generator"),
+            ("equations", "residual"), ("docio", "parse_document")} <= reads, reads
+    assert _module_reads(ast.parse(
+        "def f(self):\n    p, x = self.h.permutations, 1\n    return p.RHO1, x.y\n"
+        "def g(h, p):\n    return h.docio.FORMAT, p.RHO2\n")) == {
+        ("permutations", "RHO1"), ("docio", "FORMAT")}
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(bench),
+                             json.dumps(sorted(reads)), *modules],
+                            env=env, capture_output=True, text=True, check=True)
+    report = json.loads(result.stdout)
+    assert report["problems"] == [], report["problems"]
+    assert report["replaced"] >= len(modules), report
+

@@ -12,7 +12,7 @@ from hopla import drivers
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, extend_coderivation,
                              square_cogenerator_component)
 from hopla.docio import format_rational
-from hopla.drivers import NARY_DECLARED, generate_random, nary_operation, run_check, run_coderive
+from hopla.drivers import generate_random, nary_operation, run_check, run_coderive
 from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, nary_residual, residual
 from hopla.errors import DocumentError
 from hopla.functors import suspend_family
@@ -29,10 +29,6 @@ CAP = 3
 
 def hat_family(doc):
     return suspend_family(doc.family) if doc.convention == UNHAT else doc.family
-
-
-def is_nary(doc):
-    return bool(doc.declared_type and doc.declared_type[0] in NARY_DECLARED)
 
 
 def printed(op, witness):
@@ -61,7 +57,7 @@ def re_evaluates(doc, coderive_kind, name, witness) -> bool:
         res = residual(doc.family, flavor, int(m.group(3)), check_symmetry=False)
         return printed(res.op, witness) == witness["value"]
     m = NARY_RESIDUAL.match(name)
-    if m and is_nary(doc):
+    if m and doc.nary_arity is not None:
         res = nary_residual(nary_operation(doc)[1], m.group(1), check_symmetry=False)
         return printed(res.op, witness) == witness["value"]
     assert name != SQUARE, "the whole-square line is derived and carries no witness"
