@@ -63,10 +63,16 @@ def _acted(kind: str, k: int) -> int:
     return acted_count(SYMMETRIZATION[kind], k)
 
 
+def _canonical_head(head, parities) -> bool:
+    """The rule for the acted slots of a canonical word: sorted, with no odd
+    letter repeated (its stabilizer would act by -1, so the word is zero)."""
+    return list(head) == sorted(head) and stabilizer_order(head, parities, False) > 0
+
+
 def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
-    """The canonical words of weight k: a sorted head of the acted slots
-    whose stabilizer does not act by -1, then free letters, in
-    lexicographic order."""
+    """The canonical words of weight k: a head of the acted slots that
+    `_canonical_head` admits, then free letters, in lexicographic order.
+    The heads are drawn sorted, so only their stabilizers are checked."""
     acted = _acted(kind, k)
     letters = range(space.dim)
     heads = (head for head in itertools.combinations_with_replacement(letters, acted)
@@ -100,11 +106,11 @@ def block_count(kind: str, space: GradedSpace, cap: int, arities) -> int:
     (tensor), C(k, a) (wedge) or C(k - 1, a - 1) (k - a + 1) (Perm).  For
     wedge and Perm it stands for the law line's word walk, whose cuts of
     left weight k - a unshuffle C(k, a) (wedge) or C(k - 1, a - 1) (k - a)
-    (Perm) ways; the components walk the operations' entries instead.  A
-    split given by several unshuffles is yielded once, so for words that
-    repeat a letter it is an upper bound.  Tensor walks (k - a + 1)
-    dim^(k - a) insertions per entry of mu_a: as many when mu_a is
-    dense."""
+    (Perm) ways; the components (`_components`) walk the operations'
+    entries instead.  A split given by several unshuffles is yielded once,
+    so for words that repeat a letter it is an upper bound.  Tensor walks
+    (k - a + 1) dim^(k - a) insertions per entry of mu_a: as many when mu_a
+    is dense."""
     def per_word(k, a):
         if kind == TENSOR:
             return k - a + 1
@@ -238,12 +244,16 @@ class Coderivation:
     `denominator`; missing pairs and words are zero.  Wedge and Perm
     components are summed over products of the operation's entries with
     canonical rests, each weighted by the unshuffles that give its split,
-    tensor ones over insertions of the operation.  The law and the square compute on these
-    numerators; `square_word` gives exact Fraction values.  The components
-    are read-only once built: each word's image over all weights is
-    computed once and kept.  A coderivation has degree -1, the sign of its
-    law; its cap is at least 1 and each component key (k, l) has
-    1 <= l <= k <= cap, the keys `image` reads (ArityError otherwise).
+    tensor ones over insertions of the operation; `extend_coderivation`
+    builds every weight of one operation's components from one set-up.  The
+    law and the square compute on these numerators; `square_word` gives
+    exact Fraction values.  The components are read-only once built: each
+    word's image over all weights is computed once and kept.  A
+    coderivation has degree -1, the sign of its law.  The constructor
+    refuses what has no answer: an unknown kind (KindError), a cap below 1
+    or a component key (k, l) outside 1 <= l <= k <= cap, the keys `image`
+    reads (ArityError), and a denominator that is not a positive int
+    (ValueError).
     """
 
     kind: str
@@ -253,6 +263,11 @@ class Coderivation:
     denominator: int = 1
 
     def __post_init__(self):
+        if self.kind not in SYMMETRIZATION:
+            raise KindError(f"unknown coalgebra kind {self.kind!r}")
+        if not isinstance(self.denominator, int) or self.denominator < 1:
+            raise ValueError(f"a coderivation's denominator must be a positive int, "
+                             f"got {self.denominator!r}")
         bad = sorted(key for key in self.components if not 1 <= key[1] <= key[0] <= self.cap)
         if self.cap < 1 or bad:
             raise ArityError(f"a coderivation needs a weight cap of at least 1 and component keys "
@@ -260,7 +275,11 @@ class Coderivation:
         self._images = {}
 
     def image(self, word) -> dict:
-        """D(word) over all weights, as numerators over the denominator."""
+        """D(word) over all weights, as numerators over the denominator.
+
+        Unchecked, as the law line's hot path: a word that is not canonical
+        or whose weight lies outside 1 .. cap reads as zero here, where
+        `square_word` refuses it."""
         image = self._images.get(word)
         if image is None:
             k = len(word)
@@ -270,7 +289,17 @@ class Coderivation:
         return image
 
     def square_word(self, word) -> LinearCombination:
-        """D(D(word)) over all weights."""
+        """D(D(word)) over all weights, for a canonical word of weight
+        1 .. cap.  Any other weight raises ArityError: D has no components
+        beyond the cap, so its square there is unknown, not zero.  A word
+        that `coalgebra_words` does not yield (a letter outside the space,
+        or acted slots that `_canonical_head` refuses) raises KindError."""
+        k = len(word)
+        if not 1 <= k <= self.cap:
+            raise ArityError(f"the square needs a word of weight 1..{self.cap}, got {word!r}")
+        if not (set(word) <= set(range(self.space.dim))
+                and _canonical_head(word[:_acted(self.kind, k)], self.space.parities)):
+            raise KindError(f"{word!r} is not a canonical {self.kind} word")
         image = self.image
         return over(sum_by_key((w, c * cc) for u, c in image(word).items()
                                for w, cc in image(u).items()), self.denominator ** 2)
@@ -296,7 +325,8 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
                   (x_s(1) ^ ... ^ x_s(l-1) | mu(x_s(l), ..., x_s(k-1), t)).
 
     The output letter of mu always comes first and `wedge_normalize` gives
-    the canonical word and its sign.  `_component` sums each split once,
+    the canonical word and its sign.  `_components` builds every weight of
+    one operation's components from one set-up, and sums each split once,
     from the product of an entry of mu with a canonical rest, weighted by
     the number of unshuffles that give it.  These sums equal the sums
     over all permutations of the word divided by each term's multiplicity
@@ -319,23 +349,27 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
         if not check_homogeneous(family.ops[n]):
             raise ConventionError(f"the {kind} coderivation extension requires homogeneous "
                                   f"operations; the arity-{n} operation is not")
-    sp = family.space
     den = lcm(*(op.denominator for op in family.ops.values()))
     components = {}
-    for k in range(1, cap + 1):
-        for arity in family.arities():
-            if k < arity:
-                continue
-            op = family.ops[arity]
-            comp = _component(op, kind, k, den // op.denominator)
+    for arity, op in family.ops.items():
+        for k, comp in _components(op, kind, cap, den // op.denominator):
             if comp:
                 components[(k, k - arity + 1)] = comp
-    return Coderivation(kind, sp, cap, components, den)
+    return Coderivation(kind, family.space, cap, components, den)
 
 
-def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
-    """The (k, k - op.arity + 1) component extending op: canonical weight-k
-    words to their images, as int numerators over op.denominator / scale.
+def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
+    """The components extending op, (k, table) for each weight k = op.arity
+    .. cap in turn: the table of the (k, k - op.arity + 1) component maps
+    canonical weight-k words to their images, as int numerators over
+    op.denominator / scale, and is empty when no word has an image.
+
+    Everything that does not depend on k is built once, before the first
+    weight: the entries of op kept and scaled (tensor: all; wedge and Perm:
+    the representative entries), and for tensor their negated copy, for
+    wedge and Perm their grouping by sorted left and by B (the Perm heads
+    merged with their middle letter), the tails and the memo of the
+    leading letter's sort, keyed by (letter, rest).
 
     Tensor sums insertions: per position i, prefix of i letters, entry of
     op and suffix, the word prefix + input + suffix gets prefix + (output
@@ -343,71 +377,71 @@ def _component(op: Operation, kind: str, k: int, scale: int = 1) -> dict:
     an entry are visited.  Wedge and Perm pair each entry of op with a
     canonical head, the only left factors a canonical word splits off, with
     each canonical rest: the product gets the entry's term times the merge
-    sign and the unshuffles that give the split (docs/conventions.md)."""
+    sign and the unshuffles that give the split (docs/conventions.md).
+    Every weight's terms are summed per word by `table_from_terms`."""
     sp = op.space
     odd = sp.parities
-    a, l = op.arity, k - op.arity + 1
-    acted, wedge = _acted(kind, a), kind == WEDGE
+    a, wedge = op.arity, kind == WEDGE
+    acted = _acted(kind, a)
     table = {word: [(letter, c * scale) for letter, c in sums.items()]
-             for word, sums in op.numerators.items()   # tensor: all; else canonical heads
-             if not acted or list(word[:acted]) == sorted(word[:acted])
-             and stabilizer_order(word[:acted], odd, False)}
+             for word, sums in op.numerators.items() if _canonical_head(word[:acted], odd)}
     if kind == TENSOR:
         negated = {word: [(letter, -c) for letter, c in out] for word, out in table.items()}
-        by_word = defaultdict(list)
-        for i in range(l):
-            suffixes = list(itertools.product(range(sp.dim), repeat=l - 1 - i))
-            for prefix in itertools.product(range(sp.dim), repeat=i):
-                signed = negated if sum(odd[x] for x in prefix) % 2 else table
-                for word, out in signed.items():
-                    for suffix in suffixes:
-                        terms = by_word[prefix + word + suffix]
-                        for letter, c in out:
-                            terms.append((prefix + (letter,) + suffix, c))
-        images = ((word, sum_by_key(terms)) for word, terms in by_word.items())
-        return {word: image for word, image in images if image}
 
-    def merged(left, right):
-        """Sorted product of canonical factors, sign times unshuffles; (0, None) on shared odd x."""
-        shared = set(left).intersection(right)
-        if shared and any(odd[x] for x in shared):
-            return 0, None
-        word = [*left, *right]
-        sign = signed_sort(word, odd, False)
-        for x in shared:
-            sign *= comb(word.count(x), left.count(x))
-        return sign, tuple(word)
+        def terms(l):
+            for i in range(l):
+                suffixes = list(itertools.product(range(sp.dim), repeat=l - 1 - i))
+                for prefix in itertools.product(range(sp.dim), repeat=i):
+                    signed = negated if sum(odd[x] for x in prefix) % 2 else table
+                    for word, out in signed.items():
+                        for suffix in suffixes:
+                            for letter, c in out:
+                                yield prefix + word + suffix, prefix + (letter,) + suffix, c
+    else:
+        def merged(left, right):
+            """Sorted product of canonical factors, sign times unshuffles;
+            (0, None) on a shared odd letter."""
+            shared = set(left).intersection(right)
+            if shared and any(odd[x] for x in shared):
+                return 0, None
+            word = [*left, *right]
+            sign = signed_sort(word, odd, False)
+            for x in shared:
+                sign *= comb(word.count(x), left.count(x))
+            return sign, tuple(word)
 
-    lefts, backs = defaultdict(list), defaultdict(list)   # entries by sorted left, by B
-    for e, out in table.items():
-        s, left = (1, e) if wedge else merged(e[:-1], e[-1:])
-        if s:
-            lefts[left].append((s, out))
-        backs[e[:-1]].append((e[-1:], out))
-    tails = [()] if wedge else [(t,) for t in range(sp.dim)]
-    lead = lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))
+        lefts, backs = defaultdict(list), defaultdict(list)   # entries by sorted left, by B
+        for e, out in table.items():
+            s, left = (1, e) if wedge else merged(e[:-1], e[-1:])
+            if s:
+                lefts[left].append((s, out))
+            backs[e[:-1]].append((e[-1:], out))
+        tails = [()] if wedge else [(t,) for t in range(sp.dim)]
+        lead = lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))
 
-    def terms():
-        # mu(left) ^ rest: wedge terms, and Perm head terms copied to every tail
-        for rest in coalgebra_words(WEDGE, sp, l - 1 if wedge else l - 2) if wedge or l > 1 else ():
-            for left, outs in lefts.items():
-                sign, word = merged(left, rest)
-                if word is not None:
-                    image = [(w, ns * s * sign * c) for s, out in outs for z, c in out
-                             for ns, w in (lead(z, rest),) if ns]
-                    for tail in tails:
-                        for w, c in image:
-                            yield word + tail, w + tail, c
-        # the Perm tail terms (front | mu(B | t)), mu passing the front
-        for front in () if wedge else coalgebra_words(WEDGE, sp, l - 1):
-            parity = -1 if sum(odd[x] for x in front) % 2 else 1
-            for back, outs in backs.items():
-                sign, head = merged(front, back)
-                for tail, out in outs if head is not None else ():
-                    for z, c in out:
-                        yield head + tail, front + (z,), parity * sign * c
+        def terms(l):
+            # mu(left) ^ rest: wedge terms, and Perm head terms copied to every tail
+            width = l - 1 if wedge else l - 2   # the letters of a rest
+            for rest in coalgebra_words(WEDGE, sp, width) if width >= 0 else ():
+                for left, outs in lefts.items():
+                    sign, word = merged(left, rest)
+                    if word is not None:
+                        image = [(w, ns * s * sign * c) for s, out in outs for z, c in out
+                                 for ns, w in (lead(z, rest),) if ns]
+                        for tail in tails:
+                            for w, c in image:
+                                yield word + tail, w + tail, c
+            # the Perm tail terms (front | mu(B | t)), mu passing the front
+            for front in () if wedge else coalgebra_words(WEDGE, sp, l - 1):
+                parity = -1 if sum(odd[x] for x in front) % 2 else 1
+                for back, outs in backs.items():
+                    sign, head = merged(front, back)
+                    for tail, out in outs if head is not None else ():
+                        for z, c in out:
+                            yield head + tail, front + (z,), parity * sign * c
 
-    return table_from_terms(terms())
+    for k in range(a, cap + 1):
+        yield k, table_from_terms(terms(k - a + 1))
 
 
 def check_coderivation(D: Coderivation) -> bool:

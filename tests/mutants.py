@@ -104,6 +104,17 @@ MUTANTS = (
     Mutant("perm-head-tails", "coalgebra.py",
            "for tail in tails:", "for tail in tails[:1]:",
            "the copy of each Perm head term to every tail", COALGEBRA),
+    Mutant("builder-first-weight", "coalgebra.py",
+           "    for k in range(a, cap + 1):\n        yield k,",
+           "    for k in range(a + 1, cap + 1):\n        yield k,",
+           "the builder's first weight, the operation's arity, so the (n, 1) component is lost",
+           COALGEBRA),
+    Mutant("lead-memo-key", "coalgebra.py",
+           "lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))",
+           "(lambda memo: lambda z, rest: memo[z] if z in memo\n"
+           "                else memo.setdefault(z, wedge_normalize(sp, (z,) + rest)))({})",
+           "the key of the leading letter's memo, which the builder shares across weights: "
+           "(letter, rest), not the letter alone", COALGEBRA),
     Mutant("component-scale", "coalgebra.py",
            "den // op.denominator", "1",
            "extend_coderivation's scale of each operation to the common denominator",

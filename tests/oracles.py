@@ -514,8 +514,8 @@ def coalgebra_map_by_loop(name, space, word):
 def component_loop(op, kind, k, l):
     """The (k, l) coderivation component extending op (arity k - l + 1),
     from the sum over all k! (wedge) or (k-1)! (perm) permutations of each
-    canonical word; as `coalgebra._component` returns it, with Perm words
-    spelled as pairs."""
+    canonical word; as `coalgebra._components` yields it at weight k, with
+    Perm words spelled as pairs."""
     sp = op.space
     a = op.arity
     comp = {}

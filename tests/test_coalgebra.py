@@ -12,7 +12,7 @@ from conftest import (RATIONAL_COEFFICIENTS, apply_word, component, flat_compone
                       with_entry)
 from oracles import coderivation_law_by_coproducts, component_by_fractions, first_nonzero_square
 from hopla import coalgebra
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, block_count,
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _components, block_count,
                              check_coderivation, coalgebra_map, coalgebra_words,
                              comultiply, extend_coderivation, project_pi,
                              square_cogenerator_component, wedge_normalize, word_count)
@@ -175,7 +175,7 @@ def test_extend_requires_homogeneity():
     # law, but it has degree 0 on every word, so it is even and D o D is no
     # coderivation: D(D(xx)) = 2 yy while every cogenerator component of
     # D o D vanishes, and the derived square-zero line would pass wrongly
-    D = Coderivation(TENSOR, even, 2, {(k, k): _component(d, TENSOR, k) for k in (1, 2)})
+    D = Coderivation(TENSOR, even, 2, {(k, k): comp for k, comp in _components(d, TENSOR, 2)})
     assert check_coderivation(D)
     assert all(square_cogenerator_component(D, n).table == {} for n in (1, 2))
     assert first_nonzero_square(D) == ((0, 0), LinearCombination({(1, 1): 2}))
@@ -393,8 +393,8 @@ def test_word_count_matches_enumeration():
 
 
 def _blocks_by_enumeration(kind, sp, cap, arities):
-    """The insertion positions or unshuffles `_component` walks, counted
-    word by word."""
+    """The insertion positions or unshuffles that `block_count` counts,
+    enumerated word by word."""
     total = 0
     for k, a in itertools.product(range(1, cap + 1), arities):
         if a > k:
@@ -483,6 +483,35 @@ def test_wedge_and_perm_components_make_no_coproduct_terms(monkeypatch, rng):
         calls.clear()
 
 
+def test_extension_builds_each_operation_in_one_pass(monkeypatch, rng):
+    # extend_coderivation asks the builder once per nonzero operation, not
+    # once per weight; the builder yields every weight from the operation's
+    # arity to the cap (none when the arity lies above it), and the
+    # extension keeps exactly its nonempty tables
+    calls = Counter()
+    builder = coalgebra._components
+
+    def counting(op, kind, cap, scale=1):
+        calls[op.arity] += 1
+        return builder(op, kind, cap, scale)
+
+    monkeypatch.setattr(coalgebra, "_components", counting)
+    symmetry = {TENSOR: None, WEDGE: "full", PERM: "partial"}
+    sp = GradedSpace(("x0", "x1", "x2"), (-1, 0, 1))
+    for kind, cap in itertools.product((TENSOR, WEDGE, PERM), (1, 2, 4)):
+        family = suspend_family(random_unhat_family(rng, sp, (1, 2, 3),
+                                                    symmetrize=symmetry[kind], density=0.6))
+        D = extend_coderivation(family, kind, cap)
+        assert calls == Counter(dict.fromkeys(family.arities(), 1)), (kind, cap)
+        calls.clear()
+        built = {(k, k - a + 1): comp for a, op in family.ops.items()
+                 for k, comp in builder(op, kind, cap, D.denominator // op.denominator)}
+        assert sorted(key[0] for key in built) == sorted(
+            k for a in family.arities() for k in range(a, cap + 1)), (kind, cap)
+        assert D.components == {key: comp for key, comp in built.items() if comp}, (kind, cap)
+        assert cap < 4 or D.components, kind
+
+
 def test_boundary_splits_read_the_unshuffle_tables_of_their_positive_blocks(monkeypatch):
     # the coproduct's signed unshuffles drop the zero blocks of a boundary
     # split, so the split reads the table of its positive blocks, the
@@ -503,9 +532,13 @@ def test_boundary_splits_read_the_unshuffle_tables_of_their_positive_blocks(monk
     assert (2,) in seen and all(b > 0 for blocks in seen for b in blocks), sorted(set(seen))
 
 
-def _tensor_values(op, k):
-    comp = _component(op, TENSOR, k)
-    return {word: over(image, op.denominator) for word, image in comp.items()}
+def _tensor_values(op, cap):
+    """The builder's tensor components of op, weight by weight up to the
+    cap, as exact values; it yields every weight from op's arity."""
+    values = {k: {word: over(image, op.denominator) for word, image in comp.items()}
+              for k, comp in _components(op, TENSOR, cap)}
+    assert list(values) == list(range(op.arity, cap + 1))
+    return values
 
 
 def test_tensor_component_matches_fraction_oracle_on_edge_tables(rng):
@@ -514,7 +547,7 @@ def test_tensor_component_matches_fraction_oracle_on_edge_tables(rng):
     # positions 0 and 1 both give (a, b), with the sign (-1)^|a| = 1, and cancel
     cancel = Operation(sp, 2, -1, {(0, 1): LinearCombination({0: 1}),
                                    (1, 1): LinearCombination({1: -1})})
-    values = _tensor_values(cancel, 3)
+    values = _tensor_values(cancel, 3)[3]
     assert (0, 1, 1) not in values and values == component_by_fractions(cancel, TENSOR, 3, 2)
     assert check_coderivation(extend_coderivation(OperationFamily(HAT, sp, 2, {2: cancel}),
                                                   TENSOR, 5))
@@ -525,9 +558,8 @@ def test_tensor_component_matches_fraction_oracle_on_edge_tables(rng):
     ops += [Operation(wide, a, -1, random_table(rng, wide, a, 0.5, RATIONAL_COEFFICIENTS))
             for a in (2, 3)]
     for op in [cancel] + ops:
-        for k in range(op.arity, 6):
-            assert _tensor_values(op, k) == component_by_fractions(op, TENSOR, k,
-                                                                  k - op.arity + 1), (op, k)
+        for k, values in _tensor_values(op, 5).items():
+            assert values == component_by_fractions(op, TENSOR, k, k - op.arity + 1), (op, k)
 
 
 def test_coderivation_refuses_a_cap_below_one_and_keys_outside_the_triangle():
@@ -542,6 +574,38 @@ def test_coderivation_refuses_a_cap_below_one_and_keys_outside_the_triangle():
         D = Coderivation(TENSOR, sp, cap, {(1, 1): {(1,): {(0,): 1}}})
         assert check_coderivation(D) == coderivation_law_by_coproducts(D)
     assert not hasattr(D, "degree")
+
+
+def test_coderivation_refuses_what_it_has_no_answer_for():
+    # an unknown kind failed later with a KeyError, a denominator of 0 read
+    # every square as 0, and a square asked beyond the cap or on a word
+    # that is not canonical read as 0 too; each is refused up front now
+    sp = GradedSpace(("a", "b"), (0, 1))
+    with pytest.raises(KindError):
+        Coderivation("bogus", sp, 2, {})
+    for denominator in (0, -1, Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError):
+            Coderivation(PERM, sp, 2, {}, denominator)
+    # a Perm D of cap 3 whose square at (a, b | a) is 1 (b,)
+    D = Coderivation(PERM, sp, 3, {(3, 2): {(0, 1, 0): {(0, 0): 1}}, (2, 1): {(0, 0): {(1,): 1}}})
+    assert D.square_word((0, 1, 0)) == LinearCombination({(1,): 1})
+    for word in ((), (0, 1, 0, 0)):
+        with pytest.raises(ArityError):
+            D.square_word(word)
+    for word in ((1, 0, 0), (1, 1, 0), (0, 2), (0, -1)):
+        with pytest.raises(KindError):
+            D.square_word(word)
+    # the refusal follows the rule coalgebra_words applies, for every kind
+    for kind in (TENSOR, WEDGE, PERM):
+        D = Coderivation(kind, sp, 3, {})
+        for k in range(1, 4):
+            canonical = set(coalgebra_words(kind, sp, k))
+            for word in itertools.product(range(sp.dim), repeat=k):
+                if word in canonical:
+                    assert D.square_word(word).is_zero(), (kind, word)
+                else:
+                    with pytest.raises(KindError):
+                        D.square_word(word)
 
 
 def test_tensor_law_matches_full_law_oracle_on_hand_built_coderivations(rng):
@@ -583,6 +647,7 @@ def test_tensor_insertions_walked_are_bounded_by_the_block_count():
         for cap in range(1, 7):
             walked = 0
             for a, op in family.ops.items():
+                built = dict(_components(op, TENSOR, cap))
                 for k in range(a, cap + 1):
                     l = k - a + 1
                     insertions = [prefix + word + suffix for i in range(l)
@@ -590,7 +655,7 @@ def test_tensor_insertions_walked_are_bounded_by_the_block_count():
                                   for word in op.numerators
                                   for suffix in itertools.product(letters, repeat=l - 1 - i)]
                     assert len(insertions) == l * sp.dim ** (k - a) * len(op.numerators)
-                    assert set(_component(op, TENSOR, k)) <= set(insertions)
+                    assert set(built[k]) <= set(insertions)
                     walked += len(insertions)
             bound = block_count(TENSOR, sp, cap, family.arities())
             assert walked <= bound, (degrees, density, cap)

@@ -25,7 +25,7 @@ from oracles import (block_representatives_by_fractions, check_coderivation_by_f
                      numerators_by_fractions, pair_words, precompose_symmetrized_by_loop,
                      residual_by_insertions, residual_by_positions, residual_by_relation,
                      square_cogenerator_by_fractions)
-from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _component, check_coderivation,
+from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _components, check_coderivation,
                              coalgebra_map, coalgebra_words, coproduct_terms, extend_coderivation,
                              square_cogenerator_component, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
@@ -559,9 +559,11 @@ def test_unshuffle_components_match_loop_oracle(kind, pattern):
     nonzero = 0
     for arity, _ in itertools.product((1, 2, 3, 4), range(2)):
         op = _hat_operation(rng, sp, arity, kind)
-        for k in range(arity, cap + 1):
+        built = list(_components(op, kind, cap))
+        assert [k for k, _ in built] == list(range(arity, cap + 1))
+        for k, comp in built:
             l = k - arity + 1
-            fast = _values(_component(op, kind, k), op.denominator)
+            fast = _values(comp, op.denominator)
             assert fast == flat_component(component_loop(op, kind, k, l)), (arity, k, l)
             nonzero += bool(fast)
     assert nonzero >= 12  # the comparison must not be vacuous
@@ -850,7 +852,7 @@ LAW_PATTERNS = ((0, 1), (1, 1), (-1, 0, 1), (1, 0, 1), (1, 2))
 
 
 def _law_coderivations(rng, kind, sp, cap):
-    """An extended family, and components built by `_component` from
+    """An extended family, and components built by `_components` from
     inhomogeneous operations without any symmetry."""
     ops = {a: _hat_operation(rng, sp, a, kind, density=0.5) for a in (1, 2, 3)}
     family = OperationFamily(HAT, sp, 3, {a: op for a, op in ops.items() if not op.is_zero()})
@@ -858,8 +860,7 @@ def _law_coderivations(rng, kind, sp, cap):
     components = {}
     for a in (1, 2, 3):
         op = Operation(sp, a, -1, random_table(rng, sp, a, 0.3))
-        for k in range(a, cap + 1):
-            comp = _component(op, kind, k)
+        for k, comp in _components(op, kind, cap):
             if comp:
                 components[(k, k - a + 1)] = comp
     yield "inhomogeneous", Coderivation(kind, sp, cap, components)
