@@ -247,13 +247,12 @@ class Coderivation:
     tensor ones over insertions of the operation; `extend_coderivation`
     builds every weight of one operation's components from one set-up.  The
     law and the square compute on these numerators; `square_word` gives
-    exact Fraction values.  The components are read-only once built: each
-    word's image over all weights is computed once and kept.  A
-    coderivation has degree -1, the sign of its law.  The constructor
-    refuses what has no answer: an unknown kind (KindError), a cap below 1
-    or a component key (k, l) outside 1 <= l <= k <= cap, the keys `image`
-    reads (ArityError), and a denominator that is not a positive int
-    (ValueError).
+    exact Fraction values.  The tables are all a coderivation holds.  It
+    has degree -1, the sign of its law.  The constructor refuses what has
+    no answer: an unknown kind (KindError), a cap below 1 or a component
+    key (k, l) outside 1 <= l <= k <= cap, the keys `image` reads
+    (ArityError), and a denominator that is not a positive int
+    (ValueError); a table word that is not canonical fails the law line.
     """
 
     kind: str
@@ -272,21 +271,16 @@ class Coderivation:
         if self.cap < 1 or bad:
             raise ArityError(f"a coderivation needs a weight cap of at least 1 and component keys "
                              f"(k, l) with 1 <= l <= k <= cap; got cap {self.cap}, keys {bad}")
-        self._images = {}
 
     def image(self, word) -> dict:
-        """D(word) over all weights, as numerators over the denominator.
+        """D(word) over all weights, as numerators over the denominator: the
+        merge of the word's rows in the components (k, 1) .. (k, k).
 
-        Unchecked, as the law line's hot path: a word that is not canonical
-        or whose weight lies outside 1 .. cap reads as zero here, where
-        `square_word` refuses it."""
-        image = self._images.get(word)
-        if image is None:
-            k = len(word)
-            image = self._images[word] = {}
-            for l in range(1, k + 1):
-                image.update(self.components.get((k, l), {}).get(word, {}))
-        return image
+        Unchecked: a word that is not canonical or whose weight lies
+        outside 1 .. cap reads as zero here, where `square_word` refuses it."""
+        k = len(word)
+        return {w: c for l in range(1, k + 1)
+                for w, c in self.components.get((k, l), {}).get(word, {}).items()}
 
     def square_word(self, word) -> LinearCombination:
         """D(D(word)) over all weights, for a canonical word of weight
@@ -467,17 +461,20 @@ def check_coderivation(D: Coderivation) -> bool:
     identity), so R_{p,q}(w) = 0.  Nothing here uses symmetry or
     homogeneity of D.  See docs/conventions.md, "Coderivation components".
 
-    The left side minus the right is summed per word as integer numerators
-    over D.denominator, and the law holds there when nothing survives.
-    Tensor terms are keyed by the word left + right (|right| = 1), the
-    inverse of the bijection Delta_{q-1,1}, so no image word is cut.
+    The components are indexed once by source weight: the left side reads
+    those leaving weight k for l >= 2, D (x) Id those leaving k - 1.  The
+    left side minus the right is summed per word as integer numerators over
+    D.denominator, and the law holds there when nothing survives.  Tensor
+    terms are keyed by the word left + right (|right| = 1), the inverse of
+    the bijection Delta_{q-1,1}, so no image word is cut.  A table holding a
+    source or image word outside the walk's canonical words of its weight
+    fails too.
     """
     cap, kind, sp, par = D.cap, D.kind, D.space, D.space.parities
-    components, image = D.components, D.image
-    cogenerator = [(a, comp) for (a, l), comp in components.items() if l == 1]
-    # per source weight k, the components to weight l >= 2
-    spread = {k: [(l, comp) for (kk, l), comp in components.items() if kk == k and l >= 2]
-              for k in range(1, cap + 1)}
+    source = {k: [] for k in range(1, cap + 1)}   # every component leaving weight k, as (l, table)
+    for (k, l), comp in D.components.items():
+        source[k].append((l, comp))
+    cogenerator = [(a, comp) for a, row in source.items() for l, comp in row if l == 1]
     cuts = {}   # word -> its (len - 1, 1) cuts, met again as an image word
 
     def cut(u):
@@ -490,14 +487,16 @@ def check_coderivation(D: Coderivation) -> bool:
         """The weight-1 right part of R(word), as numerators: the (l-1, 1)
         cuts of D(word), minus the weight-1 right parts of
         (D (x) Id + Id (x) D)(Delta(word))."""
-        for l, comp in spread[k]:
-            for u, c in comp.get(word, {}).items():
-                for pair, s in cut(u):
-                    yield pair, s * c
+        for l, comp in source[k]:
+            if l > 1:
+                for u, c in comp.get(word, {}).items():
+                    for pair, s in cut(u):
+                        yield pair, s * c
         if k > 1:
             for (left, right), s in cut(word):
-                for v, c in image(left).items():
-                    yield (v, right), -s * c
+                for _, comp in source[k - 1]:
+                    for v, c in comp.get(left, {}).items():
+                        yield (v, right), -s * c
         for a, comp in cogenerator:
             if a >= k:
                 continue
@@ -514,12 +513,14 @@ def check_coderivation(D: Coderivation) -> bool:
         """`defect` for tensor, each term keyed by its word left + right:
         D(word)'s image words of weight >= 2, minus D(word[:-1]) + word[-1:],
         minus the signed word[:k-a] + D_(a,1)(word[k-a:])."""
-        for _, comp in spread[k]:
-            yield from comp.get(word, {}).items()
+        for l, comp in source[k]:
+            if l > 1:
+                yield from comp.get(word, {}).items()
         if k > 1:
-            last = word[-1:]
-            for v, c in image(word[:-1]).items():
-                yield v + last, -c
+            left, last = word[:-1], word[-1:]
+            for _, comp in source[k - 1]:
+                for v, c in comp.get(left, {}).items():
+                    yield v + last, -c
         for a, comp in cogenerator:
             right_image = comp.get(word[k - a:]) if a < k else None
             if right_image is None:
@@ -530,11 +531,11 @@ def check_coderivation(D: Coderivation) -> bool:
                 yield left + v, -s * c
 
     terms = tensor_defect if kind == TENSOR else defect
-    for k in range(1, cap + 1):
-        for word in coalgebra_words(kind, sp, k):
-            if sum_by_key(terms(word, k)):
-                return False
-    return True
+    words = {k: frozenset(coalgebra_words(kind, sp, k)) for k in range(1, cap + 1)}
+    if any(sum_by_key(terms(word, k)) for k, canonical in words.items() for word in canonical):
+        return False
+    return all(comp.keys() <= words[k] and all(row.keys() <= words[l] for row in comp.values())
+               for (k, l), comp in D.components.items())
 
 
 def square_cogenerator_fold(D: Coderivation, n: int) -> Folded:
@@ -563,13 +564,9 @@ def square_cogenerator_fold(D: Coderivation, n: int) -> Folded:
                          f"1..{D.cap}, got {n}")
     steps = [(D.components[(n, l)], D.components[(l, 1)]) for l in range(1, n + 1)
              if (n, l) in D.components and (l, 1) in D.components]
-    table = {}
-    for cw in dict.fromkeys(word for image, _ in steps for word in image):
-        sums = sum_by_key((v[0], c * cc) for image, cogenerator in steps
-                          for u, c in image.get(cw, {}).items()
-                          for v, cc in cogenerator.get(u, {}).items())
-        if sums:
-            table[cw] = sums
+    table = table_from_terms((cw, z, c * cc) for image, cogenerator in steps
+                             for cw, row in image.items() for u, c in row.items()
+                             for (z,), cc in cogenerator.get(u, {}).items())
     return Folded(D.space, n, -2, table, D.denominator ** 2, RHO1,
                   SYMMETRIZATION[D.kind])
 

@@ -19,8 +19,9 @@ The oracles here deliberately avoid the library's own code paths:
 `with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`,
 `associative_family` and `derived_documents` are small helpers that only the
 tests need;
-`DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on, and
-`RATIONAL_COEFFICIENTS` the non-integer coefficients they draw.
+`DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on,
+`RATIONAL_COEFFICIENTS` the non-integer coefficients they draw, and
+`LIE_COEFFICIENT_XFAIL` marks the tests that ROADMAP item 1's fix makes pass.
 """
 
 import itertools
@@ -229,6 +230,13 @@ def pattern_space(pattern):
 # denominators, so that the kernels' common denominators are not 1
 RATIONAL_COEFFICIENTS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(7, 4),
                          Fraction(1, 10007), Fraction(-1, 10009))
+
+# ROADMAP item 1: the Lie residual weights each pair (i, j) by i, so the L∞
+# image of a dga fails it; the fix turns these tests into passes, and its
+# change deletes this marker where it is used
+LIE_COEFFICIENT_XFAIL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the Lie residual weights each pair (i, j) by i")
 
 
 def random_table(rng, sp, arity, density, coefficients=(-2, -1, 1, 3)):

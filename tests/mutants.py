@@ -136,6 +136,20 @@ MUTANTS = (
            "            s = -1 if sum(par[x] for x in left) % 2 else 1",
            "            s = 1",
            "the Id (x) D sign of the tensor law line", COALGEBRA),
+    Mutant("law-source-weight", "coalgebra.py",
+           "                for _, comp in source[k - 1]:",
+           "                for _, comp in source[k]:",
+           "the source weight the wedge and Perm law line reads D (x) Id at: the cut's left "
+           "word has weight k - 1", COALGEBRA),
+    Mutant("law-image-words", "coalgebra.py",
+           " and all(row.keys() <= words[l] for row in comp.values())", "",
+           "the law line's refusal of a table whose image words are not canonical",
+           ("tests/test_coalgebra.py::"
+            "test_law_line_fails_tables_holding_words_that_are_not_canonical",)),
+    Mutant("fold-output-letter", "coalgebra.py",
+           "(cw, z, c * cc)", "(cw, u[0], c * cc)",
+           "the output letter of square_cogenerator_fold's terms, the letter D_(l,1) gives",
+           COALGEBRA),
     Mutant("unhat-sign", "equations.py",
            "(j * (i - m - 1) + m) % 2", "(j * (i - m - 1)) % 2",
            "_coefficient's unhat sign", EQUATIONS),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEGREE_PATTERNS, identity
+from conftest import DEGREE_PATTERNS, LIE_COEFFICIENT_XFAIL, identity
 from oracles import (failing_transposition_by_act, nary_residual_by_positions,
                      precompose_by_loop, residual_by_insertions, residual_by_positions,
                      residual_insertions_by_entries)
@@ -835,6 +835,16 @@ def test_cli_graded_dga_is_associative_and_its_gamma_image_pre_lie(tmp_path, cap
     assert [c["name"] for c in checks if c["passed"]] == [
         "partial symmetry at arity 1", "partial symmetry at arity 2",
         *(f"prelie/unhat residual at arity {n}" for n in (1, 2, 3))]
+
+
+@LIE_COEFFICIENT_XFAIL
+def test_cli_graded_dga_alpha_image_is_lie(tmp_path, capsys):
+    # the paper's A∞ -> L∞ functor on the same dga: its alpha image is an
+    # L∞ algebra, and `coderive --kind wedge` on it passes
+    alpha = tmp_path / "alpha.json"
+    assert main(["derive", GRADED_DGA, "--functor", "commutator-alpha", "-o", str(alpha)]) == 0
+    assert main(["coderive", str(alpha), "--kind", "wedge", "--weight-cap", "3"]) == 0
+    assert main(["check", str(alpha), "--flavor", "lie"]) == 0
 
 
 def test_cli_check_reports_the_symmetry_of_every_arity(tmp_path, capsys):

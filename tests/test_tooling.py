@@ -147,10 +147,15 @@ def test_coderivation_law_and_components_sum_integer_numerators():
                         and node.func.id == "Operation"], (module, name)
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    # the components sum through table_from_terms alone, the law through sum_by_key
+    # the components and the square's fold sum through table_from_terms
+    # alone, the law through sum_by_key, reading the tables and never the
+    # merged image of a word
     sums = {name: {"sum_by_key", "table_from_terms"} & set(_names(functions[name]))
-            for name in ("_components", "check_coderivation")}
-    assert sums == {"_components": {"table_from_terms"}, "check_coderivation": {"sum_by_key"}}
+            for name in ("_components", "square_cogenerator_fold", "check_coderivation")}
+    assert sums == {"_components": {"table_from_terms"},
+                    "square_cogenerator_fold": {"table_from_terms"},
+                    "check_coderivation": {"sum_by_key"}}
+    assert "image" not in set(_names(functions["check_coderivation"]))
 
 
 def test_one_trusted_operation_constructor():
