@@ -63,16 +63,11 @@ def _acted(kind: str, k: int) -> int:
     return acted_count(SYMMETRIZATION[kind], k)
 
 
-def _canonical_head(head, parities) -> bool:
-    """The rule for the acted slots of a canonical word: sorted, with no odd
-    letter repeated (its stabilizer would act by -1, so the word is zero)."""
-    return list(head) == sorted(head) and stabilizer_order(head, parities, False) > 0
-
-
 def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
-    """The canonical words of weight k: a head of the acted slots that
-    `_canonical_head` admits, then free letters, in lexicographic order.
-    The heads are drawn sorted, so only their stabilizers are checked."""
+    """The canonical words of weight k: a head of the acted slots that is
+    its own `wedge_normalize` form (sorted, no odd letter repeated), then
+    free letters, in lexicographic order.  The heads are drawn sorted, so
+    only their stabilizers are checked."""
     acted = _acted(kind, k)
     letters = range(space.dim)
     heads = (head for head in itertools.combinations_with_replacement(letters, acted)
@@ -212,15 +207,14 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
 
 def _orbit_sum(space: GradedSpace, letters, tail: tuple) -> LinearCombination:
     """Sum of eps(sigma) (letters o sigma) + tail over sigma in S_len, from
-    the sorted representative of the letters' rho1 orbit."""
-    odd = space.parities
-    rep = list(letters)
-    chi = signed_sort(rep, odd, False)
-    order = stabilizer_order(rep, odd, False)
-    if not order:
+    the letters' `wedge_normalize` form, the sorted representative of their
+    rho1 orbit, each arrangement |Stab| times."""
+    chi, rep = wedge_normalize(space, letters)
+    if rep is None:
         return LinearCombination()
+    order = stabilizer_order(rep, space.parities, False)
     return LinearCombination((arrangement + tail, order if c == chi else -order)
-                             for c, arrangement in arrangements(tuple(rep), odd, False))
+                             for c, arrangement in arrangements(rep, space.parities, False))
 
 
 def project_pi(space: GradedSpace, word) -> LinearCombination:
@@ -287,12 +281,14 @@ class Coderivation:
         1 .. cap.  Any other weight raises ArityError: D has no components
         beyond the cap, so its square there is unknown, not zero.  A word
         that `coalgebra_words` does not yield (a letter outside the space,
-        or acted slots that `_canonical_head` refuses) raises KindError."""
+        or acted slots that are not their own `wedge_normalize` form)
+        raises KindError."""
         k = len(word)
         if not 1 <= k <= self.cap:
             raise ArityError(f"the square needs a word of weight 1..{self.cap}, got {word!r}")
+        head = word[:_acted(self.kind, k)]
         if not (set(word) <= set(range(self.space.dim))
-                and _canonical_head(word[:_acted(self.kind, k)], self.space.parities)):
+                and wedge_normalize(self.space, head)[1] == head):
             raise KindError(f"{word!r} is not a canonical {self.kind} word")
         image = self.image
         return over(sum_by_key((w, c * cc) for u, c in image(word).items()
@@ -362,8 +358,7 @@ def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
     weight: the entries of op kept and scaled (tensor: all; wedge and Perm:
     the representative entries), and for tensor their negated copy, for
     wedge and Perm their grouping by sorted left and by B (the Perm heads
-    merged with their middle letter), the tails and the memo of the
-    leading letter's sort, keyed by (letter, rest).
+    merged with their middle letter) and the tails.
 
     Tensor sums insertions: per position i, prefix of i letters, entry of
     op and suffix, the word prefix + input + suffix gets prefix + (output
@@ -378,7 +373,8 @@ def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
     a, wedge = op.arity, kind == WEDGE
     acted = _acted(kind, a)
     table = {word: [(letter, c * scale) for letter, c in sums.items()]
-             for word, sums in op.numerators.items() if _canonical_head(word[:acted], odd)}
+             for word, sums in op.numerators.items()
+             if wedge_normalize(sp, word[:acted])[1] == word[:acted]}
     if kind == TENSOR:
         negated = {word: [(letter, -c) for letter, c in out] for word, out in table.items()}
 
@@ -411,7 +407,6 @@ def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
                 lefts[left].append((s, out))
             backs[e[:-1]].append((e[-1:], out))
         tails = [()] if wedge else [(t,) for t in range(sp.dim)]
-        lead = lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))
 
         def terms(l):
             # mu(left) ^ rest: wedge terms, and Perm head terms copied to every tail
@@ -421,7 +416,7 @@ def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
                     sign, word = merged(left, rest)
                     if word is not None:
                         image = [(w, ns * s * sign * c) for s, out in outs for z, c in out
-                                 for ns, w in (lead(z, rest),) if ns]
+                                 for ns, w in (wedge_normalize(sp, (z,) + rest),) if ns]
                         for tail in tails:
                             for w, c in image:
                                 yield word + tail, w + tail, c

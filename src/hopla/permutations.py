@@ -278,7 +278,8 @@ def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
     """The representative table of op on its block of slots lo..hi-1: the
     entries whose block is sorted, each times the number of distinct
     arrangements of that block, (hi-lo)!/prod_x m_x! for m_x copies of the
-    letter x.  op itself when the block has at most one slot.
+    letter x, prod_x m_x! the block's `stabilizer_order` with every letter
+    even, as in `sign`.  op itself when the block has at most one slot.
 
     For op invariant under the signed action of the permutations of the
     block, op(w o pi) = chi(pi; w) op(w).  A term streamed from w o pi
@@ -292,20 +293,12 @@ def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
     built once per call of their callers."""
     if hi - lo <= 1:
         return op
-    size = factorial(hi - lo)
+    size, even = factorial(hi - lo), (0,) * op.space.dim
     table = {}
     for word, sums in op.numerators.items():
         block = word[lo:hi]
-        count, run = size, 1
-        for a, b in zip(block, block[1:]):
-            if a > b:
-                break
-            if a == b:
-                run += 1
-                count //= run
-            else:
-                run = 1
-        else:
+        if list(block) == sorted(block):
+            count = size // stabilizer_order(block, even, False)
             table[word] = sums if count == 1 else {x: c * count for x, c in sums.items()}
     return Operation.from_numerators(op.space, op.arity, op.degree, table, op.denominator)
 

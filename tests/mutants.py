@@ -35,10 +35,14 @@ COALGEBRA = ("tests/test_coalgebra.py", "tests/test_oracles.py")
 # the component signs that the functors' coalgebra identity alone also kills
 INTERTWINED = ("tests/test_functors.py::test_functors_intertwine_the_coderivations_they_induce",
                *COALGEBRA)
+# alpha and gamma, read by the coalgebra-map laws and the selftest witnesses
+ORBIT_SUM = ("tests/test_coalgebra.py", "tests/test_verify.py")
 EQUATIONS = ("tests/test_equations.py", "tests/test_preconditions.py",
              "tests/test_oracles.py")
 FUNCTORS = ("tests/test_functors.py", "tests/test_acceptance.py")
 DERIVE = ("tests/test_functors.py", "tests/test_preconditions.py", "tests/test_docio_cli.py")
+# the selftest identities, each broken where it reads a map or its input
+VERIFY = ("tests/test_verify.py",)
 DOCUMENTS = ("tests/test_docio_cli.py", "tests/test_docio_parser.py")
 
 
@@ -75,7 +79,7 @@ MUTANTS = (
            "Folded.first_nonzero_entry's smallest representative, the printed witness",
            ("tests/test_oracles.py", "tests/test_docio_cli.py")),
     Mutant("block-count", "permutations.py",
-           "                count //= run", "                count //= 1",
+           "count = size // stabilizer_order(block, even, False)", "count = size",
            "block_representatives' arrangement count of a block that repeats a letter",
            ("tests/test_permutations.py", "tests/test_equations.py", "tests/test_oracles.py")),
     Mutant("tensor-prefix-parity", "coalgebra.py",
@@ -109,12 +113,10 @@ MUTANTS = (
            "    for k in range(a + 1, cap + 1):\n        yield k,",
            "the builder's first weight, the operation's arity, so the (n, 1) component is lost",
            COALGEBRA),
-    Mutant("lead-memo-key", "coalgebra.py",
-           "lru_cache(maxsize=None)(lambda z, rest: wedge_normalize(sp, (z,) + rest))",
-           "(lambda memo: lambda z, rest: memo[z] if z in memo\n"
-           "                else memo.setdefault(z, wedge_normalize(sp, (z,) + rest)))({})",
-           "the key of the leading letter's memo, which the builder shares across weights: "
-           "(letter, rest), not the letter alone", COALGEBRA),
+    Mutant("orbit-sum-sign", "coalgebra.py",
+           "order if c == chi else -order", "order",
+           "the Koszul sign of each arrangement in alpha and gamma's orbit sums",
+           ORBIT_SUM),
     Mutant("component-scale", "coalgebra.py",
            "den // op.denominator", "1",
            "extend_coderivation's scale of each operation to the common denominator",
@@ -245,6 +247,44 @@ MUTANTS = (
            "            return",
            "the symmetry walk stopping at the first failing arity, so check reports no later "
            "arity", ("tests/test_docio_cli.py", "tests/test_preconditions.py")),
+    Mutant("verify-koszul-tau-walk", "verify.py",
+           "    for tau in all_permutations(n):\n        permuted",
+           "    for tau in all_permutations(n)[:1]:\n        permuted",
+           "the Koszul composition law walked at tau = identity only, where it always holds",
+           VERIFY),
+    Mutant("verify-unshuffle-duplicates", "verify.py",
+           "if len(set(found)) != len(found):", "if False:",
+           "the unshuffle partition's check for a repeated unshuffle", VERIFY),
+    Mutant("verify-coassociativity-walk", "verify.py",
+           "    for k in range(1, cap + 1):\n"
+           "        for word in coalgebra_words(kind, space, k):\n            coproduct",
+           "    for k in range(1, cap):\n"
+           "        for word in coalgebra_words(kind, space, k):\n            coproduct",
+           "the coassociativity walk stopping one weight short of the cap", VERIFY),
+    Mutant("verify-map-law-compare", "verify.py",
+           "            if lhs != rhs:\n                return word",
+           "            if lhs != lhs:\n                return word",
+           "the coalgebra-map law comparing Delta o m with itself", VERIFY),
+    Mutant("verify-factorization-walk", "verify.py",
+           "    for k in range(1, cap + 1):\n"
+           "        for word in coalgebra_words(WEDGE, space, k):\n            via",
+           "    for k in range(1, cap):\n"
+           "        for word in coalgebra_words(WEDGE, space, k):\n            via",
+           "the gamma o beta = alpha walk stopping one weight short of the cap", VERIFY),
+    Mutant("verify-section-compare", "verify.py",
+           "if image != LinearCombination({word: 1}):", "if image != image:",
+           "pi o alpha compared with itself, not with the identity", VERIFY),
+    Mutant("verify-correspondence-component", "verify.py",
+           "if square_cogenerator_component(D, n) != hat_res:", "if False:",
+           "the correspondence's comparison of the squared coderivation with the residual",
+           VERIFY),
+    Mutant("verify-pipeline-alpha", "verify.py",
+           "    if b != a:", "    if False:",
+           "the commutator pipeline's comparison of beta o gamma with alpha", VERIFY),
+    Mutant("verify-jacobi-compare", "verify.py",
+           "    if lhs != rhs:\n        return (f.arity",
+           "    if lhs != lhs:\n        return (f.arity",
+           "the graded Jacobi identity comparing its left side with itself", VERIFY),
     Mutant("beta-precondition", "drivers.py",
            'COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}',
            'COMMUTATOR_PRECONDITIONS = {"gamma": MODE_PARTIAL}',

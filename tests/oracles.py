@@ -49,7 +49,8 @@ only so that tests can compare the fast path against it:
   every input word, as its definition reads;
 * `coderivation_law_by_coproducts` checks the whole coderivation law,
   Delta o D against (D (x) Id + Id (x) D) o Delta with every coproduct
-  term, on every canonical word up to the cap;
+  term, on every canonical word up to the cap, and refuses tables that
+  hold words that are not canonical;
 * `first_nonzero_square` squares every canonical word up to the cap whole,
   where `coalgebra.square_cogenerator_component` applies only the (l, 1)
   components to D(w), and `coderive` derives square-zero from those;
@@ -694,10 +695,17 @@ def square_cogenerator_by_fractions(D, n):
 def coderivation_law_by_coproducts(D, cap=None):
     """Verify Delta o D = (D (x) Id + Id (x) D) o Delta on every canonical
     word of weight <= cap, with the Koszul sign of the degree -1 map D in
-    the Id (x) D term."""
+    the Id (x) D term.  A component of source weight <= cap whose table
+    holds a source or image word that is not canonical fails: D is a map
+    on the canonical words alone."""
     cap = D.cap if cap is None else min(cap, D.cap)
+    words = {k: set(coalgebra_words(D.kind, D.space, k)) for k in range(1, cap + 1)}
+    for (k, l), comp in D.components.items():
+        if k <= cap and not all(source in words[k] and set(image) <= words[l]
+                                for source, image in comp.items()):
+            return False
     for k in range(1, cap + 1):
-        for word in coalgebra_words(D.kind, D.space, k):
+        for word in words[k]:
             lhs = LinearCombination((pair, c * cc) for w, c in apply_word(D, word)
                                     for pair, cc in comultiply(D.kind, D.space, w))
             if lhs != LinearCombination(_coderivation_rhs(D, word)):

@@ -637,9 +637,12 @@ def test_coderivation_refuses_what_it_has_no_answer_for():
 def test_law_line_fails_tables_holding_words_that_are_not_canonical(kind, cap, components):
     # the walk reads canonical words only, so on these tables every defect
     # it sums vanishes and each once passed the law; a table word outside
-    # the walk's words of its weight now fails it
+    # the walk's words of its weight now fails it, in the law line and in
+    # the whole-law oracle alike
     sp = GradedSpace(("a", "b"), (0, 1))
-    assert not check_coderivation(Coderivation(kind, sp, cap, components))
+    D = Coderivation(kind, sp, cap, components)
+    assert not check_coderivation(D)
+    assert not coderivation_law_by_coproducts(D)
 
 
 def test_an_extended_coderivation_holds_only_its_fields(graded2, rng):

@@ -545,6 +545,45 @@ def test_coalgebra_words_are_flat_orbit_representatives():
     assert [name for name, _ in calls] == ["coproduct_terms"], calls
 
 
+def _callers(tree, callee):
+    """The innermost function around each call of `callee` by name."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == callee:
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_orbit_kernel_alone_decides_canonical_words():
+    # wedge_normalize, on signed_sort and stabilizer_order, gives every
+    # word's sorted form, sign and vanishing: the canonical-head rule is
+    # gone, the components builder's merge of two sorted factors is the one
+    # other sort in coalgebra.py, the builder keeps no memo of it, and
+    # block_representatives counts arrangements through stabilizer_order
+    assert [path.name for path, tree in _parsed(sorted(SRC.glob("*.py")))
+            if "_canonical_head" in set(_names(tree))] == []
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    assert sorted(_callers(tree, "signed_sort")) == ["merged", "wedge_normalize"]
+    (components,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_components"]
+    memos = [node.lineno for node in ast.walk(components)
+             if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache", "dict")
+             or isinstance(node, ast.Attribute) and node.attr == "setdefault"
+             or isinstance(node, ast.Dict) and not node.keys]
+    assert memos == []
+    tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
+    assert "block_representatives" in _callers(tree, "stabilizer_order")
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "block_representatives"]
+    assert not [node for node in ast.walk(block) if isinstance(node, ast.AugAssign)]
+
+
 def test_square_cogenerator_part_reads_only_the_components():
     # pi o D o D is summed from the (n, l) and (l, 1) components, never from
     # the whole square of a word, and the whole-square route is gone from
