@@ -41,18 +41,18 @@ SYMMETRIZATION = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}
 
 
 def wedge_normalize(space: GradedSpace, letters) -> tuple:
-    """Canonical form of a wedge word: (sign, sorted tuple) or (0, None).
+    """Canonical form of a wedge word: (sign, sorted tuple, |Stab|), or
+    (0, None, 0).
 
     The canonical word is the word's rho1 orbit representative, computed by
     the symmetrization kernel: the sign is the Koszul sign of the sorting
     permutation, and a repeated odd-degree letter (a stabilizer acting by
-    -1) forces the zero word.
+    -1, whose order reads 0) forces the zero word.
     """
     letters = list(letters)
     sign = signed_sort(letters, space.parities, False)
-    if not stabilizer_order(letters, space.parities, False):
-        return 0, None
-    return sign, tuple(letters)
+    order = stabilizer_order(letters, space.parities, False)
+    return (sign, tuple(letters), order) if order else (0, None, 0)
 
 
 def _acted(kind: str, k: int) -> int:
@@ -209,17 +209,16 @@ def _orbit_sum(space: GradedSpace, letters, tail: tuple) -> LinearCombination:
     """Sum of eps(sigma) (letters o sigma) + tail over sigma in S_len, from
     the letters' `wedge_normalize` form, the sorted representative of their
     rho1 orbit, each arrangement |Stab| times."""
-    chi, rep = wedge_normalize(space, letters)
+    chi, rep, order = wedge_normalize(space, letters)
     if rep is None:
         return LinearCombination()
-    order = stabilizer_order(rep, space.parities, False)
     return LinearCombination((arrangement + tail, order if c == chi else -order)
                              for c, arrangement in arrangements(rep, space.parities, False))
 
 
 def project_pi(space: GradedSpace, word) -> LinearCombination:
     """pi: tensor -> wedge, the weight-n canonical projection scaled by 1/n!."""
-    s, canonical = wedge_normalize(space, word)
+    s, canonical, _ = wedge_normalize(space, word)
     if canonical is None:
         return LinearCombination()
     return LinearCombination({canonical: Fraction(s, factorial(len(word)))})
@@ -416,7 +415,7 @@ def _components(op: Operation, kind: str, cap: int, scale: int = 1) -> Iterator:
                     sign, word = merged(left, rest)
                     if word is not None:
                         image = [(w, ns * s * sign * c) for s, out in outs for z, c in out
-                                 for ns, w in (wedge_normalize(sp, (z,) + rest),) if ns]
+                                 for ns, w, _ in (wedge_normalize(sp, (z,) + rest),) if ns]
                         for tail in tails:
                             for w, c in image:
                                 yield word + tail, w + tail, c
@@ -456,14 +455,16 @@ def check_coderivation(D: Coderivation) -> bool:
     identity), so R_{p,q}(w) = 0.  Nothing here uses symmetry or
     homogeneity of D.  See docs/conventions.md, "Coderivation components".
 
-    The components are indexed once by source weight: the left side reads
-    those leaving weight k for l >= 2, D (x) Id those leaving k - 1.  The
-    left side minus the right is summed per word as integer numerators over
-    D.denominator, and the law holds there when nothing survives.  Tensor
-    terms are keyed by the word left + right (|right| = 1), the inverse of
-    the bijection Delta_{q-1,1}, so no image word is cut.  A table holding a
-    source or image word outside the walk's canonical words of its weight
-    fails too.
+    Wedge and Perm walk the canonical words and sum the left side minus the
+    right per word, as integer numerators over D.denominator, from the
+    components indexed once by source weight.  Tensor reads each term as the
+    word left + right (|right| = 1), the inverse of Delta_{q-1,1}, and so
+    splits the law into blocks (k, l), 2 <= l <= k <= cap, that the image
+    weight l keys apart: D_(k,l) = D_(k-1,l-1) with the last letter carried
+    along, plus the signed prefix of l - 1 letters followed by D_(k-l+1,1).
+    Each block is built by `table_from_terms` (zero sums dropped) and
+    compared with D_(k,l)'s nonzero entries.  A table holding a source or
+    image word outside the canonical words of its weight fails too.
     """
     cap, kind, sp, par = D.cap, D.kind, D.space, D.space.parities
     source = {k: [] for k in range(1, cap + 1)}   # every component leaving weight k, as (l, table)
@@ -504,30 +505,29 @@ def check_coderivation(D: Coderivation) -> bool:
                 for v, c in right_image.items():
                     yield (left, v), -s * c
 
-    def tensor_defect(word, k):
-        """`defect` for tensor, each term keyed by its word left + right:
-        D(word)'s image words of weight >= 2, minus D(word[:-1]) + word[-1:],
-        minus the signed word[:k-a] + D_(a,1)(word[k-a:])."""
-        for l, comp in source[k]:
-            if l > 1:
-                yield from comp.get(word, {}).items()
-        if k > 1:
-            left, last = word[:-1], word[-1:]
-            for _, comp in source[k - 1]:
-                for v, c in comp.get(left, {}).items():
-                    yield v + last, -c
-        for a, comp in cogenerator:
-            right_image = comp.get(word[k - a:]) if a < k else None
-            if right_image is None:
-                continue
-            left = word[:k - a]
-            s = -1 if sum(par[x] for x in left) % 2 else 1
-            for v, c in right_image.items():
-                yield left + v, -s * c
+    def tensor_block_holds(k, l):
+        """Whether D_(k,l) is the block the law builds from the lower tables."""
+        def terms():
+            for w, row in D.components.get((k - 1, l - 1), {}).items():
+                for x in letters:
+                    for v, c in row.items():
+                        yield w + x, v + x, c
+            for prefix in itertools.product(range(sp.dim), repeat=l - 1):
+                s = -1 if sum(par[x] for x in prefix) % 2 else 1
+                for w, row in D.components.get((k - l + 1, 1), {}).items():
+                    for v, c in row.items():
+                        yield prefix + w, prefix + v, s * c
 
-    terms = tensor_defect if kind == TENSOR else defect
+        expected, table = table_from_terms(terms()), D.components.get((k, l), {})
+        return expected == table or expected == {
+            w: kept for w, row in table.items() if (kept := {v: c for v, c in row.items() if c})}
+
     words = {k: frozenset(coalgebra_words(kind, sp, k)) for k in range(1, cap + 1)}
-    if any(sum_by_key(terms(word, k)) for k, canonical in words.items() for word in canonical):
+    if kind == TENSOR:
+        letters = [(x,) for x in range(sp.dim)]
+        if not all(tensor_block_holds(k, l) for k in range(2, cap + 1) for l in range(2, k + 1)):
+            return False
+    elif any(sum_by_key(defect(word, k)) for k, canonical in words.items() for word in canonical):
         return False
     return all(comp.keys() <= words[k] and all(row.keys() <= words[l] for row in comp.values())
                for (k, l), comp in D.components.items())

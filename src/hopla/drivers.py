@@ -48,12 +48,12 @@ COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): "pl_infinity",
                           ("assoc_n", "alpha"): "lie_n",
                           ("prelie_n", "beta"): "lie_n"}
 
-# `coderive`'s law line walks every canonical word up to the weight cap and
-# cuts each wedge or Perm word per operation arity; the tensor components
-# insert each entry; `block_count` counts those unshuffles and insertions.
-# The wedge and Perm components walk the operations' entries.  It refuses a
-# job whose words plus blocks exceed this before any work starts.  The largest
-# benchmark job, tensor on 2x2 matrices at cap 5, counts 1,364 words and 5,008 blocks.
+# `coderive`'s law line cuts every canonical wedge or Perm word up to the weight cap per
+# arity; the tensor components insert each entry of mu_a at weight k (k - a + 1) dim^(k - a)
+# ways, and the law's tensor blocks read at most as many rows; `block_count` counts them.  The
+# wedge and Perm components walk the operations' entries.  It refuses a job whose words plus
+# blocks exceed this before any work starts.  The largest benchmark job, tensor on 2x2
+# matrices at cap 5, counts 1,364 words and 5,008 blocks.
 MAX_CODERIVE_WORK = 20_000
 
 # `check` decides on orbit representatives, so its work is the insertion

@@ -190,7 +190,7 @@ def perm_square_two_sum_form(space, q_op, head, tail):
         mapped = [head[t - 1] for t in s]
         inner = q_op.evaluate(tuple(mapped[:n]))
         for mid, c in inner:
-            ns, nh = wedge_normalize(space, tuple([mid] + mapped[n:]))
+            ns, nh, _ = wedge_normalize(space, tuple([mid] + mapped[n:]))
             if nh is None:
                 continue
             key = (nh, tail)
@@ -200,7 +200,7 @@ def perm_square_two_sum_form(space, q_op, head, tail):
         mapped = [head[t - 1] for t in s]
         inner = q_op.evaluate(tuple(mapped[k - n:] + [tail]))
         for mid, c in inner:
-            ns, nh = wedge_normalize(space, tuple(mapped[:k - n]))
+            ns, nh, _ = wedge_normalize(space, tuple(mapped[:k - n]))
             key = (nh, mid)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(eps * ns) * c
     return {key: v for key, v in acc.items() if v}

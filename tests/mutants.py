@@ -9,10 +9,12 @@ tests with `pytest -x`, one subprocess at a time.  A mutant is killed when
 a test fails and survived when every test passes; a survivor calls for a
 new test, not for leaving the mutant out.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py                  # every mutant
+    python3 tests/mutants.py NAME [NAME ...]  # only the named mutants
 
-The exit code is 0 when every mutant was killed, 1 otherwise; a pytest
-run that ends in no verdict (a usage or collection error) stops the runner.  This is
+The exit code is 0 when every mutant run was killed, 1 otherwise, and 2
+when a name is not a mutant's (nothing runs then); a pytest run that ends
+in no verdict (a usage or collection error) stops the runner.  This is
 opt-in tooling, not a tier-1 test: it runs the named tests once per
 mutant.  Tier-1 checks only that each snippet occurs exactly once.
 """
@@ -102,7 +104,7 @@ MUTANTS = (
            "the wedge and Perm components' drop of a product that repeats an odd letter",
            COALGEBRA),
     Mutant("perm-head-middle-letter", "coalgebra.py",
-           "else merged(e[:-1], e[-1:])", "else wedge_normalize(sp, e)",
+           "else merged(e[:-1], e[-1:])", "else wedge_normalize(sp, e)[:2]",
            "the Perm multinomial's factor for a middle letter y that repeats a letter of Lh",
            COALGEBRA),
     Mutant("perm-head-tails", "coalgebra.py",
@@ -135,9 +137,21 @@ MUTANTS = (
            "                if False:\n                    s = -s",
            "the Id (x) D sign of the wedge and Perm law line", COALGEBRA),
     Mutant("tensor-law-sign", "coalgebra.py",
-           "            s = -1 if sum(par[x] for x in left) % 2 else 1",
-           "            s = 1",
-           "the Id (x) D sign of the tensor law line", COALGEBRA),
+           "                s = -1 if sum(par[x] for x in prefix) % 2 else 1",
+           "                s = 1",
+           "the Id (x) D sign of the tensor law line: the sign of D_(a,1) passing the "
+           "block's prefix", COALGEBRA),
+    Mutant("tensor-law-lower-block", "coalgebra.py",
+           "D.components.get((k - 1, l - 1), {})", "D.components.get((k - 1, l), {})",
+           "the lower table of the tensor law's block (k, l): D_(k-1,l-1), whose image "
+           "words gain the last letter and reach weight l", COALGEBRA),
+    Mutant("tensor-law-zero-filter", "coalgebra.py",
+           "        return expected == table or expected == {\n"
+           "            w: kept for w, row in table.items() if (kept := "
+           "{v: c for v, c in row.items() if c})}",
+           "        return expected == table",
+           "the tensor law line's drop of explicit zero numerators from D_(k,l) before it "
+           "compares the block", COALGEBRA),
     Mutant("law-source-weight", "coalgebra.py",
            "                for _, comp in source[k - 1]:",
            "                for _, comp in source[k]:",
@@ -321,17 +335,23 @@ def run(mutant: Mutant) -> bool:
     return result.returncode == 1
 
 
-def main() -> int:
+def main(names=()) -> int:
+    """Run the named mutants, or every mutant when none is named."""
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in chosen:
         killed = run(mutant)
         print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name}: {mutant.breaks}",
               flush=True)
         if not killed:
             survivors.append(mutant.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

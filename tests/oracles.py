@@ -549,7 +549,7 @@ def component_loop(op, kind, k, l):
                     if not out.is_zero():
                         s = -1 if prefix_parity else 1
                         for letter, c in out:
-                            ns, nw = wedge_normalize(sp, pw[:i] + (letter,) + pw[i + a:])
+                            ns, nw, _ = wedge_normalize(sp, pw[:i] + (letter,) + pw[i + a:])
                             if nw is not None:
                                 acc.append((nw, norm * eps * s * ns * c))
                     prefix_parity ^= sp.degree(pw[i]) % 2
@@ -570,14 +570,14 @@ def component_loop(op, kind, k, l):
                 if not out.is_zero():
                     s = -1 if prefix_parity else 1
                     for letter, c in out:
-                        ns, nh = wedge_normalize(sp, ph[:i] + (letter,) + ph[i + a:])
+                        ns, nh, _ = wedge_normalize(sp, ph[:i] + (letter,) + ph[i + a:])
                         if nh is not None:
                             acc.append(((nh, tail), norm * eps * s * ns * c))
                 prefix_parity ^= sp.degree(ph[i]) % 2
             out = op.evaluate(ph[l - 1:] + (tail,))
             if not out.is_zero():
                 s = -1 if word_degree(sp, ph[:l - 1]) % 2 else 1
-                ns, nh = wedge_normalize(sp, ph[:l - 1])
+                ns, nh, _ = wedge_normalize(sp, ph[:l - 1])
                 acc += (((nh, letter), norm * eps * s * ns * c) for letter, c in out)
         _store(comp, (head, tail), acc)
     return comp
@@ -617,7 +617,7 @@ def component_by_fractions(op, kind, k, l):
                 if out is None:
                     continue
                 for letter, c in out:
-                    ns, w = wedge_normalize(sp, (letter,) + right)
+                    ns, w, _ = wedge_normalize(sp, (letter,) + right)
                     if w is not None:
                         yield w if tail is None else (w, tail), c if ns == eps else -c
             if kind == PERM:

@@ -31,23 +31,26 @@ from hopla.verify import (coassociativity_witness, coalgebra_map_law_witness,
 
 
 def test_wedge_normalize_idempotent_and_signs(graded2):
-    s, w = wedge_normalize(graded2, (1, 0))
+    s, w, _ = wedge_normalize(graded2, (1, 0))
     assert (s, w) == (1, (0, 1))  # 0*1 degree product even
-    s2, w2 = wedge_normalize(graded2, w)
+    s2, w2, _ = wedge_normalize(graded2, w)
     assert (s2, w2) == (1, w)
     odd = GradedSpace(("x", "y"), (1, 1))
-    s3, w3 = wedge_normalize(odd, (1, 0))
+    s3, w3, _ = wedge_normalize(odd, (1, 0))
     assert (s3, w3) == (-1, (0, 1))
-    assert wedge_normalize(odd, (0, 0)) == (0, None)
+    assert wedge_normalize(odd, (0, 0)) == (0, None, 0)
     even = GradedSpace(("p",), (2,))
-    assert wedge_normalize(even, (0, 0)) == (1, (0, 0))
+    assert wedge_normalize(even, (0, 0)) == (1, (0, 0), 2)
+    assert wedge_normalize(even, (0, 0, 0)) == (1, (0, 0, 0), 6)
+    assert wedge_normalize(graded2, (1, 0, 0)) == (1, (0, 0, 1), 2)
+    assert wedge_normalize(graded2, (1, 0, 1)) == (0, None, 0)
 
 
 def test_wedge_normalize_sign_matches_koszul(graded2):
     # sorting permutation sign agrees with the Koszul sign machinery
     odd3 = GradedSpace(("x", "y", "z"), (1, 1, 1))
     for word in itertools.permutations(range(3)):
-        s, w = wedge_normalize(odd3, word)
+        s, w, _ = wedge_normalize(odd3, word)
         sigma = tuple(w.index(x) + 1 for x in word)
         # eps defined by sorted = eps * permuted-back
         assert s == koszul_sign(sigma, [1, 1, 1])
@@ -60,9 +63,9 @@ def test_wedge_normalize_equivariant_under_permutation(degrees, data):
     sp = GradedSpace(("x", "y", "z"), tuple(degrees))
     letters = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=3, max_size=3))
     sigma = tuple(data.draw(st.permutations([1, 2, 3])))
-    s0, w0 = wedge_normalize(sp, letters)
+    s0, w0, _ = wedge_normalize(sp, letters)
     permuted = [letters[i - 1] for i in sigma]
-    s1, w1 = wedge_normalize(sp, permuted)
+    s1, w1, _ = wedge_normalize(sp, permuted)
     if w0 is None:
         assert w1 is None
     else:

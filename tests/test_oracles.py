@@ -761,8 +761,8 @@ def _canonical(kind, sp, word):
     if kind == TENSOR:
         return 1, word
     if kind == WEDGE:
-        return wedge_normalize(sp, word)
-    s, head = wedge_normalize(sp, word[:-1])
+        return wedge_normalize(sp, word)[:2]
+    s, head, _ = wedge_normalize(sp, word[:-1])
     return s, None if head is None else head + word[-1:]
 
 
@@ -867,8 +867,12 @@ def _law_coderivations(rng, kind, sp, cap):
 
 
 def _law_variants(rng, D):
-    """D itself, D with one entry replaced at a random (k, l), and D with
-    one entry dropped.  Yields (label, l of the changed entry, coderivation)."""
+    """D itself and corruptions of it, as (label, l of the changed entry,
+    coderivation): one entry replaced at a random (k, l), one entry
+    dropped, one numerator moved by +-1 inside a row, one image word moved
+    to another word, two source rows swapped, a whole component (k, l)
+    below the cap removed (for tensor, the lower table of the block
+    (k + 1, l + 1)) and an explicit zero numerator added (the same map)."""
     yield "clean", None, D
     words = {k: list(coalgebra_words(D.kind, D.space, k)) for k in range(1, D.cap + 1)}
     k = rng.choice([k for k in words if words[k]])
@@ -883,6 +887,53 @@ def _law_variants(rng, D):
         del components[key][word]
         yield f"dropped at {key}", key[1], Coderivation(D.kind, D.space, D.cap, components)
 
+    def changed(key, replaced=None):
+        """D with the rows of component `key` that `replaced` names (word ->
+        row) replaced, or without that component when none are given."""
+        components = {kl: dict(comp) for kl, comp in D.components.items()}
+        if replaced is None:
+            del components[key]
+        else:
+            components[key].update(replaced)
+        return Coderivation(D.kind, D.space, D.cap, components, D.denominator)
+
+    rows = sorted((key, w) for key, comp in D.components.items() for w, row in comp.items() if row)
+    if rows:
+        key, word = rng.choice(rows)
+        row = dict(D.components[key][word])
+        v = rng.choice(sorted(row))
+        row[v] += rng.choice((-1, 1))
+        yield f"numerator nudged at {key}", key[1], changed(key, {word: row})
+        key, word = rng.choice(rows)
+        row = dict(D.components[key][word])
+        v = rng.choice(sorted(row))
+        others = [u for u in words[key[1]] if u != v]
+        if others:
+            u = rng.choice(others)
+            c = row.pop(v)
+            row[u] = row.get(u, 0) + c
+            yield f"image word moved at {key}", key[1], changed(key, {word: row})
+    pairs = sorted(key for key, comp in D.components.items() if len(comp) >= 2)
+    if pairs:
+        key = rng.choice(pairs)
+        comp = D.components[key]
+        first, second = rng.sample(sorted(comp), 2)
+        yield f"rows swapped at {key}", key[1], changed(key, {first: comp[second],
+                                                              second: comp[first]})
+    lower = sorted(key for key in D.components if key[0] < D.cap)
+    if lower:
+        key = rng.choice(lower)
+        yield f"component removed at {key}", key[1], changed(key)
+    blocks = sorted(key for key in D.components if key[1] >= 2) or sorted(D.components)
+    if blocks:
+        key = rng.choice(blocks)
+        word = rng.choice(sorted(D.components[key]))
+        row = D.components[key][word]
+        absent = [u for u in words[key[1]] if u not in row]
+        if absent:
+            zero = {word: {**row, rng.choice(absent): 0}}
+            yield f"explicit zero at {key}", key[1], changed(key, zero)
+
 
 def test_weight_one_law_check_matches_full_law_oracle():
     # the check through the (., 1) part of the defect gives the verdict of
@@ -891,21 +942,34 @@ def test_weight_one_law_check_matches_full_law_oracle():
     verdicts = {True: 0, False: 0}
     per_kind = {(kind, v): 0 for kind in (TENSOR, WEDGE, PERM) for v in (True, False)}
     weight_one_changes = 0
+    shapes = collections.Counter()   # (kind, shape, verdict at the full cap)
     for degrees, kind, _ in itertools.product(LAW_PATTERNS, (TENSOR, WEDGE, PERM), range(3)):
         sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
         cap = 5 if len(degrees) == 2 else 4
         for source, D in _law_coderivations(rng, kind, sp, cap):
+            clean = [coderivation_law_by_coproducts(D, c) for c in range(1, cap + 1)]
             for label, l, variant in _law_variants(rng, D):
                 weight_one_changes += l == 1
+                shape = label.split(" at ")[0]
                 for c in range(1, cap + 1):
                     expected = coderivation_law_by_coproducts(variant, c)
                     assert check_coderivation(truncated(variant, c)) == expected, \
                         (degrees, kind, source, label, c)
+                    # an explicit zero numerator leaves the map, so the verdict
+                    assert shape != "explicit zero" or expected == clean[c - 1], (label, c)
                     verdicts[expected] += 1
                     per_kind[kind, expected] += 1
+                shapes[kind, shape, expected] += 1
     assert min(verdicts.values()) >= 50, verdicts
     assert min(per_kind.values()) > 0, per_kind
     assert weight_one_changes >= 10
+    # every corruption shape breaks the law somewhere for every kind, and
+    # explicit zeros are met where the law holds
+    for kind in (TENSOR, WEDGE, PERM):
+        for shape in ("corrupted", "dropped", "numerator nudged", "image word moved",
+                      "rows swapped", "component removed"):
+            assert shapes[kind, shape, False] > 0, (kind, shape)
+        assert shapes[kind, "explicit zero", True] > 0, kind
 
 
 def test_check_coderivation_refuses_a_cap_below_one(graded2):

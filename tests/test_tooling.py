@@ -147,14 +147,20 @@ def test_coderivation_law_and_components_sum_integer_numerators():
                         and node.func.id == "Operation"], (module, name)
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    # the components and the square's fold sum through table_from_terms
-    # alone, the law through sum_by_key, reading the tables and never the
-    # merged image of a word
-    sums = {name: {"sum_by_key", "table_from_terms"} & set(_names(functions[name]))
-            for name in ("_components", "square_cogenerator_fold", "check_coderivation")}
+    # the components, the square's fold and the tensor law's blocks sum
+    # through table_from_terms alone, the wedge and Perm law's word walk
+    # through sum_by_key, reading the tables and never the merged image of
+    # a word
+    (blocks,) = [node for node in ast.walk(functions["check_coderivation"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "tensor_block_holds"]
+    sums = {name: {"sum_by_key", "table_from_terms"} & set(_names(node))
+            for name, node in (*((name, functions[name]) for name in
+                                 ("_components", "square_cogenerator_fold", "check_coderivation")),
+                               ("tensor_block_holds", blocks))}
     assert sums == {"_components": {"table_from_terms"},
                     "square_cogenerator_fold": {"table_from_terms"},
-                    "check_coderivation": {"sum_by_key"}}
+                    "check_coderivation": {"sum_by_key", "table_from_terms"},
+                    "tensor_block_holds": {"table_from_terms"}}
     assert "image" not in set(_names(functions["check_coderivation"]))
 
 
@@ -570,6 +576,8 @@ def test_the_orbit_kernel_alone_decides_canonical_words():
             if "_canonical_head" in set(_names(tree))] == []
     tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
     assert sorted(_callers(tree, "signed_sort")) == ["merged", "wedge_normalize"]
+    # the orbit sums read |Stab| from wedge_normalize, not from a second pass
+    assert sorted(_callers(tree, "stabilizer_order")) == ["coalgebra_words", "wedge_normalize"]
     (components,) = [node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "_components"]
     memos = [node.lineno for node in ast.walk(components)
@@ -842,6 +850,23 @@ def test_every_mutant_snippet_occurs_once():
             == [mutant.file], mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
         assert all((REPO / path.split("::")[0]).is_file() for path in mutant.tests), mutant.name
+
+
+def test_mutants_runner_refuses_an_unknown_name(capsys, monkeypatch):
+    # a name that no mutant has exits 2 and is named, before any mutant
+    # runs; the known names beside it are not run either, and named alone
+    # they are the only ones run (no pytest starts: `run` is replaced)
+    import mutants
+
+    ran = []
+    monkeypatch.setattr(mutants, "run", lambda mutant: ran.append(mutant.name) or True)
+    assert mutants.main(["tensor-law-sign", "no-such-mutant", "also-missing"]) == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert "also-missing, no-such-mutant" in err and "tensor-law-sign" not in err
+    assert mutants.main(["tensor-law-zero-filter", "tensor-law-sign"]) == 0
+    assert ran == ["tensor-law-sign", "tensor-law-zero-filter"]
+    assert "2 of 2 killed" in capsys.readouterr().out
 
 
 def _module_reads(tree):
