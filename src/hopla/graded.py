@@ -3,9 +3,12 @@
 Everything is exact.  An operation is stored as integer numerators over
 one normalized denominator; the kernels compute on those ints, stream
 them (`insertion_terms`, counted ahead by `insertion_term_count`) and
-build results with the unchecked `Operation.from_numerators`.  `over` is
-the one place numerators become `fractions.Fraction` values, when a value
-is read, so residuals that end in factorial denominators either vanish
+build results with the unchecked `Operation.from_numerators`.  Every
+operation table is summed per word and output letter by
+`table_from_terms`, in one pass; every other sum by key (a value, a
+word's image, a parsed entry) goes through `sum_by_key`.  `over` is the
+one place numerators become `fractions.Fraction` values, when a value is
+read, so residuals that end in factorial denominators either vanish
 identically or carry an honest nonzero witness.  All containers are
 treated as immutable after construction; functions return fresh objects.
 
@@ -94,8 +97,8 @@ class LinearCombination:
     a single combination never mixes key shapes.  Zero coefficients are
     dropped eagerly so that `==` is semantic equality.
 
-    The constructor sums through `sum_by_key`, the one accumulator, and
-    makes every surviving int sum a Fraction once, at the end; any other
+    The constructor sums through `sum_by_key`, the accumulator of values,
+    and makes every surviving int sum a Fraction once, at the end; any other
     coefficient that is not a Fraction converts on entry (floats convert
     exactly).  Every stored value is a Fraction.
     """
@@ -146,7 +149,8 @@ class LinearCombination:
 
 
 def sum_by_key(items, as_fractions: bool = False) -> dict:
-    """The one accumulator: every sum of coefficients by key goes through
+    """The accumulator of values: every sum of coefficients by key that is
+    not an operation table (those go to `table_from_terms`) goes through
     it.  Sums the (key, coefficient) pairs by key and drops every key whose
     sum is zero; a key keeps its first coefficient as given.  Ints are
     summed as ints, so the kernels sum integer numerators here; any other
@@ -185,17 +189,27 @@ def over(numerators: Mapping, denominator: int) -> LinearCombination:
 
 
 def table_from_terms(terms) -> dict:
-    """Operation table from (word, output letter, coefficient) terms: the
-    terms are grouped per word and each group is summed by `sum_by_key`;
-    words whose sum vanishes are left out."""
-    groups = {}
+    """Operation table {word: {output letter: sum}} from (word, output
+    letter, coefficient) terms, summed in one pass: the accumulator of
+    tables, beside `sum_by_key`.  Coefficients are ints or Fractions and
+    are added as given (no float is converted), so integer numerators stay
+    ints.  A letter whose sum cancels is deleted there, and the words left
+    with no letter are dropped at the end.  A word keeps the place of its
+    first term and a cancelled letter that comes back goes last, the order
+    `sum_by_key` gives."""
+    table = {}
+    cancelled = False
     for word, letter, coeff in terms:
-        group = groups.get(word)
-        if group is None:
-            groups[word] = [(letter, coeff)]
-        else:
-            group.append((letter, coeff))
-    return {word: sums for word, group in groups.items() if (sums := sum_by_key(group))}
+        sums = table.get(word)
+        if sums is None:
+            sums = table[word] = {}
+        sums[letter] = c = sums.get(letter, 0) + coeff
+        if not c:
+            del sums[letter]
+            cancelled = True
+    if cancelled:
+        return {word: sums for word, sums in table.items() if sums}
+    return table
 
 
 class Operation:
@@ -360,8 +374,9 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
     The coefficients are integer numerators over the product of the
     operands' denominators (`Operation.denominator`), and `scale` is an
     integer: a caller folds a rational coefficient into it over a common
-    denominator of its own.  The terms of one word are not summed;
-    `table_from_terms` or the symmetrization kernel does that.
+    denominator of its own.  The terms of one word are not summed; the
+    caller sums them with `table_from_terms`, directly or through the
+    symmetrization kernel `permutations.fold`.
     """
     if outer.space != inner.space:
         raise ArityError("an insertion requires operations on the same space")

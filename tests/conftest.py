@@ -17,8 +17,8 @@ The oracles here deliberately avoid the library's own code paths:
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
 `with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`,
-`associative_family` and `derived_documents` are small helpers that only the
-tests need;
+`associative_family`, `matrix_product_document` and `derived_documents` are
+small helpers that only the tests need;
 `DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on,
 `RATIONAL_COEFFICIENTS` the non-integer coefficients they draw, and
 `LIE_COEFFICIENT_XFAIL` marks the tests that ROADMAP item 1's fix makes pass.
@@ -311,6 +311,18 @@ def commutator_bracket(sp, mu):
 def associative_family(sp, mu, max_arity=4):
     """Wrap a degree-0 binary product as an unhat family (single arity 2)."""
     return OperationFamily(UNHAT, sp, max_arity, {2: mu})
+
+
+def matrix_product_document(m, n):
+    """The assoc_n document of mu(a_1 .. a_n) = a_1 ... a_n on M_m, in the
+    basis of matrix units E_ij (degree 0), filed at the unhat degree n - 2."""
+    units = list(itertools.product(range(m), repeat=2))
+    sp = GradedSpace(tuple(f"e{i + 1}{j + 1}" for i, j in units), (0,) * len(units))
+    table = {tuple(units.index(pair) for pair in zip(chain, chain[1:])):
+             LinearCombination({units.index((chain[0], chain[-1])): 1})
+             for chain in itertools.product(range(m), repeat=n + 1)}
+    mu = Operation(sp, n, n - 2, table)
+    return AlgebraDocument(OperationFamily(UNHAT, sp, n, {n: mu}), ("assoc_n", n))
 
 
 def derived_documents(seed):

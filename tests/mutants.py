@@ -45,6 +45,10 @@ FUNCTORS = ("tests/test_functors.py", "tests/test_acceptance.py")
 DERIVE = ("tests/test_functors.py", "tests/test_preconditions.py", "tests/test_docio_cli.py")
 # the selftest identities, each broken where it reads a map or its input
 VERIFY = ("tests/test_verify.py",)
+# table_from_terms against its oracle first, then the kernels it sums for
+TABLES = ("tests/test_graded.py::test_table_from_terms_matches_the_grouped_oracle",
+          "tests/test_graded.py::test_table_from_terms_groups_per_word_and_drops_zero_words",
+          "tests/test_permutations.py", "tests/test_coalgebra.py")
 DOCUMENTS = ("tests/test_docio_cli.py", "tests/test_docio_parser.py")
 
 
@@ -213,6 +217,15 @@ MUTANTS = (
            "for word, sums in outer.numerators.items()",
            "insertion_term_count's weight of each outer entry by its output terms",
            ("tests/test_equations.py", "tests/test_docio_cli.py")),
+    Mutant("table-cancel-kept", "graded.py",
+           "            del sums[letter]\n            cancelled = True",
+           "            cancelled = True",
+           "table_from_terms' deletion of a letter whose sum cancels, which kept zero numerators",
+           TABLES),
+    Mutant("table-empty-word-kept", "graded.py",
+           "    if cancelled:\n        return {word: sums",
+           "    if False:\n        return {word: sums",
+           "table_from_terms' final drop of the words left with no letter", TABLES),
     Mutant("suspension-even-sign", "functors.py",
            "for p in range(0, arity, 2))", "for p in range(1, arity, 2))",
            "suspension_sign at even arity", FUNCTORS),

@@ -62,6 +62,9 @@ only so that tests can compare the fast path against it:
 * `denominator_by_fractions` and `numerators_by_fractions` read an
   operation's exact values and put them over the lcm of their
   denominators, where `graded.Operation` stores that normalized form;
+* `table_by_groups` groups a term stream per word and sums each group
+  with `sum_by_key`, where `graded.table_from_terms` sums every word and
+  letter in one pass;
 * `block_representatives_by_fractions` scales the sorted-block entries of
   an operation's exact values by the block's multinomial count;
 * `permute_word` applies a whole permutation to a word;
@@ -110,6 +113,16 @@ def numerators_by_fractions(op):
     den = denominator_by_fractions(op)
     return {word: {letter: c.numerator * (den // c.denominator) for letter, c in combo}
             for word, combo in op.table.items()}
+
+
+def table_by_groups(terms):
+    """The table of (word, output letter, coefficient) terms: one group of
+    (letter, coefficient) pairs per word, each summed by `sum_by_key`, and
+    the words whose sum vanishes left out."""
+    groups = {}
+    for word, letter, coeff in terms:
+        groups.setdefault(word, []).append((letter, coeff))
+    return {word: sums for word, group in groups.items() if (sums := sum_by_key(group))}
 
 
 def block_representatives_by_fractions(op, lo, hi):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEGREE_PATTERNS, LIE_COEFFICIENT_XFAIL, identity
+from conftest import (DEGREE_PATTERNS, LIE_COEFFICIENT_XFAIL, identity,
+                      matrix_product_document)
 from oracles import (failing_transposition_by_act, nary_residual_by_positions,
                      precompose_by_loop, residual_by_insertions, residual_by_positions,
                      residual_insertions_by_entries)
@@ -751,6 +752,33 @@ def test_cli_check_runs_nary_documents_of_odd_degree(tmp_path, capsys):
                        if "residual" in c["name"]]
             assert line["passed"] == nary_residual_by_positions(mu, kind).is_zero()
             assert code == (0 if line["passed"] else 1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cli_runs_the_nary_chain_on_matrix_products(m, tmp_path, capsys):
+    # the matrix-product chain of test_matrix_products_run_the_nary_chain as
+    # declared documents through the CLI: mu(a1..a4) = a1a2a3a4 on M_m is
+    # assoc_4, derive writes its pre-Lie image and that image's Lie image,
+    # and check passes each under its flavor.  The Lie image is empty on
+    # M_2 (Amitsur-Levitzki) and not on M_3; at n = 3 the product fails
+    # assoc.  Exit codes and verdicts only: no lie_n witness value
+    source, prelie, lie = (tmp_path / f"{name}.json" for name in ("assoc", "prelie", "lie"))
+    source.write_text(serialize_document(matrix_product_document(m, 4)))
+    for functor, given, written in (("nary-commutator-prelie", source, prelie),
+                                    ("nary-commutator-lie", prelie, lie)):
+        assert main(["derive", str(given), "--functor", functor, "-o", str(written)]) == 0
+    capsys.readouterr()
+    for path, flavor in ((source, ASSOC), (prelie, PRELIE), (lie, LIE)):
+        assert main(["check", str(path), "--flavor", flavor, "--json"]) == 0, (m, flavor)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks and all(c["passed"] for c in checks), (m, flavor)
+    entries = {path.stem: sum(len(op["entries"])
+                              for op in json.loads(path.read_text())["operations"])
+               for path in (prelie, lie)}
+    assert entries["prelie"] and (entries["lie"] == 0) == (m == 2), entries
+    source.write_text(serialize_document(matrix_product_document(m, 3)))
+    assert main(["check", str(source), "--flavor", ASSOC, "--json"]) == 1
+    assert not all(c["passed"] for c in json.loads(capsys.readouterr().out)["checks"])
 
 
 @pytest.mark.parametrize("overrides, path", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import associative_family, commutator_bracket
+from conftest import associative_family, commutator_bracket, matrix_product_document
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map, coalgebra_words,
                              extend_coderivation)
 from hopla.docio import AlgebraDocument
@@ -247,18 +247,6 @@ def test_partially_associative_to_prelie_to_lie_chain(flat2, rng):
     assert nary_residual(lie, LIE).vanishes()
 
 
-def _matrix_product_document(m, n):
-    """The assoc_n document of mu(a_1 .. a_n) = a_1 ... a_n on M_m, in the
-    basis of matrix units E_ij (degree 0), filed at the unhat degree n - 2."""
-    units = list(itertools.product(range(m), repeat=2))
-    sp = GradedSpace(tuple(f"e{i + 1}{j + 1}" for i, j in units), (0,) * len(units))
-    table = {tuple(units.index(pair) for pair in zip(chain, chain[1:])):
-             LinearCombination({units.index((chain[0], chain[-1])): 1})
-             for chain in itertools.product(range(m), repeat=n + 1)}
-    mu = Operation(sp, n, n - 2, table)
-    return AlgebraDocument(OperationFamily(UNHAT, sp, n, {n: mu}), ("assoc_n", n))
-
-
 @pytest.mark.parametrize("m", [2, 3])
 def test_matrix_products_run_the_nary_chain(m):
     # the paper's n-ary corollary on instances that are not nilpotent: at
@@ -268,7 +256,7 @@ def test_matrix_products_run_the_nary_chain(m):
     # Lie.  On M_2 the Lie image is the standard polynomial s_4, which
     # vanishes by Amitsur-Levitzki; on M_3 it does not.  Verdicts and zeros
     # only: a lie_n witness value is not asserted
-    doc = _matrix_product_document(m, 4)
+    doc = matrix_product_document(m, 4)
     assert len(doc.family.operation(4).table) == m ** 5
     prelie = run_derive(doc, "nary-commutator-prelie")
     lie = run_derive(prelie, "nary-commutator-lie")
@@ -279,7 +267,7 @@ def test_matrix_products_run_the_nary_chain(m):
     assert not prelie.family.operation(4).is_zero()
     assert lie.family.operation(4).is_zero() == (m == 2)
     # at n = 3 the three composites all carry the sign +, and do not cancel
-    report = run_check(_matrix_product_document(m, 3), ASSOC)
+    report = run_check(matrix_product_document(m, 3), ASSOC)
     assert report.checks and not report.passed, report.to_text()
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import map_keys, poly_mod_t2_product
+from oracles import table_by_groups
 from hopla.errors import ArityError, BasisIndexError, PositionError
 from hopla.graded import (GradedSpace, LinearCombination, Operation,
                           check_homogeneous, compose_insert, space, word_degree)
@@ -240,6 +241,40 @@ def test_table_from_terms_groups_per_word_and_drops_zero_words():
     # integer numerators stay ints
     numerators = table_from_terms([((0,), 1, 3), ((1,), 0, 2), ((0,), 1, -3), ((1,), 0, 2)])
     assert numerators == {(1,): {0: 4}} and type(numerators[(1,)][0]) is int
+
+
+@st.composite
+def term_streams(draw):
+    """A (word, output letter, coefficient) stream on 1-4 words and 1-3
+    letters, coefficients in -2..2 (0 included), all ints or all Fractions
+    over one denominator, and that denominator (None for ints).  Half the
+    streams follow their head with its negation, so every word of the head
+    cancels, and then with a tail that brings some of them back."""
+    words = draw(st.lists(st.sampled_from(list(itertools.product(range(2), repeat=2))),
+                          min_size=1, max_size=4, unique=True))
+    letters = draw(st.integers(1, 3))
+    den = draw(st.sampled_from((None, 1, 3)))
+    coefficients = st.integers(-2, 2)
+    if den is not None:
+        coefficients = coefficients.map(lambda n: Fraction(n, den))
+    term = st.tuples(st.sampled_from(words), st.integers(0, letters - 1), coefficients)
+    head, tail = draw(st.lists(term, max_size=12)), draw(st.lists(term, max_size=6))
+    undo = [(word, letter, -c) for word, letter, c in head] if draw(st.booleans()) else []
+    return head + undo + tail, den
+
+
+@given(term_streams())
+def test_table_from_terms_matches_the_grouped_oracle(drawn):
+    # the one-pass sum against the per-word groups summed by sum_by_key:
+    # the same words and letters in the same order at both levels, no zero
+    # kept, and ints summed as ints, Fractions as Fractions
+    from hopla.graded import table_from_terms
+    terms, den = drawn
+    table = table_from_terms(iter(terms))
+    assert ([(word, list(sums.items())) for word, sums in table.items()]
+            == [(word, list(sums.items())) for word, sums in table_by_groups(terms).items()])
+    kind = int if den is None else Fraction
+    assert all(type(c) is kind and c for sums in table.values() for c in sums.values())
 
 
 def test_operation_family_degree_validation(flat2):

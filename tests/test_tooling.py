@@ -44,7 +44,8 @@ def _attribute_targets(node):
 
 def _is_dict_accumulator(node):
     """`d[k] = d.get(k, ...) + ...`, with the get anywhere in the value, or
-    `d[k] += ...`: a sum of coefficients by key outside the constructor."""
+    `d[k] += ...`: a sum of coefficients by key, allowed only in the two
+    accumulators."""
     if isinstance(node, ast.AugAssign):
         return isinstance(node.target, ast.Subscript)
     if not isinstance(node, ast.Assign):
@@ -73,13 +74,16 @@ def test_dict_accumulator_pattern():
     assert flagged("d[k] = e.get(k, 0) + c") == [False]
     assert flagged("d[k] = d.get(j, 0) + c") == [False]
     assert flagged("old = d.get(k)\nd[k] = c") == [False, False]
+    # table_from_terms's update, which assigns the sum to a name as well
+    assert flagged("sums[letter] = c = sums.get(letter, 0) + coeff") == [True]
 
 
-def test_linear_combination_constructor_is_the_one_accumulator():
-    # every sum of coefficients by key goes through graded.sum_by_key,
-    # whether the coefficients are Fractions or integer numerators kept as
-    # ints; the LinearCombination constructor sums through it, and operation
-    # tables are grouped per word by graded.table_from_terms
+def test_sum_by_key_and_table_from_terms_are_the_two_accumulators():
+    # every sum of values by key goes through graded.sum_by_key, whether the
+    # coefficients are Fractions or integer numerators kept as ints, and the
+    # LinearCombination constructor sums through it; every operation table
+    # is summed per word and letter by graded.table_from_terms, in one pass
+    # with its own dict accumulator.  No other body accumulates
     modules = sorted(SRC.glob("*.py"))
     helpers = {"accumulate", "finish_combination"}
     found = []
@@ -92,12 +96,14 @@ def test_linear_combination_constructor_is_the_one_accumulator():
                           for alias in node.names if alias.name in helpers]
     assert found == []
 
-    accumulators, constructors = [], []
+    accumulators, accumulating, constructors = [], [], []
     for path, tree in _parsed(modules):
-        accumulator = {id(node) for fn in tree.body
-                       if isinstance(fn, ast.FunctionDef) and fn.name == "sum_by_key"
-                       for node in ast.walk(fn)}
-        accumulators += [path.name] if accumulator else []
+        owners = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("sum_by_key", "table_from_terms")]
+        accumulators += [(path.name, fn.name) for fn in owners]
+        accumulating += [(path.name, fn.name) for fn in owners
+                         for node in ast.walk(fn) if _is_dict_accumulator(node)]
+        accumulator = {id(node) for fn in owners for node in ast.walk(fn)}
         inits = [fn for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) and cls.name == "LinearCombination"
                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
@@ -115,7 +121,8 @@ def test_linear_combination_constructor_is_the_one_accumulator():
         found += [f"{path.name}:{node.lineno} accumulates into a dict entry"
                   for node in ast.walk(tree)
                   if id(node) not in accumulator and _is_dict_accumulator(node)]
-    assert accumulators == ["graded.py"]
+    assert accumulators == [("graded.py", "sum_by_key"), ("graded.py", "table_from_terms")]
+    assert accumulating == [("graded.py", "table_from_terms")]
     assert len(constructors) == 1 and "sum_by_key" in constructors[0], constructors
     assert found == []
 
