@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import ArityError, ConventionError, KindError
@@ -135,7 +136,8 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
     is left out.  Every factor is canonical: an unshuffle of a canonical
     word keeps each block sorted.  A word that is not canonical gets the
     same sum, its factors in the word's order (beta in `coalgebra_map`
-    relies on this).
+    relies on this).  Each split is read off the word by the two cached
+    readers of `_signed_unshuffles`, one per factor.
 
     At the boundary weights, for tensor and wedge, i = n yields (w, ()) and
     i = 0 yields ((), w), with c = 1 (beta of a weight-1 word reads the
@@ -148,27 +150,48 @@ def coproduct_terms(kind: str, space: GradedSpace, word, i: int) -> Iterator:
     n = len(word)
     acted = _acted(kind, n)
     blocks = (i, n - i) if kind == WEDGE else (i - 1, 1, n - 1 - i)
-    head, rest = word[:acted], word[acted:]
-    for slots, c in _signed_unshuffles(tuple(map(space.parities.__getitem__, head)),
-                                       tuple(map({}.setdefault, head, range(acted))), *blocks):
-        permuted = tuple(map(head.__getitem__, slots)) + rest
-        yield (permuted[:i], permuted[i:]), c
+    head = word[:acted]
+    for left, right, c in _signed_unshuffles(tuple(map(space.parities.__getitem__, head)),
+                                             tuple(map({}.setdefault, head, range(acted))),
+                                             n - acted, *blocks):
+        yield (left(word), right(word)), c
 
 
 @lru_cache(maxsize=4096)
-def _signed_unshuffles(parities: tuple, pattern: tuple, *blocks: int) -> tuple:
-    """The distinct arrangements that the unshuffles of the nonzero blocks
-    make of letters of the given parities and equality pattern (each
-    letter's first slot), each paired with the sum of the Koszul signs of
-    the unshuffles that make it, zero sums left out; a negative block gives
-    none (the boundary weights of `coproduct_terms`).  An arrangement is the
-    tuple of slots to read the letters from.  The cache is bounded because
-    every new pattern of a long-lived process adds an entry."""
+def _signed_unshuffles(parities: tuple, pattern: tuple, tail: int, *blocks: int) -> tuple:
+    """The distinct splits that the unshuffles of the nonzero blocks make of
+    a word whose acted letters have the given parities and equality pattern
+    (each letter's first slot), followed by `tail` free letters; a negative
+    block gives none (the boundary weights of `coproduct_terms`).  A split
+    is (left reader, right reader, c): c sums the Koszul signs of the
+    unshuffles that make it, zero sums left out, and each reader is an
+    `itemgetter` that reads its factor off the word (`_reader`), from the
+    slots of the first unshuffle that makes the split.  The left factor is
+    every block but the last, the right one the last block and the tail.
+    The cache is bounded because every new pattern of a long-lived process
+    adds an entry."""
     if min(blocks) < 0:
         return ()
-    sigmas = _unshuffles_cached(tuple(b for b in blocks if b))
-    return tuple(sum_by_key((tuple(pattern[s - 1] for s in sigma), koszul_sign(sigma, parities))
-                            for sigma in sigmas).items())
+    acted = len(pattern)
+    cut, rest = acted - blocks[-1], tuple(range(acted, acted + tail))
+    firsts, signs = {}, []
+    for sigma in _unshuffles_cached(tuple(b for b in blocks if b)):
+        slots = tuple(s - 1 for s in sigma)
+        key = tuple(map(pattern.__getitem__, slots))
+        firsts.setdefault(key, slots)
+        signs.append((key, koszul_sign(sigma, parities)))
+    return tuple((_reader(firsts[key][:cut]), _reader(firsts[key][cut:] + rest), c)
+                 for key, c in sum_by_key(signs).items())
+
+
+def _reader(slots: tuple) -> itemgetter:
+    """The `itemgetter` that reads the letters at the slots as a tuple: one
+    slice for a contiguous run (an empty or single slot too), else one
+    index per slot."""
+    start = slots[0] if slots else 0
+    if slots == tuple(range(start, start + len(slots))):
+        return itemgetter(slice(start, start + len(slots)))
+    return itemgetter(*slots)
 
 
 def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
@@ -464,7 +487,11 @@ def check_coderivation(D: Coderivation) -> bool:
     along, plus the signed prefix of l - 1 letters followed by D_(k-l+1,1).
     Each block is built by `table_from_terms` (zero sums dropped) and
     compared with D_(k,l)'s nonzero entries.  A table holding a source or
-    image word outside the canonical words of its weight fails too.
+    image word outside the canonical words of its weight fails too.  Wedge
+    and Perm test the tables against the words they walk.  Tensor builds no
+    words: it tests the (k, 1) tables letter by letter, then the blocks in
+    increasing k, each built from certified tables; only a block that
+    matches once D_(k,l)'s explicit zeros are dropped tests D_(k,l)'s words.
     """
     cap, kind, sp, par = D.cap, D.kind, D.space, D.space.parities
     source = {k: [] for k in range(1, cap + 1)}   # every component leaving weight k, as (l, table)
@@ -505,8 +532,13 @@ def check_coderivation(D: Coderivation) -> bool:
                 for v, c in right_image.items():
                     yield (left, v), -s * c
 
+    def tensor_word(word, k):
+        """Whether a tensor word is canonical: k letters, each in the space."""
+        return len(word) == k and alphabet.issuperset(word)
+
     def tensor_block_holds(k, l):
-        """Whether D_(k,l) is the block the law builds from the lower tables."""
+        """Whether D_(k,l) is the block the law builds from the certified
+        lower tables, its words canonical."""
         def terms():
             for w, row in D.components.get((k - 1, l - 1), {}).items():
                 for x in letters:
@@ -519,15 +551,21 @@ def check_coderivation(D: Coderivation) -> bool:
                         yield prefix + w, prefix + v, s * c
 
         expected, table = table_from_terms(terms()), D.components.get((k, l), {})
-        return expected == table or expected == {
-            w: kept for w, row in table.items() if (kept := {v: c for v, c in row.items() if c})}
+        if expected == table:
+            return True
+        kept = {w: nonzero for w, row in table.items()
+                if (nonzero := {v: c for v, c in row.items() if c})}
+        return expected == kept and all(tensor_word(w, k) and all(tensor_word(v, l) for v in row)
+                                        for w, row in table.items())
 
-    words = {k: frozenset(coalgebra_words(kind, sp, k)) for k in range(1, cap + 1)}
     if kind == TENSOR:
-        letters = [(x,) for x in range(sp.dim)]
-        if not all(tensor_block_holds(k, l) for k in range(2, cap + 1) for l in range(2, k + 1)):
-            return False
-    elif any(sum_by_key(defect(word, k)) for k, canonical in words.items() for word in canonical):
+        letters, alphabet = [(x,) for x in range(sp.dim)], set(range(sp.dim))
+        return (all(tensor_word(w, k) and all(tensor_word(v, 1) for v in row)
+                    for (k, l), comp in D.components.items() if l == 1 for w, row in comp.items())
+                and all(tensor_block_holds(k, l) for k in range(2, cap + 1)
+                        for l in range(2, k + 1)))
+    words = {k: frozenset(coalgebra_words(kind, sp, k)) for k in range(1, cap + 1)}
+    if any(sum_by_key(defect(word, k)) for k, canonical in words.items() for word in canonical):
         return False
     return all(comp.keys() <= words[k] and all(row.keys() <= words[l] for row in comp.values())
                for (k, l), comp in D.components.items())

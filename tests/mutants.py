@@ -133,6 +133,11 @@ MUTANTS = (
     Mutant("negative-block", "coalgebra.py",
            "    if min(blocks) < 0:\n        return ()", "    if False:\n        return ()",
            "_signed_unshuffles' empty sum for a negative block", COALGEBRA),
+    Mutant("coproduct-reader-run", "coalgebra.py",
+           "return itemgetter(slice(start, start + len(slots)))",
+           "return itemgetter(slice(start, start + len(slots) - 1))",
+           "the reader of a split factor whose slots form one contiguous run: it stops one "
+           "slot short", COALGEBRA),
     Mutant("zero-block-drop", "coalgebra.py",
            "tuple(b for b in blocks if b)", "blocks",
            "_signed_unshuffles' drop of the zero blocks before the unshuffle table", COALGEBRA),
@@ -150,12 +155,21 @@ MUTANTS = (
            "the lower table of the tensor law's block (k, l): D_(k-1,l-1), whose image "
            "words gain the last letter and reach weight l", COALGEBRA),
     Mutant("tensor-law-zero-filter", "coalgebra.py",
-           "        return expected == table or expected == {\n"
-           "            w: kept for w, row in table.items() if (kept := "
-           "{v: c for v, c in row.items() if c})}",
-           "        return expected == table",
+           "return expected == kept and", "return False and",
            "the tensor law line's drop of explicit zero numerators from D_(k,l) before it "
            "compares the block", COALGEBRA),
+    Mutant("tensor-law-zero-block-canonical", "coalgebra.py",
+           " and all(tensor_word(w, k) and all(tensor_word(v, l) for v in row)\n"
+           "                                        for w, row in table.items())", "",
+           "the canonicity test of a tensor block that matches only once its explicit zeros "
+           "are dropped, the one block whose words the lower tables do not certify",
+           ("tests/test_coalgebra.py::"
+            "test_law_line_fails_tables_holding_words_that_are_not_canonical",)),
+    Mutant("tensor-law-cogenerator-canonical", "coalgebra.py",
+           "if l == 1 for w, row in comp.items()", "if False for w, row in comp.items()",
+           "the canonicity test of the tensor (k, 1) tables, which every block's words rest on",
+           ("tests/test_coalgebra.py::"
+            "test_law_line_fails_tables_holding_words_that_are_not_canonical",)),
     Mutant("law-source-weight", "coalgebra.py",
            "                for _, comp in source[k - 1]:",
            "                for _, comp in source[k]:",

@@ -636,16 +636,51 @@ def test_coderivation_refuses_what_it_has_no_answer_for():
     (TENSOR, 2, {(2, 1): {(0, 0): {(5,): 1}}}),
     # the unsorted Perm head (1, 0 | 0)
     (PERM, 3, {(3, 1): {(1, 0, 0): {(0,): 1}}}),
+    # a canonical wedge source word with an image letter outside the space
+    (WEDGE, 2, {(2, 1): {(0, 1): {(5,): 1}}}),
+    # a tensor block whose words are not canonical, with only explicit
+    # zero numerators: it matches the empty block once they are dropped
+    (TENSOR, 2, {(2, 2): {(0, 5): {(0, 0): 0}, (0, 0): {(7, 0): 0}}}),
+    # a (2, 1) table whose source word has one letter
+    (TENSOR, 2, {(2, 1): {(0,): {(1,): 1}}}),
+    # a (2, 1) source word with a letter outside the space, and the (3, 2)
+    # block the law builds from it: both sides of the block carry the word
+    (TENSOR, 3, {(2, 1): {(0, 5): {(1,): 1}},
+                 (3, 2): {(0, 5, 0): {(1, 0): 1}, (0, 5, 1): {(1, 1): 1},
+                          (0, 0, 5): {(0, 1): 1}, (1, 0, 5): {(1, 1): -1}}}),
 ])
 def test_law_line_fails_tables_holding_words_that_are_not_canonical(kind, cap, components):
     # the walk reads canonical words only, so on these tables every defect
     # it sums vanishes and each once passed the law; a table word outside
     # the walk's words of its weight now fails it, in the law line and in
-    # the whole-law oracle alike
+    # the whole-law oracle alike.  Tensor builds no words: it tests the
+    # (k, 1) tables, then a block that matches only once its zeros are
+    # dropped
     sp = GradedSpace(("a", "b"), (0, 1))
     D = Coderivation(kind, sp, cap, components)
     assert not check_coderivation(D)
     assert not coderivation_law_by_coproducts(D)
+
+
+def test_tensor_law_line_builds_no_words(monkeypatch, rng):
+    # the tensor law line takes canonicity from the (k, 1) tables and the
+    # block equalities, so it enumerates the dim^k tensor words at no
+    # weight; wedge and Perm still walk their canonical words
+    calls = Counter()
+    real = coalgebra.coalgebra_words
+
+    def counting(kind, *args):
+        calls[kind] += 1
+        return real(kind, *args)
+
+    families = list(itertools.islice(_tensor_families(rng), 3))
+    tensors = [extend_coderivation(family, TENSOR, 4) for family in families]
+    wedge = extend_coderivation(suspend_family(random_unhat_family(
+        rng, GradedSpace(("a", "b"), (0, 1)), (1, 2), symmetrize="full")), WEDGE, 3)
+    monkeypatch.setattr(coalgebra, "coalgebra_words", counting)
+    assert all(check_coderivation(D) for D in tensors)
+    assert calls == Counter()
+    assert check_coderivation(wedge) and calls[WEDGE] == 3
 
 
 def test_an_extended_coderivation_holds_only_its_fields(graded2, rng):

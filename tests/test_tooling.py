@@ -42,19 +42,35 @@ def _attribute_targets(node):
         yield node.args[1].value
 
 
-def _is_dict_accumulator(node):
+def _assigned_values(tree):
+    """The values assigned to each plain name anywhere in the tree."""
+    values = collections.defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    values[target.id].append(node.value)
+    return values
+
+
+def _is_dict_accumulator(node, assigned):
     """`d[k] = d.get(k, ...) + ...`, with the get anywhere in the value, or
+    in a value assigned to the name stored (`c = d.get(k, 0) + x`, then
+    `d[k] = c`; `assigned` is `_assigned_values` of the tree), or
     `d[k] += ...`: a sum of coefficients by key, allowed only in the two
     accumulators."""
     if isinstance(node, ast.AugAssign):
         return isinstance(node.target, ast.Subscript)
     if not isinstance(node, ast.Assign):
         return False
+    values = [node.value]
+    if isinstance(node.value, ast.Name):
+        values += assigned.get(node.value.id, [])
     for target in node.targets:
         if not isinstance(target, ast.Subscript):
             continue
         owner, key = ast.dump(target.value), ast.dump(target.slice)
-        for sub in ast.walk(node.value):
+        for sub in (sub for value in values for sub in ast.walk(value)):
             if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
                     and sub.func.attr == "get" and sub.args
                     and ast.dump(sub.func.value) == owner and ast.dump(sub.args[0]) == key):
@@ -64,7 +80,9 @@ def _is_dict_accumulator(node):
 
 def test_dict_accumulator_pattern():
     def flagged(source):
-        return [_is_dict_accumulator(node) for node in ast.walk(ast.parse(source))
+        tree = ast.parse(source)
+        assigned = _assigned_values(tree)
+        return [_is_dict_accumulator(node, assigned) for node in ast.walk(tree)
                 if isinstance(node, (ast.Assign, ast.AugAssign))]
 
     assert flagged("d[k] = d.get(k, 0) + c") == [True]
@@ -74,6 +92,9 @@ def test_dict_accumulator_pattern():
     assert flagged("d[k] = e.get(k, 0) + c") == [False]
     assert flagged("d[k] = d.get(j, 0) + c") == [False]
     assert flagged("old = d.get(k)\nd[k] = c") == [False, False]
+    # the sum kept in a name first, then stored
+    assert flagged("c = d.get(k, 0) + x\nd[k] = c") == [False, True]
+    assert flagged("c = e.get(k, 0) + x\nd[k] = c") == [False, False]
     # table_from_terms's update, which assigns the sum to a name as well
     assert flagged("sums[letter] = c = sums.get(letter, 0) + coeff") == [True]
 
@@ -101,8 +122,9 @@ def test_sum_by_key_and_table_from_terms_are_the_two_accumulators():
         owners = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                   and fn.name in ("sum_by_key", "table_from_terms")]
         accumulators += [(path.name, fn.name) for fn in owners]
+        assigned = _assigned_values(tree)
         accumulating += [(path.name, fn.name) for fn in owners
-                         for node in ast.walk(fn) if _is_dict_accumulator(node)]
+                         for node in ast.walk(fn) if _is_dict_accumulator(node, assigned)]
         accumulator = {id(node) for fn in owners for node in ast.walk(fn)}
         inits = [fn for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) and cls.name == "LinearCombination"
@@ -120,7 +142,7 @@ def test_sum_by_key_and_table_from_terms_are_the_two_accumulators():
                   and isinstance(node.args[1], ast.Dict)]
         found += [f"{path.name}:{node.lineno} accumulates into a dict entry"
                   for node in ast.walk(tree)
-                  if id(node) not in accumulator and _is_dict_accumulator(node)]
+                  if id(node) not in accumulator and _is_dict_accumulator(node, assigned)]
     assert accumulators == [("graded.py", "sum_by_key"), ("graded.py", "table_from_terms")]
     assert accumulating == [("graded.py", "table_from_terms")]
     assert len(constructors) == 1 and "sum_by_key" in constructors[0], constructors
