@@ -57,8 +57,9 @@ COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): "pl_infinity",
 MAX_CODERIVE_WORK = 20_000
 
 # `check` decides on orbit representatives, so its work is the insertion
-# terms it folds; it counts them (`graded.insertion_term_count`) before any
-# insertion and refuses more than this.  The largest benchmark job streams
+# terms it folds; it counts every term its streams visit
+# (`graded.insertion_term_count`, an upper bound on the terms they yield)
+# before any insertion and refuses more than this.  The largest benchmark job streams
 # 4,608 terms; 1.6 million took 3-5 s and 130 MB (Intel Xeon, Python 3.11.7).
 MAX_CHECK_TERMS = 500_000
 

@@ -57,9 +57,11 @@ family {n: mu} (`nary_family`), and its defining equation is that
 family's residual at arity 2n-1 (`nary_residual`); there is no second
 residual path.
 
-The number of terms the insertions stream is known before any insertion
-is made (`graded.insertion_term_count` over `residual_insertions`);
-`check` refuses work above a limit on that count.
+The number of terms the insertions visit is known before any insertion
+is made (`graded.insertion_term_count` over `residual_insertions`), an
+upper bound on what they stream: an insertion into a fold skips the
+terms whose orbit the fold kills (`_insert_fold`).  `check` refuses work
+above a limit on that count.
 
 Everything here decides vanishing by exhaustive evaluation on basis words;
 residuals are exact, there is no tolerance anywhere.
@@ -77,7 +79,8 @@ from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
                      table_from_terms)
 from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, acted_count, action_variant,
-                           block_representatives, expand, fold, require_symmetry)
+                           block_representatives, expand, fold, killing_letters,
+                           require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
@@ -192,13 +195,19 @@ def _insert_fold(sp: GradedSpace, arity: int, degree: int, insertions,
     Each coefficient and the denominators of its two operands fold into one
     integer multiplier over D, the call's common denominator, so every
     insertion streams integer numerators, and the chained stream goes to
-    the kernel as it is; nothing is divided by D until a value is read."""
+    the kernel as it is; nothing is divided by D until a value is read.
+    Under a mode whose action has killing letters
+    (`permutations.killing_letters`), each insertion is given the fold's
+    acted slots and that table, so it skips the terms the fold would drop
+    before building their words; the fold's table is the same."""
     folded = [(outer, inner, position, coeff, outer.denominator * inner.denominator)
               for outer, inner, position, coeff in insertions]
     den = lcm(*(coeff.denominator * operands for *_, coeff, operands in folded))
+    killing = killing_letters(sp, variant) if mode is not None else ()
+    kills = (acted_count(mode, arity), killing) if any(killing) else None
     terms = chain.from_iterable(
         insertion_terms(outer, inner, position,
-                        coeff.numerator * (den // (coeff.denominator * operands)))
+                        coeff.numerator * (den // (coeff.denominator * operands)), kills)
         for outer, inner, position, coeff, operands in folded)
     if mode is None:
         return Folded(sp, arity, degree, table_from_terms(terms), den, variant, None)

@@ -2,7 +2,7 @@
 
 Everything is exact.  An operation is stored as integer numerators over
 one normalized denominator; the kernels compute on those ints, stream
-them (`insertion_terms`, counted ahead by `insertion_term_count`) and
+them (`insertion_terms`, bounded ahead by `insertion_term_count`) and
 build results with the unchecked `Operation.from_numerators`.  Every
 operation table is summed per word and output letter by
 `table_from_terms`, in one pass; every other sum by key (a value, a
@@ -362,7 +362,7 @@ def check_homogeneous(op: Operation) -> bool:
     return True
 
 
-def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
+def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1, kills=None):
     """The (word, output letter, numerator) terms of
     scale * outer o (I_position (x) inner (x) I_rest), with the Koszul sign
     of the tensor rule for maps: inner of odd degree picks up the parity of
@@ -377,25 +377,59 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
     denominator of its own.  The terms of one word are not summed; the
     caller sums them with `table_from_terms`, directly or through the
     symmetrization kernel `permutations.fold`.
+
+    `kills`, when given, is (acted, killing): the fold's acted slot count,
+    at least `position`, and, per letter, whether a second copy of it in
+    those slots kills the orbit (`permutations.killing_letters`).  The stream then skips every
+    term whose word holds a killing letter twice in its first `acted`
+    slots, the terms the fold would drop, before the word is built: an
+    inner or outer entry whose own part of those slots repeats one is
+    dropped whole, and a pair whose two parts share one is skipped.  The
+    other terms come as they would without `kills`, in the same order.
     """
     if outer.space != inner.space:
         raise ArityError("an insertion requires operations on the same space")
     if not 0 <= position < outer.arity:
         raise PositionError(f"position {position} out of range 0..{outer.arity - 1}")
     odd = outer.space.parities
-    # inner's entries by output letter, scaled once, and negated once when
-    # the sign can be -1
+    acted, killing = kills or (0, None)
+
+    def mask(letters):
+        """The bitmask of the killing letters, or None when one repeats."""
+        bits = 0
+        for x in letters:
+            if killing[x]:
+                bit = 1 << x
+                if bits & bit:
+                    return None
+                bits |= bit
+        return bits
+
+    # inner's entries by output letter, scaled once, each with the mask of
+    # its letters inside the acted slots, and negated once when the sign
+    # can be -1
+    span = max(0, min(inner.arity, acted - position))
+    stop = max(position + 1, acted - inner.arity + 1)
     by_output = {}
     for win, cin in inner.numerators.items():
+        bits = mask(win[:span]) if killing else 0
+        if bits is None:
+            continue
         for letter, c in cin.items():
-            by_output.setdefault(letter, []).append((win, c * scale))
-    flipped = ({letter: [(win, -c) for win, c in pairs] for letter, pairs in by_output.items()}
+            by_output.setdefault(letter, []).append((win, c * scale, bits))
+    flipped = ({letter: [(win, -c, bits) for win, c, bits in entries]
+                for letter, entries in by_output.items()}
                if inner.degree % 2 else None)
     def terms():
         for wout, cout in outer.numerators.items():
             head, rest = wout[:position], wout[position + 1:]
+            taken = mask(head + wout[position + 1:stop]) if killing else 0
+            if taken is None:
+                continue
             pick = flipped if flipped is not None and sum(odd[x] for x in head) % 2 else by_output
-            for win, c in pick.get(wout[position], ()):
+            for win, c, bits in pick.get(wout[position], ()):
+                if bits & taken:
+                    continue
                 word = head + win + rest
                 for out, co in cout.items():
                     yield word, out, co * c
@@ -404,8 +438,10 @@ def insertion_terms(outer: Operation, inner: Operation, position: int, scale=1):
 
 
 def insertion_term_count(insertions) -> int:
-    """The number of terms `insertion_terms` yields over the (outer, inner,
-    position, ...) insertions, counted without making any: per outer entry,
+    """The number of terms `insertion_terms` visits over the (outer, inner,
+    position, ...) insertions, counted without making any: what it yields
+    without `kills`, and an upper bound on what it yields with them, since
+    the killed terms are visited and skipped.  Per outer entry,
     its output terms times the inner operation's output terms at the
     inserted letter, summed over letters from one histogram per operation
     (outer: output terms by (position, letter); inner: by output letter).

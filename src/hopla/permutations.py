@@ -31,6 +31,10 @@ stream to the sorted representative of its orbit, times chi of the move
 and |Stab| of the orbit, sums, and drops the orbits whose stabilizer acts
 by -1; the `Folded` result holds each orbit's value at its representative,
 decides whether the sum vanishes and gives its smallest nonzero word.
+Which letters kill an orbit when repeated is decided here alone:
+`stabilizer_order` on a sorted word, and `killing_letters` as a table the
+insertion streams into a fold read, so that they skip those terms before
+building them.
 `expand` writes every distinct arrangement of every orbit; the only other
 caller of `arrangements` here is the unshuffle table, which reads each
 unshuffle off an arrangement of block labels.  `acted_count` says which
@@ -173,6 +177,14 @@ def stabilizer_order(letters, odd, rho2: bool) -> int:
         run += 1
         order *= run
     return order
+
+
+def killing_letters(space: GradedSpace, variant: str) -> tuple:
+    """Per letter, whether a second copy of it in the acted slots kills the
+    orbit: the letters `stabilizer_order` rejects when repeated, odd under
+    rho1 and even under rho2."""
+    rho2 = variant == RHO2
+    return tuple(odd != rho2 for odd in space.parities)
 
 
 def arrangements(letters: tuple, odd, rho2: bool):

@@ -49,6 +49,8 @@ VERIFY = ("tests/test_verify.py",)
 TABLES = ("tests/test_graded.py::test_table_from_terms_matches_the_grouped_oracle",
           "tests/test_graded.py::test_table_from_terms_groups_per_word_and_drops_zero_words",
           "tests/test_permutations.py", "tests/test_coalgebra.py")
+# the pruned insertion streams against the fold's own test
+PRUNED = "tests/test_oracles.py::test_pruned_insertion_streams_are_the_terms_the_fold_keeps"
 DOCUMENTS = ("tests/test_docio_cli.py", "tests/test_docio_parser.py")
 
 
@@ -231,6 +233,20 @@ MUTANTS = (
            "for word, sums in outer.numerators.items()",
            "insertion_term_count's weight of each outer entry by its output terms",
            ("tests/test_equations.py", "tests/test_docio_cli.py")),
+    Mutant("prune-inner-span", "graded.py",
+           "span = max(0, min(inner.arity, acted - position))",
+           "span = max(0, min(inner.arity, acted - position) - 1)",
+           "insertion_terms' inner letters inside the acted slots, which stopped one short",
+           (PRUNED,)),
+    Mutant("prune-outer-stop", "graded.py",
+           "stop = max(position + 1, acted - inner.arity + 1)",
+           "stop = max(position + 1, acted - inner.arity + 2)",
+           "insertion_terms' outer letters inside the acted slots, which reached one too far",
+           (PRUNED,)),
+    Mutant("prune-shared-bit", "graded.py",
+           "                if bits & taken:\n                    continue",
+           "                if not bits & taken:\n                    continue",
+           "insertion_terms' skip of a pair whose two parts share a killing letter", (PRUNED,)),
     Mutant("table-cancel-kept", "graded.py",
            "            del sums[letter]\n            cancelled = True",
            "            cancelled = True",

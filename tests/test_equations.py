@@ -249,9 +249,9 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
     real_kernel = equations.fold
     real_precompose = permutations.precompose_symmetrized
 
-    def counting(outer, inner, position, scale=1):
+    def counting(outer, inner, position, scale=1, kills=None):
         passes[outer.arity, inner.arity] += 1
-        return real(outer, inner, position, scale)
+        return real(outer, inner, position, scale, kills)
 
     def counting_kernel(space, arity, degree, terms, denominator, variant, mode):
         assert iter(terms) is terms, type(terms)   # a stream, not a table
@@ -299,13 +299,16 @@ def test_insertion_passes_per_arity_pair(monkeypatch, flat2, rng):
 
 def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
     # check's work bound counts the insertion terms from histograms before
-    # any insertion; the count must be what the residuals then stream, on
-    # tables with several outputs per word
+    # any insertion; the count must be every pair the residuals' streams
+    # visit, the length of each stream without the fold's killing table,
+    # and so at least what they then yield, on tables with several outputs
+    # per word
     streamed = Counter()
     real = equations.insertion_terms
 
-    def counting(outer, inner, position, scale=1):
-        for term in real(outer, inner, position, scale):
+    def counting(outer, inner, position, scale=1, kills=None):
+        streamed["visited"] += sum(1 for _ in real(outer, inner, position, scale))
+        for term in real(outer, inner, position, scale, kills):
             streamed["terms"] += 1
             yield term
 
@@ -313,7 +316,7 @@ def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
     bounds = []
     monkeypatch.setattr(drivers, "_require_work", lambda count, limit, what: bounds.append(count))
     sp = GradedSpace(("x", "y", "z"), (-1, 0, 1))
-    nonzero = 0
+    nonzero = pruned = 0
     odd = sp.parities
     for convention, (kind, mode) in itertools.product(
             (HAT, UNHAT), ((ASSOC, None), (PRELIE, MODE_PARTIAL), (LIE, MODE_FULL))):
@@ -338,15 +341,19 @@ def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
             streamed.clear()
             residual(fam, flavor, n)
             assert insertion_term_count(residual_insertions(fam, flavor, n)) \
-                == streamed["terms"], (convention, kind, n)
-            total += streamed["terms"]
+                == streamed["visited"] >= streamed["terms"], (convention, kind, n)
+            total += streamed["visited"]
             nonzero += streamed["terms"] > 0
+            pruned += streamed["terms"] < streamed["visited"]
         # run_check counts the whole check once, before its first residual
         bounds.clear()
         streamed.clear()
         run_check(AlgebraDocument(fam), kind)
-        assert bounds == [total] == [streamed["terms"]], (convention, kind)
+        assert bounds == [total] == [streamed["visited"]], (convention, kind)
+        assert total >= streamed["terms"], (convention, kind)
     assert nonzero >= 20, nonzero
+    # the fold's killing table skips terms under both actions
+    assert pruned >= 4, pruned
 
     flat = GradedSpace(("a", "b", "c"), (0, 0, 0))
     for n, (kind, mode) in itertools.product(
@@ -356,10 +363,10 @@ def test_insertion_term_count_is_the_streamed_count(monkeypatch, rng):
             mu = precompose_symmetrized(mu, RHO2, mode)
         streamed.clear()
         nary_residual(mu, kind)
-        assert streamed["terms"] > 0
+        assert streamed["visited"] > 0, (n, kind)
         flavor = EquationFlavor(ASSOC if kind == PARTIALLY_ASSOCIATIVE else kind, UNHAT)
         assert insertion_term_count(residual_insertions(nary_family(mu), flavor, 2 * n - 1)) \
-            == streamed["terms"], (n, kind)
+            == streamed["visited"] >= streamed["terms"], (n, kind)
 
 
 def test_representative_tables_are_built_once_per_call(monkeypatch, flat2, rng):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (DEGREE_PATTERNS, RATIONAL_COEFFICIENTS, apply_word, flat_component,
                       flat_word, pattern_space, random_table, square_component, truncated,
@@ -21,22 +23,23 @@ from oracles import (block_representatives_by_fractions, check_coderivation_by_f
                      circle_product_by_insertions, circle_product_dense, coalgebra_map_by_loop,
                      coderivation_law_by_coproducts, component_by_fractions, component_loop,
                      compose_insert_by_evaluation, coproduct_terms_by_pairs,
-                     denominator_by_fractions, first_nonzero_square, nary_residual_by_positions,
-                     numerators_by_fractions, pair_words, precompose_symmetrized_by_loop,
-                     residual_by_insertions, residual_by_positions, residual_by_relation,
+                     denominator_by_fractions, first_nonzero_square, fold_insertions,
+                     nary_residual_by_positions, numerators_by_fractions, pair_words,
+                     precompose_symmetrized_by_loop, residual_by_insertions,
+                     residual_by_positions, residual_by_relation,
                      square_cogenerator_by_fractions)
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _components, check_coderivation,
                              coalgebra_map, coalgebra_words, coproduct_terms, extend_coderivation,
                              square_cogenerator_component, wedge_normalize)
 from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
-                             circle_bracket, circle_product, nary_family, nary_residual,
-                             residual)
+                             _circle_insertions, circle_bracket, circle_product, nary_family,
+                             nary_residual, residual, residual_insertions)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
-                          OperationFamily, compose_insert, family_degree, over)
-from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
+                          OperationFamily, compose_insert, family_degree, insertion_terms, over)
+from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, acted_count,
                                 action_variant, block_representatives, expand, fold,
-                                precompose_symmetrized)
-from hopla import permutations
+                                killing_letters, precompose_symmetrized, stabilizer_order)
+from hopla import equations, permutations
 from hopla.docio import AlgebraDocument
 from hopla.drivers import _residual_witness, run_coderive
 from hopla.errors import ArityError
@@ -400,16 +403,26 @@ def test_folded_residual_decides_and_witnesses_like_its_expansion(monkeypatch):
                 cases.append((sp, functools.partial(nary_residual, mu, kind),
                               (pattern, n, kind, draw)))
 
-    # the fold drops a word whose orbit's stabilizer acts by -1
+    # a word whose orbit's stabilizer acts by -1 is dropped: by an
+    # insertion stream given the fold's killing table, before the word is
+    # built, or else by the fold
     killed = collections.Counter()
     real = permutations.stabilizer_order
+    real_terms = equations.insertion_terms
 
     def counting(letters, odd, rho2):
         order = real(letters, odd, rho2)
         killed["words"] += not order
         return order
 
+    def skipping(outer, inner, position, scale=1, kills=None):
+        kept = list(real_terms(outer, inner, position, scale, kills))
+        killed["skipped"] += len({word for word, *_ in real_terms(outer, inner, position, scale)}
+                                 - {word for word, *_ in kept})
+        return iter(kept)
+
     monkeypatch.setattr(permutations, "stabilizer_order", counting)
+    monkeypatch.setattr(equations, "insertion_terms", skipping)
     verdicts = collections.Counter()
     for sp, compute, what in cases:
         res = compute()
@@ -420,7 +433,72 @@ def test_folded_residual_decides_and_witnesses_like_its_expansion(monkeypatch):
         verdicts[res.vanishes()] += 1
     # both verdicts occur, and orbits are killed by their stabilizers
     assert verdicts[True] >= 100 and verdicts[False] >= 40, verdicts
-    assert killed["words"] >= 100, killed
+    assert killed["skipped"] + killed["words"] >= 100, killed
+
+
+# odd and even letters, and a degree-0 space for the circle calculus
+PRUNED_SPACES = (GradedSpace(("x", "y", "z"), (-1, 0, 1)),
+                 GradedSpace(("a", "b", "c"), (0, 0, 0)))
+
+
+def _drawn_operation(data, rng, sp, arity, degree, variant, mode, symmetric):
+    """A random table with several outputs per word, invariant under the
+    mode's signed action when `symmetric`."""
+    op = Operation(sp, arity, degree, random_table(rng, sp, arity, data.draw(
+        st.sampled_from((0.3, 0.7, 1.0)), label="density")))
+    return precompose_symmetrized(op, variant, mode) if symmetric else op
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_pruned_insertion_streams_are_the_terms_the_fold_keeps(data):
+    # given the fold's killing table, an insertion stream is the stream
+    # without it less exactly the terms the fold drops (a killing letter
+    # twice in the acted slots, its stabilizer then acting by -1), term for
+    # term and in order, at every position, on operands with and without
+    # the symmetry; so the residuals and the circle bracket fold to the
+    # tables of the unpruned streams, key order included
+    sp = data.draw(st.sampled_from(PRUNED_SPACES), label="space")
+    variant = data.draw(st.sampled_from((RHO1, RHO2)), label="variant")
+    mode = data.draw(st.sampled_from((MODE_FULL, MODE_PARTIAL)), label="mode")
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    i, j = (data.draw(st.integers(1, 3), label=name) for name in ("outer", "inner"))
+    outer, inner = (_drawn_operation(data, rng, sp, arity, data.draw(st.integers(-1, 1)),
+                                     variant, mode, symmetric) for arity in (i, j))
+    odd, rho2 = sp.parities, variant == RHO2
+    acted = acted_count(mode, i + j - 1)
+    kills = (acted, killing_letters(sp, variant))
+    scale = data.draw(st.sampled_from((1, -2, 3)), label="scale")
+    for position in range(i):
+        pruned = list(insertion_terms(outer, inner, position, scale, kills))
+        kept = [term for term in insertion_terms(outer, inner, position, scale)
+                if stabilizer_order(sorted(term[0][:acted]), odd, rho2)]
+        assert pruned == kept, position
+
+    convention = HAT if variant == RHO1 else UNHAT
+    kind = LIE if mode == MODE_FULL else PRELIE
+    ops = {arity: _drawn_operation(data, rng, sp, arity, family_degree(convention, arity),
+                                   variant, mode, symmetric) for arity in (1, 2, 3)}
+    family, flavor = OperationFamily(convention, sp, 5, ops), EquationFlavor(kind, convention)
+    n = data.draw(st.integers(1, 5), label="n")
+    res = residual(family, flavor, n, check_symmetry=False)
+    slow = fold_insertions(sp, n, res.degree, list(residual_insertions(family, flavor, n)),
+                           variant, mode)
+    assert (list(res.table.items()), res.denominator) == (list(slow.table.items()),
+                                                         slow.denominator)
+
+    flat = PRUNED_SPACES[1]
+    f, g = (_drawn_operation(data, rng, flat, arity, 0, RHO2, MODE_PARTIAL, symmetric)
+            for arity in (i, j))
+    tables = {}
+    sign = -(-1) ** ((i - 1) * (j - 1))
+    slow = expand(fold_insertions(flat, i + j - 1, 0, itertools.chain(
+        _circle_insertions(f, g, tables), _circle_insertions(g, f, tables, sign)),
+        RHO2, MODE_PARTIAL))
+    fast = circle_bracket(f, g, check_symmetry=False)
+    assert (list(fast.numerators.items()), fast.denominator) == (list(slow.numerators.items()),
+                                                                 slow.denominator)
 
 
 def _orbit_values(folded):

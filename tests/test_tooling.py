@@ -383,6 +383,36 @@ def test_one_symmetrization_kernel_over_term_streams():
     assert not names & {"symmetrize_terms", "precompose_symmetrized"}, names
 
 
+def _compares_with_rho2(tree):
+    """Lines of the comparisons that read `rho2` or `RHO2`: the kill and
+    swap rules compare a letter's parity with the action."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and {"rho2", "RHO2"} & set(_names(node))]
+
+
+def test_one_kill_rule():
+    # which letters kill an orbit when repeated (odd under rho1, even under
+    # rho2) is decided in permutations.py alone; the insertion streams read
+    # it as data, a killing table passed by _insert_fold, since graded.py
+    # cannot import permutations.py
+    assert _compares_with_rho2(ast.parse("def f(odd, x, rho2):\n    return odd[x] != rho2\n"))
+    assert _compares_with_rho2(ast.parse("def f(variant):\n    return variant == RHO2\n"))
+    assert not _compares_with_rho2(ast.parse("def f(table, x):\n    return table[x]\n"))
+    found = [f"{path.name}:{line}" for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             if path.name != "permutations.py" for line in _compares_with_rho2(tree)]
+    assert found == []
+    modules = {path.name: tree for path, tree in _parsed(sorted(SRC.glob("*.py")))}
+    assert not [node for node in ast.walk(modules["graded.py"])
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.endswith("permutations")]
+    functions = {(name, node.name): node for name, tree in modules.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "kills" in [arg.arg for arg in functions["graded.py", "insertion_terms"].args.args]
+    callers = sorted(key for key, node in functions.items()
+                     if key[1] != "killing_letters" and "killing_letters" in set(_names(node)))
+    assert callers == [("equations.py", "_insert_fold")], callers
+
+
 def _operation_sums(function):
     """Lines of the function's `+=` / `-=`, and of its binary `+` / `-` with
     an operand that is a call's result, directly or through a name bound to
