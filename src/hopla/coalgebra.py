@@ -198,7 +198,7 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     """Reduced comultiplication of a canonical word: a combination keyed by
     (left word, right word) pairs, the sum of `coproduct_terms` over the
     left weights 1 .. n-1.  Weight-1 words comultiply to zero.  The Koszul
-    signs are summed as ints."""
+    signs are summed as ints, and the combination holds int values."""
     if kind not in SYMMETRIZATION:
         raise KindError(f"unknown coalgebra kind {kind!r}")
     return LinearCombination((pair, s) for i in range(1, len(word))
@@ -217,6 +217,7 @@ def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     stabilizer act by -1.  beta is the sum over the (n-1, 1)-unshuffles
     sigma of eps(sigma) (x_s(1) ... x_s(n-1) | x_s(n)): the wedge coproduct
     terms of left weight n - 1, the right factor's letter as the tail.
+    Every map has integer coefficients, and the combination holds ints.
     """
     if name == "alpha":
         return _orbit_sum(space, word, ())

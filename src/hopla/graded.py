@@ -6,11 +6,13 @@ them (`insertion_terms`, bounded ahead by `insertion_term_count`) and
 build results with the unchecked `Operation.from_numerators`.  Every
 operation table is summed per word and output letter by
 `table_from_terms`, in one pass; every other sum by key (a value, a
-word's image, a parsed entry) goes through `sum_by_key`.  `over` is the
-one place numerators become `fractions.Fraction` values, when a value is
-read, so residuals that end in factorial denominators either vanish
-identically or carry an honest nonzero witness.  All containers are
-treated as immutable after construction; functions return fresh objects.
+word's image, a parsed entry) goes through `sum_by_key`.  Both add ints
+and Fractions as given, so an integer sum stays an int.  `over` is the
+one place a numerator over a denominator becomes a `fractions.Fraction`,
+when a value is read, so residuals that end in factorial denominators
+either vanish identically or carry an honest nonzero witness.  All
+containers are treated as immutable after construction; functions return
+fresh objects.
 
 A tensor word is a plain tuple of 0-based basis indices.  An Operation stores
 structure constants sparsely: absent input words evaluate to zero, and there
@@ -97,10 +99,11 @@ class LinearCombination:
     a single combination never mixes key shapes.  Zero coefficients are
     dropped eagerly so that `==` is semantic equality.
 
-    The constructor sums through `sum_by_key`, the accumulator of values,
-    and makes every surviving int sum a Fraction once, at the end; any other
-    coefficient that is not a Fraction converts on entry (floats convert
-    exactly).  Every stored value is a Fraction.
+    The constructor sums through `sum_by_key`, the accumulator of values.
+    A coefficient that is neither an int nor a Fraction (a float, a bool)
+    converts to an exact Fraction on entry, before the sum; ints and
+    Fractions are added as given, so a combination summed from ints holds
+    ints, and one read off an operation through `over` holds Fractions.
     """
 
     __slots__ = ("terms",)
@@ -110,9 +113,10 @@ class LinearCombination:
             self.terms = {}
             return
         # a list, the common case, skips the slower Mapping check
-        self.terms = sum_by_key(terms if terms.__class__ is list
-                                else terms.items() if isinstance(terms, Mapping) else terms,
-                                True)
+        pairs = (terms if terms.__class__ is list
+                 else terms.items() if isinstance(terms, Mapping) else terms)
+        self.terms = sum_by_key((key, c if c.__class__ is int or c.__class__ is Fraction
+                                 else Fraction(c)) for key, c in pairs)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,23 +152,15 @@ class LinearCombination:
         return " + ".join(f"({c})*{k}" for k, c in sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
 
-def sum_by_key(items, as_fractions: bool = False) -> dict:
+def sum_by_key(items) -> dict:
     """The accumulator of values: every sum of coefficients by key that is
     not an operation table (those go to `table_from_terms`) goes through
     it.  Sums the (key, coefficient) pairs by key and drops every key whose
-    sum is zero; a key keeps its first coefficient as given.  Ints are
-    summed as ints, so the kernels sum integer numerators here; any other
-    coefficient that is not a Fraction converts on entry.  With `as_fractions`
-    every surviving int sum becomes a Fraction at the end."""
+    sum is zero; a key whose sum cancels and comes back goes last.
+    Coefficients are ints or Fractions and are added as given, the rule of
+    `table_from_terms`: integer sums stay ints, and nothing is converted."""
     data = {}
-    ints = False
     for key, coeff in items:
-        kind = coeff.__class__
-        if kind is not Fraction:
-            if kind is int:
-                ints = True
-            else:
-                coeff = Fraction(coeff)
         old = data.get(key)
         if old is None:
             if coeff:
@@ -175,28 +171,24 @@ def sum_by_key(items, as_fractions: bool = False) -> dict:
                 data[key] = coeff
             else:
                 del data[key]
-    if ints and as_fractions:
-        for key, coeff in data.items():
-            if coeff.__class__ is int:
-                data[key] = Fraction(coeff)
     return data
 
 
 def over(numerators: Mapping, denominator: int) -> LinearCombination:
     """The combination numerators / denominator, one Fraction per entry: the
-    one place integer numerators become exact values."""
+    one place a numerator over a denominator becomes a Fraction."""
     return LinearCombination([(key, Fraction(n, denominator)) for key, n in numerators.items()])
 
 
 def table_from_terms(terms) -> dict:
     """Operation table {word: {output letter: sum}} from (word, output
     letter, coefficient) terms, summed in one pass: the accumulator of
-    tables, beside `sum_by_key`.  Coefficients are ints or Fractions and
-    are added as given (no float is converted), so integer numerators stay
-    ints.  A letter whose sum cancels is deleted there, and the words left
-    with no letter are dropped at the end.  A word keeps the place of its
-    first term and a cancelled letter that comes back goes last, the order
-    `sum_by_key` gives."""
+    tables, beside `sum_by_key` and with its rule.  Coefficients are ints
+    or Fractions and are added as given (nothing is converted), so integer
+    numerators stay ints.  A letter whose sum cancels is deleted there,
+    and the words left with no letter are dropped at the end.  A word
+    keeps the place of its first term and a cancelled letter that comes
+    back goes last, the order `sum_by_key` gives."""
     table = {}
     cancelled = False
     for word, letter, coeff in terms:

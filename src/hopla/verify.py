@@ -252,7 +252,7 @@ def random_operation(rng: random.Random, space: GradedSpace, arity: int, degree:
         if not outs:
             continue
         out = rng.choice(outs)
-        table[word] = LinearCombination({out: rng.choice(coefficients)})
+        table[word] = {out: rng.choice(coefficients)}
     return Operation(space, arity, degree, table)
 
 

@@ -49,6 +49,10 @@ VERIFY = ("tests/test_verify.py",)
 TABLES = ("tests/test_graded.py::test_table_from_terms_matches_the_grouped_oracle",
           "tests/test_graded.py::test_table_from_terms_groups_per_word_and_drops_zero_words",
           "tests/test_permutations.py", "tests/test_coalgebra.py")
+# the coefficient rule of sum_by_key and of the LinearCombination constructor
+COEFFICIENTS = ("tests/test_graded.py::test_sum_by_key_adds_as_given",
+                "tests/test_graded.py::test_linear_combination_sums_ints_exactly",
+                "tests/test_graded.py::test_linear_combination_drops_zeros")
 # the pruned insertion streams against the fold's own test
 PRUNED = "tests/test_oracles.py::test_pruned_insertion_streams_are_the_terms_the_fold_keeps"
 DOCUMENTS = ("tests/test_docio_cli.py", "tests/test_docio_parser.py")
@@ -256,6 +260,15 @@ MUTANTS = (
            "    if cancelled:\n        return {word: sums",
            "    if False:\n        return {word: sums",
            "table_from_terms' final drop of the words left with no letter", TABLES),
+    Mutant("sum-by-key-to-fractions", "graded.py",
+           "    return data\n\n\ndef over(",
+           "    return {key: Fraction(c) for key, c in data.items()}\n\n\ndef over(",
+           "sum_by_key's coefficient rule, which made every sum a Fraction", COEFFICIENTS),
+    Mutant("combination-skips-conversion", "graded.py",
+           "c if c.__class__ is int or c.__class__ is Fraction",
+           "c if c.__class__ is not bool",
+           "the LinearCombination constructor's exact conversion of a float on entry",
+           COEFFICIENTS),
     Mutant("suspension-even-sign", "functors.py",
            "for p in range(0, arity, 2))", "for p in range(1, arity, 2))",
            "suspension_sign at even arity", FUNCTORS),

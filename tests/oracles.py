@@ -62,6 +62,8 @@ only so that tests can compare the fast path against it:
 * `denominator_by_fractions` and `numerators_by_fractions` read an
   operation's exact values and put them over the lcm of their
   denominators, where `graded.Operation` stores that normalized form;
+* `sums_by_loop` adds up each key's coefficients in a plain loop over
+  the whole stream, where `graded.sum_by_key` sums every key in one pass;
 * `table_by_groups` groups a term stream per word and sums each group
   with `sum_by_key`, where `graded.table_from_terms` sums every word and
   letter in one pass;
@@ -113,6 +115,20 @@ def numerators_by_fractions(op):
     den = denominator_by_fractions(op)
     return {word: {letter: c.numerator * (den // c.denominator) for letter, c in combo}
             for word, combo in op.table.items()}
+
+
+def sums_by_loop(pairs):
+    """The nonzero sums of the (key, coefficient) pairs by key: per key, a
+    plain loop over every pair, starting from the int 0."""
+    sums = {}
+    for key in dict.fromkeys(key for key, _ in pairs):
+        total = 0
+        for other, coeff in pairs:
+            if other == key:
+                total += coeff
+        if total:
+            sums[key] = total
+    return sums
 
 
 def table_by_groups(terms):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import map_keys, poly_mod_t2_product
-from oracles import table_by_groups
+from oracles import sums_by_loop, table_by_groups
 from hopla.errors import ArityError, BasisIndexError, PositionError
 from hopla.graded import (GradedSpace, LinearCombination, Operation,
                           check_homogeneous, compose_insert, space, word_degree)
@@ -77,6 +77,12 @@ def test_evaluate_against_polynomial_oracle(kt2):
         assert [got[i] for i in range(2)] == [Fraction(x) for x in expected]
     assert mu.evaluate((1, 1)).is_zero()
     assert mu.evaluate((0, 1)) == LinearCombination({1: 1})
+    # `over` makes the values of the integer table, and of a folded sum's
+    # witness, Fractions
+    from hopla.permutations import RHO1, Folded
+    folded = Folded(sp, 2, 0, mu.numerators, mu.denominator, RHO1, None)
+    assert {type(c) for value in (mu.evaluate((0, 0)), folded.first_nonzero_entry()[1])
+            for _, c in value} == {Fraction}
 
 
 def test_evaluate_arity_mismatch(kt2):
@@ -171,7 +177,7 @@ def test_linear_combination_drops_zeros():
     assert zero_first.terms == {"a": Fraction(2, 5)}
     back = LinearCombination([("a", 1), ("a", -1), ("a", 3)])
     assert back.terms == {"a": Fraction(3)}
-    # ints and floats convert exactly, and every stored value is a Fraction
+    # floats convert exactly, and an int added to a converted float sums to a Fraction
     mixed = LinearCombination([("a", 0.5), ("b", 3), ("b", 0.25), ("c", -0.75), ("c", 0.75)])
     assert mixed.terms == {"a": Fraction(1, 2), "b": Fraction(13, 4)}
     assert all(type(c) is Fraction for _, c in mixed)
@@ -180,12 +186,14 @@ def test_linear_combination_drops_zeros():
 
 def test_linear_combination_sums_ints_exactly():
     # int coefficients are summed as ints, past 2^64 and to zero, and each
-    # surviving sum is stored as a Fraction
+    # surviving sum stays an int; Fraction sums stay Fractions
     big = 2 ** 64
     combo = LinearCombination([("a", big), ("b", 3), ("a", big), ("c", big + 1),
                                ("b", -3), ("c", -big), ("a", 1)])
     assert combo.terms == {"a": Fraction(2 * big + 1), "c": Fraction(1)}
-    assert all(type(c) is Fraction for _, c in combo)
+    assert [type(c) for _, c in combo] == [int, int]
+    assert [type(c) for _, c in LinearCombination([("a", Fraction(1, 3)), ("b", Fraction(1, 2)),
+                                                   ("a", Fraction(2, 3))])] == [Fraction, Fraction]
     assert LinearCombination([("a", 2 ** 53), ("a", 1)])["a"] == Fraction(2 ** 53 + 1)
     assert LinearCombination([("a", big), ("a", -big)]).is_zero()
     assert LinearCombination({"a": 0, "b": -big}).terms == {"b": Fraction(-big)}
@@ -275,6 +283,34 @@ def test_table_from_terms_matches_the_grouped_oracle(drawn):
             == [(word, list(sums.items())) for word, sums in table_by_groups(terms).items()])
     kind = int if den is None else Fraction
     assert all(type(c) is kind and c for sums in table.values() for c in sums.values())
+
+
+@st.composite
+def pair_streams(draw):
+    """(key, coefficient) streams of ints, 2^64 among them, or of Fractions
+    over one denominator, and that denominator (None for ints).  Half the
+    streams follow their head with its negation, so every key of the head
+    cancels, and then with a tail that brings some of them back."""
+    den = draw(st.sampled_from((None, 1, 3)))
+    coefficients = st.integers(-2, 2) | st.sampled_from((2 ** 64, -2 ** 64))
+    if den is not None:
+        coefficients = coefficients.map(lambda n: Fraction(n, den))
+    pair = st.tuples(st.sampled_from("abcd"), coefficients)
+    head, tail = draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=6))
+    undo = [(key, -c) for key, c in head] if draw(st.booleans()) else []
+    return head + undo + tail, den
+
+
+@given(pair_streams())
+def test_sum_by_key_adds_as_given(drawn):
+    # the one-pass sum against a plain loop per key: the same sums, no zero
+    # kept, and ints summed as ints, Fractions as Fractions
+    from hopla.graded import sum_by_key
+    pairs, den = drawn
+    sums = sum_by_key(iter(pairs))
+    assert sums == sums_by_loop(pairs)
+    kind = int if den is None else Fraction
+    assert all(type(c) is kind and c for c in sums.values())
 
 
 def test_operation_family_degree_validation(flat2):

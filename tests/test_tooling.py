@@ -149,6 +149,45 @@ def test_sum_by_key_and_table_from_terms_are_the_two_accumulators():
     assert found == []
 
 
+def _fraction_calls(tree):
+    """The owner of every `Fraction(...)` call: its top-level function, its
+    method ("Class.method") or the module-level name it is assigned to."""
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                        else node.name, item) for item in node.body]
+        elif isinstance(node, ast.Assign):
+            owners.append((",".join(map(ast.unparse, node.targets)), node))
+        else:
+            owners.append((getattr(node, "name", "<module>"), node))
+    return [owner for owner, node in owners for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id == "Fraction"]
+
+
+def test_one_coefficient_rule():
+    # both accumulators add ints and Fractions as given, sum_by_key with no
+    # switch; a Fraction is made only where a value is read (over), where a
+    # rational factor scales (scaled, linear_sum), where a value enters from
+    # outside (the constructor, the parser) and where a paper coefficient
+    # has a factorial denominator (project_pi, the equations' coefficients)
+    tree = ast.parse((SRC / "graded.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("sum_by_key", "table_from_terms"):
+        assert "Fraction" not in set(_names(functions[name])), name
+    arguments = functions["sum_by_key"].args
+    assert len(arguments.posonlyargs + arguments.args + arguments.kwonlyargs) == 1
+    assert arguments.vararg is None and arguments.kwarg is None
+    calls = {(path.stem, owner) for path, tree in _parsed(sorted(SRC.glob("*.py")))
+             for owner in _fraction_calls(tree)}
+    assert calls == {("graded", "over"), ("graded", "LinearCombination.__init__"),
+                     ("graded", "LinearCombination.scaled"), ("graded", "linear_sum"),
+                     ("graded", "ZERO"), ("coalgebra", "project_pi"),
+                     ("docio", "parse_rational"), ("equations", "_coefficient"),
+                     ("equations", "_circle_insertions")}, calls
+
+
 # the kernels that build an Operation or a Folded sum, by module
 KERNELS = {
     "permutations.py": ("fold", "expand", "block_representatives", "precompose_symmetrized"),
