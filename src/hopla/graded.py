@@ -137,10 +137,14 @@ class LinearCombination:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "LinearCombination":
-        """factor times the combination; factor 1 returns the combination itself."""
+        """factor times the combination; factor 1 returns the combination
+        itself.  An int or Fraction factor multiplies as given, so an int
+        factor keeps an int combination integer; any other converts exactly,
+        as on entry to the constructor."""
         if factor == 1:
             return self
-        factor = Fraction(factor)
+        if factor.__class__ is not int and factor.__class__ is not Fraction:
+            factor = Fraction(factor)
         return LinearCombination({k: c * factor for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -435,25 +439,25 @@ def insertion_term_count(insertions) -> int:
     without `kills`, and an upper bound on what it yields with them, since
     the killed terms are visited and skipped.  Per outer entry,
     its output terms times the inner operation's output terms at the
-    inserted letter, summed over letters from one histogram per operation
-    (outer: output terms by (position, letter); inner: by output letter).
-    The histograms are kept by id, each with its operation: an operation
-    made for the stream and freed during the count cannot pass its id, and
-    with it a stale histogram, to the next one.
+    inserted letter, summed over letters from histograms: one per outer
+    operation and position read (output terms by the letter there) and one
+    per inner operation (output terms by output letter).  The histograms
+    are kept by id, each with its operation: an operation made for the
+    stream and freed during the count cannot pass its id, and with it a
+    stale histogram, to the next one.
     """
     slots, outputs = {}, {}
     total = 0
     for outer, inner, position, *_ in insertions:
-        slot = slots.get(id(outer))
+        slot = slots.get((id(outer), position))
         if slot is None:
-            slot = slots[id(outer)] = outer, Counter(
-                (p, x) for word, sums in outer.numerators.items() for _ in sums
-                for p, x in enumerate(word))
+            slot = slots[id(outer), position] = outer, Counter(
+                word[position] for word, sums in outer.numerators.items() for _ in sums)
         at = outputs.get(id(inner))
         if at is None:
             at = outputs[id(inner)] = inner, Counter(
                 letter for sums in inner.numerators.values() for letter in sums)
-        total += sum(slot[1][position, letter] * k for letter, k in at[1].items())
+        total += sum(slot[1][letter] * k for letter, k in at[1].items())
     return total
 
 

@@ -20,8 +20,9 @@ and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
 symmetrization kernel and the symmetry check `failing_symmetry_generator`
 (walked over a family's arities by `symmetry_walk`, the one symmetry
-precondition) all use that rule and never act by a whole permutation; so
-do `koszul_sign` and `sign`, `signed_sort` on sigma's values under rho1,
+precondition, which compares each transposed pair of stored words once)
+all use that rule and never act by a whole permutation; so do
+`koszul_sign` and `sign`, `signed_sort` on sigma's values under rho1,
 or rho2 with every letter even, for the coalgebras' unshuffle signs and
 the sign-law witnesses.
 
@@ -29,18 +30,20 @@ The symmetrization kernel has two steps, both on integer numerators over
 one denominator, as operations are stored.  `fold` moves each term of a
 stream to the sorted representative of its orbit, times chi of the move
 and |Stab| of the orbit, sums, and drops the orbits whose stabilizer acts
-by -1; the `Folded` result holds each orbit's value at its representative,
-decides whether the sum vanishes and gives its smallest nonzero word.
-Which letters kill an orbit when repeated is decided here alone:
-`stabilizer_order` on a sorted word, and `killing_letters` as a table the
-insertion streams into a fold read, so that they skip those terms before
-building them.
-`expand` writes every distinct arrangement of every orbit; the only other
-caller of `arrangements` here is the unshuffle table, which reads each
-unshuffle off an arrangement of block labels.  `acted_count` says which
-slots a mode permutes.  In the full and partial modes
-`precompose_symmetrized` is `expand(fold(...))`; the residuals and the
-square of a coderivation are `Folded` sums too, expanded when read.
+by -1; the move depends only on the word's acted head, which is sorted
+once per call.  The `Folded` result holds each orbit's value at its
+representative, decides whether the sum vanishes and gives its smallest
+nonzero word.  Which letters kill an orbit when repeated is decided here
+alone: `stabilizer_order` on a sorted word, and `killing_letters` as a
+table the insertion streams into a fold read, so that they skip those
+terms before building them.  `expand` divides the representatives'
+numerators and the denominator by their gcd and then writes every
+distinct arrangement of every orbit; the only other caller of
+`arrangements` here is the unshuffle table, which reads each unshuffle
+off an arrangement of block labels.  `acted_count` says which slots a
+mode permutes.  In the full and partial modes `precompose_symmetrized` is
+`expand(fold(...))`; the residuals and the square of a coderivation are
+`Folded` sums too, expanded when read.
 `block_representatives` keeps one entry per arrangement class of a block
 of an operand's symmetric slots, weighted by the class's size, so an
 insertion stream into `fold` carries one term where it carried one per
@@ -256,8 +259,11 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
     (w, c) of the orbit, and vanishes on the orbit when chi is not trivial
     on Stab(r).  So each term moves to r with the factor chi |Stab(r)|,
     and the moved terms are summed per representative and output letter.
-    Each distinct word is sorted once, and dropped there when its orbit's
-    stabilizer acts by -1.
+    The move depends only on the word's acted head: each distinct head is
+    sorted once per call, with its factor, which is 0 when its orbit's
+    stabilizer acts by -1, and the representative is the sorted head
+    followed by the word's other slots.  So in the partial mode the words
+    that differ only in the last slot share one sort.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
@@ -266,20 +272,21 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
     odd = space.parities
     rho2 = variant == RHO2
     acted = acted_count(mode, arity)
-    moves = {}   # word -> (representative, chi |Stab|), the factor 0 when killed
+    moves = {}   # acted head -> (sorted head, chi |Stab|), the factor 0 when killed
 
     def moved():
         last = None
         for word, out, c in terms:
             if word != last:
                 last = word
-                move = moves.get(word)
+                key = word[:acted]
+                move = moves.get(key)
                 if move is None:
-                    head = list(word[:acted])
+                    head = list(key)
                     chi = signed_sort(head, odd, rho2)
-                    move = moves[word] = (tuple(head) + word[acted:],
-                                          chi * stabilizer_order(head, odd, rho2))
-                rep, factor = move
+                    move = moves[key] = (tuple(head), chi * stabilizer_order(head, odd, rho2))
+                sorted_head, factor = move
+                rep = sorted_head + word[acted:]
             if factor:
                 yield rep, out, c * factor
 
@@ -317,15 +324,19 @@ def block_representatives(op: Operation, lo: int, hi: int) -> Operation:
 
 def expand(folded: Folded) -> Operation:
     """The folded sum as an operation: every distinct rearrangement of the
-    acted slots of every representative, with S(r o pi) = chi(pi; r) S(r),
-    over the fold's denominator.  The orbit's numerators are shared by the
-    rearrangements with chi = 1, and their negation, built when first
-    needed, by those with chi = -1."""
+    acted slots of every representative, with S(r o pi) = chi(pi; r) S(r).
+    The representatives' numerators and the fold's denominator are divided
+    by their gcd first (`Operation.from_numerators`), which is the gcd of
+    the whole expansion, so the arrangements are written already reduced.
+    The orbit's numerators are shared by the rearrangements with chi = 1,
+    and their negation, built when first needed, by those with chi = -1."""
     odd = folded.space.parities
     rho2 = folded.variant == RHO2
     acted = folded.acted
+    reduced = Operation.from_numerators(folded.space, folded.arity, folded.degree, folded.table,
+                                        folded.denominator)
     table = {}
-    for rep, value in folded.table.items():
+    for rep, value in reduced.numerators.items():
         head, tail = rep[:acted], rep[acted:]
         negated = None
         for chi, arrangement in arrangements(head, odd, rho2):
@@ -333,7 +344,7 @@ def expand(folded: Folded) -> Operation:
                 negated = {x: -c for x, c in value.items()}
             table[arrangement + tail] = value if chi == 1 else negated
     return Operation.from_numerators(folded.space, folded.arity, folded.degree, table,
-                                     folded.denominator)
+                                     reduced.denominator)
 
 
 def arrangement_count(op: Operation, variant: str, mode: str) -> int:
@@ -394,23 +405,41 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     `full=False` checks invariance on the first arity-1 slots only (the
     last slot rides along untouched); adjacent transpositions generate the
     whole group, so this is equivalent to checking every permutation.
-    The transpositions are walked in order, and the stored words inside each.
+    The transpositions are walked in order, and the stored words inside
+    each, one comparison per transposed pair of stored words.
     """
     if variant not in (RHO1, RHO2):
         raise ValueError(f"unknown action variant {variant!r}")
     odd = op.space.parities
     rho2 = variant == RHO2
+    numerators = op.numerators
     n_acted = acted_count(MODE_FULL if full else MODE_PARTIAL, op.arity)
-    # the swap is an involution, so op o rho_tau = op iff op(w o tau) equals
-    # chi(tau; w) op(w) for every stored word w
+    # the swap tau of letters a, b is an involution, so op o rho_tau = op
+    # iff op(w o tau) = chi(tau; w) op(w) for every stored word w.  A word
+    # with a < b is compared with its partner; a word with a = b is its own
+    # partner and fails when the swap acts by -1.  A word with a > b is
+    # only counted: once every comparison holds, each word with a < b has
+    # a distinct stored partner with a > b, so the pairs cover every
+    # stored word exactly when the two counts agree
     for k in range(1, n_acted):
-        for word, sums in op.numerators.items():
+        unpaired = 0
+        for word, sums in numerators.items():
             a, b = word[k - 1], word[k]
-            moved = word[:k - 1] + (b, a) + word[k + 1:]
-            if (odd[a] and odd[b]) != rho2:
+            if a > b:
+                unpaired += 1
+                continue
+            flips = (odd[a] and odd[b]) != rho2
+            if a == b:
+                if flips:
+                    return k, k + 1
+                continue
+            unpaired -= 1
+            if flips:
                 sums = {x: -c for x, c in sums.items()}
-            if op.numerators.get(moved) != sums:
+            if numerators.get(word[:k - 1] + (b, a) + word[k + 1:]) != sums:
                 return k, k + 1
+        if unpaired:
+            return k, k + 1
     return None
 
 

@@ -86,6 +86,29 @@ MUTANTS = (
            "chi * stabilizer_order(head, odd, rho2))",
            "chi * bool(stabilizer_order(head, odd, rho2)))",
            "fold's |Stab| factor", PERMUTATIONS),
+    Mutant("fold-memo-key", "permutations.py",
+           "                key = word[:acted]\n                move = moves.get(key)\n"
+           "                if move is None:\n                    head = list(key)",
+           "                key = word[:acted + 1]\n                move = moves.get(key)\n"
+           "                if move is None:\n                    head = list(key[:acted])",
+           "fold's memo keyed one slot past the acted head, so the partial mode sorts once per "
+           "word", ("tests/test_oracles.py::test_fold_sorts_each_distinct_acted_head_once",)),
+    Mutant("expand-unreduced-denominator", "permutations.py",
+           "                                     reduced.denominator)",
+           "                                     folded.denominator)",
+           "expand writing the reduced numerators over the fold's unreduced denominator",
+           ("tests/test_oracles.py::test_expand_reduces_on_the_representatives",
+            *PERMUTATIONS)),
+    Mutant("symmetry-pair-count", "permutations.py",
+           "        if unpaired:\n            return k, k + 1",
+           "        if False:\n            return k, k + 1",
+           "the symmetry walk's count of the stored words whose swapped letters are out of "
+           "order, which finds a word whose partner is not stored", PERMUTATIONS),
+    Mutant("symmetry-repeated-letter", "permutations.py",
+           "            if a == b:\n                if flips:\n                    return k, k + 1\n",
+           "            if a == b:\n",
+           "the symmetry walk's failure on a repeated letter that the swap acts on by -1",
+           PERMUTATIONS),
     Mutant("witness-min", "permutations.py",
            "rep = min(self.table)", "rep = max(self.table)",
            "Folded.first_nonzero_entry's smallest representative, the printed witness",
@@ -237,6 +260,11 @@ MUTANTS = (
            "for word, sums in outer.numerators.items()",
            "insertion_term_count's weight of each outer entry by its output terms",
            ("tests/test_equations.py", "tests/test_docio_cli.py")),
+    Mutant("outer-histogram-position", "graded.py",
+           "                word[position] for word, sums in outer.numerators.items()",
+           "                word[0] for word, sums in outer.numerators.items()",
+           "insertion_term_count's outer histogram read at the first slot, not at the "
+           "inserted position", ("tests/test_equations.py", "tests/test_docio_cli.py")),
     Mutant("prune-inner-span", "graded.py",
            "span = max(0, min(inner.arity, acted - position))",
            "span = max(0, min(inner.arity, acted - position) - 1)",
@@ -264,6 +292,14 @@ MUTANTS = (
            "    return data\n\n\ndef over(",
            "    return {key: Fraction(c) for key, c in data.items()}\n\n\ndef over(",
            "sum_by_key's coefficient rule, which made every sum a Fraction", COEFFICIENTS),
+    Mutant("scaled-to-fractions", "graded.py",
+           "        if factor.__class__ is not int and factor.__class__ is not Fraction:\n"
+           "            factor = Fraction(factor)",
+           "        factor = Fraction(factor)",
+           "LinearCombination.scaled's int factor, which made an int combination's values "
+           "Fractions under scaled and subtraction",
+           ("tests/test_graded.py::"
+            "test_int_combinations_stay_int_under_scaled_and_subtraction",)),
     Mutant("combination-skips-conversion", "graded.py",
            "c if c.__class__ is int or c.__class__ is Fraction",
            "c if c.__class__ is not bool",

@@ -19,7 +19,14 @@ only so that tests can compare the fast path against it:
   products subtracted as operations, where `equations.circle_bracket`
   folds both products' insertions once;
 * `failing_transposition_by_act` walks the adjacent transpositions as
-  whole permutations, applied with `act`;
+  whole permutations, applied with `act`, and looks up the partner of
+  every stored word, where `permutations.failing_symmetry_generator`
+  compares each transposed pair once;
+* `fold_by_words` memoizes the move to the representative per distinct
+  word, where `permutations.fold` sorts each distinct acted head once;
+* `expand_unreduced` writes every arrangement of the fold's numerators
+  over its denominator and reduces the whole expansion by its gcd, where
+  `permutations.expand` reduces the representatives first;
 * `pair_words` lists the canonical words of a coalgebra kind, a Perm word
   spelled as the pair (head, tail), by filtering every multiset head
   through `wedge_normalize`;
@@ -100,8 +107,8 @@ from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, compose_insert, family_degree, insertion_terms,
                           linear_sum, sum_by_key, table_from_terms, word_degree)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2, Folded,
-                                all_permutations, arrangements, expand, fold,
-                                precompose_symmetrized)
+                                acted_count, all_permutations, arrangements, expand, fold,
+                                precompose_symmetrized, signed_sort, stabilizer_order)
 
 
 def denominator_by_fractions(op):
@@ -260,6 +267,46 @@ def failing_transposition_by_act(op, variant, full):
             if op.table.get(moved) != combo.scaled(coeff):
                 return k, k + 1
     return None
+
+
+def fold_by_words(space, arity, degree, terms, denominator, variant, mode):
+    """`permutations.fold` with its move memoized per distinct word: each
+    word's acted head is sorted once per word, however many words share
+    that head."""
+    odd = space.parities
+    rho2 = variant == RHO2
+    acted = acted_count(mode, arity)
+    moves = {}
+
+    def moved():
+        for word, out, c in terms:
+            move = moves.get(word)
+            if move is None:
+                head = list(word[:acted])
+                chi = signed_sort(head, odd, rho2)
+                move = moves[word] = (tuple(head) + word[acted:],
+                                      chi * stabilizer_order(head, odd, rho2))
+            rep, factor = move
+            if factor:
+                yield rep, out, c * factor
+
+    return Folded(space, arity, degree, table_from_terms(moved()), denominator, variant, mode)
+
+
+def expand_unreduced(folded):
+    """The folded sum as an operation: every arrangement of every
+    representative written with the fold's numerators over its
+    denominator, and the whole expansion then reduced by its gcd in
+    `Operation.from_numerators`."""
+    odd = folded.space.parities
+    rho2 = folded.variant == RHO2
+    table = {}
+    for rep, value in folded.table.items():
+        head, tail = rep[:folded.acted], rep[folded.acted:]
+        for chi, arrangement in arrangements(head, odd, rho2):
+            table[arrangement + tail] = {x: chi * c for x, c in value.items()}
+    return Operation.from_numerators(folded.space, folded.arity, folded.degree, table,
+                                     folded.denominator)
 
 
 SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}

@@ -208,6 +208,25 @@ def test_linear_combination_sums_ints_exactly():
     assert type(LinearCombination([("a", True)])["a"]) is Fraction
 
 
+def test_int_combinations_stay_int_under_scaled_and_subtraction():
+    # the coefficient rule of the constructor: an int factor and an int
+    # difference keep an int combination integer, as `+` does
+    a, b = LinearCombination({1: 2, 2: 3}), LinearCombination({1: 1, 3: -4})
+    for combo, expected in ((a - b, {1: 1, 2: 3, 3: 4}), (a + b, {1: 3, 2: 3, 3: -4}),
+                            (a.scaled(2), {1: 4, 2: 6}), (a.scaled(-3), {1: -6, 2: -9}),
+                            (b - b, {})):
+        assert combo.terms == expected
+        assert all(type(c) is int for _, c in combo), combo.terms
+    assert a.scaled(0).is_zero()
+    # a Fraction or a float factor gives Fractions, the float converted exactly
+    for factor, expected in ((Fraction(1, 2), {1: 1, 2: Fraction(3, 2)}),
+                             (0.5, {1: 1, 2: Fraction(3, 2)}), (Fraction(4), {1: 8, 2: 12}),
+                             (0.1, {1: 2 * Fraction(0.1), 2: 3 * Fraction(0.1)})):
+        scaled = a.scaled(factor)
+        assert scaled.terms == expected
+        assert all(type(c) is Fraction for _, c in scaled), (factor, scaled.terms)
+
+
 def test_scaled_by_one_and_minus_one():
     # keyed by the output letters of a three-letter space, which the
     # Operation constructor checks
@@ -219,7 +238,10 @@ def test_scaled_by_one_and_minus_one():
         negated = combo.scaled(minus_one)
         assert negated == LinearCombination({k: -c for k, c in combo})
         assert negated == combo.scaled(Fraction(-2)).scaled(Fraction(1, 2))
-        assert all(type(c) is Fraction for _, c in negated)
+        # an int factor keeps the int value an int; a Fraction or a float
+        # factor makes every value a Fraction
+        kinds = [Fraction, int if minus_one.__class__ is int else Fraction, Fraction]
+        assert [type(c) for _, c in negated] == kinds
     assert (combo + combo.scaled(-1)).is_zero()
     # the shared result of scaled(1) is never changed by later operations
     same = combo.scaled(1)

@@ -23,7 +23,8 @@ from oracles import (block_representatives_by_fractions, check_coderivation_by_f
                      circle_product_by_insertions, circle_product_dense, coalgebra_map_by_loop,
                      coderivation_law_by_coproducts, component_by_fractions, component_loop,
                      compose_insert_by_evaluation, coproduct_terms_by_pairs,
-                     denominator_by_fractions, first_nonzero_square, fold_insertions,
+                     denominator_by_fractions, expand_unreduced, first_nonzero_square,
+                     fold_by_words, fold_insertions,
                      nary_residual_by_positions, numerators_by_fractions, pair_words,
                      precompose_symmetrized_by_loop, residual_by_insertions,
                      residual_by_positions, residual_by_relation,
@@ -143,6 +144,105 @@ def test_stream_kernel_matches_loop_oracle_on_the_summed_table(pattern):
     # a one-letter space has one word per arity: nothing to interleave or cancel
     assert nonzero >= 12, nonzero
     assert sp.dim == 1 or split >= 4 and cancelled >= 12, (split, cancelled)
+
+
+# a space per action with no letter that kills an orbit when repeated
+# (even letters under rho1, odd under rho2) and one with both kinds
+FOLD_SPACES = {(RHO1, False): (0, 2, 0), (RHO2, False): (1, -1, 3),
+               (RHO1, True): (0, 1, -1), (RHO2, True): (0, 1, -1)}
+
+
+@st.composite
+def head_streams(draw, variant, killing):
+    """A fold's arguments: (word, output letter, numerator) terms whose
+    words share a few acted heads, some of them rearrangements of one
+    another, with varied tails in the partial mode, over a denominator."""
+    degrees = FOLD_SPACES[variant, killing]
+    sp = GradedSpace(tuple(f"x{i}" for i in range(len(degrees))), degrees)
+    mode = draw(st.sampled_from((MODE_FULL, MODE_PARTIAL)))
+    arity = draw(st.integers(1, 4))
+    acted = acted_count(mode, arity)
+    letters = st.integers(0, sp.dim - 1)
+    bases = draw(st.lists(st.lists(letters, min_size=acted, max_size=acted),
+                          min_size=1, max_size=2))
+    heads = [tuple(head) for base in bases
+             for head in draw(st.lists(st.permutations(base), min_size=1, max_size=3))]
+    tails = draw(st.lists(st.tuples(*[letters] * (arity - acted)), min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(heads), st.sampled_from(tails), letters,
+                                    st.integers(-3, 3)), min_size=1, max_size=24))
+    terms = [(head + tail, out, c) for head, tail, out, c in terms]
+    return sp, arity, terms, draw(st.sampled_from((1, 6))), mode
+
+
+def _ordered(table):
+    """A table's entries with the order of its words and of their letters."""
+    return [(word, list(sums.items())) for word, sums in table.items()]
+
+
+@pytest.mark.parametrize("variant", (RHO1, RHO2))
+@pytest.mark.parametrize("killing", (False, True))
+@settings(max_examples=60)
+@given(st.data())
+def test_fold_per_head_matches_the_per_word_fold(variant, killing, data):
+    # the move memoized per acted head gives the table of the move
+    # memoized per word, in the same order, over the same denominator
+    sp, arity, terms, den, mode = data.draw(head_streams(variant, killing))
+    fast = fold(sp, arity, 0, iter(terms), den, variant, mode)
+    slow = fold_by_words(sp, arity, 0, iter(terms), den, variant, mode)
+    assert _ordered(fast.table) == _ordered(slow.table)
+    assert (fast.denominator, fast.acted) == (slow.denominator, slow.acted)
+
+
+def test_fold_sorts_each_distinct_acted_head_once(monkeypatch):
+    # one signed_sort per distinct acted head per fold call, however many
+    # words, tails and runs share it
+    sorted_heads = []
+    real_sort = permutations.signed_sort
+
+    def counting_sort(letters, odd, rho2):
+        sorted_heads.append(tuple(letters))
+        return real_sort(letters, odd, rho2)
+
+    monkeypatch.setattr(permutations, "signed_sort", counting_sort)
+    rng = random.Random("fold-sorts")
+    shared = 0
+    for (variant, killing), mode, arity in itertools.product(
+            FOLD_SPACES, (MODE_FULL, MODE_PARTIAL), (2, 3, 4)):
+        sp = GradedSpace(("x0", "x1", "x2"), FOLD_SPACES[variant, killing])
+        acted = acted_count(mode, arity)
+        words = [tuple(rng.randrange(3) for _ in range(arity)) for _ in range(12)]
+        words += [word[:acted] + tuple(rng.randrange(3) for _ in word[acted:])
+                  for word in words]
+        terms = [(word, rng.randrange(3), rng.choice((-2, 1, 3)))
+                 for word in rng.sample(words, len(words)) for _ in range(2)]
+        sorted_heads.clear()
+        fold(sp, arity, 0, iter(terms), 1, variant, mode)
+        heads = [word[:acted] for word, _, _ in terms]
+        assert sorted_heads == list(dict.fromkeys(heads)), (variant, killing, mode, arity)
+        shared += len(set(heads)) < len({word for word, _, _ in terms})
+    assert shared >= 10, shared
+
+
+def test_expand_reduces_on_the_representatives():
+    # expand divides the representatives' numerators and the denominator
+    # by their gcd before writing the arrangements: the operation of the
+    # unreduced expansion reduced whole, entry for entry and in order, and
+    # one value dict per orbit and sign
+    rng = random.Random("expand-gcd")
+    reduced = 0
+    for pattern, variant, mode, arity in itertools.product(
+            sorted(DEGREE_PATTERNS), (RHO1, RHO2), (MODE_FULL, MODE_PARTIAL), (1, 2, 3, 4)):
+        sp = pattern_space(pattern)
+        for g, den in ((2, 4), (3, 6), (6, 12), (5, 7)):
+            terms = [(tuple(rng.randrange(sp.dim) for _ in range(arity)), rng.randrange(sp.dim),
+                      g * rng.choice((-2, -1, 1, 3))) for _ in range(10)]
+            folded = fold(sp, arity, 0, iter(terms), den, variant, mode)
+            fast, slow = expand(folded), expand_unreduced(folded)
+            assert _ordered(fast.numerators) == _ordered(slow.numerators), (pattern, mode, g)
+            assert fast.denominator == slow.denominator
+            reduced += fast.denominator < den
+            assert len({id(sums) for sums in fast.numerators.values()}) <= 2 * len(folded.table)
+    assert reduced >= 100, reduced
 
 
 def test_compose_insert_matches_fraction_definition():

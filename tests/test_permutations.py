@@ -267,8 +267,11 @@ def test_generator_check_equals_exhaustive():
 
 def symmetry_cases(rng, sp, n, variant):
     """Random operations without symmetry, symmetric in the first two slots
-    only, with full or partial symmetry under either action, and with full
-    symmetry broken at one word."""
+    only, with full or partial symmetry under either action, with full
+    symmetry broken at one word, with one word of a transposed pair removed
+    (once the word whose swapped letters are in order, once its partner),
+    and with a word whose first two letters repeat one that the swap acts
+    on by -1."""
     raw = Operation(sp, n, 0, random_table(rng, sp, n, 0.5))
     yield raw
     if n >= 2:
@@ -280,6 +283,20 @@ def symmetry_cases(rng, sp, n, variant):
     table = dict(symmetric.table)
     table[word] = symmetric.evaluate(word) + LinearCombination({0: 1})
     yield Operation(sp, n, 0, table)
+    # the first transposition sees a stored word without its stored partner
+    ordered = [word for word in symmetric.table if n >= 2 and word[0] < word[1]]
+    if ordered:
+        word = rng.choice(ordered)
+        for removed in (word, (word[1], word[0]) + word[2:]):
+            yield Operation(sp, n, 0, {w: combo for w, combo in symmetric.table.items()
+                                       if w != removed})
+    killing = [x for x, odd in enumerate(sp.parities) if odd != (variant == RHO2)]
+    if n >= 2 and killing:
+        x = rng.choice(killing)
+        word = (x, x) + tuple(rng.randrange(sp.dim) for _ in range(n - 2))
+        table = dict(symmetric.table)
+        table[word] = LinearCombination({0: 1})
+        yield Operation(sp, n, 0, table)
 
 
 def test_arrangement_count_bounds_what_the_kernel_writes():

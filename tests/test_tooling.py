@@ -518,7 +518,7 @@ def test_one_orbit_expansion():
                            and node.func.attr == "arrangements")]
     assert sorted(sites) == ["coalgebra.py:_orbit_sum", "permutations.py:_unshuffles_cached",
                              "permutations.py:expand"]
-    # the fold applies |Stab| once per distinct word and keeps orbit values,
+    # the fold applies |Stab| once per distinct acted head and keeps orbit values,
     # so nothing that reads a Folded sum counts a stabilizer again
     tree = ast.parse((SRC / "permutations.py").read_text(encoding="utf-8"))
     readers = [node for node in tree.body if getattr(node, "name", None) in ("Folded", "expand")]
