@@ -1,7 +1,11 @@
 """Weight-truncated cofree coalgebras on a graded space and their coderivations.
 
-A basis word of weight k is a tuple of k basis indices, the rho1 orbit
-representative that the kind's symmetrization (`SYMMETRIZATION`) picks:
+Each coalgebra is the cofree coalgebra of one kind of the paper's
+dictionary (`equations.KINDS`: tensor for assoc, perm for pre-Lie, wedge
+for Lie), and `TENSOR`, `WEDGE` and `PERM` are that table's names.  A
+basis word of weight k is a tuple of k basis indices, the rho1 orbit
+representative that the kind's symmetrization (`SYMMETRIZATION`, the mode
+the table gives the coalgebra's kind) picks:
 
 * tensor:  no symmetrization; every word is its own representative;
 * wedge:   mode full; the word is sorted (the sorting sign normalized
@@ -26,19 +30,17 @@ from math import comb, factorial, lcm
 from operator import itemgetter
 from typing import Iterator, Mapping
 
+from .equations import COMMUTATORS, KINDS, PERM, TENSOR, WEDGE
 from .errors import ArityError, ConventionError, KindError
 from .graded import (HAT, GradedSpace, LinearCombination, Operation, OperationFamily,
                      check_homogeneous, over, sum_by_key, table_from_terms)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO1, Folded, _unshuffles_cached, acted_count,
+from .permutations import (MODE_SHUFFLE, RHO1, Folded, _unshuffles_cached, acted_count,
                            arrangements, koszul_sign, require_symmetry, signed_sort,
                            stabilizer_order)
 
-TENSOR = "tensor"
-WEDGE = "wedge"
-PERM = "perm"
-
-# the symmetrization whose rho1 orbit representatives are a kind's words
-SYMMETRIZATION = {TENSOR: None, WEDGE: MODE_FULL, PERM: MODE_PARTIAL}
+# the symmetrization whose rho1 orbit representatives are a coalgebra's
+# words: the mode of the kind whose coalgebra it is
+SYMMETRIZATION = {kind.coalgebra: kind.mode for kind in KINDS.values()}
 
 
 def wedge_normalize(space: GradedSpace, letters) -> tuple:
@@ -207,26 +209,28 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
 
 def coalgebra_map(name: str, space: GradedSpace, word) -> LinearCombination:
     """The maps alpha (wedge -> tensor), beta (wedge -> perm) and gamma
-    (perm -> tensor).
+    (perm -> tensor): each commutator's map goes from its target kind's
+    coalgebra to its source kind's (`equations.COMMUTATORS`).
 
     alpha sums eps(sigma) (x_s(1), ..., x_s(n)) over all of S_n, and gamma
-    does the same to the head of (x_1 ... x_{n-1} | t) with t fixed.
-    Both are computed per orbit: every distinct rearrangement of the word
-    (or head) appears |Stab| times with the Koszul sign that relates it to
-    the word, and the sum is zero when a repeated odd letter makes the
-    stabilizer act by -1.  beta is the sum over the (n-1, 1)-unshuffles
-    sigma of eps(sigma) (x_s(1) ... x_s(n-1) | x_s(n)): the wedge coproduct
-    terms of left weight n - 1, the right factor's letter as the tail.
-    Every map has integer coefficients, and the combination holds ints.
+    does the same to the head of (x_1 ... x_{n-1} | t) with t fixed: both
+    sum over the slots their mode acts on, and are computed per orbit:
+    every distinct rearrangement of those slots appears |Stab| times with
+    the Koszul sign that relates it to the word, and the sum is zero when a
+    repeated odd letter makes the stabilizer act by -1.  beta is the sum
+    over the (n-1, 1)-unshuffles sigma of eps(sigma) (x_s(1) ... x_s(n-1) |
+    x_s(n)): the wedge coproduct terms of left weight n - 1, the right
+    factor's letter as the tail.  Every map has integer coefficients, and
+    the combination holds ints.
     """
-    if name == "alpha":
-        return _orbit_sum(space, word, ())
-    if name == "beta":
+    if name not in COMMUTATORS:
+        raise KindError(f"unknown coalgebra map {name!r}")
+    mode = COMMUTATORS[name].mode
+    if mode == MODE_SHUFFLE:
         return LinearCombination((left + right, eps) for (left, right), eps
                                  in coproduct_terms(WEDGE, space, word, len(word) - 1))
-    if name == "gamma":
-        return _orbit_sum(space, word[:-1], word[-1:])
-    raise KindError(f"unknown coalgebra map {name!r}")
+    acted = acted_count(mode, len(word))
+    return _orbit_sum(space, word[:acted], word[acted:])
 
 
 def _orbit_sum(space: GradedSpace, letters, tail: tuple) -> LinearCombination:

@@ -19,6 +19,10 @@ structure constants of a family of operations.  Coefficients travel as
       ]
     }
 
+The declared types are the kinds' types in the paper's dictionary,
+`equations.KINDS`: a homotopy type (`a_infinity`, `pl_infinity`,
+`l_infinity`) and an n-ary type per kind (`NARY_TYPES`).
+
 `parse_document` is the one reader, and it validates as it reads: every
 defect raises a `DocumentError` located at its JSON path, such as
 `operations[0].entries[3].output[1].coeff`.  A missing field or a value that
@@ -50,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .equations import KINDS
 from .errors import DocumentError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, family_degree,
                      sum_by_key)
@@ -63,9 +68,10 @@ FORMAT = "hopla-algebra/1"
 # arity 32 already has 2^32 table words on two letters.
 MAX_ARITY = 32
 
-# the declared types of an n-ary document, each with its arity n
-NARY_TYPES = ("assoc_n", "prelie_n", "lie_n")
-DECLARED_TYPES = ("a_infinity", "pl_infinity", "l_infinity", *NARY_TYPES)
+# the declared types of an n-ary document, each with its arity n, and every
+# declared type: the kinds' types in `equations.KINDS`
+NARY_TYPES = tuple(kind.types[1] for kind in KINDS.values())
+DECLARED_TYPES = (*(kind.types[0] for kind in KINDS.values()), *NARY_TYPES)
 
 def parse_rational(text, path: str = "") -> Fraction:
     if not isinstance(text, str):

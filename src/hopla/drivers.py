@@ -13,23 +13,24 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .coalgebra import (PERM, TENSOR, WEDGE, block_count, check_coderivation,
-                        extend_coderivation, square_cogenerator_fold, word_count)
+from .coalgebra import (PERM, SYMMETRIZATION, TENSOR, WEDGE, block_count,
+                        check_coderivation, extend_coderivation, square_cogenerator_fold,
+                        word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational, require_nary
-from .equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
+from .equations import (ASSOC, COMMUTATORS, KINDS, PARTIALLY_ASSOCIATIVE, EquationFlavor,
                         require_collapsible, require_parity, residual, residual_insertions)
 from .errors import ConventionError, DocumentError, SymmetryError
-from .functors import (COMMUTATOR_MODES, commutator, desuspend_family, nary_embed,
-                       suspend_family)
+from .functors import commutator, desuspend_family, nary_embed, suspend_family
 from .graded import (HAT, UNHAT, GradedSpace, OperationFamily, family_degree,
                      insertion_term_count)
-from .permutations import (MODE_PARTIAL, MODE_SHUFFLE, RHO2, action_variant,
+from .permutations import (MODE_PARTIAL, MODE_SHUFFLE, RHO2, Folded, action_variant,
                            arrangement_count, precompose_symmetrized, require_symmetry,
                            symmetry_walk)
 from . import verify
 from .samples import dual_numbers, nilpotent_dga, upper_corner
 
-EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_infinity"}
+# the homotopy type of a kind's n-ary type: what its embedding declares
+EMBED_TYPE = {nary: homotopy for homotopy, nary in (kind.types for kind in KINDS.values())}
 
 # each commutator functor is `functors.commutator` under one name, applied to
 # the document's family; an n-ary document is the one-operation family of its
@@ -37,16 +38,6 @@ EMBED_TYPE = {"assoc_n": "a_infinity", "prelie_n": "pl_infinity", "lie_n": "l_in
 COMMUTATOR_FUNCTORS = {"commutator-alpha": "alpha", "commutator-beta": "beta",
                        "commutator-gamma": "gamma", "nary-commutator-prelie": "gamma",
                        "nary-commutator-lie": "beta"}
-# the input symmetry each commutator's theorem assumes, checked before it runs
-COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}
-# the type a commutator's image declares, by the declared type and the
-# commutator; an n-ary image keeps the arity n
-COMMUTATOR_IMAGE_TYPES = {("a_infinity", "gamma"): "pl_infinity",
-                          ("a_infinity", "alpha"): "l_infinity",
-                          ("pl_infinity", "beta"): "l_infinity",
-                          ("assoc_n", "gamma"): "prelie_n",
-                          ("assoc_n", "alpha"): "lie_n",
-                          ("prelie_n", "beta"): "lie_n"}
 
 # `coderive`'s law line cuts every canonical wedge or Perm word up to the weight cap per
 # arity; the tensor components insert each entry of mu_a at weight k (k - a + 1) dim^(k - a)
@@ -104,6 +95,14 @@ class Report:
 
     def add(self, name, passed, witness=None, detail=""):
         self.checks.append(CheckResult(name, bool(passed), witness, detail))
+
+    def add_fold(self, name: str, folded: Folded) -> bool:
+        """The line of a `Folded` sum: it passes when the sum vanishes, and
+        its witness is the sum's first nonzero entry.  Returns the verdict."""
+        passed = folded.vanishes()
+        self.add(name, passed, witness=_residual_witness(folded.space,
+                                                         folded.first_nonzero_entry()))
+        return passed
 
     @property
     def passed(self) -> bool:
@@ -169,7 +168,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     witnesses are read off the folded residuals; nothing is expanded.
     """
     t0 = time.monotonic()
-    if kind not in (ASSOC, PRELIE, LIE):
+    if kind not in KINDS:
         raise DocumentError(f"unknown flavor {kind!r}")
     if max_arity is not None and not 1 <= max_arity <= MAX_ARITY:
         raise DocumentError(f"the maximum arity must be at least 1 and at most {MAX_ARITY}, "
@@ -207,9 +206,8 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
             residual_insertions(family, flavor, n, tables) for n in arities))
         _require_work(terms, MAX_CHECK_TERMS, f"{what} streams {terms:,} insertion terms")
         for n in arities:
-            res = residual(family, flavor, n, check_symmetry=False, tables=tables)
-            report.add(f"{line} at arity {n}", res.vanishes(),
-                       witness=_residual_witness(family.space, res.first_nonzero_entry()))
+            report.add_fold(f"{line} at arity {n}",
+                            residual(family, flavor, n, check_symmetry=False, tables=tables))
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -227,8 +225,10 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
     """Apply one functor and return the derived document (entries sorted on
     serialization).  The five commutator functors take one path:
     `functors.commutator` under the name COMMUTATOR_FUNCTORS gives, on the
-    document's family, and the image declares the type that
-    COMMUTATOR_IMAGE_TYPES gives for the document's type, or none.
+    document's family, after the symmetry of the commutator's source kind
+    (`equations.COMMUTATORS`, `equations.KINDS`) is checked; a document
+    declaring a type of the source kind gives an image declaring the target
+    kind's type of the same family (homotopy or n-ary), any other none.
     Convention and type mismatches raise a DocumentError at the
     field they refuse, and so does a symmetrizing functor that would write
     more than MAX_DERIVE_ENTRIES entries, before it starts; violated
@@ -256,16 +256,17 @@ def run_derive(doc: AlgebraDocument, functor: str, n: int | None = None,
         if functor.startswith("nary-") and declared_n is None:
             raise DocumentError("n-ary commutators require a declared n-ary type",
                                 "declared_type")
-        variant, mode = action_variant(family.convention), COMMUTATOR_MODES[name]
+        (source, target, mode), variant = COMMUTATORS[name], action_variant(family.convention)
         if check_preconditions:
-            require_symmetry(family.ops, variant, COMMUTATOR_PRECONDITIONS.get(name), functor)
+            require_symmetry(family.ops, variant, KINDS[source].mode, functor)
         if mode != MODE_SHUFFLE:
             entries = sum(arrangement_count(op, variant, mode) for op in family.ops.values())
             _require_work(entries, MAX_DERIVE_ENTRIES,
                           f"{functor} would write up to {entries:,} entries")
-        image_type = COMMUTATOR_IMAGE_TYPES.get((declared[0], name)) if declared else None
-        return AlgebraDocument(commutator(family, name),
-                               (image_type, declared[1]) if image_type else None)
+        # a source of the commutator's source kind gives an image of the target
+        # kind's type, homotopy or n-ary as the source is, keeping n
+        image = dict(zip(KINDS[source].types, KINDS[target].types)).get(declared and declared[0])
+        return AlgebraDocument(commutator(family, name), image and (image, declared[1]))
 
     if functor == "nary-embed":
         n_value = n if n is not None else declared_n
@@ -298,7 +299,7 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     `block_count`), raises a DocumentError before any work starts, and so
     does an operation that is not homogeneous, at `operations`."""
     t0 = time.monotonic()
-    if kind not in (TENSOR, WEDGE, PERM):
+    if kind not in SYMMETRIZATION:
         raise DocumentError(f"unknown coalgebra kind {kind!r}")
     if not 1 <= weight_cap <= MAX_ARITY:
         raise DocumentError(f"the weight cap must lie in 1..{MAX_ARITY}, got {weight_cap}")
@@ -325,11 +326,8 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
         report.add("coderivation law up to the cap", check_coderivation(D))
     square_zero = True
     for n in range(1, weight_cap + 1):
-        square = square_cogenerator_fold(D, n)
-        ok = square.vanishes()
-        square_zero = square_zero and ok
-        report.add(f"squared coderivation, cogenerator component at weight {n}", ok,
-                   witness=_residual_witness(family.space, square.first_nonzero_entry()))
+        square_zero &= report.add_fold(f"squared coderivation, cogenerator component at "
+                                       f"weight {n}", square_cogenerator_fold(D, n))
     # extend_coderivation refuses operations that are not homogeneous of
     # degree -1, so D is an odd coderivation; D o D = [D, D]/2 is then one
     # too and vanishes up to the cap exactly when its cogenerator components

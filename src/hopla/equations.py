@@ -15,6 +15,15 @@ flavor; the factorials are 1/((i-1)! acted_count(mode, j)!) under a mode:
     prelie / unhat  c = (-1)^(j(i-m-1)+m)/((i-1)!(j-1)!)    P = rho2 summed over S_{n-1} on the first n-1 slots
     lie / unhat     c = (-1)^(j(i-m-1)+m)/((i-1)!j!)        P = rho2 summed over S_n
 
+The lie rows are not yet Lada-Markl's sum: that needs 1/(i!j!), so where
+only one pair (i, j) meets at an arity a lie witness value is i times too
+large, and where pairs with different i meet a lie verdict can be wrong
+(ROADMAP item 1; `coderive --kind wedge` is the independent route).
+
+Each kind's mode, its cofree coalgebra and its declared types, and each
+commutator's source kind, target kind and mode, are the paper's
+dictionary, written once in the tables `KINDS` and `COMMUTATORS` below.
+
 A family satisfies the corresponding axioms iff all residuals vanish.  The
 prelie and lie residuals are computed in a collapsed form (below) that is
 this sum only if every output of each mu_k has the parity of its inputs
@@ -69,6 +78,7 @@ residuals are exact, there is no tolerance anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -78,18 +88,36 @@ from math import factorial, lcm
 from .errors import ArityError, ConventionError, LemmaViolationError
 from .graded import (HAT, UNHAT, GradedSpace, Operation, OperationFamily, insertion_terms,
                      table_from_terms)
-from .permutations import (MODE_FULL, MODE_PARTIAL, RHO2, Folded, acted_count, action_variant,
-                           block_representatives, expand, fold, killing_letters,
-                           require_symmetry)
+from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO2, Folded, acted_count,
+                           action_variant, block_representatives, expand, fold,
+                           killing_letters, require_symmetry)
 
 ASSOC = "assoc"
 PRELIE = "prelie"
 LIE = "lie"
 
-KINDS = (ASSOC, PRELIE, LIE)
+TENSOR = "tensor"
+WEDGE = "wedge"
+PERM = "perm"
 
-# the symmetrization P per kind; the associative kinds have none
-SYMMETRIZATION = {PRELIE: MODE_PARTIAL, LIE: MODE_FULL}
+# a kind's row: the symmetrization P of its residual (None, partial or full),
+# the cofree coalgebra whose square-zero degree -1 coderivations are its
+# homotopy structures, and the declared types of its documents, (homotopy, n-ary)
+Kind = namedtuple("Kind", "mode coalgebra types")
+# a commutator's row: the kind it takes, the kind it gives and the
+# symmetrization it sums over
+Commutator = namedtuple("Commutator", "source target mode")
+
+# The paper's dictionary, written once: A-infinity => PL-infinity =>
+# L-infinity and partially associative n => pre-Lie n => n-Lie admissible.
+# Every other reading of a kind's mode, coalgebra or types, and of a
+# commutator's kinds or sum, reads these two tables.
+KINDS = {ASSOC: Kind(None, TENSOR, ("a_infinity", "assoc_n")),
+         PRELIE: Kind(MODE_PARTIAL, PERM, ("pl_infinity", "prelie_n")),
+         LIE: Kind(MODE_FULL, WEDGE, ("l_infinity", "lie_n"))}
+COMMUTATORS = {"alpha": Commutator(ASSOC, LIE, MODE_FULL),
+               "beta": Commutator(PRELIE, LIE, MODE_SHUFFLE),
+               "gamma": Commutator(ASSOC, PRELIE, MODE_PARTIAL)}
 
 
 @dataclass(frozen=True)
@@ -99,7 +127,7 @@ class EquationFlavor:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.convention not in (HAT, UNHAT):
             raise ValueError(f"convention must be 'hat' or 'unhat', got {self.convention!r}")
 
@@ -109,7 +137,7 @@ class EquationFlavor:
 
     @property
     def mode(self) -> str | None:
-        return SYMMETRIZATION.get(self.kind)
+        return KINDS[self.kind].mode
 
 
 def _coefficient(flavor: EquationFlavor, i: int, j: int, m: int) -> Fraction:

@@ -12,24 +12,25 @@ belongs to the bijection and is applied in both directions, so the round
 trip is the identity.  Both directions are one shift of the degrees, by +1
 to suspend and by -1 to desuspend.
 
-The commutators are (partial) symmetrizations applied arity-wise:
-alpha sums over the whole symmetric group, beta over the (n-1,1)-unshuffles,
-gamma over the group of the first n-1 slots; hat families symmetrize with
-the Koszul action, unhat families with the signed Koszul action.  They send
-homotopy associative structures to homotopy pre-Lie ones (gamma), homotopy
-pre-Lie to homotopy Lie (beta), and homotopy associative to homotopy Lie
-(alpha), with gamma then beta matching alpha term by term.  An n-ary
+The commutators are (partial) symmetrizations applied arity-wise, each
+over the mode `equations.COMMUTATORS` gives it: alpha sums over the whole
+symmetric group, beta over the (n-1,1)-unshuffles, gamma over the group of
+the first n-1 slots; hat families symmetrize with the Koszul action, unhat
+families with the signed Koszul action.  They send a structure of the
+commutator's source kind to one of its target kind: homotopy associative
+to homotopy pre-Lie (gamma), homotopy pre-Lie to homotopy Lie (beta), and
+homotopy associative to homotopy Lie (alpha), with gamma then beta
+matching alpha term by term.  An n-ary
 operation mu is the one-operation family `nary_family(mu)`, so its pre-Lie
 and Lie commutators are gamma and beta of that family.
 """
 
 from __future__ import annotations
 
-from .equations import nary_family
+from .equations import COMMUTATORS, nary_family
 from .errors import ConventionError
 from .graded import HAT, UNHAT, GradedSpace, Operation, OperationFamily
-from .permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, action_variant,
-                           precompose_symmetrized)
+from .permutations import action_variant, precompose_symmetrized
 
 
 def _shifted(space: GradedSpace, by: int) -> GradedSpace:
@@ -86,19 +87,17 @@ def suspend_operation(op: Operation) -> Operation:
     return _shift_operation(op, 1)
 
 
-COMMUTATOR_MODES = {"alpha": MODE_FULL, "beta": MODE_SHUFFLE, "gamma": MODE_PARTIAL}
-
-
 def commutator(family: OperationFamily, name: str) -> OperationFamily:
-    """Apply one of the three symmetrization functors arity-wise.
+    """Apply one of the three symmetrization functors arity-wise, summing
+    over its mode in `equations.COMMUTATORS`.
 
     No precondition is verified here (the theorems are of the form "if the
     input satisfies X the output satisfies Y"); the CLI layer checks input
     symmetry by default.
     """
-    if name not in COMMUTATOR_MODES:
-        raise ValueError(f"commutator name must be one of {sorted(COMMUTATOR_MODES)}")
-    mode = COMMUTATOR_MODES[name]
+    if name not in COMMUTATORS:
+        raise ValueError(f"commutator name must be one of {sorted(COMMUTATORS)}")
+    mode = COMMUTATORS[name].mode
     variant = action_variant(family.convention)
     ops = {n: precompose_symmetrized(op, variant, mode)
            for n, op in family.ops.items()}

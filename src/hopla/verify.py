@@ -11,11 +11,10 @@ import itertools
 import random
 from math import factorial
 
-from .coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map,
-                        coalgebra_words, comultiply, extend_coderivation,
-                        project_pi, square_cogenerator_component)
-from .equations import (ASSOC, LIE, PRELIE, EquationFlavor, circle_bracket,
-                        circle_product, nary_residual, residual)
+from .coalgebra import (PERM, WEDGE, coalgebra_map, coalgebra_words, comultiply,
+                        extend_coderivation, project_pi, square_cogenerator_component)
+from .equations import (ASSOC, COMMUTATORS, KINDS, LIE, PRELIE, EquationFlavor,
+                        circle_bracket, circle_product, nary_residual, residual)
 from .functors import commutator, suspend_family, suspend_operation
 from .graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                      OperationFamily)
@@ -75,58 +74,62 @@ def _comultiply_element(kind, space, combo: LinearCombination) -> LinearCombinat
                              for pair, cc in comultiply(kind, space, word))
 
 
+def _first_failing_word(kind: str, space: GradedSpace, cap: int, fails):
+    """The first canonical `kind` word of weight 1..cap on which `fails`
+    holds, in weight and then `coalgebra_words` order, or None."""
+    return next((word for k in range(1, cap + 1) for word in coalgebra_words(kind, space, k)
+                 if fails(word)), None)
+
+
 def coassociativity_witness(kind: str, space: GradedSpace, cap: int):
     """(Delta (x) Id) Delta = (Id (x) Delta) Delta on canonical words."""
-    for k in range(1, cap + 1):
-        for word in coalgebra_words(kind, space, k):
-            coproduct = comultiply(kind, space, word)
-            left = LinearCombination(((a1, a2, b), c * cc) for (a, b), c in coproduct
-                                     for (a1, a2), cc in comultiply(kind, space, a))
-            right = LinearCombination(((a, b1, b2), c * cc) for (a, b), c in coproduct
-                                      for (b1, b2), cc in comultiply(kind, space, b))
-            if left != right:
-                return word
-    return None
+    def fails(word):
+        coproduct = comultiply(kind, space, word)
+        left = LinearCombination(((a1, a2, b), c * cc) for (a, b), c in coproduct
+                                 for (a1, a2), cc in comultiply(kind, space, a))
+        right = LinearCombination(((a, b1, b2), c * cc) for (a, b), c in coproduct
+                                  for (b1, b2), cc in comultiply(kind, space, b))
+        return left != right
+
+    return _first_failing_word(kind, space, cap, fails)
 
 
 def coalgebra_map_law_witness(name: str, space: GradedSpace, cap: int):
-    """Delta o m = (m (x) m) o Delta for m in {alpha, beta, gamma}."""
-    domain = WEDGE if name in ("alpha", "beta") else PERM
-    codomain = TENSOR if name in ("alpha", "gamma") else PERM
-    for k in range(1, cap + 1):
-        for word in coalgebra_words(domain, space, k):
-            lhs = _comultiply_element(codomain, space, coalgebra_map(name, space, word))
-            rhs = LinearCombination(((wa, wb), c * ca * cb)
-                                    for (a, b), c in comultiply(domain, space, word)
-                                    for wa, ca in coalgebra_map(name, space, a)
-                                    for wb, cb in coalgebra_map(name, space, b))
-            if lhs != rhs:
-                return word
-    return None
+    """Delta o m = (m (x) m) o Delta for m in {alpha, beta, gamma}, a map
+    from the coalgebra of the commutator's target kind to that of its
+    source kind (`equations.COMMUTATORS`)."""
+    source, target, _ = COMMUTATORS[name]
+    domain, codomain = KINDS[target].coalgebra, KINDS[source].coalgebra
+
+    def fails(word):
+        lhs = _comultiply_element(codomain, space, coalgebra_map(name, space, word))
+        rhs = LinearCombination(((wa, wb), c * ca * cb)
+                                for (a, b), c in comultiply(domain, space, word)
+                                for wa, ca in coalgebra_map(name, space, a)
+                                for wb, cb in coalgebra_map(name, space, b))
+        return lhs != rhs
+
+    return _first_failing_word(domain, space, cap, fails)
 
 
 def factorization_witness(space: GradedSpace, cap: int):
     """gamma o beta = alpha on wedge words."""
-    for k in range(1, cap + 1):
-        for word in coalgebra_words(WEDGE, space, k):
-            via = LinearCombination((w, c * cc)
-                                    for pair, c in coalgebra_map("beta", space, word)
-                                    for w, cc in coalgebra_map("gamma", space, pair))
-            if via != coalgebra_map("alpha", space, word):
-                return word
-    return None
+    def fails(word):
+        via = LinearCombination((w, c * cc) for pair, c in coalgebra_map("beta", space, word)
+                                for w, cc in coalgebra_map("gamma", space, pair))
+        return via != coalgebra_map("alpha", space, word)
+
+    return _first_failing_word(WEDGE, space, cap, fails)
 
 
 def section_witness(space: GradedSpace, cap: int):
     """pi o alpha = identity on wedge words."""
-    for k in range(1, cap + 1):
-        for word in coalgebra_words(WEDGE, space, k):
-            image = LinearCombination((key, c * cc)
-                                      for w, c in coalgebra_map("alpha", space, word)
-                                      for key, cc in project_pi(space, w))
-            if image != LinearCombination({word: 1}):
-                return word
-    return None
+    def fails(word):
+        image = LinearCombination((key, c * cc) for w, c in coalgebra_map("alpha", space, word)
+                                  for key, cc in project_pi(space, w))
+        return image != LinearCombination({word: 1})
+
+    return _first_failing_word(WEDGE, space, cap, fails)
 
 
 # ---------------------------------------------------------------------------
@@ -152,34 +155,37 @@ def coderivation_correspondence_witness(unhat_family: OperationFamily, n_max: in
                 return (n, "squared-coderivation component differs from the residual")
             if not hat_res.is_zero():
                 all_vanish = False
-    square_zero = all(D.square_word(w).is_zero() for k in range(1, cap + 1)
-                      for w in coalgebra_words(PERM, D.space, k))
+    square_zero = _first_failing_word(PERM, D.space, cap,
+                                      lambda w: not D.square_word(w).is_zero()) is None
     if square_zero != all_vanish:
         return (0, "square-zero disagrees with residual vanishing")
     return None
 
 
+def _first_failing_arity(family: OperationFamily, kind: str, n_max: int):
+    """The first arity 1..n_max at which the family's `kind` residual, in its
+    own convention, does not vanish, or None."""
+    flavor = EquationFlavor(kind, family.convention)
+    return next((n for n in range(1, n_max + 1) if not residual(family, flavor, n).vanishes()),
+                None)
+
+
 def commutator_pipeline_witness(family: OperationFamily, n_max: int):
     """From an associative-type family: gamma lands in pre-Lie, beta after
     gamma lands in Lie, and beta o gamma equals alpha arity by arity."""
-    conv = family.convention
-    for n in range(1, n_max + 1):
-        if not residual(family, EquationFlavor(ASSOC, conv), n).vanishes():
-            return (n, "input family is not associative-type")
+    if (n := _first_failing_arity(family, ASSOC, n_max)) is not None:
+        return (n, "input family is not associative-type")
     g = commutator(family, "gamma")
-    for n in range(1, n_max + 1):
-        if not residual(g, EquationFlavor(PRELIE, conv), n).vanishes():
-            return (n, "gamma image fails the pre-Lie residual")
+    if (n := _first_failing_arity(g, PRELIE, n_max)) is not None:
+        return (n, "gamma image fails the pre-Lie residual")
     b = commutator(g, "beta")
-    for n in range(1, n_max + 1):
-        if not residual(b, EquationFlavor(LIE, conv), n).vanishes():
-            return (n, "beta image fails the Lie residual")
+    if (n := _first_failing_arity(b, LIE, n_max)) is not None:
+        return (n, "beta image fails the Lie residual")
     a = commutator(family, "alpha")
     if b != a:
         return (0, "beta o gamma differs from alpha")
-    for n in range(1, n_max + 1):
-        if not residual(a, EquationFlavor(LIE, conv), n).vanishes():
-            return (n, "alpha image fails the Lie residual")
+    if (n := _first_failing_arity(a, LIE, n_max)) is not None:
+        return (n, "alpha image fails the Lie residual")
     return None
 
 

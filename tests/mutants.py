@@ -334,8 +334,10 @@ MUTANTS = (
            '"nary-commutator-prelie": "gamma"', '"nary-commutator-prelie": "beta"',
            "the commutator that nary-commutator-prelie applies", DERIVE),
     Mutant("nary-image-type", "drivers.py",
-           '("assoc_n", "gamma"): "prelie_n"', '("assoc_n", "gamma"): "lie_n"',
-           "the n-ary type that gamma's image of an assoc_n document declares", DERIVE),
+           "dict(zip(KINDS[source].types, KINDS[target].types))",
+           "dict(zip(KINDS[source].types, KINDS[source].types))",
+           "the type a commutator's image declares, which is its target kind's, not its "
+           "source kind's", DERIVE),
     Mutant("nary-embed-rule-at-n", "drivers.py",
            "        require_nary(doc.family, n_value)",
            "        n_value not in doc.family.ops or require_nary(doc.family, n_value)",
@@ -361,24 +363,31 @@ MUTANTS = (
     Mutant("verify-unshuffle-duplicates", "verify.py",
            "if len(set(found)) != len(found):", "if False:",
            "the unshuffle partition's check for a repeated unshuffle", VERIFY),
+    Mutant("verify-word-walk", "verify.py",
+           "range(1, cap + 1) for word in coalgebra_words(kind, space, k)",
+           "range(1, cap) for word in coalgebra_words(kind, space, k)",
+           "the one word walk of the coalgebra witnesses stopping one weight short of the cap",
+           VERIFY),
     Mutant("verify-coassociativity-walk", "verify.py",
-           "    for k in range(1, cap + 1):\n"
-           "        for word in coalgebra_words(kind, space, k):\n            coproduct",
-           "    for k in range(1, cap):\n"
-           "        for word in coalgebra_words(kind, space, k):\n            coproduct",
+           "    return _first_failing_word(kind, space, cap, fails)",
+           "    return _first_failing_word(kind, space, cap - 1, fails)",
            "the coassociativity walk stopping one weight short of the cap", VERIFY),
     Mutant("verify-map-law-compare", "verify.py",
-           "            if lhs != rhs:\n                return word",
-           "            if lhs != lhs:\n                return word",
+           "        return lhs != rhs\n", "        return lhs != lhs\n",
            "the coalgebra-map law comparing Delta o m with itself", VERIFY),
+    Mutant("verify-map-law-domain", "verify.py",
+           "domain, codomain = KINDS[target].coalgebra, KINDS[source].coalgebra",
+           "domain, codomain = KINDS[source].coalgebra, KINDS[target].coalgebra",
+           "the coalgebra-map law walking the source kind's coalgebra, not the target's",
+           VERIFY),
     Mutant("verify-factorization-walk", "verify.py",
-           "    for k in range(1, cap + 1):\n"
-           "        for word in coalgebra_words(WEDGE, space, k):\n            via",
-           "    for k in range(1, cap):\n"
-           "        for word in coalgebra_words(WEDGE, space, k):\n            via",
+           "        return via != coalgebra_map(\"alpha\", space, word)\n\n"
+           "    return _first_failing_word(WEDGE, space, cap, fails)",
+           "        return via != coalgebra_map(\"alpha\", space, word)\n\n"
+           "    return _first_failing_word(WEDGE, space, cap - 1, fails)",
            "the gamma o beta = alpha walk stopping one weight short of the cap", VERIFY),
     Mutant("verify-section-compare", "verify.py",
-           "if image != LinearCombination({word: 1}):", "if image != image:",
+           "return image != LinearCombination({word: 1})", "return image != image",
            "pi o alpha compared with itself, not with the identity", VERIFY),
     Mutant("verify-correspondence-component", "verify.py",
            "if square_cogenerator_component(D, n) != hat_res:", "if False:",
@@ -392,9 +401,28 @@ MUTANTS = (
            "    if lhs != lhs:\n        return (f.arity",
            "the graded Jacobi identity comparing its left side with itself", VERIFY),
     Mutant("beta-precondition", "drivers.py",
-           'COMMUTATOR_PRECONDITIONS = {"beta": MODE_PARTIAL}',
-           'COMMUTATOR_PRECONDITIONS = {"gamma": MODE_PARTIAL}',
-           "which commutator derive checks for partial symmetry first", DERIVE),
+           "require_symmetry(family.ops, variant, KINDS[source].mode, functor)",
+           "require_symmetry(family.ops, variant, KINDS[target].mode, functor)",
+           "the symmetry derive checks first, which is the commutator's source kind's mode, so "
+           "only beta checks for partial symmetry", DERIVE),
+    Mutant("dictionary-coalgebras", "equations.py",
+           "PRELIE: Kind(MODE_PARTIAL, PERM, (\"pl_infinity\", \"prelie_n\")),\n"
+           "         LIE: Kind(MODE_FULL, WEDGE,",
+           "PRELIE: Kind(MODE_PARTIAL, WEDGE, (\"pl_infinity\", \"prelie_n\")),\n"
+           "         LIE: Kind(MODE_FULL, PERM,",
+           "the dictionary's coalgebras of the pre-Lie and Lie kinds swapped, perm for wedge",
+           COALGEBRA),
+    Mutant("dictionary-nary-types", "equations.py",
+           "(\"pl_infinity\", \"prelie_n\")),\n         LIE: Kind(MODE_FULL, WEDGE, "
+           "(\"l_infinity\", \"lie_n\"))",
+           "(\"pl_infinity\", \"lie_n\")),\n         LIE: Kind(MODE_FULL, WEDGE, "
+           "(\"l_infinity\", \"prelie_n\"))",
+           "the dictionary's n-ary types of the pre-Lie and Lie kinds swapped", DERIVE),
+    Mutant("dictionary-gamma-mode", "equations.py",
+           "\"gamma\": Commutator(ASSOC, PRELIE, MODE_PARTIAL)",
+           "\"gamma\": Commutator(ASSOC, PRELIE, MODE_FULL)",
+           "gamma summing over the whole symmetric group, alpha's mode, not over the head",
+           (*FUNCTORS, *ORBIT_SUM)),
 )
 
 

@@ -1,6 +1,10 @@
 import dataclasses
+import importlib
+import importlib.util
 import itertools
 import random
+import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +23,7 @@ from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _components, blo
                              comultiply, extend_coderivation, project_pi,
                              square_cogenerator_component, wedge_normalize, word_count)
 from hopla.docio import parse_document
+from hopla.drivers import _residual_witness, run_coderive
 from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, residual
 from hopla.errors import ArityError, ConventionError, KindError, SymmetryError
 from hopla.functors import commutator, suspend_family
@@ -342,6 +347,53 @@ def test_wedge_square_equals_lie_residual():
     for n in range(1, 4):
         assert square_cogenerator_component(D, n) \
             == residual(hat, EquationFlavor(LIE, HAT), n).op, n
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file: it imports nothing of
+    hopla itself, and perfbench/run.py's loader would re-import the package
+    under the other tests."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # its dataclasses look their module up by name
+    return module
+
+
+# the hat residual flavor whose equation each coalgebra's square decides
+SQUARE_FLAVOR = {TENSOR: ASSOC, PERM: PRELIE, WEDGE: LIE}
+
+
+@pytest.mark.parametrize("kind", [TENSOR, PERM, pytest.param(WEDGE, marks=LIE_COEFFICIENT_XFAIL)])
+def test_coderive_square_lines_are_the_residual_on_the_benchmark_documents(kind, tmp_path):
+    # the two routes to one equation on the documents the coderive workload
+    # runs: each "cogenerator component at weight n" line of run_coderive
+    # has the verdict and the witness of the hat residual of the suspended
+    # family at arity n
+    workloads = _benchmark_workloads()
+    hopla = types.SimpleNamespace(**{name: importlib.import_module(f"hopla.{name}")
+                                     for name in ("cli", "coalgebra", "docio", "drivers",
+                                                  "equations", "functors", "graded",
+                                                  "permutations", "verify")})
+    flavor, compared = EquationFlavor(SQUARE_FLAVOR[kind], HAT), 0
+    for seed in (1, 5):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        for job in workloads.Inputs("coderive", seed, workdir, hopla).jobs:
+            _, path, _, job_kind, _, cap, _ = job.argv
+            if job_kind != kind:
+                continue
+            doc = parse_document(Path(path).read_bytes())
+            lines = {check.name: check for check in run_coderive(doc, kind, int(cap)).checks}
+            hat = doc.family if doc.convention == HAT else suspend_family(doc.family)
+            for n in range(1, int(cap) + 1):
+                line = lines[f"squared coderivation, cogenerator component at weight {n}"]
+                res = residual(hat, flavor, n)
+                assert (line.passed, line.witness) == (
+                    res.vanishes(), _residual_witness(hat.space, res.first_nonzero_entry())), \
+                    (seed, job.name, n)
+                compared += 1
+    assert compared > 0
 
 
 def test_perm_square_equals_prelie_residual(graded2, rng):
@@ -748,3 +800,15 @@ def test_tensor_insertions_walked_are_bounded_by_the_block_count():
             assert walked <= bound, (degrees, density, cap)
             if density == 1.0:
                 assert walked == bound, (degrees, cap)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: extend_coderivation(OperationFamily(HAT, GradedSpace(("e",), (0,)), 2), "bogus", 3),
+     "unknown coalgebra kind 'bogus'"),
+    (lambda: coalgebra_map("delta", GradedSpace(("e",), (0,)), (0, 0)),
+     "unknown coalgebra map 'delta'"),
+], ids=["extend-kind", "map-name"])
+def test_coalgebra_refusals_name_what_they_refuse(refuse, message):
+    with pytest.raises(KindError) as caught:
+        refuse()
+    assert type(caught.value) is KindError and str(caught.value) == message

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -18,8 +19,8 @@ from oracles import (failing_transposition_by_act, nary_residual_by_positions,
                      residual_insertions_by_entries)
 from hopla import cli, drivers
 from hopla.cli import main
-from hopla.docio import (MAX_ARITY, AlgebraDocument, parse_document, parse_rational,
-                         serialize_document)
+from hopla.docio import (DECLARED_TYPES, MAX_ARITY, AlgebraDocument, parse_document,
+                         parse_rational, serialize_document)
 from hopla.coalgebra import PERM, TENSOR, WEDGE, word_count
 from hopla.drivers import (COMMUTATOR_FUNCTORS, MAX_CHECK_TERMS, MAX_CODERIVE_WORK,
                            MAX_DERIVE_ENTRIES, MAX_GENERATE_WORDS, _residual_witness,
@@ -1116,6 +1117,21 @@ def test_schema_bounds_match_the_parser():
         schema = json.load(handle)["properties"]
     assert schema["max_arity"]["maximum"] == MAX_ARITY
     assert schema["declared_type"]["properties"]["n"]["maximum"] == MAX_ARITY
+    assert tuple(schema["declared_type"]["properties"]["name"]["enum"]) == DECLARED_TYPES
+
+
+def test_readme_names_every_long_option_of_every_verb():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as handle:
+        readme = handle.read()
+    (verbs,) = [action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    options = {option for verb in verbs.choices.values() for action in verb._actions
+               for option in action.option_strings if option.startswith("--")} - {"--help"}
+    assert len(options) > 10
+    missing = sorted(option for option in options
+                     if not re.search(re.escape(option) + r"(?![\w-])", readme))
+    assert missing == []
 
 
 def _unhat_words_reach(in_degrees, out_degrees, letters, arities=(2, 3)):
@@ -1504,3 +1520,18 @@ def test_nary_check_routes_through_declared_type():
     assert report.passed  # dual numbers are commutative, hence pre-Lie
     names = [c.name for c in report.checks]
     assert any("symmetry" in n for n in names)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda doc: run_check(doc, "bogus"), "unknown flavor 'bogus'"),
+    (lambda doc: drivers.run_coderive(doc, "bogus"), "unknown coalgebra kind 'bogus'"),
+    (lambda doc: generate_random(2, [0], [2], 0.5, 1, convention="bogus"),
+     "convention must be 'hat' or 'unhat', got 'bogus'"),
+    (lambda doc: generate_random(2, [0], [2], 0.5, 1, symmetrize="bogus"),
+     "symmetrize must be none, partial or full, got 'bogus'"),
+], ids=["check-flavor", "coderive-kind", "generate-convention", "generate-symmetrize"])
+def test_driver_refusals_name_what_they_refuse(refuse, message):
+    doc = generate_random(2, [0], [2], 0.5, 1)
+    with pytest.raises(DocumentError) as caught:
+        refuse(doc)
+    assert type(caught.value) is DocumentError and str(caught.value) == message

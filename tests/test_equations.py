@@ -13,7 +13,8 @@ from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE,
                              EquationFlavor, check_prelie_n_two_ways, circle_bracket,
                              circle_product, nary_family, nary_residual, residual,
                              residual_insertions)
-from hopla.errors import ConventionError, GradingError, SymmetryError
+from hopla.errors import (ArityError, ConventionError, GradingError, LemmaViolationError,
+                         SymmetryError)
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
                           OperationFamily, family_degree, insertion_term_count)
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, RHO2, action_variant,
@@ -451,3 +452,29 @@ def test_check_expands_no_orbit(monkeypatch, rng):
     # the count does see an expansion
     assert not residual(prelie.family, EquationFlavor(PRELIE, UNHAT), 3).op.is_zero()
     assert calls["arrangements"] > 0
+
+
+def _refuse_two_routes(monkeypatch):
+    # e * e = e is associative, so pre-Lie; a nonzero mu o mu contradicts it
+    mu = Operation(GradedSpace(("e",), (0,)), 2, 0, {(0, 0): {0: 1}})
+    monkeypatch.setattr(equations, "circle_product", lambda f, g, check_symmetry: mu)
+    check_prelie_n_two_ways(mu)
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda mp: EquationFlavor("bogus", HAT), ValueError,
+     "kind must be one of ('assoc', 'prelie', 'lie'), got 'bogus'"),
+    (lambda mp: EquationFlavor(ASSOC, "bogus"), ValueError,
+     "convention must be 'hat' or 'unhat', got 'bogus'"),
+    (lambda mp: residual(OperationFamily(UNHAT, GradedSpace(("e",), (0,)), 2),
+                         EquationFlavor(ASSOC, UNHAT), 0), ArityError,
+     "residual arity must be >= 1"),
+    (lambda mp: nary_residual(Operation(GradedSpace(("e",), (0,)), 2, 0, {}), "bogus"),
+     ValueError, "kind must be one of ('partially_associative', 'prelie', 'lie'), got 'bogus'"),
+    (_refuse_two_routes, LemmaViolationError,
+     "pre-Lie residual vanishing (True) disagrees with mu o mu vanishing (False) at arity 2"),
+], ids=["flavor-kind", "flavor-convention", "residual-arity", "nary-kind", "two-routes"])
+def test_equations_refusals_name_what_they_refuse(monkeypatch, refuse, error, message):
+    with pytest.raises(error) as caught:
+        refuse(monkeypatch)
+    assert type(caught.value) is error and str(caught.value) == message

@@ -326,3 +326,11 @@ def test_functors_intertwine_the_coderivations_they_induce():
                         nonzero += not lhs.is_zero()
         assert nonzero >= 300, (scales, words, nonzero)
         assert (max(denominators) > 1) == (scales[2] != 1), denominators
+
+
+def test_commutator_refuses_an_unknown_name_and_lists_the_three():
+    family = OperationFamily(UNHAT, GradedSpace(("e",), (0,)), 2)
+    with pytest.raises(ValueError) as caught:
+        commutator(family, "delta")
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "commutator name must be one of ['alpha', 'beta', 'gamma']"

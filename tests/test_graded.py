@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import map_keys, poly_mod_t2_product
 from oracles import sums_by_loop, table_by_groups
-from hopla.errors import ArityError, BasisIndexError, PositionError
-from hopla.graded import (GradedSpace, LinearCombination, Operation,
-                          check_homogeneous, compose_insert, space, word_degree)
+from hopla.errors import ArityError, BasisIndexError, ConventionError, PositionError
+from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
+                          OperationFamily, check_homogeneous, compose_insert, family_degree,
+                          insertion_terms, space, word_degree)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -341,3 +342,46 @@ def test_operation_family_degree_validation(flat2):
     op = Operation(flat2, 2, 0, {(0, 0): LinearCombination({0: 1})})
     with pytest.raises(ConventionError):
         OperationFamily(HAT, flat2, 2, {2: op})
+
+
+def _refusals():
+    sp, other = GradedSpace(("a", "b"), (0, 0)), GradedSpace(("c",), (0,))
+    op = Operation(sp, 2, 0, {(0, 1): {0: 1}})
+    elsewhere = Operation(other, 2, 0, {(0, 0): {0: 1}})
+    return [
+        ("space-lengths", lambda: GradedSpace(("a",), (0, 1)), ValueError,
+         "labels and degrees differ in length"),
+        ("space-label", lambda: sp.index("z"), BasisIndexError, "unknown basis label 'z'"),
+        ("operation-arity", lambda: Operation(sp, 0, 0, {}), ArityError,
+         "arity must be >= 1, got 0"),
+        ("table-word", lambda: Operation(sp, 2, 0, {(0,): {0: 1}}), ArityError,
+         "table word (0,) has length 1, arity is 2"),
+        ("evaluate-word", lambda: op.evaluate((0,)), ArityError, "word length 1 != arity 2"),
+        ("add-spaces", lambda: op + elsewhere, ArityError,
+         "cannot add operations on different spaces or arities"),
+        ("insertion-spaces", lambda: list(insertion_terms(op, elsewhere, 0)), ArityError,
+         "an insertion requires operations on the same space"),
+        ("family-degree", lambda: family_degree("bogus", 2), ValueError,
+         "unknown convention 'bogus'"),
+        ("family-convention", lambda: OperationFamily("bogus", sp, 2), ValueError,
+         "convention must be 'hat' or 'unhat', got 'bogus'"),
+        ("family-cap", lambda: OperationFamily(UNHAT, sp, 0), ArityError,
+         "max_arity must be >= 1"),
+        ("family-arity", lambda: OperationFamily(UNHAT, sp, 1, {2: op}), ArityError,
+         "arity 2 outside 1..1"),
+        ("family-space", lambda: OperationFamily(UNHAT, sp, 2, {2: elsewhere}), ArityError,
+         "operation at arity 2 lives on a different space"),
+        ("family-filed", lambda: OperationFamily(UNHAT, sp, 3, {3: op}), ArityError,
+         "operation of arity 2 filed under 3"),
+        ("family-degree-at-arity", lambda: OperationFamily(HAT, sp, 2, {2: op}),
+         ConventionError, "hat family requires degree -1 at arity 2, got 0"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_refusals())),
+                         ids=[name for name, *_ in _refusals()])
+def test_graded_refusals_name_what_they_refuse(index):
+    _, refuse, error, message = _refusals()[index]
+    with pytest.raises(error) as caught:
+        refuse()
+    assert type(caught.value) is error and str(caught.value) == message

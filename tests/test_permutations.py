@@ -13,7 +13,7 @@ from hopla.errors import BlockError, LengthError
 from hopla.graded import GradedSpace, LinearCombination, Operation
 from hopla.permutations import (MODE_FULL, MODE_PARTIAL, MODE_SHUFFLE, RHO1, RHO2,
                                 all_permutations, arrangement_count, block_representatives,
-                                compose, failing_symmetry_generator,
+                                compose, failing_symmetry_generator, fold,
                                 koszul_sign, precompose_symmetrized,
                                 sign, unshuffles)
 
@@ -363,3 +363,21 @@ def test_inverse_and_identity():
     for s in all_permutations(4):
         assert compose(s, inverse(s)) == identity(4)
         assert compose(inverse(s), s) == identity(4)
+
+
+def _fold_with(variant):
+    return fold(GradedSpace(("a",), (0,)), 2, 0, iter(()), 1, variant, MODE_FULL)
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: compose((1, 2), (1,)), LengthError,
+     "cannot compose permutations of different lengths"),
+    (lambda: _fold_with("rho3"), ValueError, "unknown action variant 'rho3'"),
+    (lambda: failing_symmetry_generator(
+        Operation(GradedSpace(("a",), (0,)), 2, 0, {}), "rho3", False), ValueError,
+     "unknown action variant 'rho3'"),
+], ids=["compose-lengths", "fold-variant", "symmetry-variant"])
+def test_permutation_refusals_name_what_they_refuse(refuse, error, message):
+    with pytest.raises(error) as caught:
+        refuse()
+    assert type(caught.value) is error and str(caught.value) == message

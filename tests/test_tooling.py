@@ -814,7 +814,7 @@ def test_one_reading_of_an_nary_document():
     # own one-operation family: drivers neither rebuilds nor re-files it, and
     # each commutator functor names one commutator of functors.commutator
     from hopla.drivers import COMMUTATOR_FUNCTORS
-    from hopla.functors import COMMUTATOR_MODES
+    from hopla.equations import COMMUTATORS
 
     texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     for refusal in ("n-ary documents require a degree-0 basis",
@@ -823,7 +823,84 @@ def test_one_reading_of_an_nary_document():
                 for _ in range(text.count(refusal))] == ["docio.py"], refusal
     conversions = set(_names(ast.parse(texts["drivers.py"]))) & {"nary_family", "_nary_document"}
     assert conversions == set(), conversions
-    assert set(COMMUTATOR_FUNCTORS.values()) <= set(COMMUTATOR_MODES), COMMUTATOR_FUNCTORS
+    assert set(COMMUTATOR_FUNCTORS.values()) <= set(COMMUTATORS), COMMUTATOR_FUNCTORS
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its functions and classes."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_the_paper_dictionary_is_written_once():
+    # equations.KINDS and equations.COMMUTATORS hold each kind's mode,
+    # coalgebra and declared types and each commutator's kinds and mode;
+    # no other module spells a type name in code or keys a dict by the
+    # kinds or the commutators (drivers.COMMUTATOR_FUNCTORS is keyed by the
+    # CLI's functor names)
+    types = {"a_infinity", "pl_infinity", "l_infinity", "assoc_n", "prelie_n", "lie_n"}
+    kinds = {"ASSOC", "PRELIE", "LIE", "TENSOR", "WEDGE", "PERM"}
+    keys = {"assoc", "prelie", "lie", "tensor", "wedge", "perm", "alpha", "beta", "gamma"}
+    spelled, keyed = set(), []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))):
+        docstrings = _docstrings(tree)
+        spelled |= {path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in types
+                    and id(node) not in docstrings}
+        keyed += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and any(
+                      isinstance(key, ast.Name) and key.id in kinds
+                      or isinstance(key, ast.Constant) and key.value in keys
+                      for key in node.keys)]
+    assert spelled == {"equations.py"}, spelled
+    tree = ast.parse((SRC / "equations.py").read_text(encoding="utf-8"))
+    tables = [target.id for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Dict) for target in node.targets]
+    assert tables == ["KINDS", "COMMUTATORS"], tables
+    assert len(keyed) == 2 and all(at.startswith("equations.py:") for at in keyed), keyed
+    gone = {"COMMUTATOR_MODES", "COMMUTATOR_PRECONDITIONS", "COMMUTATOR_IMAGE_TYPES"}
+    assert not {name for _, tree in _parsed(sorted(SRC.glob("*.py")))
+                for name in _names(tree)} & gone
+    # coalgebra_map has one orbit-sum branch, for alpha and gamma, beside
+    # beta's coproduct branch
+    tree = ast.parse((SRC / "coalgebra.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "coalgebra_map"]
+    calls = [node.func.id for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("_orbit_sum") == 1 and calls.count("coproduct_terms") == 1, calls
+    assert not [node for node in ast.walk(function)
+                if isinstance(node, ast.Constant) and node.value in keys]
+
+
+def test_selftest_walks_and_fold_lines_are_written_once():
+    # verify walks canonical words through _first_failing_word and arities
+    # through _first_failing_arity; drivers turns a Folded sum into a report
+    # line in Report.add_fold alone
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(callee):
+        return sorted(name for name, function in functions.items()
+                      for node in ast.walk(function) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == callee)
+
+    assert callers("coalgebra_words") == ["_first_failing_word"]
+    assert callers("_first_failing_word") == [
+        "coalgebra_map_law_witness", "coassociativity_witness",
+        "coderivation_correspondence_witness", "factorization_witness", "section_witness"]
+    assert callers("_first_failing_arity") == ["commutator_pipeline_witness"] * 4
+    loops = [node for node in ast.walk(functions["commutator_pipeline_witness"])
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops == []
+    tree = ast.parse((SRC / "drivers.py").read_text(encoding="utf-8"))
+    readers = [f"{scope.name}" for scope in ast.walk(tree)
+               if isinstance(scope, ast.FunctionDef) for node in ast.walk(scope)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("vanishes", "first_nonzero_entry")]
+    assert readers == ["add_fold", "add_fold"], readers
 
 
 def test_each_precondition_has_one_owner():

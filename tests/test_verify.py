@@ -15,8 +15,8 @@ from hopla import verify
 from hopla.cli import main
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, coalgebra_map, coproduct_terms, project_pi,
                              square_cogenerator_component)
-from hopla.equations import PARTIALLY_ASSOCIATIVE, circle_product, nary_residual
-from hopla.functors import COMMUTATOR_MODES, commutator
+from hopla.equations import COMMUTATORS, PARTIALLY_ASSOCIATIVE, circle_product, nary_residual
+from hopla.functors import commutator
 from hopla.graded import GradedSpace, LinearCombination, OperationFamily
 from hopla.permutations import (MODE_PARTIAL, RHO2, koszul_sign, precompose_symmetrized,
                                 unshuffles)
@@ -119,7 +119,7 @@ def test_commutator_pipeline_fails_when_alpha_is_gamma(monkeypatch):
 
 def _unsigned_commutator(family, name):
     """The commutator with the unhat action whatever the convention."""
-    ops = {n: precompose_symmetrized(op, RHO2, COMMUTATOR_MODES[name])
+    ops = {n: precompose_symmetrized(op, RHO2, COMMUTATORS[name].mode)
            for n, op in family.ops.items()}
     return OperationFamily(family.convention, family.space, family.max_arity, ops)
 
@@ -162,3 +162,9 @@ def test_selftest_exits_one_on_the_line_of_a_broken_map(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["pi o alpha = identity"]
+
+
+def test_sign_transfer_refuses_a_wrong_degree_count():
+    with pytest.raises(ValueError) as caught:
+        verify.sign_transfer_witness(3, [0])
+    assert type(caught.value) is ValueError and str(caught.value) == "need n-1 degrees"
