@@ -12,11 +12,10 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .coalgebra import PERM, TENSOR, WEDGE
 from .docio import MAX_ARITY, parse_document, serialize_document
 from .drivers import (generate_random, run_check, run_coderive, run_derive,
                       run_selftest)
-from .equations import ASSOC, LIE, PRELIE
+from .equations import COALGEBRAS, KINDS
 from .errors import AlgebraError, DocumentError, SymmetryError
 from .graded import HAT, UNHAT
 
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run structure-equation residuals on a document")
     p.add_argument("file")
-    p.add_argument("--flavor", required=True, choices=[ASSOC, PRELIE, LIE])
+    p.add_argument("--flavor", required=True, choices=list(KINDS))
     p.add_argument("--max-arity", type=int, default=None,
                    help=f"check residuals up to this arity (1..{MAX_ARITY}; "
                         "default: the document's max_arity)")
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coderive", help="build a coderivation and report its square")
     p.add_argument("file")
-    p.add_argument("--kind", required=True, choices=[TENSOR, WEDGE, PERM])
+    p.add_argument("--kind", required=True, choices=list(COALGEBRAS))
     p.add_argument("--weight-cap", type=int, default=4,
                    help=f"build and check up to this weight (1..{MAX_ARITY}; default 4)")
     p.add_argument("--no-precondition-check", action="store_true")

@@ -13,6 +13,9 @@ the table gives the coalgebra's kind) picks:
 * perm:    mode partial; the Perm word (x_1 ... x_{k-1} | t) is the tuple
            head + (t,), its first k - 1 letters a canonical wedge word.
 
+`_mode` reads a coalgebra's symmetrization, and it is the one place that
+refuses a name that is not a coalgebra's.
+
 Coalgebras here are non-counital and weights start at 1: the comultiplication
 of a weight-1 word is the empty sum.  Every structure is truncated at an
 explicit weight cap; all identities are weight-homogeneous, so nothing is
@@ -58,12 +61,18 @@ def wedge_normalize(space: GradedSpace, letters) -> tuple:
     return (sign, tuple(letters), order) if order else (0, None, 0)
 
 
+def _mode(kind: str) -> str | None:
+    """The kind's `SYMMETRIZATION`; the one refusal (KindError) of a name
+    that is not a coalgebra's."""
+    if kind not in SYMMETRIZATION:
+        raise KindError(f"unknown coalgebra kind {kind!r}")
+    return SYMMETRIZATION[kind]
+
+
 def _acted(kind: str, k: int) -> int:
     """The leading slots of a weight-k word that the kind's symmetrization
     acts on: none (tensor), all k (wedge) or the k - 1 of the head (perm)."""
-    if kind not in SYMMETRIZATION:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
-    return acted_count(SYMMETRIZATION[kind], k)
+    return acted_count(_mode(kind), k)
 
 
 def coalgebra_words(kind: str, space: GradedSpace, k: int) -> Iterator:
@@ -201,8 +210,7 @@ def comultiply(kind: str, space: GradedSpace, word) -> LinearCombination:
     (left word, right word) pairs, the sum of `coproduct_terms` over the
     left weights 1 .. n-1.  Weight-1 words comultiply to zero.  The Koszul
     signs are summed as ints, and the combination holds int values."""
-    if kind not in SYMMETRIZATION:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
+    _mode(kind)
     return LinearCombination((pair, s) for i in range(1, len(word))
                              for pair, s in coproduct_terms(kind, space, word, i))
 
@@ -283,8 +291,7 @@ class Coderivation:
     denominator: int = 1
 
     def __post_init__(self):
-        if self.kind not in SYMMETRIZATION:
-            raise KindError(f"unknown coalgebra kind {self.kind!r}")
+        _mode(self.kind)
         if not isinstance(self.denominator, int) or self.denominator < 1:
             raise ValueError(f"a coderivation's denominator must be a positive int, "
                              f"got {self.denominator!r}")
@@ -359,9 +366,7 @@ def extend_coderivation(family: OperationFamily, kind: str, cap: int) -> Coderiv
     """
     if family.convention != HAT:
         raise ConventionError("coderivation extension requires a hat-convention family")
-    if kind not in SYMMETRIZATION:
-        raise KindError(f"unknown coalgebra kind {kind!r}")
-    require_symmetry(family.ops, RHO1, SYMMETRIZATION[kind], f"the {kind} coderivation extension")
+    require_symmetry(family.ops, RHO1, _mode(kind), f"the {kind} coderivation extension")
     for n in family.arities():
         if not check_homogeneous(family.ops[n]):
             raise ConventionError(f"the {kind} coderivation extension requires homogeneous "

@@ -13,13 +13,12 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .coalgebra import (PERM, SYMMETRIZATION, TENSOR, WEDGE, block_count,
-                        check_coderivation, extend_coderivation, square_cogenerator_fold,
-                        word_count)
+from .coalgebra import (_mode, block_count, check_coderivation, extend_coderivation,
+                        square_cogenerator_fold, word_count)
 from .docio import MAX_ARITY, AlgebraDocument, format_rational, require_nary
-from .equations import (ASSOC, COMMUTATORS, KINDS, PARTIALLY_ASSOCIATIVE, EquationFlavor,
-                        require_collapsible, require_parity, residual, residual_insertions)
-from .errors import ConventionError, DocumentError, SymmetryError
+from .equations import (COALGEBRAS, COMMUTATORS, KINDS, EquationFlavor, require_collapsible,
+                        require_parity, residual, residual_insertions)
+from .errors import ConventionError, DocumentError, KindError, SymmetryError
 from .functors import commutator, desuspend_family, nary_embed, suspend_family
 from .graded import (HAT, UNHAT, GradedSpace, OperationFamily, family_degree,
                      insertion_term_count)
@@ -89,9 +88,19 @@ class CheckResult:
 
 @dataclass
 class Report:
+    """A verb's checks, in order.  The report's clock starts when it is
+    made, and `done` stops it: `elapsed` is the seconds in between."""
+
     title: str
     checks: list = field(default_factory=list)
     elapsed: float = 0.0
+    _start: float = field(default_factory=time.monotonic, init=False, repr=False,
+                          compare=False)
+
+    def done(self) -> "Report":
+        """Stop the clock, and return the report."""
+        self.elapsed = time.monotonic() - self._start
+        return self
 
     def add(self, name, passed, witness=None, detail=""):
         self.checks.append(CheckResult(name, bool(passed), witness, detail))
@@ -167,7 +176,6 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
     without the symmetry raises a SymmetryError instead.  Verdicts and
     witnesses are read off the folded residuals; nothing is expanded.
     """
-    t0 = time.monotonic()
     if kind not in KINDS:
         raise DocumentError(f"unknown flavor {kind!r}")
     if max_arity is not None and not 1 <= max_arity <= MAX_ARITY:
@@ -177,7 +185,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
 
     family, n = doc.family, doc.nary_arity
     if n is not None:
-        name = PARTIALLY_ASSOCIATIVE if kind == ASSOC else kind
+        name = KINDS[kind].equation
         if max_arity is not None and max_arity < 2 * n - 1:
             raise DocumentError(f"the {name} residual of an arity-{n} operation has arity "
                                 f"{2 * n - 1}, above the maximum arity {max_arity}")
@@ -208,8 +216,7 @@ def run_check(doc: AlgebraDocument, kind: str, max_arity: int | None = None,
         for n in arities:
             report.add_fold(f"{line} at arity {n}",
                             residual(family, flavor, n, check_symmetry=False, tables=tables))
-    report.elapsed = time.monotonic() - t0
-    return report
+    return report.done()
 
 
 def nary_operation(doc: AlgebraDocument) -> tuple:
@@ -298,9 +305,10 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     canonical words plus unshuffle blocks up to the cap (`word_count`,
     `block_count`), raises a DocumentError before any work starts, and so
     does an operation that is not homogeneous, at `operations`."""
-    t0 = time.monotonic()
-    if kind not in SYMMETRIZATION:
-        raise DocumentError(f"unknown coalgebra kind {kind!r}")
+    try:
+        _mode(kind)
+    except KindError as exc:
+        raise DocumentError(str(exc)) from None
     if not 1 <= weight_cap <= MAX_ARITY:
         raise DocumentError(f"the weight cap must lie in 1..{MAX_ARITY}, got {weight_cap}")
     report = Report(f"coderive {kind} (cap {weight_cap})")
@@ -318,8 +326,7 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     except SymmetryError as exc:
         report.add("symmetry precondition", False,
                    witness={"arity": exc.arity, "transposition": list(exc.transposition)})
-        report.elapsed = time.monotonic() - t0
-        return report
+        return report.done()
     except ConventionError as exc:
         raise DocumentError(str(exc), "operations") from None
     if check_preconditions:
@@ -333,8 +340,7 @@ def run_coderive(doc: AlgebraDocument, kind: str, weight_cap: int = 4,
     # too and vanishes up to the cap exactly when its cogenerator components
     # do (docs/conventions.md, "Coderivation components")
     report.add("squared coderivation vanishes up to the cap", square_zero)
-    report.elapsed = time.monotonic() - t0
-    return report
+    return report.done()
 
 
 def _reached(in_degrees, arities, convention: str) -> set:
@@ -447,7 +453,6 @@ def generate_random(dim: int, degrees, arities, sparsity: float, seed: int,
 def run_selftest(seed: int = 0, fast: bool = False) -> Report:
     """The cross-module invariant suite, smaller caps than the test suite
     but the same identities."""
-    t0 = time.monotonic()
     rng = random.Random(seed)
     report = Report(f"selftest (seed {seed})")
 
@@ -465,10 +470,10 @@ def run_selftest(seed: int = 0, fast: bool = False) -> Report:
 
     sp = GradedSpace(("u", "v"), (0, 1))
     cap = 3 if fast else 4
-    for kind in (TENSOR, WEDGE, PERM):
+    for kind in COALGEBRAS:
         report.add(f"coassociativity, {kind}",
                    verify.coassociativity_witness(kind, sp, cap) is None)
-    for name in ("alpha", "beta", "gamma"):
+    for name in COMMUTATORS:
         report.add(f"coalgebra-map law, {name}",
                    verify.coalgebra_map_law_witness(name, sp, cap) is None)
     report.add("gamma o beta = alpha", verify.factorization_witness(sp, cap) is None)
@@ -495,23 +500,21 @@ def run_selftest(seed: int = 0, fast: bool = False) -> Report:
                    verify.suspension_square_witness(fam) is None)
 
     flat = GradedSpace(("a", "b"), (0, 0))
+
+    def skew(n):
+        """A random arity-n operation on `flat`, skew in all slots but the last."""
+        return precompose_symmetrized(verify.random_operation(rng, flat, n, 0), RHO2,
+                                      MODE_PARTIAL)
+
     for trial in range(rounds):
         for n in (2, 3):
-            mu = precompose_symmetrized(
-                verify.random_operation(rng, flat, n, 0), RHO2, MODE_PARTIAL)
             report.add(f"pre-Lie residual = mu o mu, arity {n}, trial {trial}",
-                       verify.lemma_two_routes_witness(mu) is None)
+                       verify.lemma_two_routes_witness(skew(n)) is None)
     for n in (2, 3, 4):
-        p = precompose_symmetrized(
-            verify.random_operation(rng, flat, n, 0), RHO2, MODE_PARTIAL)
         report.add(f"full antisymmetrization = (n-1)! shuffle sum, n={n}",
-                   verify.full_vs_shuffle_witness(p) is None)
+                   verify.full_vs_shuffle_witness(skew(n)) is None)
     for trial in range(rounds):
-        f, g, h = (precompose_symmetrized(
-            verify.random_operation(rng, flat, rng.randint(1, 3), 0), RHO2, MODE_PARTIAL)
-            for _ in range(3))
+        f, g, h = (skew(rng.randint(1, 3)) for _ in range(3))
         report.add(f"graded Jacobi for the circle bracket, trial {trial}",
                    verify.graded_jacobi_witness(f, g, h) is None)
-
-    report.elapsed = time.monotonic() - t0
-    return report
+    return report.done()

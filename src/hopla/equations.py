@@ -20,9 +20,12 @@ only one pair (i, j) meets at an arity a lie witness value is i times too
 large, and where pairs with different i meet a lie verdict can be wrong
 (ROADMAP item 1; `coderive --kind wedge` is the independent route).
 
-Each kind's mode, its cofree coalgebra and its declared types, and each
-commutator's source kind, target kind and mode, are the paper's
-dictionary, written once in the tables `KINDS` and `COMMUTATORS` below.
+Each kind's mode, its cofree coalgebra, its declared types and the name
+of its n-ary equation, and each commutator's source kind, target kind and
+mode, are the paper's dictionary, written once in the tables `KINDS` and
+`COMMUTATORS` below.  `NARY_KINDS` reads the equation names back to their
+kinds, and `COALGEBRAS` lists the coalgebras in the order the CLI offers
+them (tensor, wedge, perm; the table's order is tensor, perm, wedge).
 
 A family satisfies the corresponding axioms iff all residuals vanish.  The
 prelie and lie residuals are computed in a collapsed form (below) that is
@@ -96,28 +99,35 @@ ASSOC = "assoc"
 PRELIE = "prelie"
 LIE = "lie"
 
+PARTIALLY_ASSOCIATIVE = "partially_associative"
+
 TENSOR = "tensor"
 WEDGE = "wedge"
 PERM = "perm"
 
 # a kind's row: the symmetrization P of its residual (None, partial or full),
 # the cofree coalgebra whose square-zero degree -1 coderivations are its
-# homotopy structures, and the declared types of its documents, (homotopy, n-ary)
-Kind = namedtuple("Kind", "mode coalgebra types")
+# homotopy structures, the declared types of its documents, (homotopy, n-ary),
+# and the name of its n-ary equation as `check` prints it
+Kind = namedtuple("Kind", "mode coalgebra types equation")
 # a commutator's row: the kind it takes, the kind it gives and the
 # symmetrization it sums over
 Commutator = namedtuple("Commutator", "source target mode")
 
 # The paper's dictionary, written once: A-infinity => PL-infinity =>
 # L-infinity and partially associative n => pre-Lie n => n-Lie admissible.
-# Every other reading of a kind's mode, coalgebra or types, and of a
-# commutator's kinds or sum, reads these two tables.
-KINDS = {ASSOC: Kind(None, TENSOR, ("a_infinity", "assoc_n")),
-         PRELIE: Kind(MODE_PARTIAL, PERM, ("pl_infinity", "prelie_n")),
-         LIE: Kind(MODE_FULL, WEDGE, ("l_infinity", "lie_n"))}
+# Every other reading of a kind's mode, coalgebra, types or n-ary equation,
+# and of a commutator's kinds or sum, reads these two tables.
+KINDS = {ASSOC: Kind(None, TENSOR, ("a_infinity", "assoc_n"), PARTIALLY_ASSOCIATIVE),
+         PRELIE: Kind(MODE_PARTIAL, PERM, ("pl_infinity", "prelie_n"), PRELIE),
+         LIE: Kind(MODE_FULL, WEDGE, ("l_infinity", "lie_n"), LIE)}
 COMMUTATORS = {"alpha": Commutator(ASSOC, LIE, MODE_FULL),
                "beta": Commutator(PRELIE, LIE, MODE_SHUFFLE),
                "gamma": Commutator(ASSOC, PRELIE, MODE_PARTIAL)}
+# the coalgebras in the order `coderive --kind` and selftest list them
+COALGEBRAS = (TENSOR, WEDGE, PERM)
+# the kind of each n-ary equation, read back off the table
+NARY_KINDS = {kind.equation: name for name, kind in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -357,11 +367,6 @@ def circle_bracket(f: Operation, g: Operation, check_symmetry: bool = True) -> O
 # n-ary algebras on plain spaces
 # ---------------------------------------------------------------------------
 
-PARTIALLY_ASSOCIATIVE = "partially_associative"
-
-NARY_KINDS = (PARTIALLY_ASSOCIATIVE, PRELIE, LIE)
-
-
 def nary_family(mu: Operation) -> OperationFamily:
     """The n-ary operation mu on a degree-0 space as the one-operation
     unhat family it is: mu filed at arity n and degree n-2, capped at
@@ -374,8 +379,8 @@ def nary_family(mu: Operation) -> OperationFamily:
 def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Folded:
     """Left-hand side of the defining equation of a (partially associative /
     pre-Lie / Lie) n-algebra, a `Folded` sum of arity 2n-1: the unhat
-    residual of `nary_family(mu)` at that arity, the partially associative
-    kind being the assoc flavor.
+    residual of `nary_family(mu)` at that arity, under the flavor of the
+    kind whose equation it is (`NARY_KINDS`).
 
     Only the pair (n, n) contributes there, with the unhat coefficient
     (-1)^(n(n-m-1)+m) = (-1)^(m(n-1)) at position m, so all three kinds
@@ -387,8 +392,8 @@ def nary_residual(mu: Operation, kind: str, check_symmetry: bool = True) -> Fold
     partial (pre-Lie) or full (Lie) skew symmetry.
     """
     if kind not in NARY_KINDS:
-        raise ValueError(f"kind must be one of {NARY_KINDS}, got {kind!r}")
-    flavor = EquationFlavor(ASSOC if kind == PARTIALLY_ASSOCIATIVE else kind, UNHAT)
+        raise ValueError(f"kind must be one of {tuple(NARY_KINDS)}, got {kind!r}")
+    flavor = EquationFlavor(NARY_KINDS[kind], UNHAT)
     return residual(nary_family(mu), flavor, 2 * mu.arity - 1, check_symmetry=check_symmetry)
 
 

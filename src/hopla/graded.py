@@ -184,6 +184,16 @@ def over(numerators: Mapping, denominator: int) -> LinearCombination:
     return LinearCombination([(key, Fraction(n, denominator)) for key, n in numerators.items()])
 
 
+def first_entry(numerators: Mapping, denominator: int):
+    """The smallest word of a table of numerators over a denominator, with
+    its value, or None when the table is empty: the one reader of a
+    witness, for an operation and for a folded sum alike."""
+    if not numerators:
+        return None
+    word = min(numerators)
+    return word, over(numerators[word], denominator)
+
+
 def table_from_terms(terms) -> dict:
     """Operation table {word: {output letter: sum}} from (word, output
     letter, coefficient) terms, summed in one pass: the accumulator of
@@ -316,10 +326,7 @@ class Operation:
 
     def first_nonzero_entry(self):
         """Smallest input word with a nonzero value, or None.  Used for witnesses."""
-        if not self.numerators:
-            return None
-        word = min(self.numerators)
-        return word, over(self.numerators[word], self.denominator)
+        return first_entry(self.numerators, self.denominator)
 
 
 @dataclass(eq=False)

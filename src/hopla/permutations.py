@@ -15,6 +15,10 @@ Conventions pinned here and relied on everywhere else:
   forced by the composition law
   eps(sigma; w o tau) = eps(tau*sigma; w) * eps(tau; w).
 
+`action_variant` picks the action of a convention, and `_is_rho2` reads
+the action a variant names; it is the one place that refuses a name that
+is not an action's.
+
 The actions are computed one adjacent swap at a time: swapping letters a
 and b gives -1 exactly when `(odd[a] and odd[b]) != rho2`.  The orbit
 kernel (`signed_sort`, `stabilizer_order`, `arrangements`), the
@@ -58,7 +62,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BlockError, LengthError, SymmetryError
-from .graded import HAT, GradedSpace, Operation, over, table_from_terms
+from .graded import HAT, GradedSpace, Operation, first_entry, table_from_terms
 
 Perm = tuple  # tuple[int, ...], 1-based one-line notation
 
@@ -73,6 +77,14 @@ MODE_SHUFFLE = "shuffle"    # sum over the (n-1,1)-unshuffles
 def action_variant(convention: str) -> str:
     """The one place that picks the action: rho1 for hat, rho2 for unhat."""
     return RHO1 if convention == HAT else RHO2
+
+
+def _is_rho2(variant: str) -> bool:
+    """Whether the variant is rho2; the one refusal (ValueError) of a name
+    that is not an action's."""
+    if variant not in (RHO1, RHO2):
+        raise ValueError(f"unknown action variant {variant!r}")
+    return variant == RHO2
 
 
 def acted_count(mode: str | None, arity: int) -> int:
@@ -242,10 +254,7 @@ class Folded:
         representative is the smallest word of its orbit and carries
         chi = 1, so the smallest representative is the smallest word of the
         sum, and its value is the one stored there."""
-        if not self.table:
-            return None
-        rep = min(self.table)
-        return rep, over(self.table[rep], self.denominator)
+        return first_entry(self.table, self.denominator)
 
 
 def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
@@ -265,12 +274,10 @@ def fold(space: GradedSpace, arity: int, degree: int, terms, denominator: int,
     followed by the word's other slots.  So in the partial mode the words
     that differ only in the last slot share one sort.
     """
-    if variant not in (RHO1, RHO2):
-        raise ValueError(f"unknown action variant {variant!r}")
+    rho2 = _is_rho2(variant)
     if mode not in (MODE_FULL, MODE_PARTIAL):
         raise ValueError(f"unknown symmetrization mode {mode!r}")
     odd = space.parities
-    rho2 = variant == RHO2
     acted = acted_count(mode, arity)
     moves = {}   # acted head -> (sorted head, chi |Stab|), the factor 0 when killed
 
@@ -375,13 +382,11 @@ def precompose_symmetrized(op: Operation, variant: str, mode: str) -> Operation:
     and S(r o pi) = chi(pi; r) S(r).  The shuffle mode sums the moved terms
     per word.
     """
-    if variant not in (RHO1, RHO2):
-        raise ValueError(f"unknown action variant {variant!r}")
+    rho2 = _is_rho2(variant)
     space, arity = op.space, op.arity
     terms = ((word, out, c) for word, sums in op.numerators.items() for out, c in sums.items())
     if mode == MODE_SHUFFLE:
         odd = space.parities
-        rho2 = variant == RHO2
 
         # the unshuffle taking slot k to the end contributes each term with
         # its word's last letter moved back to slot k, passing the letters there
@@ -408,10 +413,8 @@ def failing_symmetry_generator(op: Operation, variant: str, full: bool):
     The transpositions are walked in order, and the stored words inside
     each, one comparison per transposed pair of stored words.
     """
-    if variant not in (RHO1, RHO2):
-        raise ValueError(f"unknown action variant {variant!r}")
+    rho2 = _is_rho2(variant)
     odd = op.space.parities
-    rho2 = variant == RHO2
     numerators = op.numerators
     n_acted = acted_count(MODE_FULL if full else MODE_PARTIAL, op.arity)
     # the swap tau of letters a, b is an involution, so op o rho_tau = op

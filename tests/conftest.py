@@ -17,16 +17,21 @@ The oracles here deliberately avoid the library's own code paths:
 
 `identity`, `random_table`, `component`, `apply_word`, `square_component`,
 `with_entry`, `map_keys`, `flat_word`, `flat_component`, `commutator_bracket`,
-`associative_family`, `matrix_product_document` and `derived_documents` are
-small helpers that only the tests need;
+`associative_family`, `matrix_product_document`, `derived_documents` and
+`benchmark_inputs` are small helpers that only the tests need;
 `DEGREE_PATTERNS` are the basis degrees the oracle comparisons run on,
 `RATIONAL_COEFFICIENTS` the non-integer coefficients they draw, and
 `LIE_COEFFICIENT_XFAIL` marks the tests that ROADMAP item 1's fix makes pass.
 """
 
+import importlib
+import importlib.util
 import itertools
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -349,6 +354,23 @@ def derived_documents(seed):
     prelie = run_derive(nary, "nary-commutator-prelie")
     yield "nary-commutator-prelie", prelie
     yield "nary-commutator-lie", run_derive(prelie, "nary-commutator-lie")
+
+
+def benchmark_inputs(workload, seed, workdir):
+    """The documents and jobs of one benchmark workload at one seed,
+    perfbench/workloads.py's `Inputs`, written under workdir.  The module
+    is loaded from its file, since it imports nothing of hopla itself, and
+    given a namespace of the already-imported hopla modules: perfbench/run.py's
+    loader would re-import the package under the other tests."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # its dataclasses look their module up by name
+    hopla = types.SimpleNamespace(**{name: importlib.import_module(f"hopla.{name}")
+                                     for name in ("cli", "coalgebra", "docio", "drivers",
+                                                  "equations", "functors", "graded",
+                                                  "permutations", "verify")})
+    return module.Inputs(workload, seed, workdir, hopla)
 
 
 def with_entry(D, k, l, word, combo):

@@ -109,9 +109,10 @@ MUTANTS = (
            "            if a == b:\n",
            "the symmetry walk's failure on a repeated letter that the swap acts on by -1",
            PERMUTATIONS),
-    Mutant("witness-min", "permutations.py",
-           "rep = min(self.table)", "rep = max(self.table)",
-           "Folded.first_nonzero_entry's smallest representative, the printed witness",
+    Mutant("witness-min", "graded.py",
+           "word = min(numerators)", "word = max(numerators)",
+           "first_entry's smallest word, the printed witness of an operation and of a "
+           "Folded sum",
            ("tests/test_oracles.py", "tests/test_docio_cli.py")),
     Mutant("block-count", "permutations.py",
            "count = size // stabilizer_order(block, even, False)", "count = size",
@@ -406,23 +407,43 @@ MUTANTS = (
            "the symmetry derive checks first, which is the commutator's source kind's mode, so "
            "only beta checks for partial symmetry", DERIVE),
     Mutant("dictionary-coalgebras", "equations.py",
-           "PRELIE: Kind(MODE_PARTIAL, PERM, (\"pl_infinity\", \"prelie_n\")),\n"
+           "PRELIE: Kind(MODE_PARTIAL, PERM, (\"pl_infinity\", \"prelie_n\"), PRELIE),\n"
            "         LIE: Kind(MODE_FULL, WEDGE,",
-           "PRELIE: Kind(MODE_PARTIAL, WEDGE, (\"pl_infinity\", \"prelie_n\")),\n"
+           "PRELIE: Kind(MODE_PARTIAL, WEDGE, (\"pl_infinity\", \"prelie_n\"), PRELIE),\n"
            "         LIE: Kind(MODE_FULL, PERM,",
            "the dictionary's coalgebras of the pre-Lie and Lie kinds swapped, perm for wedge",
            COALGEBRA),
     Mutant("dictionary-nary-types", "equations.py",
-           "(\"pl_infinity\", \"prelie_n\")),\n         LIE: Kind(MODE_FULL, WEDGE, "
-           "(\"l_infinity\", \"lie_n\"))",
-           "(\"pl_infinity\", \"lie_n\")),\n         LIE: Kind(MODE_FULL, WEDGE, "
-           "(\"l_infinity\", \"prelie_n\"))",
+           "(\"pl_infinity\", \"prelie_n\"), PRELIE),\n         LIE: Kind(MODE_FULL, WEDGE, "
+           "(\"l_infinity\", \"lie_n\"), LIE)",
+           "(\"pl_infinity\", \"lie_n\"), PRELIE),\n         LIE: Kind(MODE_FULL, WEDGE, "
+           "(\"l_infinity\", \"prelie_n\"), LIE)",
            "the dictionary's n-ary types of the pre-Lie and Lie kinds swapped", DERIVE),
     Mutant("dictionary-gamma-mode", "equations.py",
            "\"gamma\": Commutator(ASSOC, PRELIE, MODE_PARTIAL)",
            "\"gamma\": Commutator(ASSOC, PRELIE, MODE_FULL)",
            "gamma summing over the whole symmetric group, alpha's mode, not over the head",
            (*FUNCTORS, *ORBIT_SUM)),
+    Mutant("dictionary-equations", "equations.py",
+           "\"prelie_n\"), PRELIE),\n         LIE: Kind(MODE_FULL, WEDGE, (\"l_infinity\", "
+           "\"lie_n\"), LIE)",
+           "\"prelie_n\"), LIE),\n         LIE: Kind(MODE_FULL, WEDGE, (\"l_infinity\", "
+           "\"lie_n\"), PRELIE)",
+           "the dictionary's n-ary equations of the pre-Lie and Lie kinds swapped", DERIVE),
+    Mutant("coalgebras-order", "equations.py",
+           "COALGEBRAS = (TENSOR, WEDGE, PERM)", "COALGEBRAS = (TENSOR, PERM, WEDGE)",
+           "the coalgebras listed in the table's order, not the CLI's",
+           ("tests/test_docio_cli.py::test_the_cli_and_selftest_list_the_kinds_in_one_order",)),
+    Mutant("variant-rho2", "permutations.py",
+           "    return variant == RHO2\n", "    return variant == RHO1\n",
+           "_is_rho2 answering rho1, so fold, the shuffle sum and the symmetry walk act by the "
+           "other action", PERMUTATIONS),
+    Mutant("wedge-merge-sign", "coalgebra.py",
+           "            sign = signed_sort(word, odd, False)\n            for x in shared:",
+           "            sign = signed_sort(word, odd, wedge)\n            for x in shared:",
+           "the wedge components' merge sign flipped on every swap of the merged factors "
+           "(the Perm components keep theirs)",
+           ("tests/test_coalgebra.py::test_wedge_square_is_the_lada_markl_lie_relation",)),
 )
 
 

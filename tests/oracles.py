@@ -47,6 +47,9 @@ only so that tests can compare the fast path against it:
   word, one term per way the relation feeds the inputs to an inner
   operation, with signs from the Koszul oracle above and no coefficient,
   where `equations` collapses positions and divides by factorials;
+* `lie_residual_by_unshuffles` evaluates the L∞ relation the same way,
+  one term per (j, n - j)-unshuffle as Lada and Markl write it, where
+  `equations` collapses positions and divides by factorials;
 * `residual_by_insertions`, `circle_product_by_insertions` and
   `circle_bracket_by_insertions` collapse the positions as `equations`
   does, but insert every stored entry of both operands, every arrangement
@@ -411,6 +414,33 @@ def residual_by_relation(family, kind, n):
         if value:
             table[word] = value
     return Operation(sp, n, n - 3 if unhat else -2, table)
+
+
+def lie_residual_by_unshuffles(family, n):
+    """The arity-n L∞ relation of a hat family as Lada and Markl write it:
+    the sum over i + j = n + 1 and the (j, n - j)-unshuffles sigma of
+    eps(sigma) l_i(l_j(x_s(1) .. x_s(j)), x_s(j+1) .. x_s(n)), evaluated on
+    every input word, with the Koszul sign `koszul_sign_by_bubble` and no
+    coefficient; the inner operation sits in the first slot, so it passes
+    no letter."""
+    sp, ops = family.space, family.ops
+    table = {}
+    for word in itertools.product(range(sp.dim), repeat=n):
+        degrees = [sp.degree(x) for x in word]
+        terms = []
+        for j in sorted(ops):
+            if n + 1 - j not in ops:
+                continue
+            for sigma in sh(j, n - j):
+                y = permute_word(sigma, word)
+                sign = koszul_sign_by_bubble(sigma, degrees)
+                for middle, c in ops[j].evaluate(y[:j]):
+                    terms += ((out, sign * c * cc)
+                              for out, cc in ops[n + 1 - j].evaluate((middle,) + y[j:]))
+        value = LinearCombination(terms)
+        if value:
+            table[word] = value
+    return Operation(sp, n, -2, table)
 
 
 def collapsed_positions(kind, i, coefficient):

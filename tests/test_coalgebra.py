@@ -1,10 +1,6 @@
 import dataclasses
-import importlib
-import importlib.util
 import itertools
 import random
-import sys
-import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,15 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (LIE_COEFFICIENT_XFAIL, RATIONAL_COEFFICIENTS, apply_word, component,
-                      flat_component, map_keys, perm_square_two_sum_form, random_table, sh,
-                      square_component, truncated, with_entry)
-from oracles import coderivation_law_by_coproducts, component_by_fractions, first_nonzero_square
+from conftest import (LIE_COEFFICIENT_XFAIL, RATIONAL_COEFFICIENTS, apply_word, benchmark_inputs,
+                      component, flat_component, map_keys, perm_square_two_sum_form, random_table,
+                      sh, square_component, truncated, with_entry)
+from oracles import (coderivation_law_by_coproducts, component_by_fractions, first_nonzero_square,
+                     lie_residual_by_unshuffles)
 from hopla import coalgebra
 from hopla.coalgebra import (PERM, TENSOR, WEDGE, Coderivation, _components, block_count,
                              check_coderivation, coalgebra_map, coalgebra_words,
                              comultiply, extend_coderivation, project_pi,
-                             square_cogenerator_component, wedge_normalize, word_count)
+                             square_cogenerator_component, square_cogenerator_fold,
+                             wedge_normalize, word_count)
 from hopla.docio import parse_document
 from hopla.drivers import _residual_witness, run_coderive
 from hopla.equations import ASSOC, LIE, PRELIE, EquationFlavor, residual
@@ -349,15 +347,39 @@ def test_wedge_square_equals_lie_residual():
             == residual(hat, EquationFlavor(LIE, HAT), n).op, n
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, loaded from its file: it imports nothing of
-    hopla itself, and perfbench/run.py's loader would re-import the package
-    under the other tests."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)   # its dataclasses look their module up by name
-    return module
+def _lie_oracle_cases():
+    """(case, hat family, {n: Lada-Markl's L∞ relation at arity n}) on dense
+    random fully symmetric unhat families, suspended: three letters of
+    degrees drawn from {-1, 0, 1}, arities 1-3, n = 1..4."""
+    rng = random.Random("lada-markl:0")
+    for trial in range(12):
+        sp = GradedSpace(("a", "b", "c"), tuple(rng.choice((-1, 0, 1)) for _ in range(3)))
+        hat = suspend_family(random_unhat_family(rng, sp, (1, 2, 3), "full", density=0.9))
+        yield (trial, sp.degrees), hat, {n: lie_residual_by_unshuffles(hat, n)
+                                         for n in range(1, 5)}
+
+
+def test_wedge_square_is_the_lada_markl_lie_relation():
+    # the independent route to the L∞ relation: the wedge coderivation's
+    # square, component (n -> 1), is the unshuffle sum as Lada and Markl
+    # write it, on families where arities meet
+    nonzero = 0
+    for case, hat, oracles in _lie_oracle_cases():
+        D = extend_coderivation(hat, WEDGE, 4)
+        for n, oracle in oracles.items():
+            assert square_cogenerator_fold(D, n).op == oracle, (case, n)
+            nonzero += not oracle.is_zero()
+    assert nonzero >= 20, nonzero  # the comparison must not be vacuous
+
+
+@LIE_COEFFICIENT_XFAIL
+def test_lie_residual_is_the_lada_markl_lie_relation():
+    nonzero = 0
+    for case, hat, oracles in _lie_oracle_cases():
+        for n, oracle in oracles.items():
+            assert residual(hat, EquationFlavor(LIE, HAT), n).op == oracle, (case, n)
+            nonzero += not oracle.is_zero()
+    assert nonzero >= 20, nonzero
 
 
 # the hat residual flavor whose equation each coalgebra's square decides
@@ -370,16 +392,11 @@ def test_coderive_square_lines_are_the_residual_on_the_benchmark_documents(kind,
     # runs: each "cogenerator component at weight n" line of run_coderive
     # has the verdict and the witness of the hat residual of the suspended
     # family at arity n
-    workloads = _benchmark_workloads()
-    hopla = types.SimpleNamespace(**{name: importlib.import_module(f"hopla.{name}")
-                                     for name in ("cli", "coalgebra", "docio", "drivers",
-                                                  "equations", "functors", "graded",
-                                                  "permutations", "verify")})
     flavor, compared = EquationFlavor(SQUARE_FLAVOR[kind], HAT), 0
     for seed in (1, 5):
         workdir = tmp_path / f"seed{seed}"
         workdir.mkdir()
-        for job in workloads.Inputs("coderive", seed, workdir, hopla).jobs:
+        for job in benchmark_inputs("coderive", seed, workdir).jobs:
             _, path, _, job_kind, _, cap, _ = job.argv
             if job_kind != kind:
                 continue

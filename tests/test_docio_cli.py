@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEGREE_PATTERNS, LIE_COEFFICIENT_XFAIL, identity,
+from conftest import (DEGREE_PATTERNS, LIE_COEFFICIENT_XFAIL, benchmark_inputs, identity,
                       matrix_product_document)
 from oracles import (failing_transposition_by_act, nary_residual_by_positions,
                      precompose_by_loop, residual_by_insertions, residual_by_positions,
@@ -24,8 +24,9 @@ from hopla.docio import (DECLARED_TYPES, MAX_ARITY, AlgebraDocument, parse_docum
 from hopla.coalgebra import PERM, TENSOR, WEDGE, word_count
 from hopla.drivers import (COMMUTATOR_FUNCTORS, MAX_CHECK_TERMS, MAX_CODERIVE_WORK,
                            MAX_DERIVE_ENTRIES, MAX_GENERATE_WORDS, _residual_witness,
-                           generate_random, nary_operation, run_check, run_derive)
-from hopla.equations import (ASSOC, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
+                           generate_random, nary_operation, run_check, run_derive,
+                           run_selftest)
+from hopla.equations import (ASSOC, KINDS, LIE, PARTIALLY_ASSOCIATIVE, PRELIE, EquationFlavor,
                              residual, residual_insertions)
 from hopla.errors import ConventionError, DocumentError
 from hopla.graded import (HAT, UNHAT, GradedSpace, LinearCombination, Operation,
@@ -1132,6 +1133,78 @@ def test_readme_names_every_long_option_of_every_verb():
     missing = sorted(option for option in options
                      if not re.search(re.escape(option) + r"(?![\w-])", readme))
     assert missing == []
+
+
+def test_the_cli_and_selftest_list_the_kinds_in_one_order():
+    # --flavor offers the kinds and --kind the coalgebras in the order the
+    # help has always printed, and selftest's lines walk the coalgebras and
+    # the commutators in the same orders
+    (verbs,) = [action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    choices = {f"{verb} --{action.dest}": list(action.choices)
+               for verb, parser in verbs.choices.items() for action in parser._actions
+               if action.dest in ("flavor", "kind")}
+    assert choices == {"check --flavor": ["assoc", "prelie", "lie"],
+                       "coderive --kind": ["tensor", "wedge", "perm"]}
+    names = [check.name for check in run_selftest(0, fast=True).checks]
+    assert [name for name in names if name.startswith(("coassociativity", "coalgebra-map"))] == [
+        "coassociativity, tensor", "coassociativity, wedge", "coassociativity, perm",
+        "coalgebra-map law, alpha", "coalgebra-map law, beta", "coalgebra-map law, gamma"]
+
+
+def test_derive_alpha_is_beta_after_gamma_on_the_benchmark_documents(tmp_path):
+    # two routes to one image on the chains the calculus workload derives:
+    # commutator-alpha writes, byte for byte, what commutator-beta writes of
+    # commutator-gamma's output (the paper's beta o gamma = alpha)
+    compared = 0
+    for seed in (1, 5):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        written = {}
+        for job in benchmark_inputs("calculus", seed, workdir).jobs:
+            if job.name.startswith("derive-commutator-"):   # gamma, then beta of its output
+                assert main(job.argv) == 0, job.name
+                with open(job.output, "rb") as handle:
+                    written[job.name] = handle.read()
+        for name, alpha in written.items():
+            if name.startswith("derive-commutator-alpha-"):
+                beta = written[name.replace("-alpha-", "-beta-")]
+                assert alpha == beta, (seed, name)
+                compared += 1
+    assert compared > 0
+
+
+def test_nary_check_is_the_check_of_its_embedding_on_the_benchmark_documents(tmp_path):
+    # the paper's three-copy equivalence on the documents the benchmark runs:
+    # check of an n-ary document and check of its nary-embed agree on the
+    # verdict and on whether the symmetry holds, for the residual workload's
+    # n-ary check jobs under their flavor and for the calculus workload's
+    # n-ary documents under every flavor
+    verdicts = Counter()
+    for seed in (1, 5):
+        for workload in ("residual", "calculus"):
+            workdir = tmp_path / f"{workload}{seed}"
+            workdir.mkdir()
+            inputs = benchmark_inputs(workload, seed, workdir)
+            if workload == "residual":
+                cases = [(job.name, job.source, [job.argv[3]]) for job in inputs.jobs]
+            else:
+                cases = [(name, str(workdir / name), list(KINDS)) for name in inputs.documents]
+            for name, path, flavors in cases:
+                with open(path, "rb") as handle:
+                    doc = parse_document(handle.read())
+                if doc.nary_arity is None:
+                    continue
+                embedded = parse_document(serialize_document(run_derive(doc, "nary-embed")))
+                for flavor in flavors:
+                    nary, embed = (run_check(d, flavor) for d in (doc, embedded))
+                    verdict = [(report.passed, all(c.passed for c in report.checks
+                                                   if "symmetry" in c.name))
+                               for report in (nary, embed)]
+                    assert verdict[0] == verdict[1], (seed, name, flavor)
+                    verdicts[verdict[0]] += 1
+    # each kind of verdict occurs: passes, failing residuals, failing symmetry
+    assert len(verdicts) == 3 and sum(verdicts.values()) > 0, verdicts
 
 
 def _unhat_words_reach(in_degrees, out_degrees, letters, arities=(2, 3)):

@@ -873,6 +873,45 @@ def test_the_paper_dictionary_is_written_once():
     assert calls.count("_orbit_sum") == 1 and calls.count("coproduct_terms") == 1, calls
     assert not [node for node in ast.walk(function)
                 if isinstance(node, ast.Constant) and node.value in keys]
+    modules = list(_parsed(sorted(SRC.glob("*.py"))))
+    # no other module lists the kinds, the coalgebras or the commutators:
+    # the CLI's choices and selftest's loops read KINDS, COALGEBRAS and
+    # COMMUTATORS
+    listed = [f"{path.name}:{node.lineno}" for path, tree in modules for node in ast.walk(tree)
+              if isinstance(node, (ast.List, ast.Tuple)) and any(
+                  isinstance(elt, ast.Name) and elt.id in kinds
+                  or isinstance(elt, ast.Constant) and elt.value in keys for elt in node.elts)]
+    assert listed and all(at.startswith("equations.py:") for at in listed), listed
+    # the n-ary equation names are KINDS' fourth column, and NARY_KINDS reads
+    # them back: the partially associative name is spelled once and read in
+    # the table alone
+    trees = {path.name: tree for path, tree in modules}
+    (row,) = [node for node in trees["equations.py"].body if isinstance(node, ast.Assign)
+              and [target.id for target in node.targets] == ["KINDS"]]
+    in_row = {id(node) for node in ast.walk(row)}
+    reads = [(path.name, id(node) in in_row) for path, tree in modules for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "PARTIALLY_ASSOCIATIVE"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads == [("equations.py", True)], reads
+    assert [path.name for path, tree in modules for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "partially_associative"] \
+        == ["equations.py"]
+    assert not [f"{path.name}:{alias.name}" for path, tree in modules for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if alias.name == "PARTIALLY_ASSOCIATIVE"]
+    # each refusal of a name is written once, in the function that reads it
+    refusals = {message: [f"{path.name[:-3]}.{getattr(top, 'name', top.lineno)}"
+                          for path, tree in modules for top in tree.body for node in ast.walk(top)
+                          if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                          and message in node.value]
+                for message in ("unknown coalgebra kind", "unknown action variant")}
+    assert refusals == {"unknown coalgebra kind": ["coalgebra._mode"],
+                        "unknown action variant": ["permutations._is_rho2"]}, refusals
+    # a report's clock is Report's: no verb reads the time itself
+    tree = ast.parse((SRC / "drivers.py").read_text(encoding="utf-8"))
+    clocks = [top.name for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Attribute) and node.attr == "monotonic"]
+    assert clocks and set(clocks) == {"Report"}, clocks
 
 
 def test_selftest_walks_and_fold_lines_are_written_once():
@@ -901,6 +940,15 @@ def test_selftest_walks_and_fold_lines_are_written_once():
                if isinstance(node, ast.Attribute)
                and node.attr in ("vanishes", "first_nonzero_entry")]
     assert readers == ["add_fold", "add_fold"], readers
+    # an operation and a Folded sum read their witness through graded.first_entry
+    witnesses = sorted(f"{path.name}:{scope.name}"
+                       for path, tree in _parsed(sorted(SRC.glob("*.py")))
+                       for scope in tree.body if isinstance(scope, ast.ClassDef)
+                       for method in scope.body if isinstance(method, ast.FunctionDef)
+                       and method.name == "first_nonzero_entry" for node in ast.walk(method)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", "") == "first_entry")
+    assert witnesses == ["graded.py:Operation", "permutations.py:Folded"], witnesses
 
 
 def test_each_precondition_has_one_owner():
